@@ -3,7 +3,7 @@
 Every operation is exposed as a subcommand with text or JSON output; fixed
 inputs and seed give byte-identical output.  Exit codes: 0 success, 1 domain
 error, 2 usage/parse error, 3 inconclusive (budget exhausted or no
-certificate found).
+certificate found), 4 a check failed.
 """
 
 from __future__ import annotations
@@ -53,6 +53,16 @@ from .proofstep import (
     run_rank_one_example,
 )
 from .rings import GradedRing, Vector
+
+
+def _checks_exit_code(checks) -> int:
+    """4 when any check failed, else 3 when any is inconclusive, else 0."""
+    statuses = {c.status for c in checks}
+    if "fail" in statuses:
+        return 4
+    if "inconclusive" in statuses:
+        return 3
+    return 0
 
 
 def _emit(args, text_value: str, json_value):
@@ -162,6 +172,9 @@ def cmd_shift_check(args):
             "top_dim_base": result.top_dim_base,
         },
     )
+    if not (result.composite_is_identity and result.top_iso_check):
+        return 4
+    return 0
 
 
 def cmd_compare(args):
@@ -324,16 +337,14 @@ def cmd_proofstep(args):
             phis.append(space_matrix(field, rows))
     report = run_proofstep(X, args.n, r0, phis)
     _emit(args, report.to_text().rstrip("\n"), report.to_json_dict())
-    if report.certificate is None:
-        return 3
-    return 0
+    return _checks_exit_code(report.checks)
 
 
 def cmd_example_rank1(args):
     field = FieldDescriptor.parse(args.field)
     report = run_rank_one_example(args.n, field, seed=args.seed, sample_count=args.samples)
     _emit(args, report.to_text().rstrip("\n"), report.to_json_dict())
-    return 0
+    return _checks_exit_code(report.checks)
 
 
 # -- parser ----------------------------------------------------------------------

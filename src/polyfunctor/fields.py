@@ -18,18 +18,34 @@ from math import comb
 from .errors import AlgebraError, FieldMismatchError, ParseError
 
 
+# Miller-Rabin with the first thirteen prime bases is deterministic below
+# this bound (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    if p >= _MR_LIMIT:
+        raise AlgebraError(f"modulus {p} is too large for the deterministic primality test")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -80,7 +96,7 @@ class FieldDescriptor:
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"scalar over {value.field} used in {self}")
             return value
         if self.characteristic == 0:
@@ -116,7 +132,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError("scalars over different fields")
             return other
         if isinstance(other, (int, Fraction)):

@@ -491,6 +491,22 @@ def label_degree(label) -> int:
     return label_vdeg(label, 0)
 
 
+def _expr_label_vdeg(expr: FunctorExpr, label, split: int) -> int:
+    """label_vdeg of a basis label of expr, where the split point is raised
+    by b under every shift(b, .): its first b leaf indices are constant."""
+    if isinstance(expr, ShiftF):
+        return _expr_label_vdeg(expr.inner, label, split + expr.by)
+    if isinstance(expr, SumF):
+        return _expr_label_vdeg(expr.parts[label[1]], label[2], split)
+    if isinstance(expr, TensorF):
+        return sum(_expr_label_vdeg(f, sub, split) for f, sub in zip(expr.factors, label[1]))
+    if isinstance(expr, (SymF, ExtF)):
+        return sum(_expr_label_vdeg(expr.inner, sub, split) for sub in label[1])
+    # the remaining labels hold no shift: quotient labels index shift-free
+    # normalised summands
+    return label_vdeg(label, split)
+
+
 def shift_label(label, by: int):
     """Relabel a basis element by translating every leaf index upward."""
     tag = label[0]
@@ -773,8 +789,8 @@ def shift_maps(P: FunctorExpr, field: FieldDescriptor, u: int, n: int) -> ShiftM
     d = P.degree()
     big_labels = alpha.row_labels  # basis at u+n
     small_labels = alpha.col_labels  # basis at n
-    top_cols = [i for i, lab in enumerate(big_labels) if label_vdeg(lab, u) == d]
-    top_rows = [i for i, lab in enumerate(small_labels) if label_degree(lab) == d]
+    top_cols = [i for i, lab in enumerate(big_labels) if _expr_label_vdeg(P, lab, u) == d]
+    top_rows = [i for i, lab in enumerate(small_labels) if _expr_label_vdeg(P, lab, 0) == d]
     iso = len(top_cols) == len(top_rows)
     if iso and top_rows:
         sub = [

@@ -14,6 +14,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,7 +108,7 @@ class GradedRing:
         return GradedPoly(self, {exps: c})
 
     def order_key(self, exps):
-        return (sum(e * w for e, w in zip(exps, self.weights)), exps)
+        return (sum(map(operator.mul, exps, self.weights)), exps)
 
     def __eq__(self, other):
         return (
@@ -387,21 +388,25 @@ class GradedPoly:
     def evaluate(self, point: dict) -> Scalar:
         """Evaluate at a point given as name -> scalar (ints are coerced)."""
         field = self.ring.field
-        vals = {}
-        for name in self.support_vars():
-            if name not in point:
-                raise SubstitutionError(f"missing coordinate for {name!r}")
-        for name, v in point.items():
-            vals[name] = field.scalar(v)
-        total = field.zero()
-        names = self.ring.names
+        if not point.keys() >= self.ring._pos.keys():
+            for name in self.support_vars():
+                if name not in point:
+                    raise SubstitutionError(f"missing coordinate for {name!r}")
+        # raw values: Fractions over q, residues in [0, p) over F_p
+        raw = {name: field.scalar(v).value for name, v in point.items()}
+        vals = [raw.get(name) for name in self.ring.names]
+        p = field.characteristic
+        total = 0
         for exps, c in self.terms.items():
-            acc = c
+            acc = c.value
             for i, e in enumerate(exps):
                 if e:
-                    acc = acc * vals[names[i]] ** e
-            total = total + acc
-        return total
+                    if p:
+                        acc = acc * pow(vals[i], e, p) % p
+                    else:
+                        acc = acc * vals[i] ** e
+            total += acc
+        return field.scalar(total)
 
     # -- printing ---------------------------------------------------------------
 

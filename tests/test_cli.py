@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -273,3 +274,94 @@ def test_induce_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["entries"][0][0] == "-2"  # det [[1,2],[3,4]]
+
+
+# sha256 of the example-rank1 stdout, captured before the sampling checks
+# moved from substitution to t-coefficient evaluation
+RANK1_GOLDEN = {
+    ("3", "q", "json"): "f724e06aec8b7022507d923086d6c27ae7a6cadafe89c5e2dfcb13f73db32d0b",
+    ("3", "q", "text"): "e3591d15d527cc64cc92600a4e99c4d684b28f1287f9464a17c766fb8e868438",
+    ("3", "fp:101", "json"): "6757eb6a8b6c6aff7b1b12c09bf3c4a27f723402da5ca77f99a19b11d3c40981",
+    ("3", "fp:101", "text"): "39772b267af397dd2787324c1cc271bec0bca061425a8147968f15e02f384dcd",
+    ("4", "fp:3", "json"): "4f707d4d6fb22984625902b5caa101177bc9ad4a4bc9270502f320518aad8aea",
+    ("4", "fp:3", "text"): "9bfaef4e0998afa8c184254020ff81bde75b16caf67f72cc792e1f6321b789e7",
+}
+
+
+@pytest.mark.parametrize("n,field,fmt", sorted(RANK1_GOLDEN))
+def test_example_rank1_golden_stdout(capsys, n, field, fmt):
+    code, out, _ = run_cli(
+        capsys, "example-rank1", "--n", n, "--field", field, "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK1_GOLDEN[(n, field, fmt)]
+
+
+def _with_statuses(real, *statuses):
+    """Wrap a report-producing function so the last checks get the statuses."""
+
+    def run(*args, **kwargs):
+        report = real(*args, **kwargs)
+        for check, status in zip(reversed(report.checks), statuses):
+            check.status = status
+        return report
+
+    return run
+
+
+PROOFSTEP_ARGS = (
+    "proofstep", "--field", "q", "--functor", "sum(tsym,talt)", "--u", "2", "--n", "2",
+    "--f", "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2", "--r0", "1", "--r-part", "p1",
+)
+RANK1_ARGS = ("example-rank1", "--n", "2", "--field", "q", "--samples", "5")
+
+
+@pytest.mark.parametrize(
+    "target,args",
+    [("run_rank_one_example", RANK1_ARGS), ("run_proofstep", PROOFSTEP_ARGS)],
+)
+@pytest.mark.parametrize(
+    "statuses,expected",
+    [(("fail",), 4), (("inconclusive",), 3), (("inconclusive", "fail"), 4)],
+)
+def test_check_statuses_set_the_exit_code(capsys, monkeypatch, target, args, statuses, expected):
+    from polyfunctor import cli
+
+    monkeypatch.setattr(cli, target, _with_statuses(getattr(cli, target), *statuses))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == expected
+    assert "all passed: false" in out
+
+
+def test_nested_shift_check(capsys):
+    code, out, _ = run_cli(
+        capsys, "shift-check", "--functor", "shift(1,sym(2,id))", "--u", "2", "--n", "3"
+    )
+    assert code == 0
+    assert "top-degree part isomorphic: true" in out
+    assert "top dims: shift=6 base=6" in out
+
+
+def test_failed_shift_check_exit_code(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from polyfunctor import cli
+
+    real = cli.shift_maps
+    monkeypatch.setattr(
+        cli, "shift_maps", lambda *a: replace(real(*a), top_iso_check=False)
+    )
+    code, out, _ = run_cli(
+        capsys, "shift-check", "--functor", "sym(2,id)", "--u", "1", "--n", "2"
+    )
+    assert code == 4
+    assert "top-degree part isomorphic: false" in out
+
+
+def test_oversized_modulus_is_a_domain_error(capsys):
+    code, _, err = run_cli(
+        capsys, "induce", "--functor", "id", "--field", "fp:3317044064679887385961981",
+        "--phi", "1",
+    )
+    assert code == 1
+    assert "too large" in err

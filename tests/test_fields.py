@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from polyfunctor import AlgebraError, FieldDescriptor, lucas_binomial
 from polyfunctor.errors import FieldMismatchError
+from polyfunctor.fields import _is_prime
 
 from conftest import F2, F3, F5, Q
 
@@ -78,3 +80,36 @@ def test_rational_scalar_arithmetic_is_field_arithmetic(x, y, z):
     a, b, c = Q.scalar(x), Q.scalar(y), Q.scalar(z)
     assert ((a + b) + c).value == (x + y) + z
     assert (a * (b + c)).value == x * (y + z)
+
+
+def _trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    for p in range(0, 3000):
+        assert _is_prime(p) == _trial_division_is_prime(p), p
+    # Carmichael numbers and strong pseudoprimes to the smallest bases
+    for composite in (561, 41041, 3215031751, 3825123056546413051):
+        assert not _is_prime(composite)
+
+
+def test_large_prime_modulus_parses_quickly():
+    start = time.perf_counter()
+    field = FieldDescriptor.parse("fp:2305843009213693951")  # 2^61 - 1
+    assert time.perf_counter() - start < 0.5
+    assert field.characteristic == 2**61 - 1
+
+
+def test_composite_without_small_factors_is_refused():
+    # 399165290221 * 798330580441: a strong pseudoprime to every prime base
+    # up to 37, caught by base 41
+    with pytest.raises(AlgebraError, match="not prime"):
+        FieldDescriptor.parse("fp:318665857834031151167461")
+
+
+def test_modulus_beyond_the_deterministic_bound_is_refused():
+    with pytest.raises(AlgebraError, match="too large"):
+        FieldDescriptor.parse("fp:3317044064679887385961981")
+    with pytest.raises(AlgebraError, match="too large"):
+        FieldDescriptor.prime_field(2**127 - 1)

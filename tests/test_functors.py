@@ -229,8 +229,16 @@ def test_quotient_index_out_of_range():
 # -- shift maps -------------------------------------------------------------------
 
 
+# shifts inside the expression: their constant leaves must not count as moving
+NESTED_SHIFTS = (
+    ShiftF(1, SymF(2, IdF())),
+    ShiftF(2, ExtF(2, IdF())),
+    SumF((ShiftF(1, TenSymF()), TensorF((IdF(), ShiftF(1, IdF()))))),
+)
+
+
 def test_shift_maps_golden_suite():
-    for P in GOLDEN:
+    for P in GOLDEN + NESTED_SHIFTS:
         for u in (1, 2):
             for n in range(1, 6):
                 result = shift_maps(P, Q, u, n)

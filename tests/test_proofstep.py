@@ -7,6 +7,8 @@ from polyfunctor import (
     BadDirectionChoiceError,
     CertificateNotFoundError,
     DirectionSubspace,
+    FieldDescriptor,
+    GradedPoly,
     GradedRing,
     PresentationError,
     VarietyPresentation,
@@ -26,6 +28,7 @@ from polyfunctor.functors import IdF, SumF, SymF, TenAltF, TenSymF, TensorF
 from polyfunctor.matrices import scalar_entry_ring, space_matrix
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
+    pullback_t_coefficients,
     rank_one_minors_plain,
     sample_rank_one_split,
     split_to_plain_map,
@@ -408,3 +411,63 @@ def test_membership_of_extracted_element_by_groebner():
             f"x_{a + 1}_{b + 1}": v[a] * w[b] for a in range(4) for b in range(4)
         }
         assert not el.poly.evaluate(point)
+
+
+# -- sampling checks ------------------------------------------------------------------
+
+
+def _pullback_vanishes_by_substitution(pullback, point):
+    """Reference check: substitute the point, keep t, test the result for 0."""
+    ring = pullback.ring
+    images = {
+        name: ring.const(point[name]) if name in point else ring.var(name)
+        for name in ring.names
+    }
+    return pullback.substitute(images).is_zero()
+
+
+@pytest.mark.parametrize("field", [Q, F3])
+def test_t_coefficient_check_agrees_with_substitution(field):
+    model_u, f, X = split_presentation(field)
+    model_big = coordinate_model(SPLIT, field, 5)
+    rng = random.Random(11)
+    for i, j in ((1, 2), (2, 3)):
+        el = extract_additive_element(
+            f, model_u, model_big, pair_projection(field, 3, i, j), 0, "p1"
+        )
+        ext = el.pullback.ring
+        t_name = ext.names[-1]
+        perturbed = el.pullback + ext.var(t_name) * ext.var("y_1_1")
+        coeffs = pullback_t_coefficients(el.pullback, model_big.ring)
+        perturbed_coeffs = pullback_t_coefficients(perturbed, model_big.ring)
+        assert all(c.ring == model_big.ring for c in coeffs)
+        caught = 0
+        for _ in range(30):
+            point = sample_rank_one_split(rng, model_big)
+            vanishes = not any(c.evaluate(point) for c in coeffs)
+            assert vanishes
+            assert vanishes == _pullback_vanishes_by_substitution(el.pullback, point)
+            perturbed_vanishes = not any(c.evaluate(point) for c in perturbed_coeffs)
+            assert perturbed_vanishes == _pullback_vanishes_by_substitution(perturbed, point)
+            assert perturbed_vanishes == (not point["y_1_1"])
+            caught += not perturbed_vanishes
+        assert caught > 0
+
+
+def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
+    calls = []
+    substitute = GradedPoly.substitute
+
+    def counted(self, mapping):
+        calls.append(1)
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(GradedPoly, "substitute", counted)
+    field = FieldDescriptor.prime_field(101)
+    counts = []
+    for samples in (100, 1):
+        calls.clear()
+        assert run_rank_one_example(3, field, sample_count=samples).all_passed()
+        counts.append(len(calls))
+    # the pipeline itself substitutes a fixed number of times; a sample adds none
+    assert counts[0] == counts[1] <= 40

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyfunctor import (
     AlgebraError,
+    FieldDescriptor,
     GradedRing,
     coeff_of_power,
     parse_polynomial,
@@ -10,11 +11,12 @@ from polyfunctor import (
     substitute,
     weighted_degree,
 )
-from polyfunctor.errors import RingMismatchError, SubstitutionError
+from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
 
 from conftest import ALL_FIELDS, F2, F3, Q, random_poly
 
 import random
+from fractions import Fraction
 
 
 def det_ring(field=Q):
@@ -200,3 +202,38 @@ def test_vector_length_checked():
 
     with pytest.raises(AlgebraError):
         Vector("v", ("a", "b"), (Q.one(),))
+
+
+F101 = FieldDescriptor.prime_field(101)
+
+
+def test_evaluate_matches_substitution_to_constants():
+    rng = random.Random(5)
+    for field in (Q, F3, F101):
+        ring = GradedRing(field, [("x", "main", 1), ("y", "main", 2), ("z", "aux", 0)])
+        for _ in range(40):
+            f = random_poly(rng, ring, max_degree=6, max_terms=7)
+            point = {
+                "x": field.scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))),
+                "y": rng.randint(-20, 20),
+                "z": field.scalar(rng.randint(-5, 5)),
+            }
+            constants = {name: ring.const(v) for name, v in point.items()}
+            value = f.evaluate(point)
+            assert value.field == field
+            assert value == f.substitute(constants).constant_value()
+
+
+def test_evaluate_errors():
+    ring = GradedRing(F3, ["x", "y", "z"])
+    f = parse_polynomial("x*z + z^2", ring)
+    # only occurring variables need a coordinate; the first missing one in
+    # ring order is named
+    assert f.evaluate({"x": 1, "z": 2}) == F3.scalar(6)
+    with pytest.raises(SubstitutionError, match="missing coordinate for 'x'"):
+        f.evaluate({"y": 1})
+    with pytest.raises(FieldMismatchError):
+        f.evaluate({"x": 1, "y": 0, "z": F101.scalar(2)})
+    with pytest.raises(FieldMismatchError):
+        f.evaluate({"x": 1, "z": 2, "w": Q.scalar(1)})
+    assert ring.zero().evaluate({}) == F3.zero()
