@@ -27,10 +27,6 @@ from .rings import (
     GradedRing,
     RingVariable,
     Vector,
-    coeff_of_power,
-    poly_arith,
-    substitute,
-    weighted_degree,
 )
 from .parsing import parse_polynomial, polynomial_variable_names
 from .groebner import Budget, membership_by_division, normal_form, reduce_poly

@@ -3,7 +3,7 @@
 Every operation is exposed as a subcommand with text or JSON output; fixed
 inputs and seed give byte-identical output.  Exit codes: 0 success, 1 domain
 error, 2 usage/parse error, 3 inconclusive (budget exhausted or no
-certificate found), 4 a check failed.
+certificate found), 4 a check failed, 5 an internal check failed (a bug).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from .errors import (
     AlgebraError,
     BudgetExceededError,
     CertificateNotFoundError,
+    InternalCheckError,
     ParseError,
 )
 from .fields import FieldDescriptor
-from .groebner import normal_form
 from .functors import (
     compare_order,
     decompose,
@@ -49,6 +49,8 @@ from .parsing import (
 from .proofstep import (
     VarietyPresentation,
     coordinate_model,
+    delta_degree,
+    pair_projections,
     run_proofstep,
     run_rank_one_example,
 )
@@ -252,37 +254,18 @@ def cmd_delta(args):
         if args.q_generators
         else []
     )
-    best = None
-    witness = None
-    status = "infinite"
-    try:
-        for g in generators:
-            if not g:
-                continue
-            if normal_form(g, q_generators).is_zero():
-                continue
-            d = g.weighted_degree()
-            if best is None or d < best:
-                best = d
-                witness = g
-        if best is not None:
-            status = "finite"
-    except BudgetExceededError:
-        status = "inconclusive"
-    text_lines = [f"status: {status}"]
-    if status == "finite":
-        text_lines.append(f"delta: {best}")
-        text_lines.append(f"witness: {witness.to_text()}")
+    report = delta_degree(generators, q_generators)
+    witness = report.witness.to_text() if report.witness is not None else None
+    text_lines = [f"status: {report.status}"]
+    if report.status == "finite":
+        text_lines.append(f"delta: {report.delta}")
+        text_lines.append(f"witness: {witness}")
     _emit(
         args,
         "\n".join(text_lines),
-        {
-            "status": status,
-            "delta": best,
-            "witness": witness.to_text() if witness is not None else None,
-        },
+        {"status": report.status, "delta": report.delta, "witness": witness},
     )
-    if status == "inconclusive":
+    if report.status == "inconclusive":
         return 3
     return 0
 
@@ -321,20 +304,12 @@ def cmd_proofstep(args):
             f"r0 needs {len(r_vars)} coordinates over {list(r_vars)}"
         )
     r0 = Vector("r", r_vars, r_coords)
-    phis = []
     if args.phi:
-        for text in args.phi:
-            phis.append(space_matrix(field, parse_matrix(text, field)))
+        phis = [space_matrix(field, parse_matrix(text, field)) for text in args.phi]
     else:
         if args.u != 2:
             raise AlgebraError("default pair projections need u = 2; pass --phi")
-        import itertools as _it
-
-        for i, j in _it.combinations(range(1, args.n + 1), 2):
-            rows = [[0] * args.n for _ in range(2)]
-            rows[0][i - 1] = 1
-            rows[1][j - 1] = 1
-            phis.append(space_matrix(field, rows))
+        phis = list(pair_projections(field, args.n).values())
     report = run_proofstep(X, args.n, r0, phis)
     _emit(args, report.to_text().rstrip("\n"), report.to_json_dict())
     return _checks_exit_code(report.checks)
@@ -446,6 +421,9 @@ def main(argv=None) -> int:
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Domain errors (bad inputs, refused constructions) derive from AlgebraError.
 Budget exhaustion is reported separately so callers can distinguish
 "inconclusive" from "wrong". InternalCheckError flags a violated internal
-identity, which always means an implementation bug, and is never caught
-inside the package.
+identity, which always means an implementation bug; inside the package only
+the command line catches it, to report it and exit with its own code.
 """
 
 

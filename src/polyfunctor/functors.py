@@ -530,7 +530,7 @@ def shift_label(label, by: int):
 # ---------------------------------------------------------------------------
 
 
-def _sym_power_matrix(a: LinearMapMatrix, power: int, expr: SymF) -> LinearMapMatrix:
+def _sym_power_matrix(a: LinearMapMatrix, power: int) -> LinearMapMatrix:
     ring = a.ring
     n_cols = len(a.col_labels)
     n_rows = len(a.row_labels)
@@ -722,7 +722,7 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
     if isinstance(expr, TensorF):
         return _tensor_matrix([induced_map(f, phi) for f in expr.factors])
     if isinstance(expr, SymF):
-        return _sym_power_matrix(induced_map(expr.inner, phi), expr.power, expr)
+        return _sym_power_matrix(induced_map(expr.inner, phi), expr.power)
     if isinstance(expr, ExtF):
         return _ext_power_matrix(induced_map(expr.inner, phi), expr.power)
     if isinstance(expr, ShiftF):

@@ -95,6 +95,30 @@ def _copy_names(ring: GradedRing, span_vars, suffix: str = "_w"):
     return tuple(out)
 
 
+def doubled_ring(ring: GradedRing, span_vars, suffix: str):
+    """ring extended by one fresh copy of every span variable, each copy
+    carrying the weight of its original; returns the extended ring and the
+    (original, copy) name pairs."""
+    copies = _copy_names(ring, span_vars, suffix)
+    ext = ring.extended(
+        RingVariable(copy, "aux", ring.variables[ring.position(orig)].weight)
+        for orig, copy in copies
+    )
+    return ext, copies
+
+
+def _additivity_defect(f: GradedPoly, span_vars) -> GradedPoly:
+    """f(v + w) - f(v) - f(w) in doubled variables v, w on span_vars."""
+    ring = f.ring
+    ext, copies = doubled_ring(ring, span_vars, "_b")
+    sum_map = {name: ext.var(name) for name in ring.names}
+    copy_map = dict(sum_map)
+    for orig, copy in copies:
+        sum_map[orig] = ext.var(orig) + ext.var(copy)
+        copy_map[orig] = ext.var(copy)
+    return f.substitute(sum_map) - f.convert(ext) - f.substitute(copy_map)
+
+
 def _expansion_setup(f: GradedPoly, W: DirectionSubspace, t: str | None):
     """Extended ring and substitution sending x to x + t*(copy of x) on W."""
     ring = f.ring
@@ -283,27 +307,15 @@ def is_additive(f: GradedPoly, W: DirectionSubspace):
     outside = set(f.support_vars()) - set(W.span_vars)
     if outside:
         raise AlgebraError(f"polynomial involves non-subspace variables {sorted(outside)}")
-    ring = f.ring
-    copies = _copy_names(ring, W.span_vars, "_b")
-    ext = ring.extended(
-        RingVariable(copy, "aux", ring.variables[ring.position(orig)].weight)
-        for orig, copy in copies
-    )
-    sum_map = {name: ext.var(name) for name in ring.names}
-    second_map = {name: ext.var(name) for name in ring.names}
-    for orig, copy in copies:
-        sum_map[orig] = ext.var(orig) + ext.var(copy)
-        second_map[orig] = ext.var(copy)
     if f.is_zero():
         return True, None
-    defect = f.substitute(sum_map) - f.convert(ext) - f.substitute(second_map)
-    if not defect.is_zero():
+    if not _additivity_defect(f, W.span_vars).is_zero():
         return False, None
     level = None
     degrees = {sum(exps) for exps in f.terms}
     if len(degrees) == 1:
         d = degrees.pop()
-        p = ring.field.char_exponent
+        p = f.ring.field.char_exponent
         if p == 1:
             level = 0 if d == 1 else None
         else:
@@ -323,19 +335,7 @@ def joint_additivity_holds(data: DirectionalData) -> bool:
     """h(w', v + w) = h(w', v) + h(w', w) as a formal identity."""
     if not data.dependent:
         return True
-    joint = data.joint
-    ring = joint.ring
-    second = _copy_names(ring, tuple(c for _, c in data.copies), "_b")
-    ext = ring.extended(
-        RingVariable(copy, "aux", ring.variables[ring.position(orig)].weight)
-        for orig, copy in second
-    )
-    sum_map = {name: ext.var(name) for name in ring.names}
-    other_map = {name: ext.var(name) for name in ring.names}
-    for orig, copy in second:
-        sum_map[orig] = ext.var(orig) + ext.var(copy)
-        other_map[orig] = ext.var(copy)
-    return (joint.substitute(sum_map) - joint.convert(ext) - joint.substitute(other_map)).is_zero()
+    return _additivity_defect(data.joint, tuple(c for _, c in data.copies)).is_zero()
 
 
 def joint_scaling_holds(data: DirectionalData) -> bool:

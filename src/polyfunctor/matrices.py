@@ -53,17 +53,11 @@ class LinearMapMatrix:
     def shape(self):
         return (len(self.row_labels), len(self.col_labels))
 
-    def entry(self, i: int, j: int) -> GradedPoly:
-        return self.rows[i][j]
-
     def entry_by_label(self, row_label, col_label) -> GradedPoly:
         return self.rows[self._row_pos[row_label]][self._col_pos[col_label]]
 
-    def column(self, j: int):
-        return tuple(row[j] for row in self.rows)
-
     def compose(self, other: "LinearMapMatrix") -> "LinearMapMatrix":
-        """Matrix of self after other (self @ other)."""
+        """Matrix of self after other."""
         if self.ring != other.ring:
             raise AlgebraError("composition across entry rings")
         if self.col_labels != other.row_labels:
@@ -83,23 +77,12 @@ class LinearMapMatrix:
             out.append(new_row)
         return LinearMapMatrix(self.row_labels, other.col_labels, self.ring, out)
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def scale(self, factor) -> "LinearMapMatrix":
         return LinearMapMatrix(
             self.row_labels,
             self.col_labels,
             self.ring,
             [[e * factor for e in row] for row in self.rows],
-        )
-
-    def map_entries(self, func, ring: GradedRing | None = None) -> "LinearMapMatrix":
-        return LinearMapMatrix(
-            self.row_labels,
-            self.col_labels,
-            ring or self.ring,
-            [[func(e) for e in row] for row in self.rows],
         )
 
     def is_identity(self) -> bool:

@@ -9,8 +9,10 @@ extracted from the pullback of f, and finally a Cramer-rule certificate that
 expresses each moving top-summand coordinate over the retained coordinates
 with denominators that are powers of h.
 
-The worked rank-one tensor example ships end-to-end with seeded sample
-validation and byte-stable reports.
+One stage runner does all of this; run_proofstep reports its formal
+checks, and the worked rank-one tensor example runs the same stages and adds
+its expected values, seeded sample validation and an ideal-membership check.
+Both render one byte-stable report type.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .groebner import (
 from .hasse import (
     DirectionSubspace,
     directional_data,
+    doubled_ring,
     fresh_name,
     joint_additivity_holds,
     joint_scaling_holds,
@@ -224,14 +227,14 @@ class DeltaReport:
     witness: GradedPoly | None
 
 
-def delta_degree(X: VarietyPresentation, budget_steps: int | None = None) -> DeltaReport:
+def delta_degree(generators, q_generators, budget_steps: int | None = None) -> DeltaReport:
     best = None
     witness = None
     try:
-        for g in X.generators:
+        for g in generators:
             if not g:
                 continue
-            remainder = normal_form(g, X.q_generators, Budget(budget_steps) if budget_steps else None)
+            remainder = normal_form(g, q_generators, Budget(budget_steps) if budget_steps else None)
             if remainder.is_zero():
                 continue
             d = g.weighted_degree()
@@ -329,14 +332,9 @@ class ProjectionCoefficients:
     by_degree: dict[int, tuple[LinearMapMatrix, ...]]
 
 
-def _t_ring(fld: FieldDescriptor) -> GradedRing:
-    return GradedRing(fld, (RingVariable("t", "aux", 0),))
-
-
-def _parametrised_map(model_u: CoordinateModel, phi: LinearMapMatrix) -> tuple[LinearMapMatrix, GradedRing]:
+def _parametrised_map(model_u: CoordinateModel, phi: LinearMapMatrix) -> LinearMapMatrix:
     """Induced matrix of [1_U | t*phi] over the one-variable ring in t."""
-    fld = model_u.field
-    ring_t = _t_ring(fld)
+    ring_t = GradedRing(model_u.field, (RingVariable("t", "aux", 0),))
     t = ring_t.var("t")
     tail = LinearMapMatrix(
         phi.row_labels,
@@ -345,7 +343,7 @@ def _parametrised_map(model_u: CoordinateModel, phi: LinearMapMatrix) -> tuple[L
         [[e.convert(ring_t) * t for e in row] for row in phi.rows],
     )
     psi = graft_columns(model_u.dimension, tail)
-    return induced_map(model_u.normalized, psi), ring_t
+    return induced_map(model_u.normalized, psi)
 
 
 def projection_coefficients(
@@ -357,8 +355,7 @@ def projection_coefficients(
         raise PresentationError("projection matrix has the wrong shape")
     if matrix_rank([[e.constant_value() for e in row] for row in phi.rows], fld) != u:
         raise PresentationError("projection matrix is not surjective")
-    big = coordinate_model(model_u.functor, fld, u + n)
-    full, _ = _parametrised_map(model_u, phi)
+    full = _parametrised_map(model_u, phi)
     scalar_ring = scalar_entry_ring(fld)
     proj = induced_map(model_u.normalized, base_projection(fld, u, n))
     zero_block = [[fld.zero()] * u for _ in range(u)]
@@ -416,7 +413,6 @@ class AffineAdditiveElement:
     constant_part: GradedPoly
     eliminated: tuple[str, ...]
     pullback: GradedPoly  # full parametrised pullback of the witness
-    tag: str = ""
 
 
 def extract_additive_element(
@@ -438,7 +434,7 @@ def extract_additive_element(
     d = model_u.normalized.degree()
     q_power = fld.char_exponent ** level
 
-    full, _ = _parametrised_map(model_u, phi)
+    full = _parametrised_map(model_u, phi)
     t_name = fresh_name("t", set(model_big.ring.names))
     ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
     # pull back every base-side coordinate through the parametrised matrix
@@ -532,18 +528,8 @@ def _check_derivative_formula(
     u = model_u.dimension
     n = model_big.dimension - u
     q_power = fld.char_exponent ** level
-    big_ring = model_big.ring
-    copies = []
-    taken = set(big_ring.names)
-    for name in moving:
-        copy = fresh_name(name + "_w", taken)
-        taken.add(copy)
-        copies.append((name, copy))
+    joint_ring, copies = doubled_ring(model_big.ring, moving, "_w")
     copy_of_big = dict(copies)
-    joint_ring = big_ring.extended(
-        RingVariable(copy, "aux", big_ring.variables[big_ring.position(orig)].weight)
-        for orig, copy in copies
-    )
     lhs = joint_ring.zero()
     for name, coeff in additive_part.items():
         lhs = lhs + coeff.convert(joint_ring) * joint_ring.var(copy_of_big[name]) ** q_power
@@ -725,31 +711,196 @@ def eliminate(
 
 
 # ---------------------------------------------------------------------------
-# rank-one worked example
+# the proof step: stages, report and generic run
 # ---------------------------------------------------------------------------
 
 
-def split_coordinate_form(model: CoordinateModel, a: int, b: int) -> GradedPoly:
-    """Tensor coordinate x_ab written in the split y/z coordinates (0-based)."""
-    ring = model.ring
-    if a == b:
-        return ring.var(f"y_{a + 1}_{b + 1}")
-    if a < b:
-        return ring.var(f"y_{a + 1}_{b + 1}") + ring.var(f"z_{a + 1}_{b + 1}")
-    return ring.var(f"y_{b + 1}_{a + 1}") - ring.var(f"z_{b + 1}_{a + 1}")
+@dataclass
+class Check:
+    name: str
+    status: str  # pass | fail | inconclusive | skipped
+    witness: str = ""
 
 
-def rank_one_minors_split(model: CoordinateModel) -> list[GradedPoly]:
-    """All 2x2 minors of the generic tensor, in split coordinates."""
-    m = model.dimension
-    out = []
-    for i, j in itertools.combinations(range(m), 2):
-        for k, l in itertools.combinations(range(m), 2):
-            out.append(
-                split_coordinate_form(model, i, k) * split_coordinate_form(model, j, l)
-                - split_coordinate_form(model, i, l) * split_coordinate_form(model, j, k)
-            )
+@dataclass
+class ProofStepReport:
+    """Outcome of one proof step, rendered as text or JSON.
+
+    header holds the leading (key, value) pairs in print order.  Each element
+    comes with the JSON keys that identify it; the text layout prints their
+    values as k[v1][v2]...  delta_witness, when set, is printed as its own
+    text line.
+    """
+
+    header: tuple
+    f: GradedPoly
+    r0: Vector
+    delta: DeltaReport
+    delta_witness: GradedPoly | None
+    level: int
+    h: GradedPoly
+    elements: list  # (identifying keys, AffineAdditiveElement)
+    certificate: EliminationCertificate | None
+    checks: list
+
+    def all_passed(self) -> bool:
+        return all(c.status == "pass" for c in self.checks)
+
+    def to_json_dict(self) -> dict:
+        return {
+            **dict(self.header),
+            "f": self.f.to_text(),
+            "r0": {b: str(c) for b, c in zip(self.r0.basis, self.r0.coords)},
+            "delta": {
+                "status": self.delta.status,
+                "value": self.delta.delta,
+                "witness": self.delta.witness.to_text() if self.delta.witness else None,
+            },
+            "e0": self.level,
+            "h": self.h.to_text(),
+            "k": [{**keys, "value": el.poly.to_text()} for keys, el in self.elements],
+            "certificate": [
+                {
+                    "variable": e.variable,
+                    "numerator": e.numerator.to_text(),
+                    "h_power": e.h_power,
+                }
+                for e in (self.certificate.entries if self.certificate else ())
+            ],
+            "checks": [
+                {"name": c.name, "status": c.status, "witness": c.witness}
+                for c in self.checks
+            ],
+            "all_passed": self.all_passed(),
+        }
+
+    def to_text(self) -> str:
+        lines = [f"{key}: {value}" for key, value in self.header]
+        lines.append(f"f: {self.f.to_text()}")
+        lines.append("r0: " + ", ".join(f"{b}={c}" for b, c in zip(self.r0.basis, self.r0.coords)))
+        lines.append(f"delta: {self.delta.delta if self.delta.status == 'finite' else self.delta.status}")
+        if self.delta_witness is not None:
+            lines.append(f"delta witness: {self.delta_witness.to_text()}")
+        lines.append(f"e0: {self.level}")
+        lines.append(f"h: {self.h.to_text()}")
+        for keys, el in self.elements:
+            label = "".join(f"[{v}]" for v in keys.values())
+            lines.append(f"k{label}: {el.poly.to_text()}")
+        if self.certificate is not None:
+            q_power = self.h.ring.field.char_exponent ** self.level
+            for e in self.certificate.entries:
+                lines.append(
+                    f"certificate[{e.variable}]: {e.variable}^{q_power}"
+                    f" + ({e.numerator.to_text()})/h^{e.h_power}"
+                )
+        lines.append("checks:")
+        for c in self.checks:
+            suffix = f"  [{c.witness}]" if c.witness else ""
+            lines.append(f"  {c.status.upper():<6} {c.name}{suffix}")
+        lines.append(f"all passed: {str(self.all_passed()).lower()}")
+        return "\n".join(lines) + "\n"
+
+
+@dataclass
+class _Stages:
+    """Results of the shared stages of one proof step."""
+
+    f: GradedPoly
+    r0: Vector
+    delta: DeltaReport
+    step: DerivativeStep
+    model_big: CoordinateModel
+    h_big: GradedPoly
+    elements: list  # one AffineAdditiveElement per projection, in order
+    certificate: EliminationCertificate | None
+    certificate_error: str  # why elimination failed, when certificate is None
+
+    def report(self, header, element_keys, delta_witness, checks) -> ProofStepReport:
+        return ProofStepReport(
+            header=header,
+            f=self.f,
+            r0=self.r0,
+            delta=self.delta,
+            delta_witness=delta_witness,
+            level=self.step.level,
+            h=self.step.derivative,
+            elements=list(zip(element_keys, self.elements)),
+            certificate=self.certificate,
+            checks=checks,
+        )
+
+
+def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
+    """Minimal degree, derivative, per projection its coefficient matrices
+    and affine-additive element, then elimination, on the first generator."""
+    u = X.base_dim
+    model_u = X.model
+    model_big = coordinate_model(X.functor, X.field, u + n)
+    f = X.generators[0]
+    delta = delta_degree(X.generators, X.q_generators)
+    step = derivative_step(f, X, r0)
+    elements = []
+    for phi in phis:
+        projection_coefficients(model_u, n, phi)
+        elements.append(
+            extract_additive_element(f, model_u, model_big, phi, step.level, X.designated_r)
+        )
+    h_big = step.derivative.convert(model_big.ring)
+    eliminated = model_big.moving_vars(X.designated_r, u)
+    certificate = None
+    error = ""
+    try:
+        certificate = eliminate(elements, h_big, eliminated)
+    except CertificateNotFoundError as exc:
+        error = str(exc)
+    return _Stages(f, r0, delta, step, model_big, h_big, elements, certificate, error)
+
+
+def pair_projections(fld: FieldDescriptor, n: int) -> dict:
+    """Coordinate projections of the n-space onto the plane, keyed by their
+    1-based coordinate pair (i, j), i < j, in lexicographic order."""
+    scalar_ring = scalar_entry_ring(fld)
+    out = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        rows = [[0] * n for _ in range(2)]
+        rows[0][i - 1] = 1
+        rows[1][j - 1] = 1
+        out[(i, j)] = space_matrix(fld, rows, scalar_ring)
     return out
+
+
+def run_proofstep(
+    X: VarietyPresentation,
+    n: int,
+    r0: Vector,
+    phis,
+) -> ProofStepReport:
+    """Run the pipeline on an arbitrary presentation with the supplied
+    projection matrices; performs the formal identity checks but no
+    variety-specific sampling."""
+    stages = _run_stages(X, n, r0, phis)
+    delta = stages.delta
+    indices = range(len(stages.elements))
+    checks = [
+        Check("delta-degree", "pass" if delta.status != "inconclusive" else "inconclusive", str(delta.delta)),
+        Check("derivative", "pass", stages.step.derivative.to_text()),
+    ]
+    checks += [Check(f"affine-additive-form {idx}", "pass") for idx in indices]
+    if stages.certificate is not None:
+        checks.append(Check("certificate-found", "pass", f"{len(stages.certificate.entries)} coordinates"))
+    else:
+        checks.append(Check("certificate-found", "inconclusive", stages.certificate_error))
+    return stages.report(
+        header=(("field", str(X.field)), ("u", X.base_dim), ("n", n)),
+        element_keys=[{"tag": str(idx)} for idx in indices],
+        delta_witness=None,
+        checks=checks,
+    )
+
+
+# ---------------------------------------------------------------------------
+# rank-one worked example
+# ---------------------------------------------------------------------------
 
 
 def rank_one_minors_plain(model: CoordinateModel) -> list[GradedPoly]:
@@ -828,118 +979,28 @@ def pullback_t_coefficients(pullback: GradedPoly, base_ring: GradedRing) -> list
     return [pullback.coeff_of_power(t_var, k, base_ring) for k in pullback.powers_of(t_var)]
 
 
-@dataclass
-class Check:
-    name: str
-    status: str  # pass | fail | inconclusive | skipped
-    witness: str = ""
-
-
-@dataclass
-class RankOneReport:
-    field: FieldDescriptor
-    n: int
-    seed: int
-    u: int
-    f: GradedPoly
-    r0: Vector
-    delta: DeltaReport
-    level: int
-    h: GradedPoly
-    elements: list  # (i, j, AffineAdditiveElement) with 1-based pair indices
-    certificate: EliminationCertificate | None
-    checks: list
-
-    def all_passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "field": str(self.field),
-            "n": self.n,
-            "seed": self.seed,
-            "u": self.u,
-            "f": self.f.to_text(),
-            "r0": {b: str(c) for b, c in zip(self.r0.basis, self.r0.coords)},
-            "delta": {
-                "status": self.delta.status,
-                "value": self.delta.delta,
-                "witness": self.delta.witness.to_text() if self.delta.witness else None,
-            },
-            "e0": self.level,
-            "h": self.h.to_text(),
-            "k": [
-                {"i": i, "j": j, "value": el.poly.to_text()} for i, j, el in self.elements
-            ],
-            "certificate": [
-                {
-                    "variable": e.variable,
-                    "numerator": e.numerator.to_text(),
-                    "h_power": e.h_power,
-                }
-                for e in (self.certificate.entries if self.certificate else ())
-            ],
-            "checks": [
-                {"name": c.name, "status": c.status, "witness": c.witness}
-                for c in self.checks
-            ],
-            "all_passed": self.all_passed(),
-        }
-
-    def to_text(self) -> str:
-        lines = []
-        lines.append(f"field: {self.field}")
-        lines.append(f"n: {self.n}")
-        lines.append(f"seed: {self.seed}")
-        lines.append(f"u: {self.u}")
-        lines.append(f"f: {self.f.to_text()}")
-        r0_text = ", ".join(f"{b}={c}" for b, c in zip(self.r0.basis, self.r0.coords))
-        lines.append(f"r0: {r0_text}")
-        delta_value = self.delta.delta if self.delta.status == "finite" else self.delta.status
-        lines.append(f"delta: {delta_value}")
-        if self.delta.witness is not None:
-            lines.append(f"delta witness: {self.delta.witness.to_text()}")
-        lines.append(f"e0: {self.level}")
-        lines.append(f"h: {self.h.to_text()}")
-        for i, j, el in self.elements:
-            lines.append(f"k[{i}][{j}]: {el.poly.to_text()}")
-        if self.certificate is not None:
-            for e in self.certificate.entries:
-                lines.append(
-                    f"certificate[{e.variable}]: {e.variable}^{self.field.char_exponent ** self.level}"
-                    f" + ({e.numerator.to_text()})/h^{e.h_power}"
-                )
-        lines.append("checks:")
-        for c in self.checks:
-            suffix = f"  [{c.witness}]" if c.witness else ""
-            lines.append(f"  {c.status.upper():<6} {c.name}{suffix}")
-        lines.append(f"all passed: {str(self.all_passed()).lower()}")
-        return "\n".join(lines) + "\n"
-
-
 def run_rank_one_example(
     n: int,
     fld: FieldDescriptor,
     seed: int = 0,
     sample_count: int = 100,
     membership_budget: int = 200_000,
-) -> RankOneReport:
-    """Full pipeline on the variety of rank-one tensors with the
-    symmetric/alternating splitting, at base dimension 2."""
+) -> ProofStepReport:
+    """The proof step on the variety of rank-one tensors with the
+    symmetric/alternating splitting, at base dimension 2, over every pair
+    projection, plus the expected values, seeded sampling checks and an
+    ideal-membership check of the certificate."""
     if fld.characteristic == 2:
         raise CharacteristicError("the rank-one example needs characteristic different from 2")
     if n < 2:
         raise AlgebraError("the rank-one example needs n >= 2")
     u = 2
     rng = random.Random(seed)
-    checks: list[Check] = []
     functor = SumF((TenSymF(), TenAltF()))
     model_u = coordinate_model(functor, fld, u)
-    model_big = coordinate_model(functor, fld, u + n)
     r_label = next(
         s.label for s in model_u.decomposition.summands if isinstance(s.expr, TenAltF)
     )
-
     ring_u = model_u.ring
     f = (
         ring_u.var("y_1_1") * ring_u.var("y_2_2")
@@ -947,15 +1008,18 @@ def run_rank_one_example(
         + ring_u.var("z_1_2") ** 2
     )
     X = VarietyPresentation.make(functor, fld, u, [f], [], r_label)
-
-    delta = delta_degree(X)
-    checks.append(
+    r0 = Vector("r", ("z_1_2",), (fld.one(),))
+    pairs = pair_projections(fld, n)
+    stages = _run_stages(X, n, r0, list(pairs.values()))
+    delta, step, model_big = stages.delta, stages.step, stages.model_big
+    h = step.derivative
+    checks = [
         Check(
             "delta-degree",
             "pass" if (delta.status == "finite" and delta.delta == 4) else "fail",
             f"delta={delta.delta}",
         )
-    )
+    ]
 
     scan = usable_directions(f, X)
     checks.append(
@@ -966,9 +1030,6 @@ def run_rank_one_example(
         )
     )
 
-    r0 = Vector("r", ("z_1_2",), (fld.one(),))
-    step = derivative_step(f, X, r0)
-    h = step.derivative
     expected_h = ring_u.var("z_1_2") * 2
     checks.append(Check("derivative-level", "pass" if step.level == 0 else "fail", f"e0={step.level}"))
     checks.append(
@@ -1004,20 +1065,9 @@ def run_rank_one_example(
             break
     checks.append(Check("base-locus-spot-check", "pass" if spot_ok else "fail"))
 
-    scalar_ring = scalar_entry_ring(fld)
-    elements = []
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for (i, j) in pairs:
-        rows = [[0] * n for _ in range(u)]
-        rows[0][i - 1] = 1
-        rows[1][j - 1] = 1
-        phi = space_matrix(fld, rows, scalar_ring)
+    for (i, j), el in zip(pairs, stages.elements):
         tag = f"{i},{j}"
-        projection_coefficients(model_u, n, phi)
         checks.append(Check(f"projection-identities {tag}", "pass"))
-        el = extract_additive_element(f, model_u, model_big, phi, step.level, r_label)
-        el.tag = tag
-        elements.append((i, j, el))
         checks.append(Check(f"affine-additive-form {tag}", "pass"))
         checks.append(Check(f"derivative-formula {tag}", "pass"))
         if el.additive_part:
@@ -1028,7 +1078,7 @@ def run_rank_one_example(
 
     # the pullback of f vanishes identically in t on sampled points
     t_coefficients = [
-        c for _, _, el in elements for c in pullback_t_coefficients(el.pullback, model_big.ring)
+        c for el in stages.elements for c in pullback_t_coefficients(el.pullback, model_big.ring)
     ]
     pull_ok = True
     for _ in range(sample_count):
@@ -1041,7 +1091,7 @@ def run_rank_one_example(
     k_ok = True
     for _ in range(sample_count):
         point = sample_rank_one_split(rng, model_big)
-        for _, _, el in elements:
+        for el in stages.elements:
             if el.poly.evaluate(point):
                 k_ok = False
                 break
@@ -1049,11 +1099,10 @@ def run_rank_one_example(
             break
     checks.append(Check("coefficient-vanishes-on-samples", "pass" if k_ok else "fail"))
 
-    h_big = h.convert(model_big.ring)
-    eliminated = model_big.moving_vars(r_label, u)
-    certificate = None
-    try:
-        certificate = eliminate([el for _, _, el in elements], h_big, eliminated)
+    certificate = stages.certificate
+    if certificate is None:
+        checks.append(Check("certificate-found", "fail", stages.certificate_error))
+    else:
         checks.append(
             Check(
                 "certificate-found",
@@ -1069,10 +1118,7 @@ def run_rank_one_example(
                 "; ".join(f"{e.variable}: h^{e.h_power}" for e in certificate.entries),
             )
         )
-    except CertificateNotFoundError as exc:
-        checks.append(Check("certificate-found", "fail", str(exc)))
 
-    if certificate is not None:
         plain_model = coordinate_model(TensorF((IdF(), IdF())), fld, u + n)
         to_plain = split_to_plain_map(model_big, plain_model)
         minors = rank_one_minors_plain(plain_model)
@@ -1094,6 +1140,7 @@ def run_rank_one_example(
         checks.append(Check("certificate-membership", membership, witness))
 
         samples_ok = True
+        h_big = stages.h_big
         q_power = fld.char_exponent ** certificate.level
         for _ in range(sample_count):
             point = sample_rank_one_split(rng, model_big, require_unit=h_big)
@@ -1108,145 +1155,9 @@ def run_rank_one_example(
                 break
         checks.append(Check("certificate-samples", "pass" if samples_ok else "fail"))
 
-    return RankOneReport(
-        field=fld,
-        n=n,
-        seed=seed,
-        u=u,
-        f=f,
-        r0=r0,
-        delta=delta,
-        level=step.level,
-        h=h,
-        elements=elements,
-        certificate=certificate,
-        checks=checks,
-    )
-
-
-# ---------------------------------------------------------------------------
-# generic proof-step run (formal checks only)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProofStepReport:
-    field: FieldDescriptor
-    u: int
-    n: int
-    f: GradedPoly
-    r0: Vector
-    delta: DeltaReport
-    level: int
-    h: GradedPoly
-    elements: list
-    certificate: EliminationCertificate | None
-    checks: list
-
-    def all_passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "field": str(self.field),
-            "u": self.u,
-            "n": self.n,
-            "f": self.f.to_text(),
-            "r0": {b: str(c) for b, c in zip(self.r0.basis, self.r0.coords)},
-            "delta": {
-                "status": self.delta.status,
-                "value": self.delta.delta,
-                "witness": self.delta.witness.to_text() if self.delta.witness else None,
-            },
-            "e0": self.level,
-            "h": self.h.to_text(),
-            "k": [{"tag": el.tag, "value": el.poly.to_text()} for el in self.elements],
-            "certificate": [
-                {
-                    "variable": e.variable,
-                    "numerator": e.numerator.to_text(),
-                    "h_power": e.h_power,
-                }
-                for e in (self.certificate.entries if self.certificate else ())
-            ],
-            "checks": [
-                {"name": c.name, "status": c.status, "witness": c.witness}
-                for c in self.checks
-            ],
-            "all_passed": self.all_passed(),
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"field: {self.field}",
-            f"u: {self.u}",
-            f"n: {self.n}",
-            f"f: {self.f.to_text()}",
-            "r0: " + ", ".join(f"{b}={c}" for b, c in zip(self.r0.basis, self.r0.coords)),
-            f"delta: {self.delta.delta if self.delta.status == 'finite' else self.delta.status}",
-            f"e0: {self.level}",
-            f"h: {self.h.to_text()}",
-        ]
-        for el in self.elements:
-            lines.append(f"k[{el.tag}]: {el.poly.to_text()}")
-        if self.certificate is not None:
-            for e in self.certificate.entries:
-                lines.append(
-                    f"certificate[{e.variable}]: {e.variable}^{self.field.char_exponent ** self.level}"
-                    f" + ({e.numerator.to_text()})/h^{e.h_power}"
-                )
-        lines.append("checks:")
-        for c in self.checks:
-            suffix = f"  [{c.witness}]" if c.witness else ""
-            lines.append(f"  {c.status.upper():<6} {c.name}{suffix}")
-        lines.append(f"all passed: {str(self.all_passed()).lower()}")
-        return "\n".join(lines) + "\n"
-
-
-def run_proofstep(
-    X: VarietyPresentation,
-    n: int,
-    r0: Vector,
-    phis,
-) -> ProofStepReport:
-    """Run the pipeline on an arbitrary presentation with the supplied
-    projection matrices; performs the formal identity checks but no
-    variety-specific sampling."""
-    checks: list[Check] = []
-    fld = X.field
-    u = X.base_dim
-    model_u = X.model
-    model_big = coordinate_model(X.functor, fld, u + n)
-    f = X.generators[0]
-    delta = delta_degree(X)
-    checks.append(Check("delta-degree", "pass" if delta.status != "inconclusive" else "inconclusive", str(delta.delta)))
-    step = derivative_step(f, X, r0)
-    checks.append(Check("derivative", "pass", step.derivative.to_text()))
-    elements = []
-    for idx, phi in enumerate(phis):
-        projection_coefficients(model_u, n, phi)
-        el = extract_additive_element(f, model_u, model_big, phi, step.level, X.designated_r)
-        el.tag = str(idx)
-        elements.append(el)
-        checks.append(Check(f"affine-additive-form {idx}", "pass"))
-    h_big = step.derivative.convert(model_big.ring)
-    eliminated = model_big.moving_vars(X.designated_r, u)
-    certificate = None
-    try:
-        certificate = eliminate(elements, h_big, eliminated)
-        checks.append(Check("certificate-found", "pass", f"{len(certificate.entries)} coordinates"))
-    except CertificateNotFoundError as exc:
-        checks.append(Check("certificate-found", "inconclusive", str(exc)))
-    return ProofStepReport(
-        field=fld,
-        u=u,
-        n=n,
-        f=f,
-        r0=r0,
-        delta=delta,
-        level=step.level,
-        h=step.derivative,
-        elements=elements,
-        certificate=certificate,
+    return stages.report(
+        header=(("field", str(fld)), ("n", n), ("seed", seed), ("u", u)),
+        element_keys=[{"i": i, "j": j} for i, j in pairs],
+        delta_witness=delta.witness,
         checks=checks,
     )

@@ -458,37 +458,9 @@ class Vector:
         if len(self.basis) != len(self.coords):
             raise AlgebraError("vector length does not match its basis")
 
-    @staticmethod
-    def make(space: str, basis, coords, field: FieldDescriptor) -> "Vector":
-        return Vector(space, tuple(basis), tuple(field.scalar(c) for c in coords))
-
     def as_dict(self) -> dict:
         return dict(zip(self.basis, self.coords))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-
-# -- module-level forms of the basic operations --------------------------------
-
-
-def poly_arith(a: GradedPoly, b: GradedPoly, op: str) -> GradedPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise AlgebraError(f"unknown operation {op!r}")
-
-
-def substitute(f: GradedPoly, assignment: dict) -> GradedPoly:
-    return f.substitute(assignment)
-
-
-def weighted_degree(f: GradedPoly):
-    return f.weighted_degree()
-
-
-def coeff_of_power(f: GradedPoly, aux_var: str, k: int) -> GradedPoly:
-    return f.coeff_of_power(aux_var, k)

@@ -365,3 +365,61 @@ def test_oversized_modulus_is_a_domain_error(capsys):
     )
     assert code == 1
     assert "too large" in err
+
+
+# sha256 of the proofstep and delta stdout, captured before the rank-one
+# example and the proof step shared one stage runner and one report
+PROOFSTEP_F = "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2"
+PROOFSTEP_BASE = (
+    "proofstep", "--functor", "sum(tsym,talt)", "--u", "2", "--f", PROOFSTEP_F,
+    "--r0", "1", "--r-part", "p1",
+)
+PIPELINE_CASES = {
+    "proofstep q n=3": PROOFSTEP_BASE + ("--field", "q", "--n", "3"),
+    "proofstep fp:101 n=2": PROOFSTEP_BASE + ("--field", "fp:101", "--n", "2"),
+    "proofstep q n=3 phi": PROOFSTEP_BASE + (
+        "--field", "q", "--n", "3",
+        "--phi", "1,2,0;0,1,1", "--phi", "1,0,0;0,0,1", "--phi", "0,1,0;3,0,1",
+    ),
+    "delta finite": (
+        "delta", "--field", "q", "--vars", "x,y,z", "--weights", "1,1,2",
+        "--generators", "x*y*z;y^2 - x*z;x^3", "--q-generators", "x",
+    ),
+    "delta infinite": (
+        "delta", "--field", "fp:5", "--vars", "x,y", "--generators", "x^2;x*y",
+        "--q-generators", "x",
+    ),
+}
+PIPELINE_GOLDEN = {
+    ("proofstep q n=3", "text"): "82630ca8092cbe993edcc3f67a4eca9a164712ee8a6947bfc73559142bce3b1a",
+    ("proofstep q n=3", "json"): "99ffcdaa81483fc1f2b20218ee6ac4d1aeb6654f1750fb2762064dc31265a179",
+    ("proofstep fp:101 n=2", "text"): "1236db267a672328ac118b1ba7f293684a3022da3c237f6402145db0b0806c37",
+    ("proofstep fp:101 n=2", "json"): "6c7474dbbc9773574549c155fe5d571a1cd633768dd3dda284727b014cb84fa7",
+    ("proofstep q n=3 phi", "text"): "41063de2c224152b9203c22b30c2c8c78474c2576bec5fa5cb258cefbbb6f8fd",
+    ("proofstep q n=3 phi", "json"): "3889c471f0618b62e4936787fc73af50097f38728dc002c4331bed4ac5ef8db6",
+    ("delta finite", "text"): "f2936d161fa4debdb44874f400fa361b7fa6d2436582205dd09cc09dc6b98de7",
+    ("delta finite", "json"): "4c156adb04ea6c00d6f16c43d02b93f3163e1587781c7558db9c03a884f0c027",
+    ("delta infinite", "text"): "7007dbd54e40a02c9a1ad33dcf0a8b3d356ba554c749074d5855a0155a5652e2",
+    ("delta infinite", "json"): "2c5efba4ecaf1afee705fb5702d37a894a16478ede7346d66e9f8c2c493c96e6",
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(PIPELINE_GOLDEN))
+def test_proofstep_and_delta_golden_stdout(capsys, case, fmt):
+    code, out, _ = run_cli(capsys, *PIPELINE_CASES[case], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PIPELINE_GOLDEN[(case, fmt)]
+
+
+def test_internal_check_failure_exit_code(capsys, monkeypatch):
+    from polyfunctor import InternalCheckError, cli
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("coefficient matrix mismatch at the ends")
+
+    monkeypatch.setattr(cli, "run_proofstep", broken)
+    code, out, err = run_cli(capsys, *PROOFSTEP_ARGS)
+    assert code == 5
+    assert out == ""
+    assert err == "internal check failed: coefficient matrix mismatch at the ends\n"
+    assert "Traceback" not in err

@@ -63,7 +63,7 @@ def pair_projection(field, n, i, j):
 
 def test_delta_running_example():
     model, f, X = split_presentation()
-    report = delta_degree(X)
+    report = delta_degree(X.generators, X.q_generators)
     assert report.status == "finite"
     assert report.delta == 4
     assert report.witness == f
@@ -73,14 +73,14 @@ def test_delta_infinite_when_generators_reduce_away():
     model, f, X = split_presentation()
     g = model.ring.var("y_1_1")
     X2 = VarietyPresentation.make(SPLIT, Q, 2, [g], [g], "p1")
-    assert delta_degree(X2).status == "infinite"
+    assert delta_degree(X2.generators, X2.q_generators).status == "infinite"
 
 
 def test_delta_weighted_degree_of_square():
     model = coordinate_model(SPLIT, Q, 2)
     g = model.ring.var("z_1_2") ** 2
     X = VarietyPresentation.make(SPLIT, Q, 2, [g], [], "p1")
-    report = delta_degree(X)
+    report = delta_degree(X.generators, X.q_generators)
     assert report.delta == 4  # weight 2 per variable
 
 
