@@ -9,7 +9,9 @@ exponent vector compared lexicographically with earlier variables more
 significant.  Canonical form plus a fixed order makes all printed output
 byte-stable.
 
-All values are immutable after construction and all operations are pure.
+All values are immutable after construction and all operations are pure;
+the one exception is the private working polynomial of heap division
+(_Dividend), which never leaves the division that owns it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import AlgebraError, FieldMismatchError, RingMismatchError, SubstitutionError
 from .fields import FieldDescriptor, Scalar
@@ -289,6 +292,29 @@ class GradedPoly:
             _canonical=True,
         )
 
+    def _sub_mul_term_into(self, work: "_Dividend", exps, coeff: Scalar):
+        """work -= coeff * x^exps * self in place, the step of heap division.
+
+        A monomial new to work is pushed onto its heap; a cancelled one is
+        deleted from its terms and left on the heap, to be skipped later.
+        """
+        terms, heap, p = work.terms, work.heap, work.p
+        weights = self.ring.weights
+        c = coeff.value
+        for e, k in self.terms.items():
+            m = tuple(map(operator.add, e, exps))
+            kc = k.value * c
+            s = terms.get(m)
+            if s is None:
+                terms[m] = -kc % p if p else -kc
+                heappush(heap, _heap_entry(m, weights))
+            else:
+                s = (s - kc) % p if p else s - kc
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             other = self.ring.const(other)
@@ -444,6 +470,48 @@ class GradedPoly:
 
     def __repr__(self):
         return f"<{self.to_text()}>"
+
+
+def _heap_entry(exps, weights):
+    """Heap entry of a monomial: heapq's minimum is the leading monomial."""
+    return (-sum(map(operator.mul, exps, weights)), tuple(map(operator.neg, exps)), exps)
+
+
+class _Dividend:
+    """Working polynomial of a multivariate division, changed in place.
+
+    Its terms are one mutable {exponents: raw coefficient} dict (Fractions
+    over q, residues in [0, p) over F_p, as in evaluate), and a heap holds
+    its monomials with lazy deletion, so the leading term is found by popping
+    the heap rather than scanning the terms (cf. Monagan & Pearce, "Sparse
+    polynomial division using a heap", J. Symb. Comp. 46 (2011)).
+    GradedPoly._sub_mul_term_into subtracts a monomial multiple of a divisor.
+    """
+
+    __slots__ = ("field", "p", "terms", "heap")
+
+    def __init__(self, f: GradedPoly):
+        self.field = f.ring.field
+        self.p = self.field.characteristic
+        self.terms = {e: c.value for e, c in f.terms.items()}
+        weights = f.ring.weights
+        self.heap = [_heap_entry(e, weights) for e in self.terms]
+        heapify(self.heap)
+
+    def leading(self):
+        """(exponents, coefficient) of the leading term, or None once zero."""
+        heap, terms = self.heap, self.terms
+        while heap:
+            exps = heap[0][2]
+            c = terms.get(exps)
+            if c is not None:
+                return exps, Scalar(self.field, c)
+            heappop(heap)
+        return None
+
+    def pop_leading(self):
+        """Remove the leading term; call after leading() found one."""
+        del self.terms[heappop(self.heap)[2]]
 
 
 @dataclass(frozen=True)

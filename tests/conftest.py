@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from polyfunctor import (
     ConstF,
     ExtF,
     FieldDescriptor,
+    GradedRing,
     IdF,
     QuotF,
     ShiftF,
@@ -103,3 +105,50 @@ def random_functor(rng, max_degree=3, depth=2):
             return inner
         return QuotF(inner, rng.randrange(len(summands)))
     return IdF()
+
+
+# Ideals of the Groebner tests: 2x2 minors, katsura-n and cyclic-n.
+
+def minors_ideal(field, rows, cols):
+    ring = GradedRing(field, [f"x{i}{j}" for i in range(rows) for j in range(cols)])
+    v = lambda i, j: ring.var(f"x{i}{j}")
+    return [v(a, c) * v(b, d) - v(a, d) * v(b, c)
+            for a, b in itertools.combinations(range(rows), 2)
+            for c, d in itertools.combinations(range(cols), 2)]
+
+
+def katsura_ideal(field, n):
+    ring = GradedRing(field, [f"u{i}" for i in range(n + 1)])
+
+    def u(i):
+        return ring.var(f"u{abs(i)}") if abs(i) <= n else ring.zero()
+    gens = [sum((u(i) for i in range(-n, n + 1)), ring.zero()) - 1]
+    for m in range(n):
+        gens.append(sum((u(k) * u(m - k) for k in range(-n, n + 1)), ring.zero()) - u(m))
+    return gens
+
+
+def cyclic_ideal(field, n):
+    ring = GradedRing(field, [f"c{i}" for i in range(n)])
+    v = [ring.var(f"c{i}") for i in range(n)]
+    gens = []
+    for d in range(1, n):
+        total = ring.zero()
+        for i in range(n):
+            term = ring.one()
+            for k in range(d):
+                term = term * v[(i + k) % n]
+            total = total + term
+        gens.append(total)
+    prod = ring.one()
+    for x in v:
+        prod = prod * x
+    gens.append(prod - 1)
+    return gens
+
+
+IDEALS = {
+    "cyclic4": lambda field: cyclic_ideal(field, 4),
+    "katsura3": lambda field: katsura_ideal(field, 3),
+    "minors3x4": lambda field: minors_ideal(field, 3, 4),
+}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from polyfunctor import (
     Budget,
     BudgetExceededError,
+    FieldDescriptor,
     GradedRing,
+    RingMismatchError,
     membership_by_division,
     normal_form,
     parse_polynomial,
@@ -13,7 +16,7 @@ from polyfunctor import (
 )
 from polyfunctor.groebner import buchberger, divide_exact, s_polynomial
 
-from conftest import F3, Q, random_poly
+from conftest import F3, IDEALS, Q, random_poly
 
 
 def test_normal_form_power_of_generator():
@@ -110,3 +113,93 @@ def test_buchberger_over_prime_field():
     basis = buchberger([g1, g2])
     member = g1 * parse_polynomial("y^2 + x", ring) + g2 * parse_polynomial("x + 1", ring)
     assert reduce_poly(member, basis).is_zero()
+
+
+# -- goldens: basis text and budget left, as the plain-scan engine gave them;
+# they pin the order in which pairs are taken and the budget spent.
+
+BASIS_GOLDEN = {
+    ("cyclic4", "fp:32003"): ("dbeba3d39db46f95948e838d73af42818cb0b3bbd7cfbb23bc6c8179db29ef9e", 49748),
+    ("cyclic4", "q"): ("6bcfde6f09889f43b8c9a101f835463920bc1ab1709131f713ff464ea1aec622", 49748),
+    ("katsura3", "fp:32003"): ("22006073f12aff2470495582e4d7cfce30e1c73a9ad3ea65563364442f12d7c3", 49565),
+    ("katsura3", "q"): ("4e979f1ea90d701162f96ca2bb496fb152aaf9e8558d22943fa9e38dc57534e9", 49565),
+    ("minors3x4", "fp:32003"): ("10e80356d6f4a5025c3fdac536920d9d41bef26245903e760d7747ae5ad82817", 49771),
+    ("minors3x4", "q"): ("63f845ebc1ba97ad7c45353bbc5239bb5050107a00a5c8e6a02227bc703be056", 49771),
+}
+
+
+@pytest.mark.parametrize("ideal,field", sorted(BASIS_GOLDEN))
+def test_buchberger_basis_and_budget_golden(ideal, field):
+    gens = IDEALS[ideal](FieldDescriptor.parse(field))
+    budget = Budget()
+    basis = buchberger(gens, budget)
+    digest = hashlib.sha256("|".join(p.to_text() for p in basis).encode()).hexdigest()
+    assert (digest, budget.remaining) == BASIS_GOLDEN[(ideal, field)]
+
+
+# Remainders of seeded random polynomials, by plain division and modulo the
+# basis, with the budget left after each: pins the reduction steps taken.
+REDUCE_GOLDEN = {
+    ("cyclic4", "fp:32003"): "44d5415a8c81755fdbfc3f338ef4f37d4c38f1c4380e592e10df20692af3abc3",
+    ("cyclic4", "q"): "80505395d1d2948b36956cda8c10a2616ab3a0df7326209def237cbfa5801979",
+    ("katsura3", "fp:32003"): "0a8e931e6d64c0983e3673a79e2f2e2672ed1653846e7f9510711e05af5162a8",
+    ("katsura3", "q"): "c41ef769ba955690f97826c7c5b555fdb0b183f35fdd9cf2a3531c115b19d604",
+    ("minors3x4", "fp:32003"): "2ac5a737e9f61dac69401a086ad3b5a1549a387327543f13b5cce790ff939718",
+    ("minors3x4", "q"): "c18d254eb96cd0f81ab931af3534d5fa50b46cd8eca815e94e81c1c7a787a1ae",
+}
+
+
+def _reduce_digest(ideal, field):
+    gens = IDEALS[ideal](FieldDescriptor.parse(field))
+    ring = gens[0].ring
+    rng = random.Random(f"{ideal} {field}")
+    basis = buchberger(gens)
+    out = []
+    for _ in range(4):
+        f = random_poly(rng, ring, max_degree=3, max_terms=6)
+        for g in gens[:2]:
+            f = f + g * random_poly(rng, ring, max_degree=2, max_terms=4)
+        for divisors in (gens, basis):
+            budget = Budget()
+            out.append(f"{reduce_poly(f, divisors, budget).to_text()} {budget.remaining}")
+    return hashlib.sha256("|".join(out).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ideal,field", sorted(REDUCE_GOLDEN))
+def test_reduce_poly_remainder_and_budget_golden(ideal, field):
+    assert _reduce_digest(ideal, field) == REDUCE_GOLDEN[(ideal, field)]
+
+
+# -- generators from another ring are refused, not silently misread ----------
+
+@pytest.fixture
+def foreign_ring_case():
+    f = parse_polynomial("y^2", GradedRing(Q, ["x", "y"]))
+    g = parse_polynomial("x*z", GradedRing(Q, ["x", "y", "z"]))
+    return f, g
+
+
+def test_reduce_poly_refuses_foreign_ring_generator(foreign_ring_case):
+    f, g = foreign_ring_case
+    with pytest.raises(RingMismatchError):
+        reduce_poly(f, [g])
+
+
+def test_normal_form_refuses_foreign_ring_generator(foreign_ring_case):
+    f, g = foreign_ring_case
+    with pytest.raises(RingMismatchError):
+        normal_form(f, [g])
+
+
+def test_membership_by_division_refuses_foreign_ring_generator(foreign_ring_case):
+    f, g = foreign_ring_case
+    with pytest.raises(RingMismatchError):
+        membership_by_division(f, [g])
+
+
+def test_divide_exact_refuses_foreign_ring_divisor(foreign_ring_case):
+    f, g = foreign_ring_case
+    with pytest.raises(RingMismatchError):
+        divide_exact(f, g)
+    with pytest.raises(RingMismatchError):
+        divide_exact(g, f)

@@ -1,0 +1,109 @@
+"""Differential tests of the Groebner kernels against sympy as an oracle.
+
+Our term order is sympy's ``grlex`` when every variable has weight 1, with
+the ring's variables in order.  The normal form modulo an ideal does not
+depend on the basis it is computed with, and an exact quotient is unique, so
+both are compared term by term.  Skipped where sympy is not installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from polyfunctor import FieldDescriptor, GradedRing, normal_form  # noqa: E402
+from polyfunctor.groebner import divide_exact  # noqa: E402
+
+from conftest import IDEALS, random_poly  # noqa: E402
+
+FIELDS = ("q", "fp:32003")
+
+
+def _symbols(ring):
+    return sympy.symbols(ring.names)
+
+
+def _to_sympy(f, syms):
+    expr = sympy.Integer(0)
+    for exps, c in f.terms.items():
+        v = Fraction(c.value)
+        term = sympy.Rational(v.numerator, v.denominator)
+        for s, e in zip(syms, exps):
+            term *= s ** e
+        expr += term
+    return expr
+
+
+def _domain(field):
+    """sympy options for the same ground field."""
+    return {"modulus": field.characteristic} if field.characteristic else {"domain": "QQ"}
+
+
+def _sympy_terms(expr, syms, field):
+    """{exponents: raw value} of a sympy expression, as in GradedPoly.terms."""
+    p = field.characteristic
+    poly = sympy.Poly(expr, *syms, **_domain(field))
+    if p:
+        return {e: int(c) % p for e, c in poly.terms() if int(c) % p}
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms() if c}
+
+
+def _our_terms(f):
+    return {e: c.value for e, c in f.terms.items()}
+
+
+def _sympy_basis(gens, syms, field):
+    exprs = [_to_sympy(g, syms) for g in gens]
+    return sympy.groebner(exprs, *syms, order="grlex", **_domain(field))
+
+
+@pytest.mark.parametrize("field_text", FIELDS)
+@pytest.mark.parametrize("ideal", sorted(IDEALS))
+def test_normal_form_matches_sympy_reduced(ideal, field_text):
+    field = FieldDescriptor.parse(field_text)
+    gens = IDEALS[ideal](field)
+    ring = gens[0].ring
+    syms = _symbols(ring)
+    basis = _sympy_basis(gens, syms, field)
+    rng = random.Random(f"oracle {ideal} {field_text}")
+    zero_seen = False
+    for trial in range(6):
+        f = random_poly(rng, ring, max_degree=4, max_terms=5) if trial % 3 else ring.zero()
+        for g in gens[:3]:
+            f = f + g * random_poly(rng, ring, max_degree=2, max_terms=3)
+        ours = normal_form(f, gens)
+        _, remainder = basis.reduce(_to_sympy(f, syms))
+        assert _our_terms(ours) == _sympy_terms(remainder, syms, field)
+        zero_seen |= ours.is_zero()
+    assert zero_seen
+
+
+@pytest.mark.parametrize("field_text", FIELDS)
+def test_divide_exact_matches_sympy_div(field_text):
+    field = FieldDescriptor.parse(field_text)
+    ring = GradedRing(field, ["x", "y", "z", "w"])
+    syms = _symbols(ring)
+    domain = _domain(field)
+    rng = random.Random(f"divide {field_text}")
+    exact = inexact = 0
+    while exact < 10 or inexact < 10:
+        g = random_poly(rng, ring, max_degree=3, max_terms=4)
+        if g.is_constant():
+            continue
+        f = g * random_poly(rng, ring, max_degree=3, max_terms=5)
+        if rng.random() < 0.5:
+            f = f + random_poly(rng, ring, max_degree=4, max_terms=2)
+        ours = divide_exact(f, g)
+        q, r = sympy.div(
+            sympy.Poly(_to_sympy(f, syms), *syms, **domain),
+            sympy.Poly(_to_sympy(g, syms), *syms, **domain),
+        )
+        if r.is_zero:
+            exact += 1
+            assert ours is not None
+            assert _our_terms(ours) == _sympy_terms(q.as_expr(), syms, field)
+        else:
+            inexact += 1
+            assert ours is None
