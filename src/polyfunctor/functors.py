@@ -11,13 +11,17 @@ summand multiplicities are carried as constant tensor factors so induced
 maps stay uniform.  Bases are explicit and deterministic: symmetric powers
 use sorted multisets, exterior powers strictly increasing index tuples,
 tensor products row-major composite indices; matrices of induced maps carry
-these labels so every entry is auditable.
+these labels so every entry is auditable.  Induced maps multiply raw
+coefficients and box each entry once; only rings.py knows the term format.
+One kernel serves symmetric and exterior powers, so an exterior power's
+minors need no determinant.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -32,6 +36,7 @@ from .matrices import (
     shift_projection,
     space_labels,
 )
+from .rings import _from_raw, _raw_mul_into, _raw_terms
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -530,76 +535,63 @@ def shift_label(label, by: int):
 # ---------------------------------------------------------------------------
 
 
-def _sym_power_matrix(a: LinearMapMatrix, power: int) -> LinearMapMatrix:
+def _times_column(acc: dict, column, alternating: bool) -> dict:
+    """acc, a map from sorted row-index tuples to raw entries, times the
+    image sum_i a[i][c] e_i of one column."""
+    new: dict = {}
+    for ms, coeff in acc.items():
+        for i, entry in column:
+            pos = bisect_right(ms, i)
+            sign = 1
+            if alternating:
+                if pos and ms[pos - 1] == i:
+                    continue
+                # e_ms ^ e_i: e_i moves past the len(ms) - pos larger indices
+                sign = -1 if (len(ms) - pos) & 1 else 1
+            key = ms[:pos] + (i,) + ms[pos:]
+            target = new.get(key)
+            if target is None:
+                target = new[key] = {}
+            _raw_mul_into(target, coeff.items(), entry, sign)
+    return new
+
+
+def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMapMatrix:
+    """Matrix of the symmetric power of a, or of the exterior power when
+    alternating.
+
+    The column of e_c1...e_ck is (A e_c1)...(A e_ck), expanded one factor at
+    a time; in the alternating case this gives every k x k minor without a
+    determinant.  Column tuples come in lexicographic order, so the
+    expansion of the prefix shared with the previous tuple is reused; only
+    the chain of the current tuple's prefixes is kept.
+    """
     ring = a.ring
-    n_cols = len(a.col_labels)
-    n_rows = len(a.row_labels)
-    col_index_tuples = list(itertools.combinations_with_replacement(range(n_cols), power))
-    row_index_tuples = list(itertools.combinations_with_replacement(range(n_rows), power))
-    row_pos = {idx: i for i, idx in enumerate(row_index_tuples)}
-    nonzero_cols = [
-        [(i, a.rows[i][j]) for i in range(n_rows) if a.rows[i][j]] for j in range(n_cols)
+    choose = itertools.combinations if alternating else itertools.combinations_with_replacement
+    row_tuples = list(choose(range(len(a.row_labels)), power))
+    col_tuples = list(choose(range(len(a.col_labels)), power))
+    row_pos = {idx: i for i, idx in enumerate(row_tuples)}
+    columns = [
+        [(i, _raw_terms(row[j])) for i, row in enumerate(a.rows) if row[j]]
+        for j in range(len(a.col_labels))
     ]
     zero = ring.zero()
-    columns = []
-    for combo in col_index_tuples:
-        acc = {(): ring.one()}
-        for j in combo:
-            new: dict = {}
-            for ms, coeff in acc.items():
-                for i, entry in nonzero_cols[j]:
-                    key = tuple(sorted(ms + (i,)))
-                    prev = new.get(key)
-                    val = coeff * entry
-                    new[key] = val if prev is None else prev + val
-            acc = {k: v for k, v in new.items() if v}
-        columns.append(acc)
-    rows = [[zero] * len(col_index_tuples) for _ in row_index_tuples]
-    for cj, acc in enumerate(columns):
-        for key, val in acc.items():
-            rows[row_pos[key]][cj] = val
-    row_labels = tuple(
-        ("sym", tuple(a.row_labels[i] for i in idx)) for idx in row_index_tuples
-    )
-    col_labels = tuple(
-        ("sym", tuple(a.col_labels[i] for i in idx)) for idx in col_index_tuples
-    )
-    return LinearMapMatrix(row_labels, col_labels, ring, rows)
-
-
-def _small_det(ring, rows) -> object:
-    n = len(rows)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = ring.zero()
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _small_det(ring, minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
-def _ext_power_matrix(a: LinearMapMatrix, power: int) -> LinearMapMatrix:
-    ring = a.ring
-    n_cols = len(a.col_labels)
-    n_rows = len(a.row_labels)
-    col_tuples = list(itertools.combinations(range(n_cols), power))
-    row_tuples = list(itertools.combinations(range(n_rows), power))
-    rows = []
-    for rt in row_tuples:
-        row = []
-        for ct in col_tuples:
-            sub = [[a.rows[i][j] for j in ct] for i in rt]
-            row.append(_small_det(ring, sub))
-        rows.append(row)
-    row_labels = tuple(("ext", tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
-    col_labels = tuple(("ext", tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
+    rows = [[zero] * len(col_tuples) for _ in row_tuples]
+    chain = [{(): dict(_raw_terms(ring.one()))}]
+    prev = ()
+    for cj, combo in enumerate(col_tuples):
+        shared = 0
+        while shared < len(prev) and prev[shared] == combo[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for c in combo[shared:]:
+            chain.append(_times_column(chain[-1], columns[c], alternating))
+        for key, raw in chain[-1].items():
+            rows[row_pos[key]][cj] = _from_raw(ring, raw)
+        prev = combo
+    tag = "ext" if alternating else "sym"
+    row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
+    col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
     return LinearMapMatrix(row_labels, col_labels, ring, rows)
 
 
@@ -609,18 +601,16 @@ def _tensor_matrix(maps) -> LinearMapMatrix:
     col_lists = [m.col_labels for m in maps]
     row_combos = list(itertools.product(*[range(len(r)) for r in row_lists]))
     col_combos = list(itertools.product(*[range(len(c)) for c in col_lists]))
+    raws = [[[_raw_terms(e) for e in row] for row in m.rows] for m in maps]
+    one = _raw_terms(ring.one())
     rows = []
     for rc in row_combos:
         row = []
         for cc in col_combos:
-            entry = ring.one()
-            for m, i, j in zip(maps, rc, cc):
-                e = m.rows[i][j]
-                if not e:
-                    entry = ring.zero()
-                    break
-                entry = entry * e
-            row.append(entry)
+            acc = dict(one)
+            for raw, i, j in zip(raws, rc, cc):
+                acc = _raw_mul_into({}, acc.items(), raw[i][j], 1)
+            row.append(_from_raw(ring, acc))
         rows.append(row)
     row_labels = tuple(
         ("t", tuple(row_lists[k][i] for k, i in enumerate(rc))) for rc in row_combos
@@ -660,46 +650,30 @@ def _refuse_char2(field: FieldDescriptor):
         )
 
 
-def _ten_sym_matrix(phi: LinearMapMatrix) -> LinearMapMatrix:
+def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMatrix:
+    """Matrix on the symmetric half (y, i <= j) or the alternating half
+    (z, i < j) of the tensor square: phi[k][i]*phi[l][j] +- phi[k][j]*phi[l][i],
+    one product on the diagonal."""
     _refuse_char2(phi.ring.field)
     ring = phi.ring
+    gap, sign, tag = (1, -1, "z") if alternating else (0, 1, "y")
     m = len(phi.row_labels)
     n = len(phi.col_labels)
-    col_pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    row_pairs = [(k, l) for k in range(m) for l in range(k, m)]
+    col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
+    row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
+    raw = [[_raw_terms(e) for e in row] for row in phi.rows]
     rows = []
     for (k, l) in row_pairs:
         row = []
         for (i, j) in col_pairs:
-            if i == j:
-                row.append(phi.rows[k][i] * phi.rows[l][i])
-            else:
-                row.append(phi.rows[k][i] * phi.rows[l][j] + phi.rows[k][j] * phi.rows[l][i])
+            acc = _raw_mul_into({}, raw[k][i], raw[l][j], 1)
+            if i != j:
+                _raw_mul_into(acc, raw[k][j], raw[l][i], sign)
+            row.append(_from_raw(ring, acc))
         rows.append(row)
     return LinearMapMatrix(
-        tuple(("y",) + p for p in row_pairs),
-        tuple(("y",) + p for p in col_pairs),
-        ring,
-        rows,
-    )
-
-
-def _ten_alt_matrix(phi: LinearMapMatrix) -> LinearMapMatrix:
-    _refuse_char2(phi.ring.field)
-    ring = phi.ring
-    m = len(phi.row_labels)
-    n = len(phi.col_labels)
-    col_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    row_pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
-    rows = []
-    for (k, l) in row_pairs:
-        row = []
-        for (i, j) in col_pairs:
-            row.append(phi.rows[k][i] * phi.rows[l][j] - phi.rows[k][j] * phi.rows[l][i])
-        rows.append(row)
-    return LinearMapMatrix(
-        tuple(("z",) + p for p in row_pairs),
-        tuple(("z",) + p for p in col_pairs),
+        tuple((tag,) + p for p in row_pairs),
+        tuple((tag,) + p for p in col_pairs),
         ring,
         rows,
     )
@@ -722,9 +696,9 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
     if isinstance(expr, TensorF):
         return _tensor_matrix([induced_map(f, phi) for f in expr.factors])
     if isinstance(expr, SymF):
-        return _sym_power_matrix(induced_map(expr.inner, phi), expr.power)
+        return _power_matrix(induced_map(expr.inner, phi), expr.power, False)
     if isinstance(expr, ExtF):
-        return _ext_power_matrix(induced_map(expr.inner, phi), expr.power)
+        return _power_matrix(induced_map(expr.inner, phi), expr.power, True)
     if isinstance(expr, ShiftF):
         u = expr.by
         n = len(phi.col_labels)
@@ -755,9 +729,9 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
             return LinearMapMatrix((), (), ring, ())
         return _block_diag(blocks, indices)
     if isinstance(expr, TenSymF):
-        return _ten_sym_matrix(phi)
+        return _split_square_matrix(phi, False)
     if isinstance(expr, TenAltF):
-        return _ten_alt_matrix(phi)
+        return _split_square_matrix(phi, True)
     raise AlgebraError(f"unknown expression {expr!r}")
 
 

@@ -2,7 +2,9 @@
 
 A LinearMapMatrix stores explicit row and column labels so induced maps of
 functors stay auditable.  Entries are GradedPoly values over a declared
-entry ring; a ring with no variables represents plain scalars.  Also home to
+entry ring; a ring with no variables represents plain scalars.  Composition
+multiplies raw coefficients and boxes each result entry once, for scalar and
+polynomial entries alike; only rings.py knows the term format.  Also home to
 the small exact linear algebra the package needs: Gaussian rank over a
 field and fraction-free Bareiss determinants for polynomial matrices.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from .errors import AlgebraError, InternalCheckError
 from .fields import FieldDescriptor
 from .groebner import divide_exact
-from .rings import GradedPoly, GradedRing
+from .rings import GradedPoly, GradedRing, _from_raw, _raw_mul_into, _raw_terms
 
 
 def scalar_entry_ring(field: FieldDescriptor) -> GradedRing:
@@ -34,7 +36,7 @@ class LinearMapMatrix:
             out = []
             for entry in row:
                 if isinstance(entry, GradedPoly):
-                    if entry.ring != ring:
+                    if entry.ring is not ring and entry.ring != ring:
                         raise AlgebraError("matrix entry in a foreign ring")
                     out.append(entry)
                 else:
@@ -62,20 +64,19 @@ class LinearMapMatrix:
             raise AlgebraError("composition across entry rings")
         if self.col_labels != other.row_labels:
             raise AlgebraError("inner labels do not match in composition")
-        zero = self.ring.zero()
+        ring = self.ring
+        right = [[(k, _raw_terms(o)) for k, o in enumerate(row) if o] for row in other.rows]
+        width = len(other.col_labels)
         out = []
         for row in self.rows:
-            live = [(j, e) for j, e in enumerate(row) if e]
-            new_row = []
-            for k in range(len(other.col_labels)):
-                acc = zero
-                for j, e in live:
-                    o = other.rows[j][k]
-                    if o:
-                        acc = acc + e * o
-                new_row.append(acc)
-            out.append(new_row)
-        return LinearMapMatrix(self.row_labels, other.col_labels, self.ring, out)
+            acc = [{} for _ in range(width)]
+            for e, live in zip(row, right):
+                if e and live:
+                    a = _raw_terms(e)
+                    for k, b in live:
+                        _raw_mul_into(acc[k], a, b, 1)
+            out.append([_from_raw(ring, d) for d in acc])
+        return LinearMapMatrix(self.row_labels, other.col_labels, ring, out)
 
     def scale(self, factor) -> "LinearMapMatrix":
         return LinearMapMatrix(

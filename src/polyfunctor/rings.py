@@ -114,6 +114,8 @@ class GradedRing:
         return (sum(map(operator.mul, exps, self.weights)), exps)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, GradedRing)
             and self.field == other.field
@@ -470,6 +472,45 @@ class GradedPoly:
 
     def __repr__(self):
         return f"<{self.to_text()}>"
+
+
+def _raw_terms(f: GradedPoly) -> tuple:
+    """(exponents, raw coefficient) pairs of f: residues over F_p; over q
+    integral values as int, so products of integer entries skip Fraction,
+    and the others as Fraction.  A tuple, as raw entries are held by the
+    matrix kernels for a whole matrix."""
+    q = not f.ring.field.characteristic
+    return tuple(
+        (e, c.value.numerator if q and c.value.denominator == 1 else c.value)
+        for e, c in f.terms.items()
+    )
+
+
+def _raw_mul_into(acc: dict, a, b, sign: int) -> dict:
+    """acc += sign * a * b, unreduced, where acc maps exponents to raw
+    coefficients and a, b are (exponents, raw) pairs: raw terms or the
+    items() of an accumulator.  Returns acc."""
+    for e1, c1 in a:
+        c1 *= sign
+        for e2, c2 in b:
+            # an empty exponent tuple means a ring without variables
+            m = tuple(map(operator.add, e1, e2)) if e1 else e2
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return acc
+
+
+def _from_raw(ring: GradedRing, acc: dict) -> GradedPoly:
+    """Canonical polynomial of a raw accumulator: coefficients reduced mod p,
+    zeros dropped, and over q every coefficient a Fraction."""
+    field = ring.field
+    p = field.characteristic
+    terms = {}
+    for e, v in acc.items():
+        if p:
+            v %= p
+        if v:
+            terms[e] = Scalar(field, v if p else Fraction(v))
+    return GradedPoly(ring, terms, _canonical=True)
 
 
 def _heap_entry(exps, weights):

@@ -1,0 +1,276 @@
+"""Induced maps and composition on scalar and polynomial entries.
+
+The goldens are sha256 digests of printed matrices, captured before the
+matrix kernels moved to raw coefficients; they pin every entry of every
+induced map below byte for byte.  The remaining tests cover edge cases of
+the power kernel, functoriality over a ring with variables, and a guard
+that composing scalar induced maps never falls back to boxed arithmetic.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from polyfunctor import (
+    ExtF,
+    FieldDescriptor,
+    GradedRing,
+    IdF,
+    SymF,
+    induced_map,
+    parse_functor,
+    space_matrix,
+)
+from polyfunctor.fields import Scalar
+from polyfunctor.matrices import (
+    LinearMapMatrix,
+    graft_columns,
+    shift_embedding,
+    shift_projection,
+    space_labels,
+)
+from polyfunctor.rings import GradedPoly, RingVariable
+
+from conftest import Q, random_poly
+
+# the expressions of the benchmark's functors mix
+MIX = (
+    "sym(2,id)", "sym(3,id)", "sym(4,id)", "ext(2,id)", "ext(3,id)", "ext(4,id)",
+    "tensor(id,id)", "tensor(id,sym(2,id))", "shift(1,sym(2,id))", "shift(2,ext(2,id))",
+    "tsym", "talt", "sum(tsym,talt)", "quot(shift(2,sum(tsym,talt)),1)", "sym(2,ext(2,id))",
+)
+FIELDS = ("q", "fp:3", "fp:101")
+
+
+def _digest(mats) -> str:
+    text = "\n\n".join(str(m) for m in mats)
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
+
+
+def _scalar_phi(field, rows, cols, seed):
+    """Seeded scalar matrix with zero and negative entries, and over q
+    non-integral ones."""
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            if field.characteristic == 0 and rng.random() < 0.3:
+                row.append(Fraction(rng.randint(-5, 5), rng.randint(2, 4)))
+            else:
+                row.append(rng.randint(-4, 4))
+        entries.append(row)
+    return space_matrix(field, entries)
+
+
+def _t_ring(field):
+    return GradedRing(field, (RingVariable("t", "aux", 0),))
+
+
+def _t_parametrised(field, u, n, seed):
+    """[1_U | t*phi], built as proofstep._parametrised_map builds it."""
+    ring_t = _t_ring(field)
+    t = ring_t.var("t")
+    phi = _scalar_phi(field, u, n, seed)
+    tail = LinearMapMatrix(
+        phi.row_labels,
+        phi.col_labels,
+        ring_t,
+        [[e.convert(ring_t) * t for e in row] for row in phi.rows],
+    )
+    return graft_columns(u, tail)
+
+
+def _affine_t(field, n, seed):
+    """n x n matrix over field[t] with entries a + b*t."""
+    ring_t = _t_ring(field)
+    t = ring_t.var("t")
+    a = _scalar_phi(field, n, n, seed)
+    b = _scalar_phi(field, n, n, seed + 1)
+    rows = [
+        [x.convert(ring_t) + y.convert(ring_t) * t for x, y in zip(ra, rb)]
+        for ra, rb in zip(a.rows, b.rows)
+    ]
+    return LinearMapMatrix(space_labels(n), space_labels(n), ring_t, rows)
+
+
+def _golden_mats(expr_text, field_text):
+    expr = parse_functor(expr_text)
+    field = FieldDescriptor.parse(field_text)
+    a = _scalar_phi(field, 3, 3, 1)
+    b = _scalar_phi(field, 3, 3, 2)
+    fa = induced_map(expr, a)
+    psi = _t_parametrised(field, 2, 2, 3)
+    return [
+        fa,
+        induced_map(expr, _scalar_phi(field, 4, 4, 4)),
+        induced_map(expr, shift_embedding(field, 1, 3)),
+        induced_map(expr, shift_projection(field, 2, 2)),
+        induced_map(expr, psi),
+        fa.compose(induced_map(expr, b)),
+        induced_map(expr, psi).compose(induced_map(expr, _affine_t(field, 4, 5))),
+    ]
+
+
+# captured before the raw-coefficient kernels replaced the boxed ones
+INDUCED_GOLDEN = {
+    ('sym(2,id)', 'q'): '964df00fab7aab82b988',
+    ('sym(2,id)', 'fp:3'): '1aa3f6d17aa447fcfffc',
+    ('sym(2,id)', 'fp:101'): '4e7435fbcbfc40a74716',
+    ('sym(3,id)', 'q'): 'af2c28cf3b3c8f8c14ae',
+    ('sym(3,id)', 'fp:3'): 'bbdd4b5a4a04221f6b05',
+    ('sym(3,id)', 'fp:101'): '60c4a74cca8f9eb65ea1',
+    ('sym(4,id)', 'q'): 'e4cd4db41f4bf6ff8799',
+    ('sym(4,id)', 'fp:3'): 'be0b396ccebf665e4fae',
+    ('sym(4,id)', 'fp:101'): 'aa22ab180c05cfc6b08f',
+    ('ext(2,id)', 'q'): '65bb89037b4540d49c64',
+    ('ext(2,id)', 'fp:3'): '22a9aa8f2a27bf78ba59',
+    ('ext(2,id)', 'fp:101'): 'e7dec78ac9f3cd42c25e',
+    ('ext(3,id)', 'q'): 'c057b558b7a64e7c48fa',
+    ('ext(3,id)', 'fp:3'): '24533192cb07974dc02a',
+    ('ext(3,id)', 'fp:101'): '1b1e3555d1d6d4f61aec',
+    ('ext(4,id)', 'q'): 'fa04503c03bd6436a38f',
+    ('ext(4,id)', 'fp:3'): '1ff0e538f1c949ce28cd',
+    ('ext(4,id)', 'fp:101'): '2db653c39781b8446ea7',
+    ('tensor(id,id)', 'q'): '322afa7c5fe1816eb3e4',
+    ('tensor(id,id)', 'fp:3'): 'ad331022c78db3f78eea',
+    ('tensor(id,id)', 'fp:101'): '1cfe2d8903a501e4e286',
+    ('tensor(id,sym(2,id))', 'q'): 'a5d64186d85fa1d06907',
+    ('tensor(id,sym(2,id))', 'fp:3'): 'd5e2777ff7057e5011df',
+    ('tensor(id,sym(2,id))', 'fp:101'): 'c5993543d16b4c3035f3',
+    ('shift(1,sym(2,id))', 'q'): 'b48d7940c7bb921032cc',
+    ('shift(1,sym(2,id))', 'fp:3'): 'e797cd4199ce832c3158',
+    ('shift(1,sym(2,id))', 'fp:101'): 'c6b4183bb1d92fdfbdbb',
+    ('shift(2,ext(2,id))', 'q'): '058e2af6ec4c6d447029',
+    ('shift(2,ext(2,id))', 'fp:3'): 'c3b617f45597493249e5',
+    ('shift(2,ext(2,id))', 'fp:101'): 'e4efaa0b0910061c6af8',
+    ('tsym', 'q'): 'd6e2ca56c11a65b35cf5',
+    ('tsym', 'fp:3'): 'b697c8a6966013c1d5f8',
+    ('tsym', 'fp:101'): '2a6849c3fbc08607ca06',
+    ('talt', 'q'): '416af7e08b351f5bc226',
+    ('talt', 'fp:3'): 'b527e680797bfff3f7a2',
+    ('talt', 'fp:101'): 'da3fd2258df3a0b5e64f',
+    ('sum(tsym,talt)', 'q'): '308b825f55c551ff3d04',
+    ('sum(tsym,talt)', 'fp:3'): '32f8b00417f69b39dc9c',
+    ('sum(tsym,talt)', 'fp:101'): '79768c0a6116fd87cb0c',
+    ('quot(shift(2,sum(tsym,talt)),1)', 'q'): '572b4c083f7fc2e2e3cf',
+    ('quot(shift(2,sum(tsym,talt)),1)', 'fp:3'): 'f66db0ba0bb3009bfd21',
+    ('quot(shift(2,sum(tsym,talt)),1)', 'fp:101'): '05029b6996eef0b0299c',
+    ('sym(2,ext(2,id))', 'q'): '78c5874234bdb46d403c',
+    ('sym(2,ext(2,id))', 'fp:3'): '5ae1df5c47bf7c369309',
+    ('sym(2,ext(2,id))', 'fp:101'): '062e2c13c4a6f0561a33',
+}
+
+
+@pytest.mark.parametrize("field_text", FIELDS)
+@pytest.mark.parametrize("expr_text", MIX)
+def test_induced_map_golden(expr_text, field_text):
+    assert _digest(_golden_mats(expr_text, field_text)) == INDUCED_GOLDEN[(expr_text, field_text)]
+
+
+# -- edge cases of the power kernel -------------------------------------------
+
+
+F101 = FieldDescriptor.prime_field(101)
+
+
+def _xy_matrix(field, rows, cols, seed):
+    ring = GradedRing(field, ["x", "y"])
+    rng = random.Random(seed)
+    entries = [[random_poly(rng, ring, max_degree=2, max_terms=2) + rng.randint(1, 4)
+                for _ in range(cols)] for _ in range(rows)]
+    return LinearMapMatrix(space_labels(rows), space_labels(cols), ring, entries)
+
+
+def test_ext_above_dimension_has_no_rows():
+    assert induced_map(ExtF(4, IdF()), _scalar_phi(Q, 3, 3, 7)).shape == (0, 0)
+    wide = induced_map(ExtF(3, IdF()), _scalar_phi(Q, 2, 4, 7))  # 4-space -> 2-space
+    assert wide.shape == (0, 4)
+    assert wide.col_labels[0] == ("ext", (("v", 0), ("v", 1), ("v", 2)))
+
+
+@pytest.mark.parametrize("phi", [_scalar_phi(Q, 3, 4, 8), _scalar_phi(F101, 4, 3, 8),
+                                 _xy_matrix(Q, 3, 3, 8), _t_parametrised(F101, 2, 2, 8)])
+@pytest.mark.parametrize("power_of", [SymF, ExtF])
+def test_power_one_is_the_map_itself(phi, power_of):
+    m = induced_map(power_of(1, IdF()), phi)
+    tag = "sym" if power_of is SymF else "ext"
+    assert m.row_labels == tuple((tag, (lab,)) for lab in phi.row_labels)
+    assert m.col_labels == tuple((tag, (lab,)) for lab in phi.col_labels)
+    assert m.rows == phi.rows
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+def test_powers_of_a_one_by_one_matrix(field):
+    ring = GradedRing(field, ["x", "y"])
+    for c in (ring.const(Fraction(-3, 2) if field is Q else 7), ring.var("x") - 2 * ring.var("y")):
+        phi = LinearMapMatrix(space_labels(1), space_labels(1), ring, [[c]])
+        for k in range(5):
+            assert induced_map(SymF(k, IdF()), phi).rows == ((c ** k,),)
+        assert induced_map(ExtF(0, IdF()), phi).rows == ((ring.one(),),)
+        assert induced_map(ExtF(1, IdF()), phi).rows == ((c,),)
+        assert induced_map(ExtF(2, IdF()), phi).shape == (0, 0)
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+def test_powers_of_a_zero_matrix(field):
+    zero = space_matrix(field, [[0] * 4 for _ in range(3)])  # 4-space -> 3-space
+    for expr, shape in ((SymF(2, IdF()), (6, 10)), (SymF(3, IdF()), (10, 20)),
+                        (ExtF(2, IdF()), (3, 6)), (ExtF(3, IdF()), (1, 4))):
+        m = induced_map(expr, zero)
+        assert m.shape == shape and m.is_zero()
+    assert induced_map(SymF(0, IdF()), zero).rows == ((zero.ring.one(),),)
+
+
+# -- functoriality over a ring with variables ---------------------------------
+
+
+def _product(a, b):
+    """a*b by direct polynomial arithmetic, independent of compose."""
+    ring = a.ring
+    rows = [[sum((a.rows[i][k] * b.rows[k][j] for k in range(len(b.rows))), ring.zero())
+             for j in range(len(b.col_labels))] for i in range(len(a.rows))]
+    return LinearMapMatrix(a.row_labels, b.col_labels, ring, rows)
+
+
+@pytest.mark.parametrize("field", [Q, FieldDescriptor.prime_field(5)])
+@pytest.mark.parametrize("expr_text", ["sym(2,id)", "sym(3,id)", "ext(2,id)", "ext(3,id)",
+                                       "tensor(id,sym(2,id))", "tsym", "talt",
+                                       "shift(1,ext(2,id))", "sym(2,ext(2,id))"])
+def test_functoriality_with_polynomial_entries(expr_text, field):
+    expr = parse_functor(expr_text)
+    a = _xy_matrix(field, 3, 3, 20)
+    b = _xy_matrix(field, 3, 3, 21)
+    lhs = induced_map(expr, _product(a, b))
+    assert lhs == induced_map(expr, a).compose(induced_map(expr, b))
+    assert not lhs.is_zero()
+
+
+# -- structural guard: scalar maps never use boxed products -------------------
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+def test_scalar_compose_makes_no_boxed_products(field, monkeypatch):
+    a = _scalar_phi(field, 5, 5, 30)
+    b = _scalar_phi(field, 5, 5, 31)
+    calls = {GradedPoly: 0, Scalar: 0}
+
+    def counting(cls, method):
+        def wrapper(*args):
+            calls[cls] += 1
+            return method(*args)
+        return wrapper
+
+    for cls in calls:
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, counting(cls, getattr(cls, name)))
+    expr = SymF(3, IdF())
+    composed = induced_map(expr, a).compose(induced_map(expr, b))
+    assert calls == {GradedPoly: 0, Scalar: 0}
+    assert composed.shape == (35, 35) and not composed.is_zero()
+    # the counters see boxed products
+    a.ring.one() * a.ring.one()
+    field.one() * field.one()
+    assert calls == {GradedPoly: 1, Scalar: 2}

@@ -1,9 +1,12 @@
-"""Differential tests of the Groebner kernels against sympy as an oracle.
+"""Differential tests of the Groebner kernels and the determinants against
+sympy as an oracle.
 
 Our term order is sympy's ``grlex`` when every variable has weight 1, with
 the ring's variables in order.  The normal form modulo an ideal does not
 depend on the basis it is computed with, and an exact quotient is unique, so
-both are compared term by term.  Skipped where sympy is not installed.
+both are compared term by term.  The entries of an exterior power are minors
+and a Bareiss determinant is a determinant, so both are compared with
+sympy's ``det``.  Skipped where sympy is not installed.
 """
 
 import random
@@ -13,8 +16,17 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from polyfunctor import FieldDescriptor, GradedRing, normal_form  # noqa: E402
+from polyfunctor import (  # noqa: E402
+    ExtF,
+    FieldDescriptor,
+    GradedRing,
+    IdF,
+    induced_map,
+    normal_form,
+    space_matrix,
+)
 from polyfunctor.groebner import divide_exact  # noqa: E402
+from polyfunctor.matrices import poly_matrix_det  # noqa: E402
 
 from conftest import IDEALS, random_poly  # noqa: E402
 
@@ -107,3 +119,36 @@ def test_divide_exact_matches_sympy_div(field_text):
         else:
             inexact += 1
             assert ours is None
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
+@pytest.mark.parametrize("k", (2, 3))
+def test_exterior_power_entries_are_sympy_minors(k, field_text):
+    field = FieldDescriptor.parse(field_text)
+    rng = random.Random(f"minors {k} {field_text}")
+    # a map from the 5-space to the 4-space; non-integral entries over q
+    denominators = (1, 1, 2, 3) if field.characteristic == 0 else (1,)
+    entries = [[Fraction(rng.randint(-6, 6), rng.choice(denominators)) for _ in range(5)]
+               for _ in range(4)]
+    wedge = induced_map(ExtF(k, IdF()), space_matrix(field, entries))
+    a = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in entries])
+    assert wedge.rows
+    for row_label, row in zip(wedge.row_labels, wedge.rows):
+        rows = [leaf[1] for leaf in row_label[1]]
+        for col_label, entry in zip(wedge.col_labels, row):
+            det = a.extract(rows, [leaf[1] for leaf in col_label[1]]).det()
+            # over GF(p) the integer determinant is reduced mod p
+            assert entry == wedge.ring.const(Fraction(int(det.p), int(det.q)))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_poly_matrix_det_matches_sympy(n):
+    ring = GradedRing(FieldDescriptor.rationals(), ["t"])
+    (t,) = _symbols(ring)
+    rng = random.Random(f"det {n}")
+    rows = [[random_poly(rng, ring, max_degree=3, max_terms=3) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = ring.zero()  # the first pivot needs a row swap
+    ours = poly_matrix_det(rows, ring)
+    theirs = sympy.expand(sympy.Matrix([[_to_sympy(e, (t,)) for e in row] for row in rows]).det())
+    assert _our_terms(ours) == _sympy_terms(theirs, (t,), ring.field)
+    assert not ours.is_zero()
