@@ -1,8 +1,10 @@
 """Directional calculus in arbitrary characteristic.
 
 The r-th Hasse derivative in a direction w is the t^r Taylor coefficient of
-f(x + t*w); it is well defined over every field because the binomial
-coefficients in the monomial rule are reduced into the field.  For a
+f(x + t*w).  It is computed on the raw terms of f by the multi-index rule
+D^(r)_w x^a = sum over |b| = r of prod_i C(a_i, b_i) w_i^b_i x^(a - b), with
+every binomial reduced into the field by Lucas' theorem, so it is well
+defined over every field and needs no change of basis.  For a
 subspace W spanned by designated variables, expanding f(w' + t*w) with a
 symbolic direction w exposes the lowest t-power with a nonzero joint
 coefficient.  That power is always a power of the characteristic exponent,
@@ -29,7 +31,7 @@ from .errors import (
     InternalCheckError,
 )
 from .fields import lucas_binomial
-from .rings import GradedPoly, GradedRing, RingVariable, Vector
+from .rings import GradedPoly, GradedRing, RingVariable, Vector, _from_raw, _raw_terms
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,6 @@ def taylor_expand(f: GradedPoly, W: DirectionSubspace, t: str = "t") -> GradedPo
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
     _, _, _, mapping = _expansion_setup(f, W, t)
-    if f.is_zero():
-        return next(iter(mapping.values())).ring.zero()
     return f.substitute(mapping)
 
 
@@ -166,13 +166,26 @@ def _check_direction(w: Vector, W: DirectionSubspace):
     return w
 
 
-def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace, _pivot: str = "first") -> GradedPoly:
+def _multi_indices(r: int, caps):
+    """Tuples beta with sum r and 0 <= beta_i <= caps_i, for nonempty caps."""
+    if len(caps) == 1:
+        if caps[0] >= r:
+            yield (r,)
+        return
+    rest = caps[1:]
+    for b in range(max(0, r - sum(rest)), min(caps[0], r) + 1):
+        for tail in _multi_indices(r - b, rest):
+            yield (b,) + tail
+
+
+def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> GradedPoly:
     """r-th Hasse derivative of f in the concrete direction w inside W.
 
-    Computed through a linear change of basis adapted to w followed by the
-    monomial rule with binomial coefficients reduced into the field; the
-    result does not depend on the adapted basis chosen.  The zero direction
-    with r > 0 gives the zero polynomial.
+    Computed on the raw terms c*x^alpha of f by the multi-index rule
+    D^(r)_w x^alpha = sum over |beta| = r of prod_i C(alpha_i, beta_i) w_i^beta_i
+    x^(alpha - beta), with beta running over the nonzero coordinates of w
+    only and each binomial reduced into the field by Lucas' theorem.  The
+    zero direction with r > 0 gives the zero polynomial.
     """
     if r < 0:
         raise AlgebraError("derivative order must be nonnegative")
@@ -181,65 +194,44 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace, _pi
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
     w = _check_direction(w, W)
-    if w.is_zero():
-        return f.ring.zero()
     ring = f.ring
-    coords = list(zip(w.basis, w.coords))
-    nonzero = [i for i, (_, c) in enumerate(coords) if c]
-    pivot = nonzero[0] if _pivot == "first" else nonzero[-1]
-    pivot_name, pivot_coeff = coords[pivot]
-    # forward change of basis: pivot basis vector becomes w
-    forward = {name: ring.var(name) for name in ring.names}
-    forward[pivot_name] = ring.var(pivot_name) * pivot_coeff
-    for i, (name, c) in enumerate(coords):
-        if i != pivot and c:
-            forward[name] = ring.var(name) + ring.var(pivot_name) * c
-    g = f.substitute(forward)
-    # monomial rule along the pivot variable
-    pos = ring.position(pivot_name)
     field = ring.field
-    derived = ring.zero()
-    for exps, coeff in g.terms.items():
-        a = exps[pos]
-        if a < r:
-            continue
-        b = lucas_binomial(a, r, field)
-        if not b:
-            continue
-        new = list(exps)
-        new[pos] = a - r
-        derived = derived + ring.monomial(tuple(new), coeff * b)
-    if derived.is_zero():
-        return derived
-    # backward change of basis
-    inv = pivot_coeff.inverse()
-    backward = {name: ring.var(name) for name in ring.names}
-    backward[pivot_name] = ring.var(pivot_name) * inv
-    for i, (name, c) in enumerate(coords):
-        if i != pivot and c:
-            backward[name] = ring.var(name) - ring.var(pivot_name) * (c * inv)
-    return derived.substitute(backward)
+    p = field.characteristic
+    # (position, raw powers w_i^0 .. w_i^r) of each nonzero coordinate of w
+    axes = []
+    for name, c in zip(w.basis, w.coords):
+        if c:
+            v = c.value if p or c.value.denominator != 1 else c.value.numerator
+            axes.append((ring.position(name), [pow(v, b, p) if p else v ** b for b in range(r + 1)]))
+    if not axes:
+        return ring.zero()
+    binomials: dict = {}
+    acc: dict = {}
+    for exps, c in _raw_terms(f):
+        for beta in _multi_indices(r, [exps[i] for i, _ in axes]):
+            coeff = c
+            new = list(exps)
+            for (i, powers), b in zip(axes, beta):
+                if b:
+                    key = (exps[i], b)
+                    if key not in binomials:
+                        binomials[key] = int(lucas_binomial(exps[i], b, field).value)
+                    coeff *= binomials[key] * powers[b]
+                    new[i] -= b
+            if coeff:
+                m = tuple(new)
+                acc[m] = acc.get(m, 0) + coeff
+    return _from_raw(ring, acc)
 
 
-def _power_level(power: int, field) -> int:
-    """Exponent e with power == p^e for the characteristic exponent p."""
-    p = field.char_exponent
-    if p == 1:
-        if power != 1:
-            raise InternalCheckError(
-                f"lowest t-power {power} in characteristic 0 is not 1"
-            )
-        return 0
-    e = 0
-    value = 1
-    while value < power:
+def _level_of(power: int, p: int):
+    """Exponent e with power == p^e for the characteristic exponent p, or
+    None when power is no such power."""
+    e, value = 0, 1
+    while value < power and p > 1:
         value *= p
         e += 1
-    if value != power:
-        raise InternalCheckError(
-            f"lowest t-power {power} is not a power of the characteristic exponent {p}"
-        )
-    return e
+    return e if value == power else None
 
 
 def directional_data(f: GradedPoly, W: DirectionSubspace) -> DirectionalData:
@@ -259,7 +251,12 @@ def directional_data(f: GradedPoly, W: DirectionSubspace) -> DirectionalData:
     if not powers:
         raise InternalCheckError("dependent polynomial produced a t-free expansion")
     lowest = min(powers)
-    level = _power_level(lowest, f.ring.field)
+    p = f.ring.field.char_exponent
+    level = _level_of(lowest, p)
+    if level is None:
+        raise InternalCheckError(
+            f"lowest t-power {lowest} is not a power of the characteristic exponent {p}"
+        )
     joint = expanded.coeff_of_power(t_name, lowest)
     return DirectionalData("dependent", level, joint, copies)
 
@@ -280,8 +277,6 @@ def specialise_joint(data: DirectionalData, w: Vector, W: DirectionSubspace) -> 
     mapping = {name: ring.var(name) for name in ring.names}
     for orig, copy in data.copies:
         mapping[copy] = ring.const(coords[orig])
-    if data.joint.is_zero():
-        return ring.zero()
     return data.joint.substitute(mapping)
 
 
@@ -311,20 +306,8 @@ def is_additive(f: GradedPoly, W: DirectionSubspace):
         return True, None
     if not _additivity_defect(f, W.span_vars).is_zero():
         return False, None
-    level = None
     degrees = {sum(exps) for exps in f.terms}
-    if len(degrees) == 1:
-        d = degrees.pop()
-        p = f.ring.field.char_exponent
-        if p == 1:
-            level = 0 if d == 1 else None
-        else:
-            e = 0
-            value = 1
-            while value < d:
-                value *= p
-                e += 1
-            level = e if value == d else None
+    level = _level_of(degrees.pop(), f.ring.field.char_exponent) if len(degrees) == 1 else None
     return True, level
 
 

@@ -377,7 +377,9 @@ class GradedPoly:
 
         The assignment must cover every variable occurring in the polynomial
         and all images must live in one common ring, which becomes the ring
-        of the result.
+        of the result.  Each image is converted to raw terms once and its
+        powers are cached reduced mod p; every term's product of powers is
+        multiplied raw into one accumulator, boxed once at the end.
         """
         if not mapping:
             raise SubstitutionError("empty substitution")
@@ -394,24 +396,27 @@ class GradedPoly:
         missing = [n for n in self.support_vars() if n not in mapping]
         if missing:
             raise SubstitutionError(f"missing assignment for {missing}")
-        # cache of incremental powers per variable
-        pow_cache: dict[str, list[GradedPoly]] = {}
+        p = target.field.characteristic
+        names = self.ring.names
+        unit = (0,) * len(target.names)
+        one = ((unit, 1),)
+        powers: dict[int, list] = {}  # position -> raw powers of its image
 
-        def power(name: str, e: int) -> GradedPoly:
-            cache = pow_cache.setdefault(name, [target.one()])
-            base = mapping[name]
+        def power(i: int, e: int):
+            cache = powers.get(i)
+            if cache is None:
+                cache = powers[i] = [one, _raw_terms(mapping[names[i]])]
             while len(cache) <= e:
-                cache.append(cache[-1] * base)
+                cache.append(_reduced(_raw_mul_into({}, cache[-1], cache[1], 1), p))
             return cache[e]
 
-        acc = target.zero()
-        for exps, c in self.terms.items():
-            term = target.const(c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(self.ring.names[i], e)
-            acc = acc + term
-        return acc
+        acc: dict = {}
+        for exps, c in _raw_terms(self):
+            term, *factors = [power(i, e) for i, e in enumerate(exps) if e] or [one]
+            for factor in factors[:-1]:
+                term = _reduced(_raw_mul_into({}, term, factor, 1), p)
+            _raw_mul_into(acc, term, factors[-1] if factors else one, c)
+        return _from_raw(target, acc)
 
     def evaluate(self, point: dict) -> Scalar:
         """Evaluate at a point given as name -> scalar (ints are coerced)."""
@@ -486,17 +491,24 @@ def _raw_terms(f: GradedPoly) -> tuple:
     )
 
 
-def _raw_mul_into(acc: dict, a, b, sign: int) -> dict:
-    """acc += sign * a * b, unreduced, where acc maps exponents to raw
-    coefficients and a, b are (exponents, raw) pairs: raw terms or the
-    items() of an accumulator.  Returns acc."""
+def _raw_mul_into(acc: dict, a, b, scale) -> dict:
+    """acc += scale * a * b, unreduced, where acc maps exponents to raw
+    coefficients, scale is a raw coefficient and a, b are (exponents, raw)
+    pairs: raw terms or the items() of an accumulator.  Returns acc."""
     for e1, c1 in a:
-        c1 *= sign
+        c1 *= scale
         for e2, c2 in b:
             # an empty exponent tuple means a ring without variables
             m = tuple(map(operator.add, e1, e2)) if e1 else e2
             acc[m] = acc.get(m, 0) + c1 * c2
     return acc
+
+
+def _reduced(acc: dict, p: int) -> list:
+    """Nonzero raw terms of an accumulator, reduced mod p over F_p."""
+    if p:
+        return [(e, r) for e, v in acc.items() if (r := v % p)]
+    return [item for item in acc.items() if item[1]]
 
 
 def _from_raw(ring: GradedRing, acc: dict) -> GradedPoly:
@@ -569,7 +581,3 @@ class Vector:
 
     def as_dict(self) -> dict:
         return dict(zip(self.basis, self.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-

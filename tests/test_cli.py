@@ -423,3 +423,66 @@ def test_internal_check_failure_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err == "internal check failed: coefficient matrix mismatch at the ends\n"
     assert "Traceback" not in err
+
+
+# sha256 of the hasse, taylor and dderiv stdout, captured before the Hasse
+# calculus moved to raw coefficients
+HASSE_CLI_CASES = {
+    "hasse fp:3 weighted": (
+        "hasse", "--field", "fp:3", "--vars", "x,y,z", "--weights", "1,2,1",
+        "--poly", "x^9*y^3*z + 2*x^4*y^5 - z^2 + x*y", "--w-vars", "x,y", "--dir", "1,0",
+        "--r", "3",
+    ),
+    "hasse fp:5 above p": (
+        "hasse", "--field", "fp:5", "--poly", "x^12*y^7 + 3*x^6*y + y^10",
+        "--w-vars", "x,y", "--dir", "2,4", "--r", "7",
+    ),
+    "hasse q fractions": (
+        "hasse", "--field", "q", "--poly", "1/2*x^3*y - 3/4*y^2*z + 5",
+        "--w-vars", "x,y,z", "--dir", "2,0,-1/3", "--r", "1",
+    ),
+    "taylor fp:5": (
+        "taylor", "--field", "fp:5", "--poly", "x^5*y + 3*y^2*z", "--w-vars", "x,y",
+    ),
+    "taylor q weighted": (
+        "taylor", "--field", "q", "--vars", "x,y", "--weights", "2,1",
+        "--poly", "1/2*x^2*y - y^3", "--w-vars", "y", "--t", "s",
+    ),
+    "dderiv fp:3 level 1": (
+        "dderiv", "--field", "fp:3", "--poly", "y^9*z^2 + x^6*y^9*z",
+        "--w-vars", "x,y", "--dir", "2,1",
+    ),
+    "dderiv fp:101": (
+        "dderiv", "--field", "fp:101", "--poly", "x^3*y + 7*y^2*z - 4*z",
+        "--w-vars", "x,z", "--dir", "0,5",
+    ),
+    "dderiv q independent": (
+        "dderiv", "--field", "q", "--vars", "x,z", "--poly", "z^2 + 1",
+        "--w-vars", "x", "--dir", "1",
+    ),
+}
+HASSE_CLI_GOLDEN = {
+    ("dderiv fp:101", "json"): "89e071d99d2ef4c67bfa58ff1d4be5d15395fb6db3be36586ee71fb761986f5f",
+    ("dderiv fp:101", "text"): "41a8562f71eb5121e3be05dde50ce96e78789003148d9dc9c162be1f60f019ac",
+    ("dderiv fp:3 level 1", "json"): "6c13679fba36ef5dc9519754a08dfe887e71063ec13b04df0dedbb29445934fb",
+    ("dderiv fp:3 level 1", "text"): "0c8a570aef0935e4c29741ee46fd68cb51ee2127445bd561ff61b46688e494a1",
+    ("dderiv q independent", "json"): "849023695c380a13b6c6b999c55f05c78e0eb07c42713b461d591528994c0d12",
+    ("dderiv q independent", "text"): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("hasse fp:3 weighted", "json"): "a30d32375646cb141a48d00a68884ef6fb12dbe6832e24bd620b31b29c7781c6",
+    ("hasse fp:3 weighted", "text"): "98e39a64bb738fe26d4b361b470767e79fab0dc80470a0fec3483e84b44af414",
+    ("hasse fp:5 above p", "json"): "94b2002e18e2275604c100ff0146ea8581eee516b5954764158f265fb4ea34aa",
+    ("hasse fp:5 above p", "text"): "e6ac1f0542e71313c5d2a51b242100093d011834977ddbb1783065bb818acc0b",
+    ("hasse q fractions", "json"): "8598b8f84009d1531295b2274cfa5f820ba5e7e7fca236c752278a69271f8cdd",
+    ("hasse q fractions", "text"): "0c5cc700d37f906f267804df78f536cc8dfba49896aea0b3778346df5309eb3b",
+    ("taylor fp:5", "json"): "c443ec4749a6b49bb7d9decfcb8f1ef4bcb9623ab23ba7eeecfc56d89a98e0b6",
+    ("taylor fp:5", "text"): "116a79c91cc81ce0ebfe908b6bf532f57c19b8bfa14bd35bc1e5842c4f6c447f",
+    ("taylor q weighted", "json"): "d729866edd8dc0404a00461d3f6666cdb2757356ac57bbfa157b0675760b5ec3",
+    ("taylor q weighted", "text"): "d68f5698dba97a84684da2a83ef10882ba140f6100ff1b49f68d93311ba5b007",
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(HASSE_CLI_GOLDEN))
+def test_hasse_commands_golden_stdout(capsys, case, fmt):
+    code, out, _ = run_cli(capsys, *HASSE_CLI_CASES[case], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HASSE_CLI_GOLDEN[(case, fmt)]

@@ -229,3 +229,112 @@ def test_evaluate_errors():
     with pytest.raises(FieldMismatchError):
         f.evaluate({"x": 1, "z": 2, "w": Q.scalar(1)})
     assert ring.zero().evaluate({}) == F3.zero()
+
+
+# -- substitute: edge cases, against boxed arithmetic as the oracle -----------
+
+
+def _boxed_substitute(f, mapping, target):
+    """sum of c * prod image^e, with the boxed operators."""
+    total = target.zero()
+    for exps, c in f.terms.items():
+        term = target.const(c)
+        for name, e in zip(f.ring.names, exps):
+            term = term * mapping[name] ** e
+        total = total + term
+    return total
+
+
+def test_substitute_matches_boxed_arithmetic():
+    rng = random.Random(13)
+    for field in (Q, F3, F101):
+        ring = GradedRing(field, [("x", "main", 1), ("y", "main", 2), ("z", "aux", 0)])
+        target = GradedRing(field, ["u", "v"])
+        for _ in range(25):
+            f = random_poly(rng, ring, max_degree=7, max_terms=6)
+            mapping = {n: random_poly(rng, target, max_degree=2, max_terms=3) for n in ring.names}
+            assert f.substitute(mapping) == _boxed_substitute(f, mapping, target)
+
+
+def test_substitute_into_a_ring_without_variables():
+    empty = GradedRing(Q, [])
+    ring = GradedRing(Q, ["x", "y"])
+    f = parse_polynomial("1/2*x^3*y - 3*y^2 + 7", ring)
+    image = f.substitute({"x": empty.const(2), "y": empty.const(Fraction(-1, 3))})
+    assert image.ring == empty and image.is_constant()
+    assert image.constant_value() == f.evaluate({"x": 2, "y": Fraction(-1, 3)})
+    assert f.substitute({"x": empty.zero(), "y": empty.const(1)}) == empty.const(4)
+
+
+def test_substitute_images_that_cancel_and_constant_images():
+    for field in (Q, F3):
+        ring = GradedRing(field, ["x", "y", "z"])
+        target = GradedRing(field, ["u", "v"])
+        u, v = target.var("u"), target.var("v")
+        f = parse_polynomial("x^2 - y^2 + z", ring)
+        # every term survives on its own, the sum cancels to 0
+        assert f.substitute({"x": u + v, "y": u + v, "z": target.zero()}).is_zero()
+        assert f.substitute({"x": v, "y": v, "z": u - u}) == target.zero()
+        # constant images, as specialise_joint and the rank-one pullbacks use them
+        constants = {"x": target.const(2), "y": target.const(5), "z": u * v}
+        assert f.substitute(constants) == _boxed_substitute(f, constants, target)
+        assert f.substitute({"x": target.const(1), "y": target.const(1), "z": target.zero()}).is_zero()
+
+
+def test_substitute_of_the_zero_polynomial():
+    ring = GradedRing(F3, ["x"])
+    target = GradedRing(F3, ["u", "v"])
+    zero = ring.zero().substitute({"x": target.var("u")})
+    assert zero.is_zero() and zero.ring == target
+
+
+def test_substitute_exponents_above_the_characteristic():
+    ring = GradedRing(F3, ["x", "y"])
+    target = GradedRing(F3, ["u", "v"])
+    u, v = target.var("u"), target.var("v")
+    # Frobenius: (u + v)^3 = u^3 + v^3 and (u + v)^9 = u^9 + v^9
+    assert parse_polynomial("x^3", ring).substitute({"x": u + v}) == u ** 3 + v ** 3
+    assert parse_polynomial("x^9", ring).substitute({"x": u + v}) == u ** 9 + v ** 9
+    f = parse_polynomial("x^7*y^4 + 2*x^5 + y^10", ring)
+    mapping = {"x": u + 2 * v, "y": u * v + 1}
+    assert f.substitute(mapping) == _boxed_substitute(f, mapping, target)
+
+
+def test_substitute_fraction_coefficients():
+    ring = GradedRing(Q, ["x", "y"])
+    target = GradedRing(Q, ["u", "v"])
+    f = parse_polynomial("1/2*x^2 - 2/3*x*y^3 + 5/7", ring)
+    mapping = {
+        "x": parse_polynomial("3/4*u - v", target),
+        "y": parse_polynomial("1/3*u*v + 2", target),
+    }
+    result = f.substitute(mapping)
+    assert result == _boxed_substitute(f, mapping, target)
+    assert any(c.value.denominator > 1 for c in result.terms.values())
+
+
+def test_substitute_validates_before_any_work(monkeypatch):
+    import polyfunctor.rings as rings
+
+    ring = GradedRing(Q, ["x", "y"])
+    target = GradedRing(Q, ["u"])
+    other = GradedRing(Q, ["v"])
+    f3 = GradedRing(F3, ["u"])
+    f = parse_polynomial("x^2*y + 1", ring)
+    work = []
+    for name in ("_raw_terms", "_raw_mul_into", "_from_raw"):
+        monkeypatch.setattr(rings, name, lambda *args, name=name: work.append(name))
+    for mul in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(rings.GradedPoly, mul, lambda *args: work.append("mul"))
+    u = target.var("u")
+    cases = [
+        ({}, SubstitutionError, "empty substitution"),
+        ({"x": u, "y": 2}, SubstitutionError, "must be polynomials"),
+        ({"x": u, "y": other.var("v")}, RingMismatchError, "different rings"),
+        ({"x": f3.var("u"), "y": f3.var("u")}, FieldMismatchError, "across fields"),
+        ({"x": u}, SubstitutionError, r"missing assignment for \['y'\]"),
+    ]
+    for mapping, error, message in cases:
+        with pytest.raises(error, match=message):
+            f.substitute(mapping)
+    assert work == []

@@ -1,12 +1,14 @@
-"""Differential tests of the Groebner kernels and the determinants against
-sympy as an oracle.
+"""Differential tests of the Groebner kernels, the determinants and the
+Hasse derivatives against sympy as an oracle.
 
 Our term order is sympy's ``grlex`` when every variable has weight 1, with
 the ring's variables in order.  The normal form modulo an ideal does not
 depend on the basis it is computed with, and an exact quotient is unique, so
 both are compared term by term.  The entries of an exterior power are minors
 and a Bareiss determinant is a determinant, so both are compared with
-sympy's ``det``.  Skipped where sympy is not installed.
+sympy's ``det``.  The r-th Hasse derivative of f in the direction w is the
+t^r coefficient of f(x + t*w), which sympy expands independently.  Skipped
+where sympy is not installed.
 """
 
 import random
@@ -17,10 +19,12 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from polyfunctor import (  # noqa: E402
+    DirectionSubspace,
     ExtF,
     FieldDescriptor,
     GradedRing,
     IdF,
+    hasse_derivative,
     induced_map,
     normal_form,
     space_matrix,
@@ -152,3 +156,37 @@ def test_poly_matrix_det_matches_sympy(n):
     theirs = sympy.expand(sympy.Matrix([[_to_sympy(e, (t,)) for e in row] for row in rows]).det())
     assert _our_terms(ours) == _sympy_terms(theirs, (t,), ring.field)
     assert not ours.is_zero()
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:5", "fp:101"))
+@pytest.mark.parametrize("span", (("y",), ("x", "z"), ("x", "y", "z")))
+def test_hasse_derivative_is_sympy_taylor_coefficient(span, field_text):
+    field = FieldDescriptor.parse(field_text)
+    ring = GradedRing(field, ["x", "y", "z"])
+    W = DirectionSubspace(ring, span)
+    syms = _symbols(ring)
+    t = sympy.Symbol("t")
+    rng = random.Random(f"hasse {span} {field_text}")
+    p = field.characteristic
+    above_p = 0
+    for trial in range(4):
+        f = random_poly(rng, ring, max_degree=7, max_terms=6)
+        if not p:
+            f = f * Fraction(1, 6) + random_poly(rng, ring, max_degree=3, max_terms=2)
+        elif p < 7:
+            f = f + ring.var(span[-1]) ** (2 * p + 1)  # orders above p survive Lucas
+        coords = [Fraction(rng.choice((1, -1)) * rng.randint(1, 5), 1 if p else rng.randint(1, 3))
+                  for _ in span]
+        if trial == 0:
+            coords[0] = Fraction(0)  # a zero coordinate; the zero direction on a line
+        w = W.direction(coords)
+        by_name = dict(zip(W.span_vars, w.coords))
+        shift = {sym: sym + t * _to_sympy(ring.const(by_name[name]), syms)
+                 for sym, name in zip(syms, ring.names) if name in by_name}
+        expanded = sympy.expand(_to_sympy(f, syms).subs(shift, simultaneous=True))
+        for r in range((f.total_degree() or 0) + 2):
+            ours = hasse_derivative(f, w, r, W)
+            assert _our_terms(ours) == _sympy_terms(expanded.coeff(t, r), syms, field)
+            above_p += bool(p) and r > p and not ours.is_zero()
+    if p and p < 7:
+        assert above_p  # some nonzero derivative of an order above p
