@@ -11,8 +11,9 @@ summand multiplicities are carried as constant tensor factors so induced
 maps stay uniform.  Bases are explicit and deterministic: symmetric powers
 use sorted multisets, exterior powers strictly increasing index tuples,
 tensor products row-major composite indices; matrices of induced maps carry
-these labels so every entry is auditable.  Induced maps multiply raw
-coefficients and box each entry once; only rings.py knows the term format.
+these labels so every entry is auditable.  Induced maps multiply the raw
+coefficients of the entries' terms into one accumulator per entry; only
+rings.py knows the term format.
 One kernel serves symmetric and exterior powers, so an exterior power's
 minors need no determinant.
 """
@@ -36,7 +37,7 @@ from .matrices import (
     shift_projection,
     space_labels,
 )
-from .rings import _from_raw, _raw_mul_into, _raw_terms
+from .rings import _from_raw, _raw_mul_into
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -572,12 +573,12 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
     col_tuples = list(choose(range(len(a.col_labels)), power))
     row_pos = {idx: i for i, idx in enumerate(row_tuples)}
     columns = [
-        [(i, _raw_terms(row[j])) for i, row in enumerate(a.rows) if row[j]]
+        [(i, row[j].terms.items()) for i, row in enumerate(a.rows) if row[j]]
         for j in range(len(a.col_labels))
     ]
     zero = ring.zero()
     rows = [[zero] * len(col_tuples) for _ in row_tuples]
-    chain = [{(): dict(_raw_terms(ring.one()))}]
+    chain = [{(): ring.one().terms}]
     prev = ()
     for cj, combo in enumerate(col_tuples):
         shared = 0
@@ -601,13 +602,13 @@ def _tensor_matrix(maps) -> LinearMapMatrix:
     col_lists = [m.col_labels for m in maps]
     row_combos = list(itertools.product(*[range(len(r)) for r in row_lists]))
     col_combos = list(itertools.product(*[range(len(c)) for c in col_lists]))
-    raws = [[[_raw_terms(e) for e in row] for row in m.rows] for m in maps]
-    one = _raw_terms(ring.one())
+    raws = [[[e.terms.items() for e in row] for row in m.rows] for m in maps]
+    one = ring.one().terms
     rows = []
     for rc in row_combos:
         row = []
         for cc in col_combos:
-            acc = dict(one)
+            acc = one
             for raw, i, j in zip(raws, rc, cc):
                 acc = _raw_mul_into({}, acc.items(), raw[i][j], 1)
             row.append(_from_raw(ring, acc))
@@ -661,7 +662,7 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     n = len(phi.col_labels)
     col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
     row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
-    raw = [[_raw_terms(e) for e in row] for row in phi.rows]
+    raw = [[e.terms.items() for e in row] for row in phi.rows]
     rows = []
     for (k, l) in row_pairs:
         row = []

@@ -6,12 +6,13 @@ the budget runs out a BudgetExceededError is raised so a caller can report
 "inconclusive" instead of guessing.
 
 Pending pairs sit in a heap keyed by the order key of the lcm of their
-leading monomials, then by index, and each basis element's leading monomial
-is computed once, when it joins the basis.  Division (reduce_poly and
-divide_exact) works on one mutable copy of the dividend whose monomials sit
-in a heap, so each step pops the leading term and subtracts the monomial
-multiple of the divisor in place (rings._Dividend).  The budget is spent
-once per pair and once per division step.
+leading monomials, then by index.  A polynomial computes its leading
+monomial and the inverse of its leading coefficient once, so a basis element
+pays for them when it joins the basis, not on every division.  Division
+(reduce_poly and divide_exact) works on one mutable copy of the dividend
+whose monomials sit in a heap, so each step pops the leading term and
+subtracts the monomial multiple of the divisor in place (rings._Dividend).
+The budget is spent once per pair and once per division step.
 
 A zero remainder from plain division by the generators already certifies
 membership (the division identity is an explicit combination), so
@@ -25,7 +26,7 @@ import operator
 from heapq import heapify, heappop, heappush
 
 from .errors import AlgebraError, BudgetExceededError, RingMismatchError
-from .rings import GradedPoly, _Dividend
+from .rings import GradedPoly, _Dividend, _from_raw
 
 DEFAULT_BUDGET = 50_000
 
@@ -61,8 +62,7 @@ def _coprime(a, b) -> bool:
 
 
 def _monic(f: GradedPoly) -> GradedPoly:
-    _, c = f.leading_item()
-    return f * c.inverse()
+    return f * f._leading_inverse()[1]
 
 
 def _in_ring_of(f: GradedPoly, gens) -> list:
@@ -79,15 +79,15 @@ def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly
     gens = _in_ring_of(f, gens)
     if budget is None:
         budget = Budget()
-    leads = [(*g.leading_item(), g) for g in gens if g]
+    leads = [(*g._leading_inverse(), g) for g in gens if g]
     remainder = {}
     work = _Dividend(f)
     while (lead := work.leading()) is not None:
         exps, coeff = lead
         budget.spend()
-        for lt_exps, lt_coeff, g in leads:
+        for lt_exps, inv, g in leads:
             if _divides(lt_exps, exps):
-                g._sub_mul_term_into(work, _sub(exps, lt_exps), coeff / lt_coeff)
+                g._sub_mul_term_into(work, _sub(exps, lt_exps), coeff * inv)
                 break
         else:
             work.pop_leading()
@@ -96,10 +96,10 @@ def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly
 
 
 def s_polynomial(f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    ef, cf = f.leading_item()
-    eg, cg = g.leading_item()
+    ef, inv_f = f._leading_inverse()
+    eg, inv_g = g._leading_inverse()
     lcm = _lcm(ef, eg)
-    return f.mul_term(_sub(lcm, ef), cf.inverse()) - g.mul_term(_sub(lcm, eg), cg.inverse())
+    return f.mul_term(_sub(lcm, ef), inv_f) - g.mul_term(_sub(lcm, eg), inv_g)
 
 
 def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
@@ -173,8 +173,7 @@ def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
     _in_ring_of(f, (g,))
     if not g:
         raise AlgebraError("division by the zero polynomial")
-    eg, cg = g.leading_item()
-    inv = cg.inverse()
+    eg, inv = g._leading_inverse()
     quotient = {}
     work = _Dividend(f)
     while (lead := work.leading()) is not None:
@@ -185,4 +184,4 @@ def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
         c = coeff * inv
         quotient[shift] = c
         g._sub_mul_term_into(work, shift, c)
-    return GradedPoly(f.ring, quotient, _canonical=True)
+    return _from_raw(f.ring, quotient)

@@ -31,7 +31,7 @@ from .errors import (
     InternalCheckError,
 )
 from .fields import lucas_binomial
-from .rings import GradedPoly, GradedRing, RingVariable, Vector, _from_raw, _raw_terms
+from .rings import GradedPoly, GradedRing, RingVariable, Vector, _from_raw, _raw
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,13 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> 
     # (position, raw powers w_i^0 .. w_i^r) of each nonzero coordinate of w
     axes = []
     for name, c in zip(w.basis, w.coords):
-        if c:
-            v = c.value if p or c.value.denominator != 1 else c.value.numerator
+        if v := _raw(field, c):
             axes.append((ring.position(name), [pow(v, b, p) if p else v ** b for b in range(r + 1)]))
     if not axes:
         return ring.zero()
     binomials: dict = {}
     acc: dict = {}
-    for exps, c in _raw_terms(f):
+    for exps, c in f.terms.items():
         for beta in _multi_indices(r, [exps[i] for i, _ in axes]):
             coeff = c
             new = list(exps)
@@ -215,7 +214,7 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> 
                 if b:
                     key = (exps[i], b)
                     if key not in binomials:
-                        binomials[key] = int(lucas_binomial(exps[i], b, field).value)
+                        binomials[key] = _raw(field, lucas_binomial(exps[i], b, field))
                     coeff *= binomials[key] * powers[b]
                     new[i] -= b
             if coeff:

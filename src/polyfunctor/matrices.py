@@ -3,10 +3,11 @@
 A LinearMapMatrix stores explicit row and column labels so induced maps of
 functors stay auditable.  Entries are GradedPoly values over a declared
 entry ring; a ring with no variables represents plain scalars.  Composition
-multiplies raw coefficients and boxes each result entry once, for scalar and
-polynomial entries alike; only rings.py knows the term format.  Also home to
-the small exact linear algebra the package needs: Gaussian rank over a
-field and fraction-free Bareiss determinants for polynomial matrices.
+multiplies the raw coefficients of the entries' terms into one accumulator
+per result entry, for scalar and polynomial entries alike; only rings.py
+knows the term format.  Also home to the small exact linear algebra the
+package needs: Gaussian rank over a field and fraction-free Bareiss
+determinants for polynomial matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from .errors import AlgebraError, InternalCheckError
 from .fields import FieldDescriptor
 from .groebner import divide_exact
-from .rings import GradedPoly, GradedRing, _from_raw, _raw_mul_into, _raw_terms
+from .rings import GradedPoly, GradedRing, _from_raw, _raw_mul_into
 
 
 def scalar_entry_ring(field: FieldDescriptor) -> GradedRing:
@@ -65,14 +66,14 @@ class LinearMapMatrix:
         if self.col_labels != other.row_labels:
             raise AlgebraError("inner labels do not match in composition")
         ring = self.ring
-        right = [[(k, _raw_terms(o)) for k, o in enumerate(row) if o] for row in other.rows]
+        right = [[(k, o.terms.items()) for k, o in enumerate(row) if o] for row in other.rows]
         width = len(other.col_labels)
         out = []
         for row in self.rows:
             acc = [{} for _ in range(width)]
             for e, live in zip(row, right):
                 if e and live:
-                    a = _raw_terms(e)
+                    a = e.terms.items()
                     for k, b in live:
                         _raw_mul_into(acc[k], a, b, 1)
             out.append([_from_raw(ring, d) for d in acc])

@@ -3,15 +3,20 @@
 A GradedRing fixes an ordered list of variables, each carrying the label of
 the functor summand it lives on and a nonnegative integer weight (the degree
 of that summand).  A GradedPoly is a canonical sparse map from exponent
-vectors to nonzero scalars; the term order used for printing, leading terms
-and division is graded lexicographic: weighted degree first, then the
-exponent vector compared lexicographically with earlier variables more
-significant.  Canonical form plus a fixed order makes all printed output
+vectors to nonzero raw coefficients: residues in [1, p) over F_p, and over
+q an int when the value is integral, else a Fraction (an integral Fraction
+a kernel leaves behind is equal, hashes equal and prints the same).  Only
+this module knows that format; Scalar is the type at the API boundary
+(constant_value, evaluate, Vector).  The term order used for printing,
+leading terms and division is graded lexicographic: weighted degree first,
+then the exponent vector compared lexicographically with earlier variables
+more significant.  Canonical form plus a fixed order makes all printed output
 byte-stable.
 
-All values are immutable after construction and all operations are pure;
-the one exception is the private working polynomial of heap division
-(_Dividend), which never leaves the division that owns it.
+All values are immutable after construction and all operations are pure; a
+polynomial only remembers its leading term once asked for it, and the
+private working polynomial of heap division (_Dividend) never leaves the
+division that owns it.
 """
 
 from __future__ import annotations
@@ -91,24 +96,18 @@ class GradedRing:
         return self.const(1)
 
     def const(self, value) -> "GradedPoly":
-        c = self.field.scalar(value)
-        if not c:
-            return self.zero()
-        return GradedPoly(self, {(0,) * len(self.names): c})
+        return self.monomial((0,) * len(self.names), value)
 
     def var(self, name: str) -> "GradedPoly":
         i = self.position(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return GradedPoly(self, {exps: self.field.one()})
+        return self.monomial(tuple(1 if j == i else 0 for j in range(len(self.names))))
 
     def monomial(self, exps, coeff=1) -> "GradedPoly":
         exps = tuple(exps)
         if len(exps) != len(self.names):
             raise AlgebraError("exponent vector length mismatch")
-        c = self.field.scalar(coeff)
-        if not c:
-            return self.zero()
-        return GradedPoly(self, {exps: c})
+        c = _raw(self.field, coeff)
+        return GradedPoly(self, {exps: c} if c else {}, _canonical=True)
 
     def order_key(self, exps):
         return (sum(map(operator.mul, exps, self.weights)), exps)
@@ -132,9 +131,9 @@ class GradedRing:
 
 
 class GradedPoly:
-    """Canonical sparse polynomial: exponent vector -> nonzero Scalar."""
+    """Canonical sparse polynomial: exponent vector -> nonzero raw coefficient."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: GradedRing, terms: dict, _canonical: bool = False):
         self.ring = ring
@@ -178,15 +177,25 @@ class GradedPoly:
         return len(degs) <= 1
 
     def leading_item(self):
-        """(exponents, coefficient) of the leading term under the ring order."""
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no leading term")
-        exps = max(self.terms, key=self.ring.order_key)
+        """(exponents, raw coefficient) of the leading term under the ring order."""
+        exps = self._leading_inverse()[0]
         return exps, self.terms[exps]
 
+    def _leading_inverse(self):
+        """(leading exponents, raw inverse of the leading coefficient), the
+        data a divisor needs on every division step; computed once."""
+        try:
+            return self._lead
+        except AttributeError:
+            if not self.terms:
+                raise AlgebraError("zero polynomial has no leading term") from None
+            exps = max(self.terms, key=self.ring.order_key)
+            c, p = self.terms[exps], self.ring.field.characteristic
+            self._lead = exps, pow(c, -1, p) if p else 1 / Fraction(c)
+            return self._lead
+
     def constant_value(self) -> Scalar:
-        zero_key = (0,) * len(self.ring.names)
-        return self.terms.get(zero_key, self.ring.field.zero())
+        return self.ring.field.scalar(self.terms.get((0,) * len(self.ring.names), 0))
 
     def is_constant(self) -> bool:
         return all(not any(exps) for exps in self.terms)
@@ -209,13 +218,14 @@ class GradedPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        p = self.ring.field.characteristic
         terms = dict(self.terms)
         for exps, c in o.terms.items():
             s = terms.get(exps)
             if s is None:
                 terms[exps] = c
             else:
-                s = s + c
+                s = (s + c) % p if p else s + c
                 if s:
                     terms[exps] = s
                 else:
@@ -225,7 +235,10 @@ class GradedPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.ring, {e: -c for e, c in self.terms.items()}, _canonical=True)
+        p = self.ring.field.characteristic
+        return GradedPoly(
+            self.ring, {e: p - c if p else -c for e, c in self.terms.items()}, _canonical=True
+        )
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -241,31 +254,11 @@ class GradedPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c = self.ring.field.scalar(other)
-            if not c:
-                return self.ring.zero()
-            return GradedPoly(
-                self.ring, {e: k * c for e, k in self.terms.items()}, _canonical=True
-            )
+            return self.mul_term((0,) * len(self.ring.names), other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(exps)
-                if s is None:
-                    if c:
-                        terms[exps] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[exps] = s
-                    else:
-                        del terms[exps]
-        return GradedPoly(self.ring, terms, _canonical=True)
+        return _from_raw(self.ring, _raw_mul_into({}, self.terms.items(), o.terms.items(), 1))
 
     __rmul__ = __mul__
 
@@ -285,16 +278,20 @@ class GradedPoly:
 
     def mul_term(self, exps, coeff) -> "GradedPoly":
         """Multiply by a single monomial, exps relative to this ring."""
-        c = self.ring.field.scalar(coeff)
-        if not c or not self.terms:
+        c = _raw(self.ring.field, coeff)
+        if not c:
             return self.ring.zero()
+        p = self.ring.field.characteristic
         return GradedPoly(
             self.ring,
-            {tuple(a + b for a, b in zip(e, exps)): k * c for e, k in self.terms.items()},
+            {
+                tuple(map(operator.add, e, exps)): k * c % p if p else k * c
+                for e, k in self.terms.items()
+            },
             _canonical=True,
         )
 
-    def _sub_mul_term_into(self, work: "_Dividend", exps, coeff: Scalar):
+    def _sub_mul_term_into(self, work: "_Dividend", exps, coeff):
         """work -= coeff * x^exps * self in place, the step of heap division.
 
         A monomial new to work is pushed onto its heap; a cancelled one is
@@ -302,10 +299,9 @@ class GradedPoly:
         """
         terms, heap, p = work.terms, work.heap, work.p
         weights = self.ring.weights
-        c = coeff.value
         for e, k in self.terms.items():
             m = tuple(map(operator.add, e, exps))
-            kc = k.value * c
+            kc = k * coeff
             s = terms.get(m)
             if s is None:
                 terms[m] = -kc % p if p else -kc
@@ -325,7 +321,7 @@ class GradedPoly:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset((e, c.value) for e, c in self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     # -- structural operations -------------------------------------------------
 
@@ -377,9 +373,8 @@ class GradedPoly:
 
         The assignment must cover every variable occurring in the polynomial
         and all images must live in one common ring, which becomes the ring
-        of the result.  Each image is converted to raw terms once and its
-        powers are cached reduced mod p; every term's product of powers is
-        multiplied raw into one accumulator, boxed once at the end.
+        of the result.  Powers of each image are cached reduced mod p; every
+        term's product of powers is multiplied into one accumulator.
         """
         if not mapping:
             raise SubstitutionError("empty substitution")
@@ -405,13 +400,13 @@ class GradedPoly:
         def power(i: int, e: int):
             cache = powers.get(i)
             if cache is None:
-                cache = powers[i] = [one, _raw_terms(mapping[names[i]])]
+                cache = powers[i] = [one, mapping[names[i]].terms.items()]
             while len(cache) <= e:
                 cache.append(_reduced(_raw_mul_into({}, cache[-1], cache[1], 1), p))
             return cache[e]
 
         acc: dict = {}
-        for exps, c in _raw_terms(self):
+        for exps, c in self.terms.items():
             term, *factors = [power(i, e) for i, e in enumerate(exps) if e] or [one]
             for factor in factors[:-1]:
                 term = _reduced(_raw_mul_into({}, term, factor, 1), p)
@@ -425,13 +420,12 @@ class GradedPoly:
             for name in self.support_vars():
                 if name not in point:
                     raise SubstitutionError(f"missing coordinate for {name!r}")
-        # raw values: Fractions over q, residues in [0, p) over F_p
-        raw = {name: field.scalar(v).value for name, v in point.items()}
+        raw = {name: _raw(field, v) for name, v in point.items()}
         vals = [raw.get(name) for name in self.ring.names]
         p = field.characteristic
         total = 0
         for exps, c in self.terms.items():
-            acc = c.value
+            acc = c
             for i, e in enumerate(exps):
                 if e:
                     if p:
@@ -458,9 +452,9 @@ class GradedPoly:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
-            negative = self.ring.field.characteristic == 0 and c.value < 0
+            negative = c < 0
             mag = -c if negative else c
-            if factors and mag == self.ring.field.one():
+            if factors and mag == 1:
                 body = "*".join(factors)
             elif factors:
                 body = f"{mag}*" + "*".join(factors)
@@ -479,22 +473,19 @@ class GradedPoly:
         return f"<{self.to_text()}>"
 
 
-def _raw_terms(f: GradedPoly) -> tuple:
-    """(exponents, raw coefficient) pairs of f: residues over F_p; over q
-    integral values as int, so products of integer entries skip Fraction,
-    and the others as Fraction.  A tuple, as raw entries are held by the
-    matrix kernels for a whole matrix."""
-    q = not f.ring.field.characteristic
-    return tuple(
-        (e, c.value.numerator if q and c.value.denominator == 1 else c.value)
-        for e, c in f.terms.items()
-    )
+def _raw(field: FieldDescriptor, value):
+    """Raw coefficient of a Scalar, int or Fraction: a residue in [0, p) over
+    F_p; over q an int when integral, so products of integer entries skip
+    Fraction, else a Fraction."""
+    v = field.scalar(value).value
+    return v if field.characteristic or v.denominator != 1 else v.numerator
 
 
 def _raw_mul_into(acc: dict, a, b, scale) -> dict:
     """acc += scale * a * b, unreduced, where acc maps exponents to raw
     coefficients, scale is a raw coefficient and a, b are (exponents, raw)
-    pairs: raw terms or the items() of an accumulator.  Returns acc."""
+    pairs: the terms.items() of a polynomial or of an accumulator.  Returns
+    acc."""
     for e1, c1 in a:
         c1 *= scale
         for e2, c2 in b:
@@ -512,17 +503,9 @@ def _reduced(acc: dict, p: int) -> list:
 
 
 def _from_raw(ring: GradedRing, acc: dict) -> GradedPoly:
-    """Canonical polynomial of a raw accumulator: coefficients reduced mod p,
-    zeros dropped, and over q every coefficient a Fraction."""
-    field = ring.field
-    p = field.characteristic
-    terms = {}
-    for e, v in acc.items():
-        if p:
-            v %= p
-        if v:
-            terms[e] = Scalar(field, v if p else Fraction(v))
-    return GradedPoly(ring, terms, _canonical=True)
+    """Canonical polynomial of a raw accumulator: coefficients reduced mod p
+    and zeros dropped."""
+    return GradedPoly(ring, dict(_reduced(acc, ring.field.characteristic)), _canonical=True)
 
 
 def _heap_entry(exps, weights):
@@ -533,20 +516,18 @@ def _heap_entry(exps, weights):
 class _Dividend:
     """Working polynomial of a multivariate division, changed in place.
 
-    Its terms are one mutable {exponents: raw coefficient} dict (Fractions
-    over q, residues in [0, p) over F_p, as in evaluate), and a heap holds
+    Its terms are a mutable copy of the dividend's terms, and a heap holds
     its monomials with lazy deletion, so the leading term is found by popping
     the heap rather than scanning the terms (cf. Monagan & Pearce, "Sparse
     polynomial division using a heap", J. Symb. Comp. 46 (2011)).
     GradedPoly._sub_mul_term_into subtracts a monomial multiple of a divisor.
     """
 
-    __slots__ = ("field", "p", "terms", "heap")
+    __slots__ = ("p", "terms", "heap")
 
     def __init__(self, f: GradedPoly):
-        self.field = f.ring.field
-        self.p = self.field.characteristic
-        self.terms = {e: c.value for e, c in f.terms.items()}
+        self.p = f.ring.field.characteristic
+        self.terms = dict(f.terms)
         weights = f.ring.weights
         self.heap = [_heap_entry(e, weights) for e in self.terms]
         heapify(self.heap)
@@ -558,7 +539,7 @@ class _Dividend:
             exps = heap[0][2]
             c = terms.get(exps)
             if c is not None:
-                return exps, Scalar(self.field, c)
+                return exps, c
             heappop(heap)
         return None
 

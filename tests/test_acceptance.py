@@ -79,7 +79,7 @@ def test_criterion_2_coefficient_formula():
             prod = ring.var(m1) * ring.var(m2)
             ((exps, _),) = tuple(prod.terms.items())
             value = k.terms.get(exps)
-            return value.value if value is not None else 0
+            return value if value is not None else 0
 
         assert coeff_of(f"x_{2 + i}_{2 + i}", "x_2_2") == 1
         assert coeff_of(f"x_{2 + j}_{2 + j}", "x_1_1") == 1

@@ -455,4 +455,5 @@ def test_hasse_kernels_make_no_boxed_arithmetic(field, monkeypatch):
     assert expanded.powers_of("t")[-1] == 12 and derivatives[12] and not derivatives[13]
     # the counters see boxed arithmetic
     ring.one() * ring.one()
+    field.one() * field.one()
     assert calls == {"GradedPoly.__mul__": 1, "Scalar.__mul__": 1}

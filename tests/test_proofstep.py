@@ -211,7 +211,7 @@ def test_extract_plain_coordinates_match_block_determinant():
         prod = ring.var(m1) * ring.var(m2)
         ((exps, _),) = tuple(prod.terms.items())
         value = k.terms.get(exps)
-        return value.value if value is not None else 0
+        return value if value is not None else 0
 
     F = lambda a, b: f"x_{2 + a}_{2 + b}"
     C = lambda a, b: f"x_{a}_{b}"

@@ -310,7 +310,7 @@ def test_substitute_fraction_coefficients():
     }
     result = f.substitute(mapping)
     assert result == _boxed_substitute(f, mapping, target)
-    assert any(c.value.denominator > 1 for c in result.terms.values())
+    assert any(Fraction(c).denominator > 1 for c in result.terms.values())
 
 
 def test_substitute_validates_before_any_work(monkeypatch):
@@ -322,7 +322,7 @@ def test_substitute_validates_before_any_work(monkeypatch):
     f3 = GradedRing(F3, ["u"])
     f = parse_polynomial("x^2*y + 1", ring)
     work = []
-    for name in ("_raw_terms", "_raw_mul_into", "_from_raw"):
+    for name in ("_raw_mul_into", "_reduced", "_from_raw"):
         monkeypatch.setattr(rings, name, lambda *args, name=name: work.append(name))
     for mul in ("__mul__", "__rmul__"):
         monkeypatch.setattr(rings.GradedPoly, mul, lambda *args: work.append("mul"))

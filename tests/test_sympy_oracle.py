@@ -44,7 +44,7 @@ def _symbols(ring):
 def _to_sympy(f, syms):
     expr = sympy.Integer(0)
     for exps, c in f.terms.items():
-        v = Fraction(c.value)
+        v = Fraction(c)
         term = sympy.Rational(v.numerator, v.denominator)
         for s, e in zip(syms, exps):
             term *= s ** e
@@ -67,7 +67,7 @@ def _sympy_terms(expr, syms, field):
 
 
 def _our_terms(f):
-    return {e: c.value for e, c in f.terms.items()}
+    return dict(f.terms)
 
 
 def _sympy_basis(gens, syms, field):
