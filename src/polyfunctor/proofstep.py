@@ -31,7 +31,7 @@ from .errors import (
     InternalCheckError,
     PresentationError,
 )
-from .fields import FieldDescriptor, Scalar
+from .fields import FieldDescriptor
 from .functors import (
     FunctorExpr,
     IdF,
@@ -69,7 +69,7 @@ from .matrices import (
     scalar_entry_ring,
     space_matrix,
 )
-from .rings import GradedPoly, GradedRing, RingVariable, Vector
+from .rings import GradedPoly, GradedRing, RingVariable, Vector, evaluate_all
 
 # ---------------------------------------------------------------------------
 # coordinate models
@@ -939,31 +939,23 @@ def split_to_plain_map(split_model: CoordinateModel, plain_model: CoordinateMode
     return mapping
 
 
-def _sample_scalar(rng: random.Random, fld: FieldDescriptor) -> Scalar:
-    if fld.characteristic == 0:
-        return fld.scalar(rng.randint(-10, 10))
-    return fld.scalar(rng.randrange(fld.characteristic))
-
-
 def sample_rank_one_split(rng: random.Random, model: CoordinateModel, require_unit=None):
     """Split coordinates of a random rank-one tensor v (x) w; when
     require_unit is given, resample until it does not vanish there."""
     fld = model.field
     m = model.dimension
-    half = fld.scalar(Fraction(1, 2)) if fld.characteristic == 0 else fld.scalar(2).inverse()
+    p = fld.characteristic
+    half = pow(2, -1, p) if p else Fraction(1, 2)
+    draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-10, 10))
     for _ in range(1000):
-        v = [_sample_scalar(rng, fld) for _ in range(m)]
-        w = [_sample_scalar(rng, fld) for _ in range(m)]
+        v = [draw() for _ in range(m)]
+        w = [draw() for _ in range(m)]
         point = {}
-        for a in range(m):
-            for b in range(a, m):
-                x_ab = v[a] * w[b]
-                x_ba = v[b] * w[a]
-                if a == b:
-                    point[f"y_{a + 1}_{b + 1}"] = x_ab
-                else:
-                    point[f"y_{a + 1}_{b + 1}"] = (x_ab + x_ba) * half
-                    point[f"z_{a + 1}_{b + 1}"] = (x_ab - x_ba) * half
+        for a, b in itertools.combinations_with_replacement(range(m), 2):
+            x_ab, x_ba = v[a] * w[b], v[b] * w[a]
+            point[f"y_{a + 1}_{b + 1}"] = fld.scalar((x_ab + x_ba) * half)
+            if a != b:
+                point[f"z_{a + 1}_{b + 1}"] = fld.scalar((x_ab - x_ba) * half)
         if require_unit is None or require_unit.evaluate(point):
             return point
     raise AlgebraError("failed to sample a point off the unit locus")
@@ -994,6 +986,8 @@ def run_rank_one_example(
         raise CharacteristicError("the rank-one example needs characteristic different from 2")
     if n < 2:
         raise AlgebraError("the rank-one example needs n >= 2")
+    if sample_count < 1:
+        raise AlgebraError("the rank-one example needs at least one sample")
     u = 2
     rng = random.Random(seed)
     functor = SumF((TenSymF(), TenAltF()))
@@ -1057,12 +1051,7 @@ def run_rank_one_example(
     )
 
     # the witness vanishes on sampled rank-one tensors at the base dimension
-    spot_ok = True
-    for _ in range(20):
-        point = sample_rank_one_split(rng, model_u)
-        if f.evaluate(point):
-            spot_ok = False
-            break
+    spot_ok = not any(f.evaluate(sample_rank_one_split(rng, model_u)) for _ in range(20))
     checks.append(Check("base-locus-spot-check", "pass" if spot_ok else "fail"))
 
     for (i, j), el in zip(pairs, stages.elements):
@@ -1080,23 +1069,16 @@ def run_rank_one_example(
     t_coefficients = [
         c for el in stages.elements for c in pullback_t_coefficients(el.pullback, model_big.ring)
     ]
-    pull_ok = True
-    for _ in range(sample_count):
-        point = sample_rank_one_split(rng, model_big)
-        if any(c.evaluate(point) for c in t_coefficients):
-            pull_ok = False
-            break
+    pull_ok = not any(
+        any(evaluate_all(t_coefficients, sample_rank_one_split(rng, model_big)))
+        for _ in range(sample_count)
+    )
     checks.append(Check("pullback-vanishes-on-samples", "pass" if pull_ok else "fail"))
 
-    k_ok = True
-    for _ in range(sample_count):
-        point = sample_rank_one_split(rng, model_big)
-        for el in stages.elements:
-            if el.poly.evaluate(point):
-                k_ok = False
-                break
-        if not k_ok:
-            break
+    ks = [el.poly for el in stages.elements]
+    k_ok = not any(
+        any(evaluate_all(ks, sample_rank_one_split(rng, model_big))) for _ in range(sample_count)
+    )
     checks.append(Check("coefficient-vanishes-on-samples", "pass" if k_ok else "fail"))
 
     certificate = stages.certificate
@@ -1142,16 +1124,15 @@ def run_rank_one_example(
         samples_ok = True
         h_big = stages.h_big
         q_power = fld.char_exponent ** certificate.level
+        polys = [h_big] + [e.numerator for e in certificate.entries]
         for _ in range(sample_count):
             point = sample_rank_one_split(rng, model_big, require_unit=h_big)
-            h_val = h_big.evaluate(point)
-            for e in certificate.entries:
-                recovered = -(e.numerator.evaluate(point) / h_val ** e.h_power)
-                actual = point[e.variable] ** q_power
-                if recovered != actual:
-                    samples_ok = False
-                    break
-            if not samples_ok:
+            h_val, *numerators = evaluate_all(polys, point)
+            if any(
+                -(num / h_val ** e.h_power) != point[e.variable] ** q_power
+                for e, num in zip(certificate.entries, numerators)
+            ):
+                samples_ok = False
                 break
         checks.append(Check("certificate-samples", "pass" if samples_ok else "fail"))
 

@@ -7,11 +7,11 @@ vectors to nonzero raw coefficients: residues in [1, p) over F_p, and over
 q an int when the value is integral, else a Fraction (an integral Fraction
 a kernel leaves behind is equal, hashes equal and prints the same).  Only
 this module knows that format; Scalar is the type at the API boundary
-(constant_value, evaluate, Vector).  The term order used for printing,
-leading terms and division is graded lexicographic: weighted degree first,
-then the exponent vector compared lexicographically with earlier variables
-more significant.  Canonical form plus a fixed order makes all printed output
-byte-stable.
+(constant_value, evaluate, evaluate_all, Vector).  The term order used for
+printing, leading terms and division is graded lexicographic: weighted
+degree first, then the exponent vector compared lexicographically with
+earlier variables more significant.  Canonical form plus a fixed order
+makes all printed output byte-stable.
 
 All values are immutable after construction and all operations are pure; a
 polynomial only remembers its leading term once asked for it, and the
@@ -25,6 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .errors import AlgebraError, FieldMismatchError, RingMismatchError, SubstitutionError
 from .fields import FieldDescriptor, Scalar
@@ -415,25 +416,7 @@ class GradedPoly:
 
     def evaluate(self, point: dict) -> Scalar:
         """Evaluate at a point given as name -> scalar (ints are coerced)."""
-        field = self.ring.field
-        if not point.keys() >= self.ring._pos.keys():
-            for name in self.support_vars():
-                if name not in point:
-                    raise SubstitutionError(f"missing coordinate for {name!r}")
-        raw = {name: _raw(field, v) for name, v in point.items()}
-        vals = [raw.get(name) for name in self.ring.names]
-        p = field.characteristic
-        total = 0
-        for exps, c in self.terms.items():
-            acc = c
-            for i, e in enumerate(exps):
-                if e:
-                    if p:
-                        acc = acc * pow(vals[i], e, p) % p
-                    else:
-                        acc = acc * vals[i] ** e
-            total += acc
-        return field.scalar(total)
+        return evaluate_all((self,), point)[0]
 
     # -- printing ---------------------------------------------------------------
 
@@ -471,6 +454,37 @@ class GradedPoly:
 
     def __repr__(self):
         return f"<{self.to_text()}>"
+
+
+def evaluate_all(polys, point: dict) -> list[Scalar]:
+    """Values of a sequence of polynomials of one ring at a point given as
+    name -> scalar (ints and Fractions are coerced).  Every coordinate is
+    coerced once, even one outside the ring, and each term multiplies only
+    its nonzero powers.  Only the variables a polynomial uses need a
+    coordinate; the first one missing, in ring order, is named."""
+    if not polys:
+        return []
+    for f in polys:
+        polys[0]._check_same_ring(f)
+    ring = polys[0].ring
+    if not point.keys() >= ring._pos.keys():
+        for f in polys:
+            for name in f.support_vars():
+                if name not in point:
+                    raise SubstitutionError(f"missing coordinate for {name!r}")
+    field = ring.field
+    raw = {name: _raw(field, v) for name, v in point.items()}
+    vals = [raw.get(name) for name in ring.names]
+    p = field.characteristic
+    out = []
+    for f in polys:
+        total = 0
+        for exps, c in f.terms.items():
+            for v, e in compress(zip(vals, exps), exps):
+                c = c * pow(v, e, p) % p if p else c * v**e
+            total += c
+        out.append(field.scalar(total))
+    return out
 
 
 def _raw(field: FieldDescriptor, value):

@@ -177,6 +177,17 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_example_rank1_without_samples_is_a_domain_error(capsys, samples):
+    # no sample drawn means no sampling check can pass
+    code, out, err = run_cli(
+        capsys, "example-rank1", "--n", "2", "--field", "q", "--samples", samples
+    )
+    assert code == 1
+    assert "at least one sample" in err
+    assert out == ""
+
+
 def test_certificate_not_found_exit_code(capsys):
     # one element cannot eliminate three moving coordinates
     code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -454,6 +455,40 @@ def test_t_coefficient_check_agrees_with_substitution(field):
         assert caught > 0
 
 
+# sha256 of 80 seeded sample_rank_one_split points (seed 31, sorted
+# name=value text per point) followed by one rng.random() drawn afterwards,
+# captured from the boxed sampler: a rewrite must return the same points and
+# leave the generator in the same state.
+SAMPLER_GOLDEN = {
+    ("q", 2, False): "fcc2fee7903c015301bf3c60bec733af6d1e64a39df2584d15dfd030423c9773",
+    ("q", 2, True): "53e4666006b3cdb56a4077035c8db16a6d35cb9a4fdf21bb07df64786f71c275",
+    ("q", 4, False): "cf5a34c1f465e11413ea8372e464e58a06cc58407e7c23669d7d627ebaf618b3",
+    ("q", 4, True): "abe9f1be0af3106e851a9f6d796a2a798d743d879a22023282b6b284f7e47c86",
+    ("fp:3", 2, False): "b509db798be2e84a2a87848ead0f305867b12b9de39c42e94583ebbc28b5e45d",
+    ("fp:3", 2, True): "3003c0f1e60343f7bf746e609b96bc7fdd2ee4cf2597ebc42fc0edb72ddb1dec",
+    ("fp:3", 4, False): "cc509c838c869fa8fd1a65246c61be08bc4e885427250689de3bad62c5d453bb",
+    ("fp:3", 4, True): "a550eecebf508269e35fd43ffb3a6c7a752d9d73b184950de62aba5813602793",
+    ("fp:101", 2, False): "e52ccf9479c4a97389abf801d1dd6351cd9c28d6bd63a7818e2b9f1c5d476b33",
+    ("fp:101", 2, True): "faf853431f25203cc1a8dfe96c1d296224a8d1555b5d7bd94dd37710f041c8d7",
+    ("fp:101", 4, False): "6f1a9a35744a827c05e23824844efb341aa4cd93a8d624f0c25e580e7833885e",
+    ("fp:101", 4, True): "6f1a9a35744a827c05e23824844efb341aa4cd93a8d624f0c25e580e7833885e",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLER_GOLDEN))
+def test_sampler_golden(key):
+    selector, n, unit = key
+    model = coordinate_model(SPLIT, FieldDescriptor.parse(selector), n)
+    h_big = model.ring.var("z_1_2") * 2
+    rng = random.Random(31)
+    lines = []
+    for _ in range(80):
+        point = sample_rank_one_split(rng, model, require_unit=h_big if unit else None)
+        lines.append(" ".join(sorted(f"{name}={value}" for name, value in point.items())))
+    lines.append(repr(rng.random()))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_GOLDEN[key]
+
+
 def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
     calls = []
     substitute = GradedPoly.substitute
@@ -471,3 +506,26 @@ def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
         counts.append(len(calls))
     # the pipeline itself substitutes a fixed number of times; a sample adds none
     assert counts[0] == counts[1] <= 40
+
+
+def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):
+    from polyfunctor import proofstep, rings
+
+    calls = []
+    kernel = rings.evaluate_all
+
+    def counted(polys, point):
+        calls.append(1)
+        return kernel(polys, point)
+
+    monkeypatch.setattr(rings, "evaluate_all", counted)
+    monkeypatch.setattr(proofstep, "evaluate_all", counted)
+    field = FieldDescriptor.prime_field(101)
+    counts = []
+    for samples in (100, 1):
+        calls.clear()
+        assert run_rank_one_example(3, field, sample_count=samples).all_passed()
+        counts.append(len(calls))
+    # per sample: the t-coefficients, the k's, the unit test of the
+    # certificate sampler, and h with every certificate numerator
+    assert counts[0] - counts[1] <= 4 * 99

@@ -8,6 +8,7 @@ from polyfunctor import (
     parse_polynomial,
 )
 from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
+from polyfunctor.rings import evaluate_all
 
 from conftest import ALL_FIELDS, F2, F3, Q, random_poly
 
@@ -229,6 +230,46 @@ def test_evaluate_errors():
     with pytest.raises(FieldMismatchError):
         f.evaluate({"x": 1, "z": 2, "w": Q.scalar(1)})
     assert ring.zero().evaluate({}) == F3.zero()
+
+
+def test_evaluate_all_matches_evaluate_and_substitution():
+    rng = random.Random(23)
+    for field in (Q, F3, F101):
+        ring = GradedRing(
+            field, [("x", "main", 1), ("y", "main", 2), ("z", "aux", 0), ("w", "aux", 1)]
+        )
+        for _ in range(15):
+            polys = [random_poly(rng, ring, max_degree=6, max_terms=7) for _ in range(5)]
+            point = {
+                "x": field.scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))),
+                "y": Fraction(rng.randint(-20, 20), rng.choice((1, 5, 7))),
+                "z": rng.randint(-5, 5),
+                "w": field.scalar(rng.choice((0, 1, Fraction(-3, 2)))),
+                "outside": field.scalar(rng.randint(-5, 5)),
+            }
+            constants = {name: ring.const(point[name]) for name in ring.names}
+            values = evaluate_all(polys, point)
+            assert all(v.field == field for v in values)
+            assert values == [f.evaluate(point) for f in polys]
+            assert values == [f.substitute(constants).constant_value() for f in polys]
+
+
+def test_evaluate_all_empty_and_errors():
+    ring = GradedRing(F3, ["x", "y", "z"])
+    f = parse_polynomial("x*z + z^2", ring)
+    g = parse_polynomial("y + 1", ring)
+    assert evaluate_all([], {"x": 1}) == []
+    assert evaluate_all([f, g], {"x": 1, "y": 2, "z": 2}) == [F3.scalar(6), F3.zero()]
+    # the first missing coordinate of the first polynomial that lacks one
+    with pytest.raises(SubstitutionError, match="missing coordinate for 'y'"):
+        evaluate_all([f, g], {"x": 1, "z": 2})
+    with pytest.raises(SubstitutionError, match="missing coordinate for 'x'"):
+        evaluate_all([g, f], {"y": 1, "z": 2})
+    with pytest.raises(FieldMismatchError):
+        evaluate_all([f, g], {"x": 1, "y": 0, "z": 2, "w": F101.scalar(1)})
+    other = GradedRing(F3, ["x", "y"])
+    with pytest.raises(RingMismatchError):
+        evaluate_all([f, other.var("x")], {"x": 1, "y": 0, "z": 2})
 
 
 # -- substitute: edge cases, against boxed arithmetic as the oracle -----------
