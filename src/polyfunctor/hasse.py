@@ -1,17 +1,19 @@
 """Directional calculus in arbitrary characteristic.
 
-The r-th Hasse derivative in a direction w is the t^r Taylor coefficient of
-f(x + t*w).  It is computed on the raw terms of f by the multi-index rule
-D^(r)_w x^a = sum over |b| = r of prod_i C(a_i, b_i) w_i^b_i x^(a - b), with
-every binomial reduced into the field by Lucas' theorem, so it is well
-defined over every field and needs no change of basis.  For a
-subspace W spanned by designated variables, expanding f(w' + t*w) with a
-symbolic direction w exposes the lowest t-power with a nonzero joint
-coefficient.  That power is always a power of the characteristic exponent,
-its exponent is the level e, and the joint coefficient h(w', w) is additive
-of level e in w.  Specialising h at a concrete w gives the directional
-derivative; by construction it may vanish for special w even when f depends
-on W, and the direction-specific lowest power is never recomputed.
+One rule on the raw terms of f serves all three operations here: the
+multi-index binomial rule D^(r)_w x^a = sum over |b| = r of
+prod_i C(a_i, b_i) w_i^b_i x^(a - b), with every binomial reduced into the
+field by Lucas' theorem, so it is well defined over every field and needs
+no change of basis or substitution.  With a concrete w it gives the r-th
+Hasse derivative, the t^r Taylor coefficient of f(x + t*w).  For a subspace
+W spanned by designated variables and a symbolic w (one copy per
+W-variable) it gives the t^r slice of f(w' + t*w): the slices sum to the
+Taylor expansion, and the first nonzero one in increasing r is the joint
+coefficient h(w', w).  Its power is always a power of the characteristic
+exponent, its exponent is the level e, and h is additive of level e in w.
+Specialising h at a concrete w gives the directional derivative; it may
+vanish for special w even when f depends on W, and the direction-specific
+lowest power is never recomputed.
 
 Weighted-degree bookkeeping: the auxiliary expansion variable carries weight
 0 and each symbolic copy carries the weight of its original, so expanding a
@@ -23,6 +25,8 @@ the lowest power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 from .errors import (
     AlgebraError,
@@ -87,26 +91,18 @@ def fresh_name(base: str, taken) -> str:
     return name
 
 
-def _copy_names(ring: GradedRing, span_vars, suffix: str = "_w"):
-    taken = set(ring.names)
-    out = []
-    for name in span_vars:
-        copy = fresh_name(name + suffix, taken)
-        taken.add(copy)
-        out.append((name, copy))
-    return tuple(out)
-
-
 def doubled_ring(ring: GradedRing, span_vars, suffix: str):
     """ring extended by one fresh copy of every span variable, each copy
     carrying the weight of its original; returns the extended ring and the
     (original, copy) name pairs."""
-    copies = _copy_names(ring, span_vars, suffix)
-    ext = ring.extended(
-        RingVariable(copy, "aux", ring.variables[ring.position(orig)].weight)
-        for orig, copy in copies
-    )
-    return ext, copies
+    taken = set(ring.names)
+    copies, extra = [], []
+    for name in span_vars:
+        copy = fresh_name(name + suffix, taken)
+        taken.add(copy)
+        copies.append((name, copy))
+        extra.append(RingVariable(copy, "aux", ring.variables[ring.position(name)].weight))
+    return ring.extended(extra), tuple(copies)
 
 
 def _additivity_defect(f: GradedPoly, span_vars) -> GradedPoly:
@@ -121,49 +117,29 @@ def _additivity_defect(f: GradedPoly, span_vars) -> GradedPoly:
     return f.substitute(sum_map) - f.convert(ext) - f.substitute(copy_map)
 
 
-def _expansion_setup(f: GradedPoly, W: DirectionSubspace, t: str | None):
-    """Extended ring and substitution sending x to x + t*(copy of x) on W."""
-    ring = f.ring
-    copies = _copy_names(ring, W.span_vars)
-    taken = set(ring.names) | {c for _, c in copies}
-    t_name = fresh_name("t" if t is None else t, taken if t is None else set())
-    if t is not None and (t in ring.names or any(t == c for _, c in copies)):
-        raise AlgebraError(f"auxiliary variable {t!r} is not fresh")
-    extra = [RingVariable(t_name, "aux", 0)]
-    for orig, copy in copies:
-        v = ring.variables[ring.position(orig)]
-        extra.append(RingVariable(copy, "aux", v.weight))
-    ext = ring.extended(extra)
-    mapping = {name: ext.var(name) for name in ring.names}
-    t_var = ext.var(t_name)
-    for orig, copy in copies:
-        mapping[orig] = ext.var(orig) + t_var * ext.var(copy)
-    return ext, t_name, copies, mapping
-
-
 def taylor_expand(f: GradedPoly, W: DirectionSubspace, t: str = "t") -> GradedPoly:
     """f(w' + t*w) expanded jointly in the original variables, t, and one
     symbolic copy per W-variable; the t^r coefficient is the r-th Hasse
-    derivative as a joint polynomial."""
+    derivative as a joint polynomial, the t^r slice of the binomial rule."""
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
-    _, _, _, mapping = _expansion_setup(f, W, t)
-    return f.substitute(mapping)
+    joint, _ = doubled_ring(f.ring, W.span_vars, "_w")
+    if t in joint.names:
+        raise AlgebraError(f"auxiliary variable {t!r} is not fresh")
+    n = len(f.ring.names)
+    ext = GradedRing(f.ring.field, joint.variables[:n] + (RingVariable(t, "aux", 0),) + joint.variables[n:])
+    axes, _ = _symbolic_axes(f, W)
+    return _from_raw(ext, _binomial_rule(f, axes, _all_indices, True))
 
 
 def _check_direction(w: Vector, W: DirectionSubspace):
-    if tuple(w.basis) != W.span_vars:
-        if set(w.basis) <= set(W.span_vars):
-            # re-order onto the canonical basis, filling absent coordinates with 0
-            d = w.as_dict()
-            field = W.ring.field
-            return Vector(
-                w.space,
-                W.span_vars,
-                tuple(d.get(n, field.zero()) for n in W.span_vars),
-            )
+    if tuple(w.basis) == W.span_vars:
+        return w
+    if not set(w.basis) <= set(W.span_vars):
         raise DirectionError("direction does not lie in the designated subspace")
-    return w
+    # re-order onto the canonical basis, filling absent coordinates with 0
+    d = w.as_dict()
+    return Vector(w.space, W.span_vars, tuple(d.get(n, W.ring.field.zero()) for n in W.span_vars))
 
 
 def _multi_indices(r: int, caps):
@@ -178,14 +154,52 @@ def _multi_indices(r: int, caps):
             yield (b,) + tail
 
 
-def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> GradedPoly:
-    """r-th Hasse derivative of f in the concrete direction w inside W.
+def _all_indices(caps):
+    """Every tuple beta with 0 <= beta_i <= caps_i: all slices at once."""
+    return product(*(range(a + 1) for a in caps))
 
-    Computed on the raw terms c*x^alpha of f by the multi-index rule
-    D^(r)_w x^alpha = sum over |beta| = r of prod_i C(alpha_i, beta_i) w_i^beta_i
-    x^(alpha - beta), with beta running over the nonzero coordinates of w
-    only and each binomial reduced into the field by Lucas' theorem.  The
-    zero direction with r > 0 gives the zero polynomial.
+
+def _binomial_rule(f: GradedPoly, axes, betas, symbolic: bool) -> dict:
+    """Slices of f(x + t*w), unreduced: the multi-index rule above on the raw
+    terms c*x^a of f, summed over the multi-indices b that betas(caps) gives
+    for the exponents caps of a on the axes (those with |b| = r for the t^r
+    slice).  axes holds (position, raw powers w_i^0, w_i^1, ...) for each
+    coordinate b runs over.  A numeric w gives Hasse derivatives in f's ring;
+    a symbolic w (all powers 1) gives terms x^(a - b) t^|b| w^b, with
+    exponents a - b, |b|, b in that order."""
+    field = f.ring.field
+    binomials: dict = {}
+    acc: dict = {}
+    for exps, c in f.terms.items():
+        for beta in betas([exps[i] for i, _ in axes]):
+            coeff = c
+            new = list(exps)
+            for (i, powers), b in zip(axes, beta):
+                if b:
+                    key = (exps[i], b)
+                    if key not in binomials:
+                        binomials[key] = _raw(field, lucas_binomial(exps[i], b, field))
+                    coeff *= binomials[key] * powers[b]
+                    new[i] -= b
+            if coeff:
+                m = (*new, sum(beta), *beta) if symbolic else tuple(new)
+                acc[m] = acc.get(m, 0) + coeff
+    return acc
+
+
+def _symbolic_axes(f: GradedPoly, W: DirectionSubspace):
+    """Axes of _binomial_rule for the symbolic direction of W, and the top
+    t-power of f(x + t*w): the highest degree of a term of f in W."""
+    positions = [f.ring.position(name) for name in W.span_vars]
+    top = max((sum(exps[i] for i in positions) for exps in f.terms), default=0)
+    ones = [1] * (top + 1)
+    return [(i, ones) for i in positions], top
+
+
+def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> GradedPoly:
+    """r-th Hasse derivative of f in the concrete direction w inside W: the
+    binomial rule with beta running over the nonzero coordinates of w only.
+    The zero direction with r > 0 gives the zero polynomial.
     """
     if r < 0:
         raise AlgebraError("derivative order must be nonnegative")
@@ -197,30 +211,13 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> 
     ring = f.ring
     field = ring.field
     p = field.characteristic
-    # (position, raw powers w_i^0 .. w_i^r) of each nonzero coordinate of w
     axes = []
     for name, c in zip(w.basis, w.coords):
         if v := _raw(field, c):
             axes.append((ring.position(name), [pow(v, b, p) if p else v ** b for b in range(r + 1)]))
     if not axes:
         return ring.zero()
-    binomials: dict = {}
-    acc: dict = {}
-    for exps, c in f.terms.items():
-        for beta in _multi_indices(r, [exps[i] for i, _ in axes]):
-            coeff = c
-            new = list(exps)
-            for (i, powers), b in zip(axes, beta):
-                if b:
-                    key = (exps[i], b)
-                    if key not in binomials:
-                        binomials[key] = _raw(field, lucas_binomial(exps[i], b, field))
-                    coeff *= binomials[key] * powers[b]
-                    new[i] -= b
-            if coeff:
-                m = tuple(new)
-                acc[m] = acc.get(m, 0) + coeff
-    return _from_raw(ring, acc)
+    return _from_raw(ring, _binomial_rule(f, axes, partial(_multi_indices, r), False))
 
 
 def _level_of(power: int, p: int):
@@ -242,21 +239,20 @@ def directional_data(f: GradedPoly, W: DirectionSubspace) -> DirectionalData:
     """
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
-    if not (set(f.support_vars()) & set(W.span_vars)):
+    axes, top = _symbolic_axes(f, W)
+    if not top:
         return DirectionalData("independent", None, None, ())
-    ext, t_name, copies, mapping = _expansion_setup(f, W, None)
-    expanded = f.substitute(mapping)
-    powers = [p for p in expanded.powers_of(t_name) if p > 0]
-    if not powers:
-        raise InternalCheckError("dependent polynomial produced a t-free expansion")
-    lowest = min(powers)
+    joint_ring, copies = doubled_ring(f.ring, W.span_vars, "_w")
+    n = len(f.ring.names)
+    # slices in increasing order, without the exponent of t; the one at top is never zero
+    for r in range(1, top + 1):
+        slice_r = _binomial_rule(f, axes, partial(_multi_indices, r), True)
+        if joint := _from_raw(joint_ring, {m[:n] + m[n + 1:]: c for m, c in slice_r.items()}):
+            break
     p = f.ring.field.char_exponent
-    level = _level_of(lowest, p)
+    level = _level_of(r, p)
     if level is None:
-        raise InternalCheckError(
-            f"lowest t-power {lowest} is not a power of the characteristic exponent {p}"
-        )
-    joint = expanded.coeff_of_power(t_name, lowest)
+        raise InternalCheckError(f"lowest t-power {r} is not a power of the characteristic exponent {p}")
     return DirectionalData("dependent", level, joint, copies)
 
 

@@ -3,46 +3,41 @@
 Polynomials: terms over variables matching [a-zA-Z][a-zA-Z0-9_]*, exact
 integer or integer/integer coefficients, operators + - * and ^ for powers,
 with parentheses allowed, e.g. ``x11*x22 - x12*x21``.  Printing a polynomial
-and re-parsing it in the same ring gives back an equal value.
+and re-parsing it in the same ring gives back an equal value.  Every grammar
+rule returns raw terms (exponents -> unreduced raw coefficient, the format
+of rings): a sum adds each term into one dict, a product or power of single
+terms adds or scales exponents, and the result becomes a polynomial once.
 
 Matrices are rows separated by ';' with ',' separated entries.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .fields import FieldDescriptor, Scalar
-from .rings import GradedPoly, GradedRing
+from .rings import GradedPoly, GradedRing, _from_raw, _raw, _raw_mul_into, _reduced
 
+# every non-blank character starts a token; "bad" ones are rejected
 _TOKEN = re.compile(
-    r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))"
+    r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/])|(?P<bad>\S))"
 )
 
 NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
+_SIGNS = {"+": 1, "-": -1}
+
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                break
-            at = pos + (len(rest) - len(stripped))
-            raise ParseError(f"unexpected character {stripped[0]!r}", at, text)
-        if m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("int"):
-            tokens.append(("int", m.group("int"), m.start("int")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind), text)
+        tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -51,88 +46,96 @@ class _PolyParser:
     def __init__(self, text: str, ring: GradedRing):
         self.text = text
         self.ring = ring
+        self.p = ring.field.characteristic
+        self.unit = (0,) * len(ring.names)
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        """Value of the next token: operators are told apart by value alone."""
+        return self.tokens[self.i][1]
 
     def next(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos, self.text)
-
     def parse(self) -> GradedPoly:
-        poly = self.expression()
-        kind, value, pos = self.peek()
+        acc = self.expression()
+        kind, value, pos = self.next()
         if kind != "end":
             raise ParseError(f"unexpected token {value!r}", pos, self.text)
-        return poly
+        return _from_raw(self.ring, acc)
 
-    def expression(self) -> GradedPoly:
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
+    def expression(self) -> dict:
+        acc: dict = {}
+        sign = _SIGNS[self.next()[1]] if self.peek() in _SIGNS else 1
+        while True:
+            for exps, c in self.term().items():
+                acc[exps] = acc.get(exps, 0) + sign * c
+            if self.peek() not in _SIGNS:
+                return acc
+            sign = _SIGNS[self.next()[1]]
+
+    def term(self) -> dict:
+        acc = self.factor()
+        while self.peek() == "*":
             self.next()
-            negate = value == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                rhs = self.term()
-                poly = poly - rhs if value == "-" else poly + rhs
+            rhs = self.factor()
+            if len(acc) == 1 == len(rhs):
+                ((e1, c1),), ((e2, c2),) = acc.items(), rhs.items()
+                acc = {tuple(map(operator.add, e1, e2)): c1 * c2}
             else:
-                return poly
+                acc = _raw_mul_into({}, _reduced(acc, self.p), _reduced(rhs, self.p), 1)
+        return acc
 
-    def term(self) -> GradedPoly:
-        poly = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                poly = poly * self.factor()
-            else:
-                return poly
-
-    def factor(self) -> GradedPoly:
-        poly = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
+    def factor(self) -> dict:
+        acc = self.atom()
+        if self.peek() == "^":
             self.next()
             kind, value, pos = self.next()
             if kind != "int":
                 raise ParseError("expected integer exponent", pos, self.text)
-            poly = poly ** int(value)
-        return poly
+            acc = self.power(acc, int(value))
+        return acc
 
-    def atom(self) -> GradedPoly:
+    def power(self, acc: dict, n: int) -> dict:
+        p = self.p
+        if len(acc) == 1:
+            ((exps, c),) = acc.items()
+            return {tuple(e * n for e in exps): pow(c, n, p) if p else c**n}
+        result, base = [(self.unit, 1)], _reduced(acc, p)
+        while n:
+            if n & 1:
+                result = _reduced(_raw_mul_into({}, result, base, 1), p)
+            n >>= 1
+            if n:
+                base = _reduced(_raw_mul_into({}, base, base, 1), p)
+        return dict(result)
+
+    def atom(self) -> dict:
         kind, value, pos = self.next()
         if kind == "int":
-            num = int(value)
-            kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "/":
+            c = int(value)
+            if self.peek() == "/":
                 self.next()
-                kind3, value3, pos3 = self.next()
-                if kind3 != "int":
-                    raise ParseError("expected integer denominator", pos3, self.text)
-                return self.ring.const(Fraction(num, int(value3)))
-            return self.ring.const(num)
+                kind, value, pos = self.next()
+                if kind != "int":
+                    raise ParseError("expected integer denominator", pos, self.text)
+                if not int(value):
+                    raise ParseError("zero denominator", pos, self.text)
+                c = Fraction(c, int(value))
+            return {self.unit: _raw(self.ring.field, c)}
         if kind == "name":
             if value not in self.ring._pos:
                 raise ParseError(f"unknown variable {value!r}", pos, self.text)
-            return self.ring.var(value)
-        if kind == "op" and value == "(":
-            poly = self.expression()
-            self.expect_op(")")
-            return poly
+            return self.ring.var(value).terms
+        if value == "(":
+            acc = self.expression()
+            kind, value, pos = self.next()
+            if value != ")":
+                raise ParseError("expected ')'", pos, self.text)
+            return acc
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos, self.text)
 
 
@@ -150,10 +153,10 @@ def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:
     m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
     if not m:
         raise ParseError(f"bad scalar {text!r}", 0, text)
-    num = int(m.group(1))
-    if m.group(2):
-        return field.scalar(Fraction(num, int(m.group(2))))
-    return field.scalar(num)
+    num, den = int(m.group(1)), int(m.group(2) or 1)
+    if not den:
+        raise ParseError("zero denominator", m.start(2), text)
+    return field.scalar(Fraction(num, den))
 
 
 def parse_matrix(text: str, field: FieldDescriptor) -> list[list[Scalar]]:

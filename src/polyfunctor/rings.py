@@ -100,8 +100,9 @@ class GradedRing:
         return self.monomial((0,) * len(self.names), value)
 
     def var(self, name: str) -> "GradedPoly":
-        i = self.position(name)
-        return self.monomial(tuple(1 if j == i else 0 for j in range(len(self.names))))
+        exps = [0] * len(self.names)
+        exps[self.position(name)] = 1
+        return GradedPoly(self, {tuple(exps): 1}, _canonical=True)
 
     def monomial(self, exps, coeff=1) -> "GradedPoly":
         exps = tuple(exps)

@@ -32,6 +32,29 @@ def rng():
     return random.Random(0)
 
 
+@pytest.fixture
+def boxed_calls(monkeypatch):
+    """Counts, by "Class.method", of the boxed GradedPoly and Scalar
+    arithmetic and the GradedPoly.substitute calls made after it is set up."""
+    from polyfunctor.fields import Scalar
+    from polyfunctor.rings import GradedPoly
+
+    calls = {}
+
+    def counting(key, method):
+        def wrapper(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return method(*args)
+        return wrapper
+
+    ops = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__")
+    for cls, names in ((GradedPoly, ops + ("substitute",)),
+                       (Scalar, ops + ("__truediv__", "__rtruediv__"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
+    return calls
+
+
 def random_scalar(rng, field, lo=-6, hi=6):
     if field.characteristic == 0:
         return field.scalar(rng.randint(lo, hi))

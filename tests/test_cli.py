@@ -171,6 +171,17 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("poly, direction", [("1/0*x", "1"), ("x", "1/0")])
+def test_zero_denominator_exit_code(capsys, poly, direction):
+    code, out, err = run_cli(
+        capsys, "hasse", "--field", "q", "--poly", poly, "--w-vars", "x", "--dir", direction, "--r", "1"
+    )
+    assert code == 2
+    assert err.startswith("parse error: zero denominator (at position 2)")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_domain_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "example-rank1", "--n", "3", "--field", "fp:2")
     assert code == 1

@@ -23,7 +23,6 @@ from polyfunctor import (
     taylor_expand,
 )
 from polyfunctor.errors import DirectionError
-from polyfunctor.hasse import _expansion_setup
 
 from conftest import ALL_FIELDS, F2, F3, F5, Q, random_poly, random_scalar
 
@@ -421,39 +420,81 @@ def test_hasse_golden(field_text, part):
     assert _golden_digest(field_text, part) == HASSE_GOLDEN[(field_text, part)]
 
 
+# -- the binomial rule against the substitution definition -------------------
+
+
+def _substitution_expansion(f, W):
+    """f(x + t*x_w) by substitution, in the ring of the original variables,
+    t of weight 0, then one copy x_w per W-variable with x's weight."""
+    ring = f.ring
+    ext = ring.extended(
+        [("t", "aux", 0)] + [(n + "_w", "aux", ring.variables[ring.position(n)].weight) for n in W.span_vars]
+    )
+    mapping = {n: ext.var(n) for n in ring.names}
+    for n in W.span_vars:
+        mapping[n] = ext.var(n) + ext.var("t") * ext.var(n + "_w")
+    return f.substitute(mapping)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_expansion_and_directional_data_match_substitution(field):
+    rng = random.Random(f"substitution oracle {field}")
+    ring = GradedRing(field, [("x", "main", 1), ("y", "main", 2), ("z", "main", 1)])
+    p = field.characteristic or 3
+    polys = [
+        parse_polynomial(text, ring)
+        for text in (f"x^{p * p}*y", f"x^{p}*y^{p} + z", f"x^{p * p}*z + 2*y^{2 * p}*z^2 + x^{p}*y^{p}", "z^3")
+    ]
+    polys += [random_poly(rng, ring, max_degree=7, max_terms=6) for _ in range(12)]
+    levels = set()
+    for f in polys:
+        for span in GOLDEN_SPANS:
+            W = DirectionSubspace(ring, span)
+            oracle = _substitution_expansion(f, W)
+            assert taylor_expand(f, W) == oracle
+            data = directional_data(f, W)
+            powers = [k for k in oracle.powers_of("t") if k > 0]
+            if not powers:
+                assert data.status == "independent" and data.joint is None
+                continue
+            lowest = min(powers)
+            assert field.char_exponent ** data.level == lowest
+            assert data.joint == oracle.coeff_of_power("t", lowest)
+            assert data.copies == tuple((n, n + "_w") for n in span)
+            levels.add(data.level)
+    assert levels == ({0} if field.characteristic == 0 else {0, 1, 2})
+
+
+def test_lowest_power_not_a_characteristic_power_is_an_internal_error(monkeypatch):
+    from polyfunctor import InternalCheckError, hasse
+
+    # a binomial rule that kills every first-order slice leaves t^2 lowest
+    monkeypatch.setattr(hasse, "lucas_binomial", lambda a, b, field: field.scalar(b != 1))
+    ring = GradedRing(F3, ["x", "y"])
+    with pytest.raises(InternalCheckError, match="lowest t-power 2 is not a power"):
+        directional_data(parse_polynomial("x^2*y", ring), DirectionSubspace(ring, ("x",)))
+
+
 # -- structural guard: the Hasse kernels never use boxed arithmetic ----------
 
 
 @pytest.mark.parametrize("field", [Q, F3, FieldDescriptor.prime_field(101)])
-def test_hasse_kernels_make_no_boxed_arithmetic(field, monkeypatch):
-    from polyfunctor.fields import Scalar
-    from polyfunctor.rings import GradedPoly
-
+def test_hasse_kernels_make_no_boxed_arithmetic(field, boxed_calls):
     ring = xyz_ring(field)
-    f = parse_polynomial("x^9*y^3*z + 2*x^4*y^5 - z^2 + x*y + 1", ring)
+    text = "x^9*y^3*z + 2*x^4*y^5 - z^2 + x*y + 1"
     W = DirectionSubspace(ring, ("x", "y"))
     w = W.direction([2, 1])
-    _, _, _, mapping = _expansion_setup(f, W, None)
-    calls = {}
-
-    def counting(key, method):
-        def wrapper(*args):
-            calls[key] = calls.get(key, 0) + 1
-            return method(*args)
-        return wrapper
-
-    for cls, names in ((GradedPoly, ("__mul__", "__rmul__", "__add__", "__radd__", "substitute")),
-                       (Scalar, ("__mul__", "__rmul__", "__add__", "__radd__"))):
-        for name in names:
-            key = f"{cls.__name__}.{name}"
-            monkeypatch.setattr(cls, name, counting(key, getattr(cls, name)))
-    expanded = f.substitute(mapping)
-    assert calls == {"GradedPoly.substitute": 1}
-    calls.clear()
+    boxed_calls.clear()
+    f = parse_polynomial(text, ring)
+    expanded = taylor_expand(f, W)
+    data = directional_data(f, W)
     derivatives = [hasse_derivative(f, w, r, W) for r in range(16)]
-    assert calls == {}
+    assert boxed_calls == {}
+    assert expanded == _substitution_expansion(f, W)
     assert expanded.powers_of("t")[-1] == 12 and derivatives[12] and not derivatives[13]
+    assert data.level == 0 and data.joint == expanded.coeff_of_power("t", 1)
     # the counters see boxed arithmetic
+    boxed_calls.clear()
     ring.one() * ring.one()
     field.one() * field.one()
-    assert calls == {"GradedPoly.__mul__": 1, "Scalar.__mul__": 1}
+    assert boxed_calls == {"GradedPoly.__mul__": 1, "Scalar.__mul__": 1}
