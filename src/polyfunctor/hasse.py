@@ -127,19 +127,24 @@ def taylor_expand(f: GradedPoly, W: DirectionSubspace, t: str = "t") -> GradedPo
     if t in joint.names:
         raise AlgebraError(f"auxiliary variable {t!r} is not fresh")
     n = len(f.ring.names)
-    ext = GradedRing(f.ring.field, joint.variables[:n] + (RingVariable(t, "aux", 0),) + joint.variables[n:])
+    ext = f.ring.extended((RingVariable(t, "aux", 0),) + joint.variables[n:])
     axes, _ = _symbolic_axes(f, W)
     return _from_raw(ext, _binomial_rule(f, axes, _all_indices, True))
 
 
 def _check_direction(w: Vector, W: DirectionSubspace):
-    if tuple(w.basis) == W.span_vars:
-        return w
-    if not set(w.basis) <= set(W.span_vars):
+    if tuple(w.basis) != W.span_vars:
+        if set(w.basis) <= set(W.span_vars):
+            # re-order onto the canonical basis, filling absent coordinates with 0
+            d = w.as_dict()
+            field = W.ring.field
+            return Vector(
+                w.space,
+                W.span_vars,
+                tuple(d.get(n, field.zero()) for n in W.span_vars),
+            )
         raise DirectionError("direction does not lie in the designated subspace")
-    # re-order onto the canonical basis, filling absent coordinates with 0
-    d = w.as_dict()
-    return Vector(w.space, W.span_vars, tuple(d.get(n, W.ring.field.zero()) for n in W.span_vars))
+    return w
 
 
 def _multi_indices(r: int, caps):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .fields import FieldDescriptor, Scalar
-from .rings import GradedPoly, GradedRing, _from_raw, _raw, _raw_mul_into, _reduced
+from .rings import GradedPoly, GradedRing, _from_raw, _raw, _raw_mul_into, _raw_pow, _reduced
 
 # every non-blank character starts a token; "bad" ones are rejected
 _TOKEN = re.compile(
@@ -96,22 +96,8 @@ class _PolyParser:
             kind, value, pos = self.next()
             if kind != "int":
                 raise ParseError("expected integer exponent", pos, self.text)
-            acc = self.power(acc, int(value))
+            acc = _raw_pow(acc, int(value), self.p, self.unit)
         return acc
-
-    def power(self, acc: dict, n: int) -> dict:
-        p = self.p
-        if len(acc) == 1:
-            ((exps, c),) = acc.items()
-            return {tuple(e * n for e in exps): pow(c, n, p) if p else c**n}
-        result, base = [(self.unit, 1)], _reduced(acc, p)
-        while n:
-            if n & 1:
-                result = _reduced(_raw_mul_into({}, result, base, 1), p)
-            n >>= 1
-            if n:
-                base = _reduced(_raw_mul_into({}, base, base, 1), p)
-        return dict(result)
 
     def atom(self) -> dict:
         kind, value, pos = self.next()

@@ -267,16 +267,8 @@ class GradedPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise AlgebraError("polynomial exponent must be a nonnegative integer")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        unit = (0,) * len(self.ring.names)
+        return _from_raw(self.ring, _raw_pow(self.terms, exponent, self.ring.field.characteristic, unit))
 
     def mul_term(self, exps, coeff) -> "GradedPoly":
         """Multiply by a single monomial, exps relative to this ring."""
@@ -508,6 +500,23 @@ def _raw_mul_into(acc: dict, a, b, scale) -> dict:
             m = tuple(map(operator.add, e1, e2)) if e1 else e2
             acc[m] = acc.get(m, 0) + c1 * c2
     return acc
+
+
+def _raw_pow(acc: dict, n: int, p: int, unit) -> dict:
+    """acc ** n, unreduced, for a raw accumulator and the exponents unit of
+    its ring's constants: a single term scales its exponents, anything else
+    is squared and multiplied."""
+    if len(acc) == 1:
+        ((exps, c),) = acc.items()
+        return {tuple(e * n for e in exps): pow(c, n, p) if p else c**n}
+    result, base = [(unit, 1)], _reduced(acc, p)
+    while n:
+        if n & 1:
+            result = _reduced(_raw_mul_into({}, result, base, 1), p)
+        n >>= 1
+        if n:
+            base = _reduced(_raw_mul_into({}, base, base, 1), p)
+    return dict(result)
 
 
 def _reduced(acc: dict, p: int) -> list:

@@ -423,17 +423,22 @@ def test_hasse_golden(field_text, part):
 # -- the binomial rule against the substitution definition -------------------
 
 
-def _substitution_expansion(f, W):
-    """f(x + t*x_w) by substitution, in the ring of the original variables,
-    t of weight 0, then one copy x_w per W-variable with x's weight."""
-    ring = f.ring
+def _substitution_mapping(W):
+    """x -> x + t*x_w on W, over the ring of the original variables, t of
+    weight 0, then one copy x_w per W-variable with x's weight."""
+    ring = W.ring
     ext = ring.extended(
         [("t", "aux", 0)] + [(n + "_w", "aux", ring.variables[ring.position(n)].weight) for n in W.span_vars]
     )
     mapping = {n: ext.var(n) for n in ring.names}
     for n in W.span_vars:
         mapping[n] = ext.var(n) + ext.var("t") * ext.var(n + "_w")
-    return f.substitute(mapping)
+    return mapping
+
+
+def _substitution_expansion(f, W):
+    """f(x + t*x_w) by substitution: the definition taylor_expand computes."""
+    return f.substitute(_substitution_mapping(W))
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -484,13 +489,17 @@ def test_hasse_kernels_make_no_boxed_arithmetic(field, boxed_calls):
     text = "x^9*y^3*z + 2*x^4*y^5 - z^2 + x*y + 1"
     W = DirectionSubspace(ring, ("x", "y"))
     w = W.direction([2, 1])
+    mapping = _substitution_mapping(W)
     boxed_calls.clear()
     f = parse_polynomial(text, ring)
     expanded = taylor_expand(f, W)
     data = directional_data(f, W)
     derivatives = [hasse_derivative(f, w, r, W) for r in range(16)]
     assert boxed_calls == {}
-    assert expanded == _substitution_expansion(f, W)
+    # substitution with polynomial images runs on raw terms too
+    substituted = f.substitute(mapping)
+    assert boxed_calls == {"GradedPoly.substitute": 1}
+    assert expanded == substituted
     assert expanded.powers_of("t")[-1] == 12 and derivatives[12] and not derivatives[13]
     assert data.level == 0 and data.joint == expanded.coeff_of_power("t", 1)
     # the counters see boxed arithmetic
