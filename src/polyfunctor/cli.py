@@ -309,6 +309,8 @@ def cmd_proofstep(args):
     else:
         if args.u != 2:
             raise AlgebraError("default pair projections need u = 2; pass --phi")
+        if args.n < 2:
+            raise AlgebraError("default pair projections need n >= 2; pass --phi")
         phis = list(pair_projections(field, args.n).values())
     report = run_proofstep(X, args.n, r0, phis)
     _emit(args, report.to_text().rstrip("\n"), report.to_json_dict())

@@ -6,8 +6,9 @@ entry ring; a ring with no variables represents plain scalars.  Composition
 multiplies the raw coefficients of the entries' terms into one accumulator
 per result entry, for scalar and polynomial entries alike; only rings.py
 knows the term format.  Also home to the small exact linear algebra the
-package needs: Gaussian rank over a field and fraction-free Bareiss
-determinants for polynomial matrices.
+package needs: Gaussian rank over a field, and one fraction-free
+Gauss-Jordan solve of a square polynomial system that yields its
+determinant and every Cramer numerator.
 """
 
 from __future__ import annotations
@@ -199,35 +200,44 @@ def matrix_rank(entries, field: FieldDescriptor) -> int:
     return rank
 
 
-def poly_matrix_det(rows, ring: GradedRing) -> GradedPoly:
-    """Determinant of a square polynomial matrix by fraction-free Bareiss."""
+def cramer_solve(rows, ring: GradedRing):
+    """(det A, [det A_j(b) for every column j]) of the square polynomial
+    system whose rows are [A | b], by one fraction-free Gauss-Jordan pass;
+    None when A is singular.
+
+    Each step pivots on the remaining row with the fewest nonzero entries and
+    replaces every entry of every other row by (pivot * a_ij - a_ik * a_kj) /
+    (previous pivot).  Each entry stays a minor of the input (Bareiss, Math.
+    Comp. 22, 1968), so every division is exact; the last pivot is det A up
+    to the sign of the row swaps.
+    """
     n = len(rows)
-    if n == 0:
-        return ring.one()
     M = [list(row) for row in rows]
-    for row in M:
-        if len(row) != n:
-            raise AlgebraError("determinant of a non-square matrix")
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if pivot is None:
-                return ring.zero()
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                q = divide_exact(num, prev) if not prev.is_constant() else None
-                if prev.is_constant():
-                    M[i][j] = num * prev.constant_value().inverse()
-                else:
-                    if q is None:
-                        raise InternalCheckError("Bareiss division failed")
-                    M[i][j] = q
-            M[i][k] = ring.zero()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
+    if any(len(row) != n + 1 for row in M):
+        raise AlgebraError("a Cramer solve needs the n rows of a square [A | b]")
+    sign, prev = 1, ring.one()
+    for k in range(n):
+        live = [i for i in range(k, n) if M[i][k]]
+        if not live:
+            return None
+        best = min(live, key=lambda i: sum(map(bool, M[i])))
+        if best != k:
+            M[k], M[best], sign = M[best], M[k], -sign
+        top = M[k]
+        pivot = top[k]
+        inverse = prev.constant_value().inverse() if prev.is_constant() else None
+        for row in M:
+            if row is top:
+                continue
+            factor = row[k]
+            for j in range(n + 1):
+                if j != k and (row[j] or factor and top[j]):
+                    num = pivot * row[j] - factor * top[j]
+                    row[j] = num * inverse if inverse is not None else divide_exact(num, prev)
+                    if row[j] is None:
+                        raise InternalCheckError("fraction-free division failed")
+            row[k] = ring.zero()
+        prev = pivot
+    if sign < 0:
+        return -prev, [-row[n] for row in M]
+    return prev, [row[n] for row in M]

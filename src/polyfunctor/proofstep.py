@@ -63,9 +63,9 @@ from .hasse import (
 from .matrices import (
     LinearMapMatrix,
     base_projection,
+    cramer_solve,
     graft_columns,
     matrix_rank,
-    poly_matrix_det,
     scalar_entry_ring,
     space_matrix,
 )
@@ -323,27 +323,17 @@ class ProjectionCoefficients:
     polynomial of degree at most e in t; its coefficient matrices satisfy:
     the t^0 matrix is induced by the plain projection onto the base block,
     the t^e matrix is induced by [0 | phi], and the t^i matrix kills every
-    basis vector whose moving degree differs from i.
+    basis vector whose moving degree differs from i.  parametrised is the
+    induced map of [1_U | t*phi] itself and base that of the plain
+    projection, kept for the stages that pull back along them.
     """
 
     u: int
     n: int
     phi: LinearMapMatrix
     by_degree: dict[int, tuple[LinearMapMatrix, ...]]
-
-
-def _parametrised_map(model_u: CoordinateModel, phi: LinearMapMatrix) -> LinearMapMatrix:
-    """Induced matrix of [1_U | t*phi] over the one-variable ring in t."""
-    ring_t = GradedRing(model_u.field, (RingVariable("t", "aux", 0),))
-    t = ring_t.var("t")
-    tail = LinearMapMatrix(
-        phi.row_labels,
-        phi.col_labels,
-        ring_t,
-        [[e.convert(ring_t) * t for e in row] for row in phi.rows],
-    )
-    psi = graft_columns(model_u.dimension, tail)
-    return induced_map(model_u.normalized, psi)
+    parametrised: LinearMapMatrix
+    base: LinearMapMatrix
 
 
 def projection_coefficients(
@@ -355,7 +345,16 @@ def projection_coefficients(
         raise PresentationError("projection matrix has the wrong shape")
     if matrix_rank([[e.constant_value() for e in row] for row in phi.rows], fld) != u:
         raise PresentationError("projection matrix is not surjective")
-    full = _parametrised_map(model_u, phi)
+    # the induced matrix of [1_U | t*phi] over the one-variable ring in t
+    ring_t = GradedRing(fld, (RingVariable("t", "aux", 0),))
+    t = ring_t.var("t")
+    tail = LinearMapMatrix(
+        phi.row_labels,
+        phi.col_labels,
+        ring_t,
+        [[e.convert(ring_t) * t for e in row] for row in phi.rows],
+    )
+    full = induced_map(model_u.normalized, graft_columns(u, tail))
     scalar_ring = scalar_entry_ring(fld)
     proj = induced_map(model_u.normalized, base_projection(fld, u, n))
     zero_block = [[fld.zero()] * u for _ in range(u)]
@@ -394,7 +393,7 @@ def projection_coefficients(
                     if any(row[j] for row in mat.rows):
                         raise InternalCheckError("coefficient matrix misses the vanishing pattern")
         by_degree[e] = tuple(coeffs)
-    return ProjectionCoefficients(u, n, phi, by_degree)
+    return ProjectionCoefficients(u, n, phi, by_degree, full, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +424,9 @@ def extract_additive_element(
 ) -> AffineAdditiveElement:
     """Coefficient of t^(d*p^level) in the pullback of f along [1_U | t*phi],
     verified to be affine-additive in the moving coordinates of the
-    designated summand, with the derivative-compatibility identity checked
-    as a formal polynomial identity."""
+    designated summand, with the projection identities and the
+    derivative-compatibility identity checked as formal polynomial
+    identities."""
     fld = model_u.field
     u = model_u.dimension
     if f.ring != model_u.ring:
@@ -434,7 +434,8 @@ def extract_additive_element(
     d = model_u.normalized.degree()
     q_power = fld.char_exponent ** level
 
-    full = _parametrised_map(model_u, phi)
+    projection = projection_coefficients(model_u, model_big.dimension - u, phi)
+    full = projection.parametrised
     t_name = fresh_name("t", set(model_big.ring.names))
     ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
     # pull back every base-side coordinate through the parametrised matrix
@@ -492,7 +493,7 @@ def extract_additive_element(
     if rebuilt != k:
         raise InternalCheckError("affine-additive reconstruction failed")
     _check_derivative_formula(
-        f, model_u, model_big, phi, additive_part, moving, r_label, level
+        f, model_u, model_big, projection, additive_part, moving, r_label, level
     )
     return AffineAdditiveElement(
         poly=k,
@@ -515,7 +516,7 @@ def _check_derivative_formula(
     f: GradedPoly,
     model_u: CoordinateModel,
     model_big: CoordinateModel,
-    phi: LinearMapMatrix,
+    projection: ProjectionCoefficients,
     additive_part: dict,
     moving,
     r_label: str,
@@ -524,10 +525,8 @@ def _check_derivative_formula(
     """(additive part of k at a symbolic direction r) = (derivative of f
     along R(phi)r) pulled back through the base projection, as one formal
     identity in the original variables plus one copy per moving coordinate."""
-    fld = model_u.field
-    u = model_u.dimension
-    n = model_big.dimension - u
-    q_power = fld.char_exponent ** level
+    u = projection.u
+    q_power = model_u.field.char_exponent ** level
     joint_ring, copies = doubled_ring(model_big.ring, moving, "_w")
     copy_of_big = dict(copies)
     lhs = joint_ring.zero()
@@ -547,7 +546,7 @@ def _check_derivative_formula(
             f"witness direction level {dd_f.level} differs from the element level {level}"
         )
     # base projection pullback of the base-side coordinates
-    proj = induced_map(model_u.normalized, base_projection(fld, u, n))
+    proj = projection.base
     mapping = {}
     for i, row_label in enumerate(proj.row_labels):
         acc = joint_ring.zero()
@@ -559,8 +558,8 @@ def _check_derivative_formula(
     # substitute the symbolic direction through the summand map of phi
     r_idx = model_u.decomposition.index_of(r_label)
     r_expr = model_u.decomposition.summand(r_label).expr
-    r_map = induced_map(r_expr, phi)
-    cols_at_n = basis_labels(r_expr, n)
+    r_map = induced_map(r_expr, projection.phi)
+    cols_at_n = basis_labels(r_expr, projection.n)
     for orig, copy in dd_f.copies:
         lab_u = model_u.label_of[orig][2]
         acc = joint_ring.zero()
@@ -617,10 +616,13 @@ def eliminate(
 ) -> EliminationCertificate:
     """Cramer-rule elimination of the moving coordinates.
 
-    Searches row subsets for a minor equal to a nonzero scalar times a power
-    of h; on success solves for each moving coordinate, cancelling common
-    h-powers between numerator and denominator.  Raises
-    CertificateNotFoundError when no unit minor shows up within the budget.
+    Tries the row subsets of the elements in lexicographic order, at most
+    max_minor_candidates of them.  Each is one fraction-free Gauss-Jordan
+    solve (matrices.cramer_solve), which gives the minor and every Cramer
+    numerator at once.  The first minor equal to a nonzero scalar c times a
+    power h^P is taken; each numerator is divided by c and cancels as many
+    powers of h as it can.  Raises CertificateNotFoundError when no such
+    minor shows up within the budget.
     """
     elements = list(elements)
     eliminated = list(eliminated)
@@ -642,63 +644,36 @@ def eliminate(
             f"{len(elements)} elements cannot eliminate {n_cols} coordinates"
         )
     zero = ring.zero()
-    matrix = [
-        [el.additive_part.get(v, zero) for v in eliminated] for el in elements
+    system = [
+        [el.additive_part.get(v, zero) for v in eliminated] + [el.constant_part]
+        for el in elements
     ]
-    k0 = [el.constant_part for el in elements]
-    chosen = None
-    for count, rows_sel in enumerate(itertools.combinations(range(len(elements)), n_cols)):
-        if count >= max_minor_candidates:
-            break
-        det = poly_matrix_det([matrix[i] for i in rows_sel], ring)
-        if det.is_zero():
+    subsets = itertools.combinations(range(len(elements)), n_cols)
+    for rows_sel in itertools.islice(subsets, max(max_minor_candidates, 0)):
+        solved = cramer_solve([system[i] for i in rows_sel], ring)
+        if solved is None:
             continue
-        num = det
-        power = 0
+        det, numerators = solved
+        c, power = det, 0
         if not h.is_constant():
-            while True:
-                q = divide_exact(num, h)
-                if q is None:
-                    break
-                num = q
-                power += 1
-        if num.is_constant():
-            chosen = (rows_sel, det, num.constant_value(), power)
+            while (q := divide_exact(c, h)) is not None:
+                c, power = q, power + 1
+        if c.is_constant():
             break
-    if chosen is None:
+    else:
         raise CertificateNotFoundError("no unit minor found within the search budget")
-    rows_sel, det, c_scalar, _ = chosen
-    inv_c = c_scalar.inverse()
+    if h**power * c != det:
+        raise InternalCheckError("unit minor lost its h-power structure")
+    inv_c = c.constant_value().inverse()
     entries = []
-    q_power = ring.field.char_exponent ** level
-    for j, var in enumerate(eliminated):
-        replaced = []
-        for i in rows_sel:
-            row = list(matrix[i])
-            row[j] = k0[i]
-            replaced.append(row)
-        numerator = poly_matrix_det(replaced, ring) * inv_c
-        power = 0
-        scaled_det = det * inv_c  # equals h^power_total
-        # express det/c as a pure h power
-        rest = scaled_det
-        while not rest.is_constant():
-            rest = divide_exact(rest, h)
-            if rest is None:
-                raise InternalCheckError("unit minor lost its h-power structure")
-            power += 1
-        if rest.constant_value() != ring.field.one():
-            raise InternalCheckError("unit minor scalar mismatch")
-        # cancel common powers of h
-        while power > 0:
-            q = divide_exact(numerator, h)
-            if q is None:
-                break
-            numerator = q
-            power -= 1
+    for var, numerator in zip(eliminated, numerators):
+        numerator = numerator * inv_c
+        left = power
+        while left and (q := divide_exact(numerator, h)) is not None:
+            numerator, left = q, left - 1
         if set(numerator.support_vars()) & elim_set:
             raise InternalCheckError("certificate numerator touches a moving coordinate")
-        entries.append(CertificateEntry(var, numerator, power))
+        entries.append(CertificateEntry(var, numerator, left))
     base_vars = tuple(v for v in ring.names if v not in elim_set)
     return EliminationCertificate(
         base_vars=base_vars,
@@ -839,12 +814,10 @@ def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
     f = X.generators[0]
     delta = delta_degree(X.generators, X.q_generators)
     step = derivative_step(f, X, r0)
-    elements = []
-    for phi in phis:
-        projection_coefficients(model_u, n, phi)
-        elements.append(
-            extract_additive_element(f, model_u, model_big, phi, step.level, X.designated_r)
-        )
+    elements = [
+        extract_additive_element(f, model_u, model_big, phi, step.level, X.designated_r)
+        for phi in phis
+    ]
     h_big = step.derivative.convert(model_big.ring)
     eliminated = model_big.moving_vars(X.designated_r, u)
     certificate = None

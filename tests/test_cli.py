@@ -225,6 +225,19 @@ def test_certificate_not_found_exit_code(capsys):
     assert "INCONCLUSIVE certificate-found" in out
 
 
+def test_proofstep_default_projections_refuse_n_below_two(capsys, monkeypatch):
+    from polyfunctor import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the stages ran")
+
+    monkeypatch.setattr(cli, "run_proofstep", never)
+    code, out, err = run_cli(capsys, *PROOFSTEP_BASE, "--field", "q", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: default pair projections need n >= 2; pass --phi\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["dim"])  # missing required arguments

@@ -70,7 +70,7 @@ def _t_ring(field):
 
 
 def _t_parametrised(field, u, n, seed):
-    """[1_U | t*phi], built as proofstep._parametrised_map builds it."""
+    """[1_U | t*phi], built as proofstep.projection_coefficients builds it."""
     ring_t = _t_ring(field)
     t = ring_t.var("t")
     phi = _scalar_phi(field, u, n, seed)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from polyfunctor import (
     FieldDescriptor,
     GradedPoly,
     GradedRing,
+    InternalCheckError,
     PresentationError,
     VarietyPresentation,
     Vector,
@@ -305,6 +307,47 @@ def test_eliminate_no_unit_minor():
         eliminate([element], ring.var("h"), ["z"])
 
 
+def test_eliminate_takes_the_first_unit_minor():
+    # rows (0, 1) are singular, rows (0, 2) give the minor 3*c*h^2, which is
+    # no scalar times a power of h, and rows (1, 2) give 6*h^3
+    ring = GradedRing(Q, [("z1", "r", 1), ("z2", "r", 1), ("c", "b", 1), ("h", "b", 1)])
+    z1, z2, c, h = (ring.var(name) for name in ("z1", "z2", "c", "h"))
+
+    def element(additive, constant):
+        poly = constant + sum((coeff * ring.var(v) for v, coeff in additive.items()), ring.zero())
+        return AffineAdditiveElement(poly, 0, additive, constant, ("z1", "z2"), ring.zero())
+
+    elements = [
+        element({"z1": c}, ring.one()),
+        element({"z1": h * 2}, h * c),
+        element({"z2": h**2 * 3}, c),
+    ]
+    cert = eliminate(elements, h, ["z1", "z2"])
+    assert cert.minor_rows == (1, 2)
+    assert cert.minor_det == h**3 * 6
+    # 2h*z1 + h*c = 0 gives z1 = -c/2 with no h left; 3h^2*z2 + c = 0 gives
+    # z2 = -(c/3)/h^2
+    assert [(e.variable, e.numerator, e.h_power) for e in cert.entries] == [
+        ("z1", c * Fraction(1, 2), 0),
+        ("z2", c * Fraction(1, 3), 2),
+    ]
+    assert cert.cleared_elements() == [z1 + c * Fraction(1, 2), h**2 * z2 + c * Fraction(1, 3)]
+    with pytest.raises(CertificateNotFoundError):
+        eliminate(elements, h, ["z1", "z2"], max_minor_candidates=2)
+
+
+def test_cramer_solve_refuses_an_inexact_division(monkeypatch):
+    from polyfunctor import matrices
+
+    ring = GradedRing(Q, ["s", "t"])
+    s, t = ring.var("s"), ring.var("t")
+    rows = [[s, t, ring.one()], [t, s + 1, ring.zero()]]
+    assert matrices.cramer_solve(rows, ring) == (s**2 + s - t**2, [s + 1, -t])
+    monkeypatch.setattr(matrices, "divide_exact", lambda f, g: None)
+    with pytest.raises(InternalCheckError):
+        matrices.cramer_solve(rows, ring)
+
+
 def test_eliminate_running_example_structure():
     field = Q
     model_u, f, X = split_presentation(field)
@@ -506,6 +549,38 @@ def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
         counts.append(len(calls))
     # the pipeline itself substitutes a fixed number of times; a sample adds none
     assert counts[0] == counts[1] <= 40
+
+
+def test_rank_one_elimination_divides_few_times(monkeypatch):
+    from polyfunctor import groebner, matrices, proofstep
+
+    calls = []
+    inside = []
+    eliminate = proofstep.eliminate
+
+    def counted(f, g):
+        calls.extend(inside)
+        return groebner.divide_exact(f, g)
+
+    def tracked(*args, **kwargs):
+        inside.append(1)
+        try:
+            return eliminate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(proofstep, "divide_exact", counted)
+    monkeypatch.setattr(matrices, "divide_exact", counted)
+    monkeypatch.setattr(proofstep, "eliminate", tracked)
+    report = run_rank_one_example(4, FieldDescriptor.prime_field(101), sample_count=1)
+    assert report.all_passed()
+    # At n = 4 the 6 elements give a 6x6 system with one entry 2*z_1_2 per
+    # row.  The Gauss-Jordan pass divides the two nonzero entries of each
+    # other row once per step after the first (2 * 5 * 5 = 50), the minor
+    # h^6 takes 7 divisions to find its h-power, and each of the 6 numerators,
+    # h^5 times an entry of k0, cancels 5 powers and fails the sixth (36): 93.
+    # A Bareiss determinant per minor and per coordinate took 289.
+    assert len(calls) <= 100
 
 
 def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):

@@ -4,11 +4,11 @@ Hasse derivatives against sympy as an oracle.
 Our term order is sympy's ``grlex`` when every variable has weight 1, with
 the ring's variables in order.  The normal form modulo an ideal does not
 depend on the basis it is computed with, and an exact quotient is unique, so
-both are compared term by term.  The entries of an exterior power are minors
-and a Bareiss determinant is a determinant, so both are compared with
-sympy's ``det``.  The r-th Hasse derivative of f in the direction w is the
-t^r coefficient of f(x + t*w), which sympy expands independently.  Skipped
-where sympy is not installed.
+both are compared term by term.  The entries of an exterior power are minors,
+and the fraction-free Gauss-Jordan solve returns a determinant and its
+Cramer numerators, so all are compared with sympy's ``det``.  The r-th Hasse
+derivative of f in the direction w is the t^r coefficient of f(x + t*w),
+which sympy expands independently.  Skipped where sympy is not installed.
 """
 
 import random
@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from polyfunctor import (  # noqa: E402
     DirectionSubspace,
@@ -30,7 +31,7 @@ from polyfunctor import (  # noqa: E402
     space_matrix,
 )
 from polyfunctor.groebner import divide_exact  # noqa: E402
-from polyfunctor.matrices import poly_matrix_det  # noqa: E402
+from polyfunctor.matrices import cramer_solve  # noqa: E402
 
 from conftest import IDEALS, random_poly  # noqa: E402
 
@@ -145,17 +146,47 @@ def test_exterior_power_entries_are_sympy_minors(k, field_text):
             assert entry == wedge.ring.const(Fraction(int(det.p), int(det.q)))
 
 
+def _sympy_det(rows, syms, field):
+    """sympy's determinant over the polynomial ring QQ[syms] or GF(p)[syms]."""
+    p = field.characteristic
+    domain = (sympy.GF(p) if p else sympy.QQ).poly_ring(*syms)
+    entries = [[domain.from_sympy(_to_sympy(e, syms)) for e in row] for row in rows]
+    return domain.to_sympy(DomainMatrix(entries, (len(rows), len(rows)), domain).det())
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
 @pytest.mark.parametrize("n", (3, 4, 5))
-def test_poly_matrix_det_matches_sympy(n):
-    ring = GradedRing(FieldDescriptor.rationals(), ["t"])
-    (t,) = _symbols(ring)
-    rng = random.Random(f"det {n}")
-    rows = [[random_poly(rng, ring, max_degree=3, max_terms=3) for _ in range(n)] for _ in range(n)]
-    rows[0][0] = ring.zero()  # the first pivot needs a row swap
-    ours = poly_matrix_det(rows, ring)
-    theirs = sympy.expand(sympy.Matrix([[_to_sympy(e, (t,)) for e in row] for row in rows]).det())
-    assert _our_terms(ours) == _sympy_terms(theirs, (t,), ring.field)
-    assert not ours.is_zero()
+def test_cramer_solve_matches_sympy(n, field_text):
+    field = FieldDescriptor.parse(field_text)
+    ring = GradedRing(field, ["s", "t"])
+    syms = _symbols(ring)
+    rng = random.Random(f"cramer {n} {field_text}")
+    while True:
+        rows = [[random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(n + 1)]
+                for _ in range(n)]
+        rows[0][0] = ring.zero()  # the first pivot needs a row swap
+        if _sympy_det([row[:n] for row in rows], syms, field) != 0:
+            break
+    det, numerators = cramer_solve(rows, ring)
+    assert not det.is_zero()
+    assert _our_terms(det) == _sympy_terms(_sympy_det([row[:n] for row in rows], syms, field), syms, field)
+    assert len(numerators) == n
+    for j, ours in enumerate(numerators):
+        replaced = [row[:j] + [row[n]] + row[j + 1:n] for row in rows]
+        assert _our_terms(ours) == _sympy_terms(_sympy_det(replaced, syms, field), syms, field)
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:101"))
+def test_cramer_solve_refuses_a_singular_matrix(field_text):
+    field = FieldDescriptor.parse(field_text)
+    ring = GradedRing(field, ["s", "t"])
+    rng = random.Random(f"singular {field_text}")
+    rows = [[random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(4)] for _ in range(2)]
+    rows[0][0] = ring.zero()
+    combo = random_poly(rng, ring, max_degree=1, max_terms=2) + ring.var("s")
+    rows.append([a * combo - b for a, b in zip(rows[0], rows[1])])  # a combination of the others
+    assert _sympy_det([row[:3] for row in rows], _symbols(ring), field) == 0
+    assert cramer_solve(rows, ring) is None
 
 
 @pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:5", "fp:101"))
