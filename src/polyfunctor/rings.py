@@ -14,9 +14,10 @@ earlier variables more significant.  Canonical form plus a fixed order
 makes all printed output byte-stable.
 
 All values are immutable after construction and all operations are pure; a
-polynomial only remembers its leading term once asked for it, and the
-private working polynomial of heap division (_Dividend) never leaves the
-division that owns it.
+polynomial only remembers its associate once asked for it (monic over F_p,
+over q the primitive integer multiple with positive leading coefficient),
+and the private working polynomial of heap division (_Dividend, over q an
+integer multiple `scale` of the true one) never leaves its division.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from math import gcd, lcm
 
 from .errors import AlgebraError, FieldMismatchError, RingMismatchError, SubstitutionError
 from .fields import FieldDescriptor, Scalar
@@ -135,7 +137,7 @@ class GradedRing:
 class GradedPoly:
     """Canonical sparse polynomial: exponent vector -> nonzero raw coefficient."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_assoc")
 
     def __init__(self, ring: GradedRing, terms: dict, _canonical: bool = False):
         self.ring = ring
@@ -180,21 +182,28 @@ class GradedPoly:
 
     def leading_item(self):
         """(exponents, raw coefficient) of the leading term under the ring order."""
-        exps = self._leading_inverse()[0]
+        exps = self._associate()[0]
         return exps, self.terms[exps]
 
-    def _leading_inverse(self):
-        """(leading exponents, raw inverse of the leading coefficient), the
-        data a divisor needs on every division step; computed once."""
+    def _associate(self):
+        """(leading exponents, a, raw items) of the associate every division
+        step by this polynomial reads, computed once: over F_p the monic
+        polynomial (a = 1), over q the primitive integer one (a > 0)."""
         try:
-            return self._lead
+            return self._assoc
         except AttributeError:
             if not self.terms:
                 raise AlgebraError("zero polynomial has no leading term") from None
             exps = max(self.terms, key=self.ring.order_key)
-            c, p = self.terms[exps], self.ring.field.characteristic
-            self._lead = exps, pow(c, -1, p) if p else 1 / Fraction(c)
-            return self._lead
+            c, p, ks = self.terms[exps], self.ring.field.characteristic, self.terms.values()
+            if p:
+                u = pow(c, -1, p)
+            else:  # 1 / content, signed so that a > 0
+                u = Fraction(lcm(*(k.denominator for k in ks)), gcd(*(k.numerator for k in ks)))
+                u = u if c > 0 else -u
+            items = {e: k * u % p if p else (k * u).numerator for e, k in self.terms.items()}
+            self._assoc = exps, items[exps], tuple(items.items())
+            return self._assoc
 
     def constant_value(self) -> Scalar:
         return self.ring.field.scalar(self.terms.get((0,) * len(self.ring.names), 0))
@@ -284,28 +293,6 @@ class GradedPoly:
             },
             _canonical=True,
         )
-
-    def _sub_mul_term_into(self, work: "_Dividend", exps, coeff):
-        """work -= coeff * x^exps * self in place, the step of heap division.
-
-        A monomial new to work is pushed onto its heap; a cancelled one is
-        deleted from its terms and left on the heap, to be skipped later.
-        """
-        terms, heap, p = work.terms, work.heap, work.p
-        weights = self.ring.weights
-        for e, k in self.terms.items():
-            m = tuple(map(operator.add, e, exps))
-            kc = k * coeff
-            s = terms.get(m)
-            if s is None:
-                terms[m] = -kc % p if p else -kc
-                heappush(heap, _heap_entry(m, weights))
-            else:
-                s = (s - kc) % p if p else s - kc
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -543,16 +530,17 @@ class _Dividend:
     Its terms are a mutable copy of the dividend's terms, and a heap holds
     its monomials with lazy deletion, so the leading term is found by popping
     the heap rather than scanning the terms (cf. Monagan & Pearce, "Sparse
-    polynomial division using a heap", J. Symb. Comp. 46 (2011)).
-    GradedPoly._sub_mul_term_into subtracts a monomial multiple of a divisor.
+    polynomial division using a heap", J. Symb. Comp. 46 (2011)).  Its terms
+    are ints, scale times the true polynomial (scale is 1 over F_p).
     """
 
-    __slots__ = ("p", "terms", "heap")
+    __slots__ = ("p", "weights", "scale", "terms", "heap")
 
     def __init__(self, f: GradedPoly):
         self.p = f.ring.field.characteristic
-        self.terms = dict(f.terms)
-        weights = f.ring.weights
+        self.weights = weights = f.ring.weights
+        self.scale = s = lcm(*(k.denominator for k in f.terms.values()))
+        self.terms = {e: k.numerator * (s // k.denominator) for e, k in f.terms.items()}
         self.heap = [_heap_entry(e, weights) for e in self.terms]
         heapify(self.heap)
 
@@ -568,8 +556,35 @@ class _Dividend:
         return None
 
     def pop_leading(self):
-        """Remove the leading term; call after leading() found one."""
-        del self.terms[heappop(self.heap)[2]]
+        """Remove the leading term, found by leading(); returns its true value."""
+        return self.unscale(self.terms.pop(heappop(self.heap)[2]))
+
+    def unscale(self, c):
+        """True value of a raw coefficient of the work polynomial."""
+        return c if self.scale == 1 else Fraction(c, self.scale)
+
+    def rescale(self, m: int):
+        """Multiply the work polynomial, and so scale, by the int m."""
+        self.scale *= m
+        self.terms = {e: c * m for e, c in self.terms.items()}
+
+    def sub_mul(self, items, exps, coeff):
+        """work -= coeff * x^exps * items, for raw (exponents, int) items.  A new
+        monomial is pushed onto the heap; a cancelled one is left there."""
+        terms, heap, p, weights = self.terms, self.heap, self.p, self.weights
+        for e, k in items:
+            m = tuple(map(operator.add, e, exps))
+            kc = k * coeff
+            s = terms.get(m)
+            if s is None:
+                terms[m] = -kc % p if p else -kc
+                heappush(heap, _heap_entry(m, weights))
+            else:
+                s = (s - kc) % p if p else s - kc
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
 
 
 @dataclass(frozen=True)

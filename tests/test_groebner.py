@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -203,3 +204,96 @@ def test_divide_exact_refuses_foreign_ring_divisor(foreign_ring_case):
         divide_exact(f, g)
     with pytest.raises(RingMismatchError):
         divide_exact(g, f)
+
+
+# -- an independent reference: multivariate division on {exponents: Fraction}
+# dicts with a plain leading-term scan, over q (p = 0) or F_p ----------------
+
+def _reference_division(f, divisors, p):
+    """(quotient per divisor, remainder) of f under division by the divisors,
+    in order, for weight-1 variables; coefficients are Fractions reduced mod p."""
+    def norm(c):
+        return Fraction(c.numerator * pow(c.denominator, -1, p) % p) if p else c
+
+    def lead(h):
+        return max(h, key=lambda e: (sum(e), e))
+
+    work, remainder, quotients = {e: Fraction(c) for e, c in f.items()}, {}, [{} for _ in divisors]
+    while work:
+        m = lead(work)
+        for g, quotient in zip(divisors, quotients):
+            lg = lead(g)
+            if all(a <= b for a, b in zip(lg, m)):
+                t, shift = norm(work[m] / Fraction(g[lg])), tuple(a - b for a, b in zip(m, lg))
+                quotient[shift] = t
+                for e, k in g.items():
+                    e = tuple(a + b for a, b in zip(e, shift))
+                    if v := norm(work.pop(e, 0) - t * k):
+                        work[e] = v
+                break
+        else:
+            remainder[m] = work.pop(m)
+    return quotients, remainder
+
+
+DIVISORS = ("2*x^2 + y - 1/2", "-3*x*y + 2*z", "6*y^2 + 4*z + x", "5/7*z^2 + 1/2*x")
+
+
+def _random_fraction_poly(rng, ring):
+    terms = {}
+    for _ in range(rng.randint(3, 7)):
+        exps = [0, 0, 0]
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(3)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5, 7)))
+    return sum((ring.monomial(e, c) for e, c in terms.items()), ring.zero())
+
+
+@pytest.fixture
+def division_events(monkeypatch):
+    """Per division, the string of its rescales ("r") and remainder splits
+    ("s"), in order."""
+    from polyfunctor.rings import _Dividend
+
+    events = []
+
+    def logged(method, mark):
+        def wrapper(self, *args):
+            if mark:
+                events[-1] += mark
+            else:
+                events.append("")
+            return method(self, *args)
+        return wrapper
+
+    for name, mark in (("__init__", ""), ("rescale", "r"), ("pop_leading", "s")):
+        monkeypatch.setattr(_Dividend, name, logged(getattr(_Dividend, name), mark))
+    return events
+
+
+@pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
+def test_division_matches_fraction_reference(field, division_events):
+    fld = FieldDescriptor.parse(field)
+    ring = GradedRing(fld, ["x", "y", "z"])
+    p = fld.characteristic
+    divisors = [parse_polynomial(text, ring) for text in DIVISORS]
+    if not p:
+        assert [g.leading_item()[1] for g in divisors] == [2, -3, 6, Fraction(5, 7)]
+    rng = random.Random(f"division {field}")
+    exact = 0
+    for _ in range(12):
+        f = _random_fraction_poly(rng, ring)
+        _, remainder = _reference_division(f.terms, [g.terms for g in divisors], p)
+        assert reduce_poly(f, divisors).terms == remainder
+        for g in divisors:
+            h = f * g + (1 if rng.random() < 0.3 else 0)
+            (quotient,), rest = _reference_division(h.terms, [g.terms], p)
+            ours = divide_exact(h, g)
+            assert (None if rest else quotient) == (None if ours is None else ours.terms)
+            exact += not rest
+    assert exact >= 24
+    if not p:
+        # some division rescales (a does not divide c) after splitting off a term
+        assert any("s" in e and "r" in e[e.index("s"):] for e in division_events)
+    else:
+        assert not any("r" in e for e in division_events)

@@ -28,6 +28,7 @@ from polyfunctor import (
     usable_directions,
 )
 from polyfunctor.functors import IdF, SumF, SymF, TenAltF, TenSymF, TensorF
+from polyfunctor.groebner import divide_exact
 from polyfunctor.matrices import scalar_entry_ring, space_matrix
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
@@ -380,6 +381,34 @@ def test_certificate_recovers_samples_exactly():
         for entry in report.certificate.entries:
             recovered = -(entry.numerator.evaluate(point) / h_val ** entry.h_power)
             assert recovered == point[entry.variable]
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_q_certificate_reduced_mod_p_is_the_fp_certificate(n):
+    # The Cramer solution for a fixed row subset is unique, so wherever both
+    # runs take the same minor rows and the minor's scalar c = det / h^P is a
+    # p-unit, the q certificate reduced mod p is the fp:p one, entry for entry.
+    cert_q = run_rank_one_example(n, Q, sample_count=1).certificate
+    c = cert_q.minor_det
+    while (quotient := divide_exact(c, cert_q.unit)) is not None:
+        c = quotient
+    assert c.is_constant()
+    c = c.constant_value().value
+    compared = []
+    for p in (3, 5, 101):
+        field = FieldDescriptor.prime_field(p)
+        cert_p = run_rank_one_example(n, field, sample_count=1).certificate
+        if cert_p.minor_rows != cert_q.minor_rows or not (c.numerator % p and c.denominator % p):
+            continue
+        compared.append(p)
+        assert [(e.variable, e.h_power) for e in cert_q.entries] == [
+            (e.variable, e.h_power) for e in cert_p.entries]
+        for e_q, e_p in zip(cert_q.entries, cert_p.entries):
+            assert e_q.numerator.ring.names == e_p.numerator.ring.names
+            reduced = {exps: r for exps, k in e_q.numerator.terms.items()
+                       if (r := field.scalar(k).value)}
+            assert reduced == e_p.numerator.terms
+    assert 101 in compared
 
 
 # -- full runs ----------------------------------------------------------------------

@@ -1,18 +1,22 @@
-"""Differential tests of the Groebner kernels, the determinants and the
-Hasse derivatives against sympy as an oracle.
+"""Differential tests of the Groebner kernels, the induced maps, the
+determinants and the Hasse derivatives against sympy as an oracle.
 
 Our term order is sympy's ``grlex`` when every variable has weight 1, with
 the ring's variables in order.  The normal form modulo an ideal does not
 depend on the basis it is computed with, and an exact quotient is unique, so
 both are compared term by term.  The entries of an exterior power are minors,
 and the fraction-free Gauss-Jordan solve returns a determinant and its
-Cramer numerators, so all are compared with sympy's ``det``.  The r-th Hasse
-derivative of f in the direction w is the t^r coefficient of f(x + t*w),
-which sympy expands independently.  Skipped where sympy is not installed.
+Cramer numerators, so all are compared with sympy's ``det``.  The entries of
+a symmetric power are coefficients of products of linear forms, which sympy
+multiplies out, and those of a tensor square are entries of sympy's
+Kronecker product.  The r-th Hasse derivative of f in the direction w is
+the t^r coefficient of f(x + t*w), which sympy expands independently.
+Skipped where sympy is not installed.
 """
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,6 +29,8 @@ from polyfunctor import (  # noqa: E402
     FieldDescriptor,
     GradedRing,
     IdF,
+    SymF,
+    TensorF,
     hasse_derivative,
     induced_map,
     normal_form,
@@ -144,6 +150,54 @@ def test_exterior_power_entries_are_sympy_minors(k, field_text):
             det = a.extract(rows, [leaf[1] for leaf in col_label[1]]).det()
             # over GF(p) the integer determinant is reduced mod p
             assert entry == wedge.ring.const(Fraction(int(det.p), int(det.q)))
+
+
+def _oracle_map(field, tag):
+    """A seeded map from the 4-space to the 3-space (non-integral entries over
+    q) and its entries as sympy Rationals."""
+    rng = random.Random(f"{tag} {field}")
+    denominators = (1, 1, 2, 3) if field.characteristic == 0 else (1,)
+    entries = [[Fraction(rng.randint(-6, 6), rng.choice(denominators)) for _ in range(4)]
+               for _ in range(3)]
+    return entries, [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in entries]
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
+@pytest.mark.parametrize("k", (2, 3))
+def test_symmetric_power_entries_are_coefficients_of_linear_forms(k, field_text):
+    # the column of e_c1...e_ck is the product of the linear forms A e_ci, and
+    # the entry in row e_r1...e_rk the coefficient of y_r1...y_rk in it
+    field = FieldDescriptor.parse(field_text)
+    entries, a = _oracle_map(field, f"sym {k}")
+    power = induced_map(SymF(k, IdF()), space_matrix(field, entries))
+    ys = sympy.symbols("y0:3")
+    forms = [sympy.Poly(sum(a[r][c] * ys[r] for r in range(3)), *ys, domain="QQ") for c in range(4)]
+    assert len(power.rows) == comb(k + 2, k) and len(power.col_labels) == comb(k + 3, k)
+    for j, col_label in enumerate(power.col_labels):
+        product = sympy.Poly(1, *ys, domain="QQ")
+        for leaf in col_label[1]:
+            product *= forms[leaf[1]]
+        for row_label, row in zip(power.row_labels, power.rows):
+            exps = [0, 0, 0]
+            for leaf in row_label[1]:
+                exps[leaf[1]] += 1
+            coeff = product.coeff_monomial(tuple(exps))
+            assert row[j] == power.ring.const(Fraction(int(coeff.p), int(coeff.q)))
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
+def test_tensor_square_entries_are_kronecker_product_entries(field_text):
+    field = FieldDescriptor.parse(field_text)
+    entries, a = _oracle_map(field, "tensor")
+    square = induced_map(TensorF((IdF(), IdF())), space_matrix(field, entries))
+    kron = sympy.kronecker_product(sympy.Matrix(a), sympy.Matrix(a))
+    assert len(square.rows) == 9 and len(square.col_labels) == 16
+    for row_label, row in zip(square.row_labels, square.rows):
+        r1, r2 = (leaf[1] for leaf in row_label[1])
+        for col_label, entry in zip(square.col_labels, row):
+            c1, c2 = (leaf[1] for leaf in col_label[1])
+            value = kron[3 * r1 + r2, 4 * c1 + c2]
+            assert entry == square.ring.const(Fraction(int(value.p), int(value.q)))
 
 
 def _sympy_det(rows, syms, field):
