@@ -31,7 +31,7 @@ from .errors import (
     InternalCheckError,
     PresentationError,
 )
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, Scalar
 from .functors import (
     FunctorExpr,
     IdF,
@@ -69,7 +69,7 @@ from .matrices import (
     scalar_entry_ring,
     space_matrix,
 )
-from .rings import GradedPoly, GradedRing, RingVariable, Vector, evaluate_all
+from .rings import GradedPoly, GradedRing, RingVariable, Vector, evaluator
 
 # ---------------------------------------------------------------------------
 # coordinate models
@@ -918,7 +918,8 @@ def sample_rank_one_split(rng: random.Random, model: CoordinateModel, require_un
     fld = model.field
     m = model.dimension
     p = fld.characteristic
-    half = pow(2, -1, p) if p else Fraction(1, 2)
+    half = pow(2, -1, p) if p else None
+    box = (lambda s: Scalar(fld, s * half % p)) if p else (lambda s: Scalar(fld, Fraction(s, 2)))
     draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-10, 10))
     for _ in range(1000):
         v = [draw() for _ in range(m)]
@@ -926,9 +927,9 @@ def sample_rank_one_split(rng: random.Random, model: CoordinateModel, require_un
         point = {}
         for a, b in itertools.combinations_with_replacement(range(m), 2):
             x_ab, x_ba = v[a] * w[b], v[b] * w[a]
-            point[f"y_{a + 1}_{b + 1}"] = fld.scalar((x_ab + x_ba) * half)
+            point[f"y_{a + 1}_{b + 1}"] = box(x_ab + x_ba)
             if a != b:
-                point[f"z_{a + 1}_{b + 1}"] = fld.scalar((x_ab - x_ba) * half)
+                point[f"z_{a + 1}_{b + 1}"] = box(x_ab - x_ba)
         if require_unit is None or require_unit.evaluate(point):
             return point
     raise AlgebraError("failed to sample a point off the unit locus")
@@ -1042,15 +1043,15 @@ def run_rank_one_example(
     t_coefficients = [
         c for el in stages.elements for c in pullback_t_coefficients(el.pullback, model_big.ring)
     ]
+    pull_values = evaluator(t_coefficients)
     pull_ok = not any(
-        any(evaluate_all(t_coefficients, sample_rank_one_split(rng, model_big)))
-        for _ in range(sample_count)
+        any(pull_values(sample_rank_one_split(rng, model_big))) for _ in range(sample_count)
     )
     checks.append(Check("pullback-vanishes-on-samples", "pass" if pull_ok else "fail"))
 
-    ks = [el.poly for el in stages.elements]
+    k_values = evaluator([el.poly for el in stages.elements])
     k_ok = not any(
-        any(evaluate_all(ks, sample_rank_one_split(rng, model_big))) for _ in range(sample_count)
+        any(k_values(sample_rank_one_split(rng, model_big))) for _ in range(sample_count)
     )
     checks.append(Check("coefficient-vanishes-on-samples", "pass" if k_ok else "fail"))
 
@@ -1097,10 +1098,10 @@ def run_rank_one_example(
         samples_ok = True
         h_big = stages.h_big
         q_power = fld.char_exponent ** certificate.level
-        polys = [h_big] + [e.numerator for e in certificate.entries]
+        certificate_values = evaluator([h_big] + [e.numerator for e in certificate.entries])
         for _ in range(sample_count):
             point = sample_rank_one_split(rng, model_big, require_unit=h_big)
-            h_val, *numerators = evaluate_all(polys, point)
+            h_val, *numerators = certificate_values(point)
             if any(
                 -(num / h_val ** e.h_power) != point[e.variable] ** q_power
                 for e, num in zip(certificate.entries, numerators)

@@ -7,17 +7,18 @@ vectors to nonzero raw coefficients: residues in [1, p) over F_p, and over
 q an int when the value is integral, else a Fraction (an integral Fraction
 a kernel leaves behind is equal, hashes equal and prints the same).  Only
 this module knows that format; Scalar is the type at the API boundary
-(constant_value, evaluate, evaluate_all, Vector).  The term order used for
-printing, leading terms and division is graded lexicographic: weighted
-degree first, then the exponent vector compared lexicographically with
-earlier variables more significant.  Canonical form plus a fixed order
-makes all printed output byte-stable.
+(constant_value, evaluate, the values an evaluator returns, Vector).  The
+term order used for printing, leading terms and division is graded
+lexicographic: weighted degree first, then the exponent vector compared
+lexicographically with earlier variables more significant.  Canonical form
+plus a fixed order makes all printed output byte-stable.
 
 All values are immutable after construction and all operations are pure; a
 polynomial only remembers its associate once asked for it (monic over F_p,
 over q the primitive integer multiple with positive leading coefficient),
-and the private working polynomial of heap division (_Dividend, over q an
-integer multiple `scale` of the true one) never leaves its division.
+the private working polynomial of heap division (_Dividend, over q an
+integer multiple `scale` of the true one) never leaves its division, and
+the integer plan an evaluator reads lives in its closure.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import AlgebraError, FieldMismatchError, RingMismatchError, SubstitutionError
 from .fields import FieldDescriptor, Scalar
@@ -396,7 +396,7 @@ class GradedPoly:
 
     def evaluate(self, point: dict) -> Scalar:
         """Evaluate at a point given as name -> scalar (ints are coerced)."""
-        return evaluate_all((self,), point)[0]
+        return evaluator((self,))(point)[0]
 
     # -- printing ---------------------------------------------------------------
 
@@ -436,35 +436,55 @@ class GradedPoly:
         return f"<{self.to_text()}>"
 
 
-def evaluate_all(polys, point: dict) -> list[Scalar]:
-    """Values of a sequence of polynomials of one ring at a point given as
-    name -> scalar (ints and Fractions are coerced).  Every coordinate is
-    coerced once, even one outside the ring, and each term multiplies only
-    its nonzero powers.  Only the variables a polynomial uses need a
-    coordinate; the first one missing, in ring order, is named."""
+def evaluator(polys):
+    """The values of a sequence of polynomials of one ring, as a function of
+    a point given as name -> scalar (ints and Fractions are coerced).  Each
+    polynomial is read once into an integer plan: its coefficients k over
+    their common denominator D, and per term the slots of its factors, one
+    per unit of exponent, and its gap to the top total degree.  At a point
+    every coordinate is coerced once, even one outside the ring, and the used
+    ones are put over their common denominator L (1 over F_p) as N_i = L*x_i,
+    so a term is the int k*prod(N_i)*L^(top-deg) and each value is one
+    Fraction total/(D*L^top) over q, or one reduction mod p.  Only the
+    variables a polynomial uses need a coordinate; the first one missing, in
+    ring order, is named."""
+    polys = tuple(polys)
     if not polys:
-        return []
+        return lambda point: []
     for f in polys:
         polys[0]._check_same_ring(f)
     ring = polys[0].ring
-    if not point.keys() >= ring._pos.keys():
-        for f in polys:
-            for name in f.support_vars():
-                if name not in point:
-                    raise SubstitutionError(f"missing coordinate for {name!r}")
-    field = ring.field
-    raw = {name: _raw(field, v) for name, v in point.items()}
-    vals = [raw.get(name) for name in ring.names]
-    p = field.characteristic
-    out = []
+    field, p = ring.field, ring.field.characteristic
+    used = tuple(dict.fromkeys(name for f in polys for name in f.support_vars()))
+    slot = {ring.position(name): i for i, name in enumerate(used)}
+    # bytes hold the same slots in a third of a tuple's memory
+    pack = bytes if len(used) <= 256 else tuple
+    plans = []
     for f in polys:
-        total = 0
-        for exps, c in f.terms.items():
-            for v, e in compress(zip(vals, exps), exps):
-                c = c * pow(v, e, p) % p if p else c * v**e
-            total += c
-        out.append(field.scalar(total))
-    return out
+        d = lcm(*(c.denominator for c in f.terms.values()))
+        ks = [c.numerator * (d // c.denominator) for c in f.terms.values()]
+        factors = [pack(slot[i] for i, e in enumerate(es) for _ in range(e)) for es in f.terms]
+        top = max(map(len, factors), default=0)
+        plans.append((d, top, ks, [top - len(at) for at in factors], factors))
+    max_top = max(plan[1] for plan in plans)
+
+    def values(point: dict) -> list[Scalar]:
+        for name in used:
+            if name not in point:
+                raise SubstitutionError(f"missing coordinate for {name!r}")
+        raw = {name: _raw(field, v) for name, v in point.items()}
+        vals = [raw[name] for name in used]
+        den = lcm(*(v.denominator for v in vals))
+        get = [v.numerator * (den // v.denominator) for v in vals].__getitem__
+        powers = [den**e for e in range(max_top + 1)]
+        out = []
+        for d, top, ks, gaps, factors in plans:
+            terms = zip(ks, gaps, factors)
+            total = sum(prod(map(get, at), start=k * powers[gap]) for k, gap, at in terms)
+            out.append(Scalar(field, total % p if p else Fraction(total, d * powers[top])))
+        return out
+
+    return values
 
 
 def _raw(field: FieldDescriptor, value):

@@ -312,8 +312,13 @@ def test_induce_json(capsys):
 
 
 # sha256 of the example-rank1 stdout, captured before the sampling checks
-# moved from substitution to t-coefficient evaluation
+# moved from substitution to t-coefficient evaluation; the n = 2 and n = 5
+# entries over q were captured before the checks moved to integer plans
 RANK1_GOLDEN = {
+    ("2", "q", "json"): "4d290dc3a6c7bca754b65ff54c62e90dccf43f705718881873628f2730abf60c",
+    ("2", "q", "text"): "08cd0b7d4d1a52fac2a9a621368f6f08967ea27ffb0e9c1e868bda4b01d9146c",
+    ("5", "q", "json"): "28c4c70151ccc34c5acafef6b7ad15da8e9f3f5fa161ead961b7c2864adcb738",
+    ("5", "q", "text"): "cf88ce42f3a9d84dd8eaee492b465a3f16886a4cc20af50bebeec09a9bebf5da",
     ("3", "q", "json"): "f724e06aec8b7022507d923086d6c27ae7a6cadafe89c5e2dfcb13f73db32d0b",
     ("3", "q", "text"): "e3591d15d527cc64cc92600a4e99c4d684b28f1287f9464a17c766fb8e868438",
     ("3", "fp:101", "json"): "6757eb6a8b6c6aff7b1b12c09bf3c4a27f723402da5ca77f99a19b11d3c40981",

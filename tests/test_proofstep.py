@@ -615,21 +615,35 @@ def test_rank_one_elimination_divides_few_times(monkeypatch):
 def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):
     from polyfunctor import proofstep, rings
 
-    calls = []
-    kernel = rings.evaluate_all
+    built, calls = [], []
+    kernel = rings.evaluator
 
-    def counted(polys, point):
-        calls.append(1)
-        return kernel(polys, point)
+    def counting(plans):
+        def build(polys):
+            plans.append(1)
+            values = kernel(polys)
 
-    monkeypatch.setattr(rings, "evaluate_all", counted)
-    monkeypatch.setattr(proofstep, "evaluate_all", counted)
+            def counted(point):
+                calls.append(1)
+                return values(point)
+
+            return counted
+
+        return build
+
+    # GradedPoly.evaluate (the sampler's unit test) builds through rings, the
+    # three sampling checks through proofstep
+    monkeypatch.setattr(rings, "evaluator", counting([]))
+    monkeypatch.setattr(proofstep, "evaluator", counting(built))
     field = FieldDescriptor.prime_field(101)
     counts = []
     for samples in (100, 1):
+        built.clear()
         calls.clear()
         assert run_rank_one_example(3, field, sample_count=samples).all_passed()
         counts.append(len(calls))
+        # one plan per check, before its sample loop
+        assert len(built) == 3
     # per sample: the t-coefficients, the k's, the unit test of the
     # certificate sampler, and h with every certificate numerator
     assert counts[0] - counts[1] <= 4 * 99

@@ -8,11 +8,12 @@ from polyfunctor import (
     parse_polynomial,
 )
 from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
-from polyfunctor.rings import evaluate_all
+from polyfunctor.rings import GradedPoly, evaluator
 
 from conftest import ALL_FIELDS, F2, F3, Q, random_poly
 
 import random
+import sys
 from fractions import Fraction
 
 
@@ -232,7 +233,7 @@ def test_evaluate_errors():
     assert ring.zero().evaluate({}) == F3.zero()
 
 
-def test_evaluate_all_matches_evaluate_and_substitution():
+def test_evaluator_matches_evaluate_and_substitution():
     rng = random.Random(23)
     for field in (Q, F3, F101):
         ring = GradedRing(
@@ -240,36 +241,167 @@ def test_evaluate_all_matches_evaluate_and_substitution():
         )
         for _ in range(15):
             polys = [random_poly(rng, ring, max_degree=6, max_terms=7) for _ in range(5)]
-            point = {
-                "x": field.scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))),
-                "y": Fraction(rng.randint(-20, 20), rng.choice((1, 5, 7))),
-                "z": rng.randint(-5, 5),
-                "w": field.scalar(rng.choice((0, 1, Fraction(-3, 2)))),
-                "outside": field.scalar(rng.randint(-5, 5)),
-            }
-            constants = {name: ring.const(point[name]) for name in ring.names}
-            values = evaluate_all(polys, point)
-            assert all(v.field == field for v in values)
-            assert values == [f.evaluate(point) for f in polys]
-            assert values == [f.substitute(constants).constant_value() for f in polys]
+            values = evaluator(polys)
+            for _ in range(2):  # one plan serves every point
+                point = {
+                    "x": field.scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))),
+                    "y": Fraction(rng.randint(-20, 20), rng.choice((1, 5, 7))),
+                    "z": rng.randint(-5, 5),
+                    "w": field.scalar(rng.choice((0, 1, Fraction(-3, 2)))),
+                    "outside": field.scalar(rng.randint(-5, 5)),
+                }
+                constants = {name: ring.const(point[name]) for name in ring.names}
+                got = values(point)
+                assert all(v.field == field for v in got)
+                assert got == [f.evaluate(point) for f in polys]
+                assert got == [f.substitute(constants).constant_value() for f in polys]
 
 
-def test_evaluate_all_empty_and_errors():
+def test_evaluator_empty_and_errors():
     ring = GradedRing(F3, ["x", "y", "z"])
     f = parse_polynomial("x*z + z^2", ring)
     g = parse_polynomial("y + 1", ring)
-    assert evaluate_all([], {"x": 1}) == []
-    assert evaluate_all([f, g], {"x": 1, "y": 2, "z": 2}) == [F3.scalar(6), F3.zero()]
+    assert evaluator([])({"x": 1}) == []
+    values = evaluator([f, g])
+    assert values({"x": 1, "y": 2, "z": 2}) == [F3.scalar(6), F3.zero()]
     # the first missing coordinate of the first polynomial that lacks one
     with pytest.raises(SubstitutionError, match="missing coordinate for 'y'"):
-        evaluate_all([f, g], {"x": 1, "z": 2})
+        values({"x": 1, "z": 2})
     with pytest.raises(SubstitutionError, match="missing coordinate for 'x'"):
-        evaluate_all([g, f], {"y": 1, "z": 2})
+        evaluator([g, f])({"y": 1, "z": 2})
     with pytest.raises(FieldMismatchError):
-        evaluate_all([f, g], {"x": 1, "y": 0, "z": 2, "w": F101.scalar(1)})
+        values({"x": 1, "y": 0, "z": 2, "w": F101.scalar(1)})
     other = GradedRing(F3, ["x", "y"])
     with pytest.raises(RingMismatchError):
-        evaluate_all([f, other.var("x")], {"x": 1, "y": 0, "z": 2})
+        evaluator([f, other.var("x")])
+
+
+# -- evaluator: against plain Fraction arithmetic as the oracle ---------------
+
+
+def _reference_values(field, term_lists, point, names):
+    """Each polynomial, given as (exponents, coefficient) pairs, at the point
+    by plain Fraction arithmetic, reduced mod p at the end over F_p."""
+    p = field.characteristic
+    out = []
+    for terms in term_lists:
+        total = Fraction(0)
+        for exps, c in terms:
+            term = Fraction(c)
+            for name, e in zip(names, exps):
+                term *= Fraction(point[name]) ** e
+            total += term
+        out.append(total.numerator * pow(total.denominator, -1, p) % p if p else total)
+    return out
+
+
+def _check_against_reference(field, names, term_lists, points):
+    ring = GradedRing(field, names)
+    polys = [sum((ring.monomial(e, c) for e, c in terms), ring.zero()) for terms in term_lists]
+    values = evaluator(polys)
+    for point in points:
+        got = [v.value for v in values(point)]
+        assert got == _reference_values(field, term_lists, point, names)
+
+
+def test_evaluator_matches_fraction_reference_over_q():
+    names = ["x", "y", "z", "w"]
+    term_lists = [
+        # non-homogeneous with Fraction coefficients: L^(top - deg) differs per term
+        [((3, 1, 0, 0), Fraction(3, 4)), ((1, 0, 1, 0), Fraction(-5, 6)), ((0, 2, 0, 0), 7),
+         ((0, 0, 0, 1), Fraction(1, 9)), ((0, 0, 0, 0), Fraction(2, 9))],
+        # negative leading coefficient
+        [((2, 0, 0, 0), Fraction(-3, 2)), ((0, 1, 0, 0), 5), ((0, 0, 1, 1), Fraction(1, 3))],
+        [((0, 0, 0, 0), Fraction(-7, 3))],  # constant
+        [],  # zero
+        [((0, 0, 4, 0), -6), ((1, 1, 1, 1), Fraction(14, 5)), ((0, 0, 0, 2), Fraction(-1, 2))],
+    ]
+    points = [
+        {"x": Fraction(1, 2), "y": Fraction(-1, 3), "z": Fraction(5, 7), "w": 4},
+        {"x": 3, "y": Fraction(-1, 3), "z": Fraction(5, 7), "w": -2},
+        {"x": Fraction(1, 2), "y": 0, "z": Fraction(-5, 7), "w": Fraction(7, 6)},
+        {"x": 1, "y": -1, "z": 2, "w": 0},
+    ]
+    _check_against_reference(Q, names, term_lists, points)
+    rng = random.Random(41)
+    for _ in range(20):
+        term_lists = [
+            [(tuple(rng.randint(0, 3) for _ in names),
+              Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 5))))
+             for _ in range(rng.randint(0, 6))]
+            for _ in range(3)
+        ]
+        points = [{name: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for name in names}
+                  for _ in range(3)]
+        _check_against_reference(Q, names, term_lists, points)
+
+
+def test_evaluator_with_more_variables_than_a_byte_holds():
+    # 300 used variables: the factor slots no longer fit in bytes
+    names = [f"x{i}" for i in range(300)]
+    rng = random.Random(3)
+    for field in (Q, F101):
+        term_lists = [[]]
+        for i in range(300):
+            exps = [0] * 300
+            exps[i] += 1
+            exps[rng.randrange(300)] += 2
+            term_lists[0].append((tuple(exps), Fraction(rng.randint(1, 9), rng.choice((1, 4)))))
+        point = {name: Fraction(rng.randint(-9, 9), rng.choice((1, 3))) for name in names}
+        _check_against_reference(field, names, term_lists, [point])
+
+
+@pytest.mark.parametrize("p", (3, 101, 32003))
+def test_evaluator_matches_fraction_reference_over_fp(p):
+    field = FieldDescriptor.prime_field(p)
+    names = ["x", "y", "z"]
+    rng = random.Random(p)
+    for _ in range(20):
+        term_lists = [
+            [(tuple(rng.randint(0, 4) for _ in names), rng.choice((p - 1, p - 2, 1, rng.randrange(1, p))))
+             for _ in range(rng.randint(0, 6))]
+            for _ in range(3)
+        ] + [[((0, 0, 0), p - 1)], []]
+        points = [{name: rng.choice((p - 1, p - 2, 0, rng.randrange(p))) for name in names}
+                  for _ in range(3)]
+        _check_against_reference(field, names, term_lists, points)
+
+
+def _fraction_constructions(call):
+    """The number of Fraction.__new__ calls made by call()."""
+    code, count = Fraction.__new__.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_evaluator_fraction_count_does_not_grow_with_the_terms():
+    names = [f"x{i}" for i in range(6)]
+    ring = GradedRing(Q, names)
+    rng = random.Random(7)
+    point = {name: Q.scalar(Fraction(rng.choice((-7, -3, -1, 1, 5, 9)), 2)) for name in names}
+    counts = []
+    for size in (50, 200):
+        polys = []
+        for denominators in ((1, 2, 3), (1,)):
+            terms = {}
+            while len(terms) < size:
+                exps = tuple(rng.randint(0, 3) for _ in names)
+                terms[exps] = Fraction(rng.randint(1, 9), rng.choice(denominators))
+            # the second one keeps integral Fractions, as a kernel may leave them
+            polys.append(GradedPoly(ring, terms))
+        values = evaluator(polys)
+        counts.append(_fraction_constructions(lambda: values(point)))
+    # one per polynomial: the coordinates are already boxed
+    assert counts[0] == counts[1] <= len(point) + 2
 
 
 # -- substitute: edge cases, against boxed arithmetic as the oracle -----------

@@ -9,7 +9,7 @@ and the fraction-free Gauss-Jordan solve returns a determinant and its
 Cramer numerators, so all are compared with sympy's ``det``.  The entries of
 a symmetric power are coefficients of products of linear forms, which sympy
 multiplies out, and those of a tensor square are entries of sympy's
-Kronecker product.  The r-th Hasse derivative of f in the direction w is
+Kronecker product, symmetrised or antisymmetrised for its two halves.  The r-th Hasse derivative of f in the direction w is
 the t^r coefficient of f(x + t*w), which sympy expands independently.
 Skipped where sympy is not installed.
 """
@@ -30,6 +30,8 @@ from polyfunctor import (  # noqa: E402
     GradedRing,
     IdF,
     SymF,
+    TenAltF,
+    TenSymF,
     TensorF,
     hasse_derivative,
     induced_map,
@@ -198,6 +200,42 @@ def test_tensor_square_entries_are_kronecker_product_entries(field_text):
             c1, c2 = (leaf[1] for leaf in col_label[1])
             value = kron[3 * r1 + r2, 4 * c1 + c2]
             assert entry == square.ring.const(Fraction(int(value.p), int(value.q)))
+
+
+def _square_half(n, sign):
+    """The (i, j) pairs, i <= j for sign 1 and i < j for sign -1, and the
+    n^2 x pairs sympy matrix whose columns are e_i (x) e_j + sign * e_j (x) e_i,
+    with e_i (x) e_i once on the diagonal."""
+    pairs = [(i, j) for i in range(n) for j in range(i + (sign < 0), n)]
+    half = sympy.zeros(n * n, len(pairs))
+    for c, (i, j) in enumerate(pairs):
+        half[n * i + j, c] += 1
+        if i != j:
+            half[n * j + i, c] += sign
+    return pairs, half
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
+@pytest.mark.parametrize("name", ("tsym", "talt"))
+def test_split_square_entries_are_symmetrised_kronecker_entries(name, field_text):
+    # the y (z) basis vectors are the symmetrised (antisymmetrised) e_i (x) e_j,
+    # so the induced map M of A satisfies (A (x) A) S_4 = S_3 M, and M's row
+    # (k, l) is the e_k (x) e_l row of (A (x) A) S_4
+    functor, sign, tag = {"tsym": (TenSymF(), 1, "y"), "talt": (TenAltF(), -1, "z")}[name]
+    field = FieldDescriptor.parse(field_text)
+    entries, a = _oracle_map(field, name)
+    half_map = induced_map(functor, space_matrix(field, entries))
+    col_pairs, s_in = _square_half(4, sign)
+    row_pairs, s_out = _square_half(3, sign)
+    image = sympy.kronecker_product(sympy.Matrix(a), sympy.Matrix(a)) * s_in
+    want = image.extract([3 * k + l for k, l in row_pairs], list(range(len(col_pairs))))
+    assert s_out * want == image
+    assert half_map.row_labels == tuple((tag,) + pair for pair in row_pairs)
+    assert half_map.col_labels == tuple((tag,) + pair for pair in col_pairs)
+    for r, row in enumerate(half_map.rows):
+        for c, entry in enumerate(row):
+            value = want[r, c]
+            assert entry == half_map.ring.const(Fraction(int(value.p), int(value.q)))
 
 
 def _sympy_det(rows, syms, field):
