@@ -11,9 +11,9 @@ summand multiplicities are carried as constant tensor factors so induced
 maps stay uniform.  Bases are explicit and deterministic: symmetric powers
 use sorted multisets, exterior powers strictly increasing index tuples,
 tensor products row-major composite indices; matrices of induced maps carry
-these labels so every entry is auditable.  Induced maps multiply the raw
-coefficients of the entries' terms into one accumulator per entry; only
-rings.py knows the term format.
+these labels so every entry is auditable.  Induced maps work on the monomial
+slices of matrices.py: a tensor product is their Kronecker product, a half
+of the tensor square their symmetrised product.
 One kernel serves symmetric and exterior powers, so an exterior power's
 minors need no determinant.
 """
@@ -23,21 +23,25 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .errors import AlgebraError, CharacteristicError, ParseError
 from .fields import FieldDescriptor
 from .matrices import (
     LinearMapMatrix,
+    _from_slices,
+    _slice_products,
+    _slices,
     identity_matrix,
     matrix_rank,
     shift_embedding,
     shift_projection,
     space_labels,
 )
-from .rings import _from_raw, _raw_mul_into
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -537,23 +541,23 @@ def shift_label(label, by: int):
 
 
 def _times_column(acc: dict, column, alternating: bool) -> dict:
-    """acc, a map from sorted row-index tuples to raw entries, times the
-    image sum_i a[i][c] e_i of one column."""
+    """acc, a map from (exponents, sorted row-index tuple) to raw
+    coefficients, times the image sum_i a[i][c] e_i of one column, given per
+    monomial slice as (exponents, [(i, raw coefficient)])."""
     new: dict = {}
-    for ms, coeff in acc.items():
-        for i, entry in column:
-            pos = bisect_right(ms, i)
-            sign = 1
-            if alternating:
-                if pos and ms[pos - 1] == i:
-                    continue
-                # e_ms ^ e_i: e_i moves past the len(ms) - pos larger indices
-                sign = -1 if (len(ms) - pos) & 1 else 1
-            key = ms[:pos] + (i,) + ms[pos:]
-            target = new.get(key)
-            if target is None:
-                target = new[key] = {}
-            _raw_mul_into(target, coeff.items(), entry, sign)
+    for (e1, ms), coeff in acc.items():
+        for e2, live in column:
+            exps = tuple(map(add, e1, e2))
+            for i, c in live:
+                pos = bisect_right(ms, i)
+                if alternating:
+                    if pos and ms[pos - 1] == i:
+                        continue
+                    # e_ms ^ e_i: e_i moves past the len(ms) - pos larger indices
+                    if (len(ms) - pos) & 1:
+                        c = -c
+                key = (exps, ms[:pos] + (i,) + ms[pos:])
+                new[key] = new.get(key, 0) + coeff * c
     return new
 
 
@@ -567,18 +571,17 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
     expansion of the prefix shared with the previous tuple is reused; only
     the chain of the current tuple's prefixes is kept.
     """
-    ring = a.ring
     choose = itertools.combinations if alternating else itertools.combinations_with_replacement
     row_tuples = list(choose(range(len(a.row_labels)), power))
     col_tuples = list(choose(range(len(a.col_labels)), power))
     row_pos = {idx: i for i, idx in enumerate(row_tuples)}
+    slices = _slices(a).items()
     columns = [
-        [(i, row[j].terms.items()) for i, row in enumerate(a.rows) if row[j]]
+        [(e, live) for e, s in slices if (live := [(i, row[j]) for i, row in enumerate(s) if row[j]])]
         for j in range(len(a.col_labels))
     ]
-    zero = ring.zero()
-    rows = [[zero] * len(col_tuples) for _ in row_tuples]
-    chain = [{(): ring.one().terms}]
+    out = defaultdict(lambda: [[0] * len(col_tuples) for _ in row_tuples])  # result slices
+    chain = [{((0,) * len(a.ring.names), ()): 1}]
     prev = ()
     for cj, combo in enumerate(col_tuples):
         shared = 0
@@ -587,39 +590,24 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
         del chain[shared + 1:]
         for c in combo[shared:]:
             chain.append(_times_column(chain[-1], columns[c], alternating))
-        for key, raw in chain[-1].items():
-            rows[row_pos[key]][cj] = _from_raw(ring, raw)
+        for (exps, ms), v in chain[-1].items():
+            out[exps][row_pos[ms]][cj] = v
         prev = combo
     tag = "ext" if alternating else "sym"
     row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
     col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
-    return LinearMapMatrix(row_labels, col_labels, ring, rows)
+    return _from_slices(row_labels, col_labels, a.ring, out)
 
 
 def _tensor_matrix(maps) -> LinearMapMatrix:
-    ring = maps[0].ring
-    row_lists = [m.row_labels for m in maps]
-    col_lists = [m.col_labels for m in maps]
-    row_combos = list(itertools.product(*[range(len(r)) for r in row_lists]))
-    col_combos = list(itertools.product(*[range(len(c)) for c in col_lists]))
-    raws = [[[e.terms.items() for e in row] for row in m.rows] for m in maps]
-    one = ring.one().terms
-    rows = []
-    for rc in row_combos:
-        row = []
-        for cc in col_combos:
-            acc = one
-            for raw, i, j in zip(raws, rc, cc):
-                acc = _raw_mul_into({}, acc.items(), raw[i][j], 1)
-            row.append(_from_raw(ring, acc))
-        rows.append(row)
-    row_labels = tuple(
-        ("t", tuple(row_lists[k][i] for k, i in enumerate(rc))) for rc in row_combos
-    )
-    col_labels = tuple(
-        ("t", tuple(col_lists[k][j] for k, j in enumerate(cc))) for cc in col_combos
-    )
-    return LinearMapMatrix(row_labels, col_labels, ring, rows)
+    slices = _slices(maps[0])
+    for m in maps[1:]:  # Kronecker products, row-major composite indices
+        slices = _slice_products(
+            slices, _slices(m), lambda a, b: [[x * y for x in ra for y in rb] for ra in a for rb in b]
+        )
+    row_labels = tuple(("t", combo) for combo in itertools.product(*[m.row_labels for m in maps]))
+    col_labels = tuple(("t", combo) for combo in itertools.product(*[m.col_labels for m in maps]))
+    return _from_slices(row_labels, col_labels, maps[0].ring, slices)
 
 
 def _block_diag(blocks, indices) -> LinearMapMatrix:
@@ -630,18 +618,12 @@ def _block_diag(blocks, indices) -> LinearMapMatrix:
         row_labels.extend(("s", idx, lab) for lab in b.row_labels)
         col_labels.extend(("s", idx, lab) for lab in b.col_labels)
     zero = ring.zero()
-    total_rows = sum(len(b.row_labels) for b in blocks)
-    total_cols = sum(len(b.col_labels) for b in blocks)
-    rows = [[zero] * total_cols for _ in range(total_rows)]
-    r0 = 0
-    c0 = 0
+    rows, left = [], 0
     for b in blocks:
-        for i, row in enumerate(b.rows):
-            for j, e in enumerate(row):
-                rows[r0 + i][c0 + j] = e
-        r0 += len(b.row_labels)
-        c0 += len(b.col_labels)
-    return LinearMapMatrix(tuple(row_labels), tuple(col_labels), ring, rows)
+        right = len(col_labels) - left - len(b.col_labels)
+        rows.extend([zero] * left + list(row) + [zero] * right for row in b.rows)
+        left += len(b.col_labels)
+    return LinearMapMatrix._built(row_labels, col_labels, ring, rows)
 
 
 def _refuse_char2(field: FieldDescriptor):
@@ -656,27 +638,25 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     (z, i < j) of the tensor square: phi[k][i]*phi[l][j] +- phi[k][j]*phi[l][i],
     one product on the diagonal."""
     _refuse_char2(phi.ring.field)
-    ring = phi.ring
     gap, sign, tag = (1, -1, "z") if alternating else (0, 1, "y")
     m = len(phi.row_labels)
     n = len(phi.col_labels)
     col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
     row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
-    raw = [[e.terms.items() for e in row] for row in phi.rows]
-    rows = []
-    for (k, l) in row_pairs:
-        row = []
-        for (i, j) in col_pairs:
-            acc = _raw_mul_into({}, raw[k][i], raw[l][j], 1)
-            if i != j:
-                _raw_mul_into(acc, raw[k][j], raw[l][i], sign)
-            row.append(_from_raw(ring, acc))
-        rows.append(row)
-    return LinearMapMatrix(
+
+    def product(a, b):
+        return [
+            [a[k][i] * b[l][j] + sign * a[k][j] * b[l][i] if i != j else a[k][i] * b[l][i]
+             for i, j in col_pairs]
+            for k, l in row_pairs
+        ]
+
+    slices = _slices(phi)
+    return _from_slices(
         tuple((tag,) + p for p in row_pairs),
         tuple((tag,) + p for p in col_pairs),
-        ring,
-        rows,
+        phi.ring,
+        _slice_products(slices, slices, product),
     )
 
 
@@ -704,18 +684,12 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
         u = expr.by
         n = len(phi.col_labels)
         m = len(phi.row_labels)
-        zero = ring.zero()
-        one = ring.one()
-        rows = []
-        for a in range(u + m):
-            row = []
-            for b in range(u + n):
-                if a < u or b < u:
-                    row.append(one if a == b else zero)
-                else:
-                    row.append(phi.rows[a - u][b - u])
-            rows.append(row)
-        widened = LinearMapMatrix(space_labels(u + m), space_labels(u + n), ring, rows)
+        one, zero = ring.one(), ring.zero()
+        rows = [
+            [phi.rows[a - u][b - u] if min(a, b) >= u else one if a == b else zero for b in range(u + n)]
+            for a in range(u + m)
+        ]
+        widened = LinearMapMatrix._built(space_labels(u + m), space_labels(u + n), ring, rows)
         return induced_map(expr.inner, widened)
     if isinstance(expr, QuotF):
         summands = normalize(expr.inner)

@@ -3,20 +3,23 @@
 A LinearMapMatrix stores explicit row and column labels so induced maps of
 functors stay auditable.  Entries are GradedPoly values over a declared
 entry ring; a ring with no variables represents plain scalars.  Composition
-multiplies the raw coefficients of the entries' terms into one accumulator
-per result entry, for scalar and polynomial entries alike; only rings.py
-knows the term format.  Also home to the small exact linear algebra the
-package needs: Gaussian rank over a field, and one fraction-free
-Gauss-Jordan solve of a square polynomial system that yields its
-determinant and every Cramer numerator.
+and the induced-map kernels split a matrix into monomial slices, one dense
+matrix of raw coefficients per exponent vector (a single one for scalars),
+multiply slices by plain dot products and reduce each result entry once.
+Also home to the small exact linear algebra the package needs: Gaussian
+rank over a field, and one fraction-free Gauss-Jordan solve of a square
+polynomial system that yields its determinant and every Cramer numerator.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import add, mul
+
 from .errors import AlgebraError, InternalCheckError
 from .fields import FieldDescriptor
 from .groebner import divide_exact
-from .rings import GradedPoly, GradedRing, _from_raw, _raw_mul_into
+from .rings import GradedPoly, GradedRing
 
 
 def scalar_entry_ring(field: FieldDescriptor) -> GradedRing:
@@ -30,9 +33,6 @@ class LinearMapMatrix:
     __slots__ = ("row_labels", "col_labels", "ring", "rows", "_row_pos", "_col_pos")
 
     def __init__(self, row_labels, col_labels, ring: GradedRing, rows):
-        self.row_labels = tuple(row_labels)
-        self.col_labels = tuple(col_labels)
-        self.ring = ring
         coerced = []
         for row in rows:
             out = []
@@ -44,12 +44,26 @@ class LinearMapMatrix:
                 else:
                     out.append(ring.const(entry))
             coerced.append(tuple(out))
-        self.rows = tuple(coerced)
+        self._set(row_labels, col_labels, ring, coerced)
         if len(self.rows) != len(self.row_labels):
             raise AlgebraError("row count does not match row labels")
         for row in self.rows:
             if len(row) != len(self.col_labels):
                 raise AlgebraError("column count does not match column labels")
+
+    @classmethod
+    def _built(cls, row_labels, col_labels, ring: GradedRing, rows) -> "LinearMapMatrix":
+        """Matrix of rows a kernel built from polynomials of ring, in the shape
+        of the labels: no entry is walked again."""
+        self = cls.__new__(cls)
+        self._set(row_labels, col_labels, ring, rows)
+        return self
+
+    def _set(self, row_labels, col_labels, ring, rows):
+        self.row_labels = tuple(row_labels)
+        self.col_labels = tuple(col_labels)
+        self.ring = ring
+        self.rows = tuple(map(tuple, rows))
         self._row_pos = {lab: i for i, lab in enumerate(self.row_labels)}
         self._col_pos = {lab: i for i, lab in enumerate(self.col_labels)}
 
@@ -61,27 +75,20 @@ class LinearMapMatrix:
         return self.rows[self._row_pos[row_label]][self._col_pos[col_label]]
 
     def compose(self, other: "LinearMapMatrix") -> "LinearMapMatrix":
-        """Matrix of self after other."""
+        """Matrix of self after other: each pair of monomial slices is
+        multiplied by dense row-by-column dot products."""
         if self.ring != other.ring:
             raise AlgebraError("composition across entry rings")
         if self.col_labels != other.row_labels:
             raise AlgebraError("inner labels do not match in composition")
-        ring = self.ring
-        right = [[(k, o.terms.items()) for k, o in enumerate(row) if o] for row in other.rows]
-        width = len(other.col_labels)
-        out = []
-        for row in self.rows:
-            acc = [{} for _ in range(width)]
-            for e, live in zip(row, right):
-                if e and live:
-                    a = e.terms.items()
-                    for k, b in live:
-                        _raw_mul_into(acc[k], a, b, 1)
-            out.append([_from_raw(ring, d) for d in acc])
-        return LinearMapMatrix(self.row_labels, other.col_labels, ring, out)
+        columns = {e: list(zip(*s)) for e, s in _slices(other).items()}
+        slices = _slice_products(
+            _slices(self), columns, lambda a, cols: [[sum(map(mul, row, col)) for col in cols] for row in a]
+        )
+        return _from_slices(self.row_labels, other.col_labels, self.ring, slices)
 
     def scale(self, factor) -> "LinearMapMatrix":
-        return LinearMapMatrix(
+        return LinearMapMatrix._built(
             self.row_labels,
             self.col_labels,
             self.ring,
@@ -121,6 +128,46 @@ class LinearMapMatrix:
         return "\n".join(lines)
 
 
+def _slices(m: LinearMapMatrix) -> dict:
+    """Monomial slices of a matrix: exponents -> dense rows of the raw
+    coefficients of that monomial in every entry, 0 where it is absent."""
+    out = defaultdict(lambda: [[0] * len(m.col_labels) for _ in m.rows])
+    for i, row in enumerate(m.rows):
+        for j, entry in enumerate(row):
+            for exps, c in entry.terms.items():
+                out[exps][i][j] = c
+    return out
+
+
+def _slice_products(left: dict, right: dict, product) -> dict:
+    """Unreduced slices of the sum over every pair of slices a, b of left and
+    right of x^(exponents of a + exponents of b) * product(a, b)."""
+    out = {}
+    for e1, a in left.items():
+        for e2, b in right.items():
+            exps = tuple(map(add, e1, e2))
+            block = product(a, b)
+            acc = out.get(exps)
+            out[exps] = block if acc is None else [list(map(add, x, y)) for x, y in zip(acc, block)]
+    return out
+
+
+def _from_slices(row_labels, col_labels, ring: GradedRing, slices: dict) -> LinearMapMatrix:
+    """Matrix whose monomial slices are the given unreduced ones: each
+    coefficient is reduced mod p once and zeros are dropped."""
+    p = ring.field.characteristic
+    terms = [[{} for _ in col_labels] for _ in row_labels]
+    for exps, s in slices.items():
+        for out, row in zip(terms, s):
+            for t, v in zip(out, row):
+                if p:
+                    v %= p
+                if v:
+                    t[exps] = v
+    rows = [[GradedPoly(ring, t, _canonical=True) for t in out] for out in terms]
+    return LinearMapMatrix._built(row_labels, col_labels, ring, rows)
+
+
 def space_labels(n: int):
     return tuple(("v", i) for i in range(n))
 
@@ -130,7 +177,7 @@ def identity_matrix(labels, ring: GradedRing) -> LinearMapMatrix:
     one = ring.one()
     zero = ring.zero()
     rows = [[one if i == j else zero for j in range(len(labels))] for i in range(len(labels))]
-    return LinearMapMatrix(labels, labels, ring, rows)
+    return LinearMapMatrix._built(labels, labels, ring, rows)
 
 
 def space_matrix(field: FieldDescriptor, entries, ring: GradedRing | None = None) -> LinearMapMatrix:
@@ -158,7 +205,7 @@ def base_projection(field: FieldDescriptor, u: int, n: int, ring: GradedRing | N
     """Projection of the (u+n)-space onto its first u coordinates."""
     ring = ring or scalar_entry_ring(field)
     rows = [[ring.one() if a == b else ring.zero() for b in range(u + n)] for a in range(u)]
-    return LinearMapMatrix(space_labels(u), space_labels(u + n), ring, rows)
+    return LinearMapMatrix._built(space_labels(u), space_labels(u + n), ring, rows)
 
 
 def graft_columns(identity_side: int, tail: LinearMapMatrix) -> LinearMapMatrix:
@@ -173,7 +220,7 @@ def graft_columns(identity_side: int, tail: LinearMapMatrix) -> LinearMapMatrix:
         row = [ring.one() if a == b else ring.zero() for b in range(u)]
         row.extend(tail.rows[a])
         rows.append(row)
-    return LinearMapMatrix(space_labels(u), space_labels(u + n), ring, rows)
+    return LinearMapMatrix._built(space_labels(u), space_labels(u + n), ring, rows)
 
 
 def matrix_rank(entries, field: FieldDescriptor) -> int:

@@ -913,8 +913,14 @@ def split_to_plain_map(split_model: CoordinateModel, plain_model: CoordinateMode
 
 
 def sample_rank_one_split(rng: random.Random, model: CoordinateModel, require_unit=None):
-    """Split coordinates of a random rank-one tensor v (x) w; when
-    require_unit is given, resample until it does not vanish there."""
+    """Split coordinates of a random rank-one tensor v (x) w.  require_unit,
+    when given, is a values function built by rings.evaluator: resample until
+    its first value does not vanish there."""
+    return _unit_split_sample(rng, model, require_unit or (lambda point: (1,)))[0]
+
+
+def _unit_split_sample(rng: random.Random, model: CoordinateModel, values):
+    """(point, values(point)) of sample_rank_one_split with require_unit=values."""
     fld = model.field
     m = model.dimension
     p = fld.characteristic
@@ -930,8 +936,9 @@ def sample_rank_one_split(rng: random.Random, model: CoordinateModel, require_un
             point[f"y_{a + 1}_{b + 1}"] = box(x_ab + x_ba)
             if a != b:
                 point[f"z_{a + 1}_{b + 1}"] = box(x_ab - x_ba)
-        if require_unit is None or require_unit.evaluate(point):
-            return point
+        at = values(point)
+        if at[0]:
+            return point, at
     raise AlgebraError("failed to sample a point off the unit locus")
 
 
@@ -1096,16 +1103,17 @@ def run_rank_one_example(
         checks.append(Check("certificate-membership", membership, witness))
 
         samples_ok = True
-        h_big = stages.h_big
         q_power = fld.char_exponent ** certificate.level
-        certificate_values = evaluator([h_big] + [e.numerator for e in certificate.entries])
+        mod = fld.characteristic or None
+        certificate_values = evaluator([stages.h_big] + [e.numerator for e in certificate.entries])
         for _ in range(sample_count):
-            point = sample_rank_one_split(rng, model_big, require_unit=h_big)
-            h_val, *numerators = certificate_values(point)
-            if any(
-                -(num / h_val ** e.h_power) != point[e.variable] ** q_power
+            point, (h_val, *numerators) = _unit_split_sample(rng, model_big, certificate_values)
+            # -num / h^e == x^q, on raw values as num + x^q * h^e == 0 (mod p)
+            residues = (
+                num.value + pow(point[e.variable].value, q_power, mod) * pow(h_val.value, e.h_power, mod)
                 for e, num in zip(certificate.entries, numerators)
-            ):
+            )
+            if any(r % mod if mod else r for r in residues):
                 samples_ok = False
                 break
         checks.append(Check("certificate-samples", "pass" if samples_ok else "fail"))

@@ -3,8 +3,10 @@
 The goldens are sha256 digests of printed matrices, captured before the
 matrix kernels moved to raw coefficients; they pin every entry of every
 induced map below byte for byte.  The remaining tests cover edge cases of
-the power kernel, functoriality over a ring with variables, and a guard
-that composing scalar induced maps never falls back to boxed arithmetic.
+the power kernel, functoriality over a ring with variables, composition
+against a direct polynomial product, and a guard that induced maps and their
+composition never fall back to boxed arithmetic or per-entry polynomial
+products.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from polyfunctor import (
     parse_functor,
     space_matrix,
 )
+from polyfunctor.errors import AlgebraError
 from polyfunctor.fields import Scalar
 from polyfunctor.matrices import (
     LinearMapMatrix,
@@ -31,6 +34,7 @@ from polyfunctor.matrices import (
     shift_projection,
     space_labels,
 )
+from polyfunctor import functors, matrices, rings
 from polyfunctor.rings import GradedPoly, RingVariable
 
 from conftest import Q, random_poly
@@ -173,6 +177,7 @@ def test_induced_map_golden(expr_text, field_text):
 # -- edge cases of the power kernel -------------------------------------------
 
 
+F3 = FieldDescriptor.prime_field(3)
 F101 = FieldDescriptor.prime_field(101)
 
 
@@ -248,29 +253,120 @@ def test_functoriality_with_polynomial_entries(expr_text, field):
     assert not lhs.is_zero()
 
 
-# -- structural guard: scalar maps never use boxed products -------------------
+# -- composition against the direct product ------------------------------------
+
+
+def _mixed_matrix(field, rows, cols, seed, zero_rows=(), zero_cols=()):
+    """rows x cols over field[x, y] with entries of up to four monomials, over
+    q with non-integral coefficients, and the given rows and columns zero."""
+    ring = GradedRing(field, ["x", "y"])
+    rng = random.Random(seed)
+
+    def entry():
+        poly = ring.zero()
+        for _ in range(rng.randint(1, 4)):
+            if field.characteristic:
+                c = rng.randrange(1, field.characteristic)
+            else:
+                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 3))
+            poly = poly + ring.monomial((rng.randint(0, 2), rng.randint(0, 2)), c)
+        return poly
+
+    entries = [[ring.zero() if i in zero_rows or j in zero_cols else entry()
+                for j in range(cols)] for i in range(rows)]
+    return LinearMapMatrix(space_labels(rows), space_labels(cols), ring, entries)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101])
+def test_compose_matches_the_direct_product(field):
+    a = _mixed_matrix(field, 2, 3, 40, zero_cols=(1,))
+    b = _mixed_matrix(field, 3, 4, 41, zero_rows=(0,), zero_cols=(2,))
+    composed = a.compose(b)
+    assert composed == _product(a, b)
+    assert composed.shape == (2, 4) and composed.row_labels == a.row_labels
+    assert composed.col_labels == b.col_labels
+    assert not any(row[2] for row in composed.rows)
+    # several monomials survive in one entry
+    assert max(len(e.terms) for row in composed.rows for e in row) > 2
+    zero_row = _mixed_matrix(field, 3, 3, 42, zero_rows=(1,))
+    c = zero_row.compose(_mixed_matrix(field, 3, 2, 43))
+    assert c == _product(zero_row, _mixed_matrix(field, 3, 2, 43))
+    assert not any(c.rows[1]) and any(c.rows[0])
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101])
+def test_compose_with_matrices_without_rows_or_columns(field):
+    ext3 = ExtF(3, IdF())
+    assert induced_map(ExtF(4, IdF()), _mixed_matrix(field, 3, 3, 44)).shape == (0, 0)
+    no_rows = induced_map(ext3, _mixed_matrix(field, 2, 4, 45))  # 0 x 4
+    square = induced_map(ext3, _mixed_matrix(field, 4, 4, 46))  # 4 x 4
+    no_cols = induced_map(ext3, _mixed_matrix(field, 3, 2, 47))  # 1 x 0
+    for left, right, shape in ((no_rows, square, (0, 4)), (no_cols, no_rows, (1, 4)),
+                               (square, square, (4, 4))):
+        composed = left.compose(right)
+        assert composed.shape == shape
+        assert composed == _product(left, right)
+    assert no_cols.compose(no_rows).is_zero()
+
+
+def test_caller_input_is_still_coerced_and_checked():
+    ring = GradedRing(Q, ["x", "y"])
+    labels = space_labels(2)
+    m = LinearMapMatrix(labels, labels, ring, [[1, Fraction(1, 2)], [Q.scalar(3), ring.var("x")]])
+    assert m.rows == ((ring.one(), ring.const(Fraction(1, 2))), (ring.const(3), ring.var("x")))
+    foreign = GradedRing(Q, ["x"]).var("x")
+    for rows, message in (([[1, 0], [0, foreign]], "foreign ring"), ([[1, 0]], "row count"),
+                          ([[1, 0], [0]], "column count")):
+        with pytest.raises(AlgebraError, match=message):
+            LinearMapMatrix(labels, labels, ring, rows)
+
+
+# -- structural guard: induced maps never use boxed products ------------------
+
+
+def _count_products(monkeypatch):
+    """Counters of boxed GradedPoly and Scalar products and of the ring
+    kernel's polynomial product, wherever the kernels would look it up."""
+    calls = {GradedPoly: 0, Scalar: 0, "_raw_mul_into": 0}
+
+    def counting(key, method):
+        def wrapper(*args):
+            calls[key] += 1
+            return method(*args)
+        return wrapper
+
+    for cls in (GradedPoly, Scalar):
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, counting(cls, getattr(cls, name)))
+    raw_mul = counting("_raw_mul_into", rings._raw_mul_into)
+    for module in (rings, matrices, functors):
+        monkeypatch.setattr(module, "_raw_mul_into", raw_mul, raising=False)
+    return calls
 
 
 @pytest.mark.parametrize("field", [Q, F101])
 def test_scalar_compose_makes_no_boxed_products(field, monkeypatch):
     a = _scalar_phi(field, 5, 5, 30)
     b = _scalar_phi(field, 5, 5, 31)
-    calls = {GradedPoly: 0, Scalar: 0}
-
-    def counting(cls, method):
-        def wrapper(*args):
-            calls[cls] += 1
-            return method(*args)
-        return wrapper
-
-    for cls in calls:
-        for name in ("__mul__", "__rmul__"):
-            monkeypatch.setattr(cls, name, counting(cls, getattr(cls, name)))
+    calls = _count_products(monkeypatch)
     expr = SymF(3, IdF())
     composed = induced_map(expr, a).compose(induced_map(expr, b))
-    assert calls == {GradedPoly: 0, Scalar: 0}
+    assert calls == {GradedPoly: 0, Scalar: 0, "_raw_mul_into": 0}
     assert composed.shape == (35, 35) and not composed.is_zero()
     # the counters see boxed products
     a.ring.one() * a.ring.one()
     field.one() * field.one()
-    assert calls == {GradedPoly: 1, Scalar: 1}
+    assert calls == {GradedPoly: 1, Scalar: 1, "_raw_mul_into": 1}
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+@pytest.mark.parametrize("expr_text", ["sym(3,id)", "ext(2,id)", "ext(3,id)", "tensor(id,id)",
+                                       "tensor(id,sym(2,id))", "tsym", "talt"])
+def test_induced_map_makes_no_boxed_products(expr_text, field, monkeypatch):
+    expr = parse_functor(expr_text)
+    maps = (_scalar_phi(field, 4, 4, 32), _t_parametrised(field, 3, 2, 33))
+    calls = _count_products(monkeypatch)
+    for phi in maps:
+        induced = induced_map(expr, phi)
+        assert not induced.is_zero()
+    assert calls == {GradedPoly: 0, Scalar: 0, "_raw_mul_into": 0}

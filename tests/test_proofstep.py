@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -30,6 +31,7 @@ from polyfunctor import (
 from polyfunctor.functors import IdF, SumF, SymF, TenAltF, TenSymF, TensorF
 from polyfunctor.groebner import divide_exact
 from polyfunctor.matrices import scalar_entry_ring, space_matrix
+from polyfunctor.rings import evaluator
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
     pullback_t_coefficients,
@@ -376,11 +378,32 @@ def test_certificate_recovers_samples_exactly():
     model_big = coordinate_model(SPLIT, field, 5)
     h_big = report.h.convert(model_big.ring)
     for _ in range(100):
-        point = sample_rank_one_split(rng, model_big, require_unit=h_big)
+        point = sample_rank_one_split(rng, model_big, require_unit=evaluator((h_big,)))
         h_val = h_big.evaluate(point)
         for entry in report.certificate.entries:
             recovered = -(entry.numerator.evaluate(point) / h_val ** entry.h_power)
             assert recovered == point[entry.variable]
+
+
+@pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
+def test_certificate_samples_catch_a_wrong_numerator(selector, monkeypatch):
+    from polyfunctor import proofstep
+
+    eliminate = proofstep.eliminate
+
+    def tampered(*args, **kwargs):
+        # x^q + (numerator + h)/h recovers every coordinate off by one
+        cert = eliminate(*args, **kwargs)
+        first, *rest = cert.entries
+        wrong = dataclasses.replace(first, numerator=first.numerator + cert.unit ** first.h_power)
+        cert.entries = (wrong, *rest)
+        return cert
+
+    monkeypatch.setattr(proofstep, "eliminate", tampered)
+    report = run_rank_one_example(3, FieldDescriptor.parse(selector), sample_count=3)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["certificate-found"] == "pass"
+    assert statuses["certificate-samples"] == "fail"
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -551,11 +574,11 @@ SAMPLER_GOLDEN = {
 def test_sampler_golden(key):
     selector, n, unit = key
     model = coordinate_model(SPLIT, FieldDescriptor.parse(selector), n)
-    h_big = model.ring.var("z_1_2") * 2
+    h_values = evaluator((model.ring.var("z_1_2") * 2,))
     rng = random.Random(31)
     lines = []
     for _ in range(80):
-        point = sample_rank_one_split(rng, model, require_unit=h_big if unit else None)
+        point = sample_rank_one_split(rng, model, require_unit=h_values if unit else None)
         lines.append(" ".join(sorted(f"{name}={value}" for name, value in point.items())))
     lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_GOLDEN[key]
@@ -631,19 +654,24 @@ def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):
 
         return build
 
-    # GradedPoly.evaluate (the sampler's unit test) builds through rings, the
-    # three sampling checks through proofstep
-    monkeypatch.setattr(rings, "evaluator", counting([]))
+    # GradedPoly.evaluate builds through rings, the three sampling checks
+    # through proofstep
+    one_off = []
+    monkeypatch.setattr(rings, "evaluator", counting(one_off))
     monkeypatch.setattr(proofstep, "evaluator", counting(built))
     field = FieldDescriptor.prime_field(101)
-    counts = []
+    counts, one_off_counts = [], []
     for samples in (100, 1):
         built.clear()
         calls.clear()
+        one_off.clear()
         assert run_rank_one_example(3, field, sample_count=samples).all_passed()
         counts.append(len(calls))
+        one_off_counts.append(len(one_off))
         # one plan per check, before its sample loop
         assert len(built) == 3
-    # per sample: the t-coefficients, the k's, the unit test of the
-    # certificate sampler, and h with every certificate numerator
+    # per sample: the t-coefficients, the k's, and h with every certificate
+    # numerator, which is also the certificate sampler's unit test
     assert counts[0] - counts[1] <= 4 * 99
+    # no sample builds a plan of its own
+    assert one_off_counts[0] == one_off_counts[1]
