@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -33,8 +32,8 @@ from .errors import AlgebraError, CharacteristicError, ParseError
 from .fields import FieldDescriptor
 from .matrices import (
     LinearMapMatrix,
-    _from_slices,
-    _slice_products,
+    _add_block,
+    _from_terms,
     _slices,
     identity_matrix,
     matrix_rank,
@@ -575,12 +574,12 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
     row_tuples = list(choose(range(len(a.row_labels)), power))
     col_tuples = list(choose(range(len(a.col_labels)), power))
     row_pos = {idx: i for i, idx in enumerate(row_tuples)}
-    slices = _slices(a).items()
-    columns = [
-        [(e, live) for e, s in slices if (live := [(i, row[j]) for i, row in enumerate(s) if row[j]])]
-        for j in range(len(a.col_labels))
-    ]
-    out = defaultdict(lambda: [[0] * len(col_tuples) for _ in row_tuples])  # result slices
+    columns = [[] for _ in a.col_labels]
+    for e, (rows, cols, block) in _slices(a).items():
+        for q, j in enumerate(cols):
+            columns[j].append((e, [(i, row[q]) for i, row in zip(rows, block) if row[q]]))
+    p = a.ring.field.characteristic
+    terms = [[{} for _ in col_tuples] for _ in row_tuples]
     chain = [{((0,) * len(a.ring.names), ()): 1}]
     prev = ()
     for cj, combo in enumerate(col_tuples):
@@ -591,23 +590,39 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
         for c in combo[shared:]:
             chain.append(_times_column(chain[-1], columns[c], alternating))
         for (exps, ms), v in chain[-1].items():
-            out[exps][row_pos[ms]][cj] = v
+            if p:
+                v %= p
+            if v:
+                terms[row_pos[ms]][cj][exps] = v
         prev = combo
     tag = "ext" if alternating else "sym"
     row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
     col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
-    return _from_slices(row_labels, col_labels, a.ring, out)
+    return _from_terms(row_labels, col_labels, a.ring, terms)
 
 
 def _tensor_matrix(maps) -> LinearMapMatrix:
-    slices = _slices(maps[0])
-    for m in maps[1:]:  # Kronecker products, row-major composite indices
-        slices = _slice_products(
-            slices, _slices(m), lambda a, b: [[x * y for x in ra for y in rb] for ra in a for rb in b]
-        )
+    # Kronecker products of monomial slices, row-major composite indices
+    blocks = [(e, *s) for e, s in _slices(maps[0]).items()]
+    for m in maps[1:]:
+        height, width = len(m.row_labels), len(m.col_labels)
+        slices = _slices(m).items()
+        blocks = [
+            (
+                tuple(map(add, e, f)),
+                [i * height + k for i in rows_a for k in rows_b],
+                [j * width + l for j in cols_a for l in cols_b],
+                [[x * y for x in ra for y in rb] for ra in a for rb in b],
+            )
+            for e, rows_a, cols_a, a in blocks
+            for f, (rows_b, cols_b, b) in slices
+        ]
     row_labels = tuple(("t", combo) for combo in itertools.product(*[m.row_labels for m in maps]))
     col_labels = tuple(("t", combo) for combo in itertools.product(*[m.col_labels for m in maps]))
-    return _from_slices(row_labels, col_labels, maps[0].ring, slices)
+    terms = [[{} for _ in col_labels] for _ in row_labels]
+    for block in blocks:
+        _add_block(terms, maps[0].ring.field.characteristic, *block)
+    return _from_terms(row_labels, col_labels, maps[0].ring, terms)
 
 
 def _block_diag(blocks, indices) -> LinearMapMatrix:
@@ -618,12 +633,18 @@ def _block_diag(blocks, indices) -> LinearMapMatrix:
         row_labels.extend(("s", idx, lab) for lab in b.row_labels)
         col_labels.extend(("s", idx, lab) for lab in b.col_labels)
     zero = ring.zero()
-    rows, left = [], 0
+    total_rows = sum(len(b.row_labels) for b in blocks)
+    total_cols = sum(len(b.col_labels) for b in blocks)
+    rows = [[zero] * total_cols for _ in range(total_rows)]
+    r0 = 0
+    c0 = 0
     for b in blocks:
-        right = len(col_labels) - left - len(b.col_labels)
-        rows.extend([zero] * left + list(row) + [zero] * right for row in b.rows)
-        left += len(b.col_labels)
-    return LinearMapMatrix._built(row_labels, col_labels, ring, rows)
+        for i, row in enumerate(b.rows):
+            for j, e in enumerate(row):
+                rows[r0 + i][c0 + j] = e
+        r0 += len(b.row_labels)
+        c0 += len(b.col_labels)
+    return LinearMapMatrix._built(tuple(row_labels), tuple(col_labels), ring, rows)
 
 
 def _refuse_char2(field: FieldDescriptor):
@@ -643,20 +664,27 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     n = len(phi.col_labels)
     col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
     row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
-
-    def product(a, b):
-        return [
-            [a[k][i] * b[l][j] + sign * a[k][j] * b[l][i] if i != j else a[k][i] * b[l][i]
-             for i, j in col_pairs]
-            for k, l in row_pairs
-        ]
-
-    slices = _slices(phi)
-    return _from_slices(
-        tuple((tag,) + p for p in row_pairs),
-        tuple((tag,) + p for p in col_pairs),
+    row_at = {pair: r for r, pair in enumerate(row_pairs)}
+    col_at = {pair: c for c, pair in enumerate(col_pairs)}
+    slices = [(e, *s) for e, s in _slices(phi).items()]
+    p = phi.ring.field.characteristic
+    terms = [[{} for _ in col_pairs] for _ in row_pairs]
+    for e, rows_a, cols_a, a in slices:
+        for f, rows_b, cols_b, b in slices:
+            # a's term at (k, i) times b's at (l, j) lands at row pair (k, l)
+            # and column pair {i, j}, with the sign when i > j
+            pairs = [(row_at[k, l], x, y) for k, x in zip(rows_a, a) for l, y in zip(rows_b, b) if l - k >= gap]
+            spots = [
+                (col_at[min(i, j), max(i, j)], sign if i > j else 1, q, r)
+                for q, i in enumerate(cols_a) for r, j in enumerate(cols_b) if abs(i - j) >= gap
+            ]
+            block = [[s * x[q] * y[r] for _, s, q, r in spots] for _, x, y in pairs]
+            _add_block(terms, p, tuple(map(add, e, f)), [r for r, _, _ in pairs], [c for c, *_ in spots], block)
+    return _from_terms(
+        tuple((tag,) + pair for pair in row_pairs),
+        tuple((tag,) + pair for pair in col_pairs),
         phi.ring,
-        _slice_products(slices, slices, product),
+        terms,
     )
 
 
@@ -684,11 +712,17 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
         u = expr.by
         n = len(phi.col_labels)
         m = len(phi.row_labels)
-        one, zero = ring.one(), ring.zero()
-        rows = [
-            [phi.rows[a - u][b - u] if min(a, b) >= u else one if a == b else zero for b in range(u + n)]
-            for a in range(u + m)
-        ]
+        zero = ring.zero()
+        one = ring.one()
+        rows = []
+        for a in range(u + m):
+            row = []
+            for b in range(u + n):
+                if a < u or b < u:
+                    row.append(one if a == b else zero)
+                else:
+                    row.append(phi.rows[a - u][b - u])
+            rows.append(row)
         widened = LinearMapMatrix._built(space_labels(u + m), space_labels(u + n), ring, rows)
         return induced_map(expr.inner, widened)
     if isinstance(expr, QuotF):

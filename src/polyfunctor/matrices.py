@@ -4,8 +4,9 @@ A LinearMapMatrix stores explicit row and column labels so induced maps of
 functors stay auditable.  Entries are GradedPoly values over a declared
 entry ring; a ring with no variables represents plain scalars.  Composition
 and the induced-map kernels split a matrix into monomial slices, one dense
-matrix of raw coefficients per exponent vector (a single one for scalars),
-multiply slices by plain dot products and reduce each result entry once.
+block of raw coefficients per exponent vector over the rows and columns
+where it has terms (a single one for scalars), multiply slices by plain dot
+products and reduce each result entry once.
 Also home to the small exact linear algebra the package needs: Gaussian
 rank over a field, and one fraction-free Gauss-Jordan solve of a square
 polynomial system that yields its determinant and every Cramer numerator.
@@ -75,17 +76,32 @@ class LinearMapMatrix:
         return self.rows[self._row_pos[row_label]][self._col_pos[col_label]]
 
     def compose(self, other: "LinearMapMatrix") -> "LinearMapMatrix":
-        """Matrix of self after other: each pair of monomial slices is
-        multiplied by dense row-by-column dot products."""
+        """Matrix of self after other: each pair of monomial slices that
+        meets on an inner index is multiplied by dense row-by-column dot
+        products over the inner indices of the left slice."""
         if self.ring != other.ring:
             raise AlgebraError("composition across entry rings")
         if self.col_labels != other.row_labels:
             raise AlgebraError("inner labels do not match in composition")
-        columns = {e: list(zip(*s)) for e, s in _slices(other).items()}
-        slices = _slice_products(
-            _slices(self), columns, lambda a, cols: [[sum(map(mul, row, col)) for col in cols] for row in a]
-        )
-        return _from_slices(self.row_labels, other.col_labels, self.ring, slices)
+        # per right slice: its row positions, columns, and column vectors
+        # with a trailing 0 that stands for every row where it has no term
+        right = {
+            f: ({k: q for q, k in enumerate(rows)}, cols, [col + (0,) for col in zip(*block)])
+            for f, (rows, cols, block) in _slices(other).items()
+        }
+        meets = defaultdict(list)  # inner index -> right slices with a term in that row
+        for f, (at, _, _) in right.items():
+            for k in at:
+                meets[k].append(f)
+        p = self.ring.field.characteristic
+        terms = [[{} for _ in other.col_labels] for _ in self.row_labels]
+        for e, (rows, inner, block) in _slices(self).items():
+            for f in dict.fromkeys(f for k in inner for f in meets[k]):
+                at, cols, columns = right[f]
+                picked = [[col[at.get(k, -1)] for k in inner] for col in columns]
+                products = [[sum(map(mul, row, col)) for col in picked] for row in block]
+                _add_block(terms, p, tuple(map(add, e, f)), rows, cols, products)
+        return _from_terms(self.row_labels, other.col_labels, self.ring, terms)
 
     def scale(self, factor) -> "LinearMapMatrix":
         return LinearMapMatrix._built(
@@ -129,41 +145,47 @@ class LinearMapMatrix:
 
 
 def _slices(m: LinearMapMatrix) -> dict:
-    """Monomial slices of a matrix: exponents -> dense rows of the raw
-    coefficients of that monomial in every entry, 0 where it is absent."""
-    out = defaultdict(lambda: [[0] * len(m.col_labels) for _ in m.rows])
+    """Monomial slices of a matrix: exponents -> (rows, columns, block), the
+    row and column indices where that monomial has a term and the dense
+    block of its raw coefficients there, 0 where it is absent."""
+    width = len(m.col_labels)
+    support = defaultdict(list)  # exponents -> [(row index, full-width row)]
     for i, row in enumerate(m.rows):
+        here = defaultdict(lambda: [0] * width)
         for j, entry in enumerate(row):
             for exps, c in entry.terms.items():
-                out[exps][i][j] = c
-    return out
-
-
-def _slice_products(left: dict, right: dict, product) -> dict:
-    """Unreduced slices of the sum over every pair of slices a, b of left and
-    right of x^(exponents of a + exponents of b) * product(a, b)."""
+                here[exps][j] = c
+        for exps, r in here.items():
+            support[exps].append((i, r))
     out = {}
-    for e1, a in left.items():
-        for e2, b in right.items():
-            exps = tuple(map(add, e1, e2))
-            block = product(a, b)
-            acc = out.get(exps)
-            out[exps] = block if acc is None else [list(map(add, x, y)) for x, y in zip(acc, block)]
+    for exps, rows in support.items():
+        full = [r for _, r in rows]
+        cols = [j for j, column in enumerate(zip(*full)) if any(column)]
+        block = full if len(cols) == width else [[r[j] for j in cols] for r in full]
+        out[exps] = ([i for i, _ in rows], cols, block)
     return out
 
 
-def _from_slices(row_labels, col_labels, ring: GradedRing, slices: dict) -> LinearMapMatrix:
-    """Matrix whose monomial slices are the given unreduced ones: each
-    coefficient is reduced mod p once and zeros are dropped."""
-    p = ring.field.characteristic
-    terms = [[{} for _ in col_labels] for _ in row_labels]
-    for exps, s in slices.items():
-        for out, row in zip(terms, s):
-            for t, v in zip(out, row):
+def _add_block(terms, p, exps, rows, cols, block):
+    """Add x^exps times a block of raw coefficients, placed at the given row
+    and column indices, to a grid of term dicts, reducing mod p over F_p and
+    dropping zeros."""
+    for i, values in zip(rows, block):
+        out = terms[i]
+        for j, v in zip(cols, values):
+            if v:
+                t = out[j]
+                v += t.get(exps, 0)
                 if p:
                     v %= p
                 if v:
                     t[exps] = v
+                else:
+                    t.pop(exps, None)
+
+
+def _from_terms(row_labels, col_labels, ring: GradedRing, terms) -> LinearMapMatrix:
+    """Matrix of a grid of canonical term dicts."""
     rows = [[GradedPoly(ring, t, _canonical=True) for t in out] for out in terms]
     return LinearMapMatrix._built(row_labels, col_labels, ring, rows)
 

@@ -912,15 +912,15 @@ def split_to_plain_map(split_model: CoordinateModel, plain_model: CoordinateMode
     return mapping
 
 
-def sample_rank_one_split(rng: random.Random, model: CoordinateModel, require_unit=None):
-    """Split coordinates of a random rank-one tensor v (x) w.  require_unit,
-    when given, is a values function built by rings.evaluator: resample until
-    its first value does not vanish there."""
-    return _unit_split_sample(rng, model, require_unit or (lambda point: (1,)))[0]
+def sample_rank_one_split(rng: random.Random, model: CoordinateModel):
+    """Split coordinates of a random rank-one tensor v (x) w."""
+    return _unit_split_sample(rng, model, lambda point: (1,))[0]
 
 
 def _unit_split_sample(rng: random.Random, model: CoordinateModel, values):
-    """(point, values(point)) of sample_rank_one_split with require_unit=values."""
+    """(point, values(point)) for split coordinates of random rank-one
+    tensors, resampled until the first of values(point) does not vanish;
+    values is a values function built by rings.evaluator."""
     fld = model.field
     m = model.dimension
     p = fld.characteristic

@@ -4,9 +4,10 @@ The goldens are sha256 digests of printed matrices, captured before the
 matrix kernels moved to raw coefficients; they pin every entry of every
 induced map below byte for byte.  The remaining tests cover edge cases of
 the power kernel, functoriality over a ring with variables, composition
-against a direct polynomial product, and a guard that induced maps and their
-composition never fall back to boxed arithmetic or per-entry polynomial
-products.
+against a direct polynomial product, matrices of distinct coordinate
+variables, whose monomial slices have one term each, and a guard that
+induced maps and their composition never fall back to boxed arithmetic or
+per-entry polynomial products.
 """
 
 import hashlib
@@ -319,6 +320,41 @@ def test_caller_input_is_still_coerced_and_checked():
                           ([[1, 0], [0]], "column count")):
         with pytest.raises(AlgebraError, match=message):
             LinearMapMatrix(labels, labels, ring, rows)
+
+
+# -- matrices of distinct coordinate variables ---------------------------------
+
+
+def _generic_pair(field, k):
+    """Two k x k matrices of distinct coordinate variables x_ij and y_ij."""
+    ring = GradedRing(field, [f"{v}{i}{j}" for v in "xy" for i in range(k) for j in range(k)])
+    return [
+        LinearMapMatrix(space_labels(k), space_labels(k), ring,
+                        [[ring.var(f"{v}{i}{j}") for j in range(k)] for i in range(k)])
+        for v in "xy"
+    ]
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+def test_generic_compose_makes_one_product_per_term_product(field, monkeypatch):
+    x, y = _generic_pair(field, 4)
+    products = []
+    monkeypatch.setattr(matrices, "mul", lambda a, b: products.append(1) or a * b)
+    composed = x.compose(y)
+    # only slices that meet on an inner index are multiplied, on that index
+    assert len(products) == 4 ** 3
+    assert composed == _product(x, y)
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+@pytest.mark.parametrize("expr_text", ["sym(2,id)", "ext(2,id)", "tensor(id,id)", "tsym", "talt",
+                                       "sym(2,ext(2,id))", "shift(1,tensor(id,ext(2,id)))"])
+def test_functoriality_on_generic_matrices(expr_text, field):
+    expr = parse_functor(expr_text)
+    x, y = _generic_pair(field, 3)
+    lhs = induced_map(expr, _product(x, y))
+    assert lhs == induced_map(expr, x).compose(induced_map(expr, y))
+    assert not lhs.is_zero()
 
 
 # -- structural guard: induced maps never use boxed products ------------------

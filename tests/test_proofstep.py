@@ -34,6 +34,7 @@ from polyfunctor.matrices import scalar_entry_ring, space_matrix
 from polyfunctor.rings import evaluator
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
+    _unit_split_sample,
     pullback_t_coefficients,
     rank_one_minors_plain,
     sample_rank_one_split,
@@ -378,8 +379,8 @@ def test_certificate_recovers_samples_exactly():
     model_big = coordinate_model(SPLIT, field, 5)
     h_big = report.h.convert(model_big.ring)
     for _ in range(100):
-        point = sample_rank_one_split(rng, model_big, require_unit=evaluator((h_big,)))
-        h_val = h_big.evaluate(point)
+        point, (h_val,) = _unit_split_sample(rng, model_big, evaluator((h_big,)))
+        assert h_val == h_big.evaluate(point)
         for entry in report.certificate.entries:
             recovered = -(entry.numerator.evaluate(point) / h_val ** entry.h_power)
             assert recovered == point[entry.variable]
@@ -550,7 +551,8 @@ def test_t_coefficient_check_agrees_with_substitution(field):
         assert caught > 0
 
 
-# sha256 of 80 seeded sample_rank_one_split points (seed 31, sorted
+# sha256 of 80 seeded sample_rank_one_split points, or with a unit the
+# points of the sampler certificate-samples uses (seed 31, sorted
 # name=value text per point) followed by one rng.random() drawn afterwards,
 # captured from the boxed sampler: a rewrite must return the same points and
 # leave the generator in the same state.
@@ -578,7 +580,7 @@ def test_sampler_golden(key):
     rng = random.Random(31)
     lines = []
     for _ in range(80):
-        point = sample_rank_one_split(rng, model, require_unit=h_values if unit else None)
+        point = _unit_split_sample(rng, model, h_values)[0] if unit else sample_rank_one_split(rng, model)
         lines.append(" ".join(sorted(f"{name}={value}" for name, value in point.items())))
     lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_GOLDEN[key]
