@@ -13,7 +13,11 @@ and divide_exact) works on one mutable copy of the dividend whose monomials
 sit in a heap, so each step pops the leading term and subtracts a monomial
 multiple of the divisor's associate in place (rings._Dividend): over q on
 ints, fraction-free, along exactly the reduction path of exact division.
-The budget is spent once per pair and once per division step.
+Monomials are packed ints there (a format only rings knows): finding a
+divisor is one guard-bit test per divisor and a product term one addition.
+A division that meets too large an exponent starts again with wider fields
+and, in reduce_poly, with the budget it started with.  The budget is spent
+once per pair and once per division step.
 
 A zero remainder from plain division by the generators already certifies
 membership (the division identity is an explicit combination), so
@@ -29,7 +33,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import AlgebraError, BudgetExceededError, RingMismatchError
-from .rings import GradedPoly, _Dividend, _from_raw, _raw, _raw_mul_into
+from .rings import GradedPoly, _divide, _from_raw, _raw, _raw_mul_into
 
 DEFAULT_BUDGET = 50_000
 
@@ -48,10 +52,6 @@ class Budget:
             raise BudgetExceededError("normal-form step budget exceeded")
 
 
-def _divides(a, b) -> bool:
-    return all(map(operator.le, a, b))
-
-
 def _sub(a, b):
     return tuple(map(operator.sub, a, b))
 
@@ -65,7 +65,7 @@ def _coprime(a, b) -> bool:
 
 
 def _monic(f: GradedPoly) -> GradedPoly:
-    _, a, items = f._associate()
+    _, a, items, _ = f._associate()
     return GradedPoly(f.ring, {e: c if a == 1 else Fraction(c, a) for e, c in items}, _canonical=True)
 
 
@@ -95,25 +95,29 @@ def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly
     gens = _in_ring_of(f, gens)
     if budget is None:
         budget = Budget()
-    leads = [g._associate() for g in gens if g]
-    remainder = {}
-    work = _Dividend(f)
-    while (lead := work.leading()) is not None:
-        exps, coeff = lead
-        budget.spend()
-        for lt_exps, a, items in leads:
-            if _divides(lt_exps, exps):
-                _step(work, coeff, a, items, _sub(exps, lt_exps))
-                break
-        else:
-            remainder[exps] = work.pop_leading()
-    return GradedPoly(f.ring, remainder, _canonical=True)
+    start = budget.remaining
+
+    def divide(work):
+        budget.remaining = start  # a division started again spends afresh
+        remainder = {}
+        while (lead := work.leading()) is not None:
+            monomial, coeff = lead
+            budget.spend()
+            if (found := work.divisor(monomial)) is not None:
+                _step(work, coeff, *found)
+            else:
+                exps, c = work.pop_leading()
+                remainder[exps] = c
+        return GradedPoly(f.ring, remainder, _canonical=True)
+
+    return _divide(f, gens, divide)
 
 
 def s_polynomial(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     """a_g*x^(l-e_f)*f' - a_f*x^(l-e_g)*g' from the associates: a_f*a_g*S(f, g)."""
-    ef, af, fs = f._associate()
-    eg, ag, gs = g._associate()
+    _in_ring_of(f, (g,))
+    ef, af, fs, _ = f._associate()
+    eg, ag, gs, _ = g._associate()
     lcm = _lcm(ef, eg)
     acc = _raw_mul_into({}, fs, ((_sub(lcm, ef), 1),), ag)
     return _from_raw(f.ring, _raw_mul_into(acc, gs, ((_sub(lcm, eg), 1),), -af))
@@ -129,7 +133,7 @@ def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
     ring = basis[0].ring
     for g in basis:
         if g.ring != ring:
-            raise AlgebraError("generators live in different rings")
+            raise RingMismatchError("generators live in different rings")
     leads = [g.leading_item()[0] for g in basis]
 
     def pair(i, j):
@@ -157,10 +161,10 @@ def normal_form(f: GradedPoly, generators, budget: Budget | None = None) -> Grad
 
     A zero result certifies ideal membership.  Intended for small instances:
     without the Gebauer-Moeller criteria every pair is reduced, so the 36
-    2x2 minors of a 4x4 matrix (16 variables, 886 budget steps) take about
-    0.02 s and katsura-4 (5 variables, 3637 steps) about 0.1 s over q on one
-    2-vCPU VM core with Python 3.11.  Raises BudgetExceededError when the
-    step budget is exhausted.
+    2x2 minors of a 4x4 matrix (16 variables, 888 budget steps) take about
+    0.02 s and katsura-4 (5 variables, 3647 steps) about 0.07 s over q on one
+    2-vCPU VM core with Python 3.11 (a member of the ideal, best of 7).
+    Raises BudgetExceededError when the step budget is exhausted.
     """
     generators = _in_ring_of(f, generators)
     if budget is None:
@@ -189,14 +193,16 @@ def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
     _in_ring_of(f, (g,))
     if not g:
         raise AlgebraError("division by the zero polynomial")
-    eg, a, items = g._associate()
+    eg, a, _, _ = g._associate()
     unit = _raw(f.ring.field, Fraction(a) / g.terms[eg])  # associate / g
-    quotient = {}
-    work = _Dividend(f)
-    while (lead := work.leading()) is not None:
-        exps, coeff = lead
-        if not _divides(eg, exps):
-            return None
-        shift = _sub(exps, eg)
-        quotient[shift] = work.unscale(_step(work, coeff, a, items, shift)) * unit
-    return _from_raw(f.ring, quotient)
+
+    def divide(work):
+        quotient = {}
+        while (lead := work.leading()) is not None:
+            monomial, coeff = lead
+            if (found := work.divisor(monomial)) is None:
+                return None
+            quotient[work.exponents(found[2])] = work.unscale(_step(work, coeff, *found)) * unit
+        return _from_raw(f.ring, quotient)
+
+    return _divide(f, (g,), divide)

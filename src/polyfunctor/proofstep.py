@@ -234,7 +234,7 @@ def delta_degree(generators, q_generators, budget_steps: int | None = None) -> D
         for g in generators:
             if not g:
                 continue
-            remainder = normal_form(g, q_generators, Budget(budget_steps) if budget_steps else None)
+            remainder = normal_form(g, q_generators, None if budget_steps is None else Budget(budget_steps))
             if remainder.is_zero():
                 continue
             d = g.weighted_degree()

@@ -19,10 +19,19 @@ over q the primitive integer multiple with positive leading coefficient),
 the private working polynomial of heap division (_Dividend, over q an
 integer multiple `scale` of the true one) never leaves its division, and
 the integer plan an evaluator reads lives in its closure.
+
+Division alone packs monomials into ints (_packing): the weighted degree on
+top, then one byte per variable whose top bit is a guard bit, so int order
+is the term order and divisibility is one subtraction and one mask test (cf.
+Monagan & Pearce, J. Symb. Comp. 46 (2011); Bachmann & Schoenemann, ISSAC
+1998).  A division that meets an exponent above 127 starts again with wider
+fields (_divide).  Ring products, the Hasse calculus and the parser stay on
+exponent tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,9 +195,10 @@ class GradedPoly:
         return exps, self.terms[exps]
 
     def _associate(self):
-        """(leading exponents, a, raw items) of the associate every division
-        step by this polynomial reads, computed once: over F_p the monic
-        polynomial (a = 1), over q the primitive integer one (a > 0)."""
+        """(leading exponents, a, raw items, packed) of the associate every
+        division step by this polynomial reads, computed once: over F_p the
+        monic polynomial (a = 1), over q the primitive integer one (a > 0);
+        packed is its one-byte _packed form."""
         try:
             return self._assoc
         except AttributeError:
@@ -202,7 +212,8 @@ class GradedPoly:
                 u = Fraction(lcm(*(k.denominator for k in ks)), gcd(*(k.numerator for k in ks)))
                 u = u if c > 0 else -u
             items = {e: k * u % p if p else (k * u).numerator for e, k in self.terms.items()}
-            self._assoc = exps, items[exps], tuple(items.items())
+            a, items = items[exps], tuple(items.items())
+            self._assoc = exps, a, items, _packed(_packing(self.ring.weights, 1)[0], exps, a, items)
             return self._assoc
 
     def constant_value(self) -> Scalar:
@@ -539,45 +550,113 @@ def _from_raw(ring: GradedRing, acc: dict) -> GradedPoly:
     return GradedPoly(ring, dict(_reduced(acc, ring.field.characteristic)), _canonical=True)
 
 
-def _heap_entry(exps, weights):
-    """Heap entry of a monomial: heapq's minimum is the leading monomial."""
-    return (-sum(map(operator.mul, exps, weights)), tuple(map(operator.neg, exps)), exps)
+class _Overflow(Exception):
+    """A monomial of a division does not fit its packed exponent fields."""
+
+
+@functools.cache
+def _packing(weights: tuple, k: int):
+    """(pack, unpack, guard) of monomials with these variable weights as ints:
+    the weighted degree over k bytes per exponent, earlier variables more
+    significant.  While every guard bit (the top bit of a field) is clear, l
+    divides m exactly when ((m | guard) - l) & guard == guard, m - l is the
+    quotient, and l + m sets a guard bit exactly when an exponent of the
+    product does not fit; pack raises _Overflow for such an exponent."""
+    low = 8 * k * len(weights)
+    mask, guard = (1 << low) - 1, int.from_bytes(bytes([128] + [0] * (k - 1)) * len(weights), "big")
+    fields = bytes if k == 1 else lambda exps: b"".join(e.to_bytes(k, "big") for e in exps)
+
+    def pack(exps):
+        try:
+            body = int.from_bytes(fields(exps), "big")
+        except (ValueError, OverflowError):  # an exponent of 8k bits or more, or below 0
+            if min(exps) < 0:  # no width would ever fit it
+                raise AlgebraError(f"negative exponent in {exps}") from None
+            raise _Overflow from None
+        if body & guard:
+            raise _Overflow
+        return sum(map(operator.mul, exps, weights)) << low | body
+
+    def unpack(m):
+        body = (m & mask).to_bytes(low // 8, "big")
+        if k == 1:
+            return tuple(body)
+        return tuple(int.from_bytes(body[i:i + k], "big") for i in range(0, len(body), k))
+
+    return pack, unpack, guard
+
+
+def _packed(pack, exps, a, items):
+    """An associate (leading exponents, a, raw items) with its monomials
+    packed, or None where an exponent does not fit."""
+    try:
+        return pack(exps), a, tuple((pack(e), c) for e, c in items)
+    except _Overflow:
+        return None
+
+
+def _divide(f: GradedPoly, divisors, run):
+    """run(work) on a _Dividend of f by the nonzero divisors, one byte per
+    exponent, started again with twice the bytes while a monomial does not fit."""
+    k = 1
+    while True:
+        try:
+            return run(_Dividend(f, divisors, k))
+        except _Overflow:
+            k *= 2
 
 
 class _Dividend:
     """Working polynomial of a multivariate division, changed in place.
 
-    Its terms are a mutable copy of the dividend's terms, and a heap holds
-    its monomials with lazy deletion, so the leading term is found by popping
-    the heap rather than scanning the terms (cf. Monagan & Pearce, "Sparse
-    polynomial division using a heap", J. Symb. Comp. 46 (2011)).  Its terms
-    are ints, scale times the true polynomial (scale is 1 over F_p).
+    Its terms are a mutable copy of the dividend's terms keyed by packed
+    monomials (_packing), and a heap holds the negated monomials with lazy
+    deletion, so the leading term is found by popping the heap rather than
+    scanning the terms (cf. Monagan & Pearce, "Sparse polynomial division
+    using a heap", J. Symb. Comp. 46 (2011)).  Its terms are ints, scale
+    times the true polynomial (scale is 1 over F_p).  Its divisors are packed
+    associates.
     """
 
-    __slots__ = ("p", "weights", "scale", "terms", "heap")
+    __slots__ = ("p", "scale", "terms", "heap", "divisors", "guard", "exponents")
 
-    def __init__(self, f: GradedPoly):
+    def __init__(self, f: GradedPoly, divisors, k: int):
         self.p = f.ring.field.characteristic
-        self.weights = weights = f.ring.weights
-        self.scale = s = lcm(*(k.denominator for k in f.terms.values()))
-        self.terms = {e: k.numerator * (s // k.denominator) for e, k in f.terms.items()}
-        self.heap = [_heap_entry(e, weights) for e in self.terms]
+        pack, self.exponents, self.guard = _packing(f.ring.weights, k)
+        self.divisors = [
+            g._associate()[3] if k == 1 else _packed(pack, *g._associate()[:3]) for g in divisors if g
+        ]
+        if None in self.divisors:
+            raise _Overflow
+        self.scale = s = lcm(*(c.denominator for c in f.terms.values()))
+        self.terms = {pack(e): c.numerator * (s // c.denominator) for e, c in f.terms.items()}
+        self.heap = [-m for m in self.terms]
         heapify(self.heap)
 
     def leading(self):
-        """(exponents, coefficient) of the leading term, or None once zero."""
+        """(packed monomial, coefficient) of the leading term, or None once zero."""
         heap, terms = self.heap, self.terms
         while heap:
-            exps = heap[0][2]
-            c = terms.get(exps)
+            c = terms.get(-heap[0])
             if c is not None:
-                return exps, c
+                return -heap[0], c
             heappop(heap)
         return None
 
+    def divisor(self, m):
+        """(a, items, shift) of the first divisor whose leading monomial
+        divides the packed monomial m, shift being the quotient, or None."""
+        guard = self.guard
+        top = m | guard
+        for lead, a, items in self.divisors:
+            if (top - lead) & guard == guard:
+                return a, items, m - lead
+        return None
+
     def pop_leading(self):
-        """Remove the leading term, found by leading(); returns its true value."""
-        return self.unscale(self.terms.pop(heappop(self.heap)[2]))
+        """Remove the leading term, found by leading(); returns (exponents, true value)."""
+        m = -heappop(self.heap)
+        return self.exponents(m), self.unscale(self.terms.pop(m))
 
     def unscale(self, c):
         """True value of a raw coefficient of the work polynomial."""
@@ -588,17 +667,20 @@ class _Dividend:
         self.scale *= m
         self.terms = {e: c * m for e, c in self.terms.items()}
 
-    def sub_mul(self, items, exps, coeff):
-        """work -= coeff * x^exps * items, for raw (exponents, int) items.  A new
-        monomial is pushed onto the heap; a cancelled one is left there."""
-        terms, heap, p, weights = self.terms, self.heap, self.p, self.weights
+    def sub_mul(self, items, shift, coeff):
+        """work -= coeff * x^shift * items, for packed (monomial, int) items.  A new
+        monomial is pushed onto the heap (_Overflow if it sets a guard bit); a
+        cancelled one is left there."""
+        terms, heap, p, guard = self.terms, self.heap, self.p, self.guard
         for e, k in items:
-            m = tuple(map(operator.add, e, exps))
+            m = e + shift
             kc = k * coeff
             s = terms.get(m)
             if s is None:
+                if m & guard:
+                    raise _Overflow
                 terms[m] = -kc % p if p else -kc
-                heappush(heap, _heap_entry(m, weights))
+                heappush(heap, -m)
             else:
                 s = (s - kc) % p if p else s - kc
                 if s:

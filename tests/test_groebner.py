@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polyfunctor import (
+    AlgebraError,
     Budget,
     BudgetExceededError,
     FieldDescriptor,
@@ -206,17 +207,37 @@ def test_divide_exact_refuses_foreign_ring_divisor(foreign_ring_case):
         divide_exact(g, f)
 
 
+def test_s_polynomial_refuses_foreign_ring(foreign_ring_case):
+    f, g = foreign_ring_case
+    with pytest.raises(RingMismatchError):
+        s_polynomial(f, g)
+    with pytest.raises(RingMismatchError):
+        s_polynomial(g, f)
+    # same variable names over another field
+    ring = GradedRing(Q, ["x", "y"])
+    h = parse_polynomial("x^2 - 3", GradedRing(FieldDescriptor.prime_field(5), ["x", "y"]))
+    with pytest.raises(RingMismatchError):
+        s_polynomial(parse_polynomial("x*y - 1", ring), h)
+
+
+def test_buchberger_refuses_foreign_ring_generator(foreign_ring_case):
+    f, g = foreign_ring_case
+    with pytest.raises(RingMismatchError):
+        buchberger([f, g])
+
+
 # -- an independent reference: multivariate division on {exponents: Fraction}
 # dicts with a plain leading-term scan, over q (p = 0) or F_p ----------------
 
-def _reference_division(f, divisors, p):
+def _reference_division(f, divisors, p, weights=None):
     """(quotient per divisor, remainder) of f under division by the divisors,
-    in order, for weight-1 variables; coefficients are Fractions reduced mod p."""
+    in order, for the variable weights (all 1 by default); coefficients are
+    Fractions reduced mod p."""
     def norm(c):
         return Fraction(c.numerator * pow(c.denominator, -1, p) % p) if p else c
 
     def lead(h):
-        return max(h, key=lambda e: (sum(e), e))
+        return max(h, key=lambda e: (sum(a * w for a, w in zip(e, weights or (1,) * len(e))), e))
 
     work, remainder, quotients = {e: Fraction(c) for e, c in f.items()}, {}, [{} for _ in divisors]
     while work:
@@ -297,3 +318,94 @@ def test_division_matches_fraction_reference(field, division_events):
         assert any("s" in e and "r" in e[e.index("s"):] for e in division_events)
     else:
         assert not any("r" in e for e in division_events)
+
+
+# -- exponents past one byte: a division that meets one starts again with
+# wider exponent fields and the budget it started with, and ends as the tuple
+# reference does ---------------------------------------------------------------
+
+@pytest.fixture
+def widths(monkeypatch):
+    """Bytes per exponent of each working polynomial a division builds."""
+    from polyfunctor.rings import _Dividend
+
+    seen = []
+    init = _Dividend.__init__
+
+    def logged(self, f, divisors, k):
+        seen.append(k)
+        init(self, f, divisors, k)
+
+    monkeypatch.setattr(_Dividend, "__init__", logged)
+    return seen
+
+
+def _reference_reduce(f, divisors, steps):
+    """(remainder terms, budget left) of the reference division of f, from a
+    budget of steps: one step per quotient term and one per remainder term."""
+    p = f.ring.field.characteristic
+    quotients, remainder = _reference_division(f.terms, [g.terms for g in divisors], p, f.ring.weights)
+    return remainder, steps - sum(map(len, quotients)) - len(remainder)
+
+
+def _reference_quotient(h, g):
+    (quotient,), rest = _reference_division(h.terms, [g.terms], h.ring.field.characteristic, h.ring.weights)
+    return None if rest else quotient
+
+
+@pytest.mark.parametrize("field", ("q", "fp:101"))
+@pytest.mark.parametrize("e", (127, 128, 255, 300))
+def test_division_with_exponents_past_one_byte(e, field, widths):
+    ring = GradedRing(FieldDescriptor.parse(field), ["x", "y"])
+    f = parse_polynomial(f"x^{e}*y + 1/2*x^3 - 7", ring)
+    # x - y has leading term x: x^e*y becomes y^(e+1), which passes 127
+    # mid-division when e = 127; the second divisor does not fit one byte
+    for divisors in (["x - y"], ["x - y", f"y^{e + 1} - 3*y"]):
+        divisors = [parse_polynomial(text, ring) for text in divisors]
+        widths.clear()
+        budget = Budget(1000)
+        remainder = reduce_poly(f, divisors, budget)
+        assert (remainder.terms, budget.remaining) == _reference_reduce(f, divisors, 1000)
+        assert widths == [1, 2]
+    g = parse_polynomial(f"2*y^{e} - x + 1", ring)
+    for h in (f * g, f * g + 1, (ring.var("x") + 2) * g):
+        widths.clear()
+        ours = divide_exact(h, g)
+        assert (None if ours is None else ours.terms) == _reference_quotient(h, g)
+        # an exact division meets no exponent above those of its inputs
+        fits = max(max(exps) for exps in (*h.terms, *g.terms)) < 128
+        assert widths == ([1] if fits else [1, 2])
+
+
+def test_division_refuses_a_negative_exponent():
+    # no field width holds one, so widening would never end
+    ring = GradedRing(Q, ["x", "y"])
+    x = ring.var("x")
+    for f, g in ((ring.monomial((-1, 2)), x), (x, ring.monomial((1, -300)) + 1)):
+        with pytest.raises(AlgebraError):
+            reduce_poly(f, [g])
+        with pytest.raises(AlgebraError):
+            divide_exact(f, g)
+
+
+@pytest.mark.parametrize("field", ("q", "fp:101"))
+def test_weight_zero_exponent_passes_one_byte_mid_division(field, widths):
+    ring = GradedRing(FieldDescriptor.parse(field), ["x", ("t", "aux", 0)])
+    g = parse_polynomial("x - 2*t^2", ring)  # t has weight 0, so x leads
+    f = parse_polynomial("x^70 + 3*x - 1/2", ring)  # t^128 appears at step 64
+    for steps in (50, 63, 64, 73, 74, 1000):
+        widths.clear()
+        budget = Budget(steps)
+        remainder, left = _reference_reduce(f, [g], steps)
+        if left < 0:
+            with pytest.raises(BudgetExceededError):
+                reduce_poly(f, [g], budget)
+            assert budget.remaining == -1
+        else:
+            assert (reduce_poly(f, [g], budget).terms, budget.remaining) == (remainder, left)
+        assert widths == ([1] if steps < 64 else [1, 2])
+    # x^64 is no multiple of g: the division fails only once t^128 leads
+    widths.clear()
+    assert divide_exact(ring.var("x") ** 64, g) is None
+    assert _reference_quotient(ring.var("x") ** 64, g) is None
+    assert widths == [1, 2]

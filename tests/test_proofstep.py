@@ -34,6 +34,7 @@ from polyfunctor.matrices import scalar_entry_ring, space_matrix
 from polyfunctor.rings import evaluator
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
+    DeltaReport,
     _unit_split_sample,
     pullback_t_coefficients,
     rank_one_minors_plain,
@@ -89,6 +90,15 @@ def test_delta_weighted_degree_of_square():
     X = VarietyPresentation.make(SPLIT, Q, 2, [g], [], "p1")
     report = delta_degree(X.generators, X.q_generators)
     assert report.delta == 4  # weight 2 per variable
+
+
+def test_delta_honours_a_budget_of_zero_steps():
+    ring = GradedRing(Q, ["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    # each normal form takes one division step: zero steps cannot decide it
+    assert delta_degree([x * y, y], [x], budget_steps=0) == DeltaReport("inconclusive", None, None)
+    assert delta_degree([x * y, y], [x], budget_steps=1) == DeltaReport("finite", 1, y)
+    assert delta_degree([x * y, y], [x]) == DeltaReport("finite", 1, y)
 
 
 # -- derivative step -----------------------------------------------------------------

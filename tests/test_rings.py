@@ -8,7 +8,7 @@ from polyfunctor import (
     parse_polynomial,
 )
 from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
-from polyfunctor.rings import GradedPoly, evaluator
+from polyfunctor.rings import GradedPoly, _Overflow, _packing, evaluator
 
 from conftest import ALL_FIELDS, F2, F3, Q, random_poly
 
@@ -172,6 +172,52 @@ def test_substitute_is_ring_homomorphism(f, g):
     }
     assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
     assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
+
+
+# -- packed monomials of the division engine: int order is ring.order_key
+# order, the guard-bit test is componentwise <=, unpacking inverts packing ----
+
+@st.composite
+def _packed_case(draw):
+    """Variable weights from {0, 1, 3}, bytes per exponent, and two exponent
+    vectors whose entries fit the fields, drawn small often enough that one
+    divides the other."""
+    weights = tuple(draw(st.lists(st.sampled_from((0, 1, 3)), max_size=6)))
+    k = draw(st.sampled_from((1, 2)))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, 2 ** (8 * k - 1) - 1))
+    vector = st.tuples(*[entry] * len(weights))
+    return weights, k, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_case())
+def test_packed_monomials_order_divide_and_round_trip(case):
+    weights, k, a, b = case
+    ring = GradedRing(Q, [(f"x{i}", "main", w) for i, w in enumerate(weights)])
+    pack, unpack, guard = _packing(ring.weights, k)
+    ma, mb = pack(a), pack(b)
+    assert (unpack(ma), unpack(mb)) == (a, b)
+    assert (ma < mb, ma == mb) == (ring.order_key(a) < ring.order_key(b), a == b)
+    divides = all(x <= y for x, y in zip(a, b))
+    assert (((mb | guard) - ma) & guard == guard) == divides
+    if divides:
+        assert mb - ma == pack(tuple(y - x for x, y in zip(a, b)))
+    # a product sets a guard bit exactly when one of its exponents does not fit
+    product = tuple(x + y for x, y in zip(a, b))
+    fits = all(e < 2 ** (8 * k - 1) for e in product)
+    assert (not (ma + mb) & guard) == fits
+    if fits:
+        assert ma + mb == pack(product)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_pack_refuses_an_exponent_that_does_not_fit(k):
+    pack, unpack, _ = _packing((1, 0, 3), k)
+    top = 2 ** (8 * k - 1) - 1
+    assert unpack(pack((top, 0, top))) == (top, 0, top)
+    for e in (top + 1, 2 ** (8 * k) - 1, 2 ** (8 * k), 300 * 2 ** (8 * k)):
+        with pytest.raises(_Overflow):
+            pack((0, e, 1))
 
 
 def test_degree_multiplicativity_over_domain():

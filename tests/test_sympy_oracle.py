@@ -9,7 +9,10 @@ and the fraction-free Gauss-Jordan solve returns a determinant and its
 Cramer numerators, so all are compared with sympy's ``det``.  The entries of
 a symmetric power are coefficients of products of linear forms, which sympy
 multiplies out, and those of a tensor square are entries of sympy's
-Kronecker product, symmetrised or antisymmetrised for its two halves.  The r-th Hasse derivative of f in the direction w is
+Kronecker product, symmetrised or antisymmetrised for its two halves.  The
+elimination certificate of the rank-one example is sympy's solution of the
+same linear system over the rational function field, cleared by the least
+power of h.  The r-th Hasse derivative of f in the direction w is
 the t^r coefficient of f(x + t*w), which sympy expands independently.
 Skipped where sympy is not installed.
 """
@@ -36,6 +39,7 @@ from polyfunctor import (  # noqa: E402
     hasse_derivative,
     induced_map,
     normal_form,
+    run_rank_one_example,
     space_matrix,
 )
 from polyfunctor.groebner import divide_exact  # noqa: E402
@@ -279,6 +283,42 @@ def test_cramer_solve_refuses_a_singular_matrix(field_text):
     rows.append([a * combo - b for a, b in zip(rows[0], rows[1])])  # a combination of the others
     assert _sympy_det([row[:3] for row in rows], _symbols(ring), field) == 0
     assert cramer_solve(rows, ring) is None
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:101"))
+def test_elimination_certificate_matches_sympy_solve(field_text, monkeypatch):
+    from polyfunctor import proofstep
+
+    field = FieldDescriptor.parse(field_text)
+    eliminate, calls = proofstep.eliminate, []
+
+    def recorded(elements, h, eliminated, **kwargs):
+        calls.append((elements, h, eliminated, eliminate(elements, h, eliminated, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(proofstep, "eliminate", recorded)
+    assert run_rank_one_example(3, field, sample_count=1).all_passed()
+    (elements, h, eliminated, cert), = calls
+    # eliminate's own rows [A | b] at the minor it took, over K(vars)
+    ring, n = h.ring, len(eliminated)
+    syms = _symbols(ring)
+    K = (sympy.GF(field.characteristic) if field.characteristic else sympy.QQ).frac_field(*syms)
+
+    def lift(f):
+        return K.from_sympy(_to_sympy(f, syms))
+
+    rows = [[lift(elements[i].additive_part.get(v, ring.zero())) for v in eliminated]
+            + [lift(elements[i].constant_part)] for i in cert.minor_rows]
+    x = DomainMatrix([row[:n] for row in rows], (n, n), K).lu_solve(
+        DomainMatrix([row[n:] for row in rows], (n, 1), K))
+    h = lift(h)
+    assert [e.variable for e in cert.entries] == list(eliminated)
+    for (x_j,), entry in zip(x.rep.to_ddm(), cert.entries):
+        # numerator / h^power = x_j, for the least power that clears x_j
+        assert (x_j * h**entry.h_power).denom.is_ground
+        assert entry.h_power == 0 or not (x_j * h ** (entry.h_power - 1)).denom.is_ground
+        numerator = K.to_sympy(x_j * h**entry.h_power)
+        assert _our_terms(entry.numerator) == _sympy_terms(numerator, syms, field)
 
 
 @pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:5", "fp:101"))

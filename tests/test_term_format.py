@@ -3,14 +3,20 @@
 GradedPoly.terms maps exponents to nonzero raw coefficients: an int in
 [1, p) over F_p, and over q an int or a Fraction.  Every kernel result below
 is checked against that format, and polynomial arithmetic plus the Groebner
-engine are checked to make no boxed Scalar arithmetic.
+engine are checked to make no boxed Scalar arithmetic.  The packed monomials
+of the division engine are a format of rings.py alone: no other module names
+the packing helpers or the guard mask.
 """
 
+import io
 import random
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polyfunctor
 from polyfunctor import (
     FieldDescriptor,
     GradedRing,
@@ -137,3 +143,21 @@ def test_poly_and_groebner_kernels_make_no_boxed_arithmetic(field, monkeypatch):
     field.one() + field.one()
     field.one().inverse()
     assert calls == {"__mul__": 1, "__add__": 1, "inverse": 1}
+
+
+# -- structural guard: only rings.py knows the packed monomial format ----------
+
+PACKING_NAMES = {"_packing", "_packed", "_Overflow", "guard", "from_bytes", "to_bytes"}
+
+
+def _names(path):
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return {tok.string for tok in tokens if tok.type == tokenize.NAME}
+
+
+def test_only_rings_names_the_packed_monomial_format():
+    package = Path(polyfunctor.__file__).parent
+    found = {path.name: _names(path) & PACKING_NAMES for path in sorted(package.glob("*.py"))}
+    # the scan sees the names where they live
+    assert found.pop("rings.py") == PACKING_NAMES
+    assert found and not any(found.values()), found
