@@ -624,7 +624,7 @@ class _Dividend:
         self.p = f.ring.field.characteristic
         pack, self.exponents, self.guard = _packing(f.ring.weights, k)
         self.divisors = [
-            g._associate()[3] if k == 1 else _packed(pack, *g._associate()[:3]) for g in divisors if g
+            g._associate()[3] if k == 1 else _packed(pack, *g._associate()[:3]) for g in divisors if g.terms
         ]
         if None in self.divisors:
             raise _Overflow
