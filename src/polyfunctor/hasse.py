@@ -208,11 +208,11 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> 
     """
     if r < 0:
         raise AlgebraError("derivative order must be nonnegative")
-    if r == 0:
-        return f
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
     w = _check_direction(w, W)
+    if r == 0:
+        return f
     ring = f.ring
     field = ring.field
     p = field.characteristic

@@ -31,7 +31,7 @@ from .errors import (
     InternalCheckError,
     PresentationError,
 )
-from .fields import FieldDescriptor, Scalar
+from .fields import FieldDescriptor
 from .functors import (
     FunctorExpr,
     IdF,
@@ -913,32 +913,40 @@ def split_to_plain_map(split_model: CoordinateModel, plain_model: CoordinateMode
 
 
 def sample_rank_one_split(rng: random.Random, model: CoordinateModel):
-    """Split coordinates of a random rank-one tensor v (x) w."""
-    return _unit_split_sample(rng, model, lambda point: (1,))[0]
+    """Split coordinates of a random rank-one tensor v (x) w, boxed."""
+    den, sample = _split_sampler(rng, model)
+    return {name: model.field.scalar(Fraction(x, den)) for name, x in zip(model.ring.names, sample())}
 
 
-def _unit_split_sample(rng: random.Random, model: CoordinateModel, values):
-    """(point, values(point)) for split coordinates of random rank-one
-    tensors, resampled until the first of values(point) does not vanish;
-    values is a values function built by rings.evaluator."""
-    fld = model.field
-    m = model.dimension
-    p = fld.characteristic
-    half = pow(2, -1, p) if p else None
-    box = (lambda s: Scalar(fld, s * half % p)) if p else (lambda s: Scalar(fld, Fraction(s, 2)))
+def _split_sampler(rng: random.Random, model: CoordinateModel):
+    """(den, sample): sample() draws v and w from rng and returns the split
+    coordinates of v (x) w as integer numerators in model.ring order over
+    den, 2 over q and 1 over F_p, read off rows built once from the names:
+    y_a_b and z_a_b at ring position i are (v_a w_b + s v_b w_a) / 2 for
+    rows[i] = (a - 1, b - 1, s), s = 1 for y and -1 for z."""
+    m, p = model.dimension, model.field.characteristic
+    signs = {"y": 1, "z": -1}
+    rows = [(int(a) - 1, int(b) - 1, signs[s]) for s, a, b in (name.split("_") for name in model.ring.names)]
     draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-10, 10))
+    half = pow(2, -1, p) if p else None
+
+    def sample():
+        v, w = [draw() for _ in range(m)], [draw() for _ in range(m)]
+        nums = [v[a] * w[b] + s * v[b] * w[a] for a, b, s in rows]
+        return [x * half % p for x in nums] if p else nums
+
+    return 1 if p else 2, sample
+
+
+def _unit_split_sample(sample, den: int, values):
+    """(nums, values(nums, den)) for numerators nums drawn by sample, a
+    _split_sampler, resampled until the first of the values does not
+    vanish; values is a values function built by rings.evaluator."""
     for _ in range(1000):
-        v = [draw() for _ in range(m)]
-        w = [draw() for _ in range(m)]
-        point = {}
-        for a, b in itertools.combinations_with_replacement(range(m), 2):
-            x_ab, x_ba = v[a] * w[b], v[b] * w[a]
-            point[f"y_{a + 1}_{b + 1}"] = box(x_ab + x_ba)
-            if a != b:
-                point[f"z_{a + 1}_{b + 1}"] = box(x_ab - x_ba)
-        at = values(point)
+        nums = sample()
+        at = values(nums, den)
         if at[0]:
-            return point, at
+            return nums, at
     raise AlgebraError("failed to sample a point off the unit locus")
 
 
@@ -1032,7 +1040,9 @@ def run_rank_one_example(
     )
 
     # the witness vanishes on sampled rank-one tensors at the base dimension
-    spot_ok = not any(f.evaluate(sample_rank_one_split(rng, model_u)) for _ in range(20))
+    den_u, sample_u = _split_sampler(rng, model_u)
+    f_values = evaluator((f,))
+    spot_ok = not any(f_values(sample_u(), den_u)[0] for _ in range(20))
     checks.append(Check("base-locus-spot-check", "pass" if spot_ok else "fail"))
 
     for (i, j), el in zip(pairs, stages.elements):
@@ -1050,16 +1060,13 @@ def run_rank_one_example(
     t_coefficients = [
         c for el in stages.elements for c in pullback_t_coefficients(el.pullback, model_big.ring)
     ]
+    den, sample = _split_sampler(rng, model_big)
     pull_values = evaluator(t_coefficients)
-    pull_ok = not any(
-        any(pull_values(sample_rank_one_split(rng, model_big))) for _ in range(sample_count)
-    )
+    pull_ok = not any(any(pull_values(sample(), den)) for _ in range(sample_count))
     checks.append(Check("pullback-vanishes-on-samples", "pass" if pull_ok else "fail"))
 
     k_values = evaluator([el.poly for el in stages.elements])
-    k_ok = not any(
-        any(k_values(sample_rank_one_split(rng, model_big))) for _ in range(sample_count)
-    )
+    k_ok = not any(any(k_values(sample(), den)) for _ in range(sample_count))
     checks.append(Check("coefficient-vanishes-on-samples", "pass" if k_ok else "fail"))
 
     certificate = stages.certificate
@@ -1106,12 +1113,14 @@ def run_rank_one_example(
         q_power = fld.char_exponent ** certificate.level
         mod = fld.characteristic or None
         certificate_values = evaluator([stages.h_big] + [e.numerator for e in certificate.entries])
+        at_x = [model_big.ring.position(e.variable) for e in certificate.entries]
         for _ in range(sample_count):
-            point, (h_val, *numerators) = _unit_split_sample(rng, model_big, certificate_values)
-            # -num / h^e == x^q, on raw values as num + x^q * h^e == 0 (mod p)
+            nums, (h_val, *numerators) = _unit_split_sample(sample, den, certificate_values)
+            # -num / h^e == x^q with x = nums[i] / den, on raw values as
+            # num * den^q + nums[i]^q * h^e == 0 (mod p)
             residues = (
-                num.value + pow(point[e.variable].value, q_power, mod) * pow(h_val.value, e.h_power, mod)
-                for e, num in zip(certificate.entries, numerators)
+                num * den**q_power + pow(nums[i], q_power, mod) * pow(h_val, e.h_power, mod)
+                for e, i, num in zip(certificate.entries, at_x, numerators)
             )
             if any(r % mod if mod else r for r in residues):
                 samples_ok = False

@@ -7,8 +7,10 @@ vectors to nonzero raw coefficients: residues in [1, p) over F_p, and over
 q an int when the value is integral, else a Fraction (an integral Fraction
 a kernel leaves behind is equal, hashes equal and prints the same).  Only
 this module knows that format; Scalar is the type at the API boundary
-(constant_value, evaluate, the values an evaluator returns, Vector).  The
-term order used for printing, leading terms and division is graded
+(constant_value, evaluate, an evaluator's values at a point given by
+names, Vector).  Inside the package an evaluator also reads a point as
+integer numerators over one denominator and returns raw values.  The term
+order used for printing, leading terms and division is graded
 lexicographic: weighted degree first, then the exponent vector compared
 lexicographically with earlier variables more significant.  Canonical form
 plus a fixed order makes all printed output byte-stable.
@@ -36,7 +38,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm, prod
+from itertools import chain, cycle, islice, repeat
+from math import gcd, lcm
 
 from .errors import AlgebraError, FieldMismatchError, RingMismatchError, SubstitutionError
 from .fields import FieldDescriptor, Scalar
@@ -448,52 +451,65 @@ class GradedPoly:
 
 
 def evaluator(polys):
-    """The values of a sequence of polynomials of one ring, as a function of
-    a point given as name -> scalar (ints and Fractions are coerced).  Each
-    polynomial is read once into an integer plan: its coefficients k over
-    their common denominator D, and per term the slots of its factors, one
-    per unit of exponent, and its gap to the top total degree.  At a point
-    every coordinate is coerced once, even one outside the ring, and the used
-    ones are put over their common denominator L (1 over F_p) as N_i = L*x_i,
-    so a term is the int k*prod(N_i)*L^(top-deg) and each value is one
-    Fraction total/(D*L^top) over q, or one reduction mod p.  Only the
+    """The values of a sequence of polynomials of one ring at a point.
+    values(nums, den) reads integer numerators in ring order over one
+    denominator (residues over den 1 on F_p) and returns raw values, a zero
+    over q as the int 0; values(point) coerces a point given as name ->
+    scalar, even a coordinate outside the ring, and boxes them.  Only the
     variables a polynomial uses need a coordinate; the first one missing, in
-    ring order, is named."""
+    ring order, is named.  The plan holds the distinct monomials of all the
+    polynomials by columns: each has top slots, the ring positions of its
+    factors, one per unit of exponent, padded with den's slot to the top
+    total degree.  At a point a monomial is one product of numerators, and a
+    polynomial the dot product of its integer coefficients over their common
+    denominator D with those, over D*den^top or reduced mod p."""
     polys = tuple(polys)
     if not polys:
-        return lambda point: []
+        return lambda point, den=None: []
     for f in polys:
         polys[0]._check_same_ring(f)
     ring = polys[0].ring
-    field, p = ring.field, ring.field.characteristic
+    field, p, width = ring.field, ring.field.characteristic, len(ring.names)
     used = tuple(dict.fromkeys(name for f in polys for name in f.support_vars()))
-    slot = {ring.position(name): i for i, name in enumerate(used)}
+    # at least one slot per monomial, so the first column starts the products
+    top = max((sum(es) for f in polys for es in f.terms), default=0) or 1
     # bytes hold the same slots in a third of a tuple's memory
-    pack = bytes if len(used) <= 256 else tuple
-    plans = []
-    for f in polys:
-        d = lcm(*(c.denominator for c in f.terms.values()))
-        ks = [c.numerator * (d // c.denominator) for c in f.terms.values()]
-        factors = [pack(slot[i] for i, e in enumerate(es) for _ in range(e)) for es in f.terms]
-        top = max(map(len, factors), default=0)
-        plans.append((d, top, ks, [top - len(at) for at in factors], factors))
-    max_top = max(plan[1] for plan in plans)
+    pack = bytes if width < 256 else tuple
+    ns = [len(f.terms) for f in polys]
+    ds = [lcm(*(c.denominator for c in f.terms.values())) for f in polys]
+    ks = [c.numerator * (d // c.denominator) for f, d in zip(polys, ds) for c in f.terms.values()]
+    monos, idx = polys[0].terms, None
+    if len(polys) > 1:  # a monomial the polynomials share is evaluated once
+        monos = {}
+        idx = [monos.setdefault(es, len(monos)) for f in polys for es in f.terms]
+    exps = chain.from_iterable(es + (top - sum(es),) for es in monos)
+    slots = pack(chain.from_iterable(map(repeat, cycle(range(width + 1)), exps)))
+    columns = [slots[j::top] for j in range(top)]
 
-    def values(point: dict) -> list[Scalar]:
+    def kernel(nums, den):
+        get = [*nums, den].__getitem__
+        mv = map(get, columns[0])
+        # a list now and then keeps the chain of iterators shallow
+        for j, column in enumerate(columns[1:], 1):
+            mv = map(operator.mul, mv if j % 256 else list(mv), map(get, column))
+        if idx is not None:
+            mv = map(list(mv).__getitem__, idx)
+        totals = map(sum, map(islice, repeat(map(operator.mul, ks, mv)), ns))
+        if p:
+            return [t % p for t in totals]
+        scale = den**top
+        return [Fraction(t, d) if t % d else t // d for t, d in zip(totals, map(scale.__mul__, ds))]
+
+    def values(point, den=None):
+        if den is not None:
+            return kernel(point, den)
         for name in used:
             if name not in point:
                 raise SubstitutionError(f"missing coordinate for {name!r}")
         raw = {name: _raw(field, v) for name, v in point.items()}
-        vals = [raw[name] for name in used]
-        den = lcm(*(v.denominator for v in vals))
-        get = [v.numerator * (den // v.denominator) for v in vals].__getitem__
-        powers = [den**e for e in range(max_top + 1)]
-        out = []
-        for d, top, ks, gaps, factors in plans:
-            terms = zip(ks, gaps, factors)
-            total = sum(prod(map(get, at), start=k * powers[gap]) for k, gap, at in terms)
-            out.append(Scalar(field, total % p if p else Fraction(total, d * powers[top])))
-        return out
+        den = lcm(*(v.denominator for v in raw.values()))
+        nums = [raw[n].numerator * (den // raw[n].denominator) if n in raw else 0 for n in ring.names]
+        return [field.scalar(v) for v in kernel(nums, den)]
 
     return values
 

@@ -22,7 +22,7 @@ from polyfunctor import (
     specialise_joint,
     taylor_expand,
 )
-from polyfunctor.errors import DirectionError
+from polyfunctor.errors import AlgebraError, DirectionError
 
 from conftest import ALL_FIELDS, F2, F3, F5, Q, random_poly, random_scalar
 
@@ -91,6 +91,20 @@ def test_direction_outside_subspace_rejected():
 
     with pytest.raises(DirectionError):
         hasse_derivative(f, Vector("d", ("z",), (Q.one(),)), 1, W)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_order_zero_checks_the_direction_and_ring_too(r):
+    ring = xyz_ring(Q)
+    f = parse_polynomial("x*y", ring)
+    W = DirectionSubspace(ring, ("x", "y"))
+    from polyfunctor import Vector
+
+    with pytest.raises(DirectionError, match="designated subspace"):
+        hasse_derivative(f, Vector("d", ("x", "z"), (Q.one(), Q.one())), r, W)
+    other = DirectionSubspace(GradedRing(Q, ["x", "y"]), ("x", "y"))
+    with pytest.raises(AlgebraError, match="different ring"):
+        hasse_derivative(f, other.direction([1, 1]), r, other)
 
 
 def test_scaling_law():

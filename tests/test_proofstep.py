@@ -35,6 +35,7 @@ from polyfunctor.rings import evaluator
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
     DeltaReport,
+    _split_sampler,
     _unit_split_sample,
     pullback_t_coefficients,
     rank_one_minors_plain,
@@ -45,6 +46,11 @@ from polyfunctor.proofstep import (
 from conftest import F3, F5, Q
 
 SPLIT = SumF((TenSymF(), TenAltF()))
+
+
+def _boxed(model, den, nums):
+    """The point name -> Scalar of numerators over den in model.ring order."""
+    return {name: model.field.scalar(Fraction(x, den)) for name, x in zip(model.ring.names, nums)}
 
 
 def split_presentation(field=Q, dim=2):
@@ -388,8 +394,11 @@ def test_certificate_recovers_samples_exactly():
     rng = random.Random(99)
     model_big = coordinate_model(SPLIT, field, 5)
     h_big = report.h.convert(model_big.ring)
+    den, sample = _split_sampler(rng, model_big)
     for _ in range(100):
-        point, (h_val,) = _unit_split_sample(rng, model_big, evaluator((h_big,)))
+        nums, (h_val,) = _unit_split_sample(sample, den, evaluator((h_big,)))
+        point = _boxed(model_big, den, nums)
+        h_val = field.scalar(h_val)
         assert h_val == h_big.evaluate(point)
         for entry in report.certificate.entries:
             recovered = -(entry.numerator.evaluate(point) / h_val ** entry.h_power)
@@ -588,9 +597,13 @@ def test_sampler_golden(key):
     model = coordinate_model(SPLIT, FieldDescriptor.parse(selector), n)
     h_values = evaluator((model.ring.var("z_1_2") * 2,))
     rng = random.Random(31)
+    den, sample = _split_sampler(rng, model)
     lines = []
     for _ in range(80):
-        point = _unit_split_sample(rng, model, h_values)[0] if unit else sample_rank_one_split(rng, model)
+        if unit:
+            point = _boxed(model, den, _unit_split_sample(sample, den, h_values)[0])
+        else:
+            point = sample_rank_one_split(rng, model)
         lines.append(" ".join(sorted(f"{name}={value}" for name, value in point.items())))
     lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_GOLDEN[key]
@@ -658,16 +671,16 @@ def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):
             plans.append(1)
             values = kernel(polys)
 
-            def counted(point):
+            def counted(*point):
                 calls.append(1)
-                return values(point)
+                return values(*point)
 
             return counted
 
         return build
 
-    # GradedPoly.evaluate builds through rings, the three sampling checks
-    # through proofstep
+    # GradedPoly.evaluate builds through rings, the base-locus spot check
+    # and the three sampling checks through proofstep
     one_off = []
     monkeypatch.setattr(rings, "evaluator", counting(one_off))
     monkeypatch.setattr(proofstep, "evaluator", counting(built))
@@ -681,7 +694,7 @@ def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):
         counts.append(len(calls))
         one_off_counts.append(len(one_off))
         # one plan per check, before its sample loop
-        assert len(built) == 3
+        assert len(built) == 4
     # per sample: the t-coefficients, the k's, and h with every certificate
     # numerator, which is also the certificate sampler's unit test
     assert counts[0] - counts[1] <= 4 * 99

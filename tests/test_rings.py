@@ -5,9 +5,12 @@ from polyfunctor import (
     AlgebraError,
     FieldDescriptor,
     GradedRing,
+    coordinate_model,
     parse_polynomial,
 )
 from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
+from polyfunctor.functors import SumF, TenAltF, TenSymF
+from polyfunctor.proofstep import _split_sampler
 from polyfunctor.rings import GradedPoly, _Overflow, _packing, evaluator
 
 from conftest import ALL_FIELDS, F2, F3, Q, random_poly
@@ -397,6 +400,16 @@ def test_evaluator_with_more_variables_than_a_byte_holds():
         _check_against_reference(field, names, term_lists, [point])
 
 
+def test_evaluator_of_a_degree_past_the_chain_bound():
+    # 700 columns of slots: the chain of column products is made a list twice
+    names = ["x", "y"]
+    term_lists = [[((700, 0), Fraction(1, 3)), ((1, 0), 2), ((0, 0), Fraction(-5, 7))],
+                  [((350, 350), 1), ((0, 699), Fraction(3, 4))]]
+    points = [{"x": Fraction(-3, 2), "y": Fraction(2, 5)}, {"x": 1, "y": -1}]
+    for field in (Q, F101):
+        _check_against_reference(field, names, term_lists, points)
+
+
 @pytest.mark.parametrize("p", (3, 101, 32003))
 def test_evaluator_matches_fraction_reference_over_fp(p):
     field = FieldDescriptor.prime_field(p)
@@ -448,6 +461,56 @@ def test_evaluator_fraction_count_does_not_grow_with_the_terms():
         counts.append(_fraction_constructions(lambda: values(point)))
     # one per polynomial: the coordinates are already boxed
     assert counts[0] == counts[1] <= len(point) + 2
+
+
+# -- evaluator: the integer kernel at sampled rank-one points ----------------
+
+
+def _split_model(field, n):
+    return coordinate_model(SumF((TenSymF(), TenAltF())), field, n)
+
+
+@pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
+def test_kernel_matches_substitution_at_rank_one_points(selector):
+    field = FieldDescriptor.parse(selector)
+    model = _split_model(field, 3)
+    ring = model.ring
+    rng = random.Random(17)
+    polys = [random_poly(rng, ring, max_degree=4, max_terms=6) for _ in range(6)]
+    polys += [
+        # non-homogeneous, denominators 2, 4 and 7, and a constant term
+        parse_polynomial("1/2*y_1_1^3 - 3/4*y_1_2*z_2_3 + y_3_3 + 5/7", ring),
+        parse_polynomial("-9/4", ring),
+        ring.zero(),
+        polys[0],  # every monomial shared with an earlier polynomial
+    ]
+    values = evaluator(polys)
+    den, sample = _split_sampler(random.Random(3), model)
+    for _ in range(12):
+        nums = sample()
+        constants = {name: ring.const(Fraction(x, den)) for name, x in zip(ring.names, nums)}
+        got = values(nums, den)
+        assert got == [f.substitute(constants).constant_value().value for f in polys]
+        assert got == [v.value for v in values({n: c.constant_value() for n, c in constants.items()})]
+        assert all(type(v) is int for v in got if field.characteristic or not v)
+
+
+def test_kernel_builds_no_fraction_where_every_value_vanishes():
+    model = _split_model(Q, 2)
+    ring = model.ring
+    # the 2x2 determinant in split coordinates vanishes on rank-one tensors
+    f = parse_polynomial("y_1_1*y_2_2 - y_1_2^2 + z_1_2^2", ring)
+    polys = [f * Fraction(1, 3), f * parse_polynomial("1/2*y_1_1 + 5/7", ring), f]
+    values = evaluator(polys)
+    den, sample = _split_sampler(random.Random(5), model)
+    for _ in range(10):
+        nums, got = sample(), []
+        assert _fraction_constructions(lambda: got.extend(values(nums, den))) == 0
+        assert got == [0, 0, 0]
+    # the guard sees the one Fraction of a value that does not vanish
+    y = evaluator([ring.var("y_1_2") * Fraction(1, 3)])
+    nums = next(nums for nums in iter(sample, None) if nums[ring.position("y_1_2")] % 3)
+    assert _fraction_constructions(lambda: y(nums, den)) == 1
 
 
 # -- substitute: edge cases, against boxed arithmetic as the oracle -----------
