@@ -74,12 +74,14 @@ def _emit(args, text_value: str, json_value):
         print(text_value)
 
 
-def _build_ring(args, extra_names=()):
+def _build_ring(args, inferred=()):
+    """Ring over --field on the --vars list, else on the sorted inferred
+    names, with --weights."""
     field = FieldDescriptor.parse(args.field)
     if args.vars:
         names = [v.strip() for v in args.vars.split(",") if v.strip()]
     else:
-        names = sorted(set(polynomial_variable_names(args.poly)) | set(extra_names))
+        names = sorted(set(inferred))
     if args.weights:
         weights = [int(w) for w in args.weights.split(",")]
         if len(weights) != len(names):
@@ -87,6 +89,16 @@ def _build_ring(args, extra_names=()):
     else:
         weights = [1] * len(names)
     return GradedRing(field, [(n, "main", w) for n, w in zip(names, weights)])
+
+
+def _poly_ring(args):
+    """Ring of --poly and the --w-vars it is differentiated along."""
+    return _build_ring(args, polynomial_variable_names(args.poly) + tuple(args.w_vars.split(",")))
+
+
+def _generators(text, ring) -> list:
+    """The ';'-separated polynomials of text over ring, none for no text."""
+    return [parse_polynomial(g, ring) for g in (text or "").split(";") if g.strip()]
 
 
 def _subspace(args, ring) -> DirectionSubspace:
@@ -207,7 +219,7 @@ def cmd_compare(args):
 
 
 def cmd_hasse(args):
-    ring = _build_ring(args, extra_names=args.w_vars.split(","))
+    ring = _poly_ring(args)
     f = parse_polynomial(args.poly, ring)
     W = _subspace(args, ring)
     w = _direction(args, W)
@@ -216,7 +228,7 @@ def cmd_hasse(args):
 
 
 def cmd_taylor(args):
-    ring = _build_ring(args, extra_names=args.w_vars.split(","))
+    ring = _poly_ring(args)
     f = parse_polynomial(args.poly, ring)
     W = _subspace(args, ring)
     expanded = taylor_expand(f, W, args.t)
@@ -224,7 +236,7 @@ def cmd_taylor(args):
 
 
 def cmd_dderiv(args):
-    ring = _build_ring(args, extra_names=args.w_vars.split(","))
+    ring = _poly_ring(args)
     f = parse_polynomial(args.poly, ring)
     W = _subspace(args, ring)
     w = _direction(args, W)
@@ -242,19 +254,8 @@ def cmd_dderiv(args):
 
 
 def cmd_delta(args):
-    field = FieldDescriptor.parse(args.field)
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    weights = (
-        [int(w) for w in args.weights.split(",")] if args.weights else [1] * len(names)
-    )
-    ring = GradedRing(field, [(n, "main", w) for n, w in zip(names, weights)])
-    generators = [parse_polynomial(g, ring) for g in args.generators.split(";") if g.strip()]
-    q_generators = (
-        [parse_polynomial(g, ring) for g in args.q_generators.split(";") if g.strip()]
-        if args.q_generators
-        else []
-    )
-    report = delta_degree(generators, q_generators)
+    ring = _build_ring(args)
+    report = delta_degree(_generators(args.generators, ring), _generators(args.q_generators, ring))
     witness = report.witness.to_text() if report.witness is not None else None
     text_lines = [f"status: {report.status}"]
     if report.status == "finite":
@@ -275,16 +276,8 @@ def cmd_proofstep(args):
     functor = parse_functor(args.functor)
     model = coordinate_model(functor, field, args.u)
     f = parse_polynomial(args.f, model.ring)
-    generators = [f]
-    if args.generators:
-        generators = [
-            parse_polynomial(g, model.ring) for g in args.generators.split(";") if g.strip()
-        ]
-    q_generators = (
-        [parse_polynomial(g, model.ring) for g in args.q_generators.split(";") if g.strip()]
-        if args.q_generators
-        else []
-    )
+    generators = _generators(args.generators, model.ring) if args.generators else [f]
+    q_generators = _generators(args.q_generators, model.ring)
     if args.r_part:
         r_label = args.r_part
     else:

@@ -33,8 +33,9 @@ from .fields import FieldDescriptor
 from .matrices import (
     LinearMapMatrix,
     _add_block,
-    _from_terms,
-    _slices,
+    _diagonal,
+    _place,
+    coefficient_matrix,
     identity_matrix,
     matrix_rank,
     shift_embedding,
@@ -336,32 +337,15 @@ def normalize(expr: FunctorExpr) -> tuple[FunctorExpr, ...]:
             if combined is not None:
                 out.append(combined)
         return tuple(out)
-    if isinstance(expr, SymF):
+    if isinstance(expr, (SymF, ExtF)):
+        atom_of = _sym_atom if isinstance(expr, SymF) else _ext_atom
         inner = normalize(expr.inner)
         out = []
         for comp in _compositions(expr.power, len(inner)):
             factors = []
             dead = False
             for d_i, s_i in zip(comp, inner):
-                atom = _sym_atom(d_i, s_i)
-                if atom is None:
-                    dead = True
-                    break
-                factors.append(atom)
-            if dead:
-                continue
-            combined = _tensor_combine(factors) if factors else ConstF(1)
-            if combined is not None:
-                out.append(combined)
-        return tuple(out)
-    if isinstance(expr, ExtF):
-        inner = normalize(expr.inner)
-        out = []
-        for comp in _compositions(expr.power, len(inner)):
-            factors = []
-            dead = False
-            for d_i, s_i in zip(comp, inner):
-                atom = _ext_atom(d_i, s_i)
+                atom = atom_of(d_i, s_i)
                 if atom is None:
                     dead = True
                     break
@@ -496,10 +480,6 @@ def label_vdeg(label, split: int) -> int:
     raise AlgebraError(f"unknown basis label {label!r}")
 
 
-def label_degree(label) -> int:
-    return label_vdeg(label, 0)
-
-
 def _expr_label_vdeg(expr: FunctorExpr, label, split: int) -> int:
     """label_vdeg of a basis label of expr, where the split point is raised
     by b under every shift(b, .): its first b leaf indices are constant."""
@@ -575,7 +555,7 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
     col_tuples = list(choose(range(len(a.col_labels)), power))
     row_pos = {idx: i for i, idx in enumerate(row_tuples)}
     columns = [[] for _ in a.col_labels]
-    for e, (rows, cols, block) in _slices(a).items():
+    for e, (rows, cols, block) in a.slices.items():
         for q, j in enumerate(cols):
             columns[j].append((e, [(i, row[q]) for i, row in zip(rows, block) if row[q]]))
     p = a.ring.field.characteristic
@@ -598,15 +578,15 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
     tag = "ext" if alternating else "sym"
     row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
     col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
-    return _from_terms(row_labels, col_labels, a.ring, terms)
+    return LinearMapMatrix._of_terms(row_labels, col_labels, a.ring, terms)
 
 
 def _tensor_matrix(maps) -> LinearMapMatrix:
     # Kronecker products of monomial slices, row-major composite indices
-    blocks = [(e, *s) for e, s in _slices(maps[0]).items()]
+    blocks = [(e, *s) for e, s in maps[0].slices.items()]
     for m in maps[1:]:
         height, width = len(m.row_labels), len(m.col_labels)
-        slices = _slices(m).items()
+        slices = m.slices.items()
         blocks = [
             (
                 tuple(map(add, e, f)),
@@ -622,7 +602,7 @@ def _tensor_matrix(maps) -> LinearMapMatrix:
     terms = [[{} for _ in col_labels] for _ in row_labels]
     for block in blocks:
         _add_block(terms, maps[0].ring.field.characteristic, *block)
-    return _from_terms(row_labels, col_labels, maps[0].ring, terms)
+    return LinearMapMatrix._of_terms(row_labels, col_labels, maps[0].ring, terms)
 
 
 def _block_diag(blocks, indices) -> LinearMapMatrix:
@@ -632,19 +612,13 @@ def _block_diag(blocks, indices) -> LinearMapMatrix:
     for idx, b in zip(indices, blocks):
         row_labels.extend(("s", idx, lab) for lab in b.row_labels)
         col_labels.extend(("s", idx, lab) for lab in b.col_labels)
-    zero = ring.zero()
-    total_rows = sum(len(b.row_labels) for b in blocks)
-    total_cols = sum(len(b.col_labels) for b in blocks)
-    rows = [[zero] * total_cols for _ in range(total_rows)]
-    r0 = 0
-    c0 = 0
+    terms = [[{} for _ in col_labels] for _ in row_labels]
+    r0 = c0 = 0
     for b in blocks:
-        for i, row in enumerate(b.rows):
-            for j, e in enumerate(row):
-                rows[r0 + i][c0 + j] = e
+        _place(terms, ring.field.characteristic, b, r0, c0)
         r0 += len(b.row_labels)
         c0 += len(b.col_labels)
-    return LinearMapMatrix._built(tuple(row_labels), tuple(col_labels), ring, rows)
+    return LinearMapMatrix._of_terms(row_labels, col_labels, ring, terms)
 
 
 def _refuse_char2(field: FieldDescriptor):
@@ -666,7 +640,7 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
     row_at = {pair: r for r, pair in enumerate(row_pairs)}
     col_at = {pair: c for c, pair in enumerate(col_pairs)}
-    slices = [(e, *s) for e, s in _slices(phi).items()]
+    slices = [(e, *s) for e, s in phi.slices.items()]
     p = phi.ring.field.characteristic
     terms = [[{} for _ in col_pairs] for _ in row_pairs]
     for e, rows_a, cols_a, a in slices:
@@ -680,7 +654,7 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
             ]
             block = [[s * x[q] * y[r] for _, s, q, r in spots] for _, x, y in pairs]
             _add_block(terms, p, tuple(map(add, e, f)), [r for r, _, _ in pairs], [c for c, *_ in spots], block)
-    return _from_terms(
+    return LinearMapMatrix._of_terms(
         tuple((tag,) + pair for pair in row_pairs),
         tuple((tag,) + pair for pair in col_pairs),
         phi.ring,
@@ -710,20 +684,10 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
         return _power_matrix(induced_map(expr.inner, phi), expr.power, True)
     if isinstance(expr, ShiftF):
         u = expr.by
-        n = len(phi.col_labels)
-        m = len(phi.row_labels)
-        zero = ring.zero()
-        one = ring.one()
-        rows = []
-        for a in range(u + m):
-            row = []
-            for b in range(u + n):
-                if a < u or b < u:
-                    row.append(one if a == b else zero)
-                else:
-                    row.append(phi.rows[a - u][b - u])
-            rows.append(row)
-        widened = LinearMapMatrix._built(space_labels(u + m), space_labels(u + n), ring, rows)
+        m, n = phi.shape
+        terms = _diagonal(u + m, u + n, ring, u)
+        _place(terms, ring.field.characteristic, phi, u, u)
+        widened = LinearMapMatrix._of_terms(space_labels(u + m), space_labels(u + n), ring, terms)
         return induced_map(expr.inner, widened)
     if isinstance(expr, QuotF):
         summands = normalize(expr.inner)
@@ -776,10 +740,10 @@ def shift_maps(P: FunctorExpr, field: FieldDescriptor, u: int, n: int) -> ShiftM
     top_rows = [i for i, lab in enumerate(small_labels) if _expr_label_vdeg(P, lab, 0) == d]
     iso = len(top_cols) == len(top_rows)
     if iso and top_rows:
-        sub = [
-            [beta.rows[r][c].constant_value() for c in top_cols] for r in top_rows
-        ]
-        iso = matrix_rank(sub, field) == len(top_rows)
+        top = coefficient_matrix(beta, (), top_rows, top_cols, beta.ring)
+        # the top block has the rank of its nonzero rows and columns
+        _, _, block = top.slices.get((), ((), (), []))
+        iso = matrix_rank(block, field) == len(top_rows)
     return ShiftMaps(alpha, beta, composite_ok, iso, len(top_cols), len(top_rows))
 
 

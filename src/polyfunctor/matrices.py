@@ -1,12 +1,14 @@
 """Basis-labelled matrices with exact scalar or polynomial entries.
 
 A LinearMapMatrix stores explicit row and column labels so induced maps of
-functors stay auditable.  Entries are GradedPoly values over a declared
-entry ring; a ring with no variables represents plain scalars.  Composition
-and the induced-map kernels split a matrix into monomial slices, one dense
-block of raw coefficients per exponent vector over the rows and columns
-where it has terms (a single one for scalars), multiply slices by plain dot
-products and reduce each result entry once.
+functors stay auditable, and its entries, polynomials over a declared entry
+ring (a ring with no variables represents plain scalars), as monomial slices
+only: per exponent vector the rows and columns where it has terms and one
+dense block of its raw coefficients there (a single slice for scalars).
+Kernels fill a grid of term dicts and one function turns it into slices, so
+equal matrices have equal slices.  Composition and the induced-map kernels
+multiply slices by plain dot products; entries are boxed as polynomials
+only when rows or entry_by_label is read, once per matrix.
 Also home to the small exact linear algebra the package needs: Gaussian
 rank over a field, and one fraction-free Gauss-Jordan solve of a square
 polynomial system that yields its determinant and every Cramer numerator.
@@ -31,42 +33,52 @@ def scalar_entry_ring(field: FieldDescriptor) -> GradedRing:
 class LinearMapMatrix:
     """Matrix of a linear map between spaces with labelled bases."""
 
-    __slots__ = ("row_labels", "col_labels", "ring", "rows", "_row_pos", "_col_pos")
+    __slots__ = ("row_labels", "col_labels", "ring", "slices", "_rows", "_row_pos", "_col_pos")
 
     def __init__(self, row_labels, col_labels, ring: GradedRing, rows):
-        coerced = []
+        row_labels, col_labels = tuple(row_labels), tuple(col_labels)
+        terms = []
         for row in rows:
             out = []
             for entry in row:
-                if isinstance(entry, GradedPoly):
-                    if entry.ring is not ring and entry.ring != ring:
-                        raise AlgebraError("matrix entry in a foreign ring")
-                    out.append(entry)
-                else:
-                    out.append(ring.const(entry))
-            coerced.append(tuple(out))
-        self._set(row_labels, col_labels, ring, coerced)
-        if len(self.rows) != len(self.row_labels):
+                if not isinstance(entry, GradedPoly):
+                    entry = ring.const(entry)
+                elif entry.ring is not ring and entry.ring != ring:
+                    raise AlgebraError("matrix entry in a foreign ring")
+                out.append(entry.terms)
+            terms.append(out)
+        if len(terms) != len(row_labels):
             raise AlgebraError("row count does not match row labels")
-        for row in self.rows:
-            if len(row) != len(self.col_labels):
-                raise AlgebraError("column count does not match column labels")
+        if any(len(row) != len(col_labels) for row in terms):
+            raise AlgebraError("column count does not match column labels")
+        self._set(row_labels, col_labels, ring, terms)
 
     @classmethod
-    def _built(cls, row_labels, col_labels, ring: GradedRing, rows) -> "LinearMapMatrix":
-        """Matrix of rows a kernel built from polynomials of ring, in the shape
-        of the labels: no entry is walked again."""
+    def _of_terms(cls, row_labels, col_labels, ring: GradedRing, terms) -> "LinearMapMatrix":
+        """Matrix of a grid of canonical term dicts in the shape of the labels."""
         self = cls.__new__(cls)
-        self._set(row_labels, col_labels, ring, rows)
+        self._set(row_labels, col_labels, ring, terms)
         return self
 
-    def _set(self, row_labels, col_labels, ring, rows):
+    def _set(self, row_labels, col_labels, ring, terms):
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
         self.ring = ring
-        self.rows = tuple(map(tuple, rows))
+        self.slices = _slices(terms, len(self.col_labels))
+        self._rows = None
         self._row_pos = {lab: i for i, lab in enumerate(self.row_labels)}
         self._col_pos = {lab: i for i, lab in enumerate(self.col_labels)}
+
+    @property
+    def rows(self):
+        """Entries as polynomials, boxed on the first read."""
+        if self._rows is None:
+            terms = [[{} for _ in self.col_labels] for _ in self.row_labels]
+            _place(terms, 0, self, 0, 0)
+            self._rows = tuple(
+                tuple(GradedPoly(self.ring, t, _canonical=True) for t in row) for row in terms
+            )
+        return self._rows
 
     @property
     def shape(self):
@@ -87,7 +99,7 @@ class LinearMapMatrix:
         # with a trailing 0 that stands for every row where it has no term
         right = {
             f: ({k: q for q, k in enumerate(rows)}, cols, [col + (0,) for col in zip(*block)])
-            for f, (rows, cols, block) in _slices(other).items()
+            for f, (rows, cols, block) in other.slices.items()
         }
         meets = defaultdict(list)  # inner index -> right slices with a term in that row
         for f, (at, _, _) in right.items():
@@ -95,35 +107,29 @@ class LinearMapMatrix:
                 meets[k].append(f)
         p = self.ring.field.characteristic
         terms = [[{} for _ in other.col_labels] for _ in self.row_labels]
-        for e, (rows, inner, block) in _slices(self).items():
+        for e, (rows, inner, block) in self.slices.items():
             for f in dict.fromkeys(f for k in inner for f in meets[k]):
                 at, cols, columns = right[f]
                 picked = [[col[at.get(k, -1)] for k in inner] for col in columns]
                 products = [[sum(map(mul, row, col)) for col in picked] for row in block]
                 _add_block(terms, p, tuple(map(add, e, f)), rows, cols, products)
-        return _from_terms(self.row_labels, other.col_labels, self.ring, terms)
+        return LinearMapMatrix._of_terms(self.row_labels, other.col_labels, self.ring, terms)
 
     def scale(self, factor) -> "LinearMapMatrix":
-        return LinearMapMatrix._built(
-            self.row_labels,
-            self.col_labels,
-            self.ring,
-            [[e * factor for e in row] for row in self.rows],
-        )
+        factor = self.ring.one() * factor
+        p = self.ring.field.characteristic
+        terms = [[{} for _ in self.col_labels] for _ in self.row_labels]
+        for e, (rows, cols, block) in self.slices.items():
+            for f, c in factor.terms.items():
+                scaled = [[v * c for v in row] for row in block]
+                _add_block(terms, p, tuple(map(add, e, f)), rows, cols, scaled)
+        return LinearMapMatrix._of_terms(self.row_labels, self.col_labels, self.ring, terms)
 
     def is_identity(self) -> bool:
-        if self.row_labels != self.col_labels:
-            return False
-        one = self.ring.one()
-        zero = self.ring.zero()
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if e != (one if i == j else zero):
-                    return False
-        return True
+        return self == identity_matrix(self.row_labels, self.ring)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not self.slices
 
     def __eq__(self, other):
         return (
@@ -131,7 +137,7 @@ class LinearMapMatrix:
             and self.row_labels == other.row_labels
             and self.col_labels == other.col_labels
             and self.ring == other.ring
-            and self.rows == other.rows
+            and self.slices == other.slices
         )
 
     def __hash__(self):
@@ -144,16 +150,16 @@ class LinearMapMatrix:
         return "\n".join(lines)
 
 
-def _slices(m: LinearMapMatrix) -> dict:
-    """Monomial slices of a matrix: exponents -> (rows, columns, block), the
-    row and column indices where that monomial has a term and the dense
-    block of its raw coefficients there, 0 where it is absent."""
-    width = len(m.col_labels)
+def _slices(terms, width: int) -> dict:
+    """Monomial slices of a grid of term dicts with width columns: exponents
+    -> (rows, columns, block), the row and column indices where that monomial
+    has a term and the dense block of its raw coefficients there, 0 where it
+    is absent."""
     support = defaultdict(list)  # exponents -> [(row index, full-width row)]
-    for i, row in enumerate(m.rows):
+    for i, row in enumerate(terms):
         here = defaultdict(lambda: [0] * width)
-        for j, entry in enumerate(row):
-            for exps, c in entry.terms.items():
+        for j, t in enumerate(row):
+            for exps, c in t.items():
                 here[exps][j] = c
         for exps, r in here.items():
             support[exps].append((i, r))
@@ -184,10 +190,55 @@ def _add_block(terms, p, exps, rows, cols, block):
                     t.pop(exps, None)
 
 
-def _from_terms(row_labels, col_labels, ring: GradedRing, terms) -> LinearMapMatrix:
-    """Matrix of a grid of canonical term dicts."""
-    rows = [[GradedPoly(ring, t, _canonical=True) for t in out] for out in terms]
-    return LinearMapMatrix._built(row_labels, col_labels, ring, rows)
+def _place(terms, p, m: LinearMapMatrix, row0: int, col0: int):
+    """Add the slices of m to a grid of term dicts, its first entry at
+    (row0, col0)."""
+    for e, (rows, cols, block) in m.slices.items():
+        _add_block(terms, p, e, [row0 + i for i in rows], [col0 + j for j in cols], block)
+
+
+def _diagonal(height: int, width: int, ring: GradedRing, size: int):
+    """Grid of term dicts with a 1 at (i, i) for every i < size and nothing
+    elsewhere."""
+    unit = (0,) * len(ring.names)
+    return [[{unit: 1} if i == j < size else {} for j in range(width)] for i in range(height)]
+
+
+def coefficient_matrix(m: LinearMapMatrix, exps, rows, cols, ring: GradedRing) -> LinearMapMatrix:
+    """The coefficient of x^exps in m on the given row and column indices, as
+    a matrix of constants of ring, read off the slice of exps."""
+    at_row = {i: a for a, i in enumerate(rows)}
+    at_col = {j: b for b, j in enumerate(cols)}
+    unit = (0,) * len(ring.names)
+    terms = [[{} for _ in cols] for _ in rows]
+    slice_rows, slice_cols, block = m.slices.get(exps, ((), (), ()))
+    for i, values in zip(slice_rows, block):
+        if i in at_row:
+            out = terms[at_row[i]]
+            for j, v in zip(slice_cols, values):
+                if v and j in at_col:
+                    out[at_col[j]][unit] = v
+    return LinearMapMatrix._of_terms(
+        [m.row_labels[i] for i in rows], [m.col_labels[j] for j in cols], ring, terms
+    )
+
+
+def row_forms(m: LinearMapMatrix, ring: GradedRing, col_names, entry_names=()) -> list:
+    """Each row i of m as the polynomial sum_j m[i][j] * col_names[j] over
+    ring, the variables of m's entries renamed to entry_names."""
+    at = [ring.position(name) for name in col_names]
+    entry_at = [ring.position(name) for name in entry_names]
+    forms = [{} for _ in m.row_labels]
+    for e, (rows, cols, block) in m.slices.items():
+        for i, values in zip(rows, block):
+            for j, v in zip(cols, values):
+                if v:
+                    exps = [0] * len(ring.names)
+                    for k, x in zip(entry_at, e):
+                        exps[k] = x
+                    exps[at[j]] += 1
+                    forms[i][tuple(exps)] = v
+    return [GradedPoly(ring, f, _canonical=True) for f in forms]
 
 
 def space_labels(n: int):
@@ -196,10 +247,8 @@ def space_labels(n: int):
 
 def identity_matrix(labels, ring: GradedRing) -> LinearMapMatrix:
     labels = tuple(labels)
-    one = ring.one()
-    zero = ring.zero()
-    rows = [[one if i == j else zero for j in range(len(labels))] for i in range(len(labels))]
-    return LinearMapMatrix._built(labels, labels, ring, rows)
+    n = len(labels)
+    return LinearMapMatrix._of_terms(labels, labels, ring, _diagonal(n, n, ring, n))
 
 
 def space_matrix(field: FieldDescriptor, entries, ring: GradedRing | None = None) -> LinearMapMatrix:
@@ -226,23 +275,18 @@ def shift_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
 def base_projection(field: FieldDescriptor, u: int, n: int, ring: GradedRing | None = None) -> LinearMapMatrix:
     """Projection of the (u+n)-space onto its first u coordinates."""
     ring = ring or scalar_entry_ring(field)
-    rows = [[ring.one() if a == b else ring.zero() for b in range(u + n)] for a in range(u)]
-    return LinearMapMatrix._built(space_labels(u), space_labels(u + n), ring, rows)
+    return LinearMapMatrix._of_terms(space_labels(u), space_labels(u + n), ring, _diagonal(u, u + n, ring, u))
 
 
 def graft_columns(identity_side: int, tail: LinearMapMatrix) -> LinearMapMatrix:
     """[I | T] for a map from a (u+n)-space to the u-space, T the u x n tail."""
     u = identity_side
-    ring = tail.ring
     if len(tail.row_labels) != u:
         raise AlgebraError("tail height must equal the identity side")
     n = len(tail.col_labels)
-    rows = []
-    for a in range(u):
-        row = [ring.one() if a == b else ring.zero() for b in range(u)]
-        row.extend(tail.rows[a])
-        rows.append(row)
-    return LinearMapMatrix._built(space_labels(u), space_labels(u + n), ring, rows)
+    terms = _diagonal(u, u + n, tail.ring, u)
+    _place(terms, tail.ring.field.characteristic, tail, 0, u)
+    return LinearMapMatrix._of_terms(space_labels(u), space_labels(u + n), tail.ring, terms)
 
 
 def matrix_rank(entries, field: FieldDescriptor) -> int:

@@ -63,9 +63,11 @@ from .hasse import (
 from .matrices import (
     LinearMapMatrix,
     base_projection,
+    coefficient_matrix,
     cramer_solve,
     graft_columns,
     matrix_rank,
+    row_forms,
     scalar_entry_ring,
     space_matrix,
 )
@@ -366,33 +368,23 @@ def projection_coefficients(
         idx_set = {dec.index_of(s.label) for s in summands}
         rows_sel = [i for i, lab in enumerate(full.row_labels) if lab[1] in idx_set]
         cols_sel = [j for j, lab in enumerate(full.col_labels) if lab[1] in idx_set]
-        row_labels = tuple(full.row_labels[i] for i in rows_sel)
-        col_labels = tuple(full.col_labels[j] for j in cols_sel)
-        coeffs = []
-        for power in range(e + 1):
-            rows = [
-                [full.rows[i][j].coeff_of_power("t", power, scalar_ring) for j in cols_sel]
-                for i in rows_sel
-            ]
-            coeffs.append(LinearMapMatrix(row_labels, col_labels, scalar_ring, rows))
+
+        def block(m, exps):
+            return coefficient_matrix(m, exps, rows_sel, cols_sel, scalar_ring)
+
+        coeffs = tuple(block(full, (power,)) for power in range(e + 1))
         # invariant: the t-degree never exceeds the homogeneous degree
-        for i in rows_sel:
-            for j in cols_sel:
-                if full.rows[i][j].max_power("t") > e:
-                    raise InternalCheckError("parameter degree exceeds homogeneous degree")
+        if any(power > e and not block(full, (power,)).is_zero() for (power,) in full.slices):
+            raise InternalCheckError("parameter degree exceeds homogeneous degree")
         # invariant: t^0 block is the base projection, t^e block is [0|phi]
-        for mat, reference in ((coeffs[0], proj), (coeffs[e], top)):
-            for rl in row_labels:
-                for cl in col_labels:
-                    if mat.entry_by_label(rl, cl) != reference.entry_by_label(rl, cl):
-                        raise InternalCheckError("coefficient matrix mismatch at the ends")
+        if coeffs[0] != block(proj, ()) or coeffs[e] != block(top, ()):
+            raise InternalCheckError("coefficient matrix mismatch at the ends")
         # invariant: t^i kills basis vectors of moving degree != i
         for power, mat in enumerate(coeffs):
-            for j, cl in enumerate(col_labels):
-                if label_vdeg(cl[2], u) != power:
-                    if any(row[j] for row in mat.rows):
-                        raise InternalCheckError("coefficient matrix misses the vanishing pattern")
-        by_degree[e] = tuple(coeffs)
+            for _, cols, _ in mat.slices.values():
+                if any(label_vdeg(mat.col_labels[j][2], u) != power for j in cols):
+                    raise InternalCheckError("coefficient matrix misses the vanishing pattern")
+        by_degree[e] = coeffs
     return ProjectionCoefficients(u, n, phi, by_degree, full, proj)
 
 
@@ -439,23 +431,9 @@ def extract_additive_element(
     t_name = fresh_name("t", set(model_big.ring.names))
     ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
     # pull back every base-side coordinate through the parametrised matrix
-    mapping = {}
-    for i, row_label in enumerate(full.row_labels):
-        acc = ext.zero()
-        for j, col_label in enumerate(full.col_labels):
-            entry = full.rows[i][j]
-            if not entry:
-                continue
-            renamed = GradedPoly(
-                ext,
-                {
-                    _embed_t_exps(ext, t_name, exps): c
-                    for exps, c in entry.terms.items()
-                },
-                _canonical=True,
-            )
-            acc = acc + renamed * ext.var(model_big.name_of[col_label])
-        mapping[model_u.name_of[row_label]] = acc
+    big_names = [model_big.name_of[lab] for lab in full.col_labels]
+    forms = row_forms(full, ext, big_names, (t_name,))
+    mapping = {model_u.name_of[lab]: form for lab, form in zip(full.row_labels, forms)}
     f_sub = f.substitute(mapping)
     k = f_sub.coeff_of_power(t_name, d * q_power, model_big.ring)
     pullback = f_sub
@@ -505,13 +483,6 @@ def extract_additive_element(
     )
 
 
-def _embed_t_exps(ext: GradedRing, t_name: str, exps):
-    pos = ext.position(t_name)
-    out = [0] * len(ext.names)
-    out[pos] = exps[0]
-    return tuple(out)
-
-
 def _check_derivative_formula(
     f: GradedPoly,
     model_u: CoordinateModel,
@@ -547,29 +518,15 @@ def _check_derivative_formula(
         )
     # base projection pullback of the base-side coordinates
     proj = projection.base
-    mapping = {}
-    for i, row_label in enumerate(proj.row_labels):
-        acc = joint_ring.zero()
-        for j, col_label in enumerate(proj.col_labels):
-            entry = proj.rows[i][j]
-            if entry:
-                acc = acc + joint_ring.var(model_big.name_of[col_label]) * entry.constant_value()
-        mapping[model_u.name_of[row_label]] = acc
+    forms = row_forms(proj, joint_ring, [model_big.name_of[lab] for lab in proj.col_labels])
+    mapping = {model_u.name_of[lab]: form for lab, form in zip(proj.row_labels, forms)}
     # substitute the symbolic direction through the summand map of phi
     r_idx = model_u.decomposition.index_of(r_label)
-    r_expr = model_u.decomposition.summand(r_label).expr
-    r_map = induced_map(r_expr, projection.phi)
-    cols_at_n = basis_labels(r_expr, projection.n)
+    r_map = induced_map(model_u.decomposition.summand(r_label).expr, projection.phi)
+    copy_names = [copy_of_big[model_big.name_of[("s", r_idx, shift_label(lab, u))]] for lab in r_map.col_labels]
+    forms = dict(zip(r_map.row_labels, row_forms(r_map, joint_ring, copy_names)))
     for orig, copy in dd_f.copies:
-        lab_u = model_u.label_of[orig][2]
-        acc = joint_ring.zero()
-        for lab_n in cols_at_n:
-            entry = r_map.entry_by_label(lab_u, lab_n)
-            if not entry:
-                continue
-            big_name = model_big.name_of[("s", r_idx, shift_label(lab_n, u))]
-            acc = acc + joint_ring.var(copy_of_big[big_name]) * entry.constant_value()
-        mapping[copy] = acc
+        mapping[copy] = forms[model_u.label_of[orig][2]]
     rhs = dd_f.joint.substitute(mapping)
     if rhs != lhs:
         raise InternalCheckError("derivative-compatibility identity failed")

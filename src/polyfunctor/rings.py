@@ -331,10 +331,6 @@ class GradedPoly:
                 terms[exps[:i] + exps[i + 1:]] = c
         return GradedPoly(target_ring, terms, _canonical=True)
 
-    def max_power(self, var: str) -> int:
-        i = self.ring.position(var)
-        return max((exps[i] for exps in self.terms), default=0)
-
     def powers_of(self, var: str) -> tuple[int, ...]:
         i = self.ring.position(var)
         return tuple(sorted({exps[i] for exps in self.terms}))

@@ -141,6 +141,16 @@ def test_delta_command(capsys):
     assert "delta: 4" in out
 
 
+@pytest.mark.parametrize("weights", ["2", "2,1,1"])
+def test_delta_refuses_weights_that_disagree_with_the_variables(capsys, weights):
+    code, out, err = run_cli(
+        capsys, "delta", "--field", "q", "--vars", "x,y", "--weights", weights,
+        "--generators", "x",
+    )
+    assert code == 1 and out == ""
+    assert "weights and variables disagree in length" in err
+
+
 def test_proofstep_command(capsys):
     code, out, _ = run_cli(
         capsys,

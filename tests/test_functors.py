@@ -29,7 +29,7 @@ from polyfunctor import (
     space_matrix,
     split_tensor_square,
 )
-from polyfunctor.functors import basis_labels, dimension_sequence, label_degree, label_vdeg
+from polyfunctor.functors import basis_labels, dimension_sequence, label_vdeg
 from polyfunctor.matrices import identity_matrix
 
 from conftest import F2, F3, Q, random_functor, random_matrix
@@ -328,7 +328,7 @@ def test_basis_labels_deterministic_and_degree_aware():
     expr = SymF(2, IdF())
     labels = basis_labels(expr, 2)
     assert len(labels) == 3
-    assert all(label_degree(lab) == 2 for lab in labels)
+    assert all(label_vdeg(lab, 0) == 2 for lab in labels)
     # moving degree counts indices beyond the split point
     split_counts = sorted(label_vdeg(lab, 1) for lab in labels)
     assert split_counts == [0, 1, 2]

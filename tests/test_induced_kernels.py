@@ -7,7 +7,8 @@ the power kernel, functoriality over a ring with variables, composition
 against a direct polynomial product, matrices of distinct coordinate
 variables, whose monomial slices have one term each, and a guard that
 induced maps and their composition never fall back to boxed arithmetic or
-per-entry polynomial products.
+per-entry polynomial products, and box entries as polynomials only when
+their rows are read.
 """
 
 import hashlib
@@ -244,7 +245,8 @@ def _product(a, b):
 @pytest.mark.parametrize("field", [Q, FieldDescriptor.prime_field(5)])
 @pytest.mark.parametrize("expr_text", ["sym(2,id)", "sym(3,id)", "ext(2,id)", "ext(3,id)",
                                        "tensor(id,sym(2,id))", "tsym", "talt",
-                                       "shift(1,ext(2,id))", "sym(2,ext(2,id))"])
+                                       "shift(1,ext(2,id))", "sym(2,ext(2,id))",
+                                       "sum(id,shift(1,id))", "quot(sum(sym(2,id),id),1)"])
 def test_functoriality_with_polynomial_entries(expr_text, field):
     expr = parse_functor(expr_text)
     a = _xy_matrix(field, 3, 3, 20)
@@ -406,3 +408,39 @@ def test_induced_map_makes_no_boxed_products(expr_text, field, monkeypatch):
         induced = induced_map(expr, phi)
         assert not induced.is_zero()
     assert calls == {GradedPoly: 0, Scalar: 0, "_raw_mul_into": 0}
+
+
+def _count_boxes(monkeypatch):
+    """Counter of GradedPoly constructions, the boxing of matrix entries."""
+    calls = {GradedPoly: 0}
+    init = GradedPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls[GradedPoly] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedPoly, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+@pytest.mark.parametrize("expr_text", ["sym(2,id)", "ext(2,id)", "tensor(id,sym(2,id))", "tsym",
+                                       "talt", "const(2)", "shift(1,sym(2,id))",
+                                       "sum(id,shift(1,id))", "quot(sum(sym(2,id),id),1)"])
+def test_matrices_box_entries_only_when_rows_are_read(expr_text, field, monkeypatch):
+    expr = parse_functor(expr_text)
+    pairs = ((_scalar_phi(field, 3, 3, 34), _scalar_phi(field, 3, 3, 35)),
+             (_t_parametrised(field, 2, 1, 36), _affine_t(field, 3, 37)))
+    calls = _count_boxes(monkeypatch)
+    composed = []
+    for a, b in pairs:
+        fa, fb = induced_map(expr, a), induced_map(expr, b)
+        composed.append(fa.compose(fb))
+        assert composed[-1] == fa.compose(fb) and fa == induced_map(expr, a)
+    assert calls == {GradedPoly: 0}
+    for m in composed:
+        before = calls[GradedPoly]
+        rows = m.rows
+        assert calls[GradedPoly] - before == len(m.row_labels) * len(m.col_labels)
+        assert m.rows is rows and m.entry_by_label(m.row_labels[0], m.col_labels[-1]) is rows[0][-1]
+        assert calls[GradedPoly] - before == len(m.row_labels) * len(m.col_labels)
