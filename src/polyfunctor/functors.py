@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -32,9 +31,8 @@ from .errors import AlgebraError, CharacteristicError, ParseError
 from .fields import FieldDescriptor
 from .matrices import (
     LinearMapMatrix,
-    _add_block,
     _diagonal,
-    _place,
+    _SliceSum,
     coefficient_matrix,
     identity_matrix,
     matrix_rank,
@@ -520,23 +518,27 @@ def shift_label(label, by: int):
 
 
 def _times_column(acc: dict, column, alternating: bool) -> dict:
-    """acc, a map from (exponents, sorted row-index tuple) to raw
-    coefficients, times the image sum_i a[i][c] e_i of one column, given per
-    monomial slice as (exponents, [(i, raw coefficient)])."""
+    """acc, exponents -> {int key of a row multiset: raw coefficient}, times
+    the image sum_i a[i][c] e_i of one column, given per monomial slice as
+    (exponents, [(key of {i}, mask of the indices above i, raw coefficient)]).
+    An exterior key is the bitmask S of its rows: e_S ^ e_i is 0 when S holds
+    i, else its sign is the parity of the count of S's indices above i.  A
+    symmetric key counts each index in a fixed-width bit field, so the keys
+    of multisets add."""
     new: dict = {}
-    for (e1, ms), coeff in acc.items():
+    for e1, keyed in acc.items():
         for e2, live in column:
             exps = tuple(map(add, e1, e2))
-            for i, c in live:
-                pos = bisect_right(ms, i)
-                if alternating:
-                    if pos and ms[pos - 1] == i:
-                        continue
-                    # e_ms ^ e_i: e_i moves past the len(ms) - pos larger indices
-                    if (len(ms) - pos) & 1:
-                        c = -c
-                key = (exps, ms[:pos] + (i,) + ms[pos:])
-                new[key] = new.get(key, 0) + coeff * c
+            out = new.setdefault(exps, {})
+            for key, coeff in keyed.items():
+                for bit, above, c in live:
+                    if alternating:
+                        if key & bit:
+                            continue
+                        if (key & above).bit_count() & 1:
+                            c = -c
+                    k = key + bit
+                    out[k] = out.get(k, 0) + coeff * c
     return new
 
 
@@ -545,22 +547,25 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
     alternating.
 
     The column of e_c1...e_ck is (A e_c1)...(A e_ck), expanded one factor at
-    a time; in the alternating case this gives every k x k minor without a
-    determinant.  Column tuples come in lexicographic order, so the
-    expansion of the prefix shared with the previous tuple is reused; only
-    the chain of the current tuple's prefixes is kept.
+    a time on int keys of row multisets (see _times_column); in the
+    alternating case this gives every k x k minor without a determinant.
+    Column tuples come in lexicographic order, so the expansion of the
+    prefix shared with the previous tuple is reused; only the chain of the
+    current tuple's prefixes is kept, and each finished column goes straight
+    into the slice accumulator.
     """
     choose = itertools.combinations if alternating else itertools.combinations_with_replacement
     row_tuples = list(choose(range(len(a.row_labels)), power))
     col_tuples = list(choose(range(len(a.col_labels)), power))
-    row_pos = {idx: i for i, idx in enumerate(row_tuples)}
+    field_bits = 1 if alternating else power.bit_length()
+    row_at = {sum(1 << i * field_bits for i in idx): r for r, idx in enumerate(row_tuples)}
     columns = [[] for _ in a.col_labels]
     for e, (rows, cols, block) in a.slices.items():
         for q, j in enumerate(cols):
-            columns[j].append((e, [(i, row[q]) for i, row in zip(rows, block) if row[q]]))
-    p = a.ring.field.characteristic
-    terms = [[{} for _ in col_tuples] for _ in row_tuples]
-    chain = [{((0,) * len(a.ring.names), ()): 1}]
+            live = [(1 << i * field_bits, -2 << i, row[q]) for i, row in zip(rows, block) if row[q]]
+            columns[j].append((e, live))
+    acc = _SliceSum(len(col_tuples))
+    chain = [{(0,) * len(a.ring.names): {0: 1}}]
     prev = ()
     for cj, combo in enumerate(col_tuples):
         shared = 0
@@ -569,16 +574,13 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
         del chain[shared + 1:]
         for c in combo[shared:]:
             chain.append(_times_column(chain[-1], columns[c], alternating))
-        for (exps, ms), v in chain[-1].items():
-            if p:
-                v %= p
-            if v:
-                terms[row_pos[ms]][cj][exps] = v
+        for exps, keyed in chain[-1].items():
+            acc.add_column(exps, cj, [row_at[key] for key in keyed], keyed.values())
         prev = combo
     tag = "ext" if alternating else "sym"
     row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
     col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
-    return LinearMapMatrix._of_terms(row_labels, col_labels, a.ring, terms)
+    return acc.matrix(row_labels, col_labels, a.ring)
 
 
 def _tensor_matrix(maps) -> LinearMapMatrix:
@@ -599,10 +601,10 @@ def _tensor_matrix(maps) -> LinearMapMatrix:
         ]
     row_labels = tuple(("t", combo) for combo in itertools.product(*[m.row_labels for m in maps]))
     col_labels = tuple(("t", combo) for combo in itertools.product(*[m.col_labels for m in maps]))
-    terms = [[{} for _ in col_labels] for _ in row_labels]
+    acc = _SliceSum(len(col_labels))
     for block in blocks:
-        _add_block(terms, maps[0].ring.field.characteristic, *block)
-    return LinearMapMatrix._of_terms(row_labels, col_labels, maps[0].ring, terms)
+        acc.add(*block)
+    return acc.matrix(row_labels, col_labels, maps[0].ring)
 
 
 def _block_diag(blocks, indices) -> LinearMapMatrix:
@@ -612,13 +614,13 @@ def _block_diag(blocks, indices) -> LinearMapMatrix:
     for idx, b in zip(indices, blocks):
         row_labels.extend(("s", idx, lab) for lab in b.row_labels)
         col_labels.extend(("s", idx, lab) for lab in b.col_labels)
-    terms = [[{} for _ in col_labels] for _ in row_labels]
+    acc = _SliceSum(len(col_labels))
     r0 = c0 = 0
     for b in blocks:
-        _place(terms, ring.field.characteristic, b, r0, c0)
+        acc.place(b, r0, c0)
         r0 += len(b.row_labels)
         c0 += len(b.col_labels)
-    return LinearMapMatrix._of_terms(row_labels, col_labels, ring, terms)
+    return acc.matrix(row_labels, col_labels, ring)
 
 
 def _refuse_char2(field: FieldDescriptor):
@@ -641,8 +643,7 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     row_at = {pair: r for r, pair in enumerate(row_pairs)}
     col_at = {pair: c for c, pair in enumerate(col_pairs)}
     slices = [(e, *s) for e, s in phi.slices.items()]
-    p = phi.ring.field.characteristic
-    terms = [[{} for _ in col_pairs] for _ in row_pairs]
+    acc = _SliceSum(len(col_pairs))
     for e, rows_a, cols_a, a in slices:
         for f, rows_b, cols_b, b in slices:
             # a's term at (k, i) times b's at (l, j) lands at row pair (k, l)
@@ -653,12 +654,9 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
                 for q, i in enumerate(cols_a) for r, j in enumerate(cols_b) if abs(i - j) >= gap
             ]
             block = [[s * x[q] * y[r] for _, s, q, r in spots] for _, x, y in pairs]
-            _add_block(terms, p, tuple(map(add, e, f)), [r for r, _, _ in pairs], [c for c, *_ in spots], block)
-    return LinearMapMatrix._of_terms(
-        tuple((tag,) + pair for pair in row_pairs),
-        tuple((tag,) + pair for pair in col_pairs),
-        phi.ring,
-        terms,
+            acc.add(tuple(map(add, e, f)), [r for r, _, _ in pairs], [c for c, *_ in spots], block)
+    return acc.matrix(
+        tuple((tag,) + pair for pair in row_pairs), tuple((tag,) + pair for pair in col_pairs), phi.ring
     )
 
 
@@ -685,9 +683,9 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
     if isinstance(expr, ShiftF):
         u = expr.by
         m, n = phi.shape
-        terms = _diagonal(u + m, u + n, ring, u)
-        _place(terms, ring.field.characteristic, phi, u, u)
-        widened = LinearMapMatrix._of_terms(space_labels(u + m), space_labels(u + n), ring, terms)
+        acc = _diagonal(u + n, ring, u)
+        acc.place(phi, u, u)
+        widened = acc.matrix(space_labels(u + m), space_labels(u + n), ring)
         return induced_map(expr.inner, widened)
     if isinstance(expr, QuotF):
         summands = normalize(expr.inner)

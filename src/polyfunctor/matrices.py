@@ -5,7 +5,8 @@ functors stay auditable, and its entries, polynomials over a declared entry
 ring (a ring with no variables represents plain scalars), as monomial slices
 only: per exponent vector the rows and columns where it has terms and one
 dense block of its raw coefficients there (a single slice for scalars).
-Kernels fill a grid of term dicts and one function turns it into slices, so
+Every builder adds raw blocks into one slice accumulator, full-width rows
+per exponent vector, and one function reduces it to canonical slices, so
 equal matrices have equal slices.  Composition and the induced-map kernels
 multiply slices by plain dot products; entries are boxed as polynomials
 only when rows or entry_by_label is read, once per matrix.
@@ -37,34 +38,27 @@ class LinearMapMatrix:
 
     def __init__(self, row_labels, col_labels, ring: GradedRing, rows):
         row_labels, col_labels = tuple(row_labels), tuple(col_labels)
-        terms = []
-        for row in rows:
-            out = []
-            for entry in row:
+        rows = [list(row) for row in rows]
+        if len(rows) != len(row_labels):
+            raise AlgebraError("row count does not match row labels")
+        if any(len(row) != len(col_labels) for row in rows):
+            raise AlgebraError("column count does not match column labels")
+        acc = _SliceSum(len(col_labels))
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
                 if not isinstance(entry, GradedPoly):
                     entry = ring.const(entry)
                 elif entry.ring is not ring and entry.ring != ring:
                     raise AlgebraError("matrix entry in a foreign ring")
-                out.append(entry.terms)
-            terms.append(out)
-        if len(terms) != len(row_labels):
-            raise AlgebraError("row count does not match row labels")
-        if any(len(row) != len(col_labels) for row in terms):
-            raise AlgebraError("column count does not match column labels")
-        self._set(row_labels, col_labels, ring, terms)
+                for exps, c in entry.terms.items():
+                    acc.by_exps[exps][i][j] = c
+        self._set(row_labels, col_labels, ring, acc.slices(ring.field.characteristic))
 
-    @classmethod
-    def _of_terms(cls, row_labels, col_labels, ring: GradedRing, terms) -> "LinearMapMatrix":
-        """Matrix of a grid of canonical term dicts in the shape of the labels."""
-        self = cls.__new__(cls)
-        self._set(row_labels, col_labels, ring, terms)
-        return self
-
-    def _set(self, row_labels, col_labels, ring, terms):
+    def _set(self, row_labels, col_labels, ring, slices):
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
         self.ring = ring
-        self.slices = _slices(terms, len(self.col_labels))
+        self.slices = slices
         self._rows = None
         self._row_pos = {lab: i for i, lab in enumerate(self.row_labels)}
         self._col_pos = {lab: i for i, lab in enumerate(self.col_labels)}
@@ -74,7 +68,12 @@ class LinearMapMatrix:
         """Entries as polynomials, boxed on the first read."""
         if self._rows is None:
             terms = [[{} for _ in self.col_labels] for _ in self.row_labels]
-            _place(terms, 0, self, 0, 0)
+            for e, (rows, cols, block) in self.slices.items():
+                for i, values in zip(rows, block):
+                    out = terms[i]
+                    for j, v in zip(cols, values):
+                        if v:
+                            out[j][e] = v
             self._rows = tuple(
                 tuple(GradedPoly(self.ring, t, _canonical=True) for t in row) for row in terms
             )
@@ -105,25 +104,22 @@ class LinearMapMatrix:
         for f, (at, _, _) in right.items():
             for k in at:
                 meets[k].append(f)
-        p = self.ring.field.characteristic
-        terms = [[{} for _ in other.col_labels] for _ in self.row_labels]
+        acc = _SliceSum(len(other.col_labels))
         for e, (rows, inner, block) in self.slices.items():
             for f in dict.fromkeys(f for k in inner for f in meets[k]):
                 at, cols, columns = right[f]
                 picked = [[col[at.get(k, -1)] for k in inner] for col in columns]
                 products = [[sum(map(mul, row, col)) for col in picked] for row in block]
-                _add_block(terms, p, tuple(map(add, e, f)), rows, cols, products)
-        return LinearMapMatrix._of_terms(self.row_labels, other.col_labels, self.ring, terms)
+                acc.add(tuple(map(add, e, f)), rows, cols, products)
+        return acc.matrix(self.row_labels, other.col_labels, self.ring)
 
     def scale(self, factor) -> "LinearMapMatrix":
         factor = self.ring.one() * factor
-        p = self.ring.field.characteristic
-        terms = [[{} for _ in self.col_labels] for _ in self.row_labels]
+        acc = _SliceSum(len(self.col_labels))
         for e, (rows, cols, block) in self.slices.items():
             for f, c in factor.terms.items():
-                scaled = [[v * c for v in row] for row in block]
-                _add_block(terms, p, tuple(map(add, e, f)), rows, cols, scaled)
-        return LinearMapMatrix._of_terms(self.row_labels, self.col_labels, self.ring, terms)
+                acc.add(tuple(map(add, e, f)), rows, cols, [[v * c for v in row] for row in block])
+        return acc.matrix(self.row_labels, self.col_labels, self.ring)
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.row_labels, self.ring)
@@ -150,58 +146,68 @@ class LinearMapMatrix:
         return "\n".join(lines)
 
 
-def _slices(terms, width: int) -> dict:
-    """Monomial slices of a grid of term dicts with width columns: exponents
-    -> (rows, columns, block), the row and column indices where that monomial
-    has a term and the dense block of its raw coefficients there, 0 where it
-    is absent."""
-    support = defaultdict(list)  # exponents -> [(row index, full-width row)]
-    for i, row in enumerate(terms):
-        here = defaultdict(lambda: [0] * width)
-        for j, t in enumerate(row):
-            for exps, c in t.items():
-                here[exps][j] = c
-        for exps, r in here.items():
-            support[exps].append((i, r))
-    out = {}
-    for exps, rows in support.items():
-        full = [r for _, r in rows]
-        cols = [j for j, column in enumerate(zip(*full)) if any(column)]
-        block = full if len(cols) == width else [[r[j] for j in cols] for r in full]
-        out[exps] = ([i for i, _ in rows], cols, block)
-    return out
+class _SliceSum:
+    """Sum of raw coefficient blocks on a matrix width columns wide, kept per
+    exponent vector as a map from row index to a full-width row of unreduced
+    raw coefficients.  slices() reduces it to monomial slices: exponents ->
+    (rows, columns, block), the ascending row and column indices where that
+    monomial has a nonzero coefficient and the dense block of its
+    coefficients there, 0 where it is absent, the full rows when every
+    column is live."""
+
+    __slots__ = ("width", "by_exps")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.by_exps = defaultdict(lambda: defaultdict(lambda: [0] * width))
+
+    def add(self, exps, rows, cols, block):
+        """Add x^exps times a block of raw coefficients placed at the given
+        row and column indices; a column index may repeat."""
+        target = self.by_exps[exps]
+        for i, values in zip(rows, block):
+            row = target[i]
+            for j, v in zip(cols, values):
+                row[j] += v
+
+    def add_column(self, exps, j, rows, values):
+        """Add x^exps times raw coefficients in column j at the given rows."""
+        target = self.by_exps[exps]
+        for i, v in zip(rows, values):
+            target[i][j] += v
+
+    def place(self, m: LinearMapMatrix, row0: int, col0: int):
+        """Add the slices of m, its first entry at (row0, col0)."""
+        for e, (rows, cols, block) in m.slices.items():
+            self.add(e, [row0 + i for i in rows], [col0 + j for j in cols], block)
+
+    def slices(self, p: int) -> dict:
+        """The canonical slices of the sum, reduced mod p over F_p."""
+        out = {}
+        for exps, rows in self.by_exps.items():
+            live = [(i, [v % p for v in rows[i]] if p else rows[i]) for i in sorted(rows)]
+            live = [(i, row) for i, row in live if any(row)]
+            if live:
+                full = [row for _, row in live]
+                cols = [j for j, column in enumerate(zip(*full)) if any(column)]
+                block = full if len(cols) == self.width else [[row[j] for j in cols] for row in full]
+                out[exps] = ([i for i, _ in live], cols, block)
+        return out
+
+    def matrix(self, row_labels, col_labels, ring: GradedRing) -> LinearMapMatrix:
+        """The sum as a matrix on the given labels, its entries over ring."""
+        m = LinearMapMatrix.__new__(LinearMapMatrix)
+        m._set(row_labels, col_labels, ring, self.slices(ring.field.characteristic))
+        return m
 
 
-def _add_block(terms, p, exps, rows, cols, block):
-    """Add x^exps times a block of raw coefficients, placed at the given row
-    and column indices, to a grid of term dicts, reducing mod p over F_p and
-    dropping zeros."""
-    for i, values in zip(rows, block):
-        out = terms[i]
-        for j, v in zip(cols, values):
-            if v:
-                t = out[j]
-                v += t.get(exps, 0)
-                if p:
-                    v %= p
-                if v:
-                    t[exps] = v
-                else:
-                    t.pop(exps, None)
-
-
-def _place(terms, p, m: LinearMapMatrix, row0: int, col0: int):
-    """Add the slices of m to a grid of term dicts, its first entry at
-    (row0, col0)."""
-    for e, (rows, cols, block) in m.slices.items():
-        _add_block(terms, p, e, [row0 + i for i in rows], [col0 + j for j in cols], block)
-
-
-def _diagonal(height: int, width: int, ring: GradedRing, size: int):
-    """Grid of term dicts with a 1 at (i, i) for every i < size and nothing
-    elsewhere."""
-    unit = (0,) * len(ring.names)
-    return [[{unit: 1} if i == j < size else {} for j in range(width)] for i in range(height)]
+def _diagonal(width: int, ring: GradedRing, size: int) -> _SliceSum:
+    """Accumulator of the matrix width columns wide with a 1 at (i, i) for
+    every i < size and nothing elsewhere."""
+    acc = _SliceSum(width)
+    for i in range(size):
+        acc.add_column((0,) * len(ring.names), i, (i,), (1,))
+    return acc
 
 
 def coefficient_matrix(m: LinearMapMatrix, exps, rows, cols, ring: GradedRing) -> LinearMapMatrix:
@@ -209,18 +215,13 @@ def coefficient_matrix(m: LinearMapMatrix, exps, rows, cols, ring: GradedRing) -
     a matrix of constants of ring, read off the slice of exps."""
     at_row = {i: a for a, i in enumerate(rows)}
     at_col = {j: b for b, j in enumerate(cols)}
-    unit = (0,) * len(ring.names)
-    terms = [[{} for _ in cols] for _ in rows]
+    acc = _SliceSum(len(cols))
     slice_rows, slice_cols, block = m.slices.get(exps, ((), (), ()))
     for i, values in zip(slice_rows, block):
-        if i in at_row:
-            out = terms[at_row[i]]
-            for j, v in zip(slice_cols, values):
-                if v and j in at_col:
-                    out[at_col[j]][unit] = v
-    return LinearMapMatrix._of_terms(
-        [m.row_labels[i] for i in rows], [m.col_labels[j] for j in cols], ring, terms
-    )
+        for j, v in zip(slice_cols, values):
+            if i in at_row and j in at_col:
+                acc.add_column((0,) * len(ring.names), at_col[j], (at_row[i],), (v,))
+    return acc.matrix([m.row_labels[i] for i in rows], [m.col_labels[j] for j in cols], ring)
 
 
 def row_forms(m: LinearMapMatrix, ring: GradedRing, col_names, entry_names=()) -> list:
@@ -248,7 +249,7 @@ def space_labels(n: int):
 def identity_matrix(labels, ring: GradedRing) -> LinearMapMatrix:
     labels = tuple(labels)
     n = len(labels)
-    return LinearMapMatrix._of_terms(labels, labels, ring, _diagonal(n, n, ring, n))
+    return _diagonal(n, ring, n).matrix(labels, labels, ring)
 
 
 def space_matrix(field: FieldDescriptor, entries, ring: GradedRing | None = None) -> LinearMapMatrix:
@@ -275,7 +276,7 @@ def shift_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
 def base_projection(field: FieldDescriptor, u: int, n: int, ring: GradedRing | None = None) -> LinearMapMatrix:
     """Projection of the (u+n)-space onto its first u coordinates."""
     ring = ring or scalar_entry_ring(field)
-    return LinearMapMatrix._of_terms(space_labels(u), space_labels(u + n), ring, _diagonal(u, u + n, ring, u))
+    return _diagonal(u + n, ring, u).matrix(space_labels(u), space_labels(u + n), ring)
 
 
 def graft_columns(identity_side: int, tail: LinearMapMatrix) -> LinearMapMatrix:
@@ -284,9 +285,9 @@ def graft_columns(identity_side: int, tail: LinearMapMatrix) -> LinearMapMatrix:
     if len(tail.row_labels) != u:
         raise AlgebraError("tail height must equal the identity side")
     n = len(tail.col_labels)
-    terms = _diagonal(u, u + n, tail.ring, u)
-    _place(terms, tail.ring.field.characteristic, tail, 0, u)
-    return LinearMapMatrix._of_terms(space_labels(u), space_labels(u + n), tail.ring, terms)
+    acc = _diagonal(u + n, tail.ring, u)
+    acc.place(tail, 0, u)
+    return acc.matrix(space_labels(u), space_labels(u + n), tail.ring)
 
 
 def matrix_rank(entries, field: FieldDescriptor) -> int:

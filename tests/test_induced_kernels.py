@@ -170,10 +170,32 @@ INDUCED_GOLDEN = {
 }
 
 
+def _assert_canonical_slices(m):
+    """Every slice of m has strictly ascending rows and columns, no all-zero
+    row or column and, over F_p, only residues in [0, p); and it equals the
+    slice that the public constructor makes of m's boxed entries."""
+    p = m.ring.field.characteristic
+    rebuilt = LinearMapMatrix(m.row_labels, m.col_labels, m.ring, m.rows)
+    for exps, (rows, cols, block) in m.slices.items():
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert len(block) == len(rows) and all(len(row) == len(cols) for row in block)
+        assert all(any(row) for row in block) and all(any(col) for col in zip(*block))
+        assert not p or all(0 <= v < p for row in block for v in row)
+        assert rebuilt.slices.get(exps) == (rows, cols, block)
+    assert rebuilt.slices.keys() == m.slices.keys()
+
+
 @pytest.mark.parametrize("field_text", FIELDS)
 @pytest.mark.parametrize("expr_text", MIX)
 def test_induced_map_golden(expr_text, field_text):
-    assert _digest(_golden_mats(expr_text, field_text)) == INDUCED_GOLDEN[(expr_text, field_text)]
+    mats = _golden_mats(expr_text, field_text)
+    assert _digest(mats) == INDUCED_GOLDEN[(expr_text, field_text)]
+    # 3 vanishes over fp:3; 1 + t makes the slices of t^k and t^(k+1) meet
+    one_plus_t = 1 + _t_ring(mats[0].ring.field).var("t")
+    scaled = [mats[0].scale(2), mats[0].scale(3), mats[4].scale(one_plus_t), mats[6].scale(one_plus_t)]
+    for m in mats + scaled:
+        _assert_canonical_slices(m)
 
 
 # -- edge cases of the power kernel -------------------------------------------
@@ -214,7 +236,9 @@ def test_powers_of_a_one_by_one_matrix(field):
     ring = GradedRing(field, ["x", "y"])
     for c in (ring.const(Fraction(-3, 2) if field is Q else 7), ring.var("x") - 2 * ring.var("y")):
         phi = LinearMapMatrix(space_labels(1), space_labels(1), ring, [[c]])
-        for k in range(5):
+        # k = 7 and 15 fill a count field of k.bit_length() bits to the top,
+        # 8 and 16 are the smallest counts of a wider field
+        for k in (*range(5), 7, 8, 15, 16):
             assert induced_map(SymF(k, IdF()), phi).rows == ((c ** k,),)
         assert induced_map(ExtF(0, IdF()), phi).rows == ((ring.one(),),)
         assert induced_map(ExtF(1, IdF()), phi).rows == ((c,),)
@@ -251,9 +275,12 @@ def test_functoriality_with_polynomial_entries(expr_text, field):
     expr = parse_functor(expr_text)
     a = _xy_matrix(field, 3, 3, 20)
     b = _xy_matrix(field, 3, 3, 21)
+    fa, fb = induced_map(expr, a), induced_map(expr, b)
     lhs = induced_map(expr, _product(a, b))
-    assert lhs == induced_map(expr, a).compose(induced_map(expr, b))
+    assert lhs == fa.compose(fb)
     assert not lhs.is_zero()
+    for m in (fa, fb, lhs, fa.compose(fb), fa.scale(a.ring.var("x") - 1)):
+        _assert_canonical_slices(m)
 
 
 # -- composition against the direct product ------------------------------------
@@ -354,9 +381,12 @@ def test_generic_compose_makes_one_product_per_term_product(field, monkeypatch):
 def test_functoriality_on_generic_matrices(expr_text, field):
     expr = parse_functor(expr_text)
     x, y = _generic_pair(field, 3)
+    fx, fy = induced_map(expr, x), induced_map(expr, y)
     lhs = induced_map(expr, _product(x, y))
-    assert lhs == induced_map(expr, x).compose(induced_map(expr, y))
+    assert lhs == fx.compose(fy)
     assert not lhs.is_zero()
+    for m in (fx, lhs, fx.compose(fy)):
+        _assert_canonical_slices(m)
 
 
 # -- structural guard: induced maps never use boxed products ------------------

@@ -139,7 +139,7 @@ def test_divide_exact_matches_sympy_div(field_text):
 
 
 @pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
-@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("k", (2, 3, 4))
 def test_exterior_power_entries_are_sympy_minors(k, field_text):
     field = FieldDescriptor.parse(field_text)
     rng = random.Random(f"minors {k} {field_text}")
@@ -169,7 +169,7 @@ def _oracle_map(field, tag):
 
 
 @pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
-@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("k", (2, 3, 4))
 def test_symmetric_power_entries_are_coefficients_of_linear_forms(k, field_text):
     # the column of e_c1...e_ck is the product of the linear forms A e_ci, and
     # the entry in row e_r1...e_rk the coefficient of y_r1...y_rk in it
