@@ -8,7 +8,9 @@ against a direct polynomial product, matrices of distinct coordinate
 variables, whose monomial slices have one term each, and a guard that
 induced maps and their composition never fall back to boxed arithmetic or
 per-entry polynomial products, and box entries as polynomials only when
-their rows are read.
+their rows are read.  The golden and functoriality tests also check that
+each matrix they build holds canonical slices, the ones its boxed entries
+give.
 """
 
 import hashlib
@@ -276,10 +278,10 @@ def test_functoriality_with_polynomial_entries(expr_text, field):
     a = _xy_matrix(field, 3, 3, 20)
     b = _xy_matrix(field, 3, 3, 21)
     fa, fb = induced_map(expr, a), induced_map(expr, b)
-    lhs = induced_map(expr, _product(a, b))
-    assert lhs == fa.compose(fb)
+    lhs, composed = induced_map(expr, _product(a, b)), fa.compose(fb)
+    assert lhs == composed
     assert not lhs.is_zero()
-    for m in (fa, fb, lhs, fa.compose(fb), fa.scale(a.ring.var("x") - 1)):
+    for m in (fa, fb, lhs, composed, fa.scale(a.ring.var("x") - 1)):
         _assert_canonical_slices(m)
 
 
@@ -382,10 +384,10 @@ def test_functoriality_on_generic_matrices(expr_text, field):
     expr = parse_functor(expr_text)
     x, y = _generic_pair(field, 3)
     fx, fy = induced_map(expr, x), induced_map(expr, y)
-    lhs = induced_map(expr, _product(x, y))
-    assert lhs == fx.compose(fy)
+    lhs, composed = induced_map(expr, _product(x, y)), fx.compose(fy)
+    assert lhs == composed
     assert not lhs.is_zero()
-    for m in (fx, lhs, fx.compose(fy)):
+    for m in (fx, lhs, composed):
         _assert_canonical_slices(m)
 
 
