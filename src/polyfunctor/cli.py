@@ -9,6 +9,7 @@ certificate found), 4 a check failed, 5 an internal check failed (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -149,17 +150,17 @@ def cmd_induce(args):
     field = FieldDescriptor.parse(args.field)
     phi = space_matrix(field, parse_matrix(args.phi, field))
     mat = induced_map(expr, phi)
-    text = str(mat)
-    _emit(
-        args,
-        text,
-        {
-            "functor": format_functor(expr),
-            "rows": [str(lab) for lab in mat.row_labels],
-            "cols": [str(lab) for lab in mat.col_labels],
-            "entries": [[e.to_text() for e in row] for row in mat.rows],
-        },
-    )
+    # a map can have a million entries: format only the selected output
+    if args.format == "text":
+        print(mat)
+        return
+    doc = {
+        "functor": format_functor(expr),
+        "rows": [str(lab) for lab in mat.row_labels],
+        "cols": [str(lab) for lab in mat.col_labels],
+        "entries": [[e.to_text() for e in row] for row in mat.rows],
+    }
+    print(json.dumps(doc, indent=2))
 
 
 def cmd_shift_check(args):
@@ -327,40 +328,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    p = add("dim", cmd_dim, help="dimension of a functor value")
+    p = add("dim", help="dimension of a functor value")
     p.add_argument("--functor", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("decompose", cmd_decompose, help="homogeneous decomposition")
+    p = add("decompose", help="homogeneous decomposition")
     p.add_argument("--functor", required=True)
 
-    p = add("induce", cmd_induce, help="matrix induced on a functor value")
+    p = add("induce", help="matrix induced on a functor value")
     p.add_argument("--functor", required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--phi", required=True, help="matrix rows 'a,b;c,d'")
 
-    p = add("shift-check", cmd_shift_check, help="shift embedding/projection checks")
+    p = add("shift-check", help="shift embedding/projection checks")
     p.add_argument("--functor", required=True)
     p.add_argument("--field", default="q")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("compare", cmd_compare, help="dimension-sequence order comparison")
+    p = add("compare", help="dimension-sequence order comparison")
     p.add_argument("--functor-a", required=True)
     p.add_argument("--functor-b", required=True)
 
-    for name, func, needs in (
-        ("hasse", cmd_hasse, "r"),
-        ("taylor", cmd_taylor, "t"),
-        ("dderiv", cmd_dderiv, None),
-    ):
-        p = add(name, func, help=f"{name} operation")
+    for name, needs in (("hasse", "r"), ("taylor", "t"), ("dderiv", None)):
+        p = add(name, help=f"{name} operation")
         p.add_argument("--field", required=True)
         p.add_argument("--poly", required=True)
         p.add_argument("--vars", help="ordered variable list (default: inferred, sorted)")
@@ -373,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
         if needs == "t":
             p.add_argument("--t", default="t", help="fresh expansion variable")
 
-    p = add("delta", cmd_delta, help="minimal surviving generator degree")
+    p = add("delta", help="minimal surviving generator degree")
     p.add_argument("--field", required=True)
     p.add_argument("--vars", required=True)
     p.add_argument("--weights")
     p.add_argument("--generators", required=True, help="';'-separated polynomials")
     p.add_argument("--q-generators", help="';'-separated base polynomials")
 
-    p = add("proofstep", cmd_proofstep, help="one elimination step on a presentation")
+    p = add("proofstep", help="one elimination step on a presentation")
     p.add_argument("--field", required=True)
     p.add_argument("--functor", required=True)
     p.add_argument("--u", type=int, required=True)
@@ -392,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-generators", help="';'-separated base-projection generators")
     p.add_argument("--phi", action="append", help="projection matrix (repeatable)")
 
-    p = add("example-rank1", cmd_example_rank1, help="rank-one tensor example end to end")
+    p = add("example-rank1", help="rank-one tensor example end to end")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="q")
     p.add_argument("--seed", type=int, default=0)
@@ -401,11 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # once per process: parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* handler is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.func(args)
+        code = handler(args)
         return 0 if code is None else code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

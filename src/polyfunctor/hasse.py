@@ -4,7 +4,11 @@ One rule on the raw terms of f serves all three operations here: the
 multi-index binomial rule D^(r)_w x^a = sum over |b| = r of
 prod_i C(a_i, b_i) w_i^b_i x^(a - b), with every binomial reduced into the
 field by Lucas' theorem, so it is well defined over every field and needs
-no change of basis or substitution.  With a concrete w it gives the r-th
+no change of basis or substitution.  It runs on exponent classes: the terms
+of f that share their exponents a on the direction axes.  For each class
+and each b the multiplier prod_i C(a_i, b_i) w_i^b_i and the shift b are
+formed once, and every term of the class then costs one exponent
+subtraction and one addition.  With a concrete w it gives the r-th
 Hasse derivative, the t^r Taylor coefficient of f(x + t*w).  For a subspace
 W spanned by designated variables and a symbolic w (one copy per
 W-variable) it gives the t^r slice of f(w' + t*w): the slices sum to the
@@ -25,8 +29,8 @@ the lowest power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
+from operator import itemgetter, sub
 
 from .errors import (
     AlgebraError,
@@ -128,8 +132,8 @@ def taylor_expand(f: GradedPoly, W: DirectionSubspace, t: str = "t") -> GradedPo
         raise AlgebraError(f"auxiliary variable {t!r} is not fresh")
     n = len(f.ring.names)
     ext = f.ring.extended((RingVariable(t, "aux", 0),) + joint.variables[n:])
-    axes, _ = _symbolic_axes(f, W)
-    return _from_raw(ext, _binomial_rule(f, axes, _all_indices, True))
+    axes, classes, _ = _symbolic_axes(f, W, 1 + len(W.span_vars))
+    return _from_raw(ext, _binomial_rule(f.ring.field, classes, axes, None, True))
 
 
 def _check_direction(w: Vector, W: DirectionSubspace):
@@ -150,55 +154,80 @@ def _check_direction(w: Vector, W: DirectionSubspace):
 def _multi_indices(r: int, caps):
     """Tuples beta with sum r and 0 <= beta_i <= caps_i, for nonempty caps."""
     if len(caps) == 1:
-        if caps[0] >= r:
-            yield (r,)
-        return
+        return ((r,),) if caps[0] >= r else ()
     rest = caps[1:]
-    for b in range(max(0, r - sum(rest)), min(caps[0], r) + 1):
-        for tail in _multi_indices(r - b, rest):
-            yield (b,) + tail
+    low, high = max(0, r - sum(rest)), min(caps[0], r)
+    if len(rest) == 1:
+        return zip(range(low, high + 1), range(r - low, r - high - 1, -1))
+    return ((b, *tail) for b in range(low, high + 1) for tail in _multi_indices(r - b, rest))
 
 
-def _all_indices(caps):
-    """Every tuple beta with 0 <= beta_i <= caps_i: all slices at once."""
-    return product(*(range(a + 1) for a in caps))
-
-
-def _binomial_rule(f: GradedPoly, axes, betas, symbolic: bool) -> dict:
-    """Slices of f(x + t*w), unreduced: the multi-index rule above on the raw
-    terms c*x^a of f, summed over the multi-indices b that betas(caps) gives
-    for the exponents caps of a on the axes (those with |b| = r for the t^r
-    slice).  axes holds (position, raw powers w_i^0, w_i^1, ...) for each
-    coordinate b runs over.  A numeric w gives Hasse derivatives in f's ring;
-    a symbolic w (all powers 1) gives terms x^(a - b) t^|b| w^b, with
-    exponents a - b, |b|, b in that order."""
-    field = f.ring.field
-    binomials: dict = {}
-    acc: dict = {}
+def _exponent_classes(f: GradedPoly, positions, pad: int = 0) -> dict:
+    """Exponent classes of f, in one pass: a -> the terms (exps, c) of f with
+    exponents a (a tuple) on positions, exps followed by pad zeros."""
+    key = itemgetter(*positions)
+    zeros = (0,) * pad
+    classes: dict = {}
     for exps, c in f.terms.items():
-        for beta in betas([exps[i] for i, _ in axes]):
-            coeff = c
-            new = list(exps)
-            for (i, powers), b in zip(axes, beta):
+        classes.setdefault(key(exps), []).append((exps + zeros, c))
+    if len(positions) == 1:
+        return {(a,): terms for a, terms in classes.items()}
+    return classes
+
+
+def _binomial_rule(field, classes, axes, r, symbolic: bool) -> dict:
+    """Slices of f(x + t*w), unreduced, by the rule above on the exponent
+    classes a -> terms c*x^e of f on the axes: (position, raw powers w_i^0,
+    w_i^1, ...) in the order of a.  b runs lazily over all multi-indices up
+    to a for r None, else over those with |b| = r.  The multiplier
+    prod_i C(a_i, b_i) w_i^b_i is formed once per (class, b), from a per-call
+    table of Lucas binomials, and the shift once per b; each term then adds
+    c times the multiplier at e - shift.  A numeric w gives Hasse derivatives
+    in f's ring; a symbolic w (all powers 1) gives x^(a - b) t^|b| w^b for r
+    None and x^(a - b) w^b otherwise, whose appended exponents the shift
+    writes into the zeros that the classes carry."""
+    binomials: dict = {}
+    shifts: dict = {}
+    acc: dict = {}
+    get = acc.get
+    for a, terms in classes.items():
+        if r is None:
+            betas = product(*(range(ai + 1) for ai in a))
+        elif sum(a) < r:
+            continue
+        else:
+            betas = _multi_indices(r, a)
+        for beta in betas:
+            mult = 1
+            for (_, powers), ai, b in zip(axes, a, beta):
                 if b:
-                    key = (exps[i], b)
-                    if key not in binomials:
-                        binomials[key] = _raw(field, lucas_binomial(exps[i], b, field))
-                    coeff *= binomials[key] * powers[b]
-                    new[i] -= b
-            if coeff:
-                m = (*new, sum(beta), *beta) if symbolic else tuple(new)
-                acc[m] = acc.get(m, 0) + coeff
+                    if (ai, b) not in binomials:  # an integer: its numerator is its raw value
+                        binomials[ai, b] = lucas_binomial(ai, b, field).value.numerator
+                    mult *= binomials[ai, b] * powers[b]
+            if not mult:
+                continue
+            shift = shifts.get(beta)
+            if shift is None:
+                suffix = () if not symbolic else (sum(beta), *beta) if r is None else beta
+                shift = [0] * (len(terms[0][0]) - len(suffix))
+                for (i, _), b in zip(axes, beta):
+                    shift[i] = b
+                shifts[beta] = shift = (*shift, *(-e for e in suffix))
+            for exps, c in terms:
+                m = tuple(map(sub, exps, shift))
+                acc[m] = get(m, 0) + c * mult
     return acc
 
 
-def _symbolic_axes(f: GradedPoly, W: DirectionSubspace):
-    """Axes of _binomial_rule for the symbolic direction of W, and the top
-    t-power of f(x + t*w): the highest degree of a term of f in W."""
+def _symbolic_axes(f: GradedPoly, W: DirectionSubspace, pad: int):
+    """Axes of _binomial_rule for the symbolic direction of W, the exponent
+    classes of f on them with pad zeros, and the top t-power of f(x + t*w):
+    the highest degree of a term of f in W."""
     positions = [f.ring.position(name) for name in W.span_vars]
-    top = max((sum(exps[i] for i in positions) for exps in f.terms), default=0)
+    classes = _exponent_classes(f, positions, pad)
+    top = max(map(sum, classes), default=0)
     ones = [1] * (top + 1)
-    return [(i, ones) for i in positions], top
+    return [(i, ones) for i in positions], classes, top
 
 
 def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> GradedPoly:
@@ -222,7 +251,8 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> 
             axes.append((ring.position(name), [pow(v, b, p) if p else v ** b for b in range(r + 1)]))
     if not axes:
         return ring.zero()
-    return _from_raw(ring, _binomial_rule(f, axes, partial(_multi_indices, r), False))
+    classes = _exponent_classes(f, [i for i, _ in axes])
+    return _from_raw(ring, _binomial_rule(field, classes, axes, r, False))
 
 
 def _level_of(power: int, p: int):
@@ -244,17 +274,16 @@ def directional_data(f: GradedPoly, W: DirectionSubspace) -> DirectionalData:
     """
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
-    axes, top = _symbolic_axes(f, W)
+    axes, classes, top = _symbolic_axes(f, W, len(W.span_vars))
     if not top:
         return DirectionalData("independent", None, None, ())
     joint_ring, copies = doubled_ring(f.ring, W.span_vars, "_w")
-    n = len(f.ring.names)
-    # slices in increasing order, without the exponent of t; the one at top is never zero
+    field = f.ring.field
+    # slices in increasing order over the same classes; the one at top is never zero
     for r in range(1, top + 1):
-        slice_r = _binomial_rule(f, axes, partial(_multi_indices, r), True)
-        if joint := _from_raw(joint_ring, {m[:n] + m[n + 1:]: c for m, c in slice_r.items()}):
+        if joint := _from_raw(joint_ring, _binomial_rule(field, classes, axes, r, True)):
             break
-    p = f.ring.field.char_exponent
+    p = field.char_exponent
     level = _level_of(r, p)
     if level is None:
         raise InternalCheckError(f"lowest t-power {r} is not a power of the characteristic exponent {p}")

@@ -50,6 +50,7 @@ class _PolyParser:
         self.unit = (0,) * len(ring.names)
         self.tokens = _tokenize(text)
         self.i = 0
+        self.variables: dict = {}  # name -> its raw terms {exps: 1}, read only
 
     def peek(self) -> str:
         """Value of the next token: operators are told apart by value alone."""
@@ -113,9 +114,11 @@ class _PolyParser:
                 c = Fraction(c, int(value))
             return {self.unit: _raw(self.ring.field, c)}
         if kind == "name":
-            if value not in self.ring._pos:
-                raise ParseError(f"unknown variable {value!r}", pos, self.text)
-            return self.ring.var(value).terms
+            if value not in self.variables:
+                if value not in self.ring._pos:
+                    raise ParseError(f"unknown variable {value!r}", pos, self.text)
+                self.variables[value] = self.ring.var(value).terms
+            return self.variables[value]
         if value == "(":
             acc = self.expression()
             kind, value, pos = self.next()

@@ -536,3 +536,30 @@ def test_hasse_commands_golden_stdout(capsys, case, fmt):
     code, out, _ = run_cli(capsys, *HASSE_CLI_CASES[case], "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == HASSE_CLI_GOLDEN[(case, fmt)]
+
+
+# -- one argument parser per process -----------------------------------------
+
+
+def test_a_monkeypatched_handler_is_the_one_that_runs(capsys, monkeypatch):
+    from polyfunctor import cli
+
+    seen = []
+    run_cli(capsys, "dim", "--functor", "id", "--n", "2")  # the parser exists now
+    monkeypatch.setattr(cli, "cmd_dim", lambda args: seen.append((args.functor, args.n)) or 7)
+    code, out, _ = run_cli(capsys, "dim", "--functor", "sym(2,id)", "--n", "3")
+    assert (code, out, seen) == (7, "", [("sym(2,id)", 3)])
+    monkeypatch.undo()
+    assert run_cli(capsys, "dim", "--functor", "sym(2,id)", "--n", "3")[:2] == (0, "6\n")
+
+
+def test_repeated_options_give_each_call_its_own_list(capsys, monkeypatch):
+    from polyfunctor import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_proofstep", seen.append)
+    run_cli(capsys, *PROOFSTEP_ARGS, "--phi", "1,0;0,1", "--phi", "0,1;1,0")
+    run_cli(capsys, *PROOFSTEP_ARGS, "--phi", "2,0;0,2")
+    run_cli(capsys, *PROOFSTEP_ARGS)
+    assert [args.phi for args in seen] == [["1,0;0,1", "0,1;1,0"], ["2,0;0,2"], None]
+    assert seen[0].phi is not seen[1].phi

@@ -521,3 +521,71 @@ def test_hasse_kernels_make_no_boxed_arithmetic(field, boxed_calls):
     ring.one() * ring.one()
     field.one() * field.one()
     assert boxed_calls == {"GradedPoly.__mul__": 1, "Scalar.__mul__": 1}
+
+
+# -- every order of the binomial rule against substitution, on its edges -----
+
+EDGE_FIELDS = (Q, F2, F3, FieldDescriptor.prime_field(101))
+EDGE_SPANS = (("y",), ("x", "z"), ("x", "y", "u"))
+
+
+def _edge_poly(rng, ring, span):
+    """A few terms whose exponents sit at, just below and above multiples of
+    p, so Lucas' theorem gives zero binomials; at most about 3000 terms of
+    f(x + t*w) per term keep the substitution oracle small."""
+    p = ring.field.characteristic
+    choices = (0, 1, 2, 3, 5, 7) if not p else (0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 3 * p + 1)
+    positions = [ring.position(n) for n in span]
+    f = ring.zero()
+    while len(f.terms) < 3:
+        exps = [rng.choice(choices) for _ in ring.names]
+        if functools.reduce(lambda n, i: n * (exps[i] + 1), positions, 1) <= 3000:
+            f = f + ring.monomial(exps, rng.choice((1, 2, -1, Fraction(1, 2)) if not p else range(1, p)))
+    return f
+
+
+def _edge_direction(rng, W, zero_coordinate):
+    field = W.ring.field
+    coords = []
+    for _ in W.span_vars:
+        c = field.zero()
+        while not c:
+            c = field.scalar(rng.choice((1, -2, 3, Fraction(-1, 3))) if not field.characteristic else rng.randrange(field.characteristic))
+        coords.append(c)
+    if zero_coordinate:
+        coords[rng.randrange(len(coords))] = field.zero()
+    return W.direction(coords)
+
+
+@pytest.mark.parametrize("span", EDGE_SPANS, ids="-".join)
+@pytest.mark.parametrize("field", EDGE_FIELDS, ids=str)
+def test_every_order_matches_substitution_on_kernel_edges(field, span):
+    rng = random.Random(f"kernel edges {field} {span}")
+    ring = GradedRing(field, ["x", "y", "z", "u"])
+    W = DirectionSubspace(ring, span)
+    ext = ring.extended([("t", "aux", 0)])
+    zeros_seen = False
+    for trial in range(4):
+        f = _edge_poly(rng, ring, span)
+        w = _edge_direction(rng, W, zero_coordinate=len(span) > 1 and trial % 2)
+        mapping = {n: ext.var(n) for n in ring.names}
+        for name, c in zip(W.span_vars, w.coords):
+            mapping[name] = ext.var(name) + ext.var("t") * c
+        moved = f.substitute(mapping)
+        for r in range(f.total_degree() + 2):
+            assert hasse_derivative(f, w, r, W) == moved.coeff_of_power("t", r, ring), (f, w.coords, r)
+        oracle = _substitution_expansion(f, W)
+        assert taylor_expand(f, W) == oracle
+        data = directional_data(f, W)
+        powers = [k for k in oracle.powers_of("t") if k > 0]
+        if not powers:
+            assert data.status == "independent"
+            continue
+        assert field.char_exponent ** data.level == min(powers)
+        assert data.joint == oracle.coeff_of_power("t", min(powers))
+        # some binomial C(a, b) with 0 < b <= a vanished in the field
+        zeros_seen |= any(
+            not lucas_binomial(e[i], b, field)
+            for e in f.terms for i in map(ring.position, span) for b in range(1, e[i] + 1)
+        )
+    assert zeros_seen == bool(field.characteristic)
