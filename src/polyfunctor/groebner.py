@@ -6,18 +6,16 @@ the budget runs out a BudgetExceededError is raised so a caller can report
 "inconclusive" instead of guessing.
 
 Pending pairs sit in a heap keyed by the order key of the lcm of their
-leading monomials, then by index.  A polynomial computes its associate
-(monic over F_p, primitive integer over q) once, so a basis element pays for
-it when it joins the basis, not on every division.  Division (reduce_poly
-and divide_exact) works on one mutable copy of the dividend whose monomials
-sit in a heap, so each step pops the leading term and subtracts a monomial
-multiple of the divisor's associate in place (rings._Dividend): over q on
-ints, fraction-free, along exactly the reduction path of exact division.
-Monomials are packed ints there (a format only rings knows): finding a
-divisor is one guard-bit test per divisor and a product term one addition.
-A division that meets too large an exponent starts again with wider fields
-and, in reduce_poly, with the budget it started with.  The budget is spent
-once per pair and once per division step.
+leading monomials, then by index.  A division (reduce_poly, divide_exact)
+works on a mutable copy of the dividend whose packed monomials, a format
+only rings knows, sit in a heap (rings._Dividend): each step pops the
+leading term and subtracts in place a monomial multiple of a divisor's
+associate (monic over F_p, primitive integer over q: fraction-free).  The
+divisors form a set prepared once (rings._Divisors); buchberger extends its
+own as remainders join and builds each S-pair dividend from the packed
+associates of the pair.  A division that meets too large an exponent starts
+again with wider fields and, in reduce_poly, with the budget it started
+with.  The budget is spent once per pair and once per division step.
 
 A zero remainder from plain division by the generators already certifies
 membership (the division identity is an explicit combination), so
@@ -27,13 +25,12 @@ computing a basis; only completeness needs the Buchberger run.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .errors import AlgebraError, BudgetExceededError, RingMismatchError
-from .rings import GradedPoly, _divide, _from_raw, _raw, _raw_mul_into
+from .errors import AlgebraError, BudgetExceededError
+from .rings import GradedPoly, _Divisors, _from_raw, _raw
 
 DEFAULT_BUDGET = 50_000
 
@@ -52,21 +49,11 @@ class Budget:
             raise BudgetExceededError("normal-form step budget exceeded")
 
 
-def _sub(a, b):
-    return tuple(map(operator.sub, a, b))
-
-
-def _lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _coprime(a, b) -> bool:
-    return not any(map(min, a, b))
-
-
 def _monic(f: GradedPoly) -> GradedPoly:
-    _, a, items, _ = f._associate()
-    return GradedPoly(f.ring, {e: c if a == 1 else Fraction(c, a) for e, c in items}, _canonical=True)
+    _, a, items, _ = assoc = f._associate()
+    monic = GradedPoly(f.ring, {e: c if a == 1 else Fraction(c, a) for e, c in items}, _canonical=True)
+    monic._assoc = assoc  # f's associate is the monic one's too: same leads, a, items
+    return monic
 
 
 def _step(work: _Dividend, c, a, items, shift):
@@ -81,20 +68,19 @@ def _step(work: _Dividend, c, a, items, shift):
     return c
 
 
-def _in_ring_of(f: GradedPoly, gens) -> list:
-    """gens as a list; raises RingMismatchError if one lives in another ring."""
-    gens = list(gens)
-    for g in gens:
-        if g.ring is not f.ring and g.ring != f.ring:
-            raise RingMismatchError(f"rings differ: {f.ring} vs {g.ring}")
-    return gens
+def _prepared(ring, gens) -> _Divisors:
+    """gens as a divisor set of ring prepared for many divisions (RingMismatchError if foreign)."""
+    if type(gens) is _Divisors and gens.ring == ring:
+        return gens
+    return _Divisors(ring, getattr(gens, "polys", gens))
 
 
 def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly:
-    """Full remainder of f under multivariate division by gens, in order."""
-    gens = _in_ring_of(f, gens)
-    if budget is None:
-        budget = Budget()
+    """Full remainder of f under multivariate division by gens, in order.
+    Inside the package gens may be _prepared, and f the S-pair (lcm, i, j) of two of them."""
+    if type(f) is not tuple:
+        gens = _prepared(f.ring, gens)
+    budget = budget or Budget()
     start = budget.remaining
 
     def divide(work):
@@ -108,72 +94,57 @@ def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly
             else:
                 exps, c = work.pop_leading()
                 remainder[exps] = c
-        return GradedPoly(f.ring, remainder, _canonical=True)
+        return GradedPoly(gens.ring, remainder, _canonical=True)
 
-    return _divide(f, gens, divide)
+    return gens.divide(f, divide)
 
 
 def s_polynomial(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     """a_g*x^(l-e_f)*f' - a_f*x^(l-e_g)*g' from the associates: a_f*a_g*S(f, g)."""
-    _in_ring_of(f, (g,))
-    ef, af, fs, _ = f._associate()
-    eg, ag, gs, _ = g._associate()
-    lcm = _lcm(ef, eg)
-    acc = _raw_mul_into({}, fs, ((_sub(lcm, ef), 1),), ag)
-    return _from_raw(f.ring, _raw_mul_into(acc, gs, ((_sub(lcm, eg), 1),), -af))
+    pair = _Divisors(f.ring, (f, g))
+    spair = (tuple(map(max, f.leading_item()[0], g.leading_item()[0])), 0, 1)
+    return pair.divide(spair, lambda work: GradedPoly(f.ring, work.rest(), _canonical=True))
 
 
 def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
     """Groebner basis of the given generators under the ring order."""
-    if budget is None:
-        budget = Budget()
-    basis = [_monic(g) for g in gens if g]
-    if not basis:
+    budget = budget or Budget()
+    gens = [g for g in gens if g]
+    if not gens:
         return []
-    ring = basis[0].ring
-    for g in basis:
-        if g.ring != ring:
-            raise RingMismatchError("generators live in different rings")
-    leads = [g.leading_item()[0] for g in basis]
+    basis = _Divisors(gens[0].ring, map(_monic, gens))
+    leads = [g.leading_item()[0] for g in basis.polys]
 
     def pair(i, j):
-        return ring.order_key(_lcm(leads[i], leads[j])), (i, j)
+        return basis.ring.order_key(tuple(map(max, leads[i], leads[j]))), (i, j)
 
-    pairs = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs = [pair(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))]
     heapify(pairs)
     while pairs:
         budget.spend()
-        i, j = heappop(pairs)[1]
-        if _coprime(leads[i], leads[j]):
+        (_, lcm), (i, j) = heappop(pairs)
+        if not any(map(min, leads[i], leads[j])):  # coprime leading monomials
             continue
-        remainder = reduce_poly(s_polynomial(basis[i], basis[j]), basis, budget)
+        remainder = reduce_poly((lcm, i, j), basis, budget)
         if remainder:
             basis.append(_monic(remainder))
-            leads.append(basis[-1].leading_item()[0])
-            new = len(basis) - 1
+            leads.append(remainder.leading_item()[0])
+            new = len(leads) - 1
             for k in range(new):
                 heappush(pairs, pair(k, new))
-    return basis
+    return basis.polys
 
 
 def normal_form(f: GradedPoly, generators, budget: Budget | None = None) -> GradedPoly:
     """Remainder of f modulo a Groebner basis of the generators.
 
     A zero result certifies ideal membership.  Intended for small instances:
-    without the Gebauer-Moeller criteria every pair is reduced, so the 36
-    2x2 minors of a 4x4 matrix (16 variables, 888 budget steps) take about
-    0.02 s and katsura-4 (5 variables, 3647 steps) about 0.07 s over q on one
-    2-vCPU VM core with Python 3.11 (a member of the ideal, best of 7).
-    Raises BudgetExceededError when the step budget is exhausted.
+    without the Gebauer-Moeller criteria every pair is reduced.  Raises
+    BudgetExceededError when the step budget is exhausted.
     """
-    generators = _in_ring_of(f, generators)
-    if budget is None:
-        budget = Budget()
-    gens = [g for g in generators if g]
-    if not gens:
-        return f
-    basis = buchberger(gens, budget)
-    return reduce_poly(f, basis, budget)
+    gens = _prepared(f.ring, generators)
+    budget = budget or Budget()
+    return reduce_poly(f, buchberger(gens.polys, budget), budget) if gens.polys else f
 
 
 def membership_by_division(f: GradedPoly, generators, budget: Budget | None = None) -> bool:
@@ -182,15 +153,13 @@ def membership_by_division(f: GradedPoly, generators, budget: Budget | None = No
     A True answer certifies membership in the generated ideal; False is
     inconclusive on its own.
     """
-    gens = _in_ring_of(f, generators)
-    if not any(gens):
-        return f.is_zero()
-    return reduce_poly(f, gens, budget).is_zero()
+    gens = _prepared(f.ring, generators)
+    return reduce_poly(f, gens, budget).is_zero() if gens.polys else f.is_zero()
 
 
 def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
     """Quotient f/g when the division is exact, else None."""
-    _in_ring_of(f, (g,))
+    divisors = _Divisors(f.ring, (g,))
     if not g:
         raise AlgebraError("division by the zero polynomial")
     eg, a, _, _ = g._associate()
@@ -205,4 +174,4 @@ def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
             quotient[work.exponents(found[2])] = work.unscale(_step(work, coeff, *found)) * unit
         return _from_raw(f.ring, quotient)
 
-    return _divide(f, (g,), divide)
+    return divisors.divide(f, divide)

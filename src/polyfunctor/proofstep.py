@@ -47,9 +47,12 @@ from .functors import (
 )
 from .groebner import (
     Budget,
+    _prepared,
+    buchberger,
     divide_exact,
     membership_by_division,
     normal_form,
+    reduce_poly,
 )
 from .hasse import (
     DirectionSubspace,
@@ -230,19 +233,19 @@ class DeltaReport:
 
 
 def delta_degree(generators, q_generators, budget_steps: int | None = None) -> DeltaReport:
-    best = None
-    witness = None
+    best = witness = basis = None
     try:
         for g in generators:
             if not g:
                 continue
-            remainder = normal_form(g, q_generators, None if budget_steps is None else Budget(budget_steps))
-            if remainder.is_zero():
+            if basis is None:  # one Buchberger run; each g reduces on the budget it left
+                budget = Budget() if budget_steps is None else Budget(budget_steps)
+                basis = _prepared(g.ring, buchberger(q_generators, budget) if any(q_generators) else ())
+            if basis.polys and reduce_poly(g, basis, Budget(budget.remaining)).is_zero():
                 continue
             d = g.weighted_degree()
             if best is None or d < best:
-                best = d
-                witness = g
+                best, witness = d, g
     except BudgetExceededError:
         return DeltaReport("inconclusive", None, None)
     if best is None:
@@ -1048,7 +1051,7 @@ def run_rank_one_example(
 
         plain_model = coordinate_model(TensorF((IdF(), IdF())), fld, u + n)
         to_plain = split_to_plain_map(model_big, plain_model)
-        minors = rank_one_minors_plain(plain_model)
+        minors = _prepared(plain_model.ring, rank_one_minors_plain(plain_model))
         membership = "pass"
         witness = ""
         try:

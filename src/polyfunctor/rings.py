@@ -19,16 +19,17 @@ All values are immutable after construction and all operations are pure; a
 polynomial only remembers its associate once asked for it (monic over F_p,
 over q the primitive integer multiple with positive leading coefficient),
 the private working polynomial of heap division (_Dividend, over q an
-integer multiple `scale` of the true one) never leaves its division, and
-the integer plan an evaluator reads lives in its closure.
+integer multiple `scale` of the true one) never leaves its division, a
+prepared divisor set (_Divisors) only grows, and the integer plan an
+evaluator reads lives in its closure.
 
 Division alone packs monomials into ints (_packing): the weighted degree on
 top, then one byte per variable whose top bit is a guard bit, so int order
 is the term order and divisibility is one subtraction and one mask test (cf.
 Monagan & Pearce, J. Symb. Comp. 46 (2011); Bachmann & Schoenemann, ISSAC
 1998).  A division that meets an exponent above 127 starts again with wider
-fields (_divide).  Ring products, the Hasse calculus and the parser stay on
-exponent tuples.
+fields (_Divisors.divide).  Ring products, the Hasse calculus and the parser
+stay on exponent tuples.
 """
 
 from __future__ import annotations
@@ -607,15 +608,47 @@ def _packed(pack, exps, a, items):
         return None
 
 
-def _divide(f: GradedPoly, divisors, run):
-    """run(work) on a _Dividend of f by the nonzero divisors, one byte per
-    exponent, started again with twice the bytes while a monomial does not fit."""
-    k = 1
-    while True:
-        try:
-            return run(_Dividend(f, divisors, k))
-        except _Overflow:
-            k *= 2
+class _Divisors:
+    """Nonzero divisors of one ring, in order, with their packed associates
+    (lead, a, items) at each width in use (None where one does not fit):
+    packed once and extended in place by append, not at every division."""
+
+    __slots__ = ("ring", "polys", "packed")
+
+    def __init__(self, ring: GradedRing, polys=()):
+        self.ring, self.polys, self.packed = ring, [], {}
+        for g in polys:
+            self.append(g)
+
+    def append(self, g: GradedPoly):
+        if g.ring is not self.ring and g.ring != self.ring:
+            raise RingMismatchError(f"rings differ: {self.ring} vs {g.ring}")
+        if g.terms:
+            self.polys.append(g)
+            self.packed = {k: self._pack(k, packed, (g,)) for k, packed in self.packed.items()}
+
+    def divide(self, f, run):
+        """run(work) on a _Dividend of f, one byte per exponent, doubled while one does not fit."""
+        k = 1
+        while True:
+            try:
+                return run(_Dividend(f, self, k))
+            except _Overflow:
+                k *= 2
+
+    def at(self, k: int) -> list:
+        """The packed associates at k bytes per exponent; _Overflow if one does not fit."""
+        if k not in self.packed:
+            self.packed[k] = self._pack(k, [], self.polys)
+        if self.packed[k] is None:
+            raise _Overflow
+        return self.packed[k]
+
+    def _pack(self, k, packed, polys):
+        if packed is not None:
+            pack = _packing(self.ring.weights, k)[0]
+            packed += (g._associate()[3] if k == 1 else _packed(pack, *g._associate()[:3]) for g in polys)
+            return None if None in packed else packed
 
 
 class _Dividend:
@@ -632,14 +665,18 @@ class _Dividend:
 
     __slots__ = ("p", "scale", "terms", "heap", "divisors", "guard", "exponents")
 
-    def __init__(self, f: GradedPoly, divisors, k: int):
-        self.p = f.ring.field.characteristic
-        pack, self.exponents, self.guard = _packing(f.ring.weights, k)
-        self.divisors = [
-            g._associate()[3] if k == 1 else _packed(pack, *g._associate()[:3]) for g in divisors if g.terms
-        ]
-        if None in self.divisors:
-            raise _Overflow
+    def __init__(self, f, divisors: _Divisors, k: int):
+        """f is a polynomial or the S-pair (lcm, i, j) of two divisors with
+        associates (e, a, g'): a_j*x^(lcm-e_i)*g_i' - a_i*x^(lcm-e_j)*g_j'."""
+        self.p = divisors.ring.field.characteristic
+        pack, self.exponents, self.guard = _packing(divisors.ring.weights, k)
+        self.divisors = divisors.at(k)
+        if type(f) is tuple:
+            (ei, ai, gi), (ej, aj, gj) = self.divisors[f[1]], self.divisors[f[2]]
+            top, self.scale, self.terms, self.heap = pack(f[0]), 1, {}, []
+            self.sub_mul(gi, top - ei, -aj)
+            self.sub_mul(gj, top - ej, ai)
+            return
         self.scale = s = lcm(*(c.denominator for c in f.terms.values()))
         self.terms = {pack(e): c.numerator * (s // c.denominator) for e, c in f.terms.items()}
         self.heap = [-m for m in self.terms]
@@ -669,6 +706,10 @@ class _Dividend:
         """Remove the leading term, found by leading(); returns (exponents, true value)."""
         m = -heappop(self.heap)
         return self.exponents(m), self.unscale(self.terms.pop(m))
+
+    def rest(self) -> dict:
+        """Exponents -> true value of every term left."""
+        return {self.exponents(m): self.unscale(c) for m, c in self.terms.items()}
 
     def unscale(self, c):
         """True value of a raw coefficient of the work polynomial."""

@@ -175,3 +175,10 @@ IDEALS = {
     "katsura3": lambda field: katsura_ideal(field, 3),
     "minors3x4": lambda field: minors_ideal(field, 3, 4),
 }
+
+# The large ideals of the groebner benchmark workload, pinned by goldens only.
+LARGE_IDEALS = {
+    "katsura4": lambda field: katsura_ideal(field, 4),
+    "minors3x5": lambda field: minors_ideal(field, 3, 5),
+    "minors4x4": lambda field: minors_ideal(field, 4, 4),
+}

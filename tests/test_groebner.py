@@ -18,7 +18,9 @@ from polyfunctor import (
 )
 from polyfunctor.groebner import buchberger, divide_exact, s_polynomial
 
-from conftest import F3, IDEALS, Q, random_poly
+from conftest import F3, IDEALS, LARGE_IDEALS, Q, random_poly
+
+ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
 
 
 def test_normal_form_power_of_generator():
@@ -125,14 +127,20 @@ BASIS_GOLDEN = {
     ("cyclic4", "q"): ("6bcfde6f09889f43b8c9a101f835463920bc1ab1709131f713ff464ea1aec622", 49748),
     ("katsura3", "fp:32003"): ("22006073f12aff2470495582e4d7cfce30e1c73a9ad3ea65563364442f12d7c3", 49565),
     ("katsura3", "q"): ("4e979f1ea90d701162f96ca2bb496fb152aaf9e8558d22943fa9e38dc57534e9", 49565),
+    ("katsura4", "fp:32003"): ("b15a1c97713568faeec0beb997d770112aa65864b5c26574e823bc7b6a8dea9b", 46363),
+    ("katsura4", "q"): ("e5ba257fcb85432a544a512d84a1143e0f3fdcd113a35aead4f100c6308eb59f", 46363),
     ("minors3x4", "fp:32003"): ("10e80356d6f4a5025c3fdac536920d9d41bef26245903e760d7747ae5ad82817", 49771),
     ("minors3x4", "q"): ("63f845ebc1ba97ad7c45353bbc5239bb5050107a00a5c8e6a02227bc703be056", 49771),
+    ("minors3x5", "fp:32003"): ("f30ad6fe14cce3ea21988142bd50b71aa4b5fcf4ac315507f58419a7dd746424", 49385),
+    ("minors3x5", "q"): ("e51cc76961e08834668baffd5ea3634a7e00a897bbe28315cc0979fc0493cd7d", 49385),
+    ("minors4x4", "fp:32003"): ("a465e02774b2cdcbf05b8b74400f3148a4c08d757eb7bed1aee28087b43b861b", 49114),
+    ("minors4x4", "q"): ("2d04cbdb8a5c141bace7bec08c773b30b5d872e7a513db4db74bba6c064a650c", 49114),
 }
 
 
 @pytest.mark.parametrize("ideal,field", sorted(BASIS_GOLDEN))
 def test_buchberger_basis_and_budget_golden(ideal, field):
-    gens = IDEALS[ideal](FieldDescriptor.parse(field))
+    gens = ALL_IDEALS[ideal](FieldDescriptor.parse(field))
     budget = Budget()
     basis = buchberger(gens, budget)
     digest = hashlib.sha256("|".join(p.to_text() for p in basis).encode()).hexdigest()
@@ -146,13 +154,19 @@ REDUCE_GOLDEN = {
     ("cyclic4", "q"): "80505395d1d2948b36956cda8c10a2616ab3a0df7326209def237cbfa5801979",
     ("katsura3", "fp:32003"): "0a8e931e6d64c0983e3673a79e2f2e2672ed1653846e7f9510711e05af5162a8",
     ("katsura3", "q"): "c41ef769ba955690f97826c7c5b555fdb0b183f35fdd9cf2a3531c115b19d604",
+    ("katsura4", "fp:32003"): "5641ff5f3b8dac9bc5dd7a14e95a70a2547fff7ac1826c823cf93324fd85477c",
+    ("katsura4", "q"): "831fc5059d4431b4b03df4577788220f508c11472c2615402cb63b24d7489df6",
     ("minors3x4", "fp:32003"): "2ac5a737e9f61dac69401a086ad3b5a1549a387327543f13b5cce790ff939718",
     ("minors3x4", "q"): "c18d254eb96cd0f81ab931af3534d5fa50b46cd8eca815e94e81c1c7a787a1ae",
+    ("minors3x5", "fp:32003"): "99c03d6c5fbb43f22ff62da9102f40046133ed4bc59574815573a6167e567f82",
+    ("minors3x5", "q"): "8bba3a10c842d472af73da525366c709a0df729b3db2149dce14e1380e337230",
+    ("minors4x4", "fp:32003"): "105ebc94bf2e4eff1c1f187609dcf953fbc3934d285f8ee6076cc8ab03d791ff",
+    ("minors4x4", "q"): "debb12f44bc46a58eeb801c3a21fbc1c759aa07f68fa5b80fb61628923387142",
 }
 
 
 def _reduce_digest(ideal, field):
-    gens = IDEALS[ideal](FieldDescriptor.parse(field))
+    gens = ALL_IDEALS[ideal](FieldDescriptor.parse(field))
     ring = gens[0].ring
     rng = random.Random(f"{ideal} {field}")
     basis = buchberger(gens)
@@ -409,3 +423,114 @@ def test_weight_zero_exponent_passes_one_byte_mid_division(field, widths):
     assert divide_exact(ring.var("x") ** 64, g) is None
     assert _reference_quotient(ring.var("x") ** 64, g) is None
     assert widths == [1, 2]
+
+
+# -- buchberger divides on one prepared divisor set and builds each S-pair
+# dividend from the packed associates of its pair: every such reduction is the
+# public one, reduce_poly(s_polynomial(f, g), basis) ------------------------------
+
+@pytest.fixture
+def spair_reductions(monkeypatch, widths):
+    """Per S-pair reduction inside buchberger: ((remainder terms, budget left),
+    the same by reduce_poly(s_polynomial(f, g), list(basis), Budget(n)), the
+    widths of its own working polynomials)."""
+    from polyfunctor import groebner
+
+    reduce = groebner.reduce_poly
+    seen = []
+
+    def checked(f, gens, budget=None):
+        if type(f) is not tuple:
+            return reduce(f, gens, budget)
+        basis, start = list(gens.polys), budget.remaining
+        widths.clear()
+        ours = reduce(f, gens, budget)
+        own_widths = list(widths)
+        reference = Budget(start)
+        expected = reduce(s_polynomial(basis[f[1]], basis[f[2]]), basis, reference)
+        seen.append(((ours.terms, budget.remaining), (expected.terms, reference.remaining), own_widths))
+        return ours
+
+    monkeypatch.setattr(groebner, "reduce_poly", checked)
+    return seen
+
+
+@pytest.mark.parametrize("ideal,field", sorted(BASIS_GOLDEN))
+def test_spair_reductions_match_the_public_path(ideal, field, spair_reductions):
+    buchberger(ALL_IDEALS[ideal](FieldDescriptor.parse(field)))
+    assert spair_reductions
+    for ours, expected, _ in spair_reductions:
+        assert ours == expected
+
+
+@pytest.mark.parametrize("field", ("q", "fp:101"))
+def test_spair_dividend_past_one_byte(field, spair_reductions):
+    p = FieldDescriptor.parse(field).characteristic
+    ring = GradedRing(FieldDescriptor.parse(field), ["x", "y"])
+    f, g = parse_polynomial("x^100*y + y^50", ring), parse_polynomial("x*y^90 + x^60", ring)
+    # y^89*f - x^99*g = y^139 - x^159: the S-pair dividend does not fit one byte
+    assert s_polynomial(f, g).terms == {(0, 139): 1, (159, 0): p - 1 if p else -1}
+    basis = buchberger([f, g])
+    assert len(spair_reductions) == 5 and len(basis) == 4
+    for ours, expected, own_widths in spair_reductions:
+        assert ours == expected
+        assert own_widths == [1, 2]
+
+
+@pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
+def test_s_polynomial_is_a_multiple_of_the_monic_s_polynomial(field):
+    ring = GradedRing(FieldDescriptor.parse(field), ["x", "y", "z"])
+    rng = random.Random(f"s-polynomial {field}")
+    divisors = [parse_polynomial(text, ring) for text in DIVISORS]
+    for f in filter(None, divisors + [_random_fraction_poly(rng, ring) for _ in range(6)]):
+        for g in divisors:
+            (ef, cf), (eg, cg) = f.leading_item(), g.leading_item()
+            lcm = tuple(map(max, ef, eg))
+            monic = (f.mul_term(tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf)
+                     - g.mul_term(tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg))
+            ours = s_polynomial(f, g)
+            assert bool(ours) == bool(monic)
+            if ours:
+                assert ours * monic.leading_item()[1] == monic * ours.leading_item()[1]
+            if not ring.field.characteristic:
+                assert all(type(c) is int for c in ours.terms.values())
+
+
+def test_prepared_set_extended_in_place_matches_a_fresh_one(widths):
+    from polyfunctor.rings import _Divisors, _Overflow
+
+    def packed(divisors, k):
+        try:
+            return divisors.at(k)
+        except _Overflow:
+            return None
+
+    ring = GradedRing(Q, ["x", "y"])
+    texts = ("2*x^2 + y - 1/2", "-3*x*y^3 + 2", "0", "6*y^5 + x", "x^130*y - 1/3", "y - 7")
+    polys = [parse_polynomial(text, ring) for text in texts]
+    grown = _Divisors(ring)
+    one, two = grown.at(1), grown.at(2)  # built on no divisors, then extended
+    for n, g in enumerate(polys, 1):
+        grown.append(g)
+        fresh = _Divisors(ring, polys[:n])
+        assert grown.polys == fresh.polys == [h for h in polys[:n] if h]
+        assert packed(grown, 1) == packed(fresh, 1) == (one if n < 5 else None)
+        assert packed(grown, 2) == packed(fresh, 2)
+        assert packed(grown, 2) is two and len(two) == len(fresh.polys)
+    h = parse_polynomial("x^131*y^2 + 5*x*y^4 - y", ring)
+    widths.clear()
+    assert reduce_poly(h, grown).terms == _reference_division(h.terms, [g.terms for g in grown.polys], 0)[1]
+    assert widths == [1, 2]
+
+
+def test_prepared_set_refuses_a_foreign_ring(foreign_ring_case):
+    from polyfunctor.groebner import _prepared
+
+    f, g = foreign_ring_case
+    prepared = _prepared(g.ring, [g])
+    for call in (reduce_poly, membership_by_division, normal_form):
+        with pytest.raises(RingMismatchError):
+            call(f, prepared)
+    with pytest.raises(RingMismatchError):
+        prepared.append(f)
+    assert prepared.polys == [g]

@@ -107,6 +107,50 @@ def test_delta_honours_a_budget_of_zero_steps():
     assert delta_degree([x * y, y], [x]) == DeltaReport("finite", 1, y)
 
 
+def _delta_per_generator(generators, q_generators, steps):
+    """delta_degree as one normal form per generator, each on a fresh budget."""
+    from polyfunctor import Budget, BudgetExceededError, normal_form
+
+    best = witness = None
+    try:
+        for g in generators:
+            if g and normal_form(g, q_generators, Budget(steps)):
+                if best is None or g.weighted_degree() < best:
+                    best, witness = g.weighted_degree(), g
+    except BudgetExceededError:
+        return DeltaReport("inconclusive", None, None)
+    return DeltaReport("infinite", None, None) if best is None else DeltaReport("finite", best, witness)
+
+
+@pytest.mark.parametrize("field", ("q", "fp:101"))
+def test_delta_runs_buchberger_once_with_the_per_generator_budget(field, monkeypatch):
+    from conftest import katsura_ideal
+    from polyfunctor import Budget, normal_form, proofstep
+
+    q_gens = katsura_ideal(FieldDescriptor.parse(field), 3)
+    ring = q_gens[0].ring
+    u0, u1, u2 = (ring.var(f"u{i}") for i in range(3))
+    # members and non-members; two non-members of degree 2, so the first is the witness
+    generators = [q_gens[1] * u2 + q_gens[0] * u1, ring.zero(), u0 * u1 * u2 + u1, u1 * u2 - 1 + u0,
+                  u0 * u1 + u2 * u2 + 5, q_gens[2] * u0 * u0]
+    costs = []  # steps of each generator's normal form: Buchberger plus its reduction
+    for g in filter(None, generators):
+        budget = Budget()
+        normal_form(g, q_gens, budget)
+        costs.append(50_000 - budget.remaining)
+    basis, boundary = 50_000 - 49_565, max(costs)  # katsura3 as in BASIS_GOLDEN
+    runs = []
+    buchberger = proofstep.buchberger
+    monkeypatch.setattr(proofstep, "buchberger", lambda *args: runs.append(args) or buchberger(*args))
+    for steps in (0, basis - 1, basis, basis + 1, boundary - 1, boundary, boundary + 1):
+        runs.clear()
+        assert delta_degree(generators, q_gens, budget_steps=steps) == _delta_per_generator(
+            generators, q_gens, steps)
+        assert len(runs) == 1
+    assert delta_degree(generators, q_gens, budget_steps=boundary - 1).status == "inconclusive"
+    assert delta_degree(generators, q_gens, budget_steps=boundary) == DeltaReport("finite", 2, generators[3])
+
+
 # -- derivative step -----------------------------------------------------------------
 
 
@@ -463,6 +507,26 @@ def test_run_rank_one_n3_rationals():
     assert report.h.to_text() == "2*z_1_2"
     assert len(report.certificate.entries) == 3
     assert report.delta.delta == 4
+
+
+def test_rank_one_membership_prepares_the_minors_once(monkeypatch):
+    from polyfunctor import proofstep, rings
+
+    sizes, calls = [], []
+    init = rings._Divisors.__init__
+
+    def counted(self, ring, polys=()):
+        init(self, ring, polys)
+        sizes.append(len(self.polys))
+
+    monkeypatch.setattr(rings._Divisors, "__init__", counted)
+    membership = proofstep.membership_by_division
+    monkeypatch.setattr(proofstep, "membership_by_division", lambda *args: calls.append(args) or membership(*args))
+    report = run_rank_one_example(3, Q, seed=0, sample_count=3)
+    assert {c.name: c.status for c in report.checks}["certificate-membership"] == "pass"
+    assert len(calls) > 1 and len({id(args[1]) for args in calls}) == 1
+    minors = len(calls[0][1].polys)
+    assert minors == 100 and sizes.count(minors) == 1
 
 
 def test_run_rank_one_n2_rationals():
