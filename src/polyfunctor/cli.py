@@ -75,14 +75,16 @@ def _emit(args, text_value: str, json_value):
         print(text_value)
 
 
+def _names(text: str) -> list[str]:
+    """The comma-separated names of an option, stripped, empty ones dropped."""
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def _build_ring(args, inferred=()):
     """Ring over --field on the --vars list, else on the sorted inferred
     names, with --weights."""
     field = FieldDescriptor.parse(args.field)
-    if args.vars:
-        names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    else:
-        names = sorted(set(inferred))
+    names = args.vars or sorted(set(inferred))
     if args.weights:
         weights = [int(w) for w in args.weights.split(",")]
         if len(weights) != len(names):
@@ -94,7 +96,7 @@ def _build_ring(args, inferred=()):
 
 def _poly_ring(args):
     """Ring of --poly and the --w-vars it is differentiated along."""
-    return _build_ring(args, polynomial_variable_names(args.poly) + tuple(args.w_vars.split(",")))
+    return _build_ring(args, polynomial_variable_names(args.poly) + tuple(args.w_vars))
 
 
 def _generators(text, ring) -> list:
@@ -103,16 +105,14 @@ def _generators(text, ring) -> list:
 
 
 def _subspace(args, ring) -> DirectionSubspace:
-    w_vars = tuple(v.strip() for v in args.w_vars.split(",") if v.strip())
-    return DirectionSubspace(ring, w_vars)
+    return DirectionSubspace(ring, tuple(args.w_vars))
 
 
 def _direction(args, W: DirectionSubspace) -> Vector:
-    names = [v.strip() for v in args.w_vars.split(",") if v.strip()]
     coords = parse_coords(args.dir, W.ring.field)
-    if len(coords) != len(names):
+    if len(coords) != len(args.w_vars):
         raise AlgebraError("direction length does not match the subspace variables")
-    by_name = dict(zip(names, coords))
+    by_name = dict(zip(args.w_vars, coords))
     return Vector("direction", W.span_vars, tuple(by_name[n] for n in W.span_vars))
 
 
@@ -359,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, help=f"{name} operation")
         p.add_argument("--field", required=True)
         p.add_argument("--poly", required=True)
-        p.add_argument("--vars", help="ordered variable list (default: inferred, sorted)")
+        p.add_argument("--vars", type=_names, help="ordered variable list (default: inferred, sorted)")
         p.add_argument("--weights", help="comma-separated weights")
-        p.add_argument("--w-vars", required=True, help="variables spanning the direction subspace")
+        p.add_argument("--w-vars", type=_names, required=True, help="variables spanning the direction subspace")
         if name != "taylor":
             p.add_argument("--dir", required=True, help="direction coordinates")
         if needs == "r":
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("delta", help="minimal surviving generator degree")
     p.add_argument("--field", required=True)
-    p.add_argument("--vars", required=True)
+    p.add_argument("--vars", type=_names, required=True)
     p.add_argument("--weights")
     p.add_argument("--generators", required=True, help="';'-separated polynomials")
     p.add_argument("--q-generators", help="';'-separated base polynomials")

@@ -40,6 +40,7 @@ from .matrices import (
     shift_projection,
     space_labels,
 )
+from .parsing import _tokenize
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -154,9 +155,12 @@ class QuotF(FunctorExpr):
         kept = self.kept_summands()
         return max((s.degree() for s in kept), default=0)
 
+    def kept(self) -> list:
+        """(index, summand) pairs of the normalised inner sum but the dropped one."""
+        return [(i, s) for i, s in enumerate(normalize(self.inner)) if i != self.drop_index]
+
     def kept_summands(self):
-        summands = normalize(self.inner)
-        return tuple(s for i, s in enumerate(summands) if i != self.drop_index)
+        return tuple(s for _, s in self.kept())
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,6 @@ class TenAltF(FunctorExpr):
 def split_tensor_square() -> FunctorExpr:
     """The tensor square presented as symmetric plus alternating part."""
     return SumF((TenSymF(), TenAltF()))
-
-
-def degree(expr: FunctorExpr) -> int:
-    return expr.degree()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def _tensor_combine(factors) -> FunctorExpr | None:
     return TensorF(tuple(flat))
 
 
-def _sym_atom(power: int, summand: FunctorExpr) -> FunctorExpr | None:
+def _sym_atom(power: int, summand: FunctorExpr) -> FunctorExpr:
     if power == 0:
         return ConstF(1)
     if isinstance(summand, ConstF):
@@ -273,12 +273,11 @@ def _sym_atom(power: int, summand: FunctorExpr) -> FunctorExpr | None:
     return SymF(power, summand)
 
 
-def _ext_atom(power: int, summand: FunctorExpr) -> FunctorExpr | None:
+def _ext_atom(power: int, summand: FunctorExpr) -> FunctorExpr:
     if power == 0:
         return ConstF(1)
     if isinstance(summand, ConstF):
-        size = comb(summand.size, power)
-        return ConstF(size) if size else None
+        return ConstF(comb(summand.size, power))
     if power == 1:
         return summand
     return ExtF(power, summand)
@@ -340,17 +339,8 @@ def normalize(expr: FunctorExpr) -> tuple[FunctorExpr, ...]:
         inner = normalize(expr.inner)
         out = []
         for comp in _compositions(expr.power, len(inner)):
-            factors = []
-            dead = False
-            for d_i, s_i in zip(comp, inner):
-                atom = atom_of(d_i, s_i)
-                if atom is None:
-                    dead = True
-                    break
-                factors.append(atom)
-            if dead:
-                continue
-            combined = _tensor_combine(factors) if factors else ConstF(1)
+            # a zero atom makes the product zero, which _tensor_combine drops
+            combined = _tensor_combine(map(atom_of, comp, inner))
             if combined is not None:
                 out.append(combined)
         return tuple(out)
@@ -389,10 +379,7 @@ class HomDecomposition:
         return tuple(self.parts.keys())
 
     def summand(self, label: str) -> Summand:
-        for s in self.summands:
-            if s.label == label:
-                return s
-        raise AlgebraError(f"no summand labelled {label!r}")
+        return self.summands[self.index_of(label)]
 
     def index_of(self, label: str) -> int:
         for i, s in enumerate(self.summands):
@@ -445,14 +432,25 @@ def basis_labels(expr: FunctorExpr, n: int) -> tuple:
     if isinstance(expr, ShiftF):
         return basis_labels(expr.inner, n + expr.by)
     if isinstance(expr, QuotF):
-        summands = normalize(expr.inner)
-        out = []
-        for idx, s in enumerate(summands):
-            if idx == expr.drop_index:
-                continue
-            out.extend(("s", idx, sub) for sub in basis_labels(s, n))
-        return tuple(out)
+        return tuple(("s", idx, sub) for idx, s in expr.kept() for sub in basis_labels(s, n))
     raise AlgebraError(f"unknown expression {expr!r}")
+
+
+def leaf_indices(label) -> list[int]:
+    """The indices of basis vectors of the underlying space in a basis
+    label, left to right."""
+    tag = label[0]
+    if tag == "v":
+        return [label[1]]
+    if tag in ("y", "z"):
+        return [label[1], label[2]]
+    if tag == "s":
+        return leaf_indices(label[2])
+    if tag in ("t", "sym", "ext"):
+        return [i for sub in label[1] for i in leaf_indices(sub)]
+    if tag == "k":
+        return []
+    raise AlgebraError(f"unknown basis label {label!r}")
 
 
 def label_vdeg(label, split: int) -> int:
@@ -462,20 +460,7 @@ def label_vdeg(label, split: int) -> int:
     basis element by t to this power, so the value is the homogeneous degree
     of the basis element over the moving part of a shifted space.
     """
-    tag = label[0]
-    if tag == "k":
-        return 0
-    if tag == "v":
-        return 1 if label[1] >= split else 0
-    if tag == "s":
-        return label_vdeg(label[2], split)
-    if tag == "t":
-        return sum(label_vdeg(sub, split) for sub in label[1])
-    if tag in ("sym", "ext"):
-        return sum(label_vdeg(sub, split) for sub in label[1])
-    if tag in ("y", "z"):
-        return (1 if label[1] >= split else 0) + (1 if label[2] >= split else 0)
-    raise AlgebraError(f"unknown basis label {label!r}")
+    return len([i for i in leaf_indices(label) if i >= split])
 
 
 def _expr_label_vdeg(expr: FunctorExpr, label, split: int) -> int:
@@ -688,17 +673,10 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
         widened = acc.matrix(space_labels(u + m), space_labels(u + n), ring)
         return induced_map(expr.inner, widened)
     if isinstance(expr, QuotF):
-        summands = normalize(expr.inner)
-        blocks = []
-        indices = []
-        for idx, s in enumerate(summands):
-            if idx == expr.drop_index:
-                continue
-            blocks.append(induced_map(s, phi))
-            indices.append(idx)
-        if not blocks:
+        kept = expr.kept()
+        if not kept:
             return LinearMapMatrix((), (), ring, ())
-        return _block_diag(blocks, indices)
+        return _block_diag([induced_map(s, phi) for _, s in kept], [idx for idx, _ in kept])
     if isinstance(expr, TenSymF):
         return _split_square_matrix(phi, False)
     if isinstance(expr, TenAltF):
@@ -727,6 +705,8 @@ def shift_maps(P: FunctorExpr, field: FieldDescriptor, u: int, n: int) -> ShiftM
     """Maps induced by the coordinate embedding and projection, with the
     checks that the composite is the identity and that the projection is an
     isomorphism on the top-degree part of the shifted functor."""
+    if u < 0 or n < 0:
+        raise AlgebraError("shift and base dimensions must be nonnegative")
     alpha = induced_map(P, shift_embedding(field, u, n))
     beta = induced_map(P, shift_projection(field, u, n))
     composite = beta.compose(alpha)
@@ -833,27 +813,30 @@ def format_dim_polynomial(coeffs) -> str:
 # grammar
 # ---------------------------------------------------------------------------
 
-_FUNCTOR_TOKEN = re.compile(r"\s*(?:(?P<name>[a-z]+)|(?P<int>\d+)|(?P<op>[(),]))")
+# a bad character is reported where the blanks before it begin
+_FUNCTOR_TOKEN = re.compile(r"\s*(?:(?P<name>[a-z]+)|(?P<int>\d+)|(?P<op>[(),])|(?P<bad>\S))")
+
+# constructor name -> (class, kinds of its arguments in field order): "i" an
+# integer, "e" an expression, "E" one or more expressions
+_CONSTRUCTORS = {
+    "const": (ConstF, "i"),
+    "id": (IdF, ""),
+    "tsym": (TenSymF, ""),
+    "talt": (TenAltF, ""),
+    "sum": (SumF, "E"),
+    "tensor": (TensorF, "E"),
+    "sym": (SymF, "ie"),
+    "ext": (ExtF, "ie"),
+    "shift": (ShiftF, "ie"),
+    "quot": (QuotF, "ei"),
+}
+_SPELLING = {cls: (name, kinds) for name, (cls, kinds) in _CONSTRUCTORS.items()}
 
 
 class _FunctorParser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _FUNCTOR_TOKEN.match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}", pos, text)
-            for kind in ("name", "int", "op"):
-                if m.group(kind):
-                    self.tokens.append((kind, m.group(kind), m.start(kind)))
-                    break
-            pos = m.end()
-        self.tokens.append(("end", "", len(text)))
+        self.tokens = _tokenize(text, _FUNCTOR_TOKEN)
         self.i = 0
 
     def next(self):
@@ -861,74 +844,45 @@ class _FunctorParser:
         self.i += 1
         return tok
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def expect(self, kind, value=None):
-        k, v, pos = self.next()
-        if k != kind or (value is not None and v != value):
-            raise ParseError(f"expected {value or kind}", pos, self.text)
-        return v
+    def expect(self, wanted: str) -> str:
+        """Value of the next token, which must be the operator wanted or,
+        for "int", an integer."""
+        kind, value, pos = self.next()
+        if wanted != (value if kind == "op" else kind):
+            raise ParseError("expected an integer" if wanted == "int" else f"expected {wanted}", pos, self.text)
+        return value
 
     def parse(self) -> FunctorExpr:
         expr = self.expression()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.next()
         if kind != "end":
             raise ParseError(f"unexpected token {value!r}", pos, self.text)
         return expr
-
-    def int_arg(self) -> int:
-        k, v, pos = self.next()
-        if k != "int":
-            raise ParseError("expected an integer", pos, self.text)
-        return int(v)
 
     def expression(self) -> FunctorExpr:
         kind, value, pos = self.next()
         if kind != "name":
             raise ParseError("expected a functor constructor", pos, self.text)
-        if value == "id":
-            return IdF()
-        if value == "tsym":
-            return TenSymF()
-        if value == "talt":
-            return TenAltF()
-        if value == "const":
-            self.expect("op", "(")
-            m = self.int_arg()
-            self.expect("op", ")")
-            return ConstF(m)
-        if value in ("sym", "ext", "shift"):
-            self.expect("op", "(")
-            k = self.int_arg()
-            self.expect("op", ",")
-            inner = self.expression()
-            self.expect("op", ")")
-            if value == "sym":
-                return SymF(k, inner)
-            if value == "ext":
-                return ExtF(k, inner)
-            return ShiftF(k, inner)
-        if value in ("tensor", "sum"):
-            self.expect("op", "(")
-            parts = [self.expression()]
-            while True:
-                k, v, _ = self.peek()
-                if k == "op" and v == ",":
-                    self.next()
+        if value not in _CONSTRUCTORS:
+            raise ParseError(f"unknown constructor {value!r}", pos, self.text)
+        cls, kinds = _CONSTRUCTORS[value]
+        if not kinds:
+            return cls()
+        args = []
+        for i, arg in enumerate(kinds):
+            self.expect("," if i else "(")
+            if arg == "i":
+                args.append(int(self.expect("int")))
+            elif arg == "e":
+                args.append(self.expression())
+            else:
+                parts = [self.expression()]
+                while self.tokens[self.i][1] == ",":
+                    self.i += 1
                     parts.append(self.expression())
-                else:
-                    break
-            self.expect("op", ")")
-            return TensorF(tuple(parts)) if value == "tensor" else SumF(tuple(parts))
-        if value == "quot":
-            self.expect("op", "(")
-            inner = self.expression()
-            self.expect("op", ",")
-            idx = self.int_arg()
-            self.expect("op", ")")
-            return QuotF(inner, idx)
-        raise ParseError(f"unknown constructor {value!r}", pos, self.text)
+                args.append(tuple(parts))
+        self.expect(")")
+        return cls(*args)
 
 
 def parse_functor(text: str) -> FunctorExpr:
@@ -936,24 +890,13 @@ def parse_functor(text: str) -> FunctorExpr:
 
 
 def format_functor(expr: FunctorExpr) -> str:
-    if isinstance(expr, ConstF):
-        return f"const({expr.size})"
-    if isinstance(expr, IdF):
-        return "id"
-    if isinstance(expr, TenSymF):
-        return "tsym"
-    if isinstance(expr, TenAltF):
-        return "talt"
-    if isinstance(expr, SumF):
-        return "sum(" + ",".join(format_functor(p) for p in expr.parts) + ")"
-    if isinstance(expr, TensorF):
-        return "tensor(" + ",".join(format_functor(f) for f in expr.factors) + ")"
-    if isinstance(expr, SymF):
-        return f"sym({expr.power},{format_functor(expr.inner)})"
-    if isinstance(expr, ExtF):
-        return f"ext({expr.power},{format_functor(expr.inner)})"
-    if isinstance(expr, ShiftF):
-        return f"shift({expr.by},{format_functor(expr.inner)})"
-    if isinstance(expr, QuotF):
-        return f"quot({format_functor(expr.inner)},{expr.drop_index})"
-    raise AlgebraError(f"unknown expression {expr!r}")
+    if type(expr) not in _SPELLING:
+        raise AlgebraError(f"unknown expression {expr!r}")
+    name, kinds = _SPELLING[type(expr)]
+    if not kinds:
+        return name
+    args = [
+        str(value) if arg == "i" else format_functor(value) if arg == "e" else ",".join(map(format_functor, value))
+        for arg, value in zip(kinds, vars(expr).values())
+    ]
+    return f"{name}({','.join(args)})"

@@ -21,22 +21,24 @@ from .errors import ParseError
 from .fields import FieldDescriptor, Scalar
 from .rings import GradedPoly, GradedRing, _from_raw, _raw, _raw_mul_into, _raw_pow, _reduced
 
-# every non-blank character starts a token; "bad" ones are rejected
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/])|(?P<bad>\S))"
-)
+# every non-blank character starts a token; "bad" ones are rejected at their
+# own position
+_TOKEN = re.compile(r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))|(?P<bad>\S)")
 
 NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 _SIGNS = {"+": 1, "-": -1}
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, pattern: re.Pattern):
+    """(kind, value, position) of each match of pattern, the group that
+    matched naming the kind, then an end token; a "bad" match is an error
+    at the start of the match."""
     tokens = []
-    for m in _TOKEN.finditer(text):
+    for m in pattern.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind), text)
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(), text)
         tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
@@ -48,7 +50,7 @@ class _PolyParser:
         self.ring = ring
         self.p = ring.field.characteristic
         self.unit = (0,) * len(ring.names)
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, _TOKEN)
         self.i = 0
         self.variables: dict = {}  # name -> its raw terms {exps: 1}, read only
 

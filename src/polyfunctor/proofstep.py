@@ -43,6 +43,7 @@ from .functors import (
     decompose,
     induced_map,
     label_vdeg,
+    leaf_indices,
     shift_label,
 )
 from .groebner import (
@@ -91,23 +92,6 @@ def _summand_prefix(expr: FunctorExpr) -> str | None:
     return None
 
 
-def _leaf_indices(label) -> tuple[int, ...] | None:
-    tag = label[0]
-    if tag == "v":
-        return (label[1],)
-    if tag in ("y", "z"):
-        return (label[1], label[2])
-    if tag == "t":
-        out = []
-        for sub in label[1]:
-            part = _leaf_indices(sub)
-            if part is None:
-                return None
-            out.extend(part)
-        return tuple(out)
-    return None
-
-
 class CoordinateModel:
     """Coordinate ring of the value of a functor at a fixed dimension.
 
@@ -137,9 +121,8 @@ class CoordinateModel:
         for idx, s in enumerate(summands):
             labels = basis_labels(s.expr, dimension)
             for pos, sub in enumerate(labels):
-                leafs = _leaf_indices(sub) if prefixes[idx] else None
-                if prefixes[idx] and leafs is not None:
-                    name = prefixes[idx] + "".join(f"_{i + 1}" for i in leafs)
+                if prefixes[idx]:
+                    name = prefixes[idx] + "".join(f"_{i + 1}" for i in leaf_indices(sub))
                 else:
                     name = f"{s.label}_{pos + 1}"
                 variables.append(RingVariable(name, s.label, s.degree))

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +410,29 @@ def test_failed_shift_check_exit_code(capsys, monkeypatch):
     assert "top-degree part isomorphic: false" in out
 
 
+@pytest.mark.parametrize("u, n", [(1, -2), (-1, 2)])
+def test_shift_check_refuses_negative_dimensions(capsys, u, n):
+    code, out, err = run_cli(
+        capsys, "shift-check", "--functor", "sym(2,id)", "--u", str(u), "--n", str(n)
+    )
+    assert (code, out, err) == (1, "", "error: shift and base dimensions must be nonnegative\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("hasse", "--field", "q", "--poly", "x^2*y", "--dir", "1,1", "--r", "1"),
+        ("taylor", "--field", "q", "--poly", "x^2*y"),
+        ("dderiv", "--field", "fp:5", "--poly", "y^25*z^2 + x^10*y^25*z", "--dir", "1,1"),
+    ],
+)
+def test_spaced_w_vars_read_like_plain_ones(capsys, command):
+    plain = run_cli(capsys, *command, "--w-vars", "x,y")
+    assert plain[0] == 0
+    assert run_cli(capsys, *command, "--w-vars", "x, y") == plain
+    assert run_cli(capsys, *command, "--w-vars", " x ,y,") == plain
+
+
 def test_oversized_modulus_is_a_domain_error(capsys):
     code, _, err = run_cli(
         capsys, "induce", "--functor", "id", "--field", "fp:3317044064679887385961981",
@@ -563,3 +588,43 @@ def test_repeated_options_give_each_call_its_own_list(capsys, monkeypatch):
     run_cli(capsys, *PROOFSTEP_ARGS)
     assert [args.phi for args in seen] == [["1,0;0,1", "0,1;1,0"], ["2,0;0,2"], None]
     assert seen[0].phi is not seen[1].phi
+
+
+# -- the README's command-line examples ----------------------------------------
+
+
+def _readme_commands():
+    """(argv, expected first stdout line or None) of each polyfunctor line
+    in the README's "Command line" block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    line = ""
+    for physical in block.splitlines():
+        line += physical
+        if line.endswith("\\"):
+            line = line[:-1]
+            continue
+        if line.startswith("polyfunctor "):
+            command, _, expected = line.partition(" #")
+            commands.append((shlex.split(command)[1:], expected.strip() or None))
+        line = ""
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv, _ in README_COMMANDS} == {
+        "dim", "decompose", "induce", "shift-check", "compare", "hasse", "taylor", "dderiv",
+        "delta", "proofstep", "example-rank1",
+    }
+
+
+@pytest.mark.parametrize("argv, expected", README_COMMANDS, ids=[" ".join(a[:3]) for a, _ in README_COMMANDS])
+def test_readme_command_line_examples(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if expected is not None:
+        assert out.splitlines()[0] == expected

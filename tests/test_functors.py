@@ -10,6 +10,7 @@ from polyfunctor import (
     ExtF,
     GradedRing,
     IdF,
+    ParseError,
     QuotF,
     ShiftF,
     SumF,
@@ -319,6 +320,60 @@ def test_functor_grammar_examples():
     assert parse_functor("quot(sum(id,const(2)),1)") == QuotF(SumF((IdF(), ConstF(2))), 1)
     with pytest.raises(Exception):
         parse_functor("sym(2")
+
+
+@pytest.mark.parametrize(
+    "text, expr",
+    [
+        ("const(3)", ConstF(3)),
+        ("id", IdF()),
+        ("tsym", TenSymF()),
+        ("talt", TenAltF()),
+        ("sum(id,const(0),tsym)", SumF((IdF(), ConstF(0), TenSymF()))),
+        ("tensor(id,talt)", TensorF((IdF(), TenAltF()))),
+        ("sum(id)", SumF((IdF(),))),
+        ("sym(2,id)", SymF(2, IdF())),
+        ("ext(3,sum(id,id))", ExtF(3, SumF((IdF(), IdF())))),
+        ("shift(2,sym(0,id))", ShiftF(2, SymF(0, IdF()))),
+        ("quot(shift(1,tsym),2)", QuotF(ShiftF(1, TenSymF()), 2)),
+    ],
+)
+def test_functor_grammar_pins_every_constructor(text, expr):
+    assert parse_functor(text) == expr
+    assert format_functor(expr) == text
+    spaced = text.replace(",", " , ").replace("(", " ( ")
+    assert parse_functor(f"  {spaced}\t") == expr
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "expected a functor constructor", 0),
+        ("sym(2", "expected ,", 5),
+        ("sym(x,id)", "expected an integer", 4),
+        ("Sym(2,id)", "unexpected character 'S'", 0),
+        ("sum(id,)", "expected a functor constructor", 7),
+        ("sym(2,id) x", "unexpected token 'x'", 10),
+        ("id()", "unexpected token '('", 2),
+        ("const(a)", "expected an integer", 6),
+        ("bogus(", "unknown constructor 'bogus'", 0),
+        ("tensor(id id)", "expected )", 10),
+        ("sym 2", "expected (", 4),
+        # a bad character is reported where the blanks before it begin
+        ("sym(2, X)", "unexpected character 'X'", 6),
+    ],
+)
+def test_functor_grammar_pins_parse_errors(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_functor(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_functor_grammar_refuses_a_missing_summand():
+    with pytest.raises(AlgebraError, match="^summand index out of range of the normalised sum$") as info:
+        parse_functor("quot(id,5)")
+    assert type(info.value) is AlgebraError
 
 
 # -- basis labelling -----------------------------------------------------------------
