@@ -209,7 +209,8 @@ def dim(expr: FunctorExpr, n: int) -> int:
             total *= dim(f, n)
         return total
     if isinstance(expr, SymF):
-        return comb(dim(expr.inner, n) + expr.power - 1, expr.power)
+        # S^0 of a zero space is the line of constants
+        return comb(max(dim(expr.inner, n) + expr.power - 1, 0), expr.power)
     if isinstance(expr, ExtF):
         return comb(dim(expr.inner, n), expr.power)
     if isinstance(expr, ShiftF):

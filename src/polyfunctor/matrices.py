@@ -11,14 +11,21 @@ equal matrices have equal slices.  Composition and the induced-map kernels
 multiply slices by plain dot products; entries are boxed as polynomials
 only when rows or entry_by_label is read, once per matrix.
 Also home to the small exact linear algebra the package needs: Gaussian
-rank over a field, and one fraction-free Gauss-Jordan solve of a square
-polynomial system that yields its determinant and every Cramer numerator.
+rank over a field, and the solve of a square polynomial system [A | b] in
+block upper-triangular form: rows matched to columns, the diagonal blocks
+the strongly connected components of the matched pattern, each block
+solved by one fraction-free Gauss-Jordan pass and the solution
+back-substituted, so that every unknown comes out as a numerator over the
+product of the determinants of the blocks it depends on.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import combinations
+from math import prod
 from operator import add, mul
+from typing import NamedTuple
 
 from .errors import AlgebraError, InternalCheckError
 from .fields import FieldDescriptor
@@ -314,9 +321,100 @@ def matrix_rank(entries, field: FieldDescriptor) -> int:
     return rank
 
 
-def cramer_solve(rows, ring: GradedRing):
-    """(det A, [det A_j(b) for every column j]) of the square polynomial
-    system whose rows are [A | b], by one fraction-free Gauss-Jordan pass;
+class BlockSolution(NamedTuple):
+    """A x = b solved in block upper-triangular form: det A is sign times the
+    product of block_dets, and x_j = numerators[j] / D_j with D_j the
+    product of block_dets[t] over the blocks t in depends[j], the block of
+    column j and every block its equations reach."""
+
+    ring: GradedRing
+    sign: int
+    block_dets: tuple
+    numerators: tuple
+    depends: tuple
+
+    @property
+    def det(self) -> GradedPoly:
+        det = prod(self.block_dets, start=self.ring.one())
+        return -det if self.sign < 0 else det
+
+    def cramer_numerator(self, j: int) -> GradedPoly:
+        """det A_j(b), A with column j replaced by b, which is det A * x_j."""
+        others = (d for t, d in enumerate(self.block_dets) if t not in self.depends[j])
+        numerator = prod(others, start=self.numerators[j])
+        return -numerator if self.sign < 0 else numerator
+
+
+def cramer_solve(rows, ring: GradedRing) -> BlockSolution | None:
+    """The square polynomial system whose rows are [A | b], solved block by
+    block; None when A is singular.
+
+    Rows are matched to columns on the nonzero pattern of A by augmenting
+    paths; without a perfect matching A is structurally singular.  With row
+    match[j] put in place j, the diagonal blocks are the strongly connected
+    components of the graph j -> k for A[match[j]][k] != 0 (Tarjan, SIAM J.
+    Comput. 1, 1972; Duff, Erisman & Reid, Direct Methods for Sparse
+    Matrices, ch. 6), read off a bitmask transitive closure: two columns
+    share a block when they reach the same columns.  The blocks are solved
+    sinks first.  A block's right-hand side is scaled by the determinants
+    of the blocks it reaches, its solved columns are moved across, and one
+    fraction-free Gauss-Jordan pass (_gauss_jordan) solves it; a 1x1 block
+    is read off with no division.
+    """
+    n = len(rows)
+    if any(len(row) != n + 1 for row in rows):
+        raise AlgebraError("a Cramer solve needs the n rows of a square [A | b]")
+    pattern = [[k for k in range(n) if row[k]] for row in rows]
+    owner = {}  # column -> the row matched to it
+
+    def claim(i, seen):
+        for j in pattern[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or claim(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    if not all(claim(i, set()) for i in range(n)):
+        return None
+    match = [owner[j] for j in range(n)]
+    reach = [sum(1 << k for k in pattern[i]) for i in match]
+    for k in range(n):
+        for j in range(n):
+            if reach[j] >> k & 1:
+                reach[j] |= reach[k]
+    blocks = defaultdict(list)
+    for j in range(n):
+        blocks[reach[j]].append(j)
+    dets, masks, numerators, depends = [], [], [None] * n, [None] * n
+    # a block reaches strictly fewer columns than any block that reaches it
+    for t, key in enumerate(sorted(blocks, key=int.bit_count)):
+        cols = blocks[key]
+        reached = frozenset(s for s, mask in enumerate(masks) if mask & key)
+        masks.append(sum(1 << j for j in cols))
+        system = []
+        for j in cols:
+            row = rows[match[j]]
+            rhs = prod((dets[s] for s in reached), start=row[n])
+            for k in pattern[match[j]]:
+                if not masks[t] >> k & 1:
+                    scale = (dets[s] for s in reached - depends[k])
+                    rhs = rhs - prod(scale, start=row[k] * numerators[k])
+            system.append([row[k] for k in cols] + [rhs])
+        solved = _gauss_jordan(system, ring)
+        if solved is None:
+            return None
+        dets.append(solved[0])
+        for j, x in zip(cols, solved[1]):
+            numerators[j], depends[j] = x, reached | {t}
+    sign = (-1) ** sum(a > b for a, b in combinations(match, 2))
+    return BlockSolution(ring, sign, tuple(dets), tuple(numerators), tuple(depends))
+
+
+def _gauss_jordan(M, ring: GradedRing):
+    """(det A, [det A_j(b) for every column j]) of the square system whose
+    rows are [A | b], by one fraction-free Gauss-Jordan pass on M in place;
     None when A is singular.
 
     Each step pivots on the remaining row with the fewest nonzero entries and
@@ -325,10 +423,7 @@ def cramer_solve(rows, ring: GradedRing):
     Comp. 22, 1968), so every division is exact; the last pivot is det A up
     to the sign of the row swaps.
     """
-    n = len(rows)
-    M = [list(row) for row in rows]
-    if any(len(row) != n + 1 for row in M):
-        raise AlgebraError("a Cramer solve needs the n rows of a square [A | b]")
+    n = len(M)
     sign, prev = 1, ring.one()
     for k in range(n):
         live = [i for i in range(k, n) if M[i][k]]

@@ -21,6 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     AlgebraError,
@@ -560,12 +561,17 @@ def eliminate(
     """Cramer-rule elimination of the moving coordinates.
 
     Tries the row subsets of the elements in lexicographic order, at most
-    max_minor_candidates of them.  Each is one fraction-free Gauss-Jordan
-    solve (matrices.cramer_solve), which gives the minor and every Cramer
-    numerator at once.  The first minor equal to a nonzero scalar c times a
-    power h^P is taken; each numerator is divided by c and cancels as many
-    powers of h as it can.  Raises CertificateNotFoundError when no such
-    minor shows up within the budget.
+    max_minor_candidates of them.  Each is one block-triangular solve
+    (matrices.cramer_solve), which gives the minor as a product of block
+    determinants and each coordinate as a numerator over the determinants
+    of the blocks it depends on.  The first minor equal to a nonzero scalar
+    c times a power h^P is taken.  Each coordinate takes its h-power and
+    scalar from its own blocks, or from the minor when one of them is not a
+    scalar times a power of h (then its numerator is the full Cramer one),
+    and cancels as many powers of h as it can: the result is the least
+    power k with x * h^k a polynomial, whichever blocks it came from.
+    Raises CertificateNotFoundError when no such minor shows up within the
+    budget.
     """
     elements = list(elements)
     eliminated = list(eliminated)
@@ -596,22 +602,27 @@ def eliminate(
         solved = cramer_solve([system[i] for i in rows_sel], ring)
         if solved is None:
             continue
-        det, numerators = solved
-        c, power = det, 0
-        if not h.is_constant():
-            while (q := divide_exact(c, h)) is not None:
-                c, power = q, power + 1
-        if c.is_constant():
+        det = solved.det
+        blocks = [_h_power(d, h) for d in solved.block_dets]
+        if all(c is not None for c, _ in blocks):
+            c = prod((c for c, _ in blocks), start=ring.field.scalar(solved.sign))
+            power = sum(k for _, k in blocks)
+        else:  # the factors of h may be spread over the blocks
+            c, power = _h_power(det, h)
+        if c is not None:
             break
     else:
         raise CertificateNotFoundError("no unit minor found within the search budget")
     if h**power * c != det:
         raise InternalCheckError("unit minor lost its h-power structure")
-    inv_c = c.constant_value().inverse()
     entries = []
-    for var, numerator in zip(eliminated, numerators):
-        numerator = numerator * inv_c
-        left = power
+    for j, var in enumerate(eliminated):
+        own = [blocks[t] for t in solved.depends[j]]
+        if all(c_t is not None for c_t, _ in own):
+            numerator = solved.numerators[j] * prod(c_t for c_t, _ in own).inverse()
+            left = sum(k for _, k in own)
+        else:
+            numerator, left = solved.cramer_numerator(j) * c.inverse(), power
         while left and (q := divide_exact(numerator, h)) is not None:
             numerator, left = q, left - 1
         if set(numerator.support_vars()) & elim_set:
@@ -626,6 +637,15 @@ def eliminate(
         minor_rows=rows_sel,
         minor_det=det,
     )
+
+
+def _h_power(d: GradedPoly, h: GradedPoly):
+    """(c, k) with d = c * h^k for a scalar c, h divided out of d while the
+    cofactor is not constant; (None, k) when the cofactor stays nonconstant."""
+    k = 0
+    while not d.is_constant() and not h.is_constant() and (q := divide_exact(d, h)) is not None:
+        d, k = q, k + 1
+    return (d.constant_value() if d.is_constant() else None), k
 
 
 # ---------------------------------------------------------------------------
@@ -820,15 +840,25 @@ def run_proofstep(
 
 
 def rank_one_minors_plain(model: CoordinateModel) -> list[GradedPoly]:
+    """The 2x2 minors x_i_k*x_j_l - x_i_l*x_j_k (i < j, k < l) of the plain
+    tensor coordinates, each built straight as its two canonical terms."""
     m = model.dimension
     ring = model.ring
+    p = ring.field.characteristic
+    minus_one = p - 1 if p else -1
+    at = [[ring.position(f"x_{a + 1}_{b + 1}") for b in range(m)] for a in range(m)]
+    width = len(ring.names)
+
+    def monomial(u, v):
+        exps = [0] * width
+        exps[u] = exps[v] = 1
+        return tuple(exps)
+
     out = []
     for i, j in itertools.combinations(range(m), 2):
         for k, l in itertools.combinations(range(m), 2):
-            out.append(
-                ring.var(f"x_{i + 1}_{k + 1}") * ring.var(f"x_{j + 1}_{l + 1}")
-                - ring.var(f"x_{i + 1}_{l + 1}") * ring.var(f"x_{j + 1}_{k + 1}")
-            )
+            terms = {monomial(at[i][k], at[j][l]): 1, monomial(at[i][l], at[j][k]): minus_one}
+            out.append(GradedPoly(ring, terms, _canonical=True))
     return out
 
 

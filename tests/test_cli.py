@@ -20,6 +20,13 @@ def test_dim_shift_tensor_square(capsys):
     assert out.strip() == "25"
 
 
+@pytest.mark.parametrize("functor", ("sym(0,id)", "ext(0,id)"))
+def test_dim_of_a_zeroth_power_of_the_zero_space(capsys, functor):
+    code, out, _ = run_cli(capsys, "dim", "--functor", functor, "--n", "0")
+    assert code == 0
+    assert out.strip() == "1"
+
+
 def test_dderiv_characteristic_five(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -400,13 +400,43 @@ def test_eliminate_takes_the_first_unit_minor():
         eliminate(elements, h, ["z1", "z2"], max_minor_candidates=2)
 
 
+def test_eliminate_with_the_factors_of_h_in_different_blocks():
+    # h = u*v; the system is diagonal with blocks u, 2v and 3h, so the minor
+    # 6h^2 is a scalar times a power of h although the blocks u and 2v are
+    # not: z1 and z2 take their h-power from the minor and the full Cramer
+    # numerator, z3 from its own block 3h
+    ring = GradedRing(Q, [("z1", "r", 1), ("z2", "r", 1), ("z3", "r", 1),
+                          ("u", "b", 1), ("v", "b", 1), ("w", "b", 1)])
+    u, v, w = (ring.var(name) for name in ("u", "v", "w"))
+    h = u * v
+
+    def element(additive, constant):
+        poly = constant + sum((coeff * ring.var(z) for z, coeff in additive.items()), ring.zero())
+        return AffineAdditiveElement(poly, 0, additive, constant, ("z1", "z2", "z3"), ring.zero())
+
+    elements = [element({"z1": u}, w), element({"z2": v * 2}, w), element({"z3": h * 3}, w * u)]
+    cert = eliminate(elements, h, ["z1", "z2", "z3"])
+    assert cert.minor_rows == (0, 1, 2)
+    assert cert.minor_det == h**2 * 6
+    # u*z1 + w = 0 gives h*z1 + w*v = 0, 2v*z2 + w = 0 gives h*z2 + w*u/2 = 0
+    # and 3h*z3 + w*u = 0 gives h*z3 + w*u/3 = 0
+    assert [(e.variable, e.numerator, e.h_power) for e in cert.entries] == [
+        ("z1", w * v, 1),
+        ("z2", w * u * Fraction(1, 2), 1),
+        ("z3", w * u * Fraction(1, 3), 1),
+    ]
+
+
 def test_cramer_solve_refuses_an_inexact_division(monkeypatch):
     from polyfunctor import matrices
 
     ring = GradedRing(Q, ["s", "t"])
     s, t = ring.var("s"), ring.var("t")
     rows = [[s, t, ring.one()], [t, s + 1, ring.zero()]]
-    assert matrices.cramer_solve(rows, ring) == (s**2 + s - t**2, [s + 1, -t])
+    solved = matrices.cramer_solve(rows, ring)  # one 2x2 block
+    assert len(solved.block_dets) == 1
+    assert solved.det == s**2 + s - t**2
+    assert [solved.cramer_numerator(j) for j in range(2)] == [s + 1, -t]
     monkeypatch.setattr(matrices, "divide_exact", lambda f, g: None)
     with pytest.raises(InternalCheckError):
         matrices.cramer_solve(rows, ring)
@@ -695,13 +725,16 @@ def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
 def test_rank_one_elimination_divides_few_times(monkeypatch):
     from polyfunctor import groebner, matrices, proofstep
 
-    calls = []
+    calls = {"matrices": [], "proofstep": []}
     inside = []
     eliminate = proofstep.eliminate
 
-    def counted(f, g):
-        calls.extend(inside)
-        return groebner.divide_exact(f, g)
+    def counted(where):
+        def divide(f, g):
+            calls[where].extend(inside)
+            return groebner.divide_exact(f, g)
+
+        return divide
 
     def tracked(*args, **kwargs):
         inside.append(1)
@@ -710,18 +743,37 @@ def test_rank_one_elimination_divides_few_times(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(proofstep, "divide_exact", counted)
-    monkeypatch.setattr(matrices, "divide_exact", counted)
+    monkeypatch.setattr(proofstep, "divide_exact", counted("proofstep"))
+    monkeypatch.setattr(matrices, "divide_exact", counted("matrices"))
     monkeypatch.setattr(proofstep, "eliminate", tracked)
     report = run_rank_one_example(4, FieldDescriptor.prime_field(101), sample_count=1)
     assert report.all_passed()
-    # At n = 4 the 6 elements give a 6x6 system with one entry 2*z_1_2 per
-    # row.  The Gauss-Jordan pass divides the two nonzero entries of each
-    # other row once per step after the first (2 * 5 * 5 = 50), the minor
-    # h^6 takes 7 divisions to find its h-power, and each of the 6 numerators,
-    # h^5 times an entry of k0, cancels 5 powers and fails the sixth (36): 93.
-    # A Bareiss determinant per minor and per coordinate took 289.
-    assert len(calls) <= 100
+    # At n = 4 the 6 elements give a 6x6 system with one entry 2*z_1_2 = h
+    # per row, so the solve splits it into six 1x1 blocks and divides
+    # nothing.  Each block determinant h takes one division by h to leave
+    # the scalar 1 (6), and each of the 6 coordinates, its constant part
+    # over that scalar, an entry of k0 that h does not divide, fails one
+    # division by h (6): 12.
+    assert len(calls["matrices"]) == 0
+    assert len(calls["proofstep"]) == 12
+
+
+def test_rank_one_minors_plain_is_the_products_of_variables():
+    # the binomials x_i_k*x_j_l - x_i_l*x_j_k as ring.var products make, in
+    # the same order and each with its two terms in the same order
+    for field in (Q, FieldDescriptor.prime_field(3), FieldDescriptor.prime_field(101)):
+        for dimension in range(2, 9):
+            model = coordinate_model(TensorF((IdF(), IdF())), field, dimension)
+            ring = model.ring
+            x = {(a, b): ring.var(f"x_{a + 1}_{b + 1}") for a in range(dimension) for b in range(dimension)}
+            want = [
+                x[i, k] * x[j, l] - x[i, l] * x[j, k]
+                for i, j in itertools.combinations(range(dimension), 2)
+                for k, l in itertools.combinations(range(dimension), 2)
+            ]
+            got = rank_one_minors_plain(model)
+            assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in want]
+            assert all(f.ring is ring for f in got)
 
 
 def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):

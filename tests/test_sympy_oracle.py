@@ -5,8 +5,9 @@ Our term order is sympy's ``grlex`` when every variable has weight 1, with
 the ring's variables in order.  The normal form modulo an ideal does not
 depend on the basis it is computed with, and an exact quotient is unique, so
 both are compared term by term.  The entries of an exterior power are minors,
-and the fraction-free Gauss-Jordan solve returns a determinant and its
-Cramer numerators, so all are compared with sympy's ``det``.  The entries of
+and the block-triangular solve returns a determinant, its Cramer numerators
+and each unknown over the determinants of its blocks, so all are compared
+with sympy's ``det`` (and the unknowns with its ``lu_solve``).  The entries of
 a symmetric power are coefficients of products of linear forms, which sympy
 multiplies out, and those of a tensor square are entries of sympy's
 Kronecker product, symmetrised or antisymmetrised for its two halves.  The
@@ -18,8 +19,9 @@ Skipped where sympy is not installed.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -250,6 +252,38 @@ def _sympy_det(rows, syms, field):
     return domain.to_sympy(DomainMatrix(entries, (len(rows), len(rows)), domain).det())
 
 
+def _check_block_solution(solved, rows, ring, field):
+    """det A, every Cramer numerator det A_j(b), and every x_j, given as a
+    numerator N_j over the product D_j of the determinants of the blocks it
+    depends on, against sympy's det: N_j * det A == det A_j(b) * D_j."""
+    n = len(rows)
+    syms = _symbols(ring)
+    det = _sympy_det([row[:n] for row in rows], syms, field)
+    assert not solved.det.is_zero()
+    assert _our_terms(solved.det) == _sympy_terms(det, syms, field)
+    assert len(solved.numerators) == len(solved.depends) == n
+    for j in range(n):
+        replaced = [row[:j] + [row[n]] + row[j + 1:n] for row in rows]
+        det_j = _sympy_det(replaced, syms, field)
+        assert _our_terms(solved.cramer_numerator(j)) == _sympy_terms(det_j, syms, field)
+        blocks = prod((solved.block_dets[t] for t in solved.depends[j]), start=ring.one())
+        N_j, D_j, det_A, det_Aj = (sympy.Poly(e, *syms, **_domain(field)) for e in (
+            _to_sympy(solved.numerators[j], syms), _to_sympy(blocks, syms), det, det_j))
+        assert (N_j * det_A - det_Aj * D_j).is_zero
+
+
+def _block_sizes(solved):
+    """Columns per block: a column's own block is the last of those it
+    depends on, since the blocks it reaches are solved first."""
+    return sorted(Counter(max(d) for d in solved.depends).values())
+
+
+def _nonzero_poly(rng, ring):
+    while not (f := random_poly(rng, ring, max_degree=1, max_terms=2)):
+        pass
+    return f
+
+
 @pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_cramer_solve_matches_sympy(n, field_text):
@@ -263,13 +297,7 @@ def test_cramer_solve_matches_sympy(n, field_text):
         rows[0][0] = ring.zero()  # the first pivot needs a row swap
         if _sympy_det([row[:n] for row in rows], syms, field) != 0:
             break
-    det, numerators = cramer_solve(rows, ring)
-    assert not det.is_zero()
-    assert _our_terms(det) == _sympy_terms(_sympy_det([row[:n] for row in rows], syms, field), syms, field)
-    assert len(numerators) == n
-    for j, ours in enumerate(numerators):
-        replaced = [row[:j] + [row[n]] + row[j + 1:n] for row in rows]
-        assert _our_terms(ours) == _sympy_terms(_sympy_det(replaced, syms, field), syms, field)
+    _check_block_solution(cramer_solve(rows, ring), rows, ring, field)
 
 
 @pytest.mark.parametrize("field_text", ("q", "fp:101"))
@@ -281,6 +309,69 @@ def test_cramer_solve_refuses_a_singular_matrix(field_text):
     rows[0][0] = ring.zero()
     combo = random_poly(rng, ring, max_degree=1, max_terms=2) + ring.var("s")
     rows.append([a * combo - b for a, b in zip(rows[0], rows[1])])  # a combination of the others
+    assert _sympy_det([row[:3] for row in rows], _symbols(ring), field) == 0
+    assert cramer_solve(rows, ring) is None
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
+def test_cramer_solve_on_a_permuted_block_triangular_system(field_text):
+    # columns {0}, {1, 2, 3}, {4}, {5}: a dense 3x3 block among 1x1 blocks,
+    # every entry above the diagonal blocks filled in, the rows shuffled
+    field = FieldDescriptor.parse(field_text)
+    ring = GradedRing(field, ["s", "t"])
+    syms = _symbols(ring)
+    rng = random.Random(f"blocks {field_text}")
+    block_of = (0, 1, 1, 1, 2, 3)
+    while True:
+        rows = [[_nonzero_poly(rng, ring) if block_of[k] >= block_of[i] else ring.zero()
+                 for k in range(6)] + [random_poly(rng, ring, max_degree=1, max_terms=2)]
+                for i in range(6)]
+        rng.shuffle(rows)
+        if _sympy_det([row[:6] for row in rows], syms, field) != 0:
+            break
+    solved = cramer_solve(rows, ring)
+    assert _block_sizes(solved) == [1, 1, 1, 3]
+    assert len(solved.depends[5]) == 1 and len(solved.depends[0]) == 4
+    _check_block_solution(solved, rows, ring, field)
+    # and x_j = N_j / D_j against sympy's solve over the rational function field
+    K = (sympy.GF(field.characteristic) if field.characteristic else sympy.QQ).frac_field(*syms)
+
+    def lift(f):
+        return K.from_sympy(_to_sympy(f, syms))
+
+    A = DomainMatrix([[lift(e) for e in row[:6]] for row in rows], (6, 6), K)
+    x = A.lu_solve(DomainMatrix([[lift(row[6])] for row in rows], (6, 1), K))
+    for j, (x_j,) in enumerate(x.rep.to_ddm()):
+        blocks = prod((solved.block_dets[t] for t in solved.depends[j]), start=ring.one())
+        assert not x_j * lift(blocks) - lift(solved.numerators[j])
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
+def test_cramer_solve_refuses_a_structurally_singular_matrix(field_text):
+    # rows 0 and 1 meet column 0 only, so no matching covers all three rows
+    field = FieldDescriptor.parse(field_text)
+    ring = GradedRing(field, ["s", "t"])
+    rng = random.Random(f"structurally singular {field_text}")
+    rows = [[_nonzero_poly(rng, ring) if i == 2 or k in (0, 3) else ring.zero() for k in range(4)]
+            for i in range(3)]
+    assert _sympy_det([row[:3] for row in rows], _symbols(ring), field) == 0
+    assert cramer_solve(rows, ring) is None
+
+
+@pytest.mark.parametrize("field_text", ("q", "fp:3", "fp:101"))
+def test_cramer_solve_refuses_a_singular_block(field_text):
+    # columns {0, 1} form a dense 2x2 block whose second row is c times its
+    # first; column 2 is a 1x1 block, solved first
+    field = FieldDescriptor.parse(field_text)
+    ring = GradedRing(field, ["s", "t"])
+    rng = random.Random(f"singular block {field_text}")
+    a, b, c = (_nonzero_poly(rng, ring) for _ in range(3))
+    rows = [
+        [a, b, _nonzero_poly(rng, ring), random_poly(rng, ring)],
+        [c * a, c * b, _nonzero_poly(rng, ring), random_poly(rng, ring)],
+        [ring.zero(), ring.zero(), _nonzero_poly(rng, ring), random_poly(rng, ring)],
+    ]
+    rng.shuffle(rows)
     assert _sympy_det([row[:3] for row in rows], _symbols(ring), field) == 0
     assert cramer_solve(rows, ring) is None
 
