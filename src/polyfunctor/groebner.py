@@ -1,21 +1,31 @@
 """Budgeted Buchberger engine for desk-scale ideal membership.
 
-This is a verification aid, not a performance claim: plain Buchberger with
-the coprime-leading-term criterion, run under an explicit step budget.  When
-the budget runs out a BudgetExceededError is raised so a caller can report
-"inconclusive" instead of guessing.
+This is a verification aid, not a performance claim: Buchberger with the
+Gebauer-Moeller pair criteria (Gebauer & Moeller, J. Symb. Comp. 6 (1988);
+Becker & Weispfenning, Groebner Bases, 5.5), run under an explicit step
+budget.  When the budget runs out a BudgetExceededError is raised so a caller
+can report "inconclusive" instead of guessing.
 
-Pending pairs sit in a heap keyed by the order key of the lcm of their
-leading monomials, then by index.  A division (reduce_poly, divide_exact)
-works on a mutable copy of the dividend whose packed monomials, a format
-only rings knows, sit in a heap (rings._Dividend): each step pops the
-leading term and subtracts in place a monomial multiple of a divisor's
-associate (monic over F_p, primitive integer over q: fraction-free).  The
-divisors form a set prepared once (rings._Divisors); buchberger extends its
-own as remainders join and builds each S-pair dividend from the packed
-associates of the pair.  A division that meets too large an exponent starts
-again with wider fields and, in reduce_poly, with the budget it started
-with.  The budget is spent once per pair and once per division step.
+As each element h joins the basis (the generators in order, then each
+nonzero S-pair remainder), criterion B drops each pending pair (i, j) whose
+lcm the leading monomial of h divides, unless lcm(i, h) or lcm(j, h) equals
+lcm(i, j); among the new pairs (k, h), M drops those whose lcm another's
+properly divides, F keeps one of those with equal lcm (none if one is
+coprime), and the coprime ones are dropped.  Pending pairs sit in a heap keyed
+by the order key of the lcm of their leading monomials, then by index (the
+normal strategy); a pair B drops leaves it when popped.
+
+A division (reduce_poly, divide_exact) works on a mutable copy of the
+dividend whose packed monomials, a format only rings knows, sit in a heap
+(rings._Dividend): each step pops the leading term and subtracts in place a
+monomial multiple of a divisor's associate (monic over F_p, primitive
+integer over q: fraction-free).  The divisors form a set prepared once
+(rings._Divisors); buchberger extends its own as remainders join and builds
+each S-pair dividend from the packed associates of the pair.  A division
+that meets too large an exponent starts again with wider fields and, in
+reduce_poly, with the budget it started with.  The budget is spent once per
+pair taken from the heap and once per division step; a pair a criterion
+drops costs nothing.
 
 A zero remainder from plain division by the generators already certifies
 membership (the division identity is an explicit combination), so
@@ -26,8 +36,9 @@ computing a basis; only completeness needs the Buchberger run.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
+from operator import le
 
 from .errors import AlgebraError, BudgetExceededError
 from .rings import GradedPoly, _Divisors, _from_raw, _raw
@@ -107,31 +118,49 @@ def s_polynomial(f: GradedPoly, g: GradedPoly) -> GradedPoly:
 
 
 def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
-    """Groebner basis of the given generators under the ring order."""
+    """Groebner basis of the given generators under the ring order: every
+    generator, then every nonzero S-pair remainder, in the order they joined."""
     budget = budget or Budget()
     gens = [g for g in gens if g]
     if not gens:
         return []
-    basis = _Divisors(gens[0].ring, map(_monic, gens))
-    leads = [g.leading_item()[0] for g in basis.polys]
+    basis = _Divisors(gens[0].ring)
+    key, leads, pending, pairs = basis.ring.order_key, [], {}, []
 
-    def pair(i, j):
-        return basis.ring.order_key(tuple(map(max, leads[i], leads[j]))), (i, j)
+    def join(h):
+        """Gebauer-Moeller update as h joins; each lcm goes with the bit mask
+        of its variables, a cheap first test of divisibility."""
+        basis.append(_monic(h))
+        e, new = h.leading_item()[0], len(leads)
+        s = sum(1 << v for v, x in enumerate(e) if x)
+        kept = []  # a proper divisor has the smaller key; coprime first among equal lcms
+        for order, shared, mask, k in sorted((key(tuple(map(max, d, e))), bool(t & s), t | s, k)
+                                             for k, (d, t) in enumerate(leads)):
+            for other, other_mask, _, _ in kept:  # M, and F keeping one
+                if other_mask | mask == mask and all(map(le, other[1], order[1])):
+                    break
+            else:
+                kept.append((order, mask, shared, k))
+        for (i, j), (lcm, mask) in list(pending.items()):  # B
+            if s | mask == mask and all(map(le, e, lcm)) and lcm not in (
+                    tuple(map(max, leads[i][0], e)), tuple(map(max, leads[j][0], e))):
+                del pending[i, j]
+        leads.append((e, s))
+        for order, mask, shared, k in kept:
+            if shared:  # a coprime pair is dropped only now, having served M and F
+                pending[k, new] = order[1], mask
+                heappush(pairs, (order, (k, new)))
 
-    pairs = [pair(i, j) for i in range(len(leads)) for j in range(i + 1, len(leads))]
-    heapify(pairs)
+    for g in gens:
+        join(g)
     while pairs:
-        budget.spend()
         (_, lcm), (i, j) = heappop(pairs)
-        if not any(map(min, leads[i], leads[j])):  # coprime leading monomials
+        if pending.pop((i, j), None) is None:  # dropped by criterion B
             continue
+        budget.spend()
         remainder = reduce_poly((lcm, i, j), basis, budget)
         if remainder:
-            basis.append(_monic(remainder))
-            leads.append(remainder.leading_item()[0])
-            new = len(leads) - 1
-            for k in range(new):
-                heappush(pairs, pair(k, new))
+            join(remainder)
     return basis.polys
 
 
@@ -139,8 +168,9 @@ def normal_form(f: GradedPoly, generators, budget: Budget | None = None) -> Grad
     """Remainder of f modulo a Groebner basis of the generators.
 
     A zero result certifies ideal membership.  Intended for small instances:
-    without the Gebauer-Moeller criteria every pair is reduced.  Raises
-    BudgetExceededError when the step budget is exhausted.
+    the Gebauer-Moeller criteria skip pairs known to reduce to zero, but every
+    other pair is reduced, one budget step per pair and per division step.
+    Raises BudgetExceededError when the step budget is exhausted.
     """
     gens = _prepared(f.ring, generators)
     budget = budget or Budget()

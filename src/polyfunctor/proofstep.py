@@ -285,7 +285,7 @@ def usable_directions(f: GradedPoly, X: VarietyPresentation) -> list[tuple[str, 
     which give a derivative that survives modulo the base projection."""
     W = DirectionSubspace(X.model.ring, X.r_vars())
     data = directional_data(f, W)
-    out = []
+    out, basis = [], None
     for name in X.r_vars():
         if not data.dependent:
             out.append((name, False))
@@ -294,7 +294,10 @@ def usable_directions(f: GradedPoly, X: VarietyPresentation) -> list[tuple[str, 
         h = specialise_joint(data, W.direction(coords), W)
         ok = bool(h)
         if ok and X.q_generators:
-            ok = not normal_form(h, X.q_generators).is_zero()
+            if basis is None:  # one Buchberger run; each h reduces on the budget it left
+                budget = Budget()
+                basis = _prepared(h.ring, buchberger(X.q_generators, budget))
+            ok = not basis.polys or bool(reduce_poly(h, basis, Budget(budget.remaining)))
         out.append((name, ok))
     return out
 

@@ -170,6 +170,12 @@ def cyclic_ideal(field, n):
     return gens
 
 
+def random_ideal(rng, field):
+    """2 to 4 seeded random generators (some may be 0) in 2 or 3 variables."""
+    ring = GradedRing(field, ["x", "y", "z"][:rng.choice((2, 3))])
+    return [random_poly(rng, ring, max_degree=rng.randint(2, 4), max_terms=4) for _ in range(rng.randint(2, 4))]
+
+
 IDEALS = {
     "cyclic4": lambda field: cyclic_ideal(field, 4),
     "katsura3": lambda field: katsura_ideal(field, 3),

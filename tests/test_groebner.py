@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,9 +17,9 @@ from polyfunctor import (
     parse_polynomial,
     reduce_poly,
 )
-from polyfunctor.groebner import buchberger, divide_exact, s_polynomial
+from polyfunctor.groebner import DEFAULT_BUDGET, buchberger, divide_exact, s_polynomial
 
-from conftest import F3, IDEALS, LARGE_IDEALS, Q, random_poly
+from conftest import F3, IDEALS, LARGE_IDEALS, Q, random_ideal, random_poly
 
 ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
 
@@ -119,32 +120,110 @@ def test_buchberger_over_prime_field():
     assert reduce_poly(member, basis).is_zero()
 
 
-# -- goldens: basis text and budget left, as the plain-scan engine gave them;
-# they pin the order in which pairs are taken and the budget spent.
+# -- goldens: basis text, budget left and S-pairs reduced.  The digests are
+# those the plain pair loop gave; the Gebauer-Moeller criteria skip only pairs
+# that reduce to zero, so they spend less and reduce fewer pairs.
 
 BASIS_GOLDEN = {
-    ("cyclic4", "fp:32003"): ("dbeba3d39db46f95948e838d73af42818cb0b3bbd7cfbb23bc6c8179db29ef9e", 49748),
-    ("cyclic4", "q"): ("6bcfde6f09889f43b8c9a101f835463920bc1ab1709131f713ff464ea1aec622", 49748),
-    ("katsura3", "fp:32003"): ("22006073f12aff2470495582e4d7cfce30e1c73a9ad3ea65563364442f12d7c3", 49565),
-    ("katsura3", "q"): ("4e979f1ea90d701162f96ca2bb496fb152aaf9e8558d22943fa9e38dc57534e9", 49565),
-    ("katsura4", "fp:32003"): ("b15a1c97713568faeec0beb997d770112aa65864b5c26574e823bc7b6a8dea9b", 46363),
-    ("katsura4", "q"): ("e5ba257fcb85432a544a512d84a1143e0f3fdcd113a35aead4f100c6308eb59f", 46363),
-    ("minors3x4", "fp:32003"): ("10e80356d6f4a5025c3fdac536920d9d41bef26245903e760d7747ae5ad82817", 49771),
-    ("minors3x4", "q"): ("63f845ebc1ba97ad7c45353bbc5239bb5050107a00a5c8e6a02227bc703be056", 49771),
-    ("minors3x5", "fp:32003"): ("f30ad6fe14cce3ea21988142bd50b71aa4b5fcf4ac315507f58419a7dd746424", 49385),
-    ("minors3x5", "q"): ("e51cc76961e08834668baffd5ea3634a7e00a897bbe28315cc0979fc0493cd7d", 49385),
-    ("minors4x4", "fp:32003"): ("a465e02774b2cdcbf05b8b74400f3148a4c08d757eb7bed1aee28087b43b861b", 49114),
-    ("minors4x4", "q"): ("2d04cbdb8a5c141bace7bec08c773b30b5d872e7a513db4db74bba6c064a650c", 49114),
+    ("cyclic4", "fp:32003"): ("dbeba3d39db46f95948e838d73af42818cb0b3bbd7cfbb23bc6c8179db29ef9e", 49936, 11),
+    ("cyclic4", "q"): ("6bcfde6f09889f43b8c9a101f835463920bc1ab1709131f713ff464ea1aec622", 49936, 11),
+    ("katsura3", "fp:32003"): ("22006073f12aff2470495582e4d7cfce30e1c73a9ad3ea65563364442f12d7c3", 49832, 13),
+    ("katsura3", "q"): ("4e979f1ea90d701162f96ca2bb496fb152aaf9e8558d22943fa9e38dc57534e9", 49832, 13),
+    ("katsura4", "fp:32003"): ("b15a1c97713568faeec0beb997d770112aa65864b5c26574e823bc7b6a8dea9b", 48956, 38),
+    ("katsura4", "q"): ("e5ba257fcb85432a544a512d84a1143e0f3fdcd113a35aead4f100c6308eb59f", 48956, 38),
+    ("minors3x4", "fp:32003"): ("10e80356d6f4a5025c3fdac536920d9d41bef26245903e760d7747ae5ad82817", 49880, 52),
+    ("minors3x4", "q"): ("63f845ebc1ba97ad7c45353bbc5239bb5050107a00a5c8e6a02227bc703be056", 49880, 52),
+    ("minors3x5", "fp:32003"): ("f30ad6fe14cce3ea21988142bd50b71aa4b5fcf4ac315507f58419a7dd746424", 49720, 120),
+    ("minors3x5", "q"): ("e51cc76961e08834668baffd5ea3634a7e00a897bbe28315cc0979fc0493cd7d", 49720, 120),
+    ("minors4x4", "fp:32003"): ("a465e02774b2cdcbf05b8b74400f3148a4c08d757eb7bed1aee28087b43b861b", 49616, 160),
+    ("minors4x4", "q"): ("2d04cbdb8a5c141bace7bec08c773b30b5d872e7a513db4db74bba6c064a650c", 49616, 160),
 }
 
 
+@pytest.fixture
+def reduced_pairs(monkeypatch):
+    """The (i, j) of each S-pair buchberger reduces, in order."""
+    from polyfunctor import groebner
+
+    reduce, seen = groebner.reduce_poly, []
+
+    def recorded(f, gens, budget=None):
+        if type(f) is tuple:
+            seen.append(f[1:])
+        return reduce(f, gens, budget)
+
+    monkeypatch.setattr(groebner, "reduce_poly", recorded)
+    return seen
+
+
 @pytest.mark.parametrize("ideal,field", sorted(BASIS_GOLDEN))
-def test_buchberger_basis_and_budget_golden(ideal, field):
+def test_buchberger_basis_and_budget_golden(ideal, field, reduced_pairs):
     gens = ALL_IDEALS[ideal](FieldDescriptor.parse(field))
     budget = Budget()
     basis = buchberger(gens, budget)
     digest = hashlib.sha256("|".join(p.to_text() for p in basis).encode()).hexdigest()
-    assert (digest, budget.remaining) == BASIS_GOLDEN[(ideal, field)]
+    assert (digest, budget.remaining, len(reduced_pairs)) == BASIS_GOLDEN[(ideal, field)]
+
+
+# -- the pair criteria on monomial ideals, where every S-polynomial is 0 and
+# the pairs reduced depend on the criteria alone.  Each generator joins in
+# order; with h joining:
+#   B drops a pending (i, j) with lead(h) | lcm(i, j), unless lcm(i, h) or
+#     lcm(j, h) is lcm(i, j);
+#   M drops a new (k, h) whose lcm another new pair's lcm properly divides;
+#   F keeps one new pair of those with one lcm, none if one of them is coprime;
+#   coprime new pairs are dropped last.
+# The pairs left are taken smallest lcm first (yz < xy, xyz < x^2y).
+
+CRITERIA_CASES = {
+    # B: y divides lcm(xy, yz) = xyz, and (0, 2), (1, 2) have lcms xy, yz
+    "B": (("x*y", "y*z", "y"), [(1, 2), (0, 2)]),
+    # B's guard keeps (0, 1): lcm(xy, xz) = xyz = lcm(xy, yz); F keeps
+    # (0, 2) of the two new pairs with lcm xyz
+    "B guard, F": (("x*y", "y*z", "x*z"), [(0, 1), (0, 2)]),
+    # M: lcm(xy, xz) = xyz properly divides lcm(x^2y, xz) = x^2yz
+    "M": (("x^2*y", "x*y", "x*z"), [(1, 2), (0, 1)]),
+    # F with a coprime pair: (0, 2) and (1, 2) share the lcm xy and (x, y) is
+    # coprime, so neither is reduced; B's guard keeps (0, 1)
+    "F coprime": (("x*y", "x", "y"), [(0, 1)]),
+    # coprime pairs are never reduced
+    "coprime": (("x^2", "y^3", "z"), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRITERIA_CASES))
+def test_pair_criteria_skip_the_expected_pairs(case, reduced_pairs):
+    texts, expected = CRITERIA_CASES[case]
+    ring = GradedRing(Q, ["x", "y", "z"])
+    gens = [parse_polynomial(text, ring) for text in texts]
+    budget = Budget()
+    assert buchberger(gens, budget) == gens
+    assert reduced_pairs == expected
+    assert budget.remaining == DEFAULT_BUDGET - len(expected)  # one step per pair, the S-polynomials are 0
+
+
+def _assert_groebner_basis(gens, basis):
+    """Buchberger's test: every S-pair of the basis reduces to 0 by it, and
+    so does every generator."""
+    for f, g in itertools.combinations(basis, 2):
+        assert not reduce_poly(s_polynomial(f, g), basis)
+    for g in gens:
+        assert not reduce_poly(g, basis)
+
+
+@pytest.mark.parametrize("ideal,field", sorted(BASIS_GOLDEN))
+def test_golden_bases_pass_the_s_pair_test(ideal, field):
+    gens = ALL_IDEALS[ideal](FieldDescriptor.parse(field))
+    _assert_groebner_basis(gens, buchberger(gens))
+
+
+@pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
+def test_random_bases_pass_the_s_pair_test(field):
+    fld = FieldDescriptor.parse(field)
+    rng = random.Random(f"s-pair test {field}")
+    for _ in range(150):
+        gens = random_ideal(rng, fld)
+        _assert_groebner_basis(gens, buchberger(gens))
 
 
 # Remainders of seeded random polynomials, by plain division and modulo the
@@ -471,7 +550,7 @@ def test_spair_dividend_past_one_byte(field, spair_reductions):
     # y^89*f - x^99*g = y^139 - x^159: the S-pair dividend does not fit one byte
     assert s_polynomial(f, g).terms == {(0, 139): 1, (159, 0): p - 1 if p else -1}
     basis = buchberger([f, g])
-    assert len(spair_reductions) == 5 and len(basis) == 4
+    assert len(spair_reductions) == 3 and len(basis) == 4
     for ours, expected, own_widths in spair_reductions:
         assert ours == expected
         assert own_widths == [1, 2]

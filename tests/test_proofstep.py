@@ -30,6 +30,7 @@ from polyfunctor import (
 )
 from polyfunctor.functors import IdF, SumF, SymF, TenAltF, TenSymF, TensorF
 from polyfunctor.groebner import divide_exact
+from polyfunctor.hasse import specialise_joint
 from polyfunctor.matrices import scalar_entry_ring, space_matrix
 from polyfunctor.rings import evaluator
 from polyfunctor.proofstep import (
@@ -138,7 +139,9 @@ def test_delta_runs_buchberger_once_with_the_per_generator_budget(field, monkeyp
         budget = Budget()
         normal_form(g, q_gens, budget)
         costs.append(50_000 - budget.remaining)
-    basis, boundary = 50_000 - 49_565, max(costs)  # katsura3 as in BASIS_GOLDEN
+    budget = Budget()
+    proofstep.buchberger(q_gens, budget)
+    basis, boundary = 50_000 - budget.remaining, max(costs)  # Buchberger alone; the dearest normal form
     runs = []
     buchberger = proofstep.buchberger
     monkeypatch.setattr(proofstep, "buchberger", lambda *args: runs.append(args) or buchberger(*args))
@@ -191,6 +194,32 @@ def test_usable_directions_scan():
     model, f, X = split_presentation()
     scan = usable_directions(f, X)
     assert scan == [("z_1_2", True)]
+
+
+@pytest.mark.parametrize("field", (Q, F3))
+def test_usable_directions_runs_buchberger_once(field, monkeypatch):
+    from polyfunctor import groebner, normal_form, proofstep
+
+    # the y summand at u = 2 has three directions; the derivative along
+    # y_1_2 is -2*y_1_2, which dies modulo the q-generators
+    model, f, _ = split_presentation(field)
+    ring = model.ring
+    q_gens = [parse_polynomial(text, ring) for text in (
+        "y_1_1*y_2_2 - y_1_2^2 + y_1_1^2", "y_1_1*y_1_2 - y_2_2^2", "y_1_2")]
+    X = VarietyPresentation.make(SPLIT, field, 2, [f], q_gens, "p0")
+    W = DirectionSubspace(ring, X.r_vars())
+    data = directional_data(f, W)
+    expected = []
+    for name in X.r_vars():
+        h = specialise_joint(data, W.direction([int(v == name) for v in W.span_vars]), W)
+        expected.append((name, bool(h) and not normal_form(h, q_gens).is_zero()))
+    runs = []
+    buchberger = groebner.buchberger
+    for module in (groebner, proofstep):  # normal_form calls it too
+        monkeypatch.setattr(module, "buchberger", lambda *args: runs.append(args) or buchberger(*args))
+    assert usable_directions(f, X) == expected
+    assert len(runs) == 1
+    assert [ok for _, ok in expected] == [True, False, True]
 
 
 # -- projection coefficients ----------------------------------------------------------

@@ -22,6 +22,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
+from operator import le
 
 import pytest
 
@@ -44,12 +45,13 @@ from polyfunctor import (  # noqa: E402
     run_rank_one_example,
     space_matrix,
 )
-from polyfunctor.groebner import divide_exact  # noqa: E402
+from polyfunctor.groebner import buchberger, divide_exact, reduce_poly  # noqa: E402
 from polyfunctor.matrices import cramer_solve  # noqa: E402
 
-from conftest import IDEALS, random_poly  # noqa: E402
+from conftest import IDEALS, LARGE_IDEALS, random_ideal, random_poly  # noqa: E402
 
 FIELDS = ("q", "fp:32003")
+ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
 
 
 def _symbols(ring):
@@ -109,6 +111,57 @@ def test_normal_form_matches_sympy_reduced(ideal, field_text):
         assert _our_terms(ours) == _sympy_terms(remainder, syms, field)
         zero_seen |= ours.is_zero()
     assert zero_seen
+
+
+def _reduced_basis(basis):
+    """The reduced Groebner basis of a Groebner basis, as term dicts: drop
+    each element whose leading monomial another's divides (the earlier one of
+    equal leading monomials stays), reduce the rest by each other, make them
+    monic."""
+    leads = [g.leading_item()[0] for g in basis]
+
+    def redundant(i):
+        return any(all(map(le, leads[j], leads[i])) and (leads[j] != leads[i] or j < i)
+                   for j in range(len(basis)) if j != i)
+
+    minimal = [g for i, g in enumerate(basis) if not redundant(i)]
+    out = []
+    for g in minimal:
+        r = reduce_poly(g, [h for h in minimal if h is not g])
+        out.append(_our_terms(r.mul_term((0,) * len(leads[0]), Fraction(1) / r.leading_item()[1])))
+    return sorted(out, key=sorted)
+
+
+def _is_one(terms):
+    return terms.keys() == {(0,) * len(next(iter(terms)))}
+
+
+def _sympy_reduced_basis(gens, field):
+    syms = _symbols(gens[0].ring)
+    basis = _sympy_basis(gens, syms, field)
+    return sorted((_sympy_terms(p.as_expr() / p.LC(order="grlex"), syms, field) for p in basis.polys), key=sorted)
+
+
+@pytest.mark.parametrize("field_text", FIELDS)
+@pytest.mark.parametrize("ideal", sorted(ALL_IDEALS))
+def test_golden_reduced_bases_match_sympy(ideal, field_text):
+    field = FieldDescriptor.parse(field_text)
+    gens = ALL_IDEALS[ideal](field)
+    assert _reduced_basis(buchberger(gens)) == _sympy_reduced_basis(gens, field)
+
+
+@pytest.mark.parametrize("field_text", FIELDS)
+def test_random_reduced_bases_match_sympy(field_text):
+    field = FieldDescriptor.parse(field_text)
+    rng = random.Random(f"reduced basis {field_text}")
+    proper = 0
+    for _ in range(150):
+        gens = [g for g in random_ideal(rng, field) if g]
+        if gens:
+            reduced = _reduced_basis(buchberger(gens))
+            assert reduced == _sympy_reduced_basis(gens, field)
+            proper += not any(map(_is_one, reduced))
+    assert proper >= 50  # most seeded ideals are not the unit ideal
 
 
 @pytest.mark.parametrize("field_text", FIELDS)
