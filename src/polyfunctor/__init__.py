@@ -33,11 +33,8 @@ from .groebner import Budget, membership_by_division, normal_form, reduce_poly
 from .hasse import (
     DirectionSubspace,
     DirectionalData,
-    additive_basis,
     directional_data,
-    directional_derivative,
     hasse_derivative,
-    is_additive,
     joint_additivity_holds,
     joint_scaling_holds,
     specialise_joint,

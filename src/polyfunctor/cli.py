@@ -80,17 +80,22 @@ def _names(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
+def _weights(text: str) -> list[int]:
+    """The comma-separated integers of --weights; a non-integer is a usage error."""
+    try:
+        return [int(w) for w in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 def _build_ring(args, inferred=()):
     """Ring over --field on the --vars list, else on the sorted inferred
     names, with --weights."""
     field = FieldDescriptor.parse(args.field)
     names = args.vars or sorted(set(inferred))
-    if args.weights:
-        weights = [int(w) for w in args.weights.split(",")]
-        if len(weights) != len(names):
-            raise AlgebraError("weights and variables disagree in length")
-    else:
-        weights = [1] * len(names)
+    weights = args.weights or [1] * len(names)
+    if len(weights) != len(names):
+        raise AlgebraError("weights and variables disagree in length")
     return GradedRing(field, [(n, "main", w) for n, w in zip(names, weights)])
 
 
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", required=True)
         p.add_argument("--poly", required=True)
         p.add_argument("--vars", type=_names, help="ordered variable list (default: inferred, sorted)")
-        p.add_argument("--weights", help="comma-separated weights")
+        p.add_argument("--weights", type=_weights, help="comma-separated weights")
         p.add_argument("--w-vars", type=_names, required=True, help="variables spanning the direction subspace")
         if name != "taylor":
             p.add_argument("--dir", required=True, help="direction coordinates")
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("delta", help="minimal surviving generator degree")
     p.add_argument("--field", required=True)
     p.add_argument("--vars", type=_names, required=True)
-    p.add_argument("--weights")
+    p.add_argument("--weights", type=_weights)
     p.add_argument("--generators", required=True, help="';'-separated polynomials")
     p.add_argument("--q-generators", help="';'-separated base polynomials")
 

@@ -54,8 +54,8 @@ class Budget:
     def __init__(self, steps: int = DEFAULT_BUDGET):
         self.remaining = steps
 
-    def spend(self, amount: int = 1):
-        self.remaining -= amount
+    def spend(self):
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError("normal-form step budget exceeded")
 
@@ -108,13 +108,6 @@ def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly
         return GradedPoly(gens.ring, remainder, _canonical=True)
 
     return gens.divide(f, divide)
-
-
-def s_polynomial(f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    """a_g*x^(l-e_f)*f' - a_f*x^(l-e_g)*g' from the associates: a_f*a_g*S(f, g)."""
-    pair = _Divisors(f.ring, (f, g))
-    spair = (tuple(map(max, f.leading_item()[0], g.leading_item()[0])), 0, 1)
-    return pair.divide(spair, lambda work: GradedPoly(f.ring, work.rest(), _canonical=True))
 
 
 def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:

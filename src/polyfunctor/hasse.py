@@ -34,7 +34,6 @@ from operator import itemgetter, sub
 
 from .errors import (
     AlgebraError,
-    CharacteristicError,
     DirectionError,
     InternalCheckError,
 )
@@ -290,13 +289,6 @@ def directional_data(f: GradedPoly, W: DirectionSubspace) -> DirectionalData:
     return DirectionalData("dependent", level, joint, copies)
 
 
-def directional_derivative(f: GradedPoly, w: Vector, W: DirectionSubspace) -> GradedPoly:
-    """Specialisation of the joint coefficient at the concrete direction w;
-    zero in the independent case."""
-    data = directional_data(f, W)
-    return specialise_joint(data, w, W)
-
-
 def specialise_joint(data: DirectionalData, w: Vector, W: DirectionSubspace) -> GradedPoly:
     if not data.dependent:
         return W.ring.zero()
@@ -307,37 +299,6 @@ def specialise_joint(data: DirectionalData, w: Vector, W: DirectionSubspace) -> 
     for orig, copy in data.copies:
         mapping[copy] = ring.const(coords[orig])
     return data.joint.substitute(mapping)
-
-
-def additive_basis(W: DirectionSubspace, e: int) -> list[GradedPoly]:
-    """Monomial basis x_i^(p^e) of the level-e additive polynomials on W."""
-    if e < 0:
-        raise AlgebraError("level must be nonnegative")
-    field = W.ring.field
-    if field.char_exponent == 1 and e > 0:
-        raise CharacteristicError("positive level requires positive characteristic")
-    q = field.char_exponent ** e
-    return [W.ring.var(name) ** q for name in W.span_vars]
-
-
-def is_additive(f: GradedPoly, W: DirectionSubspace):
-    """Whether f(v+w) = f(v) + f(w) as a formal identity in doubled variables.
-
-    Requires f to involve only W-variables.  When additive and homogeneous of
-    a p-power total degree, the second component reports the level e.
-    """
-    if W.ring != f.ring:
-        raise AlgebraError("direction subspace belongs to a different ring")
-    outside = set(f.support_vars()) - set(W.span_vars)
-    if outside:
-        raise AlgebraError(f"polynomial involves non-subspace variables {sorted(outside)}")
-    if f.is_zero():
-        return True, None
-    if not _additivity_defect(f, W.span_vars).is_zero():
-        return False, None
-    degrees = {sum(exps) for exps in f.terms}
-    level = _level_of(degrees.pop(), f.ring.field.char_exponent) if len(degrees) == 1 else None
-    return True, level
 
 
 # -- verification helpers used by tests and the proof-step reports -------------

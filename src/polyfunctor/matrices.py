@@ -280,9 +280,9 @@ def shift_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
     return space_matrix(field, rows)
 
 
-def base_projection(field: FieldDescriptor, u: int, n: int, ring: GradedRing | None = None) -> LinearMapMatrix:
+def base_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
     """Projection of the (u+n)-space onto its first u coordinates."""
-    ring = ring or scalar_entry_ring(field)
+    ring = scalar_entry_ring(field)
     return _diagonal(u + n, ring, u).matrix(space_labels(u), space_labels(u + n), ring)
 
 

@@ -46,6 +46,7 @@ from .functors import (
     label_vdeg,
     leaf_indices,
     shift_label,
+    split_tensor_square,
 )
 from .groebner import (
     Budget,
@@ -77,6 +78,8 @@ from .matrices import (
     space_matrix,
 )
 from .rings import GradedPoly, GradedRing, RingVariable, Vector, evaluator
+
+MEMBERSHIP_BUDGET = 200_000  # reduction steps of the rank-one certificate-membership check
 
 # ---------------------------------------------------------------------------
 # coordinate models
@@ -539,7 +542,6 @@ class EliminationCertificate:
     """Per moving coordinate x, an expression x^(p^e) + numerator/h^power
     lying in the module spanned by the supplied affine-additive elements."""
 
-    base_vars: tuple[str, ...]
     unit: GradedPoly
     level: int
     entries: tuple[CertificateEntry, ...]
@@ -631,9 +633,7 @@ def eliminate(
         if set(numerator.support_vars()) & elim_set:
             raise InternalCheckError("certificate numerator touches a moving coordinate")
         entries.append(CertificateEntry(var, numerator, left))
-    base_vars = tuple(v for v in ring.names if v not in elim_set)
     return EliminationCertificate(
-        base_vars=base_vars,
         unit=h,
         level=level,
         entries=tuple(entries),
@@ -888,12 +888,6 @@ def split_to_plain_map(split_model: CoordinateModel, plain_model: CoordinateMode
     return mapping
 
 
-def sample_rank_one_split(rng: random.Random, model: CoordinateModel):
-    """Split coordinates of a random rank-one tensor v (x) w, boxed."""
-    den, sample = _split_sampler(rng, model)
-    return {name: model.field.scalar(Fraction(x, den)) for name, x in zip(model.ring.names, sample())}
-
-
 def _split_sampler(rng: random.Random, model: CoordinateModel):
     """(den, sample): sample() draws v and w from rng and returns the split
     coordinates of v (x) w as integer numerators in model.ring order over
@@ -941,7 +935,6 @@ def run_rank_one_example(
     fld: FieldDescriptor,
     seed: int = 0,
     sample_count: int = 100,
-    membership_budget: int = 200_000,
 ) -> ProofStepReport:
     """The proof step on the variety of rank-one tensors with the
     symmetric/alternating splitting, at base dimension 2, over every pair
@@ -955,7 +948,7 @@ def run_rank_one_example(
         raise AlgebraError("the rank-one example needs at least one sample")
     u = 2
     rng = random.Random(seed)
-    functor = SumF((TenSymF(), TenAltF()))
+    functor = split_tensor_square()
     model_u = coordinate_model(functor, fld, u)
     r_label = next(
         s.label for s in model_u.decomposition.summands if isinstance(s.expr, TenAltF)
@@ -1071,7 +1064,7 @@ def run_rank_one_example(
         membership = "pass"
         witness = ""
         try:
-            budget = Budget(membership_budget)
+            budget = Budget(MEMBERSHIP_BUDGET)
             for cleared in certificate.cleared_elements():
                 plain = cleared.substitute(to_plain)
                 if not membership_by_division(plain, minors, budget):

@@ -18,6 +18,7 @@ from polyfunctor import (
     TensorF,
     normalize,
 )
+from polyfunctor.rings import GradedPoly, _Divisors
 
 Q = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -131,6 +132,14 @@ def random_functor(rng, max_degree=3, depth=2):
 
 
 # Ideals of the Groebner tests: 2x2 minors, katsura-n and cyclic-n.
+
+def s_polynomial(f, g):
+    """a_g*x^(l-e_f)*f' - a_f*x^(l-e_g)*g' from the associates: a_f*a_g*S(f, g),
+    the reference S-polynomial that buchberger's packed S-pairs are checked on."""
+    pair = _Divisors(f.ring, (f, g))
+    spair = (tuple(map(max, f.leading_item()[0], g.leading_item()[0])), 0, 1)
+    return pair.divide(spair, lambda work: GradedPoly(f.ring, work.rest(), _canonical=True))
+
 
 def minors_ideal(field, rows, cols):
     ring = GradedRing(field, [f"x{i}{j}" for i in range(rows) for j in range(cols)])

@@ -160,6 +160,21 @@ def test_delta_refuses_weights_that_disagree_with_the_variables(capsys, weights)
     assert "weights and variables disagree in length" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("delta", "--field", "q", "--vars", "x", "--generators", "x"),
+    ("hasse", "--field", "q", "--poly", "x", "--w-vars", "x", "--dir", "1", "--r", "1"),
+    ("taylor", "--field", "q", "--poly", "x", "--w-vars", "x"),
+    ("dderiv", "--field", "q", "--poly", "x", "--w-vars", "x", "--dir", "1"),
+])
+def test_a_non_integer_weight_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--weights", "a"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --weights: not a comma-separated list of integers: 'a'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_proofstep_command(capsys):
     code, out, _ = run_cli(
         capsys,

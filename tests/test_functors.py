@@ -1,7 +1,10 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyfunctor import (
     AlgebraError,
@@ -30,6 +33,7 @@ from polyfunctor import (
     space_matrix,
     split_tensor_square,
 )
+from polyfunctor.cli import main
 from polyfunctor.functors import basis_labels, dimension_sequence, label_vdeg
 from polyfunctor.matrices import identity_matrix
 
@@ -394,3 +398,53 @@ def test_normalize_merges_constants():
     (summand,) = normalize(expr)
     assert summand == TensorF((ConstF(6), IdF()))
     assert normalize(ConstF(0)) == ()
+
+
+# -- generated expressions ---------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.just(IdF()), st.builds(ConstF, st.integers(0, 2)), st.just(TenSymF()), st.just(TenAltF())
+)
+
+
+def _quotients(inner):
+    """quot(inner, i) for each summand index i of inner, or inner itself when
+    it has no summand."""
+    count = len(normalize(inner))
+    return st.integers(0, count - 1).map(lambda i: QuotF(inner, i)) if count else st.just(inner)
+
+
+def _constructors(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda parts: SumF(tuple(parts))),
+        st.lists(children, min_size=1, max_size=2).map(lambda factors: TensorF(tuple(factors))),
+        st.builds(SymF, st.integers(0, 3), children),
+        st.builds(ExtF, st.integers(0, 3), children),
+        st.builds(ShiftF, st.integers(0, 2), children),
+        children.flatmap(_quotients),
+    )
+
+
+# every constructor, quotients, shifts and degenerate arguments (const(0),
+# zeroth powers, powers past the inner dimension, shift by 0), of dimension
+# at most 40 at every n <= 2
+FUNCTORS = st.recursive(_LEAVES, _constructors, max_leaves=4).filter(
+    lambda expr: all(dim(expr, n) <= 40 for n in range(3))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FUNCTORS, st.integers(0, 2), st.sampled_from((Q, F3)))
+def test_generated_functor_dimensions_agree(expr, n, field):
+    size = dim(expr, n)
+    assert len(basis_labels(expr, n)) == size
+    identity = induced_map(expr, space_matrix(field, [[int(i == j) for j in range(n)] for i in range(n)]))
+    assert identity.shape == (size, size) and identity.is_identity()
+    polynomials = [dim_polynomial(s.expr) for s in decompose(expr).summands]
+    assert sum(c * n**k for coeffs in polynomials for k, c in enumerate(coeffs)) == size
+    for argv in (("dim", "--n", str(n)), ("decompose",)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--functor", format_functor(expr)])
+        assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue()

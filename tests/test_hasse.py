@@ -6,15 +6,11 @@ from fractions import Fraction
 import pytest
 
 from polyfunctor import (
-    CharacteristicError,
     DirectionSubspace,
     FieldDescriptor,
     GradedRing,
-    additive_basis,
     directional_data,
-    directional_derivative,
     hasse_derivative,
-    is_additive,
     joint_additivity_holds,
     joint_scaling_holds,
     lucas_binomial,
@@ -182,7 +178,7 @@ def test_directional_data_running_example():
     expected = joint.ring.var("z_1_2") * joint.ring.var(copy) * 2
     assert joint == expected
     # specialisation at the skew basis direction
-    d = directional_derivative(f, W.direction([1]), W)
+    d = specialise_joint(directional_data(f, W), W.direction([1]), W)
     assert d == parse_polynomial("2*z_1_2", ring)
 
 
@@ -193,13 +189,14 @@ def test_directional_data_independent():
     W = DirectionSubspace(ring, ("z_1_2",))
     data = directional_data(f, W)
     assert data.status == "independent"
-    assert directional_derivative(f, W.direction([1]), W).is_zero()
+    assert specialise_joint(data, W.direction([1]), W).is_zero()
 
 
 def test_directional_derivative_of_constant_is_zero():
     ring = xyz_ring(Q)
     W = DirectionSubspace(ring, ("x",))
-    assert directional_derivative(ring.const(3), W.direction([1]), W).is_zero()
+    f = ring.const(3)
+    assert specialise_joint(directional_data(f, W), W.direction([1]), W).is_zero()
 
 
 def test_directional_derivative_char_three_brute_force():
@@ -218,36 +215,6 @@ def test_directional_derivative_char_three_brute_force():
             2 * F3.scalar(a) ** p
         )
         assert value == expected
-
-
-def test_additive_basis_examples():
-    ring_q = GradedRing(Q, ["x", "y"])
-    Wq = DirectionSubspace(ring_q, ("x", "y"))
-    assert additive_basis(Wq, 0) == [ring_q.var("x"), ring_q.var("y")]
-    with pytest.raises(CharacteristicError):
-        additive_basis(Wq, 1)
-
-    ring3 = GradedRing(F3, ["x", "y"])
-    W3 = DirectionSubspace(ring3, ("x", "y"))
-    assert additive_basis(W3, 1) == [ring3.var("x") ** 3, ring3.var("y") ** 3]
-
-    ring2 = GradedRing(F2, ["z"])
-    W2 = DirectionSubspace(ring2, ("z",))
-    assert additive_basis(W2, 2) == [ring2.var("z") ** 4]
-
-
-def test_is_additive_examples():
-    ring_q = GradedRing(Q, ["x", "y"])
-    Wq = DirectionSubspace(ring_q, ("x", "y"))
-    ok, level = is_additive(parse_polynomial("x + y", ring_q), Wq)
-    assert ok and level == 0
-    ok, level = is_additive(parse_polynomial("x^2", ring_q), Wq)
-    assert not ok
-
-    ring2 = GradedRing(F2, ["x"])
-    W2 = DirectionSubspace(ring2, ("x",))
-    ok, level = is_additive(parse_polynomial("x^2", ring2), W2)
-    assert ok and level == 1
 
 
 def test_taylor_reassembly_fuzz():
@@ -369,7 +336,7 @@ def _golden_records(field_text):
     ring = _golden_ring(field_text)
     field = ring.field
     rng = random.Random(f"hasse golden directions {field_text}")
-    out = {"taylor": [], "derivatives": [], "directional": [], "additive": []}
+    out = {"taylor": [], "derivatives": [], "directional": []}
     for f in _golden_polys(ring):
         for span in GOLDEN_SPANS:
             W = DirectionSubspace(ring, span)
@@ -388,18 +355,6 @@ def _golden_records(field_text):
                 f"{head} | {data.status} | {data.level} | {joint} | {specialised}"
                 f" | {joint_scaling_holds(data)}"
             )
-        for span in GOLDEN_SPANS:
-            W = DirectionSubspace(ring, span)
-            levels = (0, 1) if field.characteristic else (0,)
-            candidates = [sum(additive_basis(W, e), ring.zero()) * 2 for e in levels]
-            # the part of f in the span variables only
-            outside = [ring.position(n) for n in ring.names if n not in span]
-            candidates.append(sum(
-                (ring.monomial(e, c) for e, c in f.terms.items() if not any(e[i] for i in outside)),
-                ring.zero(),
-            ))
-            for g in candidates:
-                out["additive"].append(f"{g} | {span} | {is_additive(g, W)}")
     return out
 
 
@@ -412,23 +367,19 @@ HASSE_GOLDEN = {
     ("q", "taylor"): "0348942a6674933461c5cbe703a7842695396fdbbffa0da50680d882b9dd4405",
     ("q", "derivatives"): "a706e6cf309a3eb184c81f2a683b2a6c81d28d91ea68d9cc754df54a9d6babbe",
     ("q", "directional"): "e28c356bf49a5d91030d208941849a3bf8fe2e4d26a5b8bf2f8d46a496bf3874",
-    ("q", "additive"): "3080374b906431c1710cd3b74eb044164fea0b8e7a10675274a40c0af91e9826",
     ("fp:3", "taylor"): "c6455150ce1e6acc18697a3c95b9e0b9e3c7be78fc8b8a8d2c293ac264a85029",
     ("fp:3", "derivatives"): "e16a7d6530391f393d60033e566cf8479a1894ec59be199f6ee29f9763f55655",
     ("fp:3", "directional"): "d7d1c0df59d5cd88557adaacaaa2065e28a3d1bbfc69e371758ecf63b9bfc337",
-    ("fp:3", "additive"): "274a99b0175e1ac97308464691b9cc9e97f89f14c4db7ed09f08d2b1b1d695f5",
     ("fp:5", "taylor"): "9e707fa8ce9eda3956ade5249ddc5462bb22a26e96efa825bb0e1b2e263a7e41",
     ("fp:5", "derivatives"): "ced1c685015ab366eafde18ed90d45548b77040440aa5777c2ee786809ec785c",
     ("fp:5", "directional"): "30ffb96be7794f25b382e0c6e00d410202ecd9c5600e44015c9060535e52d9c5",
-    ("fp:5", "additive"): "53e96119de5214ad5a5caeabd31a4fcc18c4e44287e63bfed8eb3936e7104328",
     ("fp:101", "taylor"): "890a5be1732a0f91141ff91c685365ac52995842a1a0be07519997ef0aa7c0fe",
     ("fp:101", "derivatives"): "9c1ed26b480ec292e5f75e3198686d0cce68bfbb86adad3cf2e1d90652c0eeac",
     ("fp:101", "directional"): "02aeea724887f33f1c1a844f451be54663c8d4aaa42964cff8aa2a607144f3be",
-    ("fp:101", "additive"): "192e1fab3cf56d37c32d80b3fa1b5abf1f887c2f9b8deddb37912c8f06f7d772",
 }
 
 
-@pytest.mark.parametrize("part", ("taylor", "derivatives", "directional", "additive"))
+@pytest.mark.parametrize("part", ("taylor", "derivatives", "directional"))
 @pytest.mark.parametrize("field_text", GOLDEN_FIELDS)
 def test_hasse_golden(field_text, part):
     assert _golden_digest(field_text, part) == HASSE_GOLDEN[(field_text, part)]

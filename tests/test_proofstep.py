@@ -40,7 +40,6 @@ from polyfunctor.proofstep import (
     _unit_split_sample,
     pullback_t_coefficients,
     rank_one_minors_plain,
-    sample_rank_one_split,
     split_to_plain_map,
 )
 
@@ -329,9 +328,9 @@ def test_extract_vanishes_on_rank_one_samples():
     model_big = coordinate_model(SPLIT, field, 5)
     phi = pair_projection(field, 3, 1, 2)
     el = extract_additive_element(f, model_u, model_big, phi, 0, "p1")
-    rng = random.Random(3)
+    den, sample = _split_sampler(random.Random(3), model_big)
     for _ in range(100):
-        point = sample_rank_one_split(rng, model_big)
+        point = _boxed(model_big, den, sample())
         assert not el.poly.evaluate(point)
 
 
@@ -669,7 +668,7 @@ def _pullback_vanishes_by_substitution(pullback, point):
 def test_t_coefficient_check_agrees_with_substitution(field):
     model_u, f, X = split_presentation(field)
     model_big = coordinate_model(SPLIT, field, 5)
-    rng = random.Random(11)
+    den, sample = _split_sampler(random.Random(11), model_big)
     for i, j in ((1, 2), (2, 3)):
         el = extract_additive_element(
             f, model_u, model_big, pair_projection(field, 3, i, j), 0, "p1"
@@ -682,7 +681,7 @@ def test_t_coefficient_check_agrees_with_substitution(field):
         assert all(c.ring == model_big.ring for c in coeffs)
         caught = 0
         for _ in range(30):
-            point = sample_rank_one_split(rng, model_big)
+            point = _boxed(model_big, den, sample())
             vanishes = not any(c.evaluate(point) for c in coeffs)
             assert vanishes
             assert vanishes == _pullback_vanishes_by_substitution(el.pullback, point)
@@ -693,7 +692,7 @@ def test_t_coefficient_check_agrees_with_substitution(field):
         assert caught > 0
 
 
-# sha256 of 80 seeded sample_rank_one_split points, or with a unit the
+# sha256 of 80 seeded rank-one split points, boxed, or with a unit the
 # points of the sampler certificate-samples uses (seed 31, sorted
 # name=value text per point) followed by one rng.random() drawn afterwards,
 # captured from the boxed sampler: a rewrite must return the same points and
@@ -726,7 +725,7 @@ def test_sampler_golden(key):
         if unit:
             point = _boxed(model, den, _unit_split_sample(sample, den, h_values)[0])
         else:
-            point = sample_rank_one_split(rng, model)
+            point = _boxed(model, den, sample())
         lines.append(" ".join(sorted(f"{name}={value}" for name, value in point.items())))
     lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_GOLDEN[key]

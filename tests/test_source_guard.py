@@ -1,11 +1,16 @@
-"""Static guard on the package source: no unused import in a module, and no
-module-level private function or class that nothing in the package uses."""
+"""Static guard on the package source: no unused import in a module, no
+module-level private function or class that nothing in the package uses, and
+no public one that nothing reads: not the package, not the benchmark's jobs,
+not README's "What is inside" table."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyfunctor"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polyfunctor"
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _used_names(node) -> set:
@@ -59,3 +64,41 @@ def test_every_private_definition_is_used():
             if not any(node.name in used for other, used in statements if other is not node):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def _readme_surface() -> set:
+    """Every dotted part of the code spans in the rows of README's "What is
+    inside" table."""
+    section = (ROOT / "README.md").read_text().split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    return {part for span in re.findall(r"`([\w.]+)`", table) for part in span.split(".")}
+
+
+def _unread_public(modules, workloads: set, readme: set) -> list:
+    """Public module-level functions and classes that no statement of another
+    definition in the package reads (an __init__ export does not count), that
+    the benchmark's jobs do not read and that README's table does not name;
+    cli's cmd_* handlers are dispatched by name and exempt."""
+    statements = [(node, _used_names(node)) for name, tree in modules.items() if name != "__init__.py" for node in tree.body]
+    unread = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if name == "cli.py" and node.name.startswith("cmd_"):
+                continue
+            if node.name in workloads or node.name in readme:
+                continue
+            if not any(node.name in used for other, used in statements if other is not node):
+                unread.append(f"{name}:{node.lineno} {node.name}")
+    return unread
+
+
+def test_every_public_definition_is_read():
+    assert _unread_public(MODULES, _used_names(ast.parse(WORKLOADS.read_text())), _readme_surface()) == []
+
+
+def test_the_public_guard_flags_an_unread_function():
+    extra = dict(MODULES, **{"extra.py": ast.parse("def orphan():\n    return orphan\n")})
+    unread = _unread_public(extra, _used_names(ast.parse(WORKLOADS.read_text())), _readme_surface())
+    assert "extra.py:1 orphan" in unread
