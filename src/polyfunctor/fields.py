@@ -11,11 +11,10 @@ directional calculus, so that code paths in both characteristics unify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import AlgebraError, FieldMismatchError, ParseError
+from .errors import AlgebraError, FieldMismatchError, ParseError, Record
 
 
 # Miller-Rabin with the first thirteen prime bases is deterministic below
@@ -49,8 +48,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record, frozen=True):
     """Ground field: either the rationals or F_p for a prime p."""
 
     kind: str  # "rationals" | "prime-field"

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add
 
-from .errors import AlgebraError, CharacteristicError, ParseError
+from .errors import AlgebraError, CharacteristicError, ParseError, Record
 from .fields import FieldDescriptor
 from .matrices import (
     LinearMapMatrix,
@@ -47,8 +46,8 @@ from .parsing import _tokenize
 # ---------------------------------------------------------------------------
 
 
-class FunctorExpr:
-    """Base class; all concrete expressions are frozen dataclasses."""
+class FunctorExpr(Record, frozen=True):
+    """Base class; all concrete expressions are frozen records."""
 
     def degree(self) -> int:
         raise NotImplementedError
@@ -57,7 +56,6 @@ class FunctorExpr:
         return format_functor(self)
 
 
-@dataclass(frozen=True)
 class ConstF(FunctorExpr):
     size: int
 
@@ -69,13 +67,11 @@ class ConstF(FunctorExpr):
         return 0
 
 
-@dataclass(frozen=True)
 class IdF(FunctorExpr):
     def degree(self):
         return 1
 
 
-@dataclass(frozen=True)
 class SumF(FunctorExpr):
     parts: tuple
 
@@ -88,7 +84,6 @@ class SumF(FunctorExpr):
         return max(p.degree() for p in self.parts)
 
 
-@dataclass(frozen=True)
 class TensorF(FunctorExpr):
     factors: tuple
 
@@ -101,7 +96,6 @@ class TensorF(FunctorExpr):
         return sum(f.degree() for f in self.factors)
 
 
-@dataclass(frozen=True)
 class SymF(FunctorExpr):
     power: int
     inner: FunctorExpr
@@ -114,7 +108,6 @@ class SymF(FunctorExpr):
         return self.power * self.inner.degree()
 
 
-@dataclass(frozen=True)
 class ExtF(FunctorExpr):
     power: int
     inner: FunctorExpr
@@ -127,7 +120,6 @@ class ExtF(FunctorExpr):
         return self.power * self.inner.degree()
 
 
-@dataclass(frozen=True)
 class ShiftF(FunctorExpr):
     by: int
     inner: FunctorExpr
@@ -140,7 +132,6 @@ class ShiftF(FunctorExpr):
         return self.inner.degree()
 
 
-@dataclass(frozen=True)
 class QuotF(FunctorExpr):
     inner: FunctorExpr
     drop_index: int
@@ -163,7 +154,6 @@ class QuotF(FunctorExpr):
         return tuple(s for _, s in self.kept())
 
 
-@dataclass(frozen=True)
 class TenSymF(FunctorExpr):
     """Symmetric half of the tensor square, coordinates y_i_j with i <= j."""
 
@@ -171,7 +161,6 @@ class TenSymF(FunctorExpr):
         return 2
 
 
-@dataclass(frozen=True)
 class TenAltF(FunctorExpr):
     """Alternating half of the tensor square, coordinates z_i_j with i < j."""
 
@@ -352,8 +341,7 @@ def normalize(expr: FunctorExpr) -> tuple[FunctorExpr, ...]:
     raise AlgebraError(f"unknown expression {expr!r}")
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record, frozen=True):
     label: str
     expr: FunctorExpr
     degree: int
@@ -690,8 +678,7 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftMaps:
+class ShiftMaps(Record, frozen=True):
     """Embedding/projection pair between a functor and its shift."""
 
     alpha: LinearMapMatrix  # value at n -> value at u+n

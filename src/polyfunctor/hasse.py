@@ -28,7 +28,6 @@ the lowest power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter, sub
 
@@ -36,13 +35,13 @@ from .errors import (
     AlgebraError,
     DirectionError,
     InternalCheckError,
+    Record,
 )
 from .fields import lucas_binomial
 from .rings import GradedPoly, GradedRing, RingVariable, Vector, _from_raw, _raw
 
 
-@dataclass(frozen=True)
-class DirectionSubspace:
+class DirectionSubspace(Record, frozen=True):
     """Subspace W of the ambient space spanned by designated variables."""
 
     ring: GradedRing
@@ -66,8 +65,7 @@ class DirectionSubspace:
         return Vector("direction", self.span_vars, tuple(field.scalar(c) for c in coords))
 
 
-@dataclass(frozen=True)
-class DirectionalData:
+class DirectionalData(Record, frozen=True):
     """Outcome of the symbolic direction expansion of f along W.
 
     status is "independent" when no W-variable occurs in f.  Otherwise level

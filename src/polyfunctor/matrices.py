@@ -25,9 +25,8 @@ from collections import defaultdict
 from itertools import combinations
 from math import prod
 from operator import add, mul
-from typing import NamedTuple
 
-from .errors import AlgebraError, InternalCheckError
+from .errors import AlgebraError, InternalCheckError, Record
 from .fields import FieldDescriptor
 from .groebner import divide_exact
 from .rings import GradedPoly, GradedRing
@@ -321,7 +320,7 @@ def matrix_rank(entries, field: FieldDescriptor) -> int:
     return rank
 
 
-class BlockSolution(NamedTuple):
+class BlockSolution(Record, frozen=True):
     """A x = b solved in block upper-triangular form: det A is sign times the
     product of block_dets, and x_j = numerators[j] / D_j with D_j the
     product of block_dets[t] over the blocks t in depends[j], the block of

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -31,6 +30,7 @@ from .errors import (
     CharacteristicError,
     InternalCheckError,
     PresentationError,
+    Record,
 )
 from .fields import FieldDescriptor
 from .functors import (
@@ -163,8 +163,7 @@ def coordinate_model(functor: FunctorExpr, field: FieldDescriptor, dimension: in
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VarietyPresentation:
+class VarietyPresentation(Record):
     """Equivariant variety presented by generators at one base dimension."""
 
     functor: FunctorExpr
@@ -204,8 +203,7 @@ class VarietyPresentation:
         return self.model.summand_vars(self.designated_r)
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record, frozen=True):
     """Minimal weighted degree of a supplied generator that survives
     reduction modulo the base-projection generators.
 
@@ -245,8 +243,7 @@ def delta_degree(generators, q_generators, budget_steps: int | None = None) -> D
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivativeStep:
+class DerivativeStep(Record, frozen=True):
     level: int
     derivative: GradedPoly
     data: object  # DirectionalData of the witness along the designated summand
@@ -310,8 +307,7 @@ def usable_directions(f: GradedPoly, X: VarietyPresentation) -> list[tuple[str, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProjectionCoefficients:
+class ProjectionCoefficients(Record):
     """Per-degree coefficient matrices of the parametrised projection.
 
     For each homogeneous degree e the induced map of [1_U | t*phi] is a
@@ -386,8 +382,7 @@ def projection_coefficients(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AffineAdditiveElement:
+class AffineAdditiveElement(Record):
     """Element k of the pullback ideal that is affine-additive in the moving
     top-summand coordinates: k(q + s*r) = k(q) + s^(p^e) * (additive part at r)."""
 
@@ -530,15 +525,13 @@ def _check_derivative_formula(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(Record, frozen=True):
     variable: str
     numerator: GradedPoly
     h_power: int
 
 
-@dataclass
-class EliminationCertificate:
+class EliminationCertificate(Record):
     """Per moving coordinate x, an expression x^(p^e) + numerator/h^power
     lying in the module spanned by the supplied affine-additive elements."""
 
@@ -656,15 +649,13 @@ def _h_power(d: GradedPoly, h: GradedPoly):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Check:
+class Check(Record):
     name: str
     status: str  # pass | fail | inconclusive | skipped
     witness: str = ""
 
 
-@dataclass
-class ProofStepReport:
+class ProofStepReport(Record):
     """Outcome of one proof step, rendered as text or JSON.
 
     header holds the leading (key, value) pairs in print order.  Each element
@@ -701,17 +692,10 @@ class ProofStepReport:
             "h": self.h.to_text(),
             "k": [{**keys, "value": el.poly.to_text()} for keys, el in self.elements],
             "certificate": [
-                {
-                    "variable": e.variable,
-                    "numerator": e.numerator.to_text(),
-                    "h_power": e.h_power,
-                }
+                {"variable": e.variable, "numerator": e.numerator.to_text(), "h_power": e.h_power}
                 for e in (self.certificate.entries if self.certificate else ())
             ],
-            "checks": [
-                {"name": c.name, "status": c.status, "witness": c.witness}
-                for c in self.checks
-            ],
+            "checks": [{"name": c.name, "status": c.status, "witness": c.witness} for c in self.checks],
             "all_passed": self.all_passed(),
         }
 
@@ -742,8 +726,7 @@ class ProofStepReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Stages:
+class _Stages(Record):
     """Results of the shared stages of one proof step."""
 
     f: GradedPoly
@@ -988,25 +971,10 @@ def run_rank_one_example(
         Check("derivative-value", "pass" if h == expected_h else "fail", h.to_text())
     )
     deg_ok = f.weighted_degree() == 4 and h.weighted_degree() == 2
-    checks.append(
-        Check(
-            "degree-ledger",
-            "pass" if deg_ok else "fail",
-            f"deg f={f.weighted_degree()}, deg h={h.weighted_degree()}",
-        )
-    )
-    checks.append(
-        Check(
-            "joint-additivity f",
-            "pass" if joint_additivity_holds(step.data) else "fail",
-        )
-    )
-    checks.append(
-        Check(
-            "joint-scaling f",
-            "pass" if joint_scaling_holds(step.data) else "fail",
-        )
-    )
+    degrees = f"deg f={f.weighted_degree()}, deg h={h.weighted_degree()}"
+    checks.append(Check("degree-ledger", "pass" if deg_ok else "fail", degrees))
+    checks.append(Check("joint-additivity f", "pass" if joint_additivity_holds(step.data) else "fail"))
+    checks.append(Check("joint-scaling f", "pass" if joint_scaling_holds(step.data) else "fail"))
 
     # the witness vanishes on sampled rank-one tensors at the base dimension
     den_u, sample_u = _split_sampler(rng, model_u)

@@ -36,18 +36,16 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, cycle, islice, repeat
 from math import gcd, lcm
 
-from .errors import AlgebraError, FieldMismatchError, RingMismatchError, SubstitutionError
+from .errors import AlgebraError, FieldMismatchError, Record, RingMismatchError, SubstitutionError
 from .fields import FieldDescriptor, Scalar
 
 
-@dataclass(frozen=True)
-class RingVariable:
+class RingVariable(Record, frozen=True):
     name: str
     part: str = "main"
     weight: int = 1
@@ -742,8 +740,7 @@ class _Dividend:
                     del terms[m]
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(Record, frozen=True):
     """Coordinates of a point or direction over a labelled basis."""
 
     space: str

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -35,6 +34,7 @@ from polyfunctor.matrices import scalar_entry_ring, space_matrix
 from polyfunctor.rings import evaluator
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
+    CertificateEntry,
     DeltaReport,
     _split_sampler,
     _unit_split_sample,
@@ -517,7 +517,7 @@ def test_certificate_samples_catch_a_wrong_numerator(selector, monkeypatch):
         # x^q + (numerator + h)/h recovers every coordinate off by one
         cert = eliminate(*args, **kwargs)
         first, *rest = cert.entries
-        wrong = dataclasses.replace(first, numerator=first.numerator + cert.unit ** first.h_power)
+        wrong = CertificateEntry(first.variable, first.numerator + cert.unit ** first.h_power, first.h_power)
         cert.entries = (wrong, *rest)
         return cert
 

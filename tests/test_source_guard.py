@@ -51,6 +51,20 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_module_imports_dataclasses_or_typing():
+    """Records derive from errors.Record: dataclasses (with the inspect module
+    it loads) and typing would cost every command line call their import."""
+    slow = {"dataclasses", "typing"}
+    imports = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [(name, node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((name, node.lineno, node.module))
+    assert [f"{name}:{line} {module}" for name, line, module in imports if module.split(".")[0] in slow] == []
+
+
 def test_every_private_definition_is_used():
     statements = [(node, _used_names(node)) for tree in MODULES.values() for node in tree.body]
     unused = []
