@@ -75,7 +75,6 @@ from .proofstep import (
     EliminationCertificate,
     ProjectionCoefficients,
     VarietyPresentation,
-    coordinate_model,
     delta_degree,
     derivative_step,
     eliminate,

@@ -27,7 +27,6 @@ from .functors import (
     dim,
     dim_polynomial,
     dimension_sequence,
-    format_dim_polynomial,
     format_functor,
     induced_map,
     parse_functor,
@@ -48,8 +47,8 @@ from .parsing import (
     polynomial_variable_names,
 )
 from .proofstep import (
+    CoordinateModel,
     VarietyPresentation,
-    coordinate_model,
     delta_degree,
     pair_projections,
     run_proofstep,
@@ -137,7 +136,7 @@ def cmd_decompose(args):
     parts_json = []
     for e in dec.degrees():
         for s in dec.parts[e]:
-            formula = format_dim_polynomial(dim_polynomial(s.expr))
+            formula = dim_polynomial(s.expr).to_text()
             lines.append(f"degree {e}: {s.label} {format_functor(s.expr)} dim = {formula}")
             parts_json.append(
                 {
@@ -280,7 +279,7 @@ def cmd_delta(args):
 def cmd_proofstep(args):
     field = FieldDescriptor.parse(args.field)
     functor = parse_functor(args.functor)
-    model = coordinate_model(functor, field, args.u)
+    model = CoordinateModel(functor, field, args.u)
     f = parse_polynomial(args.f, model.ring)
     generators = _generators(args.generators, model.ring) if args.generators else [f]
     q_generators = _generators(args.q_generators, model.ring)
@@ -407,8 +406,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()  # once per process: parse_args leaves it unchanged
 
 
+def _attach_values(argv) -> list[str]:
+    """argv with each token that begins with one '-' joined to the long
+    option before it as '--opt=token', so that argparse reads a value such
+    as '-x*y' or '-2,1' as that option's value, not as an unknown option.
+    Every long option but --help takes one value."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev != "--help"
+        if takes_value and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     # looked up at call time, so a rebound cmd_* handler is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -40,6 +40,7 @@ from .matrices import (
     space_labels,
 )
 from .parsing import _tokenize
+from .rings import GradedPoly, GradedRing
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -746,55 +747,22 @@ def compare_order(P: FunctorExpr, Q: FunctorExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def dim_polynomial(expr: FunctorExpr) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_d with dim(expr, n) = sum c_k n^k, by exact
-    interpolation; verified on one extra sample."""
+def dim_polynomial(expr: FunctorExpr) -> GradedPoly:
+    """dim(expr, n) as a polynomial in n over q, by exact interpolation at
+    n = 0..degree; verified on one extra sample."""
     d = expr.degree()
-    points = [(n, dim(expr, n)) for n in range(d + 1)]
-    coeffs = [Fraction(0)] * (d + 1)
-    for i, (xi, yi) in enumerate(points):
-        # Lagrange basis polynomial for node xi
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    check_at = d + 1
-    value = sum(c * check_at**k for k, c in enumerate(coeffs))
-    if value != dim(expr, check_at):
+    ring = GradedRing(FieldDescriptor.rationals(), ("n",))
+    n = ring.var("n")
+    poly = ring.zero()
+    for i in range(d + 1):
+        basis = ring.one()  # Lagrange basis polynomial for node i
+        for j in range(d + 1):
+            if j != i:
+                basis = basis * (n - j) * Fraction(1, i - j)
+        poly = poly + basis * dim(expr, i)
+    if poly.evaluate({"n": d + 1}) != dim(expr, d + 1):
         raise AlgebraError("dimension is not polynomial of the expected degree")
-    return tuple(coeffs)
-
-
-def format_dim_polynomial(coeffs) -> str:
-    chunks = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(c)
-        else:
-            mag = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            body = f"{mag}n" if k == 1 else f"{mag}n^{k}"
-        if not chunks:
-            chunks.append(body)
-        elif c < 0 and not body.startswith("-"):
-            chunks.append(f" - {str(-c) if k == 0 else body.lstrip('-')}")
-        elif body.startswith("-"):
-            chunks.append(f" - {body[1:]}")
-        else:
-            chunks.append(f" + {body}")
-    return "".join(chunks) if chunks else "0"
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ from .matrices import (
 from .rings import GradedPoly, GradedRing, RingVariable, Vector, evaluator
 
 MEMBERSHIP_BUDGET = 200_000  # reduction steps of the rank-one certificate-membership check
+MAX_MINOR_CANDIDATES = 64  # row subsets eliminate tries before it gives up
 
 # ---------------------------------------------------------------------------
 # coordinate models
@@ -138,9 +139,6 @@ class CoordinateModel:
         self.name_of = names_by_label
         self.label_of = {name: lab for lab, name in names_by_label.items()}
 
-    def summand_vars(self, label: str) -> tuple[str, ...]:
-        return self.ring.vars_of_part(label)
-
     def moving_vars(self, label: str, split: int) -> tuple[str, ...]:
         """Variables of the summand whose basis elements are fully supported
         beyond the split point (top-degree block of the shifted picture)."""
@@ -152,10 +150,6 @@ class CoordinateModel:
             if label_vdeg(full[2], split) == s.degree:
                 out.append(self.name_of[full])
         return tuple(out)
-
-
-def coordinate_model(functor: FunctorExpr, field: FieldDescriptor, dimension: int) -> CoordinateModel:
-    return CoordinateModel(functor, field, dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +170,7 @@ class VarietyPresentation(Record):
 
     @staticmethod
     def make(functor, field, base_dim, generators, q_generators, designated_r) -> "VarietyPresentation":
-        model = coordinate_model(functor, field, base_dim)
+        model = CoordinateModel(functor, field, base_dim)
         generators = tuple(generators)
         q_generators = tuple(q_generators)
         for g in generators + q_generators:
@@ -195,12 +189,8 @@ class VarietyPresentation(Record):
             functor, field, base_dim, model, generators, q_generators, designated_r
         )
 
-    @property
-    def top_degree(self) -> int:
-        return self.model.decomposition.summand(self.designated_r).degree
-
     def r_vars(self) -> tuple[str, ...]:
-        return self.model.summand_vars(self.designated_r)
+        return self.model.ring.vars_of_part(self.designated_r)
 
 
 class DeltaReport(Record, frozen=True):
@@ -217,20 +207,25 @@ class DeltaReport(Record, frozen=True):
     witness: GradedPoly | None
 
 
+def _vanishing(polys, q_generators, budget_steps: int | None = None):
+    """For each polynomial in turn, whether it vanishes modulo the
+    q-generators.  Buchberger runs once, when the first nonzero polynomial
+    arrives; each reduction then runs on a copy of the budget it left."""
+    basis = None
+    for g in polys:
+        if g and basis is None:
+            budget = Budget() if budget_steps is None else Budget(budget_steps)
+            basis = _prepared(g.ring, buchberger(q_generators, budget) if any(q_generators) else ())
+        yield not g or (bool(basis.polys) and reduce_poly(g, basis, Budget(budget.remaining)).is_zero())
+
+
 def delta_degree(generators, q_generators, budget_steps: int | None = None) -> DeltaReport:
-    best = witness = basis = None
+    generators = tuple(generators)
+    best = witness = None
     try:
-        for g in generators:
-            if not g:
-                continue
-            if basis is None:  # one Buchberger run; each g reduces on the budget it left
-                budget = Budget() if budget_steps is None else Budget(budget_steps)
-                basis = _prepared(g.ring, buchberger(q_generators, budget) if any(q_generators) else ())
-            if basis.polys and reduce_poly(g, basis, Budget(budget.remaining)).is_zero():
-                continue
-            d = g.weighted_degree()
-            if best is None or d < best:
-                best, witness = d, g
+        for g, vanishes in zip(generators, _vanishing(generators, q_generators, budget_steps)):
+            if not vanishes and (best is None or g.weighted_degree() < best):
+                best, witness = g.weighted_degree(), g
     except BudgetExceededError:
         return DeltaReport("inconclusive", None, None)
     if best is None:
@@ -266,13 +261,13 @@ def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector) -> Deriva
         raise BadDirectionChoiceError(
             "directional derivative vanishes for this direction; pick another one"
         )
-    if X.q_generators:
-        if normal_form(h, X.q_generators).is_zero():
-            raise BadDirectionChoiceError(
-                "directional derivative vanishes modulo the base projection; pick another direction"
-            )
+    if next(_vanishing([h], X.q_generators)):
+        raise BadDirectionChoiceError(
+            "directional derivative vanishes modulo the base projection; pick another direction"
+        )
     if f.is_weight_homogeneous():
-        expected = f.weighted_degree() - X.top_degree * X.field.char_exponent ** data.level
+        d = X.model.decomposition.summand(X.designated_r).degree
+        expected = f.weighted_degree() - d * X.field.char_exponent ** data.level
         if h.weighted_degree() != expected:
             raise InternalCheckError(
                 f"derivative degree {h.weighted_degree()} differs from expected {expected}"
@@ -285,21 +280,11 @@ def usable_directions(f: GradedPoly, X: VarietyPresentation) -> list[tuple[str, 
     which give a derivative that survives modulo the base projection."""
     W = DirectionSubspace(X.model.ring, X.r_vars())
     data = directional_data(f, W)
-    out, basis = [], None
-    for name in X.r_vars():
-        if not data.dependent:
-            out.append((name, False))
-            continue
-        coords = [1 if v == name else 0 for v in W.span_vars]
-        h = specialise_joint(data, W.direction(coords), W)
-        ok = bool(h)
-        if ok and X.q_generators:
-            if basis is None:  # one Buchberger run; each h reduces on the budget it left
-                budget = Budget()
-                basis = _prepared(h.ring, buchberger(X.q_generators, budget))
-            ok = not basis.polys or bool(reduce_poly(h, basis, Budget(budget.remaining)))
-        out.append((name, ok))
-    return out
+    derivatives = (
+        specialise_joint(data, W.direction([int(v == name) for v in W.span_vars]), W) for name in W.span_vars
+    )
+    vanishing = _vanishing(derivatives, X.q_generators)
+    return [(name, not vanishes) for name, vanishes in zip(W.span_vars, vanishing)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +384,21 @@ def extract_additive_element(
     model_u: CoordinateModel,
     model_big: CoordinateModel,
     phi: LinearMapMatrix,
-    level: int,
     r_label: str,
 ) -> AffineAdditiveElement:
     """Coefficient of t^(d*p^level) in the pullback of f along [1_U | t*phi],
-    verified to be affine-additive in the moving coordinates of the
-    designated summand, with the projection identities and the
-    derivative-compatibility identity checked as formal polynomial
-    identities."""
+    where level is that of f along the designated summand, verified to be
+    affine-additive in the moving coordinates of that summand, with the
+    projection identities and the derivative-compatibility identity checked
+    as formal polynomial identities."""
     fld = model_u.field
     u = model_u.dimension
     if f.ring != model_u.ring:
         raise PresentationError("witness polynomial lives in a foreign ring")
+    data = directional_data(f, DirectionSubspace(model_u.ring, model_u.ring.vars_of_part(r_label)))
+    if not data.dependent:
+        raise PresentationError("the witness does not involve the designated top-degree coordinates")
+    level = data.level
     d = model_u.normalized.degree()
     q_power = fld.char_exponent ** level
 
@@ -458,9 +446,7 @@ def extract_additive_element(
         rebuilt = rebuilt + coeff * model_big.ring.var(name) ** q_power
     if rebuilt != k:
         raise InternalCheckError("affine-additive reconstruction failed")
-    _check_derivative_formula(
-        f, model_u, model_big, projection, additive_part, moving, r_label, level
-    )
+    _check_derivative_formula(data, model_u, model_big, projection, additive_part, moving, r_label)
     return AffineAdditiveElement(
         poly=k,
         level=level,
@@ -472,38 +458,26 @@ def extract_additive_element(
 
 
 def _check_derivative_formula(
-    f: GradedPoly,
+    dd_f,
     model_u: CoordinateModel,
     model_big: CoordinateModel,
     projection: ProjectionCoefficients,
     additive_part: dict,
     moving,
     r_label: str,
-    level: int,
 ):
     """(additive part of k at a symbolic direction r) = (derivative of f
     along R(phi)r) pulled back through the base projection, as one formal
-    identity in the original variables plus one copy per moving coordinate."""
+    identity in the original variables plus one copy per moving coordinate;
+    dd_f is the directional data of f along the designated summand."""
     u = projection.u
-    q_power = model_u.field.char_exponent ** level
+    q_power = model_u.field.char_exponent ** dd_f.level
     joint_ring, copies = doubled_ring(model_big.ring, moving, "_w")
     copy_of_big = dict(copies)
     lhs = joint_ring.zero()
     for name, coeff in additive_part.items():
         lhs = lhs + coeff.convert(joint_ring) * joint_ring.var(copy_of_big[name]) ** q_power
 
-    W_u = DirectionSubspace(model_u.ring, model_u.summand_vars(r_label))
-    dd_f = directional_data(f, W_u)
-    if not dd_f.dependent:
-        if lhs:
-            raise InternalCheckError(
-                "element depends on the moving coordinates but the witness does not"
-            )
-        return
-    if dd_f.level != level:
-        raise InternalCheckError(
-            f"witness direction level {dd_f.level} differs from the element level {level}"
-        )
     # base projection pullback of the base-side coordinates
     proj = projection.base
     forms = row_forms(proj, joint_ring, [model_big.name_of[lab] for lab in proj.col_labels])
@@ -550,16 +524,11 @@ class EliminationCertificate(Record):
         return out
 
 
-def eliminate(
-    elements,
-    h: GradedPoly,
-    eliminated,
-    max_minor_candidates: int = 64,
-) -> EliminationCertificate:
+def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
     """Cramer-rule elimination of the moving coordinates.
 
     Tries the row subsets of the elements in lexicographic order, at most
-    max_minor_candidates of them.  Each is one block-triangular solve
+    MAX_MINOR_CANDIDATES of them.  Each is one block-triangular solve
     (matrices.cramer_solve), which gives the minor as a product of block
     determinants and each coordinate as a numerator over the determinants
     of the blocks it depends on.  The first minor equal to a nonzero scalar
@@ -596,7 +565,7 @@ def eliminate(
         for el in elements
     ]
     subsets = itertools.combinations(range(len(elements)), n_cols)
-    for rows_sel in itertools.islice(subsets, max(max_minor_candidates, 0)):
+    for rows_sel in itertools.islice(subsets, MAX_MINOR_CANDIDATES):
         solved = cramer_solve([system[i] for i in rows_sel], ring)
         if solved is None:
             continue
@@ -759,12 +728,12 @@ def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
     and affine-additive element, then elimination, on the first generator."""
     u = X.base_dim
     model_u = X.model
-    model_big = coordinate_model(X.functor, X.field, u + n)
+    model_big = CoordinateModel(X.functor, X.field, u + n)
     f = X.generators[0]
     delta = delta_degree(X.generators, X.q_generators)
     step = derivative_step(f, X, r0)
     elements = [
-        extract_additive_element(f, model_u, model_big, phi, step.level, X.designated_r)
+        extract_additive_element(f, model_u, model_big, phi, X.designated_r)
         for phi in phis
     ]
     h_big = step.derivative.convert(model_big.ring)
@@ -781,13 +750,12 @@ def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
 def pair_projections(fld: FieldDescriptor, n: int) -> dict:
     """Coordinate projections of the n-space onto the plane, keyed by their
     1-based coordinate pair (i, j), i < j, in lexicographic order."""
-    scalar_ring = scalar_entry_ring(fld)
     out = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         rows = [[0] * n for _ in range(2)]
         rows[0][i - 1] = 1
         rows[1][j - 1] = 1
-        out[(i, j)] = space_matrix(fld, rows, scalar_ring)
+        out[(i, j)] = space_matrix(fld, rows)
     return out
 
 
@@ -932,7 +900,7 @@ def run_rank_one_example(
     u = 2
     rng = random.Random(seed)
     functor = split_tensor_square()
-    model_u = coordinate_model(functor, fld, u)
+    model_u = CoordinateModel(functor, fld, u)
     r_label = next(
         s.label for s in model_u.decomposition.summands if isinstance(s.expr, TenAltF)
     )
@@ -1026,7 +994,7 @@ def run_rank_one_example(
             )
         )
 
-        plain_model = coordinate_model(TensorF((IdF(), IdF())), fld, u + n)
+        plain_model = CoordinateModel(TensorF((IdF(), IdF())), fld, u + n)
         to_plain = split_to_plain_map(model_big, plain_model)
         minors = _prepared(plain_model.ring, rank_one_minors_plain(plain_model))
         membership = "pass"

@@ -9,10 +9,10 @@ import random
 import time
 
 from polyfunctor import (
+    CoordinateModel,
     DirectionSubspace,
     GradedRing,
     compare_order,
-    coordinate_model,
     decompose,
     dim,
     directional_data,
@@ -64,15 +64,15 @@ def test_criterion_1_running_example_end_to_end():
 def test_criterion_2_coefficient_formula():
     field = Q
     P = TensorF((IdF(), IdF()))
-    model_u = coordinate_model(P, field, 2)
-    model_big = coordinate_model(P, field, 5)
+    model_u = CoordinateModel(P, field, 2)
+    model_big = CoordinateModel(P, field, 5)
     f = parse_polynomial("x_1_1*x_2_2 - x_1_2*x_2_1", model_u.ring)
     for (i, j) in itertools.combinations(range(1, 4), 2):
         rows = [[0] * 3 for _ in range(2)]
         rows[0][i - 1] = 1
         rows[1][j - 1] = 1
         phi = space_matrix(field, rows, scalar_entry_ring(field))
-        k = extract_additive_element(f, model_u, model_big, phi, 0, "p0").poly
+        k = extract_additive_element(f, model_u, model_big, phi, "p0").poly
         ring = model_big.ring
 
         def coeff_of(m1, m2):

@@ -114,6 +114,47 @@ def test_decompose_output(capsys):
     assert "tensor(id,id)" in lines[-1]
 
 
+def _decompose_corpus():
+    """240 seeded expressions, each constructor among them, with their
+    dimension polynomials' printed forms covering fractions and minus signs."""
+    import random
+
+    from conftest import random_functor
+    from polyfunctor import format_functor
+
+    rng = random.Random(25)
+    return [format_functor(random_functor(rng, max_degree=3, depth=3)) for _ in range(240)]
+
+
+# sha256 of the decompose stdout over _decompose_corpus, captured while
+# dimension polynomials had their own interpolation and printer
+DECOMPOSE_GOLDEN = {
+    "text": "fd3790cb4f820f14ffd015d8e024bcad36f28f31cb506a1d91cead1467fd666b",
+    "json": "e5f594b2733cc02184333f25e5b7f31a010eefd0f62c3fd9a7ff445ae6db04ce",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DECOMPOSE_GOLDEN))
+def test_decompose_golden_stdout(capsys, fmt):
+    digest = hashlib.sha256()
+    for text in _decompose_corpus():
+        code, out, err = run_cli(capsys, "decompose", "--functor", text, "--format", fmt)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == DECOMPOSE_GOLDEN[fmt]
+
+
+def test_decompose_corpus_covers_the_grammar(capsys):
+    import re
+
+    corpus = _decompose_corpus()
+    names = {name for text in corpus for name in re.findall("[a-z]+", text)}
+    assert names == {"const", "id", "tsym", "talt", "sum", "tensor", "sym", "ext", "shift", "quot"}
+    assert any(re.search(r"(sym|ext)\(\d,sum\(", text) for text in corpus)
+    printed = "".join(run_cli(capsys, "decompose", "--functor", text)[1] for text in corpus)
+    assert "/" in printed and " - " in printed
+
+
 def test_compare_output(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -292,15 +333,15 @@ def test_byte_identical_reports(capsys):
 def test_report_polynomials_reparse(capsys):
     from polyfunctor import parse_polynomial
     from polyfunctor.functors import SumF, TenAltF, TenSymF
-    from polyfunctor.proofstep import coordinate_model
+    from polyfunctor.proofstep import CoordinateModel
     from conftest import Q
 
     code, out, _ = run_cli(
         capsys, "example-rank1", "--n", "3", "--field", "q", "--format", "json"
     )
     doc = json.loads(out)
-    big = coordinate_model(SumF((TenSymF(), TenAltF())), Q, 5).ring
-    small = coordinate_model(SumF((TenSymF(), TenAltF())), Q, 2).ring
+    big = CoordinateModel(SumF((TenSymF(), TenAltF())), Q, 5).ring
+    small = CoordinateModel(SumF((TenSymF(), TenAltF())), Q, 2).ring
     assert parse_polynomial(doc["f"], small).to_text() == doc["f"]
     assert parse_polynomial(doc["h"], small).to_text() == doc["h"]
     for item in doc["k"]:
@@ -515,6 +556,39 @@ def test_proofstep_and_delta_golden_stdout(capsys, case, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == PIPELINE_GOLDEN[(case, fmt)]
 
 
+# per option, a command line whose value for it begins with "-"
+LEADING_MINUS = {
+    "--poly": ("hasse", "--field", "q", "--poly", "-x*y", "--w-vars", "x,y", "--dir", "1,1", "--r", "1"),
+    "--dir": ("hasse", "--field", "q", "--poly", "x*y", "--w-vars", "x,y", "--dir", "-2,1", "--r", "1"),
+    "--phi": ("induce", "--functor", "id", "--field", "q", "--phi", "-1,2;3,4"),
+    "--generators": ("delta", "--field", "q", "--vars", "x", "--generators", "-x^2"),
+    "--q-generators": PROOFSTEP_BASE + ("--field", "q", "--n", "2", "--q-generators", "-y_1_1"),
+    "--f": ("proofstep", "--functor", "sum(tsym,talt)", "--u", "2", "--f", "-y_1_1*y_2_2+y_1_2^2-z_1_2^2",
+            "--r0", "1", "--r-part", "p1", "--field", "q", "--n", "2"),
+    "--r0": ("proofstep", "--functor", "sum(tsym,talt)", "--u", "2", "--f", PROOFSTEP_F, "--r0", "-1/2",
+             "--r-part", "p1", "--field", "q", "--n", "2"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(LEADING_MINUS))
+def test_an_option_value_may_begin_with_a_minus(capsys, option):
+    argv = list(LEADING_MINUS[option])
+    at = argv.index(option)
+    attached = argv[:at] + [f"{option}={argv[at + 1]}"] + argv[at + 2:]
+    code, out, err = run_cli(capsys, *attached)
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("hasse", "-h"), ("hasse", "--poly", "-x", "--help"), ("hasse", "--help", "-x"),
+])
+def test_help_still_reads_as_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: polyfunctor")
+
+
 def test_internal_check_failure_exit_code(capsys, monkeypatch):
     from polyfunctor import InternalCheckError, cli
 
@@ -695,7 +769,7 @@ def _calculus_argv(draw):
     if _spoilt(draw):
         coords = draw(st.lists(st.sampled_from(["1", "1/0", "a", ""]), max_size=3))
     field = draw(st.sampled_from(["fp:4", "fp:x"] if _spoilt(draw) else ["q", "fp:2", "fp:3", "fp:5", "fp:101"]))
-    # --opt=value, so that a value with a leading minus is not read as an option
+    # --opt=value; "--opt value" with a leading minus reads the same (test_an_option_value_may_begin_with_a_minus)
     argv = [command, f"--field={field}", f"--poly={poly}", f"--w-vars={','.join(w_vars)}"]
     if draw(st.booleans()):
         argv += ["--vars", "w,x,y,z"]

@@ -89,6 +89,20 @@ def test_direction_outside_subspace_rejected():
         hasse_derivative(f, Vector("d", ("z",), (Q.one(),)), 1, W)
 
 
+@pytest.mark.parametrize("basis", [("y", "x"), ("x",), ("y",)])
+def test_a_direction_off_the_span_variables_in_ring_order_is_refused(basis):
+    ring = xyz_ring(Q)
+    W = DirectionSubspace(ring, ("y", "x"))
+    f = parse_polynomial("x^2*y", ring)
+    from polyfunctor import Vector
+
+    w = Vector("d", basis, (Q.one(),) * len(basis))
+    with pytest.raises(DirectionError, match="designated subspace"):
+        hasse_derivative(f, w, 1, W)
+    with pytest.raises(DirectionError, match="designated subspace"):
+        specialise_joint(directional_data(f, W), w, W)
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_order_zero_checks_the_direction_and_ring_too(r):
     ring = xyz_ring(Q)

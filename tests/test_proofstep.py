@@ -8,6 +8,7 @@ import pytest
 from polyfunctor import (
     BadDirectionChoiceError,
     CertificateNotFoundError,
+    CoordinateModel,
     DirectionSubspace,
     FieldDescriptor,
     GradedPoly,
@@ -16,7 +17,6 @@ from polyfunctor import (
     PresentationError,
     VarietyPresentation,
     Vector,
-    coordinate_model,
     delta_degree,
     derivative_step,
     directional_data,
@@ -54,7 +54,7 @@ def _boxed(model, den, nums):
 
 
 def split_presentation(field=Q, dim=2):
-    model = coordinate_model(SPLIT, field, dim)
+    model = CoordinateModel(SPLIT, field, dim)
     ring = model.ring
     f = (
         ring.var("y_1_1") * ring.var("y_2_2")
@@ -91,7 +91,7 @@ def test_delta_infinite_when_generators_reduce_away():
 
 
 def test_delta_weighted_degree_of_square():
-    model = coordinate_model(SPLIT, Q, 2)
+    model = CoordinateModel(SPLIT, Q, 2)
     g = model.ring.var("z_1_2") ** 2
     X = VarietyPresentation.make(SPLIT, Q, 2, [g], [], "p1")
     report = delta_degree(X.generators, X.q_generators)
@@ -178,7 +178,7 @@ def test_derivative_step_rejects_bad_direction():
 
 
 def test_derivative_step_level_one_in_characteristic_five():
-    model = coordinate_model(SPLIT, F5, 2)
+    model = CoordinateModel(SPLIT, F5, 2)
     ring = model.ring
     f = parse_polynomial("y_1_1^5*y_2_2^5 + z_1_2^5*y_1_1^5", ring)
     X = VarietyPresentation.make(SPLIT, F5, 2, [f], [], "p1")
@@ -221,6 +221,69 @@ def test_usable_directions_runs_buchberger_once(field, monkeypatch):
     assert [ok for _, ok in expected] == [True, False, True]
 
 
+def _homogeneous_on_y(ideal, ring):
+    """The generators of a conftest.random_ideal moved onto y_1_1, y_1_2,
+    y_2_2 of ring, each cut to its top-degree part: a presentation takes
+    weight-homogeneous generators only."""
+    images = [ring.var(name) for name in ("y_1_1", "y_1_2", "y_2_2")]
+    out = []
+    for g in filter(None, ideal):
+        moved = g.substitute(dict(zip(g.ring.names, images)))
+        top = max(map(sum, moved.terms), default=0)
+        out.append(GradedPoly(ring, {e: c for e, c in moved.terms.items() if sum(e) == top}))
+    return out
+
+
+@pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
+def test_reductions_modulo_the_q_generators_agree_with_normal_form(field):
+    from conftest import random_ideal, random_poly, random_scalar
+    from polyfunctor import normal_form
+
+    field = FieldDescriptor.parse(field)
+    rng = random.Random(7)
+    model, f, _ = split_presentation(field)
+    statuses, survives = set(), set()
+    for _ in range(12):
+        q_gens = random_ideal(rng, field)
+        generators = [random_poly(rng, q_gens[0].ring) for _ in range(4)]
+        report = delta_degree(generators, q_gens)
+        assert report == _delta_per_generator(generators, q_gens, 50_000)
+        statuses.add(report.status)
+        if any(generators) and any(q_gens):
+            assert delta_degree(generators, q_gens, budget_steps=0).status == "inconclusive"
+
+        X = VarietyPresentation.make(SPLIT, field, 2, [f], _homogeneous_on_y(q_gens, model.ring), "p0")
+        W = DirectionSubspace(model.ring, X.r_vars())
+        data = directional_data(f, W)
+        # the coordinate directions, which usable_directions scans, then a random one
+        directions = [[int(v == name) for v in W.span_vars] for name in W.span_vars]
+        directions.append([random_scalar(rng, field) for _ in W.span_vars])
+        expected = []
+        for coords in directions:
+            r0 = W.direction(coords)
+            h = specialise_joint(data, r0, W)
+            ok = bool(h) and not normal_form(h, X.q_generators).is_zero()
+            expected.append(ok)
+            if ok:
+                assert derivative_step(f, X, r0).derivative == h
+            else:
+                with pytest.raises(BadDirectionChoiceError):
+                    derivative_step(f, X, r0)
+        assert usable_directions(f, X) == list(zip(W.span_vars, expected))
+        survives.update(expected)
+    assert statuses == {"finite", "infinite"} and survives == {True, False}
+
+
+def test_extraction_refuses_an_independent_witness():
+    # the level is read off the witness along the designated summand, so a
+    # witness free of it has none, as derivative_step refuses it too
+    model_u, _, _ = split_presentation()
+    g = model_u.ring.var("y_1_1") * model_u.ring.var("y_2_2")
+    model_big = CoordinateModel(SPLIT, Q, 5)
+    with pytest.raises(PresentationError, match="does not involve the designated"):
+        extract_additive_element(g, model_u, model_big, pair_projection(Q, 3, 1, 2), "p1")
+
+
 # -- projection coefficients ----------------------------------------------------------
 
 
@@ -228,14 +291,14 @@ def test_projection_coefficients_block_formula():
     # plain tensor square: the three coefficient matrices act blockwise
     P = TensorF((IdF(), IdF()))
     field = Q
-    model_u = coordinate_model(P, field, 2)
+    model_u = CoordinateModel(P, field, 2)
     n = 3
     phi = pair_projection(field, n, 1, 2)
     coeffs = projection_coefficients(model_u, n, phi)
     assert set(coeffs.by_degree.keys()) == {2}
     mats = coeffs.by_degree[2]
     assert len(mats) == 3
-    model_big = coordinate_model(P, field, 5)
+    model_big = CoordinateModel(P, field, 5)
     # t^0: upper-left block; entries select x_a_b with a, b <= 2
     m0 = mats[0]
     for rl in m0.row_labels:
@@ -257,14 +320,14 @@ def test_projection_coefficients_block_formula():
 def test_projection_coefficients_vanishing_pattern_symmetric_square():
     # construction verifies the vanishing pattern internally; a run means pass
     P = SymF(2, IdF())
-    model_u = coordinate_model(P, Q, 2)
+    model_u = CoordinateModel(P, Q, 2)
     phi = space_matrix(Q, [[1, 0], [0, 1]], scalar_entry_ring(Q))
     coeffs = projection_coefficients(model_u, 2, phi)
     assert len(coeffs.by_degree[2]) == 3
 
 
 def test_projection_requires_surjective_matrix():
-    model_u = coordinate_model(SPLIT, Q, 2)
+    model_u = CoordinateModel(SPLIT, Q, 2)
     flat = space_matrix(Q, [[1, 0, 0], [0, 0, 0]], scalar_entry_ring(Q))
     with pytest.raises(PresentationError):
         projection_coefficients(model_u, 3, flat)
@@ -277,10 +340,10 @@ def test_extract_running_example_split_form():
     field = Q
     model_u, f, X = split_presentation(field)
     n = 3
-    model_big = coordinate_model(SPLIT, field, 5)
+    model_big = CoordinateModel(SPLIT, field, 5)
     for (i, j) in itertools.combinations(range(1, n + 1), 2):
         phi = pair_projection(field, n, i, j)
-        el = extract_additive_element(f, model_u, model_big, phi, 0, "p1")
+        el = extract_additive_element(f, model_u, model_big, phi, "p1")
         moving = f"z_{2 + i}_{2 + j}"
         # the coefficient of the moving coordinate is exactly h = 2 z_1_2
         assert set(el.additive_part.keys()) == {moving}
@@ -293,12 +356,12 @@ def test_extract_running_example_split_form():
 def test_extract_plain_coordinates_match_block_determinant():
     field = Q
     P = TensorF((IdF(), IdF()))
-    model_u = coordinate_model(P, field, 2)
-    model_big = coordinate_model(P, field, 5)
+    model_u = CoordinateModel(P, field, 2)
+    model_big = CoordinateModel(P, field, 5)
     f = parse_polynomial("x_1_1*x_2_2 - x_1_2*x_2_1", model_u.ring)
     i, j = 1, 2
     phi = pair_projection(field, 3, i, j)
-    el = extract_additive_element(f, model_u, model_big, phi, 0, "p0")
+    el = extract_additive_element(f, model_u, model_big, phi, "p0")
     k = el.poly
     ring = model_big.ring
 
@@ -325,9 +388,9 @@ def test_extract_plain_coordinates_match_block_determinant():
 def test_extract_vanishes_on_rank_one_samples():
     field = Q
     model_u, f, X = split_presentation(field)
-    model_big = coordinate_model(SPLIT, field, 5)
+    model_big = CoordinateModel(SPLIT, field, 5)
     phi = pair_projection(field, 3, 1, 2)
-    el = extract_additive_element(f, model_u, model_big, phi, 0, "p1")
+    el = extract_additive_element(f, model_u, model_big, phi, "p1")
     den, sample = _split_sampler(random.Random(3), model_big)
     for _ in range(100):
         point = _boxed(model_big, den, sample())
@@ -337,9 +400,9 @@ def test_extract_vanishes_on_rank_one_samples():
 def test_extract_joint_laws():
     field = F3
     model_u, f, X = split_presentation(field)
-    model_big = coordinate_model(SPLIT, field, 5)
+    model_big = CoordinateModel(SPLIT, field, 5)
     phi = pair_projection(field, 3, 1, 3)
-    el = extract_additive_element(f, model_u, model_big, phi, 0, "p1")
+    el = extract_additive_element(f, model_u, model_big, phi, "p1")
     from polyfunctor import joint_additivity_holds, joint_scaling_holds
 
     W = DirectionSubspace(model_big.ring, el.eliminated)
@@ -399,7 +462,9 @@ def test_eliminate_no_unit_minor():
         eliminate([element], ring.var("h"), ["z"])
 
 
-def test_eliminate_takes_the_first_unit_minor():
+def test_eliminate_takes_the_first_unit_minor(monkeypatch):
+    from polyfunctor import proofstep
+
     # rows (0, 1) are singular, rows (0, 2) give the minor 3*c*h^2, which is
     # no scalar times a power of h, and rows (1, 2) give 6*h^3
     ring = GradedRing(Q, [("z1", "r", 1), ("z2", "r", 1), ("c", "b", 1), ("h", "b", 1)])
@@ -424,8 +489,9 @@ def test_eliminate_takes_the_first_unit_minor():
         ("z2", c * Fraction(1, 3), 2),
     ]
     assert cert.cleared_elements() == [z1 + c * Fraction(1, 2), h**2 * z2 + c * Fraction(1, 3)]
+    monkeypatch.setattr(proofstep, "MAX_MINOR_CANDIDATES", 2)
     with pytest.raises(CertificateNotFoundError):
-        eliminate(elements, h, ["z1", "z2"], max_minor_candidates=2)
+        eliminate(elements, h, ["z1", "z2"])
 
 
 def test_eliminate_with_the_factors_of_h_in_different_blocks():
@@ -474,11 +540,11 @@ def test_eliminate_running_example_structure():
     field = Q
     model_u, f, X = split_presentation(field)
     n = 3
-    model_big = coordinate_model(SPLIT, field, 5)
+    model_big = CoordinateModel(SPLIT, field, 5)
     elements = []
     for (i, j) in itertools.combinations(range(1, n + 1), 2):
         phi = pair_projection(field, n, i, j)
-        elements.append(extract_additive_element(f, model_u, model_big, phi, 0, "p1"))
+        elements.append(extract_additive_element(f, model_u, model_big, phi, "p1"))
     h_big = (model_big.ring.var("z_1_2")) * 2
     eliminated = model_big.moving_vars("p1", 2)
     cert = eliminate(elements, h_big, eliminated)
@@ -494,7 +560,7 @@ def test_certificate_recovers_samples_exactly():
     report = run_rank_one_example(3, field, seed=7, sample_count=30)
     assert report.certificate is not None
     rng = random.Random(99)
-    model_big = coordinate_model(SPLIT, field, 5)
+    model_big = CoordinateModel(SPLIT, field, 5)
     h_big = report.h.convert(model_big.ring)
     den, sample = _split_sampler(rng, model_big)
     for _ in range(100):
@@ -620,8 +686,8 @@ def test_membership_of_cleared_elements_by_division():
 
     field = Q
     report = run_rank_one_example(2, field, seed=0, sample_count=10)
-    model_big = coordinate_model(SPLIT, field, 4)
-    plain = coordinate_model(TensorF((IdF(), IdF())), field, 4)
+    model_big = CoordinateModel(SPLIT, field, 4)
+    plain = CoordinateModel(TensorF((IdF(), IdF())), field, 4)
     to_plain = split_to_plain_map(model_big, plain)
     minors = rank_one_minors_plain(plain)
     for cleared in report.certificate.cleared_elements():
@@ -634,11 +700,11 @@ def test_membership_of_extracted_element_by_groebner():
 
     field = Q
     P = TensorF((IdF(), IdF()))
-    model_u = coordinate_model(P, field, 2)
-    model_big = coordinate_model(P, field, 4)
+    model_u = CoordinateModel(P, field, 2)
+    model_big = CoordinateModel(P, field, 4)
     f = parse_polynomial("x_1_1*x_2_2 - x_1_2*x_2_1", model_u.ring)
     phi = pair_projection(field, 2, 1, 2)
-    el = extract_additive_element(f, model_u, model_big, phi, 0, "p0")
+    el = extract_additive_element(f, model_u, model_big, phi, "p0")
     minors = rank_one_minors_plain(model_big)
     assert normal_form(el.poly, minors, Budget(500_000)).is_zero()
     rng = random.Random(17)
@@ -667,12 +733,10 @@ def _pullback_vanishes_by_substitution(pullback, point):
 @pytest.mark.parametrize("field", [Q, F3])
 def test_t_coefficient_check_agrees_with_substitution(field):
     model_u, f, X = split_presentation(field)
-    model_big = coordinate_model(SPLIT, field, 5)
+    model_big = CoordinateModel(SPLIT, field, 5)
     den, sample = _split_sampler(random.Random(11), model_big)
     for i, j in ((1, 2), (2, 3)):
-        el = extract_additive_element(
-            f, model_u, model_big, pair_projection(field, 3, i, j), 0, "p1"
-        )
+        el = extract_additive_element(f, model_u, model_big, pair_projection(field, 3, i, j), "p1")
         ext = el.pullback.ring
         t_name = ext.names[-1]
         perturbed = el.pullback + ext.var(t_name) * ext.var("y_1_1")
@@ -716,7 +780,7 @@ SAMPLER_GOLDEN = {
 @pytest.mark.parametrize("key", sorted(SAMPLER_GOLDEN))
 def test_sampler_golden(key):
     selector, n, unit = key
-    model = coordinate_model(SPLIT, FieldDescriptor.parse(selector), n)
+    model = CoordinateModel(SPLIT, FieldDescriptor.parse(selector), n)
     h_values = evaluator((model.ring.var("z_1_2") * 2,))
     rng = random.Random(31)
     den, sample = _split_sampler(rng, model)
@@ -791,7 +855,7 @@ def test_rank_one_minors_plain_is_the_products_of_variables():
     # the same order and each with its two terms in the same order
     for field in (Q, FieldDescriptor.prime_field(3), FieldDescriptor.prime_field(101)):
         for dimension in range(2, 9):
-            model = coordinate_model(TensorF((IdF(), IdF())), field, dimension)
+            model = CoordinateModel(TensorF((IdF(), IdF())), field, dimension)
             ring = model.ring
             x = {(a, b): ring.var(f"x_{a + 1}_{b + 1}") for a in range(dimension) for b in range(dimension)}
             want = [

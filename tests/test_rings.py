@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from polyfunctor import (
     AlgebraError,
+    CoordinateModel,
     FieldDescriptor,
     GradedRing,
-    coordinate_model,
     parse_polynomial,
 )
 from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
@@ -467,7 +467,7 @@ def test_evaluator_fraction_count_does_not_grow_with_the_terms():
 
 
 def _split_model(field, n):
-    return coordinate_model(SumF((TenSymF(), TenAltF())), field, n)
+    return CoordinateModel(SumF((TenSymF(), TenAltF())), field, n)
 
 
 @pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
