@@ -29,7 +29,7 @@ from .rings import (
     Vector,
 )
 from .parsing import parse_polynomial, polynomial_variable_names
-from .groebner import Budget, membership_by_division, normal_form, reduce_poly
+from .groebner import Budget, membership_by_division, reduce_poly
 from .hasse import (
     DirectionSubspace,
     DirectionalData,

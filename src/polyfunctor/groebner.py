@@ -157,19 +157,6 @@ def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
     return basis.polys
 
 
-def normal_form(f: GradedPoly, generators, budget: Budget | None = None) -> GradedPoly:
-    """Remainder of f modulo a Groebner basis of the generators.
-
-    A zero result certifies ideal membership.  Intended for small instances:
-    the Gebauer-Moeller criteria skip pairs known to reduce to zero, but every
-    other pair is reduced, one budget step per pair and per division step.
-    Raises BudgetExceededError when the step budget is exhausted.
-    """
-    gens = _prepared(f.ring, generators)
-    budget = budget or Budget()
-    return reduce_poly(f, buchberger(gens.polys, budget), budget) if gens.polys else f
-
-
 def membership_by_division(f: GradedPoly, generators, budget: Budget | None = None) -> bool:
     """True when plain division by the generators leaves remainder zero.
 

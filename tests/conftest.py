@@ -18,6 +18,8 @@ from polyfunctor import (
     TensorF,
     normalize,
 )
+from polyfunctor import groebner
+from polyfunctor.groebner import Budget, _prepared
 from polyfunctor.rings import GradedPoly, _Divisors
 
 Q = FieldDescriptor.rationals()
@@ -141,6 +143,15 @@ def s_polynomial(f, g):
     return pair.divide(spair, lambda work: GradedPoly(f.ring, work.rest(), _canonical=True))
 
 
+def normal_form(f, generators, budget=None):
+    """Remainder of f modulo a Groebner basis of the generators, zero exactly
+    when f lies in their ideal: the reference that exact membership checks
+    are compared with.  Raises BudgetExceededError when the budget runs out."""
+    gens = _prepared(f.ring, generators)
+    budget = budget or Budget()
+    return groebner.reduce_poly(f, groebner.buchberger(gens.polys, budget), budget) if gens.polys else f
+
+
 def minors_ideal(field, rows, cols):
     ring = GradedRing(field, [f"x{i}{j}" for i in range(rows) for j in range(cols)])
     v = lambda i, j: ring.var(f"x{i}{j}")
@@ -197,3 +208,45 @@ LARGE_IDEALS = {
     "minors3x5": lambda field: minors_ideal(field, 3, 5),
     "minors4x4": lambda field: minors_ideal(field, 4, 4),
 }
+
+
+# The rank-one tensors in plain coordinates x_i_j: the 2x2 minors and the
+# split coordinates written in the x_i_j, the reference for the example's
+# membership check.
+
+def rank_one_minors_plain(model):
+    """The 2x2 minors x_i_k*x_j_l - x_i_l*x_j_k (i < j, k < l) of the plain
+    tensor coordinates, each built straight as its two canonical terms."""
+    m = model.dimension
+    ring = model.ring
+    p = ring.field.characteristic
+    minus_one = p - 1 if p else -1
+    at = [[ring.position(f"x_{a + 1}_{b + 1}") for b in range(m)] for a in range(m)]
+    width = len(ring.names)
+
+    def monomial(u, v):
+        exps = [0] * width
+        exps[u] = exps[v] = 1
+        return tuple(exps)
+
+    out = []
+    for i, j in itertools.combinations(range(m), 2):
+        for k, l in itertools.combinations(range(m), 2):
+            terms = {monomial(at[i][k], at[j][l]): 1, monomial(at[i][l], at[j][k]): minus_one}
+            out.append(GradedPoly(ring, terms, _canonical=True))
+    return out
+
+
+def split_to_plain_map(split_model, plain_model):
+    """Substitution expressing split coordinates in tensor coordinates."""
+    ring = plain_model.ring
+    half = ring.field.scalar(2).inverse()
+    x = ring.var
+    mapping = {}
+    m = split_model.dimension
+    for a in range(m):
+        mapping[f"y_{a + 1}_{a + 1}"] = x(f"x_{a + 1}_{a + 1}")
+        for b in range(a + 1, m):
+            mapping[f"y_{a + 1}_{b + 1}"] = (x(f"x_{a + 1}_{b + 1}") + x(f"x_{b + 1}_{a + 1}")) * half
+            mapping[f"z_{a + 1}_{b + 1}"] = (x(f"x_{a + 1}_{b + 1}") - x(f"x_{b + 1}_{a + 1}")) * half
+    return mapping

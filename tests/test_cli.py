@@ -451,6 +451,21 @@ def test_check_statuses_set_the_exit_code(capsys, monkeypatch, target, args, sta
     assert "all passed: false" in out
 
 
+def test_example_rank1_without_a_certificate_fails_and_never_exits_3(capsys, monkeypatch):
+    # every check of the example is decided, so a missing certificate is a
+    # failed check (4), where proofstep reports it inconclusive (3)
+    from polyfunctor import CertificateNotFoundError, proofstep
+
+    def nothing(*args, **kwargs):
+        raise CertificateNotFoundError("no unit minor found within the search budget")
+
+    monkeypatch.setattr(proofstep, "eliminate", nothing)
+    code, out, _ = run_cli(capsys, *RANK1_ARGS)
+    assert code == 4
+    assert "FAIL   certificate-found" in out
+    assert "INCONCLUSIVE" not in out
+
+
 def test_nested_shift_check(capsys):
     code, out, _ = run_cli(
         capsys, "shift-check", "--functor", "shift(1,sym(2,id))", "--u", "2", "--n", "3"

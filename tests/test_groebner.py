@@ -13,13 +13,12 @@ from polyfunctor import (
     GradedRing,
     RingMismatchError,
     membership_by_division,
-    normal_form,
     parse_polynomial,
     reduce_poly,
 )
 from polyfunctor.groebner import DEFAULT_BUDGET, buchberger, divide_exact
 
-from conftest import F3, IDEALS, LARGE_IDEALS, Q, random_ideal, random_poly, s_polynomial
+from conftest import F3, IDEALS, LARGE_IDEALS, Q, normal_form, random_ideal, random_poly, s_polynomial
 
 ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
 

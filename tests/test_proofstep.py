@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from polyfunctor import (
     BadDirectionChoiceError,
+    Budget,
     CertificateNotFoundError,
     CoordinateModel,
     DirectionSubspace,
@@ -36,14 +38,13 @@ from polyfunctor.proofstep import (
     AffineAdditiveElement,
     CertificateEntry,
     DeltaReport,
+    _segre_map,
     _split_sampler,
     _unit_split_sample,
     pullback_t_coefficients,
-    rank_one_minors_plain,
-    split_to_plain_map,
 )
 
-from conftest import F3, F5, Q
+from conftest import F3, F5, Q, normal_form, rank_one_minors_plain, split_to_plain_map
 
 SPLIT = SumF((TenSymF(), TenAltF()))
 
@@ -109,7 +110,7 @@ def test_delta_honours_a_budget_of_zero_steps():
 
 def _delta_per_generator(generators, q_generators, steps):
     """delta_degree as one normal form per generator, each on a fresh budget."""
-    from polyfunctor import Budget, BudgetExceededError, normal_form
+    from polyfunctor import BudgetExceededError
 
     best = witness = None
     try:
@@ -125,7 +126,7 @@ def _delta_per_generator(generators, q_generators, steps):
 @pytest.mark.parametrize("field", ("q", "fp:101"))
 def test_delta_runs_buchberger_once_with_the_per_generator_budget(field, monkeypatch):
     from conftest import katsura_ideal
-    from polyfunctor import Budget, normal_form, proofstep
+    from polyfunctor import proofstep
 
     q_gens = katsura_ideal(FieldDescriptor.parse(field), 3)
     ring = q_gens[0].ring
@@ -197,7 +198,7 @@ def test_usable_directions_scan():
 
 @pytest.mark.parametrize("field", (Q, F3))
 def test_usable_directions_runs_buchberger_once(field, monkeypatch):
-    from polyfunctor import groebner, normal_form, proofstep
+    from polyfunctor import groebner, proofstep
 
     # the y summand at u = 2 has three directions; the derivative along
     # y_1_2 is -2*y_1_2, which dies modulo the q-generators
@@ -237,7 +238,6 @@ def _homogeneous_on_y(ideal, ring):
 @pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
 def test_reductions_modulo_the_q_generators_agree_with_normal_form(field):
     from conftest import random_ideal, random_poly, random_scalar
-    from polyfunctor import normal_form
 
     field = FieldDescriptor.parse(field)
     rng = random.Random(7)
@@ -573,14 +573,14 @@ def test_certificate_recovers_samples_exactly():
             assert recovered == point[entry.variable]
 
 
-@pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
-def test_certificate_samples_catch_a_wrong_numerator(selector, monkeypatch):
+def _tampered_eliminate(monkeypatch):
+    """Make run_rank_one_example's first certificate numerator off by h^e:
+    x^q + (numerator + h^e)/h^e recovers every coordinate off by one."""
     from polyfunctor import proofstep
 
     eliminate = proofstep.eliminate
 
     def tampered(*args, **kwargs):
-        # x^q + (numerator + h)/h recovers every coordinate off by one
         cert = eliminate(*args, **kwargs)
         first, *rest = cert.entries
         wrong = CertificateEntry(first.variable, first.numerator + cert.unit ** first.h_power, first.h_power)
@@ -588,6 +588,11 @@ def test_certificate_samples_catch_a_wrong_numerator(selector, monkeypatch):
         return cert
 
     monkeypatch.setattr(proofstep, "eliminate", tampered)
+
+
+@pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
+def test_certificate_samples_catch_a_wrong_numerator(selector, monkeypatch):
+    _tampered_eliminate(monkeypatch)
     report = run_rank_one_example(3, FieldDescriptor.parse(selector), sample_count=3)
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["certificate-found"] == "pass"
@@ -633,24 +638,38 @@ def test_run_rank_one_n3_rationals():
     assert report.delta.delta == 4
 
 
-def test_rank_one_membership_prepares_the_minors_once(monkeypatch):
-    from polyfunctor import proofstep, rings
+def test_rank_one_membership_substitutes_once_per_entry(monkeypatch):
+    from polyfunctor import groebner, proofstep
 
-    sizes, calls = [], []
-    init = rings._Divisors.__init__
+    groebner_calls, segre_maps, substituted = [], [], []
+    for module, name in ((groebner, "buchberger"), (proofstep, "buchberger"), (groebner, "membership_by_division")):
+        monkeypatch.setattr(module, name, lambda *args: groebner_calls.append(args))
+    segre_map = proofstep._segre_map
+    monkeypatch.setattr(proofstep, "_segre_map", lambda model: segre_maps.append(segre_map(model)) or segre_maps[-1])
+    substitute = GradedPoly.substitute
 
-    def counted(self, ring, polys=()):
-        init(self, ring, polys)
-        sizes.append(len(self.polys))
+    def counted(self, mapping):
+        substituted.extend(m for m in segre_maps if m is mapping)
+        return substitute(self, mapping)
 
-    monkeypatch.setattr(rings._Divisors, "__init__", counted)
-    membership = proofstep.membership_by_division
-    monkeypatch.setattr(proofstep, "membership_by_division", lambda *args: calls.append(args) or membership(*args))
+    monkeypatch.setattr(GradedPoly, "substitute", counted)
     report = run_rank_one_example(3, Q, seed=0, sample_count=3)
     assert {c.name: c.status for c in report.checks}["certificate-membership"] == "pass"
-    assert len(calls) > 1 and len({id(args[1]) for args in calls}) == 1
-    minors = len(calls[0][1].polys)
-    assert minors == 100 and sizes.count(minors) == 1
+    assert groebner_calls == []
+    assert len(segre_maps) == 1
+    assert len(substituted) == len(report.certificate.entries) == 3
+
+
+@pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
+def test_rank_one_membership_refutes_a_wrong_numerator_quickly(selector, monkeypatch):
+    _tampered_eliminate(monkeypatch)
+    start = time.perf_counter()
+    report = run_rank_one_example(6, FieldDescriptor.parse(selector), sample_count=1)
+    elapsed = time.perf_counter() - start
+    membership = next(c for c in report.checks if c.name == "certificate-membership")
+    assert membership.status == "fail"
+    assert membership.witness.startswith("z_3_4: ")
+    assert elapsed < 1.0
 
 
 def test_run_rank_one_n2_rationals():
@@ -696,8 +715,6 @@ def test_membership_of_cleared_elements_by_division():
 
 def test_membership_of_extracted_element_by_groebner():
     # full Buchberger run on the 4x4 minors certifies membership of k
-    from polyfunctor import Budget, normal_form
-
     field = Q
     P = TensorF((IdF(), IdF()))
     model_u = CoordinateModel(P, field, 2)
@@ -715,6 +732,51 @@ def test_membership_of_extracted_element_by_groebner():
             f"x_{a + 1}_{b + 1}": v[a] * w[b] for a in range(4) for b in range(4)
         }
         assert not el.poly.evaluate(point)
+
+
+FIELDS = ("q", "fp:3", "fp:101")
+
+
+@pytest.mark.parametrize("selector", FIELDS)
+@pytest.mark.parametrize("n", (2, 3))
+def test_segre_map_agrees_with_the_minors_normal_form(n, selector):
+    # a split polynomial maps to 0 exactly when its normal form modulo the
+    # 2x2 minors, after the change to plain coordinates, is 0
+    field = FieldDescriptor.parse(selector)
+    report = run_rank_one_example(n, field, sample_count=1)
+    model_big = CoordinateModel(SPLIT, field, n + 2)
+    plain = CoordinateModel(TensorF((IdF(), IdF())), field, n + 2)
+    to_plain = split_to_plain_map(model_big, plain)
+    minors = rank_one_minors_plain(plain)
+    segre = _segre_map(model_big)
+    ring = model_big.ring
+    h = report.h.convert(ring)
+    ks = [el.poly for _, el in report.elements]
+    cleared = report.certificate.cleared_elements()
+    members = ks + cleared
+    perturbed = [k + ring.var("y_1_1") * ring.var("z_1_2") for k in ks] + [c + h for c in cleared]
+    for poly, member in [(g, True) for g in members] + [(g, False) for g in perturbed]:
+        by_segre = poly.substitute(segre).is_zero()
+        by_minors = normal_form(poly.substitute(to_plain), minors, Budget(500_000)).is_zero()
+        assert by_segre == by_minors == member
+
+
+@pytest.mark.parametrize("selector", FIELDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rank_one_elements_map_to_zero_exactly(n, selector):
+    # exact where the sampled checks are not: over fp:3, d/|F| >= 1
+    field = FieldDescriptor.parse(selector)
+    report = run_rank_one_example(n, field, sample_count=1)
+    segre = _segre_map(CoordinateModel(SPLIT, field, n + 2))
+    for _, el in report.elements:
+        assert not el.poly.substitute(segre)
+        ext = el.pullback.ring
+        t = ext.names[-1]
+        with_t = next(iter(segre.values())).ring.extended([t])
+        assert not el.pullback.substitute({t: with_t.var(t), **{x: g.convert(with_t) for x, g in segre.items()}})
+    cleared = report.certificate.cleared_elements()
+    assert len(cleared) == n * (n - 1) // 2
+    assert not any(c.substitute(segre) for c in cleared)
 
 
 # -- sampling checks ------------------------------------------------------------------

@@ -41,14 +41,13 @@ from polyfunctor import (  # noqa: E402
     TensorF,
     hasse_derivative,
     induced_map,
-    normal_form,
     run_rank_one_example,
     space_matrix,
 )
 from polyfunctor.groebner import buchberger, divide_exact, reduce_poly  # noqa: E402
 from polyfunctor.matrices import cramer_solve  # noqa: E402
 
-from conftest import IDEALS, LARGE_IDEALS, random_ideal, random_poly  # noqa: E402
+from conftest import IDEALS, LARGE_IDEALS, normal_form, random_ideal, random_poly  # noqa: E402
 
 FIELDS = ("q", "fp:32003")
 ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
