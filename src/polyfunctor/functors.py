@@ -359,9 +359,6 @@ class HomDecomposition:
             parts.setdefault(s.degree, []).append(s)
         self.parts = {e: tuple(v) for e, v in sorted(parts.items())}
 
-    def dim(self, n: int) -> int:
-        return sum(dim(s.expr, n) for s in self.summands)
-
     def part_dim(self, e: int, n: int) -> int:
         return sum(dim(s.expr, n) for s in self.parts.get(e, ()))
 

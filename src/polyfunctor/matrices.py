@@ -9,7 +9,7 @@ Every builder adds raw blocks into one slice accumulator, full-width rows
 per exponent vector, and one function reduces it to canonical slices, so
 equal matrices have equal slices.  Composition and the induced-map kernels
 multiply slices by plain dot products; entries are boxed as polynomials
-only when rows or entry_by_label is read, once per matrix.
+only when rows is read, once per matrix.
 Also home to the small exact linear algebra the package needs: Gaussian
 rank over a field, and the solve of a square polynomial system [A | b] in
 block upper-triangular form: rows matched to columns, the diagonal blocks
@@ -40,7 +40,7 @@ def scalar_entry_ring(field: FieldDescriptor) -> GradedRing:
 class LinearMapMatrix:
     """Matrix of a linear map between spaces with labelled bases."""
 
-    __slots__ = ("row_labels", "col_labels", "ring", "slices", "_rows", "_row_pos", "_col_pos")
+    __slots__ = ("row_labels", "col_labels", "ring", "slices", "_rows")
 
     def __init__(self, row_labels, col_labels, ring: GradedRing, rows):
         row_labels, col_labels = tuple(row_labels), tuple(col_labels)
@@ -66,8 +66,6 @@ class LinearMapMatrix:
         self.ring = ring
         self.slices = slices
         self._rows = None
-        self._row_pos = {lab: i for i, lab in enumerate(self.row_labels)}
-        self._col_pos = {lab: i for i, lab in enumerate(self.col_labels)}
 
     @property
     def rows(self):
@@ -88,9 +86,6 @@ class LinearMapMatrix:
     @property
     def shape(self):
         return (len(self.row_labels), len(self.col_labels))
-
-    def entry_by_label(self, row_label, col_label) -> GradedPoly:
-        return self.rows[self._row_pos[row_label]][self._col_pos[col_label]]
 
     def compose(self, other: "LinearMapMatrix") -> "LinearMapMatrix":
         """Matrix of self after other: each pair of monomial slices that
@@ -118,14 +113,6 @@ class LinearMapMatrix:
                 products = [[sum(map(mul, row, col)) for col in picked] for row in block]
                 acc.add(tuple(map(add, e, f)), rows, cols, products)
         return acc.matrix(self.row_labels, other.col_labels, self.ring)
-
-    def scale(self, factor) -> "LinearMapMatrix":
-        factor = self.ring.one() * factor
-        acc = _SliceSum(len(self.col_labels))
-        for e, (rows, cols, block) in self.slices.items():
-            for f, c in factor.terms.items():
-                acc.add(tuple(map(add, e, f)), rows, cols, [[v * c for v in row] for row in block])
-        return acc.matrix(self.row_labels, self.col_labels, self.ring)
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.row_labels, self.ring)
@@ -258,9 +245,9 @@ def identity_matrix(labels, ring: GradedRing) -> LinearMapMatrix:
     return _diagonal(n, ring, n).matrix(labels, labels, ring)
 
 
-def space_matrix(field: FieldDescriptor, entries, ring: GradedRing | None = None) -> LinearMapMatrix:
+def space_matrix(field: FieldDescriptor, entries) -> LinearMapMatrix:
     """Matrix of a linear map between standard spaces, rows of scalars."""
-    ring = ring or scalar_entry_ring(field)
+    ring = scalar_entry_ring(field)
     rows = [list(row) for row in entries]
     m = len(rows)
     n = len(rows[0]) if rows else 0

@@ -12,9 +12,11 @@ with denominators that are powers of h.
 One stage runner does all of this; run_proofstep reports its formal
 checks, and the worked rank-one tensor example runs the same stages and adds
 its expected values, seeded sample validation and an ideal-membership check
-of the certificate, decided exactly by one substitution per cleared element
-through the Segre map v, w -> v (x) w.  Both render one byte-stable report
-type.
+of the certificate.  Both go through the Segre map v, w -> v (x) w: the
+membership is decided exactly by one substitution per cleared element, and
+the sampled checks evaluate the images of their polynomials at seeded
+points (v, w), skipping the images that are zero.  Both render one
+byte-stable report type.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .matrices import (
     scalar_entry_ring,
     space_matrix,
 )
-from .rings import GradedPoly, GradedRing, RingVariable, Vector, evaluator
+from .rings import GradedPoly, GradedRing, RingVariable, Vector
 
 MAX_MINOR_CANDIDATES = 64  # row subsets eliminate tries before it gives up
 
@@ -791,57 +793,53 @@ def run_proofstep(
 # ---------------------------------------------------------------------------
 
 
-def _split_rows(model: CoordinateModel) -> list:
-    """(a - 1, b - 1, s) for each coordinate of model.ring, in order: y_a_b
-    and z_a_b of the tensor v (x) w are (v_a w_b + s v_b w_a) / 2, s = 1
-    for y and -1 for z."""
-    signs = {"y": 1, "z": -1}
-    return [(int(a) - 1, int(b) - 1, signs[s]) for s, a, b in (name.split("_") for name in model.ring.names)]
-
-
-def _split_sampler(rng: random.Random, model: CoordinateModel):
-    """(den, sample): sample() draws v and w from rng and returns the split
-    coordinates of v (x) w as integer numerators in model.ring order over
-    den, 2 over q and 1 over F_p, read off the _split_rows of model."""
-    m, p = model.dimension, model.field.characteristic
-    rows = _split_rows(model)
-    draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-10, 10))
-    half = pow(2, -1, p) if p else None
-
-    def sample():
-        v, w = [draw() for _ in range(m)], [draw() for _ in range(m)]
-        nums = [v[a] * w[b] + s * v[b] * w[a] for a, b, s in rows]
-        return [x * half % p for x in nums] if p else nums
-
-    return 1 if p else 2, sample
-
-
-def _segre_map(model: CoordinateModel) -> dict:
-    """Substitution sending each split coordinate of model.ring to that
-    coordinate of v (x) w, a polynomial in v_1..v_m, w_1..w_m.  The kernel of
-    x_i_j -> v_i w_j is the ideal of 2x2 minors over every field (Hochster
-    and Eagon, 1971), and the split coordinates are an invertible linear
-    change of the x_i_j away from characteristic 2, so a polynomial lies in
-    the minors' ideal exactly when its image is zero."""
+def _segre_map(model: CoordinateModel, kept=()) -> dict:
+    """Substitution sending each split coordinate y_a_b, z_a_b of model.ring
+    to that coordinate (v_a w_b +- v_b w_a)/2 of v (x) w, a polynomial in
+    v_1..v_m, w_1..w_m, and each variable in kept (such as a pullback's t)
+    to itself.  The kernel of x_i_j -> v_i w_j is the ideal of 2x2 minors
+    over every field (Hochster and Eagon, 1971), and the split coordinates
+    are an invertible linear change of the x_i_j away from characteristic 2,
+    so a polynomial lies in the minors' ideal exactly when its image is
+    zero, and at a point (v, w) the image takes the polynomial's value at the
+    split coordinates of v (x) w."""
     m, fld = model.dimension, model.field
-    ring = GradedRing(fld, [f"{c}_{a + 1}" for c in "vw" for a in range(m)])
+    ring = GradedRing(fld, [f"{c}_{a + 1}" for c in "vw" for a in range(m)] + list(kept))
     v = [ring.var(f"v_{a + 1}") for a in range(m)]
     w = [ring.var(f"w_{a + 1}") for a in range(m)]
     half = fld.scalar(2).inverse()
-    rows = zip(model.ring.names, _split_rows(model))
-    return {name: (v[a] * w[b] + v[b] * w[a] * s) * half for name, (a, b, s) in rows}
+    signs = {"y": 1, "z": -1}
+    segre = {name: ring.var(name) for name in ring.names[2 * m:]}
+    for name in model.ring.names:
+        s, a, b = name.split("_")
+        a, b = int(a) - 1, int(b) - 1
+        segre[name] = (v[a] * w[b] + v[b] * w[a] * signs[s]) * half
+    return segre
 
 
-def _unit_split_sample(sample, den: int, values):
-    """(nums, values(nums, den)) for numerators nums drawn by sample, a
-    _split_sampler, resampled until the first of the values does not
-    vanish; values is a values function built by rings.evaluator."""
-    for _ in range(1000):
-        nums = sample()
-        at = values(nums, den)
-        if at[0]:
-            return nums, at
-    raise AlgebraError("failed to sample a point off the unit locus")
+def _segre_points(rng: random.Random, fld: FieldDescriptor, m: int, unit: GradedPoly | None = None):
+    """Points (v, w) of _segre_map's v_1..v_m, w_1..w_m drawn from rng, v
+    first, entries in [0, p) over F_p and in [-10, 10] over q; with a unit,
+    each is drawn again until the unit does not vanish there."""
+    p = fld.characteristic
+    draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-10, 10))
+    names = [f"{c}_{a + 1}" for c in "vw" for a in range(m)]
+    while True:
+        for _ in range(1000):
+            point = {name: draw() for name in names}
+            if unit is None or unit.evaluate(point):
+                break
+        else:
+            raise AlgebraError("failed to sample a point off the unit locus")
+        yield point
+
+
+def _vanish_on_samples(images, points, count: int) -> bool:
+    """Whether every image vanishes at the first count points; no point is
+    drawn after the first where one does not, and a zero image, which
+    vanishes everywhere, is not evaluated."""
+    live = [g for g in images if g]
+    return not any(any(g.evaluate(point) for g in live) for point in itertools.islice(points, count))
 
 
 def pullback_t_coefficients(pullback: GradedPoly, base_ring: GradedRing) -> list[GradedPoly]:
@@ -918,9 +916,7 @@ def run_rank_one_example(
     checks.append(Check("joint-scaling f", "pass" if joint_scaling_holds(step.data) else "fail"))
 
     # the witness vanishes on sampled rank-one tensors at the base dimension
-    den_u, sample_u = _split_sampler(rng, model_u)
-    f_values = evaluator((f,))
-    spot_ok = not any(f_values(sample_u(), den_u)[0] for _ in range(20))
+    spot_ok = _vanish_on_samples([f.substitute(_segre_map(model_u))], _segre_points(rng, fld, u), 20)
     checks.append(Check("base-locus-spot-check", "pass" if spot_ok else "fail"))
 
     for (i, j), el in zip(pairs, stages.elements):
@@ -935,16 +931,18 @@ def run_rank_one_example(
             checks.append(Check(f"joint-laws k {tag}", "pass" if add_ok else "fail"))
 
     # the pullback of f vanishes identically in t on sampled points
+    m = model_big.dimension
+    (t,) = stages.elements[0].pullback.ring.without(model_big.ring.names).variables
+    segre = _segre_map(model_big, [t])
+    vw = segre[t.name].ring.without([t.name])
     t_coefficients = [
-        c for el in stages.elements for c in pullback_t_coefficients(el.pullback, model_big.ring)
+        c for el in stages.elements for c in pullback_t_coefficients(el.pullback.substitute(segre), vw)
     ]
-    den, sample = _split_sampler(rng, model_big)
-    pull_values = evaluator(t_coefficients)
-    pull_ok = not any(any(pull_values(sample(), den)) for _ in range(sample_count))
+    pull_ok = _vanish_on_samples(t_coefficients, _segre_points(rng, fld, m), sample_count)
     checks.append(Check("pullback-vanishes-on-samples", "pass" if pull_ok else "fail"))
 
-    k_values = evaluator([el.poly for el in stages.elements])
-    k_ok = not any(any(k_values(sample(), den)) for _ in range(sample_count))
+    k_images = [el.poly.substitute(segre) for el in stages.elements]
+    k_ok = _vanish_on_samples(k_images, _segre_points(rng, fld, m), sample_count)
     checks.append(Check("coefficient-vanishes-on-samples", "pass" if k_ok else "fail"))
 
     certificate = stages.certificate
@@ -967,28 +965,14 @@ def run_rank_one_example(
             )
         )
 
-        segre = _segre_map(model_big)
-        cleared = zip(certificate.entries, certificate.cleared_elements())
-        images = ((e.variable, c.substitute(segre)) for e, c in cleared)
-        witness = next((f"{variable}: {image.to_text()}" for variable, image in images if image), "")
+        cleared = [c.substitute(segre) for c in certificate.cleared_elements()]
+        images = zip(certificate.entries, cleared)
+        witness = next((f"{e.variable}: {image.to_text()}" for e, image in images if image), "")
         checks.append(Check("certificate-membership", "fail" if witness else "pass", witness))
 
-        samples_ok = True
-        q_power = fld.char_exponent ** certificate.level
-        mod = fld.characteristic or None
-        certificate_values = evaluator([stages.h_big] + [e.numerator for e in certificate.entries])
-        at_x = [model_big.ring.position(e.variable) for e in certificate.entries]
-        for _ in range(sample_count):
-            nums, (h_val, *numerators) = _unit_split_sample(sample, den, certificate_values)
-            # -num / h^e == x^q with x = nums[i] / den, on raw values as
-            # num * den^q + nums[i]^q * h^e == 0 (mod p)
-            residues = (
-                num * den**q_power + pow(nums[i], q_power, mod) * pow(h_val, e.h_power, mod)
-                for e, i, num in zip(certificate.entries, at_x, numerators)
-            )
-            if any(r % mod if mod else r for r in residues):
-                samples_ok = False
-                break
+        # the certificate claims x^q = -numerator/h^e where h does not vanish
+        points = _segre_points(rng, fld, m, stages.h_big.substitute(segre))
+        samples_ok = _vanish_on_samples(cleared, points, sample_count)
         checks.append(Check("certificate-samples", "pass" if samples_ok else "fail"))
 
     return stages.report(

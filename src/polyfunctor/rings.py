@@ -7,9 +7,7 @@ vectors to nonzero raw coefficients: residues in [1, p) over F_p, and over
 q an int when the value is integral, else a Fraction (an integral Fraction
 a kernel leaves behind is equal, hashes equal and prints the same).  Only
 this module knows that format; Scalar is the type at the API boundary
-(constant_value, evaluate, an evaluator's values at a point given by
-names, Vector).  Inside the package an evaluator also reads a point as
-integer numerators over one denominator and returns raw values.  The term
+(constant_value, evaluate at a point given by names, Vector).  The term
 order used for printing, leading terms and division is graded
 lexicographic: weighted degree first, then the exponent vector compared
 lexicographically with earlier variables more significant.  Canonical form
@@ -19,9 +17,8 @@ All values are immutable after construction and all operations are pure; a
 polynomial only remembers its associate once asked for it (monic over F_p,
 over q the primitive integer multiple with positive leading coefficient),
 the private working polynomial of heap division (_Dividend, over q an
-integer multiple `scale` of the true one) never leaves its division, a
-prepared divisor set (_Divisors) only grows, and the integer plan an
-evaluator reads lives in its closure.
+integer multiple `scale` of the true one) never leaves its division, and
+a prepared divisor set (_Divisors) only grows.
 
 Division alone packs monomials into ints (_packing): the weighted degree on
 top, then one byte per variable whose top bit is a guard bit, so int order
@@ -38,7 +35,6 @@ import functools
 import operator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, cycle, islice, repeat
 from math import gcd, lcm
 
 from .errors import AlgebraError, FieldMismatchError, Record, RingMismatchError, SubstitutionError
@@ -404,8 +400,24 @@ class GradedPoly:
         return _from_raw(target, acc)
 
     def evaluate(self, point: dict) -> Scalar:
-        """Evaluate at a point given as name -> scalar (ints are coerced)."""
-        return evaluator((self,))(point)[0]
+        """Evaluate at a point given as name -> scalar, coercing every entry
+        (ints too, and coordinates outside the ring).  Only the variables
+        the polynomial uses need a coordinate; the first one missing, in
+        ring order, is named."""
+        field = self.ring.field
+        for name in self.support_vars():
+            if name not in point:
+                raise SubstitutionError(f"missing coordinate for {name!r}")
+        raw = {name: _raw(field, v) for name, v in point.items()}
+        at = [raw.get(name, 0) for name in self.ring.names]
+        p = field.characteristic
+        total = 0
+        for exps, c in self.terms.items():
+            for x, e in zip(at, exps):
+                if e:
+                    c = c * pow(x, e, p) % p if p else c * x**e
+            total += c
+        return field.scalar(total)
 
     # -- printing ---------------------------------------------------------------
 
@@ -443,70 +455,6 @@ class GradedPoly:
 
     def __repr__(self):
         return f"<{self.to_text()}>"
-
-
-def evaluator(polys):
-    """The values of a sequence of polynomials of one ring at a point.
-    values(nums, den) reads integer numerators in ring order over one
-    denominator (residues over den 1 on F_p) and returns raw values, a zero
-    over q as the int 0; values(point) coerces a point given as name ->
-    scalar, even a coordinate outside the ring, and boxes them.  Only the
-    variables a polynomial uses need a coordinate; the first one missing, in
-    ring order, is named.  The plan holds the distinct monomials of all the
-    polynomials by columns: each has top slots, the ring positions of its
-    factors, one per unit of exponent, padded with den's slot to the top
-    total degree.  At a point a monomial is one product of numerators, and a
-    polynomial the dot product of its integer coefficients over their common
-    denominator D with those, over D*den^top or reduced mod p."""
-    polys = tuple(polys)
-    if not polys:
-        return lambda point, den=None: []
-    for f in polys:
-        polys[0]._check_same_ring(f)
-    ring = polys[0].ring
-    field, p, width = ring.field, ring.field.characteristic, len(ring.names)
-    used = tuple(dict.fromkeys(name for f in polys for name in f.support_vars()))
-    # at least one slot per monomial, so the first column starts the products
-    top = max((sum(es) for f in polys for es in f.terms), default=0) or 1
-    # bytes hold the same slots in a third of a tuple's memory
-    pack = bytes if width < 256 else tuple
-    ns = [len(f.terms) for f in polys]
-    ds = [lcm(*(c.denominator for c in f.terms.values())) for f in polys]
-    ks = [c.numerator * (d // c.denominator) for f, d in zip(polys, ds) for c in f.terms.values()]
-    monos, idx = polys[0].terms, None
-    if len(polys) > 1:  # a monomial the polynomials share is evaluated once
-        monos = {}
-        idx = [monos.setdefault(es, len(monos)) for f in polys for es in f.terms]
-    exps = chain.from_iterable(es + (top - sum(es),) for es in monos)
-    slots = pack(chain.from_iterable(map(repeat, cycle(range(width + 1)), exps)))
-    columns = [slots[j::top] for j in range(top)]
-
-    def kernel(nums, den):
-        get = [*nums, den].__getitem__
-        mv = map(get, columns[0])
-        # a list now and then keeps the chain of iterators shallow
-        for j, column in enumerate(columns[1:], 1):
-            mv = map(operator.mul, mv if j % 256 else list(mv), map(get, column))
-        if idx is not None:
-            mv = map(list(mv).__getitem__, idx)
-        totals = map(sum, map(islice, repeat(map(operator.mul, ks, mv)), ns))
-        if p:
-            return [t % p for t in totals]
-        scale = den**top
-        return [Fraction(t, d) if t % d else t // d for t, d in zip(totals, map(scale.__mul__, ds))]
-
-    def values(point, den=None):
-        if den is not None:
-            return kernel(point, den)
-        for name in used:
-            if name not in point:
-                raise SubstitutionError(f"missing coordinate for {name!r}")
-        raw = {name: _raw(field, v) for name, v in point.items()}
-        den = lcm(*(v.denominator for v in raw.values()))
-        nums = [raw[n].numerator * (den // raw[n].denominator) if n in raw else 0 for n in ring.names]
-        return [field.scalar(v) for v in kernel(nums, den)]
-
-    return values
 
 
 def _raw(field: FieldDescriptor, value):

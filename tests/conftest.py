@@ -20,6 +20,8 @@ from polyfunctor import (
 )
 from polyfunctor import groebner
 from polyfunctor.groebner import Budget, _prepared
+from polyfunctor.matrices import LinearMapMatrix
+from polyfunctor.proofstep import _segre_map, _segre_points
 from polyfunctor.rings import GradedPoly, _Divisors
 
 Q = FieldDescriptor.rationals()
@@ -250,3 +252,21 @@ def split_to_plain_map(split_model, plain_model):
             mapping[f"y_{a + 1}_{b + 1}"] = (x(f"x_{a + 1}_{b + 1}") + x(f"x_{b + 1}_{a + 1}")) * half
             mapping[f"z_{a + 1}_{b + 1}"] = (x(f"x_{a + 1}_{b + 1}") - x(f"x_{b + 1}_{a + 1}")) * half
     return mapping
+
+
+def rank_one_points(rng, model, count, unit=None):
+    """count split coordinate points, name -> Scalar, of rank-one tensors
+    v (x) w, drawn from rng as run_rank_one_example draws (v, w) and read
+    through the Segre images; with a unit, a polynomial on model.ring, each
+    is drawn again until the unit does not vanish there."""
+    segre = _segre_map(model)
+    if unit is not None:
+        unit = unit.substitute(segre)
+    for vw in itertools.islice(_segre_points(rng, model.field, model.dimension, unit), count):
+        yield {name: image.evaluate(vw) for name, image in segre.items()}
+
+
+def scaled(matrix, factor):
+    """factor times a LinearMapMatrix, entry by entry, through its constructor."""
+    rows = [[entry * factor for entry in row] for row in matrix.rows]
+    return LinearMapMatrix(matrix.row_labels, matrix.col_labels, matrix.ring, rows)

@@ -29,9 +29,9 @@ from polyfunctor import (
     taylor_expand,
 )
 from polyfunctor.functors import ExtF, IdF, QuotF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, split_tensor_square
-from polyfunctor.matrices import identity_matrix, scalar_entry_ring
+from polyfunctor.matrices import identity_matrix, space_labels
 
-from conftest import ALL_FIELDS, F3, F5, Q, random_functor, random_matrix, random_poly, random_scalar
+from conftest import ALL_FIELDS, F3, F5, Q, random_functor, random_matrix, random_poly, random_scalar, scaled
 
 SPLIT = SumF((TenSymF(), TenAltF()))
 
@@ -71,7 +71,7 @@ def test_criterion_2_coefficient_formula():
         rows = [[0] * 3 for _ in range(2)]
         rows[0][i - 1] = 1
         rows[1][j - 1] = 1
-        phi = space_matrix(field, rows, scalar_entry_ring(field))
+        phi = space_matrix(field, rows)
         k = extract_additive_element(f, model_u, model_big, phi, "p0").poly
         ring = model_big.ring
 
@@ -208,12 +208,10 @@ def test_criterion_6_functoriality_fuzz():
         pairs += 1
         # homogeneity: each summand scales by t^degree under t * identity
         dec = decompose(expr)
-        scaled = space_matrix(
-            Q, [[t if i == j else ring_t.zero() for j in range(2)] for i in range(2)], ring_t
-        )
+        t_identity = scaled(identity_matrix(space_labels(2), ring_t), t)
         for s in dec.summands:
-            mat = induced_map(s.expr, scaled)
-            assert mat == identity_matrix(mat.row_labels, ring_t).scale(t ** s.degree)
+            mat = induced_map(s.expr, t_identity)
+            assert mat == scaled(identity_matrix(mat.row_labels, ring_t), t ** s.degree)
     _report("criterion-6 functoriality fuzz", "200 composition pairs, homogeneity formal in t")
 
 

@@ -34,9 +34,9 @@ from polyfunctor import (
 )
 from polyfunctor.cli import main
 from polyfunctor.functors import basis_labels, dimension_sequence, label_vdeg
-from polyfunctor.matrices import identity_matrix
+from polyfunctor.matrices import LinearMapMatrix, identity_matrix, space_labels
 
-from conftest import F2, F3, Q, random_functor, random_matrix
+from conftest import F2, F3, Q, random_functor, random_matrix, scaled
 
 GOLDEN = (
     SymF(3, IdF()),
@@ -79,7 +79,7 @@ def test_dim_consistency_against_decomposition():
         expr = random_functor(rng)
         dec = decompose(expr)
         for n in range(7):
-            assert dim(expr, n) == dec.dim(n)
+            assert dim(expr, n) == sum(dim(s.expr, n) for s in dec.summands)
 
 
 def test_dim_polynomial_formula():
@@ -109,7 +109,7 @@ def test_decompose_split_tensor_square():
     for s in dec.summands:
         assert s.degree == 2
     for n in range(6):
-        assert dec.dim(n) == n * n
+        assert sum(dim(s.expr, n) for s in dec.summands) == n * n
 
 
 def test_decompose_constant():
@@ -129,9 +129,9 @@ def test_homogeneity_of_summands():
         dec = decompose(expr)
         n = 2
         for s in dec.summands:
-            scaled = space_matrix(Q, [[t if i == j else ring_t.zero() for j in range(n)] for i in range(n)], ring_t)
-            mat = induced_map(s.expr, scaled)
-            expected = identity_matrix(mat.row_labels, ring_t).scale(t ** s.degree)
+            t_identity = scaled(identity_matrix(space_labels(n), ring_t), t)
+            mat = induced_map(s.expr, t_identity)
+            expected = scaled(identity_matrix(mat.row_labels, ring_t), t ** s.degree)
             assert mat == expected
 
 
@@ -195,11 +195,8 @@ def test_degree_bound_on_symbolic_entries():
     # entries of the induced matrix have degree at most deg(P) in the
     # entries of phi, with equality on the top part
     ring = GradedRing(Q, [(f"a_{i}_{j}", "aux", 1) for i in range(2) for j in range(2)])
-    phi = space_matrix(
-        Q,
-        [[ring.var(f"a_{i}_{j}") for j in range(2)] for i in range(2)],
-        ring,
-    )
+    labels = space_labels(2)
+    phi = LinearMapMatrix(labels, labels, ring, [[ring.var(f"a_{i}_{j}") for j in range(2)] for i in range(2)])
     for expr in GOLDEN:
         mat = induced_map(expr, phi)
         d = expr.degree()

@@ -32,26 +32,19 @@ from polyfunctor import (
 from polyfunctor.functors import IdF, SumF, SymF, TenAltF, TenSymF, TensorF
 from polyfunctor.groebner import divide_exact
 from polyfunctor.hasse import specialise_joint
-from polyfunctor.matrices import scalar_entry_ring, space_matrix
-from polyfunctor.rings import evaluator
+from polyfunctor.matrices import space_matrix
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
     CertificateEntry,
     DeltaReport,
     _segre_map,
-    _split_sampler,
-    _unit_split_sample,
+    _vanish_on_samples,
     pullback_t_coefficients,
 )
 
-from conftest import F3, F5, Q, normal_form, rank_one_minors_plain, split_to_plain_map
+from conftest import F3, F5, Q, normal_form, rank_one_minors_plain, rank_one_points, split_to_plain_map
 
 SPLIT = SumF((TenSymF(), TenAltF()))
-
-
-def _boxed(model, den, nums):
-    """The point name -> Scalar of numerators over den in model.ring order."""
-    return {name: model.field.scalar(Fraction(x, den)) for name, x in zip(model.ring.names, nums)}
 
 
 def split_presentation(field=Q, dim=2):
@@ -70,7 +63,7 @@ def pair_projection(field, n, i, j):
     rows = [[0] * n for _ in range(2)]
     rows[0][i - 1] = 1
     rows[1][j - 1] = 1
-    return space_matrix(field, rows, scalar_entry_ring(field))
+    return space_matrix(field, rows)
 
 
 # -- delta ------------------------------------------------------------------------
@@ -301,18 +294,17 @@ def test_projection_coefficients_block_formula():
     model_big = CoordinateModel(P, field, 5)
     # t^0: upper-left block; entries select x_a_b with a, b <= 2
     m0 = mats[0]
-    for rl in m0.row_labels:
-        for j, cl in enumerate(m0.col_labels):
+    for row in m0.rows:
+        for cl, entry in zip(m0.col_labels, row):
             name = model_big.name_of[cl]
-            entry = m0.entry_by_label(rl, cl)
             if entry:
                 a, b = (int(s) for s in name.split("_")[1:])
                 assert a <= 2 and b <= 2
     # t^2: image only involves the moving block (both indices beyond 2)
     m2 = mats[2]
-    for rl in m2.row_labels:
-        for cl in m2.col_labels:
-            if m2.entry_by_label(rl, cl):
+    for row in m2.rows:
+        for cl, entry in zip(m2.col_labels, row):
+            if entry:
                 a, b = (int(s) for s in model_big.name_of[cl].split("_")[1:])
                 assert a > 2 and b > 2
 
@@ -321,14 +313,14 @@ def test_projection_coefficients_vanishing_pattern_symmetric_square():
     # construction verifies the vanishing pattern internally; a run means pass
     P = SymF(2, IdF())
     model_u = CoordinateModel(P, Q, 2)
-    phi = space_matrix(Q, [[1, 0], [0, 1]], scalar_entry_ring(Q))
+    phi = space_matrix(Q, [[1, 0], [0, 1]])
     coeffs = projection_coefficients(model_u, 2, phi)
     assert len(coeffs.by_degree[2]) == 3
 
 
 def test_projection_requires_surjective_matrix():
     model_u = CoordinateModel(SPLIT, Q, 2)
-    flat = space_matrix(Q, [[1, 0, 0], [0, 0, 0]], scalar_entry_ring(Q))
+    flat = space_matrix(Q, [[1, 0, 0], [0, 0, 0]])
     with pytest.raises(PresentationError):
         projection_coefficients(model_u, 3, flat)
 
@@ -391,9 +383,7 @@ def test_extract_vanishes_on_rank_one_samples():
     model_big = CoordinateModel(SPLIT, field, 5)
     phi = pair_projection(field, 3, 1, 2)
     el = extract_additive_element(f, model_u, model_big, phi, "p1")
-    den, sample = _split_sampler(random.Random(3), model_big)
-    for _ in range(100):
-        point = _boxed(model_big, den, sample())
+    for point in rank_one_points(random.Random(3), model_big, 100):
         assert not el.poly.evaluate(point)
 
 
@@ -559,15 +549,11 @@ def test_certificate_recovers_samples_exactly():
     field = Q
     report = run_rank_one_example(3, field, seed=7, sample_count=30)
     assert report.certificate is not None
-    rng = random.Random(99)
     model_big = CoordinateModel(SPLIT, field, 5)
     h_big = report.h.convert(model_big.ring)
-    den, sample = _split_sampler(rng, model_big)
-    for _ in range(100):
-        nums, (h_val,) = _unit_split_sample(sample, den, evaluator((h_big,)))
-        point = _boxed(model_big, den, nums)
-        h_val = field.scalar(h_val)
-        assert h_val == h_big.evaluate(point)
+    for point in rank_one_points(random.Random(99), model_big, 100, h_big):
+        h_val = h_big.evaluate(point)
+        assert h_val
         for entry in report.certificate.entries:
             recovered = -(entry.numerator.evaluate(point) / h_val ** entry.h_power)
             assert recovered == point[entry.variable]
@@ -597,6 +583,51 @@ def test_certificate_samples_catch_a_wrong_numerator(selector, monkeypatch):
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["certificate-found"] == "pass"
     assert statuses["certificate-samples"] == "fail"
+
+
+# sha256 of the text and the JSON stdout of example-rank1 with the first
+# certificate numerator off by h^e, and its exit code; captured before the
+# sampled checks evaluated Segre images, it pins the failing statuses and
+# witnesses
+TAMPERED_GOLDEN = {
+    (2, "q", 0): ("29b8b12c60747c116f950c857836917bc8deb9b3479e7f136d055708b3a8a0db", "9eca9ffe2ed42806555c47e057279150aeafa9e32fcdd3463b86decfcd1f8c0d", 4),
+    (2, "q", 3): ("6c9633d3da74190ac73ad2f7b329972f6c0ab755510d7572988f7aa5d7f5e51d", "176808659c48047805dfb9a1c970291d131d12843b3861ac1475f90fdbe61aa2", 4),
+    (2, "fp:3", 0): ("75c5ade526ec5bea8e4ffde3e4ab59842def24c31bda757769ff0e2e137c2e44", "12f10c99e21eb95da0c99db2548ec908aba696e41395db594e80f7f0d99c7889", 4),
+    (2, "fp:3", 3): ("f59cf42739292148b555ef247f13e712471b920b3be71e88ea0260d617e9d621", "ca5931f26cb2f1567b7795d80a5a88d4c571445bf2a45ea530803eb4e3e303c2", 4),
+    (2, "fp:101", 0): ("061c1a3d1774f5b3bff8dd33cfe843dbbedac5992c3293a2b122dcf38a181fdd", "7932443e048ce243a95576f6bc6b23c2c8b8cf3f6131891ef8403c6a952fde49", 4),
+    (2, "fp:101", 3): ("dbb360211d9b587ca3dd3b81c78ed8dc72fe263bb0f76acb14e7c96077fe639d", "5d60b22cf778adbdfa273258c5ffe4ebe10e47d920f66e3cf5b207078e7f7707", 4),
+    (3, "q", 0): ("dcdc04898a0c4cc6b35d8f10f7548923b965789a913df89c7b17f811dbeccded", "ba27f13e0b24fc22575dd2c86890e1b21b9d7bc3d565699d84f8e504ff80f9ce", 4),
+    (3, "q", 3): ("9ceff7c6aa93f07a51b3182f4cce813c090b60841ec0e4eaa5026734fe73c2f1", "7e93dcca8d6f71725143573f0b264f020060f5aa41d1c592da03367b54993475", 4),
+    (3, "fp:3", 0): ("2f51aee322c4ae1886f65ec6d9ba63815f0e4ad5bdbc306b49fd57215ab2e8c9", "437c727d5a202c930fc8eddcd1a39170c1549342c0e150915d931b43803d694b", 4),
+    (3, "fp:3", 3): ("047ec27297efb7afde4e1a96cafb3675bb5a8cef69208bb64e987026019fdc80", "c5e987abd705c0273331930dd839a6482a2d2b8f81eda0652b90f2ffab1746da", 4),
+    (3, "fp:101", 0): ("0c83e10c3e8824e5e866641b846b78526ca918a1fe4c8716bd23cb8311db64b2", "9d464bb92ecf8d5b899df9c57780b67c2faf0e0d8789ae95e50d32a3f80e9568", 4),
+    (3, "fp:101", 3): ("c4e687267d9e41524838c3f5b6a8858d0ff96977095be584a81cfa108ca5f29a", "40bada28b013c6bc53b627b13a1f4f7666592317735c2d7e33b385009406326c", 4),
+    (4, "q", 0): ("a701d8453c1a02ffed300756beb95d43668ef1e631df362e02fca7adc9d13cec", "eb5847525132e91ffaaa760766ca1035b829897bb4533b3f251a9c6ab638fff3", 4),
+    (4, "q", 3): ("45589f5d76b560097ede20dbdf538e88862c9c3ea4bf71cf827b427371c57ca5", "c41d5f4f9f63cf75f80e0fa78f0dd727e454c8688d31fff3c81a0fd7c1ae5c79", 4),
+    (4, "fp:3", 0): ("1a72dbbde4495b4ce8370983e4885e8b4f94966ed6ad1f72a28b899d8f1667b5", "3d2ca8b296f4ebcc7e61140e4b36ebfe08ff653bfb21d62fe63e8618ceece542", 4),
+    (4, "fp:3", 3): ("117455bf094962545ca8ccb113ad4dec23ce35b8f474d7e33938c7ff22fad0f0", "d9e3c30d3cffd0a0ab22bb3a183786fda6d5e1af17c8ae26030b252f2d3aca81", 4),
+    (4, "fp:101", 0): ("ea80958896287e7e4079cb7eaec3fa1e00aa3f0b700d243775032f2764b0b566", "0c5ec4c9924f2618f573acaeb14320c82a67d5b12ad978342bea9510e3c7e7d9", 4),
+    (4, "fp:101", 3): ("d0b26ef9414b32a04f6dd7809a57903660a9d1ad865f6b4eca7e28fd7a1c8209", "a65e759b088658778c434646955f9cf72846a67dcb8ca8b911d62642f52a937c", 4),
+    (5, "q", 0): ("caebd2b7cfaec66cfedd0302d47659ef57e51106f34cc374a3213641b1a71ccf", "969a6de6ca197a3084d7f72af002472d4ede56d99086093583161383c5c55e1b", 4),
+    (5, "q", 3): ("ec4065d8460493c231ce7e783d5fb30d6a482481ffabe7d90099ec171f4b6e0e", "3feb9e24edcef4335d0ee57485b5d881d290a16d8a8d789fa5da055070fdc50c", 4),
+    (5, "fp:3", 0): ("b9b800d3219ddb8eec71afe3541d9d5b187541dae006d7d3795c6b71feaab9ef", "d0a10b30798fd70261dc42dbfd4dc0f79c482ab7ca2ba518188956b6992490e0", 4),
+    (5, "fp:3", 3): ("bebc036540d6d95298fba5509691239e50d9281fa9b75658b621200cda9970cd", "884a787368a5c426231dae8e1651063737766e947bca70e2d1be351f72d01c7c", 4),
+    (5, "fp:101", 0): ("752112836bd82cbb3a92b0a048ef82776f4c850be18254a1ddedcd3cec3fce5e", "8fe02fcaebb0db4e85e6571cfff9a6e92999adb078dcd30adefb3d076fe44402", 4),
+    (5, "fp:101", 3): ("25aaad900ac16368aaefc722403a8d9b893a0fbb7830e1c91b0c386a2543226a", "1cfdb495e57c48f5bf6a4c2625e90350af88b6c1489ecedd3fcabcfb846e4690", 4),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TAMPERED_GOLDEN))
+def test_tampered_rank_one_golden(key, monkeypatch, capsys):
+    from polyfunctor.cli import main
+
+    _tampered_eliminate(monkeypatch)
+    n, selector, seed = key
+    digests, codes = [], set()
+    for fmt in ("text", "json"):
+        codes.add(main(["example-rank1", "--n", str(n), "--field", selector, "--seed", str(seed), "--format", fmt]))
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert (*digests, *codes) == TAMPERED_GOLDEN[key]
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -645,19 +676,26 @@ def test_rank_one_membership_substitutes_once_per_entry(monkeypatch):
     for module, name in ((groebner, "buchberger"), (proofstep, "buchberger"), (groebner, "membership_by_division")):
         monkeypatch.setattr(module, name, lambda *args: groebner_calls.append(args))
     segre_map = proofstep._segre_map
-    monkeypatch.setattr(proofstep, "_segre_map", lambda model: segre_maps.append(segre_map(model)) or segre_maps[-1])
+    monkeypatch.setattr(proofstep, "_segre_map", lambda *args: segre_maps.append(segre_map(*args)) or segre_maps[-1])
     substitute = GradedPoly.substitute
 
     def counted(self, mapping):
-        substituted.extend(m for m in segre_maps if m is mapping)
+        substituted.extend(self for m in segre_maps if m is mapping)
         return substitute(self, mapping)
 
     monkeypatch.setattr(GradedPoly, "substitute", counted)
     report = run_rank_one_example(3, Q, seed=0, sample_count=3)
     assert {c.name: c.status for c in report.checks}["certificate-membership"] == "pass"
     assert groebner_calls == []
-    assert len(segre_maps) == 1
-    assert len(substituted) == len(report.certificate.entries) == 3
+    # one map at the base dimension, one at n + 2 that keeps the pullbacks' t
+    assert len(segre_maps) == 2
+    # once each: the witness, every whole pullback, every k, every cleared
+    # element (membership and certificate-samples) and h (the samples' unit)
+    elements = [el for _, el in report.elements]
+    cleared = report.certificate.cleared_elements()
+    assert len(elements) == len(cleared) == 3
+    h_big = report.h.convert(elements[0].poly.ring)
+    assert substituted == [report.f] + [el.pullback for el in elements] + [el.poly for el in elements] + cleared + [h_big]
 
 
 @pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
@@ -767,13 +805,12 @@ def test_rank_one_elements_map_to_zero_exactly(n, selector):
     # exact where the sampled checks are not: over fp:3, d/|F| >= 1
     field = FieldDescriptor.parse(selector)
     report = run_rank_one_example(n, field, sample_count=1)
-    segre = _segre_map(CoordinateModel(SPLIT, field, n + 2))
+    model = CoordinateModel(SPLIT, field, n + 2)
+    segre = _segre_map(model)
     for _, el in report.elements:
         assert not el.poly.substitute(segre)
-        ext = el.pullback.ring
-        t = ext.names[-1]
-        with_t = next(iter(segre.values())).ring.extended([t])
-        assert not el.pullback.substitute({t: with_t.var(t), **{x: g.convert(with_t) for x, g in segre.items()}})
+        (t,) = el.pullback.ring.without(model.ring.names).variables
+        assert not el.pullback.substitute(_segre_map(model, [t]))
     cleared = report.certificate.cleared_elements()
     assert len(cleared) == n * (n - 1) // 2
     assert not any(c.substitute(segre) for c in cleared)
@@ -796,7 +833,7 @@ def _pullback_vanishes_by_substitution(pullback, point):
 def test_t_coefficient_check_agrees_with_substitution(field):
     model_u, f, X = split_presentation(field)
     model_big = CoordinateModel(SPLIT, field, 5)
-    den, sample = _split_sampler(random.Random(11), model_big)
+    points = rank_one_points(random.Random(11), model_big, 60)
     for i, j in ((1, 2), (2, 3)):
         el = extract_additive_element(f, model_u, model_big, pair_projection(field, 3, i, j), "p1")
         ext = el.pullback.ring
@@ -806,8 +843,7 @@ def test_t_coefficient_check_agrees_with_substitution(field):
         perturbed_coeffs = pullback_t_coefficients(perturbed, model_big.ring)
         assert all(c.ring == model_big.ring for c in coeffs)
         caught = 0
-        for _ in range(30):
-            point = _boxed(model_big, den, sample())
+        for point in itertools.islice(points, 30):
             vanishes = not any(c.evaluate(point) for c in coeffs)
             assert vanishes
             assert vanishes == _pullback_vanishes_by_substitution(el.pullback, point)
@@ -818,11 +854,12 @@ def test_t_coefficient_check_agrees_with_substitution(field):
         assert caught > 0
 
 
-# sha256 of 80 seeded rank-one split points, boxed, or with a unit the
-# points of the sampler certificate-samples uses (seed 31, sorted
-# name=value text per point) followed by one rng.random() drawn afterwards,
-# captured from the boxed sampler: a rewrite must return the same points and
-# leave the generator in the same state.
+# sha256 of 80 seeded rank-one split points, or with a unit the points
+# certificate-samples uses (seed 31, sorted name=value text per point),
+# followed by one rng.random() drawn afterwards, captured from the boxed
+# sampler before the points were drawn as (v, w) and read through the Segre
+# images: a rewrite must return the same points and leave the generator in
+# the same state.
 SAMPLER_GOLDEN = {
     ("q", 2, False): "fcc2fee7903c015301bf3c60bec733af6d1e64a39df2584d15dfd030423c9773",
     ("q", 2, True): "53e4666006b3cdb56a4077035c8db16a6d35cb9a4fdf21bb07df64786f71c275",
@@ -843,15 +880,10 @@ SAMPLER_GOLDEN = {
 def test_sampler_golden(key):
     selector, n, unit = key
     model = CoordinateModel(SPLIT, FieldDescriptor.parse(selector), n)
-    h_values = evaluator((model.ring.var("z_1_2") * 2,))
+    h = model.ring.var("z_1_2") * 2 if unit else None
     rng = random.Random(31)
-    den, sample = _split_sampler(rng, model)
     lines = []
-    for _ in range(80):
-        if unit:
-            point = _boxed(model, den, _unit_split_sample(sample, den, h_values)[0])
-        else:
-            point = _boxed(model, den, sample())
+    for point in rank_one_points(rng, model, 80, h):
         lines.append(" ".join(sorted(f"{name}={value}" for name, value in point.items())))
     lines.append(repr(rng.random()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_GOLDEN[key]
@@ -930,43 +962,34 @@ def test_rank_one_minors_plain_is_the_products_of_variables():
             assert all(f.ring is ring for f in got)
 
 
-def test_rank_one_sampling_evaluates_each_point_in_few_calls(monkeypatch):
-    from polyfunctor import proofstep, rings
+def test_sample_checks_draw_their_points_whatever_the_images():
+    # later checks draw from the same rng, so a check draws all its points
+    # when its images are zero, and stops at its first failing point
+    ring = GradedRing(Q, ["x"])
+    x = ring.var("x")
+    points = iter({"x": k} for k in range(10))
+    assert _vanish_on_samples([ring.zero()], points, 3)
+    assert next(points) == {"x": 3}
+    assert not _vanish_on_samples([ring.zero(), x], points, 5)
+    assert next(points) == {"x": 5}
+    assert _vanish_on_samples([x * (x - 6)], points, 1)
+    assert next(points) == {"x": 7}
 
-    built, calls = [], []
-    kernel = rings.evaluator
 
-    def counting(plans):
-        def build(polys):
-            plans.append(1)
-            values = kernel(polys)
+def test_rank_one_passing_run_evaluates_no_zero_image(monkeypatch):
+    evaluated = []
+    evaluate = GradedPoly.evaluate
 
-            def counted(*point):
-                calls.append(1)
-                return values(*point)
+    def recorded(self, point):
+        evaluated.append(self)
+        return evaluate(self, point)
 
-            return counted
-
-        return build
-
-    # GradedPoly.evaluate builds through rings, the base-locus spot check
-    # and the three sampling checks through proofstep
-    one_off = []
-    monkeypatch.setattr(rings, "evaluator", counting(one_off))
-    monkeypatch.setattr(proofstep, "evaluator", counting(built))
-    field = FieldDescriptor.prime_field(101)
-    counts, one_off_counts = [], []
-    for samples in (100, 1):
-        built.clear()
-        calls.clear()
-        one_off.clear()
-        assert run_rank_one_example(3, field, sample_count=samples).all_passed()
-        counts.append(len(calls))
-        one_off_counts.append(len(one_off))
-        # one plan per check, before its sample loop
-        assert len(built) == 4
-    # per sample: the t-coefficients, the k's, and h with every certificate
-    # numerator, which is also the certificate sampler's unit test
-    assert counts[0] - counts[1] <= 4 * 99
-    # no sample builds a plan of its own
-    assert one_off_counts[0] == one_off_counts[1]
+    monkeypatch.setattr(GradedPoly, "evaluate", recorded)
+    for selector in FIELDS:
+        evaluated.clear()
+        assert run_rank_one_example(3, FieldDescriptor.parse(selector), sample_count=100).all_passed()
+        # every image but h's is zero, so the samples evaluate h's alone, to
+        # draw the certificate samples off h = 0
+        assert len(evaluated) >= 100
+        assert all(evaluated)
+        assert len({g.to_text() for g in evaluated}) == 1

@@ -10,13 +10,11 @@ from polyfunctor import (
 )
 from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
 from polyfunctor.functors import SumF, TenAltF, TenSymF
-from polyfunctor.proofstep import _split_sampler
-from polyfunctor.rings import GradedPoly, _Overflow, _packing, evaluator
+from polyfunctor.rings import _Overflow, _packing
 
-from conftest import ALL_FIELDS, F2, F3, Q, random_poly
+from conftest import ALL_FIELDS, F2, F3, Q, random_poly, rank_one_points
 
 import random
-import sys
 from fractions import Fraction
 
 
@@ -283,6 +281,7 @@ def test_evaluate_errors():
 
 
 def test_evaluator_matches_evaluate_and_substitution():
+    # every entry is coerced, one outside the ring too
     rng = random.Random(23)
     for field in (Q, F3, F101):
         ring = GradedRing(
@@ -290,8 +289,7 @@ def test_evaluator_matches_evaluate_and_substitution():
         )
         for _ in range(15):
             polys = [random_poly(rng, ring, max_degree=6, max_terms=7) for _ in range(5)]
-            values = evaluator(polys)
-            for _ in range(2):  # one plan serves every point
+            for _ in range(2):
                 point = {
                     "x": field.scalar(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))),
                     "y": Fraction(rng.randint(-20, 20), rng.choice((1, 5, 7))),
@@ -300,32 +298,27 @@ def test_evaluator_matches_evaluate_and_substitution():
                     "outside": field.scalar(rng.randint(-5, 5)),
                 }
                 constants = {name: ring.const(point[name]) for name in ring.names}
-                got = values(point)
+                got = [f.evaluate(point) for f in polys]
                 assert all(v.field == field for v in got)
-                assert got == [f.evaluate(point) for f in polys]
                 assert got == [f.substitute(constants).constant_value() for f in polys]
 
 
 def test_evaluator_empty_and_errors():
+    assert GradedRing(F3, []).const(2).evaluate({"x": 1}) == F3.scalar(2)
     ring = GradedRing(F3, ["x", "y", "z"])
     f = parse_polynomial("x*z + z^2", ring)
     g = parse_polynomial("y + 1", ring)
-    assert evaluator([])({"x": 1}) == []
-    values = evaluator([f, g])
-    assert values({"x": 1, "y": 2, "z": 2}) == [F3.scalar(6), F3.zero()]
-    # the first missing coordinate of the first polynomial that lacks one
+    point = {"x": 1, "y": 2, "z": 2}
+    assert [f.evaluate(point), g.evaluate(point)] == [F3.scalar(6), F3.zero()]
     with pytest.raises(SubstitutionError, match="missing coordinate for 'y'"):
-        values({"x": 1, "z": 2})
+        g.evaluate({"x": 1, "z": 2})
     with pytest.raises(SubstitutionError, match="missing coordinate for 'x'"):
-        evaluator([g, f])({"y": 1, "z": 2})
+        f.evaluate({"y": 1, "z": 2})
     with pytest.raises(FieldMismatchError):
-        values({"x": 1, "y": 0, "z": 2, "w": F101.scalar(1)})
-    other = GradedRing(F3, ["x", "y"])
-    with pytest.raises(RingMismatchError):
-        evaluator([f, other.var("x")])
+        g.evaluate({"x": 1, "y": 0, "z": 2, "w": F101.scalar(1)})
 
 
-# -- evaluator: against plain Fraction arithmetic as the oracle ---------------
+# -- evaluate: against plain Fraction arithmetic as the oracle ----------------
 
 
 def _reference_values(field, term_lists, point, names):
@@ -347,16 +340,15 @@ def _reference_values(field, term_lists, point, names):
 def _check_against_reference(field, names, term_lists, points):
     ring = GradedRing(field, names)
     polys = [sum((ring.monomial(e, c) for e, c in terms), ring.zero()) for terms in term_lists]
-    values = evaluator(polys)
     for point in points:
-        got = [v.value for v in values(point)]
+        got = [f.evaluate(point).value for f in polys]
         assert got == _reference_values(field, term_lists, point, names)
 
 
 def test_evaluator_matches_fraction_reference_over_q():
     names = ["x", "y", "z", "w"]
     term_lists = [
-        # non-homogeneous with Fraction coefficients: L^(top - deg) differs per term
+        # non-homogeneous with Fraction coefficients
         [((3, 1, 0, 0), Fraction(3, 4)), ((1, 0, 1, 0), Fraction(-5, 6)), ((0, 2, 0, 0), 7),
          ((0, 0, 0, 1), Fraction(1, 9)), ((0, 0, 0, 0), Fraction(2, 9))],
         # negative leading coefficient
@@ -386,7 +378,7 @@ def test_evaluator_matches_fraction_reference_over_q():
 
 
 def test_evaluator_with_more_variables_than_a_byte_holds():
-    # 300 used variables: the factor slots no longer fit in bytes
+    # 300 used variables, each term a product of two of them
     names = [f"x{i}" for i in range(300)]
     rng = random.Random(3)
     for field in (Q, F101):
@@ -401,7 +393,7 @@ def test_evaluator_with_more_variables_than_a_byte_holds():
 
 
 def test_evaluator_of_a_degree_past_the_chain_bound():
-    # 700 columns of slots: the chain of column products is made a list twice
+    # exponents up to 700
     names = ["x", "y"]
     term_lists = [[((700, 0), Fraction(1, 3)), ((1, 0), 2), ((0, 0), Fraction(-5, 7))],
                   [((350, 350), 1), ((0, 699), Fraction(3, 4))]]
@@ -426,44 +418,7 @@ def test_evaluator_matches_fraction_reference_over_fp(p):
         _check_against_reference(field, names, term_lists, points)
 
 
-def _fraction_constructions(call):
-    """The number of Fraction.__new__ calls made by call()."""
-    code, count = Fraction.__new__.__code__, 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        count += event == "call" and frame.f_code is code
-
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return count
-
-
-def test_evaluator_fraction_count_does_not_grow_with_the_terms():
-    names = [f"x{i}" for i in range(6)]
-    ring = GradedRing(Q, names)
-    rng = random.Random(7)
-    point = {name: Q.scalar(Fraction(rng.choice((-7, -3, -1, 1, 5, 9)), 2)) for name in names}
-    counts = []
-    for size in (50, 200):
-        polys = []
-        for denominators in ((1, 2, 3), (1,)):
-            terms = {}
-            while len(terms) < size:
-                exps = tuple(rng.randint(0, 3) for _ in names)
-                terms[exps] = Fraction(rng.randint(1, 9), rng.choice(denominators))
-            # the second one keeps integral Fractions, as a kernel may leave them
-            polys.append(GradedPoly(ring, terms))
-        values = evaluator(polys)
-        counts.append(_fraction_constructions(lambda: values(point)))
-    # one per polynomial: the coordinates are already boxed
-    assert counts[0] == counts[1] <= len(point) + 2
-
-
-# -- evaluator: the integer kernel at sampled rank-one points ----------------
+# -- evaluate: at sampled rank-one points -----------------------------------
 
 
 def _split_model(field, n):
@@ -482,35 +437,10 @@ def test_kernel_matches_substitution_at_rank_one_points(selector):
         parse_polynomial("1/2*y_1_1^3 - 3/4*y_1_2*z_2_3 + y_3_3 + 5/7", ring),
         parse_polynomial("-9/4", ring),
         ring.zero(),
-        polys[0],  # every monomial shared with an earlier polynomial
     ]
-    values = evaluator(polys)
-    den, sample = _split_sampler(random.Random(3), model)
-    for _ in range(12):
-        nums = sample()
-        constants = {name: ring.const(Fraction(x, den)) for name, x in zip(ring.names, nums)}
-        got = values(nums, den)
-        assert got == [f.substitute(constants).constant_value().value for f in polys]
-        assert got == [v.value for v in values({n: c.constant_value() for n, c in constants.items()})]
-        assert all(type(v) is int for v in got if field.characteristic or not v)
-
-
-def test_kernel_builds_no_fraction_where_every_value_vanishes():
-    model = _split_model(Q, 2)
-    ring = model.ring
-    # the 2x2 determinant in split coordinates vanishes on rank-one tensors
-    f = parse_polynomial("y_1_1*y_2_2 - y_1_2^2 + z_1_2^2", ring)
-    polys = [f * Fraction(1, 3), f * parse_polynomial("1/2*y_1_1 + 5/7", ring), f]
-    values = evaluator(polys)
-    den, sample = _split_sampler(random.Random(5), model)
-    for _ in range(10):
-        nums, got = sample(), []
-        assert _fraction_constructions(lambda: got.extend(values(nums, den))) == 0
-        assert got == [0, 0, 0]
-    # the guard sees the one Fraction of a value that does not vanish
-    y = evaluator([ring.var("y_1_2") * Fraction(1, 3)])
-    nums = next(nums for nums in iter(sample, None) if nums[ring.position("y_1_2")] % 3)
-    assert _fraction_constructions(lambda: y(nums, den)) == 1
+    for point in rank_one_points(random.Random(3), model, 12):
+        constants = {name: ring.const(x) for name, x in point.items()}
+        assert [f.evaluate(point) for f in polys] == [f.substitute(constants).constant_value() for f in polys]
 
 
 # -- substitute: edge cases, against boxed arithmetic as the oracle -----------
