@@ -14,8 +14,8 @@ checks, and the worked rank-one tensor example runs the same stages and adds
 its expected values, seeded sample validation and an ideal-membership check
 of the certificate.  Both go through the Segre map v, w -> v (x) w: the
 membership is decided exactly by one substitution per cleared element, and
-the sampled checks evaluate the images of their polynomials at seeded
-points (v, w), skipping the images that are zero.  Both render one
+the sampled checks evaluate the nonzero images of their polynomials at
+seeded points (v, w), drawn up to the last check with one.  Both render one
 byte-stable report type.
 """
 
@@ -820,12 +820,13 @@ def _segre_map(model: CoordinateModel, kept=()) -> dict:
 def _segre_points(rng: random.Random, fld: FieldDescriptor, m: int, unit: GradedPoly | None = None):
     """Points (v, w) of _segre_map's v_1..v_m, w_1..w_m drawn from rng, v
     first, entries in [0, p) over F_p and in [-10, 10] over q; with a unit,
-    each is drawn again until the unit does not vanish there."""
+    each is drawn again until the unit does not vanish there, and a zero
+    unit fails before the first draw."""
     p = fld.characteristic
     draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-10, 10))
     names = [f"{c}_{a + 1}" for c in "vw" for a in range(m)]
     while True:
-        for _ in range(1000):
+        for _ in range(1000 if unit is None or unit else 0):
             point = {name: draw() for name in names}
             if unit is None or unit.evaluate(point):
                 break
@@ -837,9 +838,21 @@ def _segre_points(rng: random.Random, fld: FieldDescriptor, m: int, unit: Graded
 def _vanish_on_samples(images, points, count: int) -> bool:
     """Whether every image vanishes at the first count points; no point is
     drawn after the first where one does not, and a zero image, which
-    vanishes everywhere, is not evaluated."""
+    vanishes everywhere, is not evaluated, but its points are still drawn."""
     live = [g for g in images if g]
     return not any(any(g.evaluate(point) for g in live) for point in itertools.islice(points, count))
+
+
+def _sample_statuses(rng: random.Random, fld: FieldDescriptor, checks) -> list[bool]:
+    """Per check (images, m, count, unit or a function giving it), whether
+    its images vanish at count _segre_points drawn from rng after the earlier
+    checks' points.  The checks after the last with a nonzero image pass, as
+    zero images vanish everywhere, and draw nothing; no other point moves."""
+    last = max((i for i, (images, *_) in enumerate(checks) if any(images)), default=-1)
+    return [
+        i > last or _vanish_on_samples(images, _segre_points(rng, fld, m, unit and unit()), count)
+        for i, (images, m, count, unit) in enumerate(checks)
+    ]
 
 
 def pullback_t_coefficients(pullback: GradedPoly, base_ring: GradedRing) -> list[GradedPoly]:
@@ -860,8 +873,9 @@ def run_rank_one_example(
 ) -> ProofStepReport:
     """The proof step on the variety of rank-one tensors with the
     symmetric/alternating splitting, at base dimension 2, over every pair
-    projection, plus the expected values, seeded sampling checks and the
-    exact membership of the certificate in the ideal of 2x2 minors."""
+    projection, plus the expected values, the exact membership of the
+    certificate in the ideal of 2x2 minors and seeded sampling checks, whose
+    points are drawn only up to the last check with a nonzero Segre image."""
     if fld.characteristic == 2:
         raise CharacteristicError("the rank-one example needs characteristic different from 2")
     if n < 2:
@@ -869,7 +883,6 @@ def run_rank_one_example(
     if sample_count < 1:
         raise AlgebraError("the rank-one example needs at least one sample")
     u = 2
-    rng = random.Random(seed)
     functor = split_tensor_square()
     model_u = CoordinateModel(functor, fld, u)
     r_label = next(
@@ -915,8 +928,23 @@ def run_rank_one_example(
     checks.append(Check("joint-additivity f", "pass" if joint_additivity_holds(step.data) else "fail"))
     checks.append(Check("joint-scaling f", "pass" if joint_scaling_holds(step.data) else "fail"))
 
-    # the witness vanishes on sampled rank-one tensors at the base dimension
-    spot_ok = _vanish_on_samples([f.substitute(_segre_map(model_u))], _segre_points(rng, fld, u), 20)
+    # the sampled checks' Segre images: the witness at the base dimension,
+    # the pullbacks' t-coefficients, the k's and the cleared certificate
+    sampled = [([f.substitute(_segre_map(model_u))], u, 20, None)]
+    m, certificate = model_big.dimension, stages.certificate
+    (t,) = stages.elements[0].pullback.ring.without(model_big.ring.names).variables
+    segre = _segre_map(model_big, [t])
+    vw = segre[t.name].ring.without([t.name])
+    t_coefficients = [
+        c for el in stages.elements for c in pullback_t_coefficients(el.pullback.substitute(segre), vw)
+    ]
+    sampled.append((t_coefficients, m, sample_count, None))
+    sampled.append(([el.poly.substitute(segre) for el in stages.elements], m, sample_count, None))
+    if certificate is not None:
+        # the certificate claims x^q = -numerator/h^e where h does not vanish
+        cleared = [c.substitute(segre) for c in certificate.cleared_elements()]
+        sampled.append((cleared, m, sample_count, lambda: stages.h_big.substitute(segre)))
+    spot_ok, pull_ok, k_ok, *samples_ok = _sample_statuses(random.Random(seed), fld, sampled)
     checks.append(Check("base-locus-spot-check", "pass" if spot_ok else "fail"))
 
     for (i, j), el in zip(pairs, stages.elements):
@@ -930,22 +958,9 @@ def run_rank_one_example(
             add_ok = joint_additivity_holds(dd_k) and joint_scaling_holds(dd_k)
             checks.append(Check(f"joint-laws k {tag}", "pass" if add_ok else "fail"))
 
-    # the pullback of f vanishes identically in t on sampled points
-    m = model_big.dimension
-    (t,) = stages.elements[0].pullback.ring.without(model_big.ring.names).variables
-    segre = _segre_map(model_big, [t])
-    vw = segre[t.name].ring.without([t.name])
-    t_coefficients = [
-        c for el in stages.elements for c in pullback_t_coefficients(el.pullback.substitute(segre), vw)
-    ]
-    pull_ok = _vanish_on_samples(t_coefficients, _segre_points(rng, fld, m), sample_count)
     checks.append(Check("pullback-vanishes-on-samples", "pass" if pull_ok else "fail"))
-
-    k_images = [el.poly.substitute(segre) for el in stages.elements]
-    k_ok = _vanish_on_samples(k_images, _segre_points(rng, fld, m), sample_count)
     checks.append(Check("coefficient-vanishes-on-samples", "pass" if k_ok else "fail"))
 
-    certificate = stages.certificate
     if certificate is None:
         checks.append(Check("certificate-found", "fail", stages.certificate_error))
     else:
@@ -965,15 +980,10 @@ def run_rank_one_example(
             )
         )
 
-        cleared = [c.substitute(segre) for c in certificate.cleared_elements()]
         images = zip(certificate.entries, cleared)
         witness = next((f"{e.variable}: {image.to_text()}" for e, image in images if image), "")
         checks.append(Check("certificate-membership", "fail" if witness else "pass", witness))
-
-        # the certificate claims x^q = -numerator/h^e where h does not vanish
-        points = _segre_points(rng, fld, m, stages.h_big.substitute(segre))
-        samples_ok = _vanish_on_samples(cleared, points, sample_count)
-        checks.append(Check("certificate-samples", "pass" if samples_ok else "fail"))
+        checks.append(Check("certificate-samples", "pass" if samples_ok[0] else "fail"))
 
     return stages.report(
         header=(("field", str(fld)), ("n", n), ("seed", seed), ("u", u)),

@@ -351,9 +351,17 @@ def test_report_polynomials_reparse(capsys):
 
 
 def test_byte_identical_across_processes():
+    import os
     import subprocess
     import sys
 
+    import polyfunctor
+
+    # the child imports the package this process imported, whether or not
+    # PYTHONPATH names it (pytest's pythonpath setting reaches no child)
+    package_root = os.path.dirname(os.path.dirname(polyfunctor.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     cmd = [
         sys.executable,
         "-m",
@@ -366,8 +374,8 @@ def test_byte_identical_across_processes():
         "--format",
         "json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
 
 
