@@ -605,7 +605,7 @@ def _refuse_char2(field: FieldDescriptor):
 def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMatrix:
     """Matrix on the symmetric half (y, i <= j) or the alternating half
     (z, i < j) of the tensor square: phi[k][i]*phi[l][j] +- phi[k][j]*phi[l][i],
-    one product on the diagonal."""
+    one product on the diagonal, taken over the nonzero entries of each row."""
     _refuse_char2(phi.ring.field)
     gap, sign, tag = (1, -1, "z") if alternating else (0, 1, "y")
     m = len(phi.row_labels)
@@ -613,20 +613,22 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
     row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
     row_at = {pair: r for r, pair in enumerate(row_pairs)}
-    col_at = {pair: c for c, pair in enumerate(col_pairs)}
-    slices = [(e, *s) for e, s in phi.slices.items()]
+    col_at = {pair: c for c, (i, j) in enumerate(col_pairs) for pair in ((i, j), (j, i))}
+    # per slice, per row k, the (column, raw coefficient) of its nonzero entries
+    slices = [(e, [(k, [(i, x) for i, x in zip(cols, row) if x]) for k, row in zip(rows, block)])
+              for e, (rows, cols, block) in phi.slices.items()]
     acc = _SliceSum(len(col_pairs))
-    for e, rows_a, cols_a, a in slices:
-        for f, rows_b, cols_b, b in slices:
-            # a's term at (k, i) times b's at (l, j) lands at row pair (k, l)
-            # and column pair {i, j}, with the sign when i > j
-            pairs = [(row_at[k, l], x, y) for k, x in zip(rows_a, a) for l, y in zip(rows_b, b) if l - k >= gap]
-            spots = [
-                (col_at[min(i, j), max(i, j)], sign if i > j else 1, q, r)
-                for q, i in enumerate(cols_a) for r, j in enumerate(cols_b) if abs(i - j) >= gap
-            ]
-            block = [[s * x[q] * y[r] for _, s, q, r in spots] for _, x, y in pairs]
-            acc.add(tuple(map(add, e, f)), [r for r, _, _ in pairs], [c for c, *_ in spots], block)
+    for (e, a), (f, b) in itertools.product(slices, repeat=2):
+        target = acc.by_exps[tuple(map(add, e, f))]
+        # a's term at (k, i) times b's at (l, j) adds into row pair (k, l)
+        # at column pair {i, j}, with the sign when i > j
+        for (k, row_a), (l, row_b) in itertools.product(a, b):
+            if l - k >= gap:
+                out = target[row_at[k, l]]
+                for i, x in row_a:
+                    for j, y in row_b:
+                        if (c := col_at.get((i, j))) is not None:
+                            out[c] += sign * x * y if i > j else x * y
     return acc.matrix(
         tuple((tag,) + pair for pair in row_pairs), tuple((tag,) + pair for pair in col_pairs), phi.ring
     )

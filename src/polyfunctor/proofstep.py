@@ -5,9 +5,10 @@ on the value at a base space, and a direction in the designated summand, the
 pipeline produces: the minimal-degree report for the supplied generators,
 the directional derivative h with its level, the per-degree coefficient
 matrices of the parametrised projection, the affine-additive coefficient
-extracted from the pullback of f, and finally a Cramer-rule certificate that
-expresses each moving top-summand coordinate over the retained coordinates
-with denominators that are powers of h.
+extracted from the pullback of f, once along the universal projection and
+pulled back from there to every supplied projection, and finally a
+Cramer-rule certificate that expresses each moving top-summand coordinate
+over the retained coordinates with denominators that are powers of h.
 
 One stage runner does all of this; run_proofstep reports its formal
 checks, and the worked rank-one tensor example runs the same stages and adds
@@ -39,6 +40,7 @@ from .fields import FieldDescriptor
 from .functors import (
     FunctorExpr,
     IdF,
+    ShiftF,
     SumF,
     TenAltF,
     TenSymF,
@@ -301,7 +303,8 @@ class ProjectionCoefficients(Record):
     the t^e matrix is induced by [0 | phi], and the t^i matrix kills every
     basis vector whose moving degree differs from i.  parametrised is the
     induced map of [1_U | t*phi] itself and base that of the plain
-    projection, kept for the stages that pull back along them.
+    projection, kept for the stages that pull back along them.  A run builds
+    one, for the universal projection phi = 1_U from the 2u-space.
     """
 
     u: int
@@ -312,15 +315,21 @@ class ProjectionCoefficients(Record):
     base: LinearMapMatrix
 
 
+def _check_projection(model_u: CoordinateModel, n: int, phi: LinearMapMatrix):
+    """Refuse a phi that is not a surjection from the n-space onto the u-space."""
+    u = model_u.dimension
+    if (len(phi.row_labels), len(phi.col_labels)) != (u, n):
+        raise PresentationError("projection matrix has the wrong shape")
+    if matrix_rank([[e.constant_value() for e in row] for row in phi.rows], model_u.field) != u:
+        raise PresentationError("projection matrix is not surjective")
+
+
 def projection_coefficients(
     model_u: CoordinateModel, n: int, phi: LinearMapMatrix
 ) -> ProjectionCoefficients:
     u = model_u.dimension
     fld = model_u.field
-    if (len(phi.row_labels), len(phi.col_labels)) != (u, n):
-        raise PresentationError("projection matrix has the wrong shape")
-    if matrix_rank([[e.constant_value() for e in row] for row in phi.rows], fld) != u:
-        raise PresentationError("projection matrix is not surjective")
+    _check_projection(model_u, n, phi)
     # the induced matrix of [1_U | t*phi] over the one-variable ring in t
     ring_t = GradedRing(fld, (RingVariable("t", "aux", 0),))
     t = ring_t.var("t")
@@ -391,16 +400,12 @@ def extract_additive_element(
     affine-additive in the moving coordinates of that summand, with the
     projection identities and the derivative-compatibility identity checked
     as formal polynomial identities."""
-    fld = model_u.field
     u = model_u.dimension
     if f.ring != model_u.ring:
         raise PresentationError("witness polynomial lives in a foreign ring")
     data = directional_data(f, DirectionSubspace(model_u.ring, model_u.ring.vars_of_part(r_label)))
     if not data.dependent:
         raise PresentationError("the witness does not involve the designated top-degree coordinates")
-    level = data.level
-    d = model_u.normalized.degree()
-    q_power = fld.char_exponent ** level
 
     projection = projection_coefficients(model_u, model_big.dimension - u, phi)
     full = projection.parametrised
@@ -410,51 +415,73 @@ def extract_additive_element(
     big_names = [model_big.name_of[lab] for lab in full.col_labels]
     forms = row_forms(full, ext, big_names, (t_name,))
     mapping = {model_u.name_of[lab]: form for lab, form in zip(full.row_labels, forms)}
-    f_sub = f.substitute(mapping)
-    k = f_sub.coeff_of_power(t_name, d * q_power, model_big.ring)
-    pullback = f_sub
+    element = _affine_element(f.substitute(mapping), t_name, data.level, model_big, r_label, u)
+    _check_derivative_formula(data, model_u, model_big, projection, element.additive_part, element.eliminated, r_label)
+    return element
 
-    # structural affine-additive split: k = k0 + sum coeff_v * v^(p^level)
-    # with k0 and every coeff_v free of the moving coordinates.  This form is
-    # equivalent to affine additivity at the stated level because raising to
-    # a power of the characteristic exponent is additive.
+
+def _affine_element(
+    pullback: GradedPoly, t_name: str, level: int, model_big: CoordinateModel, r_label: str, u: int
+) -> AffineAdditiveElement:
+    """The element k, the coefficient of t^(d*p^level) in the pullback, split
+    structurally as k = k0 + sum coeff_v * v^(p^level) with k0 and every
+    coeff_v free of the moving coordinates.  This form is equivalent to
+    affine additivity at the stated level because raising to a power of the
+    characteristic exponent is additive."""
+    ring = model_big.ring
+    q_power = ring.field.char_exponent ** level
+    k = pullback.coeff_of_power(t_name, model_big.normalized.degree() * q_power, ring)
     moving = model_big.moving_vars(r_label, u)
-    moving_pos = {name: model_big.ring.position(name) for name in moving}
+    moving_pos = {name: ring.position(name) for name in moving}
     additive_terms: dict[str, dict] = {name: {} for name in moving}
     const_terms = {}
     for exps, c in k.terms.items():
         carriers = [name for name, pos in moving_pos.items() if exps[pos]]
         if not carriers:
             const_terms[exps] = c
-            continue
-        if len(carriers) != 1 or exps[moving_pos[carriers[0]]] != q_power:
-            raise InternalCheckError(
-                "element is not affine-additive in the moving coordinates"
-            )
-        name = carriers[0]
-        stripped = list(exps)
-        stripped[moving_pos[name]] = 0
-        additive_terms[name][tuple(stripped)] = c
-    constant_part = GradedPoly(model_big.ring, const_terms, _canonical=True)
-    additive_part: dict[str, GradedPoly] = {}
-    for name in moving:
-        part = GradedPoly(model_big.ring, additive_terms[name], _canonical=True)
-        if part:
-            additive_part[name] = part
-    rebuilt = constant_part
-    for name, coeff in additive_part.items():
-        rebuilt = rebuilt + coeff * model_big.ring.var(name) ** q_power
-    if rebuilt != k:
+        elif len(carriers) == 1 and exps[moving_pos[carriers[0]]] == q_power:
+            pos = moving_pos[carriers[0]]
+            additive_terms[carriers[0]][exps[:pos] + (0,) + exps[pos + 1:]] = c
+        else:
+            raise InternalCheckError("element is not affine-additive in the moving coordinates")
+    constant_part = GradedPoly(ring, const_terms, _canonical=True)
+    parts = {name: GradedPoly(ring, terms, _canonical=True) for name, terms in additive_terms.items()}
+    additive_part = {name: part for name, part in parts.items() if part}
+    if sum((c * ring.var(name) ** q_power for name, c in additive_part.items()), constant_part) != k:
         raise InternalCheckError("affine-additive reconstruction failed")
-    _check_derivative_formula(data, model_u, model_big, projection, additive_part, moving, r_label)
-    return AffineAdditiveElement(
-        poly=k,
-        level=level,
-        additive_part=additive_part,
-        constant_part=constant_part,
-        eliminated=tuple(moving),
-        pullback=pullback,
-    )
+    return AffineAdditiveElement(k, level, additive_part, constant_part, tuple(moving), pullback)
+
+
+def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateModel, phis: list) -> list:
+    """Per phi, in order, its element pulled back from the one extracted
+    along the universal projection [1_U | t*1_U] from the 2u-space.
+    [1_U | t*phi] is [1_U | t*1_U] after 1_U (+) phi, whose induced map is
+    that of shift(u, P) at phi, and induced maps compose: the pullback along
+    phi is the universal pullback after that map, checked to keep the moving
+    degree, the grading in which the universal identities hold."""
+    u, model_u, r_label = X.base_dim, X.model, X.designated_r
+    model_2u = model_big if model_big.dimension == 2 * u else CoordinateModel(X.functor, X.field, 2 * u)
+    identity = space_matrix(X.field, [[int(a == b) for b in range(u)] for a in range(u)])
+    universal = extract_additive_element(f, model_u, model_2u, identity, r_label)
+    shifted = ShiftF(u, model_big.normalized)
+    vdeg = {lab: label_vdeg(lab, u) for lab in model_2u.full_labels + model_big.full_labels}
+    t_name = fresh_name("t", set(model_big.ring.names))
+    ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
+    elements = []
+    for phi in phis:
+        _check_projection(model_u, model_big.dimension - u, phi)
+        widened = induced_map(shifted, phi)
+        row_vdeg = [vdeg[lab] for lab in widened.row_labels]
+        col_vdeg = [vdeg[lab] for lab in widened.col_labels]
+        for rows, cols, block in widened.slices.values():
+            if any(row_vdeg[i] != col_vdeg[j] for i, row in zip(rows, block) for j, v in zip(cols, row) if v):
+                raise InternalCheckError("1_U + phi does not keep the moving degree")
+        forms = row_forms(widened, ext, [model_big.name_of[lab] for lab in widened.col_labels])
+        mapping = {model_2u.name_of[lab]: form for lab, form in zip(widened.row_labels, forms)}
+        mapping[universal.pullback.ring.names[-1]] = ext.var(t_name)
+        pullback = universal.pullback.substitute(mapping)
+        elements.append(_affine_element(pullback, t_name, universal.level, model_big, r_label, u))
+    return elements
 
 
 def _check_derivative_formula(
@@ -724,18 +751,17 @@ class _Stages(Record):
 
 
 def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
-    """Minimal degree, derivative, per projection its coefficient matrices
-    and affine-additive element, then elimination, on the first generator."""
+    """Minimal degree, derivative, one extraction along the universal
+    projection with its coefficient matrices and identities, per projection
+    its element pulled back from that one (_pull_backs), then elimination,
+    on the first generator."""
     u = X.base_dim
-    model_u = X.model
     model_big = CoordinateModel(X.functor, X.field, u + n)
     f = X.generators[0]
     delta = delta_degree(X.generators, X.q_generators)
     step = derivative_step(f, X, r0)
-    elements = [
-        extract_additive_element(f, model_u, model_big, phi, X.designated_r)
-        for phi in phis
-    ]
+    phis = list(phis)
+    elements = _pull_backs(X, f, model_big, phis) if phis else []  # else eliminate refuses
     h_big = step.derivative.convert(model_big.ring)
     eliminated = model_big.moving_vars(X.designated_r, u)
     certificate = None
@@ -875,7 +901,9 @@ def run_rank_one_example(
     symmetric/alternating splitting, at base dimension 2, over every pair
     projection, plus the expected values, the exact membership of the
     certificate in the ideal of 2x2 minors and seeded sampling checks, whose
-    points are drawn only up to the last check with a nonzero Segre image."""
+    points are drawn only up to the last check with a nonzero Segre image.
+    A pair's projection-identities and derivative-formula hold by
+    functoriality, as its element is pulled back from the universal one."""
     if fld.characteristic == 2:
         raise CharacteristicError("the rank-one example needs characteristic different from 2")
     if n < 2:

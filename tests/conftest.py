@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import add
 
 import pytest
 
@@ -20,7 +21,8 @@ from polyfunctor import (
 )
 from polyfunctor import groebner
 from polyfunctor.groebner import Budget, _prepared
-from polyfunctor.matrices import LinearMapMatrix
+from polyfunctor.functors import _refuse_char2
+from polyfunctor.matrices import LinearMapMatrix, _SliceSum
 from polyfunctor.proofstep import _segre_map, _segre_points
 from polyfunctor.rings import GradedPoly, _Divisors
 
@@ -270,3 +272,31 @@ def scaled(matrix, factor):
     """factor times a LinearMapMatrix, entry by entry, through its constructor."""
     rows = [[entry * factor for entry in row] for row in matrix.rows]
     return LinearMapMatrix(matrix.row_labels, matrix.col_labels, matrix.ring, rows)
+
+
+def dense_split_square_matrix(phi, alternating):
+    """The symmetric or alternating half of the tensor square of phi with
+    every product of two slice blocks taken densely, zeros included: the
+    reference that functors._split_square_matrix is checked on."""
+    _refuse_char2(phi.ring.field)
+    gap, sign, tag = (1, -1, "z") if alternating else (0, 1, "y")
+    m = len(phi.row_labels)
+    n = len(phi.col_labels)
+    col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
+    row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
+    row_at = {pair: r for r, pair in enumerate(row_pairs)}
+    col_at = {pair: c for c, pair in enumerate(col_pairs)}
+    slices = [(e, *s) for e, s in phi.slices.items()]
+    acc = _SliceSum(len(col_pairs))
+    for e, rows_a, cols_a, a in slices:
+        for f, rows_b, cols_b, b in slices:
+            pairs = [(row_at[k, l], x, y) for k, x in zip(rows_a, a) for l, y in zip(rows_b, b) if l - k >= gap]
+            spots = [
+                (col_at[min(i, j), max(i, j)], sign if i > j else 1, q, r)
+                for q, i in enumerate(cols_a) for r, j in enumerate(cols_b) if abs(i - j) >= gap
+            ]
+            block = [[s * x[q] * y[r] for _, s, q, r in spots] for _, x, y in pairs]
+            acc.add(tuple(map(add, e, f)), [r for r, _, _ in pairs], [c for c, *_ in spots], block)
+    return acc.matrix(
+        tuple((tag,) + pair for pair in row_pairs), tuple((tag,) + pair for pair in col_pairs), phi.ring
+    )

@@ -41,7 +41,7 @@ from polyfunctor.matrices import (
 from polyfunctor import functors, matrices, rings
 from polyfunctor.rings import GradedPoly, RingVariable
 
-from conftest import Q, random_poly, scaled
+from conftest import Q, dense_split_square_matrix, random_poly, scaled
 
 # the expressions of the benchmark's functors mix
 MIX = (
@@ -476,3 +476,48 @@ def test_matrices_box_entries_only_when_rows_are_read(expr_text, field, monkeypa
         assert calls[GradedPoly] - before == len(m.row_labels) * len(m.col_labels)
         assert m.rows is rows
         assert calls[GradedPoly] - before == len(m.row_labels) * len(m.col_labels)
+
+
+# -- the split-square kernel against the dense oracle -------------------------
+
+
+def _permutation(field, n, seed):
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return space_matrix(field, [[int(j == order[i]) for j in range(n)] for i in range(n)])
+
+
+def _with_zero_lines(field, seed):
+    """4 x 5 scalar matrix whose row 1 and columns 0 and 3 are zero."""
+    rows = [[0 if i == 1 or j in (0, 3) else e for j, e in enumerate(row)]
+            for i, row in enumerate(_scalar_phi(field, 4, 5, seed).rows)]
+    return LinearMapMatrix(space_labels(4), space_labels(5), rows[0][1].ring, rows)
+
+
+def _split_inputs(field):
+    u, n = 2, 3
+    phi = _scalar_phi(field, u, n, 6)
+    widened = [[int(a == b) for b in range(u)] + [0] * n for a in range(u)]
+    widened += [[0] * u + [e.constant_value() for e in row] for row in phi.rows]
+    return {
+        "permutation": _permutation(field, 5, 1),
+        "negated permutation": scaled(_permutation(field, 4, 2), -1),
+        "pair projection": space_matrix(field, [[0, 1, 0, 0], [0, 0, 0, 1]]),
+        "coordinate embedding": shift_embedding(field, 2, 3),
+        "1_U + phi": space_matrix(field, widened),
+        "zero rows and columns": _with_zero_lines(field, 7),
+        "zero matrix": space_matrix(field, [[0] * 3] * 3),
+        "no rows": LinearMapMatrix((), space_labels(3), _t_ring(field), ()),
+        "[1_U | t*phi]": _t_parametrised(field, 2, 4, 8),
+        "a + b*t": _affine_t(field, 4, 9),
+        "polynomial entries": _xy_matrix(field, 3, 4, 10),
+    }
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101])
+@pytest.mark.parametrize("alternating", [False, True])
+def test_split_square_kernel_matches_the_dense_oracle(field, alternating):
+    for name, phi in _split_inputs(field).items():
+        kernel = functors._split_square_matrix(phi, alternating)
+        assert kernel == dense_split_square_matrix(phi, alternating), name
+        _assert_canonical_slices(kernel)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -1139,3 +1140,228 @@ def test_zero_unit_fails_before_the_first_draw(monkeypatch):
         points = _segre_points(random.Random(5), field, 1, ring.var("v_1"))
         assert all(point["v_1"] for point in itertools.islice(points, 20))
         evaluated.clear()
+
+
+# -- one extraction per run: the pull-back path against direct extraction -----------
+
+
+def _frobenius_presentation(field):
+    """y_1_1^p*y_2_2^p - y_1_2^(2p) + z_1_2^(2p), f(x^p) = f^p for the rank-one
+    witness f over F_p: it vanishes on rank-one tensors and has level 1."""
+    p = field.characteristic
+    model = CoordinateModel(SPLIT, field, 2)
+    y = model.ring.var
+    f = y("y_1_1") ** p * y("y_2_2") ** p - y("y_1_2") ** (2 * p) + y("z_1_2") ** (2 * p)
+    return model, f, VarietyPresentation.make(SPLIT, field, 2, [f], [], "p1")
+
+
+def _assert_pulled_back_as_extracted(X, n, phis):
+    """Every element of the run, pulled back from the universal projection,
+    equals direct extraction along its phi, field by field; returns the
+    run's stages."""
+    from polyfunctor import proofstep
+
+    r0 = Vector("r", ("z_1_2",), (X.field.one(),))
+    stages = proofstep._run_stages(X, n, r0, phis)
+    model_big = CoordinateModel(X.functor, X.field, X.base_dim + n)
+    assert len(stages.elements) == len(phis)
+    for phi, el in zip(phis, stages.elements):
+        direct = extract_additive_element(X.generators[0], X.model, model_big, phi, X.designated_r)
+        assert el.poly == direct.poly and el.poly.ring == direct.poly.ring
+        assert el.level == direct.level
+        assert el.additive_part == direct.additive_part
+        assert list(el.additive_part) == list(direct.additive_part)
+        assert el.constant_part == direct.constant_part
+        assert el.eliminated == direct.eliminated
+        assert el.pullback == direct.pullback and el.pullback.ring == direct.pullback.ring
+    return stages
+
+
+@pytest.mark.parametrize("selector", FIELDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pair_elements_pulled_back_equal_direct_extraction(n, selector):
+    field = FieldDescriptor.parse(selector)
+    _, _, X = split_presentation(field)
+    pairs = [pair_projection(field, n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    _assert_pulled_back_as_extracted(X, n, pairs)
+
+
+@pytest.mark.parametrize("selector", ("q", "fp:5", "fp:101"))
+def test_general_elements_pulled_back_equal_direct_extraction(selector):
+    field = FieldDescriptor.parse(selector)
+    _, _, X = split_presentation(field)
+    half = Fraction(1, 2) if field.characteristic == 0 else 3
+    phis = [
+        space_matrix(field, [[half, -3, 0, 1], [0, 1, 0, -2]]),  # a zero column
+        space_matrix(field, [[1, 1, 1, 1], [0, 1, 2, 3]]),
+        space_matrix(field, [[2, 0, -1, 1], [-half, -1, 1, 0]]),
+        space_matrix(field, [[0, 0, 1, 0], [0, 0, 0, 1]]),
+    ]
+    stages = _assert_pulled_back_as_extracted(X, 4, phis)
+    assert all(el.additive_part for el in stages.elements)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_level_one_elements_pulled_back_equal_direct_extraction(p):
+    field = FieldDescriptor.prime_field(p)
+    _, _, X = _frobenius_presentation(field)
+    n = 3
+    pairs = [pair_projection(field, n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    stages = _assert_pulled_back_as_extracted(X, n, pairs + [space_matrix(field, [[1, 2, 0], [0, 1, 1]])])
+    assert {el.level for el in stages.elements} == {stages.certificate.level} == {1}
+    # every k and every cleared certificate element x^p * h^e + numerator
+    # vanishes on the rank-one tensors
+    segre = _segre_map(CoordinateModel(SPLIT, field, 2 + n))
+    assert all(el.additive_part and not el.poly.substitute(segre) for el in stages.elements)
+    cleared = stages.certificate.cleared_elements()
+    assert len(cleared) == 3 and not any(c.substitute(segre) for c in cleared)
+
+
+def test_no_projection_extracts_nothing(monkeypatch):
+    from polyfunctor import proofstep
+
+    _, _, X = split_presentation(Q)
+    monkeypatch.setattr(proofstep, "extract_additive_element", lambda *args: pytest.fail("extracted"))
+    with pytest.raises(PresentationError, match="elimination needs elements and coordinates"):
+        proofstep._run_stages(X, 3, Vector("r", ("z_1_2",), (Q.one(),)), [])
+
+
+def test_one_extraction_per_run(monkeypatch):
+    from polyfunctor import proofstep
+
+    calls = []
+    extract = proofstep.extract_additive_element
+    monkeypatch.setattr(proofstep, "extract_additive_element", lambda *args: calls.append(args) or extract(*args))
+    for n in (2, 4):
+        calls.clear()
+        assert run_rank_one_example(n, F3, sample_count=1).all_passed()
+        (f, model_u, model_2u, phi, r_label), = calls
+        assert model_2u.dimension == 4 and phi.shape == (2, 2)
+
+
+# sha256 of the text and the JSON stdout of proofstep, and its exit code, on the
+# level-1 Frobenius twist over F_p, at n = 2..4 with the default pair
+# projections and at n = 3 with three general projections; captured before
+# the elements were pulled back from the universal projection
+LEVEL_ONE_GOLDEN = {
+    (3, '2'): ('3a86012e314d9428a2f2a16cde68acc1225014061f2ace0203b554ee67413dbc', 'c61599ad8b809b63af453adcb34b714787b40891a6fbbc5b1e02872823ce9201', 0),
+    (3, '3'): ('9ba7503a91c3a79a9f17cbc3082612385ae118181781a0e498723b258ccef49c', '2845f5db555e47ffaf1633059773541b2ebb9302fc8159bda31855ab8547ffdd', 0),
+    (3, '4'): ('69448e7f63b1caadefc50e51c28de303d44754951503689755b020f5deafd66f', 'b17c179c1a96d3a0edcc706530f4f4974064a55d86dec20f6ccc7ee06683970d', 0),
+    (3, 'phi'): ('e4f4d9c0c6172981913fca95cb2b077dfb8ab8658edff8c938f2d9d5ed45bcf8', 'a864646a9811cbb06afa9c0ebec9333b36e07b7ab39a1594c3aa89490228f24d', 0),
+    (5, '2'): ('7c389248cbef31cb3c705d1c83ba6e4df435397461bdb584c421d6cd96b38eae', '7880f531238540094c72940883719f19b0a947cbfd8a32284718b19968f65c3b', 0),
+    (5, '3'): ('71fc3ddfd7a14f5ca2843be1cda4ccf93eb5615a338b7c6d9268ef74cf4d8ba1', '43931a743e19f1c9f488e4f8480765e07324c26c06be43f520c246887b31128e', 0),
+    (5, '4'): ('1ef0dc93ef1477bd00c1d0c2b8e42caa4049f1875e60e212706e35facd92dd84', '2756252af9e01c866bcce794bb95c590ea82defd7a775754de746b6a9a01186c', 0),
+    (5, 'phi'): ('1fd4307d74befe455a27c6c8cb7791ea5c220d92ce4fa35037ed493a88666506', 'd0fa085c16a137389f9242155f555320584c5f2c646ef3ce6115eae10f02bc56', 0),
+    (7, '2'): ('61a0298d18deddfb2052eeb69ffe698dba876cc5efda1c3bcffa5da17d0ab47a', '1bf6233e275f105201967eb0b1bbc4b51adacd643b0ead45c4745764fa959bfd', 0),
+    (7, '3'): ('34809b1b4982bfd497c2d8b23224499d80616bd9ca32d55fabcacc02b8739fd8', 'dde9bdeff753813efd6760c93b19137c8e70030f6d9b1add458c429d8f8397a4', 0),
+    (7, '4'): ('575cba6f660829268bca6a7a0cf58993c28b3ac8b13765c114f6389b997ecb3f', 'b3393e7a6a7ae79f964cea51d0ba52f5066b26f55a3a4fd5ece894d78dc71383', 0),
+    (7, 'phi'): ('719b3a5921f8bc433f99c8569c164dd100f34c50467e609d3b8471172445aaeb', '3c7ed8641d89aa2288600fc46306458fe2b41945736ea5435b6de481c863df02', 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LEVEL_ONE_GOLDEN))
+def test_level_one_proofstep_golden(key, capsys):
+    from polyfunctor.cli import main
+
+    p, n = key
+    argv = ["proofstep", "--field", f"fp:{p}", "--functor", "sum(tsym,talt)", "--u", "2",
+            "--f", f"y_1_1^{p}*y_2_2^{p} - y_1_2^{2 * p} + z_1_2^{2 * p}", "--r0", "1", "--r-part", "p1"]
+    if n == "phi":
+        last = {3: "0,1,0;2,0,1", 5: "0,1,0;3,0,1", 7: "0,1,0;5,0,1"}[p]
+        argv += ["--n", "3", "--phi", "1,2,0;0,1,1", "--phi", "1,0,0;0,0,1", "--phi", last]
+    else:
+        argv += ["--n", n]
+    digests, codes = [], set()
+    for fmt in ("text", "json"):
+        codes.add(main(argv + ["--format", fmt]))
+        out = capsys.readouterr().out
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert fmt == "json" or "e0: 1\n" in out
+    assert (*digests, *codes) == LEVEL_ONE_GOLDEN[key]
+
+
+# sha256 of the text and the JSON stdout of example-rank1 with y_1_1*z_1_2
+# added to the last element's k, its exit code and the status of
+# coefficient-vanishes-on-samples; captured while the zero-image pullback
+# check before it drew its points, so a change to where any check draws
+# moves the statuses at these few samples
+DRAWS_GOLDEN = {
+    ('fp:3', 2, 0, 1): ('a6c8f0842f7edb7145f82dd39fe85801fc9cb1e1712c0680cd0aaa494f4ab6f6', '69bec00173f4bdf4b81f5220c0e1344d0b5a01b5aa178779b86b8c45db57da2d', 0, 'pass'),
+    ('fp:3', 2, 0, 5): ('5a61003cc3c753f8a78444a8079de48f59b4cc2f030fcc65d3cd96476aa02968', '588f0fdbd423599efab29576ecbf855dc994ce1d2cdfa71ce8685e53f0d1dbf2', 4, 'fail'),
+    ('fp:3', 2, 1, 1): ('c38a748dc266d48bae8da496efd974ac3ff7d507931dc3d8fa12e47050cfc0ef', '1d5e382ea9f23a4d04ff0471e4cf0b8e324e8a73e8037857e3a415cf11df1f31', 4, 'fail'),
+    ('fp:3', 2, 1, 5): ('c38a748dc266d48bae8da496efd974ac3ff7d507931dc3d8fa12e47050cfc0ef', '1d5e382ea9f23a4d04ff0471e4cf0b8e324e8a73e8037857e3a415cf11df1f31', 4, 'fail'),
+    ('fp:3', 2, 2, 1): ('078efb703baae46f17d019fdd99e4b3fbfddc8041431989ea79e7f1a4c7bfe66', 'ea28eefadf256a25f2accb8f6ccfda3477a516d353417e2d3f6fc76901b9b562', 0, 'pass'),
+    ('fp:3', 2, 2, 5): ('078efb703baae46f17d019fdd99e4b3fbfddc8041431989ea79e7f1a4c7bfe66', 'ea28eefadf256a25f2accb8f6ccfda3477a516d353417e2d3f6fc76901b9b562', 0, 'pass'),
+    ('fp:3', 2, 3, 1): ('ae006ac7017537b6dc8fee46645371448f628f9398d6abe97ef8685f072a3d3b', '48ae751669c86b068586932b3dc73a890b459ec76f2d2972ff11532dbee2def4', 0, 'pass'),
+    ('fp:3', 2, 3, 5): ('e402e28374f08cf30242c1b4fab61eb5e68180896e2b927c7582e3fa0e466459', '1a799380aa4e19610b6ecc8d64f03e97f26f7734748a6d0fdc0a6dde33d3b511', 4, 'fail'),
+    ('fp:3', 3, 0, 1): ('28a1f4ea0fdb2c272fe40f5fbbca8ba26ba241ca886b3f06a3c9c97506124db5', '6246c39d097f4b7fea788e50fc73e3af96e9bfb45e2946283978fbb9a8d7b1f8', 0, 'pass'),
+    ('fp:3', 3, 0, 5): ('26915a1d6dac635d0b372cf79bc0a752e96f4bcfd5098840d5a5ba7171195245', 'ced9f734b82c49d14d5921f5548891e6a5a206ce46c04fad1edc183d5967621d', 4, 'fail'),
+    ('fp:3', 3, 1, 1): ('b5817853dffb57d6b98bb1b0a3585176b2e38db07c87a9e559106bd31dc14af8', '1401a33e9258fe0f8908044544d4e6a3048bf09aa7dcf25f22d71ce04d583018', 0, 'pass'),
+    ('fp:3', 3, 1, 5): ('b5817853dffb57d6b98bb1b0a3585176b2e38db07c87a9e559106bd31dc14af8', '1401a33e9258fe0f8908044544d4e6a3048bf09aa7dcf25f22d71ce04d583018', 0, 'pass'),
+    ('fp:3', 3, 2, 1): ('4403dcab4a470717a76ab4be2ff863893d10bf6298a5120ae170950753fd1148', '1f3ea62d2957bb073d1ea22aeabc26dbe02d876261202cadbc8443cf064c55d2', 0, 'pass'),
+    ('fp:3', 3, 2, 5): ('4403dcab4a470717a76ab4be2ff863893d10bf6298a5120ae170950753fd1148', '1f3ea62d2957bb073d1ea22aeabc26dbe02d876261202cadbc8443cf064c55d2', 0, 'pass'),
+    ('fp:3', 3, 3, 1): ('bc97c72473730199efce3b49eaf828840d56675dbce76903cab527ba39936a37', 'a85ed852a2567f65832d6b49d27d5071e1c9f81fa63d5f2d77cf51620ac24ac5', 0, 'pass'),
+    ('fp:3', 3, 3, 5): ('bc97c72473730199efce3b49eaf828840d56675dbce76903cab527ba39936a37', 'a85ed852a2567f65832d6b49d27d5071e1c9f81fa63d5f2d77cf51620ac24ac5', 0, 'pass'),
+    ('fp:3', 4, 0, 1): ('e6cdd6845893ba83cb4da5d37e11c591761cf62471a11351cfd8d5a30555c8e0', '7b899e6917a51dbe611fda2be15c6bd5c9d44c03fa982223ed9a5fa05fb0ce45', 0, 'pass'),
+    ('fp:3', 4, 0, 5): ('e6cdd6845893ba83cb4da5d37e11c591761cf62471a11351cfd8d5a30555c8e0', '7b899e6917a51dbe611fda2be15c6bd5c9d44c03fa982223ed9a5fa05fb0ce45', 0, 'pass'),
+    ('fp:3', 4, 1, 1): ('6b9c312445e407ca11d8a543ba851d31219ee7e0dc390669dee188b2c0a33973', 'ad65619d5cd1c644ad058ef9f4e6804930ac16c7c852223fc5961d924f14054c', 0, 'pass'),
+    ('fp:3', 4, 1, 5): ('6b9c312445e407ca11d8a543ba851d31219ee7e0dc390669dee188b2c0a33973', 'ad65619d5cd1c644ad058ef9f4e6804930ac16c7c852223fc5961d924f14054c', 0, 'pass'),
+    ('fp:3', 4, 2, 1): ('4fc3e6a56b6ef53d03b706186d9d01d93f0e226fecabe96add49d2dd8c439c4b', '8ed1bdd6974aa1a7082bcad54b3a0e5319f78589c9413b38bfc85ca95991e20b', 0, 'pass'),
+    ('fp:3', 4, 2, 5): ('4fc3e6a56b6ef53d03b706186d9d01d93f0e226fecabe96add49d2dd8c439c4b', '8ed1bdd6974aa1a7082bcad54b3a0e5319f78589c9413b38bfc85ca95991e20b', 0, 'pass'),
+    ('fp:3', 4, 3, 1): ('3fad3745430856a536c1eeb6a542e75244dc87ebf82c1cceb8197ad2a0f8dd98', '9390d0e5523cff4d26d78501a55b8c8a736519b94487252e5779bbb27c7ad503', 0, 'pass'),
+    ('fp:3', 4, 3, 5): ('5ba007a9a448262a4d516ba8e76bcda4cdb305a27ed04248dbb41c33e6779b8f', '3f10f411b07aa9b1b7f614fff69f71af32be75aa97e028ab2cef9c18ffe41fed', 4, 'fail'),
+    ('fp:5', 2, 0, 1): ('5744474474fc6429a8c844c8c268f5d9e47e48681cf16482fad0adf27d765557', '7618e118309a535affe3e67bbf1b23d8b1993a9ff1618d8a5e3cbbeef71df342', 0, 'pass'),
+    ('fp:5', 2, 0, 5): ('5744474474fc6429a8c844c8c268f5d9e47e48681cf16482fad0adf27d765557', '7618e118309a535affe3e67bbf1b23d8b1993a9ff1618d8a5e3cbbeef71df342', 0, 'pass'),
+    ('fp:5', 2, 1, 1): ('4e4703aaef21ec169a2f2df1d7f70ec9e97972c28ec5bae5b43ebef3ca9b168c', '36567aca2c074b65003f3951db35a5d3d52d7bb40581b8b8b978c7bdf5ab07cd', 0, 'pass'),
+    ('fp:5', 2, 1, 5): ('c71dee24f79e209d4dd54e75929bdb028beca101ef64a5fe3cb701fbc83310db', 'ce88ba437c499a7cc971047a27250b728c6f4142c3c2c77c9716cabc09bc314b', 4, 'fail'),
+    ('fp:5', 2, 2, 1): ('471a3847073514b18d289f466dd1baa807020102eae0a47c265c7a2fc44b4464', '5dcde0540672d79e826c9c894c8967ca83d3fbc8a50a4f6ad2db7a6fedf7110c', 0, 'pass'),
+    ('fp:5', 2, 2, 5): ('4fca062c1b1bb0bf45a0cdf0147239a411ca165c2aed77568b1f7c88f5a2df4d', '68e7ed64b381c86ca8c60ce674a7c973f7a96a680777616059d919ffbdf88f56', 4, 'fail'),
+    ('fp:5', 2, 3, 1): ('2837ec8725f3f87aef61bd49f8dedbcb976989ccf74da7e5a5d3f76b5cb73a10', 'eb643fd67abacf80f56fbd8f58132da49d1c6e288fc5cea6bd8c92f57f7d5221', 0, 'pass'),
+    ('fp:5', 2, 3, 5): ('61572656286bb87e0eaf65ba6f1179b7b4a35a8aa9f85d1b7311390cf989f9be', '6791bcd797928f6a7f82aa4eedbf164170aa654c19f064f497d1574279e059d7', 4, 'fail'),
+    ('fp:5', 3, 0, 1): ('5080a029f319efd20f605a3ae75a347ed21d62d5c2894352018e135cc7acb925', '2db6ab3132d706d7278d4a9eb09cb8825d31fadde0de8d73c66a44d5561b468d', 0, 'pass'),
+    ('fp:5', 3, 0, 5): ('07fc5dfcf276f37037c1d44ea831386d2118f28f36b5c08f550cac6fc9aacf04', 'a386123b62723c097029adfe9a9898b6b03105541171ca38ca6f3d354a6b8d4c', 4, 'fail'),
+    ('fp:5', 3, 1, 1): ('df7e4a7fb596ce13520c4be844be075d0ab42c830b484e9f1074b20b9febda90', '6aa2256cfd382e4dc7aa17a9aa6ce8dbc033b6a4d1f115247c42fe10d7aecbbe', 0, 'pass'),
+    ('fp:5', 3, 1, 5): ('7b1d39753ee510a52d98c65e0ad1e7729cb6568c667dadaab133c8fd85efe00a', '59bc2ac94c97258cf0e4313045f1d4408e0579620de5f4e979a90cf62cc0849e', 4, 'fail'),
+    ('fp:5', 3, 2, 1): ('6244cb4c52e1de8a2b2744bf6f613036d12492dfe0fe504b0ba70f2d5d9771fe', '36e84cd977e32fc5b2f288c672e95f8f1c8bbf3fa896e69d440843c156486ed5', 4, 'fail'),
+    ('fp:5', 3, 2, 5): ('6244cb4c52e1de8a2b2744bf6f613036d12492dfe0fe504b0ba70f2d5d9771fe', '36e84cd977e32fc5b2f288c672e95f8f1c8bbf3fa896e69d440843c156486ed5', 4, 'fail'),
+    ('fp:5', 3, 3, 1): ('e0840cdcc719363261d11a8b9bdfd9772c5388bb22cb4604d00658e08287c18b', 'd6ba9ab6afd661125b0c1b794f07ffb6ffed881d324a51c0b0c503fed660f9c7', 4, 'fail'),
+    ('fp:5', 3, 3, 5): ('e0840cdcc719363261d11a8b9bdfd9772c5388bb22cb4604d00658e08287c18b', 'd6ba9ab6afd661125b0c1b794f07ffb6ffed881d324a51c0b0c503fed660f9c7', 4, 'fail'),
+    ('fp:5', 4, 0, 1): ('5599b4e30dd1a81e278f570cafba532ade305c4c1b9860aacfc25d09510b958a', 'df7c82c2a2fb03aea03f6612c71fd4f03f4c03bfc0772b2364de7acc2d1ca925', 0, 'pass'),
+    ('fp:5', 4, 0, 5): ('97096fa09335b697ce4f976be17b5d80ff02e48674b214ffc0c959cfb4cca116', 'e4c3dd01724eae3ae50c8b4b17a61140028bc4c1bb4e80c7518607b55a3dff4f', 4, 'fail'),
+    ('fp:5', 4, 1, 1): ('0b7c811a719ff140ddcadbb95c262fde6600d37e03ce359118a8acb0e9849823', '12bd777198963c857cb0d8f64d90a8073bcbae266298695758f638b36e90166c', 0, 'pass'),
+    ('fp:5', 4, 1, 5): ('0b7c811a719ff140ddcadbb95c262fde6600d37e03ce359118a8acb0e9849823', '12bd777198963c857cb0d8f64d90a8073bcbae266298695758f638b36e90166c', 0, 'pass'),
+    ('fp:5', 4, 2, 1): ('e7609feeee805a4f5ab6c869fa79b1c7f3a10bad298c582a991a15e221085253', 'eaa609410a5f44fc4982a62c4a588d7a96af20383018f473fbab84d81bfc40c3', 0, 'pass'),
+    ('fp:5', 4, 2, 5): ('4050b13731c320dd662c618e8df5a27f3ba24062d5495baa4636c699314bcb5d', '5dc372e91b99bdd53f6a008ae7a88a801cb04c59417c216c27796f04b84bf718', 4, 'fail'),
+    ('fp:5', 4, 3, 1): ('0d77a4bc95f82b415316a5ec07fcdc11c3aef1c3f38eeccb4710aaf1391be5b0', '61f247b92ccbfb98ba05d0f2645eab13cd972ddb6f3511722d99fefb80aa41bf', 0, 'pass'),
+    ('fp:5', 4, 3, 5): ('23ff7342a8a772d6310339a95f3c8693af185469677a8515cd4a0c63d21d5c78', '20325a42ab2574cfef7f7fd209acb443b42c12105f7ea4b66d177c2fa6546757', 4, 'fail'),
+}
+
+
+def test_draws_golden_reads_both_statuses():
+    assert {status for *_, status in DRAWS_GOLDEN.values()} == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("key", sorted(DRAWS_GOLDEN))
+def test_draws_golden(key, monkeypatch, capsys):
+    from polyfunctor import proofstep
+    from polyfunctor.cli import main
+
+    stages = proofstep._run_stages
+
+    def perturbed(*args):
+        out = stages(*args)
+        last = out.elements[-1]
+        ring = last.poly.ring
+        last.poly = last.poly + ring.var("y_1_1") * ring.var("z_1_2")
+        return out
+
+    monkeypatch.setattr(proofstep, "_run_stages", perturbed)
+    selector, n, seed, samples = key
+    digests, codes = [], set()
+    for fmt in ("text", "json"):
+        argv = ["example-rank1", "--n", str(n), "--field", selector, "--seed", str(seed), "--samples", str(samples)]
+        codes.add(main(argv + ["--format", fmt]))
+        out = capsys.readouterr().out
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}["coefficient-vanishes-on-samples"]
+    assert (*digests, *codes, status) == DRAWS_GOLDEN[key]
