@@ -4,9 +4,9 @@ Given a functor with a designated top-degree summand, a witness polynomial f
 on the value at a base space, and a direction in the designated summand, the
 pipeline produces: the minimal-degree report for the supplied generators,
 the directional derivative h with its level, the per-degree coefficient
-matrices of the parametrised projection, the affine-additive coefficient
-extracted from the pullback of f, once along the universal projection and
-pulled back from there to every supplied projection, and finally a
+matrices of the parametrised projection, the affine-additive coefficient k
+extracted from the pullback of f once, along the universal projection, each
+supplied projection's k the universal k pulled back, and finally a
 Cramer-rule certificate that expresses each moving top-summand coordinate
 over the retained coordinates with denominators that are powers of h.
 
@@ -16,8 +16,9 @@ its expected values, seeded sample validation and an ideal-membership check
 of the certificate.  Both go through the Segre map v, w -> v (x) w: the
 membership is decided exactly by one substitution per cleared element, and
 the sampled checks evaluate the nonzero images of their polynomials at
-seeded points (v, w), drawn up to the last check with one.  Both render one
-byte-stable report type.
+seeded points (v, w), drawn up to the last check with one; the pullback
+check's images are the universal pullback's, pulled back linearly.  Both
+render one byte-stable report type.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .matrices import (
     scalar_entry_ring,
     space_matrix,
 )
-from .rings import GradedPoly, GradedRing, RingVariable, Vector
+from .rings import GradedPoly, GradedRing, RingVariable, Vector, _raw
 
 MAX_MINOR_CANDIDATES = 64  # row subsets eliminate tries before it gives up
 
@@ -385,7 +386,7 @@ class AffineAdditiveElement(Record):
     additive_part: dict[str, GradedPoly]
     constant_part: GradedPoly
     eliminated: tuple[str, ...]
-    pullback: GradedPoly  # full parametrised pullback of the witness
+    pullback: GradedPoly | None = None  # whole pullback of the witness, extracted ones only
 
 
 def extract_additive_element(
@@ -415,22 +416,24 @@ def extract_additive_element(
     big_names = [model_big.name_of[lab] for lab in full.col_labels]
     forms = row_forms(full, ext, big_names, (t_name,))
     mapping = {model_u.name_of[lab]: form for lab, form in zip(full.row_labels, forms)}
-    element = _affine_element(f.substitute(mapping), t_name, data.level, model_big, r_label, u)
+    pullback = f.substitute(mapping)
+    power = model_big.normalized.degree() * model_big.field.char_exponent**data.level
+    k = pullback.coeff_of_power(t_name, power, model_big.ring)
+    element = _affine_element(k, data.level, model_big, r_label, u, pullback)
     _check_derivative_formula(data, model_u, model_big, projection, element.additive_part, element.eliminated, r_label)
     return element
 
 
 def _affine_element(
-    pullback: GradedPoly, t_name: str, level: int, model_big: CoordinateModel, r_label: str, u: int
+    k: GradedPoly, level: int, model_big: CoordinateModel, r_label: str, u: int, pullback: GradedPoly | None = None
 ) -> AffineAdditiveElement:
-    """The element k, the coefficient of t^(d*p^level) in the pullback, split
+    """The element k, the coefficient of t^(d*p^level) in a pullback, split
     structurally as k = k0 + sum coeff_v * v^(p^level) with k0 and every
     coeff_v free of the moving coordinates.  This form is equivalent to
     affine additivity at the stated level because raising to a power of the
     characteristic exponent is additive."""
     ring = model_big.ring
     q_power = ring.field.char_exponent ** level
-    k = pullback.coeff_of_power(t_name, model_big.normalized.degree() * q_power, ring)
     moving = model_big.moving_vars(r_label, u)
     moving_pos = {name: ring.position(name) for name in moving}
     additive_terms: dict[str, dict] = {name: {} for name in moving}
@@ -452,21 +455,21 @@ def _affine_element(
     return AffineAdditiveElement(k, level, additive_part, constant_part, tuple(moving), pullback)
 
 
-def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateModel, phis: list) -> list:
-    """Per phi, in order, its element pulled back from the one extracted
-    along the universal projection [1_U | t*1_U] from the 2u-space.
-    [1_U | t*phi] is [1_U | t*1_U] after 1_U (+) phi, whose induced map is
-    that of shift(u, P) at phi, and induced maps compose: the pullback along
-    phi is the universal pullback after that map, checked to keep the moving
-    degree, the grading in which the universal identities hold."""
+def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateModel, phis: list):
+    """The element extracted along the universal projection [1_U | t*1_U]
+    from the 2u-space, the one element with a pullback, and per phi, in
+    order, its element pulled back from that one.  [1_U | t*phi] is
+    [1_U | t*1_U] after 1_U (+) phi, whose induced map is that of
+    shift(u, P) at phi, and induced maps compose: the pullback along phi is
+    the universal pullback after that map, checked to keep the moving
+    degree, the grading in which the universal identities hold.  The map is
+    free of t, so phi's k is the universal k after it."""
     u, model_u, r_label = X.base_dim, X.model, X.designated_r
     model_2u = model_big if model_big.dimension == 2 * u else CoordinateModel(X.functor, X.field, 2 * u)
     identity = space_matrix(X.field, [[int(a == b) for b in range(u)] for a in range(u)])
     universal = extract_additive_element(f, model_u, model_2u, identity, r_label)
     shifted = ShiftF(u, model_big.normalized)
     vdeg = {lab: label_vdeg(lab, u) for lab in model_2u.full_labels + model_big.full_labels}
-    t_name = fresh_name("t", set(model_big.ring.names))
-    ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
     elements = []
     for phi in phis:
         _check_projection(model_u, model_big.dimension - u, phi)
@@ -476,12 +479,10 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateMode
         for rows, cols, block in widened.slices.values():
             if any(row_vdeg[i] != col_vdeg[j] for i, row in zip(rows, block) for j, v in zip(cols, row) if v):
                 raise InternalCheckError("1_U + phi does not keep the moving degree")
-        forms = row_forms(widened, ext, [model_big.name_of[lab] for lab in widened.col_labels])
-        mapping = {model_2u.name_of[lab]: form for lab, form in zip(widened.row_labels, forms)}
-        mapping[universal.pullback.ring.names[-1]] = ext.var(t_name)
-        pullback = universal.pullback.substitute(mapping)
-        elements.append(_affine_element(pullback, t_name, universal.level, model_big, r_label, u))
-    return elements
+        forms = row_forms(widened, model_big.ring, [model_big.name_of[lab] for lab in widened.col_labels])
+        k = universal.poly.substitute({model_2u.name_of[lab]: form for lab, form in zip(widened.row_labels, forms)})
+        elements.append(_affine_element(k, universal.level, model_big, r_label, u))
+    return universal, elements
 
 
 def _check_derivative_formula(
@@ -731,7 +732,8 @@ class _Stages(Record):
     step: DerivativeStep
     model_big: CoordinateModel
     h_big: GradedPoly
-    elements: list  # one AffineAdditiveElement per projection, in order
+    universal: AffineAdditiveElement | None  # extracted, so it has a pullback
+    elements: list  # one AffineAdditiveElement per projection, in order, pulled back
     certificate: EliminationCertificate | None
     certificate_error: str  # why elimination failed, when certificate is None
 
@@ -761,7 +763,7 @@ def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
     delta = delta_degree(X.generators, X.q_generators)
     step = derivative_step(f, X, r0)
     phis = list(phis)
-    elements = _pull_backs(X, f, model_big, phis) if phis else []  # else eliminate refuses
+    universal, elements = _pull_backs(X, f, model_big, phis) if phis else (None, [])  # else eliminate refuses
     h_big = step.derivative.convert(model_big.ring)
     eliminated = model_big.moving_vars(X.designated_r, u)
     certificate = None
@@ -770,7 +772,7 @@ def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
         certificate = eliminate(elements, h_big, eliminated)
     except CertificateNotFoundError as exc:
         error = str(exc)
-    return _Stages(f, r0, delta, step, model_big, h_big, elements, certificate, error)
+    return _Stages(f, r0, delta, step, model_big, h_big, universal, elements, certificate, error)
 
 
 def pair_projections(fld: FieldDescriptor, n: int) -> dict:
@@ -822,25 +824,48 @@ def run_proofstep(
 def _segre_map(model: CoordinateModel, kept=()) -> dict:
     """Substitution sending each split coordinate y_a_b, z_a_b of model.ring
     to that coordinate (v_a w_b +- v_b w_a)/2 of v (x) w, a polynomial in
-    v_1..v_m, w_1..w_m, and each variable in kept (such as a pullback's t)
-    to itself.  The kernel of x_i_j -> v_i w_j is the ideal of 2x2 minors
-    over every field (Hochster and Eagon, 1971), and the split coordinates
-    are an invertible linear change of the x_i_j away from characteristic 2,
-    so a polynomial lies in the minors' ideal exactly when its image is
-    zero, and at a point (v, w) the image takes the polynomial's value at the
-    split coordinates of v (x) w."""
+    v_1..v_m, w_1..w_m built straight as its one or two terms, and each
+    variable in kept (the universal pullback's t, whose image
+    _segre_pullbacks pulls back per projection) to itself.  The kernel of
+    x_i_j -> v_i w_j is the ideal of 2x2 minors over every field (Hochster
+    and Eagon, 1971), and the split coordinates are an invertible linear
+    change of the x_i_j away from characteristic 2, so a polynomial lies in
+    the minors' ideal exactly when its image is zero, and at a point (v, w)
+    the image takes the polynomial's value at the split coordinates of
+    v (x) w."""
     m, fld = model.dimension, model.field
     ring = GradedRing(fld, [f"{c}_{a + 1}" for c in "vw" for a in range(m)] + list(kept))
-    v = [ring.var(f"v_{a + 1}") for a in range(m)]
-    w = [ring.var(f"w_{a + 1}") for a in range(m)]
     half = fld.scalar(2).inverse()
-    signs = {"y": 1, "z": -1}
+    signs = {"y": _raw(fld, half), "z": _raw(fld, -half)}
+    unit = (0,) * len(ring.names)
     segre = {name: ring.var(name) for name in ring.names[2 * m:]}
     for name in model.ring.names:
         s, a, b = name.split("_")
         a, b = int(a) - 1, int(b) - 1
-        segre[name] = (v[a] * w[b] + v[b] * w[a] * signs[s]) * half
+        va_wb = unit[:a] + (1,) + unit[a + 1:m + b] + (1,) + unit[m + b + 1:]
+        vb_wa = unit[:b] + (1,) + unit[b + 1:m + a] + (1,) + unit[m + a + 1:]
+        terms = {va_wb: 1} if a == b else {va_wb: signs["y"], vb_wa: signs[s]}
+        segre[name] = GradedPoly(ring, terms, _canonical=True)
     return segre
+
+
+def _segre_pullbacks(X: VarietyPresentation, universal: AffineAdditiveElement, segre: dict, phis) -> list:
+    """Per phi, the Segre image in segre's ring (t kept) of the pullback
+    along [1_U | t*phi]: the induced map of A = 1_U (+) phi sends v (x) w to
+    Av (x) Aw, so it is the universal pullback's image at v' = Av, w' = Aw,
+    a linear substitution."""
+    u, t = X.base_dim, universal.pullback.ring.variables[-1]
+    image = universal.pullback.substitute(_segre_map(CoordinateModel(X.functor, X.field, 2 * u), [t]))
+    ring = segre[t.name].ring
+    images = []
+    for phi in phis:
+        mapping = {t.name: ring.var(t.name)}
+        for c in "vw":
+            forms = [ring.var(f"{c}_{a + 1}") for a in range(u)]
+            forms += row_forms(phi, ring, [f"{c}_{u + b + 1}" for b in range(len(phi.col_labels))])
+            mapping.update((f"{c}_{a + 1}", form) for a, form in enumerate(forms))
+        images.append(image.substitute(mapping))
+    return images
 
 
 def _segre_points(rng: random.Random, fld: FieldDescriptor, m: int, unit: GradedPoly | None = None):
@@ -903,7 +928,8 @@ def run_rank_one_example(
     certificate in the ideal of 2x2 minors and seeded sampling checks, whose
     points are drawn only up to the last check with a nonzero Segre image.
     A pair's projection-identities and derivative-formula hold by
-    functoriality, as its element is pulled back from the universal one."""
+    functoriality, as its k is pulled back from the universal one; so are
+    the Segre images of its pullback, read by pullback-vanishes-on-samples."""
     if fld.characteristic == 2:
         raise CharacteristicError("the rank-one example needs characteristic different from 2")
     if n < 2:
@@ -928,90 +954,59 @@ def run_rank_one_example(
     stages = _run_stages(X, n, r0, list(pairs.values()))
     delta, step, model_big = stages.delta, stages.step, stages.model_big
     h = step.derivative
-    checks = [
-        Check(
-            "delta-degree",
-            "pass" if (delta.status == "finite" and delta.delta == 4) else "fail",
-            f"delta={delta.delta}",
-        )
-    ]
+    checks = []
 
+    def check(name: str, ok: bool, witness: str = ""):
+        checks.append(Check(name, "pass" if ok else "fail", witness))
+
+    check("delta-degree", delta.status == "finite" and delta.delta == 4, f"delta={delta.delta}")
     scan = usable_directions(f, X)
-    checks.append(
-        Check(
-            "direction-scan",
-            "pass" if any(ok for _, ok in scan) else "fail",
-            "; ".join(f"{name}:{'ok' if ok else 'no'}" for name, ok in scan),
-        )
-    )
-
-    expected_h = ring_u.var("z_1_2") * 2
-    checks.append(Check("derivative-level", "pass" if step.level == 0 else "fail", f"e0={step.level}"))
-    checks.append(
-        Check("derivative-value", "pass" if h == expected_h else "fail", h.to_text())
-    )
-    deg_ok = f.weighted_degree() == 4 and h.weighted_degree() == 2
+    check("direction-scan", any(ok for _, ok in scan), "; ".join(f"{name}:{'ok' if ok else 'no'}" for name, ok in scan))
+    check("derivative-level", step.level == 0, f"e0={step.level}")
+    check("derivative-value", h == ring_u.var("z_1_2") * 2, h.to_text())
     degrees = f"deg f={f.weighted_degree()}, deg h={h.weighted_degree()}"
-    checks.append(Check("degree-ledger", "pass" if deg_ok else "fail", degrees))
-    checks.append(Check("joint-additivity f", "pass" if joint_additivity_holds(step.data) else "fail"))
-    checks.append(Check("joint-scaling f", "pass" if joint_scaling_holds(step.data) else "fail"))
+    check("degree-ledger", f.weighted_degree() == 4 and h.weighted_degree() == 2, degrees)
+    check("joint-additivity f", joint_additivity_holds(step.data))
+    check("joint-scaling f", joint_scaling_holds(step.data))
 
     # the sampled checks' Segre images: the witness at the base dimension,
     # the pullbacks' t-coefficients, the k's and the cleared certificate
     sampled = [([f.substitute(_segre_map(model_u))], u, 20, None)]
-    m, certificate = model_big.dimension, stages.certificate
-    (t,) = stages.elements[0].pullback.ring.without(model_big.ring.names).variables
+    m, certificate, universal = model_big.dimension, stages.certificate, stages.universal
+    t = universal.pullback.ring.variables[-1]
     segre = _segre_map(model_big, [t])
     vw = segre[t.name].ring.without([t.name])
-    t_coefficients = [
-        c for el in stages.elements for c in pullback_t_coefficients(el.pullback.substitute(segre), vw)
-    ]
-    sampled.append((t_coefficients, m, sample_count, None))
+    pulled = _segre_pullbacks(X, universal, segre, pairs.values())
+    sampled.append(([c for image in pulled for c in pullback_t_coefficients(image, vw)], m, sample_count, None))
     sampled.append(([el.poly.substitute(segre) for el in stages.elements], m, sample_count, None))
     if certificate is not None:
         # the certificate claims x^q = -numerator/h^e where h does not vanish
         cleared = [c.substitute(segre) for c in certificate.cleared_elements()]
         sampled.append((cleared, m, sample_count, lambda: stages.h_big.substitute(segre)))
     spot_ok, pull_ok, k_ok, *samples_ok = _sample_statuses(random.Random(seed), fld, sampled)
-    checks.append(Check("base-locus-spot-check", "pass" if spot_ok else "fail"))
+    check("base-locus-spot-check", spot_ok)
 
     for (i, j), el in zip(pairs, stages.elements):
-        tag = f"{i},{j}"
-        checks.append(Check(f"projection-identities {tag}", "pass"))
-        checks.append(Check(f"affine-additive-form {tag}", "pass"))
-        checks.append(Check(f"derivative-formula {tag}", "pass"))
+        for name in ("projection-identities", "affine-additive-form", "derivative-formula"):
+            check(f"{name} {i},{j}", True)
         if el.additive_part:
-            W_big = DirectionSubspace(model_big.ring, el.eliminated)
-            dd_k = directional_data(el.poly, W_big)
-            add_ok = joint_additivity_holds(dd_k) and joint_scaling_holds(dd_k)
-            checks.append(Check(f"joint-laws k {tag}", "pass" if add_ok else "fail"))
+            dd_k = directional_data(el.poly, DirectionSubspace(model_big.ring, el.eliminated))
+            check(f"joint-laws k {i},{j}", joint_additivity_holds(dd_k) and joint_scaling_holds(dd_k))
 
-    checks.append(Check("pullback-vanishes-on-samples", "pass" if pull_ok else "fail"))
-    checks.append(Check("coefficient-vanishes-on-samples", "pass" if k_ok else "fail"))
+    check("pullback-vanishes-on-samples", pull_ok)
+    check("coefficient-vanishes-on-samples", k_ok)
 
     if certificate is None:
-        checks.append(Check("certificate-found", "fail", stages.certificate_error))
+        check("certificate-found", False, stages.certificate_error)
     else:
-        checks.append(
-            Check(
-                "certificate-found",
-                "pass",
-                f"{len(certificate.entries)} coordinates, minor rows {list(certificate.minor_rows)}",
-            )
-        )
-        denominators_ok = all(e.h_power == 1 for e in certificate.entries)
-        checks.append(
-            Check(
-                "certificate-denominator",
-                "pass" if denominators_ok else "fail",
-                "; ".join(f"{e.variable}: h^{e.h_power}" for e in certificate.entries),
-            )
-        )
-
+        minor = f"{len(certificate.entries)} coordinates, minor rows {list(certificate.minor_rows)}"
+        check("certificate-found", True, minor)
+        denominators = "; ".join(f"{e.variable}: h^{e.h_power}" for e in certificate.entries)
+        check("certificate-denominator", all(e.h_power == 1 for e in certificate.entries), denominators)
         images = zip(certificate.entries, cleared)
         witness = next((f"{e.variable}: {image.to_text()}" for e, image in images if image), "")
-        checks.append(Check("certificate-membership", "fail" if witness else "pass", witness))
-        checks.append(Check("certificate-samples", "pass" if samples_ok[0] else "fail"))
+        check("certificate-membership", not witness, witness)
+        check("certificate-samples", samples_ok[0])
 
     return stages.report(
         header=(("field", str(fld)), ("n", n), ("seed", seed), ("u", u)),

@@ -256,6 +256,24 @@ def split_to_plain_map(split_model, plain_model):
     return mapping
 
 
+def segre_map_by_arithmetic(model, kept=()):
+    """The Segre map of proofstep._segre_map built by ring arithmetic, each
+    split coordinate as (v_a*w_b +- v_b*w_a)*(1/2): the reference that the
+    raw-term construction is checked on."""
+    m, fld = model.dimension, model.field
+    ring = GradedRing(fld, [f"{c}_{a + 1}" for c in "vw" for a in range(m)] + list(kept))
+    v = [ring.var(f"v_{a + 1}") for a in range(m)]
+    w = [ring.var(f"w_{a + 1}") for a in range(m)]
+    half = fld.scalar(2).inverse()
+    signs = {"y": 1, "z": -1}
+    segre = {name: ring.var(name) for name in ring.names[2 * m:]}
+    for name in model.ring.names:
+        s, a, b = name.split("_")
+        a, b = int(a) - 1, int(b) - 1
+        segre[name] = (v[a] * w[b] + v[b] * w[a] * signs[s]) * half
+    return segre
+
+
 def rank_one_points(rng, model, count, unit=None):
     """count split coordinate points, name -> Scalar, of rank-one tensors
     v (x) w, drawn from rng as run_rank_one_example draws (v, w) and read

@@ -19,6 +19,7 @@ from polyfunctor import (
     GradedRing,
     InternalCheckError,
     PresentationError,
+    RingVariable,
     VarietyPresentation,
     Vector,
     delta_degree,
@@ -31,10 +32,10 @@ from polyfunctor import (
     run_rank_one_example,
     usable_directions,
 )
-from polyfunctor.functors import IdF, SumF, SymF, TenAltF, TenSymF, TensorF
+from polyfunctor.functors import IdF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, induced_map
 from polyfunctor.groebner import divide_exact
 from polyfunctor.hasse import specialise_joint
-from polyfunctor.matrices import space_matrix
+from polyfunctor.matrices import row_forms, space_matrix
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
     CertificateEntry,
@@ -46,7 +47,9 @@ from polyfunctor.proofstep import (
     pullback_t_coefficients,
 )
 
-from conftest import F3, F5, Q, normal_form, rank_one_minors_plain, rank_one_points, split_to_plain_map
+from conftest import (
+    F3, F5, Q, normal_form, rank_one_minors_plain, rank_one_points, segre_map_by_arithmetic, split_to_plain_map,
+)
 
 SPLIT = SumF((TenSymF(), TenAltF()))
 
@@ -754,31 +757,42 @@ def test_run_rank_one_n3_rationals():
 def test_rank_one_membership_substitutes_once_per_entry(monkeypatch):
     from polyfunctor import groebner, proofstep
 
-    groebner_calls, segre_maps, substituted = [], [], []
+    groebner_calls, segre_maps, substituted, with_t, stages = [], [], [], [], []
     for module, name in ((groebner, "buchberger"), (proofstep, "buchberger"), (groebner, "membership_by_division")):
         monkeypatch.setattr(module, name, lambda *args: groebner_calls.append(args))
     segre_map = proofstep._segre_map
     monkeypatch.setattr(proofstep, "_segre_map", lambda *args: segre_maps.append(segre_map(*args)) or segre_maps[-1])
+    run_stages = proofstep._run_stages
+    monkeypatch.setattr(proofstep, "_run_stages", lambda *args: stages.append(run_stages(*args)) or stages[-1])
     substitute = GradedPoly.substitute
 
     def counted(self, mapping):
         substituted.extend(self for m in segre_maps if m is mapping)
+        with_t.extend([self] if "t" in self.ring.names else [])
         return substitute(self, mapping)
 
     monkeypatch.setattr(GradedPoly, "substitute", counted)
     report = run_rank_one_example(3, Q, seed=0, sample_count=3)
     assert {c.name: c.status for c in report.checks}["certificate-membership"] == "pass"
     assert groebner_calls == []
-    # one map at the base dimension, one at n + 2 that keeps the pullbacks' t
-    assert len(segre_maps) == 2
-    # once each: the witness, every whole pullback, every k and every cleared
-    # element (membership and certificate-samples); every image is zero, so
-    # certificate-samples draws nothing and h, its unit, is not substituted
+    # one map at the base dimension, then one at n + 2 and one at 2u that
+    # keep the pullbacks' t
+    assert [m["y_1_1"].ring.names[-2:] for m in segre_maps] == [("w_1", "w_2"), ("w_5", "t"), ("w_4", "t")]
+    # once each: the witness, the universal pullback, every k and every
+    # cleared element (membership and certificate-samples); every image is
+    # zero, so certificate-samples draws nothing and h, its unit, is not
+    # substituted
     elements = [el for _, el in report.elements]
     cleared = report.certificate.cleared_elements()
     assert len(elements) == len(cleared) == 3
-    expected = [report.f] + [el.pullback for el in elements] + [el.poly for el in elements]
+    universal = stages[-1].universal.pullback
+    expected = [report.f, universal] + [el.poly for el in elements]
     assert substituted == expected + cleared
+    # no polynomial of a pair with a t is substituted: only the universal
+    # pullback, through the Segre map, and its image, once per pair through
+    # the linear map of 1_U (+) phi
+    image = substitute(universal, segre_maps[2])
+    assert with_t == [universal] + [image] * 3 and all(p.ring == image.ring for p in with_t[1:])
     # a nonzero cleared image makes certificate-samples draw off h = 0, so h
     # is substituted once, last
     _tampered_eliminate(monkeypatch)
@@ -787,7 +801,8 @@ def test_rank_one_membership_substitutes_once_per_entry(monkeypatch):
     report = run_rank_one_example(3, Q, seed=0, sample_count=3)
     assert {c.name: c.status for c in report.checks}["certificate-samples"] == "fail"
     h_big = report.h.convert(elements[0].poly.ring)
-    assert substituted == expected + report.certificate.cleared_elements() + [h_big]
+    assert substituted == [report.f, stages[-1].universal.pullback] + [el.poly for el in elements] + (
+        report.certificate.cleared_elements() + [h_big])
 
 
 @pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
@@ -891,6 +906,19 @@ def test_segre_map_agrees_with_the_minors_normal_form(n, selector):
         assert by_segre == by_minors == member
 
 
+@pytest.mark.parametrize("selector", FIELDS + ("fp:5",))
+def test_segre_map_terms_agree_with_its_arithmetic(selector):
+    # each image built straight as its one or two terms equals the one that
+    # ring arithmetic builds, with and without a kept t
+    field = FieldDescriptor.parse(selector)
+    for m in range(2, 9):
+        model = CoordinateModel(SPLIT, field, m)
+        for kept in ((), (RingVariable("t", "aux", 0),)):
+            got, want = _segre_map(model, kept), segre_map_by_arithmetic(model, kept)
+            assert list(got) == list(want) and got == want
+            assert all(image.ring == want[name].ring for name, image in got.items())
+
+
 @pytest.mark.parametrize("selector", FIELDS)
 @pytest.mark.parametrize("n", range(2, 7))
 def test_rank_one_elements_map_to_zero_exactly(n, selector):
@@ -901,8 +929,13 @@ def test_rank_one_elements_map_to_zero_exactly(n, selector):
     segre = _segre_map(model)
     for _, el in report.elements:
         assert not el.poly.substitute(segre)
-        (t,) = el.pullback.ring.without(model.ring.names).variables
-        assert not el.pullback.substitute(_segre_map(model, [t]))
+    # the whole pullbacks, along every pair and along the universal projection
+    model_u, f, _ = split_presentation(field)
+    directs = [(model, pair_projection(field, n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    universal = (CoordinateModel(SPLIT, field, 4), pair_projection(field, 2, 1, 2))
+    for target, phi in directs + [universal]:
+        pullback = extract_additive_element(f, model_u, target, phi, "p1").pullback
+        assert not pullback.substitute(_segre_map(target, pullback.ring.variables[-1:]))
     cleared = report.certificate.cleared_elements()
     assert len(cleared) == n * (n - 1) // 2
     assert not any(c.substitute(segre) for c in cleared)
@@ -1157,15 +1190,32 @@ def _frobenius_presentation(field):
 
 def _assert_pulled_back_as_extracted(X, n, phis):
     """Every element of the run, pulled back from the universal projection,
-    equals direct extraction along its phi, field by field; returns the
-    run's stages."""
+    equals direct extraction along its phi, field by field; so do the
+    universal pullback after the induced map of 1_U (+) phi and the Segre
+    image pulled back from the universal one, also with the universal
+    pullback perturbed by t*y_1_1, in the 1_U block, and t*y_3_4, in the phi
+    block.  Returns the run's stages."""
     from polyfunctor import proofstep
 
-    r0 = Vector("r", ("z_1_2",), (X.field.one(),))
+    u, field = X.base_dim, X.field
+    r0 = Vector("r", ("z_1_2",), (field.one(),))
     stages = proofstep._run_stages(X, n, r0, phis)
-    model_big = CoordinateModel(X.functor, X.field, X.base_dim + n)
+    model_big = CoordinateModel(X.functor, field, u + n)
+    model_2u = CoordinateModel(X.functor, field, 2 * u)
+    identity = space_matrix(field, [[int(a == b) for b in range(u)] for a in range(u)])
+    universal = extract_additive_element(X.generators[0], X.model, model_2u, identity, X.designated_r)
+    assert stages.universal == universal
     assert len(stages.elements) == len(phis)
-    for phi, el in zip(phis, stages.elements):
+    t = universal.pullback.ring.variables[-1]
+    segre = _segre_map(model_big, [t])
+    images = proofstep._segre_pullbacks(X, stages.universal, segre, phis)
+    perturbation = parse_polynomial(f"{t.name}*y_1_1 + {t.name}*y_3_4", universal.pullback.ring)
+    perturbed = AffineAdditiveElement(
+        universal.poly, universal.level, universal.additive_part, universal.constant_part, universal.eliminated,
+        universal.pullback + perturbation,
+    )
+    perturbed_images = proofstep._segre_pullbacks(X, perturbed, segre, phis)
+    for phi, el, image, perturbed_image in zip(phis, stages.elements, images, perturbed_images, strict=True):
         direct = extract_additive_element(X.generators[0], X.model, model_big, phi, X.designated_r)
         assert el.poly == direct.poly and el.poly.ring == direct.poly.ring
         assert el.level == direct.level
@@ -1173,7 +1223,16 @@ def _assert_pulled_back_as_extracted(X, n, phis):
         assert list(el.additive_part) == list(direct.additive_part)
         assert el.constant_part == direct.constant_part
         assert el.eliminated == direct.eliminated
-        assert el.pullback == direct.pullback and el.pullback.ring == direct.pullback.ring
+        assert el.pullback is None
+        widened = induced_map(ShiftF(u, model_big.normalized), phi)
+        forms = row_forms(widened, direct.pullback.ring, [model_big.name_of[lab] for lab in widened.col_labels])
+        mapping = {model_2u.name_of[lab]: form for lab, form in zip(widened.row_labels, forms)}
+        mapping[t.name] = direct.pullback.ring.var(t.name)
+        pulled = universal.pullback.substitute(mapping)
+        assert pulled == direct.pullback and pulled.ring == direct.pullback.ring
+        assert image == direct.pullback.substitute(segre) and image.ring == segre[t.name].ring
+        wrong = direct.pullback + perturbation.substitute(mapping)
+        assert perturbed_image == wrong.substitute(segre) != image
     return stages
 
 
