@@ -419,22 +419,22 @@ def extract_additive_element(
     pullback = f.substitute(mapping)
     power = model_big.normalized.degree() * model_big.field.char_exponent**data.level
     k = pullback.coeff_of_power(t_name, power, model_big.ring)
-    element = _affine_element(k, data.level, model_big, r_label, u, pullback)
+    element = _affine_element(k, data.level, model_big.moving_vars(r_label, u), pullback)
     _check_derivative_formula(data, model_u, model_big, projection, element.additive_part, element.eliminated, r_label)
     return element
 
 
 def _affine_element(
-    k: GradedPoly, level: int, model_big: CoordinateModel, r_label: str, u: int, pullback: GradedPoly | None = None
+    k: GradedPoly, level: int, moving: tuple[str, ...], pullback: GradedPoly | None = None
 ) -> AffineAdditiveElement:
     """The element k, the coefficient of t^(d*p^level) in a pullback, split
     structurally as k = k0 + sum coeff_v * v^(p^level) with k0 and every
-    coeff_v free of the moving coordinates.  This form is equivalent to
-    affine additivity at the stated level because raising to a power of the
-    characteristic exponent is additive."""
-    ring = model_big.ring
+    coeff_v free of the moving coordinates, the caller's moving_vars of the
+    designated summand in k's ring (one tuple for all of a run's pull-backs).
+    This form is equivalent to affine additivity at the stated level because
+    raising to a power of the characteristic exponent is additive."""
+    ring = k.ring
     q_power = ring.field.char_exponent ** level
-    moving = model_big.moving_vars(r_label, u)
     moving_pos = {name: ring.position(name) for name in moving}
     additive_terms: dict[str, dict] = {name: {} for name in moving}
     const_terms = {}
@@ -457,11 +457,11 @@ def _affine_element(
 
 def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateModel, phis: list):
     """The element extracted along the universal projection [1_U | t*1_U]
-    from the 2u-space, the one element with a pullback, and per phi, in
-    order, its element pulled back from that one.  [1_U | t*phi] is
-    [1_U | t*1_U] after 1_U (+) phi, whose induced map is that of
-    shift(u, P) at phi, and induced maps compose: the pullback along phi is
-    the universal pullback after that map, checked to keep the moving
+    from the 2u-space, the one element with a pullback, per phi, in order,
+    its element pulled back from that one, and the 2u-space's model.
+    [1_U | t*phi] is [1_U | t*1_U] after 1_U (+) phi, whose induced map is
+    that of shift(u, P) at phi, and induced maps compose: the pullback along
+    phi is the universal pullback after that map, checked to keep the moving
     degree, the grading in which the universal identities hold.  The map is
     free of t, so phi's k is the universal k after it."""
     u, model_u, r_label = X.base_dim, X.model, X.designated_r
@@ -470,6 +470,7 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateMode
     universal = extract_additive_element(f, model_u, model_2u, identity, r_label)
     shifted = ShiftF(u, model_big.normalized)
     vdeg = {lab: label_vdeg(lab, u) for lab in model_2u.full_labels + model_big.full_labels}
+    moving = model_big.moving_vars(r_label, u)
     elements = []
     for phi in phis:
         _check_projection(model_u, model_big.dimension - u, phi)
@@ -481,8 +482,8 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateMode
                 raise InternalCheckError("1_U + phi does not keep the moving degree")
         forms = row_forms(widened, model_big.ring, [model_big.name_of[lab] for lab in widened.col_labels])
         k = universal.poly.substitute({model_2u.name_of[lab]: form for lab, form in zip(widened.row_labels, forms)})
-        elements.append(_affine_element(k, universal.level, model_big, r_label, u))
-    return universal, elements
+        elements.append(_affine_element(k, universal.level, moving))
+    return universal, elements, model_2u
 
 
 def _check_derivative_formula(
@@ -546,10 +547,7 @@ class EliminationCertificate(Record):
     def cleared_elements(self) -> list[GradedPoly]:
         ring = self.unit.ring
         q = ring.field.char_exponent ** self.level
-        out = []
-        for e in self.entries:
-            out.append(self.unit ** e.h_power * ring.var(e.variable) ** q + e.numerator)
-        return out
+        return [self.unit ** e.h_power * ring.var(e.variable) ** q + e.numerator for e in self.entries]
 
 
 def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
@@ -623,13 +621,7 @@ def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
         if set(numerator.support_vars()) & elim_set:
             raise InternalCheckError("certificate numerator touches a moving coordinate")
         entries.append(CertificateEntry(var, numerator, left))
-    return EliminationCertificate(
-        unit=h,
-        level=level,
-        entries=tuple(entries),
-        minor_rows=rows_sel,
-        minor_det=det,
-    )
+    return EliminationCertificate(unit=h, level=level, entries=tuple(entries), minor_rows=rows_sel, minor_det=det)
 
 
 def _h_power(d: GradedPoly, h: GradedPoly):
@@ -731,6 +723,7 @@ class _Stages(Record):
     delta: DeltaReport
     step: DerivativeStep
     model_big: CoordinateModel
+    model_2u: CoordinateModel | None  # of the universal projection, model_big when n = u
     h_big: GradedPoly
     universal: AffineAdditiveElement | None  # extracted, so it has a pullback
     elements: list  # one AffineAdditiveElement per projection, in order, pulled back
@@ -756,23 +749,22 @@ def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
     """Minimal degree, derivative, one extraction along the universal
     projection with its coefficient matrices and identities, per projection
     its element pulled back from that one (_pull_backs), then elimination,
-    on the first generator."""
-    u = X.base_dim
-    model_big = CoordinateModel(X.functor, X.field, u + n)
+    on the first generator; without projections nothing is extracted and
+    eliminate refuses."""
+    model_big = CoordinateModel(X.functor, X.field, X.base_dim + n)
     f = X.generators[0]
     delta = delta_degree(X.generators, X.q_generators)
     step = derivative_step(f, X, r0)
     phis = list(phis)
-    universal, elements = _pull_backs(X, f, model_big, phis) if phis else (None, [])  # else eliminate refuses
+    universal, elements, model_2u = _pull_backs(X, f, model_big, phis) if phis else (None, [], None)
     h_big = step.derivative.convert(model_big.ring)
-    eliminated = model_big.moving_vars(X.designated_r, u)
     certificate = None
     error = ""
     try:
-        certificate = eliminate(elements, h_big, eliminated)
+        certificate = eliminate(elements, h_big, elements[0].eliminated if elements else ())
     except CertificateNotFoundError as exc:
         error = str(exc)
-    return _Stages(f, r0, delta, step, model_big, h_big, universal, elements, certificate, error)
+    return _Stages(f, r0, delta, step, model_big, model_2u, h_big, universal, elements, certificate, error)
 
 
 def pair_projections(fld: FieldDescriptor, n: int) -> dict:
@@ -849,13 +841,13 @@ def _segre_map(model: CoordinateModel, kept=()) -> dict:
     return segre
 
 
-def _segre_pullbacks(X: VarietyPresentation, universal: AffineAdditiveElement, segre: dict, phis) -> list:
+def _segre_pullbacks(model_2u: CoordinateModel, universal: AffineAdditiveElement, segre: dict, phis) -> list:
     """Per phi, the Segre image in segre's ring (t kept) of the pullback
     along [1_U | t*phi]: the induced map of A = 1_U (+) phi sends v (x) w to
     Av (x) Aw, so it is the universal pullback's image at v' = Av, w' = Aw,
-    a linear substitution."""
-    u, t = X.base_dim, universal.pullback.ring.variables[-1]
-    image = universal.pullback.substitute(_segre_map(CoordinateModel(X.functor, X.field, 2 * u), [t]))
+    a linear substitution.  model_2u is the universal projection's model."""
+    u, t = model_2u.dimension // 2, universal.pullback.ring.variables[-1]
+    image = universal.pullback.substitute(_segre_map(model_2u, [t]))
     ring = segre[t.name].ring
     images = []
     for phi in phis:
@@ -928,8 +920,10 @@ def run_rank_one_example(
     certificate in the ideal of 2x2 minors and seeded sampling checks, whose
     points are drawn only up to the last check with a nonzero Segre image.
     A pair's projection-identities and derivative-formula hold by
-    functoriality, as its k is pulled back from the universal one; so are
-    the Segre images of its pullback, read by pullback-vanishes-on-samples."""
+    functoriality, as its k is the universal k after a map that keeps the
+    moving degree; so do its joint laws of k, decided once on the universal
+    k, and so are the Segre images of its pullback, read by
+    pullback-vanishes-on-samples."""
     if fld.characteristic == 2:
         raise CharacteristicError("the rank-one example needs characteristic different from 2")
     if n < 2:
@@ -976,7 +970,7 @@ def run_rank_one_example(
     t = universal.pullback.ring.variables[-1]
     segre = _segre_map(model_big, [t])
     vw = segre[t.name].ring.without([t.name])
-    pulled = _segre_pullbacks(X, universal, segre, pairs.values())
+    pulled = _segre_pullbacks(stages.model_2u, universal, segre, pairs.values())
     sampled.append(([c for image in pulled for c in pullback_t_coefficients(image, vw)], m, sample_count, None))
     sampled.append(([el.poly.substitute(segre) for el in stages.elements], m, sample_count, None))
     if certificate is not None:
@@ -986,12 +980,13 @@ def run_rank_one_example(
     spot_ok, pull_ok, k_ok, *samples_ok = _sample_statuses(random.Random(seed), fld, sampled)
     check("base-locus-spot-check", spot_ok)
 
+    dd_k = directional_data(universal.poly, DirectionSubspace(universal.poly.ring, universal.eliminated))
+    k_laws = joint_additivity_holds(dd_k) and joint_scaling_holds(dd_k)
     for (i, j), el in zip(pairs, stages.elements):
         for name in ("projection-identities", "affine-additive-form", "derivative-formula"):
             check(f"{name} {i},{j}", True)
         if el.additive_part:
-            dd_k = directional_data(el.poly, DirectionSubspace(model_big.ring, el.eliminated))
-            check(f"joint-laws k {i},{j}", joint_additivity_holds(dd_k) and joint_scaling_holds(dd_k))
+            check(f"joint-laws k {i},{j}", k_laws)
 
     check("pullback-vanishes-on-samples", pull_ok)
     check("coefficient-vanishes-on-samples", k_ok)

@@ -34,7 +34,7 @@ from polyfunctor import (
 )
 from polyfunctor.functors import IdF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, induced_map
 from polyfunctor.groebner import divide_exact
-from polyfunctor.hasse import specialise_joint
+from polyfunctor.hasse import joint_additivity_holds, joint_scaling_holds, specialise_joint
 from polyfunctor.matrices import row_forms, space_matrix
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
@@ -1033,6 +1033,37 @@ def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
     assert counts[0] == counts[1] <= 40
 
 
+def test_rank_one_decides_the_joint_laws_of_k_once(monkeypatch):
+    from polyfunctor import proofstep
+
+    data, stages = [], []
+    directional = proofstep.directional_data
+    monkeypatch.setattr(proofstep, "directional_data", lambda f, W: data.append(f) or directional(f, W))
+    run_stages = proofstep._run_stages
+    monkeypatch.setattr(proofstep, "_run_stages", lambda *args: stages.append(run_stages(*args)) or stages[-1])
+    for n in (2, 3, 6):
+        data.clear()
+        stages.clear()
+        report = run_rank_one_example(n, FieldDescriptor.prime_field(101), sample_count=1)
+        assert report.all_passed()
+        assert sum(c.name.startswith("joint-laws k ") for c in report.checks) == n * (n - 1) // 2
+        # the witness's own expansions live in its ring; k is expanded once,
+        # the universal k, whatever the number of pairs
+        on_k = [g for g in data if g.ring != report.f.ring]
+        assert len(on_k) == 1 and on_k[0] is stages[0].universal.poly
+
+
+def test_joint_laws_of_k_print_the_universal_status(monkeypatch):
+    from polyfunctor import proofstep
+
+    scaling = proofstep.joint_scaling_holds
+    # a scaling law that fails on the 2u-space, the universal k's, and not f's
+    monkeypatch.setattr(proofstep, "joint_scaling_holds", lambda dd: scaling(dd) and "y_3_3" not in dd.joint.ring.names)
+    statuses = {c.name: c.status for c in run_rank_one_example(3, Q, sample_count=1).checks}
+    assert statuses["joint-scaling f"] == "pass"
+    assert [s for name, s in statuses.items() if name.startswith("joint-laws k ")] == ["fail"] * 3
+
+
 def test_rank_one_elimination_divides_few_times(monkeypatch):
     from polyfunctor import groebner, matrices, proofstep
 
@@ -1178,13 +1209,14 @@ def test_zero_unit_fails_before_the_first_draw(monkeypatch):
 # -- one extraction per run: the pull-back path against direct extraction -----------
 
 
-def _frobenius_presentation(field):
-    """y_1_1^p*y_2_2^p - y_1_2^(2p) + z_1_2^(2p), f(x^p) = f^p for the rank-one
-    witness f over F_p: it vanishes on rank-one tensors and has level 1."""
-    p = field.characteristic
+def _frobenius_presentation(field, level=1):
+    """y_1_1^q*y_2_2^q - y_1_2^(2q) + z_1_2^(2q) with q = p^level, f(x^q) = f^q
+    for the rank-one witness f over F_p: it vanishes on rank-one tensors and
+    has the given level."""
+    q = field.characteristic ** level
     model = CoordinateModel(SPLIT, field, 2)
     y = model.ring.var
-    f = y("y_1_1") ** p * y("y_2_2") ** p - y("y_1_2") ** (2 * p) + y("z_1_2") ** (2 * p)
+    f = y("y_1_1") ** q * y("y_2_2") ** q - y("y_1_2") ** (2 * q) + y("z_1_2") ** (2 * q)
     return model, f, VarietyPresentation.make(SPLIT, field, 2, [f], [], "p1")
 
 
@@ -1208,13 +1240,13 @@ def _assert_pulled_back_as_extracted(X, n, phis):
     assert len(stages.elements) == len(phis)
     t = universal.pullback.ring.variables[-1]
     segre = _segre_map(model_big, [t])
-    images = proofstep._segre_pullbacks(X, stages.universal, segre, phis)
+    images = proofstep._segre_pullbacks(stages.model_2u, stages.universal, segre, phis)
     perturbation = parse_polynomial(f"{t.name}*y_1_1 + {t.name}*y_3_4", universal.pullback.ring)
     perturbed = AffineAdditiveElement(
         universal.poly, universal.level, universal.additive_part, universal.constant_part, universal.eliminated,
         universal.pullback + perturbation,
     )
-    perturbed_images = proofstep._segre_pullbacks(X, perturbed, segre, phis)
+    perturbed_images = proofstep._segre_pullbacks(stages.model_2u, perturbed, segre, phis)
     for phi, el, image, perturbed_image in zip(phis, stages.elements, images, perturbed_images, strict=True):
         direct = extract_additive_element(X.generators[0], X.model, model_big, phi, X.designated_r)
         assert el.poly == direct.poly and el.poly.ring == direct.poly.ring
@@ -1276,6 +1308,73 @@ def test_level_one_elements_pulled_back_equal_direct_extraction(p):
     assert len(cleared) == 3 and not any(c.substitute(segre) for c in cleared)
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_level_two_elements_vanish_on_rank_one_tensors(n):
+    from polyfunctor import proofstep
+
+    field = FieldDescriptor.prime_field(3)
+    _, _, X = _frobenius_presentation(field, 2)
+    pairs = [pair_projection(field, n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    stages = proofstep._run_stages(X, n, Vector("r", ("z_1_2",), (field.one(),)), pairs)
+    assert stages.step.level == stages.certificate.level == 2
+    # every k has level 2 and a nonzero additive part, and its Segre image,
+    # exact membership in the ideal of 2x2 minors, is zero
+    segre = _segre_map(CoordinateModel(SPLIT, field, 2 + n))
+    assert all(el.level == 2 and el.additive_part and not el.poly.substitute(segre) for el in stages.elements)
+    assert not any(c.substitute(segre) for c in stages.certificate.cleared_elements())
+
+
+def _assert_joint_laws_as_evaluated(report):
+    """Each pair's printed joint-laws k status, decided once on the universal
+    k, is that of the joint laws evaluated on the pair's own k; a pair whose
+    k has no additive part prints none.  Returns the number of lines."""
+    statuses = {c.name: c.status for c in report.checks}
+    for keys, el in report.elements:
+        name = f"joint-laws k {keys['i']},{keys['j']}"
+        if el.additive_part:
+            dd = directional_data(el.poly, DirectionSubspace(el.poly.ring, el.eliminated))
+            assert statuses[name] == ("pass" if joint_additivity_holds(dd) and joint_scaling_holds(dd) else "fail")
+        else:
+            assert name not in statuses
+    return sum(name.startswith("joint-laws k ") for name in statuses)
+
+
+@pytest.mark.parametrize("selector", FIELDS)
+@pytest.mark.parametrize("n", range(2, 7))
+def test_joint_laws_of_each_pair_as_evaluated(n, selector):
+    report = run_rank_one_example(n, FieldDescriptor.parse(selector), sample_count=1)
+    assert report.all_passed()
+    assert _assert_joint_laws_as_evaluated(report) == n * (n - 1) // 2
+
+
+GENERAL_PHIS = {
+    "q": ([[1, 2, 0], [0, 1, -1]], [[1, 0, 3], [2, 1, 1]], [[0, 1, 1], [1, 0, 5]]),
+    "fp:3": ([[1, 2, 0], [0, 1, 1]], [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [2, 0, 1]]),
+    "fp:101": ([[1, 2, 0], [0, 1, -1]], [[1, 0, 3], [2, 1, 1]], [[0, 1, 1], [1, 0, 5]]),
+}
+
+
+@pytest.mark.parametrize("case", ["level-1"] + sorted(GENERAL_PHIS))
+def test_joint_laws_as_evaluated_on_swapped_stages(case, monkeypatch):
+    """The rank-one report at n = 3 on the stages of the level-1 Frobenius
+    twist over F_3, or of three general projections in place of the three
+    pair projections; only its joint-laws k lines are read."""
+    from polyfunctor import proofstep
+
+    field = FieldDescriptor.parse("fp:3" if case == "level-1" else case)
+    run_stages = proofstep._run_stages
+
+    def swapped(X, n, r0, phis):
+        if case == "level-1":
+            return run_stages(_frobenius_presentation(field)[2], n, r0, phis)
+        return run_stages(X, n, r0, [space_matrix(field, rows) for rows in GENERAL_PHIS[case]])
+
+    monkeypatch.setattr(proofstep, "_run_stages", swapped)
+    report = run_rank_one_example(3, field, sample_count=1)
+    assert {el.level for _, el in report.elements} == {int(case == "level-1")}
+    assert _assert_joint_laws_as_evaluated(report) == 3
+
+
 def test_no_projection_extracts_nothing(monkeypatch):
     from polyfunctor import proofstep
 
@@ -1318,13 +1417,15 @@ LEVEL_ONE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(LEVEL_ONE_GOLDEN))
-def test_level_one_proofstep_golden(key, capsys):
+def _frobenius_proofstep_digests(capsys, p, level, n):
+    """sha256 of the text and the JSON stdout of proofstep on the Frobenius
+    twist at this level over F_p, and its exit codes; n is the dimension of
+    the default pair projections, or "phi" for three general ones at n = 3."""
     from polyfunctor.cli import main
 
-    p, n = key
+    q = p**level
     argv = ["proofstep", "--field", f"fp:{p}", "--functor", "sum(tsym,talt)", "--u", "2",
-            "--f", f"y_1_1^{p}*y_2_2^{p} - y_1_2^{2 * p} + z_1_2^{2 * p}", "--r0", "1", "--r-part", "p1"]
+            "--f", f"y_1_1^{q}*y_2_2^{q} - y_1_2^{2 * q} + z_1_2^{2 * q}", "--r0", "1", "--r-part", "p1"]
     if n == "phi":
         last = {3: "0,1,0;2,0,1", 5: "0,1,0;3,0,1", 7: "0,1,0;5,0,1"}[p]
         argv += ["--n", "3", "--phi", "1,2,0;0,1,1", "--phi", "1,0,0;0,0,1", "--phi", last]
@@ -1335,8 +1436,32 @@ def test_level_one_proofstep_golden(key, capsys):
         codes.add(main(argv + ["--format", fmt]))
         out = capsys.readouterr().out
         digests.append(hashlib.sha256(out.encode()).hexdigest())
-        assert fmt == "json" or "e0: 1\n" in out
-    assert (*digests, *codes) == LEVEL_ONE_GOLDEN[key]
+        assert fmt == "json" or f"e0: {level}\n" in out
+    return (*digests, *codes)
+
+
+@pytest.mark.parametrize("key", sorted(LEVEL_ONE_GOLDEN))
+def test_level_one_proofstep_golden(key, capsys):
+    p, n = key
+    assert _frobenius_proofstep_digests(capsys, p, 1, n) == LEVEL_ONE_GOLDEN[key]
+
+
+# the same digests at level 2, on y_1_1^9*y_2_2^9 - y_1_2^18 + z_1_2^18 over
+# F_3 and its F_5 counterpart with exponents 25 and 50 at n = 3; captured
+# before the joint laws of k were decided once, on the universal k
+LEVEL_TWO_GOLDEN = {
+    (3, '2'): ('15b491ac306522a153d8044199861920b1927766936ebb7a69e3e3809f2b5198', '047243658595b9d8ef745357ecf032a06887ff8a11c5f2ceba80cda58377b2d0', 0),
+    (3, '3'): ('cd3bfcf463b80c7a621d5e11baa3f42bee3b260fc705a033cfad15047cf0be0b', '545c6b776477cf8f705286a0d3cbf2e99a3077179365c6f7d661024a6a4eebd8', 0),
+    (3, '4'): ('9ecebf228b9833ed67529a330b16a5ee676c01b157e543ef8ae20d1cfa78b364', '5edd0a482b058f28727fba3aabbaaa09d441e583cbfe02f5f31034cc36df1473', 0),
+    (3, 'phi'): ('f26d115e78735b27bebfd23110ad96e8a716bcd385fd89df5f9059cc4f21c953', 'afe5b0d37627745cc1956d4ddccfa983a4e6e0a09d2208773c0a6d709389d154', 0),
+    (5, '3'): ('886c67ec56d44b018f7cf606cd0e3a2fdd077ae8cfabf80b3a78a329f28fe202', 'ed3cf97f622b610988f7c5a9d3ecfbad07692669a6ef63f190f99fb85a01c9bf', 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LEVEL_TWO_GOLDEN))
+def test_level_two_proofstep_golden(key, capsys):
+    p, n = key
+    assert _frobenius_proofstep_digests(capsys, p, 2, n) == LEVEL_TWO_GOLDEN[key]
 
 
 # sha256 of the text and the JSON stdout of example-rank1 with y_1_1*z_1_2

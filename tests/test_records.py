@@ -81,7 +81,7 @@ def _instances():
             (("n", 3),), X, Vector("direction", ("x",), (1,)), DeltaReport("infinite", None, None),
             None, 0, Y, [], None, [Check("c", "skipped")],
         ),
-        _Stages(X, None, None, None, None, Y, None, [], None, "none"),
+        _Stages(X, None, None, None, None, None, Y, None, [], None, "none"),
         RingVariable("x"),
         RingVariable("z", weight=2),
         Vector("point", ("x", "y"), (1, 2)),
@@ -120,8 +120,8 @@ REPRS = [
     "ProofStepReport(header=(('n', 3),), f=<x>, r0=Vector(space='direction', basis=('x',), coords=(1,)), "
     "delta=DeltaReport(status='infinite', delta=None, witness=None), delta_witness=None, level=0, "
     "h=<2*y - 1/3>, elements=[], certificate=None, checks=[Check(name='c', status='skipped', witness='')])",
-    "_Stages(f=<x>, r0=None, delta=None, step=None, model_big=None, h_big=<2*y - 1/3>, universal=None, elements=[], "
-    "certificate=None, certificate_error='none')",
+    "_Stages(f=<x>, r0=None, delta=None, step=None, model_big=None, model_2u=None, h_big=<2*y - 1/3>, universal=None, "
+    "elements=[], certificate=None, certificate_error='none')",
     "RingVariable(name='x', part='main', weight=1)",
     "RingVariable(name='z', part='main', weight=2)",
     "Vector(space='point', basis=('x', 'y'), coords=(1, 2))",
