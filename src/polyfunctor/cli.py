@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Every operation is exposed as a subcommand with text or JSON output; fixed
-inputs and seed give byte-identical output.  Exit codes: 0 success, 1 domain
-error, 2 usage/parse error, 3 inconclusive (budget exhausted or no
-certificate found), 4 a check failed, 5 an internal check failed (a bug).
+Every operation is exposed as a subcommand with text or JSON output, and
+builds only the rendering it prints; fixed inputs and seed give
+byte-identical output.  Exit codes: 0 success, 1 domain error, 2 usage/parse
+error, 3 inconclusive (budget exhausted or no certificate found), 4 a check
+failed, 5 an internal check failed (a bug).
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ def _checks_exit_code(checks) -> int:
     return 0
 
 
-def _emit(args, text_value: str, json_value):
-    if args.format == "json":
-        print(json.dumps(json_value, indent=2))
-    else:
-        print(text_value)
+def _emit(args, text, doc):
+    """Print text() or, with --format json, doc() as JSON: each rendering is
+    a zero-argument function, and only the selected one is called."""
+    print(json.dumps(doc(), indent=2) if args.format == "json" else text())
 
 
 def _names(text: str) -> list[str]:
@@ -126,27 +126,25 @@ def _direction(args, W: DirectionSubspace) -> Vector:
 def cmd_dim(args):
     expr = parse_functor(args.functor)
     value = dim(expr, args.n)
-    _emit(args, str(value), {"functor": format_functor(expr), "n": args.n, "dim": value})
+    _emit(args, lambda: str(value), lambda: {"functor": format_functor(expr), "n": args.n, "dim": value})
 
 
 def cmd_decompose(args):
     expr = parse_functor(args.functor)
     dec = decompose(expr)
-    lines = []
-    parts_json = []
-    for e in dec.degrees():
-        for s in dec.parts[e]:
-            formula = dim_polynomial(s.expr).to_text()
-            lines.append(f"degree {e}: {s.label} {format_functor(s.expr)} dim = {formula}")
-            parts_json.append(
-                {
-                    "degree": e,
-                    "label": s.label,
-                    "summand": format_functor(s.expr),
-                    "dim": formula,
-                }
-            )
-    _emit(args, "\n".join(lines), {"functor": format_functor(expr), "parts": parts_json})
+    summands = ((e, s) for e in dec.degrees() for s in dec.parts[e])
+    parts = [(e, s.label, format_functor(s.expr), dim_polynomial(s.expr).to_text()) for e, s in summands]
+    _emit(
+        args,
+        lambda: "\n".join(f"degree {e}: {label} {summand} dim = {formula}" for e, label, summand, formula in parts),
+        lambda: {
+            "functor": format_functor(expr),
+            "parts": [
+                {"degree": e, "label": label, "summand": summand, "dim": formula}
+                for e, label, summand, formula in parts
+            ],
+        },
+    )
 
 
 def cmd_induce(args):
@@ -154,34 +152,32 @@ def cmd_induce(args):
     field = FieldDescriptor.parse(args.field)
     phi = space_matrix(field, parse_matrix(args.phi, field))
     mat = induced_map(expr, phi)
-    # a map can have a million entries: format only the selected output
-    if args.format == "text":
-        print(mat)
-        return
-    doc = {
-        "functor": format_functor(expr),
-        "rows": [str(lab) for lab in mat.row_labels],
-        "cols": [str(lab) for lab in mat.col_labels],
-        "entries": [[e.to_text() for e in row] for row in mat.rows],
-    }
-    print(json.dumps(doc, indent=2))
+    _emit(
+        args,
+        lambda: str(mat),
+        lambda: {
+            "functor": format_functor(expr),
+            "rows": [str(lab) for lab in mat.row_labels],
+            "cols": [str(lab) for lab in mat.col_labels],
+            "entries": [[e.to_text() for e in row] for row in mat.rows],
+        },
+    )
 
 
 def cmd_shift_check(args):
     expr = parse_functor(args.functor)
     field = FieldDescriptor.parse(args.field)
     result = shift_maps(expr, field, args.u, args.n)
-    text = "\n".join(
-        [
-            f"composite is identity: {str(result.composite_is_identity).lower()}",
-            f"top-degree part isomorphic: {str(result.top_iso_check).lower()}",
-            f"top dims: shift={result.top_dim_shift} base={result.top_dim_base}",
-        ]
-    )
     _emit(
         args,
-        text,
-        {
+        lambda: "\n".join(
+            [
+                f"composite is identity: {str(result.composite_is_identity).lower()}",
+                f"top-degree part isomorphic: {str(result.top_iso_check).lower()}",
+                f"top dims: shift={result.top_dim_shift} base={result.top_dim_base}",
+            ]
+        ),
+        lambda: {
             "functor": format_functor(expr),
             "u": args.u,
             "n": args.n,
@@ -204,17 +200,16 @@ def cmd_compare(args):
     N = max(d, 1)
     seq_a = dimension_sequence(a, d, N)
     seq_b = dimension_sequence(b, d, N)
-    text = "\n".join(
-        [
-            relation,
-            f"dims a (degrees 1..{d} at n={N}): {list(seq_a)}",
-            f"dims b (degrees 1..{d} at n={N}): {list(seq_b)}",
-        ]
-    )
     _emit(
         args,
-        text,
-        {
+        lambda: "\n".join(
+            [
+                relation,
+                f"dims a (degrees 1..{d} at n={N}): {list(seq_a)}",
+                f"dims b (degrees 1..{d} at n={N}): {list(seq_b)}",
+            ]
+        ),
+        lambda: {
             "relation": relation,
             "n": N,
             "dims_a": list(seq_a),
@@ -229,7 +224,7 @@ def cmd_hasse(args):
     W = _subspace(args, ring)
     w = _direction(args, W)
     result = hasse_derivative(f, w, args.r, W)
-    _emit(args, result.to_text(), {"derivative": result.to_text(), "r": args.r})
+    _emit(args, result.to_text, lambda: {"derivative": result.to_text(), "r": args.r})
 
 
 def cmd_taylor(args):
@@ -237,7 +232,7 @@ def cmd_taylor(args):
     f = parse_polynomial(args.poly, ring)
     W = _subspace(args, ring)
     expanded = taylor_expand(f, W, args.t)
-    _emit(args, expanded.to_text(), {"expansion": expanded.to_text(), "t": args.t})
+    _emit(args, expanded.to_text, lambda: {"expansion": expanded.to_text(), "t": args.t})
 
 
 def cmd_dderiv(args):
@@ -249,8 +244,8 @@ def cmd_dderiv(args):
     result = specialise_joint(data, w, W)
     _emit(
         args,
-        result.to_text(),
-        {
+        result.to_text,
+        lambda: {
             "derivative": result.to_text(),
             "status": data.status,
             "level": data.level,
@@ -262,14 +257,11 @@ def cmd_delta(args):
     ring = _build_ring(args)
     report = delta_degree(_generators(args.generators, ring), _generators(args.q_generators, ring))
     witness = report.witness.to_text() if report.witness is not None else None
-    text_lines = [f"status: {report.status}"]
-    if report.status == "finite":
-        text_lines.append(f"delta: {report.delta}")
-        text_lines.append(f"witness: {witness}")
+    finite = report.status == "finite"
     _emit(
         args,
-        "\n".join(text_lines),
-        {"status": report.status, "delta": report.delta, "witness": witness},
+        lambda: f"status: {report.status}" + (f"\ndelta: {report.delta}\nwitness: {witness}" if finite else ""),
+        lambda: {"status": report.status, "delta": report.delta, "witness": witness},
     )
     if report.status == "inconclusive":
         return 3
@@ -294,7 +286,7 @@ def cmd_proofstep(args):
                 f"several top-degree summands {top_labels}; pick one with --r-part"
             )
         r_label = top_labels[0]
-    X = VarietyPresentation.make(functor, field, args.u, generators, q_generators, r_label)
+    X = VarietyPresentation.make(model, generators, q_generators, r_label)
     r_coords = parse_coords(args.r0, field)
     r_vars = X.r_vars()
     if len(r_coords) != len(r_vars):
@@ -310,15 +302,15 @@ def cmd_proofstep(args):
         if args.n < 2:
             raise AlgebraError("default pair projections need n >= 2; pass --phi")
         phis = list(pair_projections(field, args.n).values())
-    report = run_proofstep(X, args.n, r0, phis)
-    _emit(args, report.to_text().rstrip("\n"), report.to_json_dict())
+    report = run_proofstep(X, f, args.n, r0, phis)
+    _emit(args, lambda: report.to_text().rstrip("\n"), report.to_json_dict)
     return _checks_exit_code(report.checks)
 
 
 def cmd_example_rank1(args):
     field = FieldDescriptor.parse(args.field)
     report = run_rank_one_example(args.n, field, seed=args.seed, sample_count=args.samples)
-    _emit(args, report.to_text().rstrip("\n"), report.to_json_dict())
+    _emit(args, lambda: report.to_text().rstrip("\n"), report.to_json_dict)
     return _checks_exit_code(report.checks)
 
 
@@ -388,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="witness polynomial at dimension u")
     p.add_argument("--r0", required=True, help="direction coordinates over the designated summand")
     p.add_argument("--r-part", help="label of the designated top-degree summand")
-    p.add_argument("--generators", help="';'-separated generators at dimension u")
+    p.add_argument("--generators", help="';'-separated generators at dimension u for delta (default: --f)")
     p.add_argument("--q-generators", help="';'-separated base-projection generators")
     p.add_argument("--phi", action="append", help="projection matrix (repeatable)")
 

@@ -161,21 +161,20 @@ class CoordinateModel:
 
 
 class VarietyPresentation(Record):
-    """Equivariant variety presented by generators at one base dimension."""
+    """Equivariant variety presented by generators on the coordinate model of one base dimension."""
 
-    functor: FunctorExpr
-    field: FieldDescriptor
-    base_dim: int
     model: CoordinateModel
     generators: tuple[GradedPoly, ...]
     q_generators: tuple[GradedPoly, ...]
     designated_r: str
 
     @staticmethod
-    def make(functor, field, base_dim, generators, q_generators, designated_r) -> "VarietyPresentation":
-        model = CoordinateModel(functor, field, base_dim)
+    def make(model, generators, q_generators, designated_r) -> "VarietyPresentation":
+        """The presentation on the caller's model, refusing an empty or ill-formed generator list."""
         generators = tuple(generators)
         q_generators = tuple(q_generators)
+        if not generators:
+            raise PresentationError("a presentation needs at least one generator")
         for g in generators + q_generators:
             if g.ring != model.ring:
                 raise PresentationError("generator lives in a foreign ring")
@@ -188,9 +187,7 @@ class VarietyPresentation(Record):
             raise PresentationError(
                 f"designated summand {designated_r!r} has degree {r.degree}, top degree is {top}"
             )
-        return VarietyPresentation(
-            functor, field, base_dim, model, generators, q_generators, designated_r
-        )
+        return VarietyPresentation(model, generators, q_generators, designated_r)
 
     def r_vars(self) -> tuple[str, ...]:
         return self.model.ring.vars_of_part(self.designated_r)
@@ -242,9 +239,8 @@ def delta_degree(generators, q_generators, budget_steps: int | None = None) -> D
 
 
 class DerivativeStep(Record, frozen=True):
-    level: int
     derivative: GradedPoly
-    data: object  # DirectionalData of the witness along the designated summand
+    data: object  # DirectionalData of the witness along the designated summand, with its level
 
 
 def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector) -> DerivativeStep:
@@ -270,12 +266,12 @@ def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector) -> Deriva
         )
     if f.is_weight_homogeneous():
         d = X.model.decomposition.summand(X.designated_r).degree
-        expected = f.weighted_degree() - d * X.field.char_exponent ** data.level
+        expected = f.weighted_degree() - d * X.model.field.char_exponent ** data.level
         if h.weighted_degree() != expected:
             raise InternalCheckError(
                 f"derivative degree {h.weighted_degree()} differs from expected {expected}"
             )
-    return DerivativeStep(data.level, h, data)
+    return DerivativeStep(h, data)
 
 
 def usable_directions(f: GradedPoly, X: VarietyPresentation) -> list[tuple[str, bool]]:
@@ -321,7 +317,8 @@ def _check_projection(model_u: CoordinateModel, n: int, phi: LinearMapMatrix):
     u = model_u.dimension
     if (len(phi.row_labels), len(phi.col_labels)) != (u, n):
         raise PresentationError("projection matrix has the wrong shape")
-    if matrix_rank([[e.constant_value() for e in row] for row in phi.rows], model_u.field) != u:
+    _, _, block = phi.slices.get((0,) * len(phi.ring.names), ((), (), []))
+    if matrix_rank(block, model_u.field) != u:
         raise PresentationError("projection matrix is not surjective")
 
 
@@ -464,9 +461,9 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateMode
     phi is the universal pullback after that map, checked to keep the moving
     degree, the grading in which the universal identities hold.  The map is
     free of t, so phi's k is the universal k after it."""
-    u, model_u, r_label = X.base_dim, X.model, X.designated_r
-    model_2u = model_big if model_big.dimension == 2 * u else CoordinateModel(X.functor, X.field, 2 * u)
-    identity = space_matrix(X.field, [[int(a == b) for b in range(u)] for a in range(u)])
+    u, model_u, r_label = X.model.dimension, X.model, X.designated_r
+    model_2u = model_big if model_big.dimension == 2 * u else CoordinateModel(model_u.functor, model_u.field, 2 * u)
+    identity = space_matrix(model_u.field, [[int(a == b) for b in range(u)] for a in range(u)])
     universal = extract_additive_element(f, model_u, model_2u, identity, r_label)
     shifted = ShiftF(u, model_big.normalized)
     vdeg = {lab: label_vdeg(lab, u) for lab in model_2u.full_labels + model_big.full_labels}
@@ -737,7 +734,7 @@ class _Stages(Record):
             r0=self.r0,
             delta=self.delta,
             delta_witness=delta_witness,
-            level=self.step.level,
+            level=self.step.data.level,
             h=self.step.derivative,
             elements=list(zip(element_keys, self.elements)),
             certificate=self.certificate,
@@ -745,14 +742,13 @@ class _Stages(Record):
         )
 
 
-def _run_stages(X: VarietyPresentation, n: int, r0: Vector, phis) -> _Stages:
-    """Minimal degree, derivative, one extraction along the universal
-    projection with its coefficient matrices and identities, per projection
-    its element pulled back from that one (_pull_backs), then elimination,
-    on the first generator; without projections nothing is extracted and
-    eliminate refuses."""
-    model_big = CoordinateModel(X.functor, X.field, X.base_dim + n)
-    f = X.generators[0]
+def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis) -> _Stages:
+    """Minimal degree of X's generators, then on the witness f: derivative,
+    one extraction along the universal projection with its coefficient
+    matrices and identities, per projection its element pulled back from
+    that one (_pull_backs), then elimination; without projections nothing
+    is extracted and eliminate refuses."""
+    model_big = CoordinateModel(X.model.functor, X.model.field, X.model.dimension + n)
     delta = delta_degree(X.generators, X.q_generators)
     step = derivative_step(f, X, r0)
     phis = list(phis)
@@ -779,16 +775,12 @@ def pair_projections(fld: FieldDescriptor, n: int) -> dict:
     return out
 
 
-def run_proofstep(
-    X: VarietyPresentation,
-    n: int,
-    r0: Vector,
-    phis,
-) -> ProofStepReport:
-    """Run the pipeline on an arbitrary presentation with the supplied
-    projection matrices; performs the formal identity checks but no
-    variety-specific sampling."""
-    stages = _run_stages(X, n, r0, phis)
+def run_proofstep(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis) -> ProofStepReport:
+    """Run the pipeline on an arbitrary presentation, with the witness f of
+    its designated summand and the supplied projection matrices; X's
+    generators feed only the minimal-degree report.  Performs the formal
+    identity checks but no variety-specific sampling."""
+    stages = _run_stages(X, f, n, r0, phis)
     delta = stages.delta
     indices = range(len(stages.elements))
     checks = [
@@ -801,7 +793,7 @@ def run_proofstep(
     else:
         checks.append(Check("certificate-found", "inconclusive", stages.certificate_error))
     return stages.report(
-        header=(("field", str(X.field)), ("u", X.base_dim), ("n", n)),
+        header=(("field", str(X.model.field)), ("u", X.model.dimension), ("n", n)),
         element_keys=[{"tag": str(idx)} for idx in indices],
         delta_witness=None,
         checks=checks,
@@ -931,8 +923,7 @@ def run_rank_one_example(
     if sample_count < 1:
         raise AlgebraError("the rank-one example needs at least one sample")
     u = 2
-    functor = split_tensor_square()
-    model_u = CoordinateModel(functor, fld, u)
+    model_u = CoordinateModel(split_tensor_square(), fld, u)
     r_label = next(
         s.label for s in model_u.decomposition.summands if isinstance(s.expr, TenAltF)
     )
@@ -942,10 +933,10 @@ def run_rank_one_example(
         - ring_u.var("y_1_2") ** 2
         + ring_u.var("z_1_2") ** 2
     )
-    X = VarietyPresentation.make(functor, fld, u, [f], [], r_label)
+    X = VarietyPresentation.make(model_u, [f], [], r_label)
     r0 = Vector("r", ("z_1_2",), (fld.one(),))
     pairs = pair_projections(fld, n)
-    stages = _run_stages(X, n, r0, list(pairs.values()))
+    stages = _run_stages(X, f, n, r0, list(pairs.values()))
     delta, step, model_big = stages.delta, stages.step, stages.model_big
     h = step.derivative
     checks = []
@@ -956,7 +947,7 @@ def run_rank_one_example(
     check("delta-degree", delta.status == "finite" and delta.delta == 4, f"delta={delta.delta}")
     scan = usable_directions(f, X)
     check("direction-scan", any(ok for _, ok in scan), "; ".join(f"{name}:{'ok' if ok else 'no'}" for name, ok in scan))
-    check("derivative-level", step.level == 0, f"e0={step.level}")
+    check("derivative-level", step.data.level == 0, f"e0={step.data.level}")
     check("derivative-value", h == ring_u.var("z_1_2") * 2, h.to_text())
     degrees = f"deg f={f.weighted_degree()}, deg h={h.weighted_degree()}"
     check("degree-ledger", f.weighted_degree() == 4 and h.weighted_degree() == 2, degrees)

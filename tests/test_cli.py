@@ -626,6 +626,81 @@ def test_internal_check_failure_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+# -- the proof step's witness is --f -------------------------------------------
+
+WITNESS_ARGS = (
+    "proofstep", "--field", "q", "--functor", "sum(tsym,talt)", "--u", "2", "--n", "3",
+    "--f", "y_1_1*y_2_2 - y_1_2^2 + 2*z_1_2^2", "--r0", "1", "--r-part", "p1",
+)
+
+
+def test_proofstep_witness_follows_f_not_the_generators(capsys):
+    # a generator of f's degree other than f changes only the delta witness
+    alone = run_cli(capsys, *WITNESS_ARGS)
+    code, out, err = run_cli(capsys, *WITNESS_ARGS, "--generators", PROOFSTEP_F)
+    assert (code, err) == (0, "")
+    assert {"f: y_1_1*y_2_2 - y_1_2^2 + 2*z_1_2^2", "h: 4*z_1_2", "all passed: true"} <= set(out.splitlines())
+    assert (code, out, err) == alone
+    code, out, _ = run_cli(capsys, *WITNESS_ARGS, "--generators", PROOFSTEP_F, "--format", "json")
+    doc, expected = json.loads(out), json.loads(run_cli(capsys, *WITNESS_ARGS, "--format", "json")[1])
+    assert doc["delta"] == {**expected["delta"], "witness": PROOFSTEP_F}
+    assert {**doc, "delta": None} == {**expected, "delta": None}
+
+
+def test_proofstep_refuses_an_empty_generator_list(capsys):
+    code, out, err = run_cli(capsys, *WITNESS_ARGS, "--generators", ";")
+    assert (code, out) == (1, "")
+    assert err == "error: a presentation needs at least one generator\n"
+
+
+# -- each command builds only the rendering it prints --------------------------
+
+
+def _refused(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    return refuse
+
+
+@pytest.mark.parametrize("argv", (RANK1_ARGS, PROOFSTEP_ARGS), ids=("example-rank1", "proofstep"))
+@pytest.mark.parametrize("fmt, unprinted", (("json", "to_text"), ("text", "to_json_dict")))
+def test_a_report_is_rendered_only_in_the_printed_format(capsys, monkeypatch, argv, fmt, unprinted):
+    from polyfunctor.proofstep import ProofStepReport
+
+    monkeypatch.setattr(ProofStepReport, unprinted, _refused(unprinted))
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_passed"] is True if fmt == "json" else "all passed: true" in out.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("compute, argv", (
+    ("hasse_derivative", ("hasse", "--field", "q", "--poly", "x^6", "--w-vars", "x", "--dir", "1", "--r", "2")),
+    ("taylor_expand", ("taylor", "--field", "q", "--poly", "x^2", "--w-vars", "x")),
+))
+def test_hasse_and_taylor_render_their_polynomial_once(capsys, monkeypatch, compute, argv, fmt):
+    from polyfunctor import cli
+    from polyfunctor.rings import GradedPoly
+
+    results, rendered = [], []
+    real, to_text = getattr(cli, compute), GradedPoly.to_text
+    monkeypatch.setattr(cli, compute, lambda *args: results.append(real(*args)) or results[-1])
+    monkeypatch.setattr(GradedPoly, "to_text", lambda self: rendered.append(self) or to_text(self))
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    assert len(results) == 1 and sum(p is results[0] for p in rendered) == 1
+
+
+def test_induce_text_builds_no_json_entry(capsys, monkeypatch):
+    from polyfunctor import cli
+
+    monkeypatch.setattr(cli, "format_functor", _refused("format_functor"))
+    code, out, err = run_cli(capsys, "induce", "--functor", "ext(2,id)", "--field", "q", "--phi", "1,2,0;3,4,0;0,0,1")
+    assert (code, err) == (0, "")
+    assert out.startswith("rows: ")
+
+
 # sha256 of the hasse, taylor and dderiv stdout, captured before the Hasse
 # calculus moved to raw coefficients
 HASSE_CLI_CASES = {

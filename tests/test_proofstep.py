@@ -62,7 +62,7 @@ def split_presentation(field=Q, dim=2):
         - ring.var("y_1_2") ** 2
         + ring.var("z_1_2") ** 2
     )
-    X = VarietyPresentation.make(SPLIT, field, dim, [f], [], "p1")
+    X = VarietyPresentation.make(model, [f], [], "p1")
     return model, f, X
 
 
@@ -71,6 +71,13 @@ def pair_projection(field, n, i, j):
     rows[0][i - 1] = 1
     rows[1][j - 1] = 1
     return space_matrix(field, rows)
+
+
+def test_a_presentation_needs_a_generator():
+    model, f, X = split_presentation()
+    assert X.model is model
+    with pytest.raises(PresentationError, match="needs at least one generator"):
+        VarietyPresentation.make(model, [], [f], "p1")
 
 
 # -- delta ------------------------------------------------------------------------
@@ -87,14 +94,14 @@ def test_delta_running_example():
 def test_delta_infinite_when_generators_reduce_away():
     model, f, X = split_presentation()
     g = model.ring.var("y_1_1")
-    X2 = VarietyPresentation.make(SPLIT, Q, 2, [g], [g], "p1")
+    X2 = VarietyPresentation.make(model, [g], [g], "p1")
     assert delta_degree(X2.generators, X2.q_generators).status == "infinite"
 
 
 def test_delta_weighted_degree_of_square():
     model = CoordinateModel(SPLIT, Q, 2)
     g = model.ring.var("z_1_2") ** 2
-    X = VarietyPresentation.make(SPLIT, Q, 2, [g], [], "p1")
+    X = VarietyPresentation.make(model, [g], [], "p1")
     report = delta_degree(X.generators, X.q_generators)
     assert report.delta == 4  # weight 2 per variable
 
@@ -160,14 +167,14 @@ def test_delta_runs_buchberger_once_with_the_per_generator_budget(field, monkeyp
 def test_derivative_step_running_example():
     model, f, X = split_presentation()
     step = derivative_step(f, X, Vector("r", ("z_1_2",), (Q.one(),)))
-    assert step.level == 0
+    assert step.data.level == 0
     assert step.derivative == model.ring.var("z_1_2") * 2
 
 
 def test_derivative_step_rejects_independent_witness():
     model, f, X = split_presentation()
     g = model.ring.var("y_1_1") * model.ring.var("y_2_2")
-    X2 = VarietyPresentation.make(SPLIT, Q, 2, [g], [], "p1")
+    X2 = VarietyPresentation.make(model, [g], [], "p1")
     with pytest.raises(PresentationError):
         derivative_step(g, X2, Vector("r", ("z_1_2",), (Q.one(),)))
 
@@ -182,9 +189,9 @@ def test_derivative_step_level_one_in_characteristic_five():
     model = CoordinateModel(SPLIT, F5, 2)
     ring = model.ring
     f = parse_polynomial("y_1_1^5*y_2_2^5 + z_1_2^5*y_1_1^5", ring)
-    X = VarietyPresentation.make(SPLIT, F5, 2, [f], [], "p1")
+    X = VarietyPresentation.make(model, [f], [], "p1")
     step = derivative_step(f, X, Vector("r", ("z_1_2",), (F5.one(),)))
-    assert step.level == 1
+    assert step.data.level == 1
     assert step.derivative == ring.var("y_1_1") ** 5
     # degree ledger: deg h = deg f - d * p^e0 = 20 - 2*5
     assert step.derivative.weighted_degree() == 10
@@ -206,7 +213,7 @@ def test_usable_directions_runs_buchberger_once(field, monkeypatch):
     ring = model.ring
     q_gens = [parse_polynomial(text, ring) for text in (
         "y_1_1*y_2_2 - y_1_2^2 + y_1_1^2", "y_1_1*y_1_2 - y_2_2^2", "y_1_2")]
-    X = VarietyPresentation.make(SPLIT, field, 2, [f], q_gens, "p0")
+    X = VarietyPresentation.make(model, [f], q_gens, "p0")
     W = DirectionSubspace(ring, X.r_vars())
     data = directional_data(f, W)
     expected = []
@@ -252,7 +259,7 @@ def test_reductions_modulo_the_q_generators_agree_with_normal_form(field):
         if any(generators) and any(q_gens):
             assert delta_degree(generators, q_gens, budget_steps=0).status == "inconclusive"
 
-        X = VarietyPresentation.make(SPLIT, field, 2, [f], _homogeneous_on_y(q_gens, model.ring), "p0")
+        X = VarietyPresentation.make(model, [f], _homogeneous_on_y(q_gens, model.ring), "p0")
         W = DirectionSubspace(model.ring, X.r_vars())
         data = directional_data(f, W)
         # the coordinate directions, which usable_directions scans, then a random one
@@ -1033,6 +1040,31 @@ def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
     assert counts[0] == counts[1] <= 40
 
 
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("command", ("example-rank1", "proofstep"))
+def test_a_run_builds_each_coordinate_model_once(command, n, monkeypatch, capsys):
+    from collections import Counter
+
+    from polyfunctor.cli import main
+
+    built = Counter()
+    init = CoordinateModel.__init__
+
+    def counted(self, functor, field, dimension):
+        built[dimension] += 1
+        init(self, functor, field, dimension)
+
+    monkeypatch.setattr(CoordinateModel, "__init__", counted)
+    argv = ["example-rank1", "--samples", "1"] if command == "example-rank1" else [
+        "proofstep", "--functor", "sum(tsym,talt)", "--u", "2", "--f", "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2",
+        "--r0", "1", "--r-part", "p1"]
+    assert main(argv + ["--n", str(n), "--field", "fp:101"]) == 0
+    assert "all passed: true" in capsys.readouterr().out
+    # the base model at u = 2, the universal projection's at 2u and, when
+    # n > u, the pair projections' at u + n
+    assert built == Counter({2, 4, 2 + n})
+
+
 def test_rank_one_decides_the_joint_laws_of_k_once(monkeypatch):
     from polyfunctor import proofstep
 
@@ -1217,7 +1249,7 @@ def _frobenius_presentation(field, level=1):
     model = CoordinateModel(SPLIT, field, 2)
     y = model.ring.var
     f = y("y_1_1") ** q * y("y_2_2") ** q - y("y_1_2") ** (2 * q) + y("z_1_2") ** (2 * q)
-    return model, f, VarietyPresentation.make(SPLIT, field, 2, [f], [], "p1")
+    return model, f, VarietyPresentation.make(model, [f], [], "p1")
 
 
 def _assert_pulled_back_as_extracted(X, n, phis):
@@ -1229,11 +1261,11 @@ def _assert_pulled_back_as_extracted(X, n, phis):
     block.  Returns the run's stages."""
     from polyfunctor import proofstep
 
-    u, field = X.base_dim, X.field
+    u, field = X.model.dimension, X.model.field
     r0 = Vector("r", ("z_1_2",), (field.one(),))
-    stages = proofstep._run_stages(X, n, r0, phis)
-    model_big = CoordinateModel(X.functor, field, u + n)
-    model_2u = CoordinateModel(X.functor, field, 2 * u)
+    stages = proofstep._run_stages(X, X.generators[0], n, r0, phis)
+    model_big = CoordinateModel(X.model.functor, field, u + n)
+    model_2u = CoordinateModel(X.model.functor, field, 2 * u)
     identity = space_matrix(field, [[int(a == b) for b in range(u)] for a in range(u)])
     universal = extract_additive_element(X.generators[0], X.model, model_2u, identity, X.designated_r)
     assert stages.universal == universal
@@ -1313,10 +1345,10 @@ def test_level_two_elements_vanish_on_rank_one_tensors(n):
     from polyfunctor import proofstep
 
     field = FieldDescriptor.prime_field(3)
-    _, _, X = _frobenius_presentation(field, 2)
+    _, f, X = _frobenius_presentation(field, 2)
     pairs = [pair_projection(field, n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    stages = proofstep._run_stages(X, n, Vector("r", ("z_1_2",), (field.one(),)), pairs)
-    assert stages.step.level == stages.certificate.level == 2
+    stages = proofstep._run_stages(X, f, n, Vector("r", ("z_1_2",), (field.one(),)), pairs)
+    assert stages.step.data.level == stages.certificate.level == 2
     # every k has level 2 and a nonzero additive part, and its Segre image,
     # exact membership in the ideal of 2x2 minors, is zero
     segre = _segre_map(CoordinateModel(SPLIT, field, 2 + n))
@@ -1364,10 +1396,11 @@ def test_joint_laws_as_evaluated_on_swapped_stages(case, monkeypatch):
     field = FieldDescriptor.parse("fp:3" if case == "level-1" else case)
     run_stages = proofstep._run_stages
 
-    def swapped(X, n, r0, phis):
+    def swapped(X, f, n, r0, phis):
         if case == "level-1":
-            return run_stages(_frobenius_presentation(field)[2], n, r0, phis)
-        return run_stages(X, n, r0, [space_matrix(field, rows) for rows in GENERAL_PHIS[case]])
+            _, g, X1 = _frobenius_presentation(field)
+            return run_stages(X1, g, n, r0, phis)
+        return run_stages(X, f, n, r0, [space_matrix(field, rows) for rows in GENERAL_PHIS[case]])
 
     monkeypatch.setattr(proofstep, "_run_stages", swapped)
     report = run_rank_one_example(3, field, sample_count=1)
@@ -1378,10 +1411,10 @@ def test_joint_laws_as_evaluated_on_swapped_stages(case, monkeypatch):
 def test_no_projection_extracts_nothing(monkeypatch):
     from polyfunctor import proofstep
 
-    _, _, X = split_presentation(Q)
+    _, f, X = split_presentation(Q)
     monkeypatch.setattr(proofstep, "extract_additive_element", lambda *args: pytest.fail("extracted"))
     with pytest.raises(PresentationError, match="elimination needs elements and coordinates"):
-        proofstep._run_stages(X, 3, Vector("r", ("z_1_2",), (Q.one(),)), [])
+        proofstep._run_stages(X, f, 3, Vector("r", ("z_1_2",), (Q.one(),)), [])
 
 
 def test_one_extraction_per_run(monkeypatch):

@@ -68,9 +68,9 @@ def _instances():
         DirectionSubspace(R, ("y", "x")),
         DirectionalData("dependent", 0, X, (("x", "x_w"),)),
         BlockSolution(R, -1, (X,), (Y,), (frozenset({0}),)),
-        VarietyPresentation(SymF(2, IdF()), Q, 2, "M", (X,), (), "p0"),
+        VarietyPresentation("M", (X,), (), "p0"),
         DeltaReport("finite", 2, X),
-        DerivativeStep(1, Y, None),
+        DerivativeStep(Y, None),
         ProjectionCoefficients(1, 2, "phi", {1: ("m0", "m1")}, "par", "base"),
         AffineAdditiveElement(X, 0, {"x": Y}, Y, ("x",), X),
         CertificateEntry("x", Y, 2),
@@ -105,10 +105,9 @@ REPRS = [
     "DirectionSubspace(ring=q[x, y], span_vars=('x', 'y'))",
     "DirectionalData(status='dependent', level=0, joint=<x>, copies=(('x', 'x_w'),))",
     "BlockSolution(ring=q[x, y], sign=-1, block_dets=(<x>,), numerators=(<2*y - 1/3>,), depends=(frozenset({0}),))",
-    "VarietyPresentation(functor=SymF(power=2, inner=IdF()), field=FieldDescriptor(kind='rationals', "
-    "characteristic=0, char_exponent=1), base_dim=2, model='M', generators=(<x>,), q_generators=(), designated_r='p0')",
+    "VarietyPresentation(model='M', generators=(<x>,), q_generators=(), designated_r='p0')",
     "DeltaReport(status='finite', delta=2, witness=<x>)",
-    "DerivativeStep(level=1, derivative=<2*y - 1/3>, data=None)",
+    "DerivativeStep(derivative=<2*y - 1/3>, data=None)",
     "ProjectionCoefficients(u=1, n=2, phi='phi', by_degree={1: ('m0', 'm1')}, parametrised='par', base='base')",
     "AffineAdditiveElement(poly=<x>, level=0, additive_part={'x': <2*y - 1/3>}, constant_part=<2*y - 1/3>, "
     "eliminated=('x',), pullback=<x>)",
