@@ -72,6 +72,7 @@ from .hasse import (
 )
 from .matrices import (
     LinearMapMatrix,
+    _SliceSum,
     base_projection,
     coefficient_matrix,
     cramer_solve,
@@ -79,6 +80,7 @@ from .matrices import (
     matrix_rank,
     row_forms,
     scalar_entry_ring,
+    space_labels,
     space_matrix,
 )
 from .rings import GradedPoly, GradedRing, RingVariable, Vector, _raw
@@ -274,11 +276,11 @@ def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector) -> Deriva
     return DerivativeStep(h, data)
 
 
-def usable_directions(f: GradedPoly, X: VarietyPresentation) -> list[tuple[str, bool]]:
-    """Scan the coordinate directions of the designated summand and report
-    which give a derivative that survives modulo the base projection."""
+def usable_directions(data, X: VarietyPresentation) -> list[tuple[str, bool]]:
+    """Scan the coordinate directions of the designated summand, along which
+    the witness has data (derivative_step's), and report which give a
+    derivative that survives modulo the base projection."""
     W = DirectionSubspace(X.model.ring, X.r_vars())
-    data = directional_data(f, W)
     derivatives = (
         specialise_joint(data, W.direction([int(v == name) for v in W.span_vars]), W) for name in W.span_vars
     )
@@ -313,13 +315,14 @@ class ProjectionCoefficients(Record):
 
 
 def _check_projection(model_u: CoordinateModel, n: int, phi: LinearMapMatrix):
-    """Refuse a phi that is not a surjection from the n-space onto the u-space."""
+    """Refuse a phi that is not a surjection from the n-space onto the u-space; return its constant slice."""
     u = model_u.dimension
     if (len(phi.row_labels), len(phi.col_labels)) != (u, n):
         raise PresentationError("projection matrix has the wrong shape")
-    _, _, block = phi.slices.get((0,) * len(phi.ring.names), ((), (), []))
+    rows, cols, block = phi.slices.get((0,) * len(phi.ring.names), ((), (), []))
     if matrix_rank(block, model_u.field) != u:
         raise PresentationError("projection matrix is not surjective")
+    return rows, cols, block
 
 
 def projection_coefficients(
@@ -327,22 +330,16 @@ def projection_coefficients(
 ) -> ProjectionCoefficients:
     u = model_u.dimension
     fld = model_u.field
-    _check_projection(model_u, n, phi)
-    # the induced matrix of [1_U | t*phi] over the one-variable ring in t
+    rows, cols, block = _check_projection(model_u, n, phi)
+    # the induced matrices of [1_U | t*phi] over the ring in t and of [0 | phi], from phi's constant slice
     ring_t = GradedRing(fld, (RingVariable("t", "aux", 0),))
-    t = ring_t.var("t")
-    tail = LinearMapMatrix(
-        phi.row_labels,
-        phi.col_labels,
-        ring_t,
-        [[e.convert(ring_t) * t for e in row] for row in phi.rows],
-    )
-    full = induced_map(model_u.normalized, graft_columns(u, tail))
     scalar_ring = scalar_entry_ring(fld)
+    tail, zero_phi = _SliceSum(n), _SliceSum(u + n)
+    tail.add((1,), rows, cols, block)
+    zero_phi.add((), rows, [u + j for j in cols], block)
+    full = induced_map(model_u.normalized, graft_columns(u, tail.matrix(phi.row_labels, phi.col_labels, ring_t)))
     proj = induced_map(model_u.normalized, base_projection(fld, u, n))
-    zero_block = [[fld.zero()] * u for _ in range(u)]
-    zero_phi = space_matrix(fld, [list(z) + [e.constant_value() for e in row] for z, row in zip(zero_block, phi.rows)])
-    top = induced_map(model_u.normalized, zero_phi)
+    top = induced_map(model_u.normalized, zero_phi.matrix(space_labels(u), space_labels(u + n), scalar_ring))
     dec = model_u.decomposition
     by_degree = {}
     for e, summands in dec.parts.items():
@@ -388,20 +385,20 @@ class AffineAdditiveElement(Record):
 
 def extract_additive_element(
     f: GradedPoly,
+    data,
     model_u: CoordinateModel,
     model_big: CoordinateModel,
     phi: LinearMapMatrix,
     r_label: str,
 ) -> AffineAdditiveElement:
     """Coefficient of t^(d*p^level) in the pullback of f along [1_U | t*phi],
-    where level is that of f along the designated summand, verified to be
-    affine-additive in the moving coordinates of that summand, with the
-    projection identities and the derivative-compatibility identity checked
-    as formal polynomial identities."""
+    where level is that of data, f's directional data along the designated
+    summand (derivative_step's), verified to be affine-additive in the moving
+    coordinates of that summand, with the projection identities and the
+    derivative-compatibility identity checked as formal polynomial identities."""
     u = model_u.dimension
     if f.ring != model_u.ring:
         raise PresentationError("witness polynomial lives in a foreign ring")
-    data = directional_data(f, DirectionSubspace(model_u.ring, model_u.ring.vars_of_part(r_label)))
     if not data.dependent:
         raise PresentationError("the witness does not involve the designated top-degree coordinates")
 
@@ -452,10 +449,11 @@ def _affine_element(
     return AffineAdditiveElement(k, level, additive_part, constant_part, tuple(moving), pullback)
 
 
-def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateModel, phis: list):
-    """The element extracted along the universal projection [1_U | t*1_U]
-    from the 2u-space, the one element with a pullback, per phi, in order,
-    its element pulled back from that one, and the 2u-space's model.
+def _pull_backs(X: VarietyPresentation, f: GradedPoly, data, model_big: CoordinateModel, phis: list):
+    """The element extracted, with data, f's directional data along the
+    designated summand, along the universal projection [1_U | t*1_U] from
+    the 2u-space, the one element with a pullback, per phi, in order, its
+    element pulled back from that one, and the 2u-space's model.
     [1_U | t*phi] is [1_U | t*1_U] after 1_U (+) phi, whose induced map is
     that of shift(u, P) at phi, and induced maps compose: the pullback along
     phi is the universal pullback after that map, checked to keep the moving
@@ -464,7 +462,7 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, model_big: CoordinateMode
     u, model_u, r_label = X.model.dimension, X.model, X.designated_r
     model_2u = model_big if model_big.dimension == 2 * u else CoordinateModel(model_u.functor, model_u.field, 2 * u)
     identity = space_matrix(model_u.field, [[int(a == b) for b in range(u)] for a in range(u)])
-    universal = extract_additive_element(f, model_u, model_2u, identity, r_label)
+    universal = extract_additive_element(f, data, model_u, model_2u, identity, r_label)
     shifted = ShiftF(u, model_big.normalized)
     vdeg = {lab: label_vdeg(lab, u) for lab in model_2u.full_labels + model_big.full_labels}
     moving = model_big.moving_vars(r_label, u)
@@ -752,7 +750,7 @@ def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis)
     delta = delta_degree(X.generators, X.q_generators)
     step = derivative_step(f, X, r0)
     phis = list(phis)
-    universal, elements, model_2u = _pull_backs(X, f, model_big, phis) if phis else (None, [], None)
+    universal, elements, model_2u = _pull_backs(X, f, step.data, model_big, phis) if phis else (None, [], None)
     h_big = step.derivative.convert(model_big.ring)
     certificate = None
     error = ""
@@ -945,7 +943,7 @@ def run_rank_one_example(
         checks.append(Check(name, "pass" if ok else "fail", witness))
 
     check("delta-degree", delta.status == "finite" and delta.delta == 4, f"delta={delta.delta}")
-    scan = usable_directions(f, X)
+    scan = usable_directions(step.data, X)
     check("direction-scan", any(ok for _, ok in scan), "; ".join(f"{name}:{'ok' if ok else 'no'}" for name, ok in scan))
     check("derivative-level", step.data.level == 0, f"e0={step.data.level}")
     check("derivative-value", h == ring_u.var("z_1_2") * 2, h.to_text())

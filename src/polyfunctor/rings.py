@@ -20,13 +20,18 @@ the private working polynomial of heap division (_Dividend, over q an
 integer multiple `scale` of the true one) never leaves its division, and
 a prepared divisor set (_Divisors) only grows.
 
+Substitution is one integer kernel for both field kinds: each image used
+is cleared of its denominators once, each term scaled onto one common
+denominator, which is divided out once per nonzero result term (the
+fraction-free idea of Bareiss, Math. Comp. 22 (1968)).
+
 Division alone packs monomials into ints (_packing): the weighted degree on
 top, then one byte per variable whose top bit is a guard bit, so int order
 is the term order and divisibility is one subtraction and one mask test (cf.
 Monagan & Pearce, J. Symb. Comp. 46 (2011); Bachmann & Schoenemann, ISSAC
 1998).  A division that meets an exponent above 127 starts again with wider
-fields (_Divisors.divide).  Ring products, the Hasse calculus and the parser
-stay on exponent tuples.
+fields (_Divisors.divide).  Ring products, substitution, the Hasse
+calculus and the parser stay on exponent tuples.
 """
 
 from __future__ import annotations
@@ -359,8 +364,15 @@ class GradedPoly:
 
         The assignment must cover every variable occurring in the polynomial
         and all images must live in one common ring, which becomes the ring
-        of the result.  Powers of each image are cached reduced mod p; every
-        term's product of powers is multiplied into one accumulator.
+        of the result.  Each term's nonzero (position, exponent) pairs are
+        read once.  Each image used is cleared to d_i times itself with int
+        coefficients (d_i = 1 over F_p), its powers cached reduced mod p.
+        A term c*x^e is scaled onto D, the lcm of den(c)*prod d_i^e_i over
+        the terms so far (raising D rescales the sum), and its product of
+        cleared powers summed in ints.  D is divided out once per nonzero
+        result term, so a zero result, as every Segre check of a passing
+        rank-one run, meets no Fraction; over q an integral result
+        coefficient is an int.
         """
         if not mapping:
             raise SubstitutionError("empty substitution")
@@ -374,30 +386,39 @@ class GradedPoly:
                 raise RingMismatchError("substitution images live in different rings")
         if target.field != self.ring.field:
             raise FieldMismatchError("substitution across fields")
-        missing = [n for n in self.support_vars() if n not in mapping]
+        names = self.ring.names
+        sparse = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in self.terms.items()]
+        used = {i for _, pairs in sparse for i, _ in pairs}
+        missing = [names[i] for i in sorted(used) if names[i] not in mapping]
         if missing:
             raise SubstitutionError(f"missing assignment for {missing}")
         p = target.field.characteristic
-        names = self.ring.names
-        unit = (0,) * len(target.names)
-        one = ((unit, 1),)
-        powers: dict[int, list] = {}  # position -> raw powers of its image
-
-        def power(i: int, e: int):
-            cache = powers.get(i)
-            if cache is None:
-                cache = powers[i] = [one, mapping[names[i]].terms.items()]
-            while len(cache) <= e:
-                cache.append(_reduced(_raw_mul_into({}, cache[-1], cache[1], 1), p))
-            return cache[e]
-
-        acc: dict = {}
-        for exps, c in self.terms.items():
-            term, *factors = [power(i, e) for i, e in enumerate(exps) if e] or [one]
-            for factor in factors[:-1]:
+        powers = {}  # position -> [d, its cleared image, that image squared, ...]
+        for i in used:
+            image = mapping[names[i]].terms
+            d = lcm(*[c.denominator for c in image.values()])
+            powers[i] = [d, [(e, c.numerator * (d // c.denominator)) for e, c in image.items()]]
+        one, bare = (((0,) * len(target.names), 1),), (((), 1),)  # bare * factor is factor, with no tuple sums
+        acc, D = {}, 1
+        for c, pairs in sparse:
+            den, factors = c.denominator, []
+            for i, e in pairs:
+                cache = powers[i]
+                den *= cache[0] ** e
+                while len(cache) <= e:
+                    cache.append(_reduced(_raw_mul_into({}, cache[-1], cache[1], 1), p))
+                factors.append(cache[e])
+            if D % den:
+                rescale = lcm(D, den) // D
+                D *= rescale
+                acc = {m: v * rescale for m, v in acc.items()}
+            *heads, last = factors or [one]
+            term = heads[0] if heads else bare
+            for factor in heads[1:]:
                 term = _reduced(_raw_mul_into({}, term, factor, 1), p)
-            _raw_mul_into(acc, term, factors[-1] if factors else one, c)
-        return _from_raw(target, acc)
+            _raw_mul_into(acc, term, last, c.numerator * (D // den))
+        terms = {m: v // D if v % D == 0 else Fraction(v, D) for m, v in _reduced(acc, p)}
+        return GradedPoly(target, terms, _canonical=True)
 
     def evaluate(self, point: dict) -> Scalar:
         """Evaluate at a point given as name -> scalar, coercing every entry

@@ -22,9 +22,10 @@ from polyfunctor import (
 from polyfunctor import groebner
 from polyfunctor.groebner import Budget, _prepared
 from polyfunctor.functors import _refuse_char2
+from polyfunctor.hasse import DirectionSubspace, directional_data
 from polyfunctor.matrices import LinearMapMatrix, _SliceSum
 from polyfunctor.proofstep import _segre_map, _segre_points
-from polyfunctor.rings import GradedPoly, _Divisors
+from polyfunctor.rings import GradedPoly, _Divisors, _from_raw, _raw_mul_into, _reduced
 
 Q = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -60,6 +61,12 @@ def boxed_calls(monkeypatch):
         for name in names:
             monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
     return calls
+
+
+def witness_data(f, model, r_label):
+    """Directional data of f along the summand r_label of model, the data
+    derivative_step hands to extraction and to the direction scan."""
+    return directional_data(f, DirectionSubspace(model.ring, model.ring.vars_of_part(r_label)))
 
 
 def random_scalar(rng, field, lo=-6, hi=6):
@@ -254,6 +261,35 @@ def split_to_plain_map(split_model, plain_model):
             mapping[f"y_{a + 1}_{b + 1}"] = (x(f"x_{a + 1}_{b + 1}") + x(f"x_{b + 1}_{a + 1}")) * half
             mapping[f"z_{a + 1}_{b + 1}"] = (x(f"x_{a + 1}_{b + 1}") - x(f"x_{b + 1}_{a + 1}")) * half
     return mapping
+
+
+def substitute_by_powers(f, mapping):
+    """f.substitute(mapping) as the kernel before the integer one computed it:
+    each image's raw powers cached reduced mod p, every term's product of
+    powers multiplied into one accumulator, over q in int and Fraction
+    arithmetic.  Images must share one ring and cover f's variables."""
+    target = next(iter(mapping.values())).ring
+    p = target.field.characteristic
+    names = f.ring.names
+    unit = (0,) * len(target.names)
+    one = ((unit, 1),)
+    powers = {}
+
+    def power(i, e):
+        cache = powers.get(i)
+        if cache is None:
+            cache = powers[i] = [one, mapping[names[i]].terms.items()]
+        while len(cache) <= e:
+            cache.append(_reduced(_raw_mul_into({}, cache[-1], cache[1], 1), p))
+        return cache[e]
+
+    acc = {}
+    for exps, c in f.terms.items():
+        term, *factors = [power(i, e) for i, e in enumerate(exps) if e] or [one]
+        for factor in factors[:-1]:
+            term = _reduced(_raw_mul_into({}, term, factor, 1), p)
+        _raw_mul_into(acc, term, factors[-1] if factors else one, c)
+    return _from_raw(target, acc)
 
 
 def segre_map_by_arithmetic(model, kept=()):

@@ -31,7 +31,9 @@ from polyfunctor import (
 from polyfunctor.functors import ExtF, IdF, QuotF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, split_tensor_square
 from polyfunctor.matrices import identity_matrix, space_labels
 
-from conftest import ALL_FIELDS, F3, F5, Q, random_functor, random_matrix, random_poly, random_scalar, scaled
+from conftest import (
+    ALL_FIELDS, F3, F5, Q, random_functor, random_matrix, random_poly, random_scalar, scaled, witness_data,
+)
 
 SPLIT = SumF((TenSymF(), TenAltF()))
 
@@ -72,7 +74,7 @@ def test_criterion_2_coefficient_formula():
         rows[0][i - 1] = 1
         rows[1][j - 1] = 1
         phi = space_matrix(field, rows)
-        k = extract_additive_element(f, model_u, model_big, phi, "p0").poly
+        k = extract_additive_element(f, witness_data(f, model_u, "p0"), model_u, model_big, phi, "p0").poly
         ring = model_big.ring
 
         def coeff_of(m1, m2):

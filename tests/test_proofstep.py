@@ -49,6 +49,7 @@ from polyfunctor.proofstep import (
 
 from conftest import (
     F3, F5, Q, normal_form, rank_one_minors_plain, rank_one_points, segre_map_by_arithmetic, split_to_plain_map,
+    substitute_by_powers, witness_data,
 )
 
 SPLIT = SumF((TenSymF(), TenAltF()))
@@ -199,7 +200,7 @@ def test_derivative_step_level_one_in_characteristic_five():
 
 def test_usable_directions_scan():
     model, f, X = split_presentation()
-    scan = usable_directions(f, X)
+    scan = usable_directions(witness_data(f, X.model, X.designated_r), X)
     assert scan == [("z_1_2", True)]
 
 
@@ -224,7 +225,7 @@ def test_usable_directions_runs_buchberger_once(field, monkeypatch):
     buchberger = groebner.buchberger
     for module in (groebner, proofstep):  # normal_form calls it too
         monkeypatch.setattr(module, "buchberger", lambda *args: runs.append(args) or buchberger(*args))
-    assert usable_directions(f, X) == expected
+    assert usable_directions(data, X) == expected
     assert len(runs) == 1
     assert [ok for _, ok in expected] == [True, False, True]
 
@@ -276,7 +277,7 @@ def test_reductions_modulo_the_q_generators_agree_with_normal_form(field):
             else:
                 with pytest.raises(BadDirectionChoiceError):
                     derivative_step(f, X, r0)
-        assert usable_directions(f, X) == list(zip(W.span_vars, expected))
+        assert usable_directions(data, X) == list(zip(W.span_vars, expected))
         survives.update(expected)
     assert statuses == {"finite", "infinite"} and survives == {True, False}
 
@@ -288,7 +289,8 @@ def test_extraction_refuses_an_independent_witness():
     g = model_u.ring.var("y_1_1") * model_u.ring.var("y_2_2")
     model_big = CoordinateModel(SPLIT, Q, 5)
     with pytest.raises(PresentationError, match="does not involve the designated"):
-        extract_additive_element(g, model_u, model_big, pair_projection(Q, 3, 1, 2), "p1")
+        phi = pair_projection(Q, 3, 1, 2)
+        extract_additive_element(g, witness_data(g, model_u, "p1"), model_u, model_big, phi, "p1")
 
 
 # -- projection coefficients ----------------------------------------------------------
@@ -349,7 +351,7 @@ def test_extract_running_example_split_form():
     model_big = CoordinateModel(SPLIT, field, 5)
     for (i, j) in itertools.combinations(range(1, n + 1), 2):
         phi = pair_projection(field, n, i, j)
-        el = extract_additive_element(f, model_u, model_big, phi, "p1")
+        el = extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1")
         moving = f"z_{2 + i}_{2 + j}"
         # the coefficient of the moving coordinate is exactly h = 2 z_1_2
         assert set(el.additive_part.keys()) == {moving}
@@ -367,7 +369,7 @@ def test_extract_plain_coordinates_match_block_determinant():
     f = parse_polynomial("x_1_1*x_2_2 - x_1_2*x_2_1", model_u.ring)
     i, j = 1, 2
     phi = pair_projection(field, 3, i, j)
-    el = extract_additive_element(f, model_u, model_big, phi, "p0")
+    el = extract_additive_element(f, witness_data(f, model_u, "p0"), model_u, model_big, phi, "p0")
     k = el.poly
     ring = model_big.ring
 
@@ -396,7 +398,7 @@ def test_extract_vanishes_on_rank_one_samples():
     model_u, f, X = split_presentation(field)
     model_big = CoordinateModel(SPLIT, field, 5)
     phi = pair_projection(field, 3, 1, 2)
-    el = extract_additive_element(f, model_u, model_big, phi, "p1")
+    el = extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1")
     for point in rank_one_points(random.Random(3), model_big, 100):
         assert not el.poly.evaluate(point)
 
@@ -406,7 +408,7 @@ def test_extract_joint_laws():
     model_u, f, X = split_presentation(field)
     model_big = CoordinateModel(SPLIT, field, 5)
     phi = pair_projection(field, 3, 1, 3)
-    el = extract_additive_element(f, model_u, model_big, phi, "p1")
+    el = extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1")
     from polyfunctor import joint_additivity_holds, joint_scaling_holds
 
     W = DirectionSubspace(model_big.ring, el.eliminated)
@@ -548,7 +550,7 @@ def test_eliminate_running_example_structure():
     elements = []
     for (i, j) in itertools.combinations(range(1, n + 1), 2):
         phi = pair_projection(field, n, i, j)
-        elements.append(extract_additive_element(f, model_u, model_big, phi, "p1"))
+        elements.append(extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1"))
     h_big = (model_big.ring.var("z_1_2")) * 2
     eliminated = model_big.moving_vars("p1", 2)
     cert = eliminate(elements, h_big, eliminated)
@@ -873,7 +875,7 @@ def test_membership_of_extracted_element_by_groebner():
     model_big = CoordinateModel(P, field, 4)
     f = parse_polynomial("x_1_1*x_2_2 - x_1_2*x_2_1", model_u.ring)
     phi = pair_projection(field, 2, 1, 2)
-    el = extract_additive_element(f, model_u, model_big, phi, "p0")
+    el = extract_additive_element(f, witness_data(f, model_u, "p0"), model_u, model_big, phi, "p0")
     minors = rank_one_minors_plain(model_big)
     assert normal_form(el.poly, minors, Budget(500_000)).is_zero()
     rng = random.Random(17)
@@ -940,8 +942,9 @@ def test_rank_one_elements_map_to_zero_exactly(n, selector):
     model_u, f, _ = split_presentation(field)
     directs = [(model, pair_projection(field, n, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2)]
     universal = (CoordinateModel(SPLIT, field, 4), pair_projection(field, 2, 1, 2))
+    data = witness_data(f, model_u, "p1")
     for target, phi in directs + [universal]:
-        pullback = extract_additive_element(f, model_u, target, phi, "p1").pullback
+        pullback = extract_additive_element(f, data, model_u, target, phi, "p1").pullback
         assert not pullback.substitute(_segre_map(target, pullback.ring.variables[-1:]))
     cleared = report.certificate.cleared_elements()
     assert len(cleared) == n * (n - 1) // 2
@@ -967,7 +970,8 @@ def test_t_coefficient_check_agrees_with_substitution(field):
     model_big = CoordinateModel(SPLIT, field, 5)
     points = rank_one_points(random.Random(11), model_big, 60)
     for i, j in ((1, 2), (2, 3)):
-        el = extract_additive_element(f, model_u, model_big, pair_projection(field, 3, i, j), "p1")
+        phi = pair_projection(field, 3, i, j)
+        el = extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1")
         ext = el.pullback.ring
         t_name = ext.names[-1]
         perturbed = el.pullback + ext.var(t_name) * ext.var("y_1_1")
@@ -1038,6 +1042,97 @@ def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
         counts.append(len(calls))
     # the pipeline itself substitutes a fixed number of times; a sample adds none
     assert counts[0] == counts[1] <= 40
+
+
+@pytest.mark.parametrize("command", ("example-rank1", "proofstep"))
+def test_a_run_expands_the_witness_along_its_summand_once(command, monkeypatch, capsys):
+    from polyfunctor import proofstep
+    from polyfunctor.cli import main
+
+    rings = []
+    directional = proofstep.directional_data
+    monkeypatch.setattr(proofstep, "directional_data", lambda f, W: rings.append(f.ring) or directional(f, W))
+    argv = ["example-rank1", "--n", "3"] if command == "example-rank1" else [
+        "proofstep", "--functor", "sum(tsym,talt)", "--u", "2", "--n", "3", "--f", "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2",
+        "--r0", "1", "--r-part", "p1"]
+    assert main(argv + ["--field", "fp:101"]) == 0
+    assert "all passed: true" in capsys.readouterr().out
+    # derivative_step's data serves the direction scan and the extraction
+    witness_ring = CoordinateModel(SPLIT, FieldDescriptor.prime_field(101), 2).ring
+    assert rings.count(witness_ring) == 1
+
+
+def _checked_against_the_power_kernel(monkeypatch):
+    """Make every GradedPoly.substitute compare its result with
+    substitute_by_powers, the kernel before the integer one, and, over q,
+    check that an integral coefficient comes back as an int; returns the
+    list of checked calls."""
+    checked = []
+    substitute = GradedPoly.substitute
+
+    def compared(self, mapping):
+        result = substitute(self, mapping)
+        assert result == substitute_by_powers(self, mapping)
+        assert all(type(c) is int for c in result.terms.values() if c.denominator == 1)
+        checked.append(self)
+        return result
+
+    monkeypatch.setattr(GradedPoly, "substitute", compared)
+    return checked
+
+
+@pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
+def test_rank_one_substitutions_agree_with_the_power_kernel(selector, monkeypatch):
+    checked = _checked_against_the_power_kernel(monkeypatch)
+    for n in range(2, 6):
+        checked.clear()
+        assert run_rank_one_example(n, FieldDescriptor.parse(selector)).all_passed()
+        assert len(checked) > 10
+
+
+@pytest.mark.parametrize("level", (1, 2))
+def test_frobenius_substitutions_agree_with_the_power_kernel(level, monkeypatch, capsys):
+    checked = _checked_against_the_power_kernel(monkeypatch)
+    *_, code = _frobenius_proofstep_digests(capsys, 3, level, "3")
+    assert code == 0 and len(checked) > 10
+
+
+def test_segre_substitutions_of_a_passing_run_meet_no_fraction(monkeypatch, capsys):
+    from polyfunctor import proofstep
+    from polyfunctor.cli import main
+
+    maps, inside, met, images = [], [], [], []
+    segre_map = proofstep._segre_map
+    monkeypatch.setattr(proofstep, "_segre_map", lambda *args: maps.append(segre_map(*args)) or maps[-1])
+    substitute = GradedPoly.substitute
+
+    def tracked(self, mapping):
+        segre = any(mapping is m for m in maps)
+        inside.append(segre)
+        try:
+            result = substitute(self, mapping)
+        finally:
+            inside.pop()
+        if segre:
+            images.append(result)
+        return result
+
+    def watched(name, method):
+        def wrapper(*args, **kwargs):
+            if inside and inside[-1]:
+                met.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GradedPoly, "substitute", tracked)
+    for name in ("__new__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, watched(name, getattr(Fraction, name)))
+    assert main(["example-rank1", "--n", "3", "--field", "q"]) == 0
+    assert "all passed: true" in capsys.readouterr().out
+    # the witness, the universal pullback, the three k's and the three cleared
+    # certificate elements go through a Segre map, each to a zero image
+    assert len(images) == 8 and not any(images)
+    assert met == []
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -1267,7 +1362,8 @@ def _assert_pulled_back_as_extracted(X, n, phis):
     model_big = CoordinateModel(X.model.functor, field, u + n)
     model_2u = CoordinateModel(X.model.functor, field, 2 * u)
     identity = space_matrix(field, [[int(a == b) for b in range(u)] for a in range(u)])
-    universal = extract_additive_element(X.generators[0], X.model, model_2u, identity, X.designated_r)
+    f, data = X.generators[0], witness_data(X.generators[0], X.model, X.designated_r)
+    universal = extract_additive_element(f, data, X.model, model_2u, identity, X.designated_r)
     assert stages.universal == universal
     assert len(stages.elements) == len(phis)
     t = universal.pullback.ring.variables[-1]
@@ -1280,7 +1376,7 @@ def _assert_pulled_back_as_extracted(X, n, phis):
     )
     perturbed_images = proofstep._segre_pullbacks(stages.model_2u, perturbed, segre, phis)
     for phi, el, image, perturbed_image in zip(phis, stages.elements, images, perturbed_images, strict=True):
-        direct = extract_additive_element(X.generators[0], X.model, model_big, phi, X.designated_r)
+        direct = extract_additive_element(f, data, X.model, model_big, phi, X.designated_r)
         assert el.poly == direct.poly and el.poly.ring == direct.poly.ring
         assert el.level == direct.level
         assert el.additive_part == direct.additive_part
@@ -1426,7 +1522,7 @@ def test_one_extraction_per_run(monkeypatch):
     for n in (2, 4):
         calls.clear()
         assert run_rank_one_example(n, F3, sample_count=1).all_passed()
-        (f, model_u, model_2u, phi, r_label), = calls
+        (f, data, model_u, model_2u, phi, r_label), = calls
         assert model_2u.dimension == 4 and phi.shape == (2, 2)
 
 

@@ -12,7 +12,7 @@ from polyfunctor.errors import FieldMismatchError, RingMismatchError, Substituti
 from polyfunctor.functors import SumF, TenAltF, TenSymF
 from polyfunctor.rings import _Overflow, _packing
 
-from conftest import ALL_FIELDS, F2, F3, Q, random_poly, rank_one_points
+from conftest import ALL_FIELDS, F2, F3, Q, random_poly, rank_one_points, substitute_by_powers
 
 import random
 from fractions import Fraction
@@ -466,6 +466,45 @@ def test_substitute_matches_boxed_arithmetic():
             f = random_poly(rng, ring, max_degree=7, max_terms=6)
             mapping = {n: random_poly(rng, target, max_degree=2, max_terms=3) for n in ring.names}
             assert f.substitute(mapping) == _boxed_substitute(f, mapping, target)
+
+
+def _random_ratio_poly(rng, ring, max_degree, max_terms):
+    """A random polynomial whose coefficients a/b have b in 1..6, a unit mod p."""
+    p = ring.field.characteristic
+    poly = ring.zero()
+    for _ in range(rng.randint(0, max_terms)):
+        exps = [0] * len(ring.names)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(len(exps))] += 1
+        b = rng.choice([b for b in range(1, 7) if not p or b % p])
+        poly = poly + ring.monomial(exps, Fraction(rng.randint(-6, 6), b))
+    return poly
+
+
+def test_substitute_with_denominators_matches_boxed_arithmetic():
+    rng = random.Random(17)
+    seen = set()
+    for field in (Q, F3, F101):
+        ring = GradedRing(field, [("x", "main", 1), ("y", "main", 2), ("z", "aux", 0)])
+        target = GradedRing(field, ["u", "v"])
+        for _ in range(30):
+            f = _random_ratio_poly(rng, ring, 6, 6)
+            mapping = {n: _random_ratio_poly(rng, target, 2, 3) for n in ring.names}
+            result = f.substitute(mapping)
+            assert result == _boxed_substitute(f, mapping, target) == substitute_by_powers(f, mapping)
+            for c in result.terms.values():
+                # over q an integral coefficient is an int, the rest Fractions
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+                seen.add((field.characteristic, c.denominator == 1))
+            for g in [f, *mapping.values()]:
+                seen.update(("source", c.denominator) for c in g.terms.values() if not field.characteristic)
+    # both kinds of q coefficient came back, and denominators up to 6 went in
+    assert {(0, True), (0, False), (3, True), (101, True)} <= seen
+    assert {("source", b) for b in range(1, 7)} <= seen
+    # halves that sum to integers come back as ints, not integral Fractions
+    ring, target = GradedRing(Q, ["x"]), GradedRing(Q, ["u"])
+    image = parse_polynomial("1/2*x + 1/2", ring).substitute({"x": parse_polynomial("2*u + 1", target)})
+    assert image == parse_polynomial("u + 1", target) and {type(c) for c in image.terms.values()} == {int}
 
 
 def test_substitute_into_a_ring_without_variables():
