@@ -888,16 +888,6 @@ def _sample_statuses(rng: random.Random, fld: FieldDescriptor, checks) -> list[b
     ]
 
 
-def pullback_t_coefficients(pullback: GradedPoly, base_ring: GradedRing) -> list[GradedPoly]:
-    """Coefficients, as polynomials in base_ring, of the powers of the one
-    variable t of the pullback's ring that base_ring lacks.  The pullback
-    vanishes identically in t at a point exactly when all of them vanish
-    there, in every characteristic."""
-    base_names = set(base_ring.names)
-    t_var = next(name for name in pullback.ring.names if name not in base_names)
-    return [pullback.coeff_of_power(t_var, k, base_ring) for k in pullback.powers_of(t_var)]
-
-
 def run_rank_one_example(
     n: int,
     fld: FieldDescriptor,
@@ -953,14 +943,16 @@ def run_rank_one_example(
     check("joint-scaling f", joint_scaling_holds(step.data))
 
     # the sampled checks' Segre images: the witness at the base dimension,
-    # the pullbacks' t-coefficients, the k's and the cleared certificate
+    # the pullbacks' t-coefficients (a pullback vanishes identically in t at
+    # a point exactly when all of them do), the k's and the cleared certificate
     sampled = [([f.substitute(_segre_map(model_u))], u, 20, None)]
     m, certificate, universal = model_big.dimension, stages.certificate, stages.universal
     t = universal.pullback.ring.variables[-1]
     segre = _segre_map(model_big, [t])
     vw = segre[t.name].ring.without([t.name])
     pulled = _segre_pullbacks(stages.model_2u, universal, segre, pairs.values())
-    sampled.append(([c for image in pulled for c in pullback_t_coefficients(image, vw)], m, sample_count, None))
+    t_coefficients = [image.coeff_of_power(t.name, k, vw) for image in pulled for k in image.powers_of(t.name)]
+    sampled.append((t_coefficients, m, sample_count, None))
     sampled.append(([el.poly.substitute(segre) for el in stages.elements], m, sample_count, None))
     if certificate is not None:
         # the certificate claims x^q = -numerator/h^e where h does not vanish

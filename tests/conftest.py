@@ -22,10 +22,10 @@ from polyfunctor import (
 from polyfunctor import groebner
 from polyfunctor.groebner import Budget, _prepared
 from polyfunctor.functors import _refuse_char2
-from polyfunctor.hasse import DirectionSubspace, directional_data
+from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_data, doubled_ring, fresh_name
 from polyfunctor.matrices import LinearMapMatrix, _SliceSum
 from polyfunctor.proofstep import _segre_map, _segre_points
-from polyfunctor.rings import GradedPoly, _Divisors, _from_raw, _raw_mul_into, _reduced
+from polyfunctor.rings import GradedPoly, RingVariable, _Divisors, _from_raw, _raw_mul_into, _reduced
 
 Q = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -67,6 +67,44 @@ def witness_data(f, model, r_label):
     """Directional data of f along the summand r_label of model, the data
     derivative_step hands to extraction and to the direction scan."""
     return directional_data(f, DirectionSubspace(model.ring, model.ring.vars_of_part(r_label)))
+
+
+# -- the joint laws as formal identities, the reference that hasse's exponent
+# criteria are checked on; each substitutes into a doubled or c-extended ring
+
+def _additivity_defect(f: GradedPoly, span_vars) -> GradedPoly:
+    """f(v + w) - f(v) - f(w) in doubled variables v, w on span_vars."""
+    ring = f.ring
+    ext, copies = doubled_ring(ring, span_vars, "_b")
+    sum_map = {name: ext.var(name) for name in ring.names}
+    copy_map = dict(sum_map)
+    for orig, copy in copies:
+        sum_map[orig] = ext.var(orig) + ext.var(copy)
+        copy_map[orig] = ext.var(copy)
+    return f.substitute(sum_map) - f.convert(ext) - f.substitute(copy_map)
+
+
+def joint_additivity_by_identity(data: DirectionalData) -> bool:
+    """h(w', v + w) = h(w', v) + h(w', w) as a formal identity."""
+    if not data.dependent:
+        return True
+    return _additivity_defect(data.joint, tuple(c for _, c in data.copies)).is_zero()
+
+
+def joint_scaling_by_identity(data: DirectionalData) -> bool:
+    """h(w', c*w) = c^(p^e) * h(w', w) as a formal identity in a fresh c."""
+    if not data.dependent:
+        return True
+    joint = data.joint
+    ring = joint.ring
+    c_name = fresh_name("c", set(ring.names))
+    ext = ring.extended([RingVariable(c_name, "aux", 0)])
+    scale_map = {name: ext.var(name) for name in ring.names}
+    c_var = ext.var(c_name)
+    for _, copy in data.copies:
+        scale_map[copy] = c_var * ext.var(copy)
+    q = ring.field.char_exponent ** data.level
+    return (joint.substitute(scale_map) - joint.convert(ext) * c_var ** q).is_zero()
 
 
 def random_scalar(rng, field, lo=-6, hi=6):

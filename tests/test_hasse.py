@@ -7,6 +7,7 @@ import pytest
 
 from polyfunctor import (
     DirectionSubspace,
+    DirectionalData,
     FieldDescriptor,
     GradedRing,
     directional_data,
@@ -19,8 +20,11 @@ from polyfunctor import (
     taylor_expand,
 )
 from polyfunctor.errors import AlgebraError, DirectionError
+from polyfunctor.hasse import doubled_ring
 
-from conftest import ALL_FIELDS, F2, F3, F5, Q, random_poly, random_scalar
+from conftest import (
+    ALL_FIELDS, F2, F3, F5, Q, joint_additivity_by_identity, joint_scaling_by_identity, random_poly, random_scalar,
+)
 
 
 def xyz_ring(field):
@@ -287,6 +291,33 @@ def test_joint_laws_on_random_dependent_instances():
             found += 1
             assert joint_additivity_holds(data)
             assert joint_scaling_holds(data)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_joint_laws_agree_with_their_formal_identities(field):
+    """Both answers of each law, on hand-built joints in x, y, z plus copies
+    x_w, y_w of the direction x, y: one or two terms, each a w'-part times a
+    w-part that is w-free, a copy's p^k-th power for k = 0, 1, 2, its
+    (2p)-th power (its square in characteristic 0), x_w*y_w or
+    x_w^p*y_w^p.  Coefficients come reduced into the field through
+    monomial, as a non-canonical zero coefficient would read as a term."""
+    ring = GradedRing(field, ["x", "y", "z"])
+    joint_ring, copies = doubled_ring(ring, ("x", "y"), "_w")
+    p = field.char_exponent
+    w_parts = [(0, 0), (1, 1), (p, p), (2 * p, 0)]
+    w_parts += [part for k in range(3) for part in ((p ** k, 0), (0, p ** k))]
+    w_parts = list(dict.fromkeys(w_parts))
+    monomials = [joint_ring.monomial(g + a) for g in ((0, 0, 0), (1, 0, 2)) for a in w_parts]
+    joints = monomials + [a - b for i, a in enumerate(monomials) for b in monomials[i + 1:]]
+    for level in range(3):
+        answers = set()
+        for joint in joints:
+            data = DirectionalData("dependent", level, joint, copies)
+            additive, scaling = joint_additivity_holds(data), joint_scaling_holds(data)
+            assert additive == joint_additivity_by_identity(data)
+            assert scaling == joint_scaling_by_identity(data)
+            answers |= {("additivity", additive), ("scaling", scaling)}
+        assert len(answers) == 4
 
 
 def test_degree_drop_for_homogeneous_witness():

@@ -44,12 +44,11 @@ from polyfunctor.proofstep import (
     _sample_statuses,
     _segre_points,
     _vanish_on_samples,
-    pullback_t_coefficients,
 )
 
 from conftest import (
-    F3, F5, Q, normal_form, rank_one_minors_plain, rank_one_points, segre_map_by_arithmetic, split_to_plain_map,
-    substitute_by_powers, witness_data,
+    F3, F5, Q, joint_additivity_by_identity, joint_scaling_by_identity, normal_form, rank_one_minors_plain,
+    rank_one_points, segre_map_by_arithmetic, split_to_plain_map, substitute_by_powers, witness_data,
 )
 
 SPLIT = SumF((TenSymF(), TenAltF()))
@@ -975,8 +974,10 @@ def test_t_coefficient_check_agrees_with_substitution(field):
         ext = el.pullback.ring
         t_name = ext.names[-1]
         perturbed = el.pullback + ext.var(t_name) * ext.var("y_1_1")
-        coeffs = pullback_t_coefficients(el.pullback, model_big.ring)
-        perturbed_coeffs = pullback_t_coefficients(perturbed, model_big.ring)
+        coeffs, perturbed_coeffs = (
+            [pullback.coeff_of_power(t_name, k, model_big.ring) for k in pullback.powers_of(t_name)]
+            for pullback in (el.pullback, perturbed)
+        )
         assert all(c.ring == model_big.ring for c in coeffs)
         caught = 0
         for point in itertools.islice(points, 30):
@@ -1083,7 +1084,23 @@ def _checked_against_the_power_kernel(monkeypatch):
 
 @pytest.mark.parametrize("selector", ["q", "fp:3", "fp:101"])
 def test_rank_one_substitutions_agree_with_the_power_kernel(selector, monkeypatch):
+    from polyfunctor import proofstep
+
     checked = _checked_against_the_power_kernel(monkeypatch)
+
+    def agreeing(law, oracle):
+        def checked_law(dd):
+            holds = law(dd)
+            assert holds == oracle(dd)
+            return holds
+        return checked_law
+
+    # each joint law also runs its formal identity, whose doubled-ring
+    # substitutions the compared kernel checks
+    monkeypatch.setattr(proofstep, "joint_additivity_holds",
+                        agreeing(proofstep.joint_additivity_holds, joint_additivity_by_identity))
+    monkeypatch.setattr(proofstep, "joint_scaling_holds",
+                        agreeing(proofstep.joint_scaling_holds, joint_scaling_by_identity))
     for n in range(2, 6):
         checked.clear()
         assert run_rank_one_example(n, FieldDescriptor.parse(selector)).all_passed()
