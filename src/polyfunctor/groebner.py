@@ -11,8 +11,11 @@ nonzero S-pair remainder), criterion B drops each pending pair (i, j) whose
 lcm the leading monomial of h divides, unless lcm(i, h) or lcm(j, h) equals
 lcm(i, j); among the new pairs (k, h), M drops those whose lcm another's
 properly divides, F keeps one of those with equal lcm (none if one is
-coprime), and the coprime ones are dropped.  Pending pairs sit in a heap keyed
-by the order key of the lcm of their leading monomials, then by index (the
+coprime), and the coprime ones are dropped.  The leading monomials and lcms
+are packed ints (rings._Monomials): an lcm is a per-field max, a pair is
+coprime when its lcm is the sum of its leads, and divisibility is the guard
+test of division.  Pending pairs sit in a heap keyed by the packed lcm with
+its weighted degree, which orders as the term order, then by index (the
 normal strategy); a pair B drops leaves it when popped.
 
 A division (reduce_poly, divide_exact) works on a mutable copy of the
@@ -38,10 +41,9 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-from operator import le
 
 from .errors import AlgebraError, BudgetExceededError
-from .rings import GradedPoly, _Divisors, _from_raw, _raw
+from .rings import GradedPoly, _Divisors, _from_raw, _Monomials, _raw
 
 DEFAULT_BUDGET = 50_000
 
@@ -118,42 +120,33 @@ def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
     if not gens:
         return []
     basis = _Divisors(gens[0].ring)
-    key, leads, pending, pairs = basis.ring.order_key, [], {}, []
+    monomials, leads, dropped, pairs = _Monomials(basis.ring.weights, 1), [], set(), []
 
     def join(h):
-        """Gebauer-Moeller update as h joins; each lcm goes with the bit mask
-        of its variables, a cheap first test of divisibility."""
+        """Gebauer-Moeller update as h joins."""
         basis.append(_monic(h))
-        e, new = h.leading_item()[0], len(leads)
-        s = sum(1 << v for v, x in enumerate(e) if x)
-        kept = []  # a proper divisor has the smaller key; coprime first among equal lcms
-        for order, shared, mask, k in sorted((key(tuple(map(max, d, e))), bool(t & s), t | s, k)
-                                             for k, (d, t) in enumerate(leads)):
-            for other, other_mask, _, _ in kept:  # M, and F keeping one
-                if other_mask | mask == mask and all(map(le, other[1], order[1])):
-                    break
-            else:
-                kept.append((order, mask, shared, k))
-        for (i, j), (lcm, mask) in list(pending.items()):  # B
-            if s | mask == mask and all(map(le, e, lcm)) and lcm not in (
-                    tuple(map(max, leads[i][0], e)), tuple(map(max, leads[j][0], e))):
-                del pending[i, j]
-        leads.append((e, s))
-        for order, mask, shared, k in kept:
+        e, new = monomials.packed(h.leading_item()[0], leads, pairs), len(leads)
+        lcm, key = monomials.lcm, monomials.key
+        dropped.update((i, j) for m, i, j in monomials.multiples(e, pairs)  # B
+                       if m not in (key(lcm(leads[i], e)), key(lcm(leads[j], e))))
+        # lex order refines divisibility: each new pair left drops those after it
+        # whose lcm its lcm divides (M, and F keeping the coprime one, else lowest k)
+        candidates = sorted([(m, m != d + e, k) for k, d in enumerate(leads) for m in (lcm(d, e),)])
+        while candidates:
+            m, shared, k = candidates[0]
             if shared:  # a coprime pair is dropped only now, having served M and F
-                pending[k, new] = order[1], mask
-                heappush(pairs, (order, (k, new)))
+                heappush(pairs, (key(m), k, new))
+            candidates = monomials.non_multiples(m, candidates)
+        leads.append(e)
 
     for g in gens:
         join(g)
     while pairs:
-        (_, lcm), (i, j) = heappop(pairs)
-        if pending.pop((i, j), None) is None:  # dropped by criterion B
-            continue
-        budget.spend()
-        remainder = reduce_poly((lcm, i, j), basis, budget)
-        if remainder:
-            join(remainder)
+        m, i, j = heappop(pairs)
+        if (i, j) not in dropped:  # by criterion B
+            budget.spend()
+            if remainder := reduce_poly((monomials.unpack(m), i, j), basis, budget):
+                join(remainder)
     return basis.polys
 
 

@@ -25,13 +25,14 @@ is cleared of its denominators once, each term scaled onto one common
 denominator, which is divided out once per nonzero result term (the
 fraction-free idea of Bareiss, Math. Comp. 22 (1968)).
 
-Division alone packs monomials into ints (_packing): the weighted degree on
-top, then one byte per variable whose top bit is a guard bit, so int order
-is the term order and divisibility is one subtraction and one mask test (cf.
-Monagan & Pearce, J. Symb. Comp. 46 (2011); Bachmann & Schoenemann, ISSAC
-1998).  A division that meets an exponent above 127 starts again with wider
-fields (_Divisors.divide).  Ring products, substitution, the Hasse
-calculus and the parser stay on exponent tuples.
+Division and Buchberger's pair update alone pack monomials into ints
+(_packing): the weighted degree on top, then one byte per variable whose top
+bit is a guard bit, so int order is the term order and divisibility is one
+subtraction and one mask test (cf. Monagan & Pearce, J. Symb. Comp. 46
+(2011); Bachmann & Schoenemann, ISSAC 1998).  A division that meets an
+exponent above 127 starts again with wider fields (_Divisors.divide); the
+pair update widens its monomials in place (_Monomials).  Ring products,
+substitution, the Hasse calculus and the parser stay on exponent tuples.
 """
 
 from __future__ import annotations
@@ -153,10 +154,7 @@ class GradedPoly:
 
     def __init__(self, ring: GradedRing, terms: dict, _canonical: bool = False):
         self.ring = ring
-        if _canonical:
-            self.terms = terms
-        else:
-            self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = terms if _canonical else {e: c for e, c in terms.items() if c}
 
     # -- basic queries -------------------------------------------------------
 
@@ -177,15 +175,10 @@ class GradedPoly:
 
     def weighted_degree(self):
         """Maximum weighted degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        w = self.ring.weights
-        return max(sum(e * wi for e, wi in zip(exps, w)) for exps in self.terms)
+        return max((sum(map(operator.mul, exps, self.ring.weights)) for exps in self.terms), default=None)
 
     def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(exps) for exps in self.terms)
+        return max(map(sum, self.terms), default=None)
 
     def is_weight_homogeneous(self) -> bool:
         w = self.ring.weights
@@ -339,12 +332,7 @@ class GradedPoly:
         """Re-express in another ring containing the same-named variables."""
         if target_ring.field != self.ring.field:
             raise FieldMismatchError("conversion across fields")
-        positions = []
-        for i, name in enumerate(self.ring.names):
-            if name in target_ring._pos:
-                positions.append((i, target_ring.position(name)))
-            else:
-                positions.append((i, None))
+        positions = [(i, target_ring._pos.get(name)) for i, name in enumerate(self.ring.names)]
         width = len(target_ring.names)
         terms = {}
         for exps, c in self.terms.items():
@@ -616,6 +604,37 @@ class _Divisors:
             pack = _packing(self.ring.weights, k)[0]
             packed += (g._associate()[3] if k == 1 else _packed(pack, *g._associate()[:3]) for g in polys)
             return None if None in packed else packed
+
+
+class _Monomials:
+    """buchberger's leading monomials and pair lcms, packed (_packing) without
+    the degree field at one width, doubled in place while one does not fit.
+    lcm is a per-field max: the guard bits of (a | guard) - b mark the fields
+    where a >= b, one product spreads each over its field.  key puts back the
+    weighted degree.  multiples(m, items) and non_multiples(m, items) split
+    the items (packed monomial, ...) by whether m divides their monomial."""
+
+    def __init__(self, weights: tuple, k: int):
+        self.weights, self.k, (self.pack, self.unpack, guard) = weights, k, _packing(weights, k)
+        low, ones, scales = 8 * k * len(weights), (1 << 8 * k) - 1, [w << 8 * i for w in weights for i in range(k)[::-1]]
+        self.body = body = (1 << low) - 1
+        self.lcm = lambda a, b: a & (m := ((((a | guard) - b) & guard) >> 8 * k - 1) * ones) | b & (body ^ m)
+        self.key = lambda m: sum(map(operator.mul, m.to_bytes(low // 8, "big"), scales)) << low | m
+        self.multiples = lambda m, items: [t for t in items if ((t[0] | guard) - m) & guard == guard]
+        self.non_multiples = lambda m, items: [t for t in items if ((t[0] | guard) - m) & guard != guard]
+
+    def packed(self, exps, leads: list, pairs: list) -> int:
+        """exps packed, the width doubled first while it does not fit, with
+        leads and the heap of pairs (key, i, j) repacked in place: packing
+        keeps their order, and so the heap."""
+        try:
+            return self.pack(exps) & self.body
+        except _Overflow:
+            unpack = self.unpack
+            self.__init__(self.weights, 2 * self.k)
+            leads[:] = [self.pack(unpack(m)) & self.body for m in leads]
+            pairs[:] = [(self.pack(unpack(m)), i, j) for m, i, j in pairs]
+            return self.packed(exps, leads, pairs)
 
 
 class _Dividend:

@@ -1,6 +1,7 @@
 import itertools
 import random
-from operator import add
+from heapq import heappop, heappush
+from operator import add, le
 
 import pytest
 
@@ -199,6 +200,56 @@ def normal_form(f, generators, budget=None):
     gens = _prepared(f.ring, generators)
     budget = budget or Budget()
     return groebner.reduce_poly(f, groebner.buchberger(gens.polys, budget), budget) if gens.polys else f
+
+
+def buchberger_by_tuples(gens, budget=None):
+    """The Gebauer-Moeller update on exponent tuples, as buchberger ran it
+    before the pair data was packed: tuple max lcms, GradedRing.order_key
+    heap keys and per-variable bit masks.  The reference that buchberger's
+    bases, budgets and S-pair sequences are checked on; it reduces each
+    S-pair through groebner.reduce_poly too."""
+    budget = budget or Budget()
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    basis = _Divisors(gens[0].ring)
+    key, leads, pending, pairs = basis.ring.order_key, [], {}, []
+
+    def join(h):
+        """Gebauer-Moeller update as h joins; each lcm goes with the bit mask
+        of its variables, a cheap first test of divisibility."""
+        basis.append(groebner._monic(h))
+        e, new = h.leading_item()[0], len(leads)
+        s = sum(1 << v for v, x in enumerate(e) if x)
+        kept = []  # a proper divisor has the smaller key; coprime first among equal lcms
+        for order, shared, mask, k in sorted((key(tuple(map(max, d, e))), bool(t & s), t | s, k)
+                                             for k, (d, t) in enumerate(leads)):
+            for other, other_mask, _, _ in kept:  # M, and F keeping one
+                if other_mask | mask == mask and all(map(le, other[1], order[1])):
+                    break
+            else:
+                kept.append((order, mask, shared, k))
+        for (i, j), (lcm, mask) in list(pending.items()):  # B
+            if s | mask == mask and all(map(le, e, lcm)) and lcm not in (
+                    tuple(map(max, leads[i][0], e)), tuple(map(max, leads[j][0], e))):
+                del pending[i, j]
+        leads.append((e, s))
+        for order, mask, shared, k in kept:
+            if shared:  # a coprime pair is dropped only now, having served M and F
+                pending[k, new] = order[1], mask
+                heappush(pairs, (order, (k, new)))
+
+    for g in gens:
+        join(g)
+    while pairs:
+        (_, lcm), (i, j) = heappop(pairs)
+        if pending.pop((i, j), None) is None:  # dropped by criterion B
+            continue
+        budget.spend()
+        remainder = groebner.reduce_poly((lcm, i, j), basis, budget)
+        if remainder:
+            join(remainder)
+    return basis.polys
 
 
 def minors_ideal(field, rows, cols):

@@ -17,8 +17,11 @@ from polyfunctor import (
     reduce_poly,
 )
 from polyfunctor.groebner import DEFAULT_BUDGET, buchberger, divide_exact
+from polyfunctor.rings import GradedPoly
 
-from conftest import F3, IDEALS, LARGE_IDEALS, Q, normal_form, random_ideal, random_poly, s_polynomial
+from conftest import (
+    F3, IDEALS, LARGE_IDEALS, Q, buchberger_by_tuples, normal_form, random_ideal, random_poly, s_polynomial,
+)
 
 ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
 
@@ -599,3 +602,94 @@ def test_prepared_set_refuses_a_foreign_ring(foreign_ring_case):
     with pytest.raises(RingMismatchError):
         prepared.append(f)
     assert prepared.polys == [g]
+
+
+# -- the pair update on packed monomials against the tuple one it replaced:
+# the same pairs in the same order, so the same bases, budgets and S-pair
+# sequences, in weighted rings and past one byte per exponent ----------------
+
+@pytest.fixture
+def pair_widths(monkeypatch):
+    """Per call of _Monomials.packed, which calls itself once more after
+    widening: (bytes per exponent before, after, pairs in the heap then)."""
+    from polyfunctor.rings import _Monomials
+
+    seen = []
+    packed = _Monomials.packed
+
+    def logged(self, exps, leads, pairs):
+        k, pending = self.k, len(pairs)
+        m = packed(self, exps, leads, pairs)
+        seen.append((k, self.k, pending))
+        return m
+
+    monkeypatch.setattr(_Monomials, "packed", logged)
+    return seen
+
+
+def _pair_run(engine, gens, steps, seen):
+    """(basis, or None once the budget ran out; budget left; the (i, j) of
+    each S-pair reduced) of one run of engine from a budget of steps."""
+    seen.clear()
+    budget = Budget(steps)
+    try:
+        basis = engine(gens, budget)
+    except BudgetExceededError:
+        basis = None
+    return basis, budget.remaining, list(seen)
+
+
+def _weighted_ideal(rng, field, wide):
+    """Seeded random generators in 2 or 3 variables of weights 0..3: 2 to 4
+    small ones, or 2 or 3 wide ones of 2 or 3 terms whose exponents reach
+    30..100, so that S-pair remainders often lead with one above 127."""
+    ring = GradedRing(field, [(v, "main", rng.randint(0, 3)) for v in "xyz"[:rng.choice((2, 3))]])
+    if not wide:
+        return [random_poly(rng, ring, max_degree=rng.randint(2, 4), max_terms=4) for _ in range(rng.randint(2, 4))]
+    return [sum((ring.monomial([rng.choice((0, 1, rng.randint(30, 100))) for _ in ring.names], rng.randint(1, 5))
+                 for _ in range(rng.randint(2, 3))), ring.zero())
+            for _ in range(rng.randint(2, 3))]
+
+
+@pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
+def test_pair_update_matches_the_tuple_reference(field, reduced_pairs, pair_widths):
+    fld = FieldDescriptor.parse(field)
+    rng = random.Random(f"pair update {field}")
+    grown = 0
+    for n in range(60):
+        gens = _weighted_ideal(rng, fld, wide=n % 2)
+        pair_widths.clear()
+        ours = _pair_run(buchberger, gens, 1000, reduced_pairs)
+        assert ours == _pair_run(buchberger_by_tuples, gens, 1000, reduced_pairs)
+        grown += any(k < wider and pending for k, wider, pending in pair_widths)
+    assert grown >= 3  # the pair data widened with pairs pending
+
+
+@pytest.mark.parametrize("field", ("q", "fp:101"))
+def test_pair_data_widens_with_pairs_pending(field, reduced_pairs, pair_widths):
+    ring = GradedRing(FieldDescriptor.parse(field), [("x", "main", 1), ("y", "main", 2), ("z", "main", 3)])
+    gens = [parse_polynomial(text, ring) for text in ("x^100*y + y^50", "x*y^90 + x^60", "y*z^90 + x^2")]
+    # (0, 1) is taken first; its remainder leads with y^139, joining while
+    # (0, 2) and (1, 2) are pending
+    ours = _pair_run(buchberger, gens, 1000, reduced_pairs)
+    assert ours[2][:1] == [(0, 1)] and (1, 2, 2) in pair_widths
+    assert ours == _pair_run(buchberger_by_tuples, gens, 1000, reduced_pairs)
+    assert ours[0] is not None and ours[0][3].leading_item()[0] == (0, 139, 0)
+
+
+@pytest.mark.parametrize("field", ("q", "fp:32003"))
+@pytest.mark.parametrize("ideal", ("minors4x4", "katsura4", "cyclic4"))
+def test_pair_update_makes_no_order_key(ideal, field, monkeypatch):
+    """GradedRing.order_key runs only in each basis element's leading-term
+    scan (GradedPoly._associate), once per term."""
+    gens = [GradedPoly(g.ring, dict(g.terms)) for g in ALL_IDEALS[ideal](FieldDescriptor.parse(field))]
+    calls = []
+    order_key = GradedRing.order_key
+
+    def counted(ring, exps):
+        calls.append(exps)
+        return order_key(ring, exps)
+
+    monkeypatch.setattr(GradedRing, "order_key", counted)
+    basis = buchberger(gens)
+    assert len(calls) == sum(len(g.terms) for g in basis)
