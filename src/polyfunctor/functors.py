@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .errors import AlgebraError, CharacteristicError, ParseError, Record
+from .errors import AlgebraError, CharacteristicError, Record
 from .fields import FieldDescriptor
 from .matrices import (
     LinearMapMatrix,
@@ -39,7 +39,7 @@ from .matrices import (
     shift_projection,
     space_labels,
 )
-from .parsing import _tokenize
+from .parsing import _Parser
 from .rings import GradedPoly, GradedRing
 
 # ---------------------------------------------------------------------------
@@ -768,8 +768,9 @@ def dim_polynomial(expr: FunctorExpr) -> GradedPoly:
 # grammar
 # ---------------------------------------------------------------------------
 
-# a bad character is reported where the blanks before it begin
-_FUNCTOR_TOKEN = re.compile(r"\s*(?:(?P<name>[a-z]+)|(?P<int>\d+)|(?P<op>[(),])|(?P<bad>\S))")
+# a token is the group; a match without it is a character no token starts
+# with, reported where the blanks before it begin
+_FUNCTOR_TOKEN = re.compile(r"\s*(?:([a-z]+|\d+|[(),])|\S)")
 
 # constructor name -> (class, kinds of its arguments in field order): "i" an
 # integer, "e" an expression, "E" one or more expressions
@@ -788,38 +789,31 @@ _CONSTRUCTORS = {
 _SPELLING = {cls: (name, kinds) for name, (cls, kinds) in _CONSTRUCTORS.items()}
 
 
-class _FunctorParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text, _FUNCTOR_TOKEN)
-        self.i = 0
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+class _FunctorParser(_Parser):
+    pattern = _FUNCTOR_TOKEN
 
     def expect(self, wanted: str) -> str:
-        """Value of the next token, which must be the operator wanted or,
-        for "int", an integer."""
-        kind, value, pos = self.next()
-        if wanted != (value if kind == "op" else kind):
-            raise ParseError("expected an integer" if wanted == "int" else f"expected {wanted}", pos, self.text)
+        """Read the next token, which must be the operator wanted or, for
+        "int", an integer."""
+        value = self.tokens[self.i]
+        if not (value.isdigit() if wanted == "int" else value == wanted):
+            raise self.error("expected an integer" if wanted == "int" else f"expected {wanted}", self.i)
+        self.i += 1
         return value
 
     def parse(self) -> FunctorExpr:
         expr = self.expression()
-        kind, value, pos = self.next()
-        if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", pos, self.text)
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected token {self.tokens[self.i]!r}", self.i)
         return expr
 
     def expression(self) -> FunctorExpr:
-        kind, value, pos = self.next()
-        if kind != "name":
-            raise ParseError("expected a functor constructor", pos, self.text)
+        value = self.tokens[self.i]
+        if not value.isalpha():
+            raise self.error("expected a functor constructor", self.i)
         if value not in _CONSTRUCTORS:
-            raise ParseError(f"unknown constructor {value!r}", pos, self.text)
+            raise self.error(f"unknown constructor {value!r}", self.i)
+        self.i += 1
         cls, kinds = _CONSTRUCTORS[value]
         if not kinds:
             return cls()
@@ -832,7 +826,7 @@ class _FunctorParser:
                 args.append(self.expression())
             else:
                 parts = [self.expression()]
-                while self.tokens[self.i][1] == ",":
+                while self.tokens[self.i] == ",":
                     self.i += 1
                     parts.append(self.expression())
                 args.append(tuple(parts))

@@ -3,17 +3,19 @@
 Polynomials: terms over variables matching [a-zA-Z][a-zA-Z0-9_]*, exact
 integer or integer/integer coefficients, operators + - * and ^ for powers,
 with parentheses allowed, e.g. ``x11*x22 - x12*x21``.  Printing a polynomial
-and re-parsing it in the same ring gives back an equal value.  Every grammar
-rule returns raw terms (exponents -> unreduced raw coefficient, the format
-of rings): a sum adds each term into one dict, a product or power of single
-terms adds or scales exponents, and the result becomes a polynomial once.
+and re-parsing it in the same ring gives back an equal value.  The polynomial
+and the functor grammar share one tokenizer: one findall per text, tokens as
+plain strings, a position found (by a second scan) only for a ParseError.
+Each term gathers its variables, coefficients and powers into one exponent
+list and one raw coefficient (the format of rings) added into the sum's one
+dict; only a parenthesised group is multiplied or raised as raw terms.
 
 Matrices are rows separated by ';' with ',' separated entries.
 """
 
 from __future__ import annotations
 
-import operator
+import itertools
 import re
 from fractions import Fraction
 
@@ -21,113 +23,111 @@ from .errors import ParseError
 from .fields import FieldDescriptor, Scalar
 from .rings import GradedPoly, GradedRing, _from_raw, _raw, _raw_mul_into, _raw_pow, _reduced
 
-# every non-blank character starts a token; "bad" ones are rejected at their
-# own position
-_TOKEN = re.compile(r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))|(?P<bad>\S)")
-
-NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+# a token is the group; a match without it is a character no token starts
+# with, reported at its own position
+_TOKEN = re.compile(r"\s*([a-zA-Z][a-zA-Z0-9_]*|\d+|[-+*^()/])|\S")
 
 _SIGNS = {"+": 1, "-": -1}
 
 
-def _tokenize(text: str, pattern: re.Pattern):
-    """(kind, value, position) of each match of pattern, the group that
-    matched naming the kind, then an end token; a "bad" match is an error
-    at the start of the match."""
-    tokens = []
-    for m in pattern.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(), text)
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
+class _Parser:
+    """Recursive descent over a text's tokens: group 1 of each match of the
+    class's pattern, found by one findall, then "" for the end.  A match
+    without group 1 is an unexpected character.  A position is found only
+    for a ParseError, by scanning the text again."""
+
+    pattern: re.Pattern
+
+    def __init__(self, text: str):
+        self.text, self.tokens, self.i = text, self.pattern.findall(text), 0
+        if "" in self.tokens:
+            raise self.error("", self.tokens.index(""))
+        self.tokens.append("")
+
+    def error(self, message: str, i: int) -> ParseError:
+        """ParseError at token i; an unexpected character at the start of its match."""
+        m = next(itertools.islice(self.pattern.finditer(self.text), i, None), None)
+        if m and not m[1]:
+            return ParseError(f"unexpected character {m[0][-1]!r}", m.start(), self.text)
+        return ParseError(message, m.start(1) if m else len(self.text), self.text)
 
 
-class _PolyParser:
+class _PolyParser(_Parser):
+    pattern = _TOKEN
+
     def __init__(self, text: str, ring: GradedRing):
-        self.text = text
+        super().__init__(text)
         self.ring = ring
-        self.p = ring.field.characteristic
-        self.unit = (0,) * len(ring.names)
-        self.tokens = _tokenize(text, _TOKEN)
-        self.i = 0
-        self.variables: dict = {}  # name -> its raw terms {exps: 1}, read only
-
-    def peek(self) -> str:
-        """Value of the next token: operators are told apart by value alone."""
-        return self.tokens[self.i][1]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def parse(self) -> GradedPoly:
         acc = self.expression()
-        kind, value, pos = self.next()
-        if kind != "end":
-            raise ParseError(f"unexpected token {value!r}", pos, self.text)
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected token {self.tokens[self.i]!r}", self.i)
         return _from_raw(self.ring, acc)
 
     def expression(self) -> dict:
-        acc: dict = {}
-        sign = _SIGNS[self.next()[1]] if self.peek() in _SIGNS else 1
+        acc, tokens = {}, self.tokens
+        sign = _SIGNS.get(tokens[self.i])
+        if sign:
+            self.i += 1
         while True:
-            for exps, c in self.term().items():
-                acc[exps] = acc.get(exps, 0) + sign * c
-            if self.peek() not in _SIGNS:
+            self.term(acc, sign or 1)
+            sign = _SIGNS.get(tokens[self.i])
+            if not sign:
                 return acc
-            sign = _SIGNS[self.next()[1]]
+            self.i += 1
 
-    def term(self) -> dict:
-        acc = self.factor()
-        while self.peek() == "*":
-            self.next()
-            rhs = self.factor()
-            if len(acc) == 1 == len(rhs):
-                ((e1, c1),), ((e2, c2),) = acc.items(), rhs.items()
-                acc = {tuple(map(operator.add, e1, e2)): c1 * c2}
+    def term(self, acc: dict, c):
+        """acc += c * the product of factors from the next token on."""
+        tokens, ring, i, group = self.tokens, self.ring, self.i, None
+        p, exps = ring.field.characteristic, [0] * len(ring.names)
+        while True:
+            tok = tokens[i]
+            if tok[:1].isalpha():
+                k = ring._pos.get(tok)
+                if k is None:
+                    raise self.error(f"unknown variable {tok!r}", i)
+                i, n = self.power(i + 1)
+                exps[k] += n
+            elif tok.isdigit():
+                v = int(tok)
+                if tokens[i + 1] == "/":
+                    i += 2
+                    if not tokens[i].isdigit():
+                        raise self.error("expected integer denominator", i)
+                    if not int(tokens[i]):
+                        raise self.error("zero denominator", i)
+                    v = Fraction(v, int(tokens[i]))
+                v = _raw(ring.field, v)
+                i, n = self.power(i + 1)
+                c *= pow(v, n, p) if p else v**n
+            elif tok == "(":
+                self.i = i + 1
+                g, i = self.expression(), self.i
+                if tokens[i] != ")":
+                    raise self.error("expected ')'", i)
+                i, n = self.power(i + 1)
+                if n != 1:
+                    g = _raw_pow(g, n, p, (0,) * len(exps))
+                group = g if group is None else _raw_mul_into({}, _reduced(group, p), _reduced(g, p), 1)
             else:
-                acc = _raw_mul_into({}, _reduced(acc, self.p), _reduced(rhs, self.p), 1)
-        return acc
+                raise self.error(f"unexpected token {tok!r}" if tok else "unexpected end of input", i)
+            if tokens[i] != "*":
+                break
+            i += 1
+        self.i, exps = i, tuple(exps)
+        if group is None:
+            acc[exps] = acc.get(exps, 0) + c
+        else:
+            _raw_mul_into(acc, group.items(), ((exps, c),), 1)
 
-    def factor(self) -> dict:
-        acc = self.atom()
-        if self.peek() == "^":
-            self.next()
-            kind, value, pos = self.next()
-            if kind != "int":
-                raise ParseError("expected integer exponent", pos, self.text)
-            acc = _raw_pow(acc, int(value), self.p, self.unit)
-        return acc
-
-    def atom(self) -> dict:
-        kind, value, pos = self.next()
-        if kind == "int":
-            c = int(value)
-            if self.peek() == "/":
-                self.next()
-                kind, value, pos = self.next()
-                if kind != "int":
-                    raise ParseError("expected integer denominator", pos, self.text)
-                if not int(value):
-                    raise ParseError("zero denominator", pos, self.text)
-                c = Fraction(c, int(value))
-            return {self.unit: _raw(self.ring.field, c)}
-        if kind == "name":
-            if value not in self.variables:
-                if value not in self.ring._pos:
-                    raise ParseError(f"unknown variable {value!r}", pos, self.text)
-                self.variables[value] = self.ring.var(value).terms
-            return self.variables[value]
-        if value == "(":
-            acc = self.expression()
-            kind, value, pos = self.next()
-            if value != ")":
-                raise ParseError("expected ')'", pos, self.text)
-            return acc
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos, self.text)
+    def power(self, i: int) -> tuple:
+        """(next index, n) of an optional ^n at token i, n = 1 without one."""
+        if self.tokens[i] != "^":
+            return i, 1
+        if not self.tokens[i + 1].isdigit():
+            raise self.error("expected integer exponent", i + 1)
+        return i + 2, int(self.tokens[i + 1])
 
 
 def parse_polynomial(text: str, ring: GradedRing) -> GradedPoly:
@@ -136,7 +136,7 @@ def parse_polynomial(text: str, ring: GradedRing) -> GradedPoly:
 
 def polynomial_variable_names(text: str) -> tuple[str, ...]:
     """Distinct variable names appearing in a polynomial string, sorted."""
-    return tuple(sorted(set(NAME_RE.findall(text))))
+    return tuple(sorted({t for t in _TOKEN.findall(text) if t[:1].isalpha()}))
 
 
 def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .errors import AlgebraError, FieldMismatchError, Record, RingMismatchError, SubstitutionError
+from .errors import AlgebraError, FieldMismatchError, InternalCheckError, Record, RingMismatchError, SubstitutionError
 from .fields import FieldDescriptor, Scalar
 
 
@@ -653,13 +653,17 @@ class _Dividend:
 
     def __init__(self, f, divisors: _Divisors, k: int):
         """f is a polynomial or the S-pair (lcm, i, j) of two divisors with
-        associates (e, a, g'): a_j*x^(lcm-e_i)*g_i' - a_i*x^(lcm-e_j)*g_j'."""
+        associates (e, a, g'): a_j*x^(lcm-e_i)*g_i' - a_i*x^(lcm-e_j)*g_j'.
+        An lcm that is not a multiple of both leads is an InternalCheckError."""
         self.p = divisors.ring.field.characteristic
         pack, self.exponents, self.guard = _packing(divisors.ring.weights, k)
         self.divisors = divisors.at(k)
         if type(f) is tuple:
             (ei, ai, gi), (ej, aj, gj) = self.divisors[f[1]], self.divisors[f[2]]
             top, self.scale, self.terms, self.heap = pack(f[0]), 1, {}, []
+            for e in (ei, ej):
+                if ((top | self.guard) - e) & self.guard != self.guard:
+                    raise InternalCheckError(f"S-pair lcm {f[0]} is not a multiple of the lead {self.exponents(e)}")
             self.sub_mul(gi, top - ei, -aj)
             self.sub_mul(gj, top - ej, ai)
             return

@@ -1,5 +1,8 @@
 import itertools
+import operator
 import random
+import re
+from fractions import Fraction
 from heapq import heappop, heappush
 from operator import add, le
 
@@ -26,7 +29,10 @@ from polyfunctor.functors import _refuse_char2
 from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_data, doubled_ring, fresh_name
 from polyfunctor.matrices import LinearMapMatrix, _SliceSum
 from polyfunctor.proofstep import _segre_map, _segre_points
-from polyfunctor.rings import GradedPoly, RingVariable, _Divisors, _from_raw, _raw_mul_into, _reduced
+from polyfunctor.errors import ParseError
+from polyfunctor.rings import (
+    GradedPoly, RingVariable, _Divisors, _from_raw, _raw, _raw_mul_into, _raw_pow, _reduced,
+)
 
 Q = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -68,6 +74,123 @@ def witness_data(f, model, r_label):
     """Directional data of f along the summand r_label of model, the data
     derivative_step hands to extraction and to the direction scan."""
     return directional_data(f, DirectionSubspace(model.ring, model.ring.vars_of_part(r_label)))
+
+
+# -- the polynomial parser on (kind, value, position) tokens from three re.Match
+# calls per token, a factor dict per factor and _raw_pow per power: the
+# reference that parsing's one-findall parser is checked against
+
+# every non-blank character starts a token; "bad" ones are rejected at their
+# own position
+_TOKEN = re.compile(r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>\d+)|(?P<op>[-+*^()/]))|(?P<bad>\S)")
+
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _tokenize(text: str, pattern: re.Pattern):
+    """(kind, value, position) of each match of pattern, the group that
+    matched naming the kind, then an end token; a "bad" match is an error
+    at the start of the match."""
+    tokens = []
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(), text)
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _PolyParser:
+    def __init__(self, text: str, ring: GradedRing):
+        self.text = text
+        self.ring = ring
+        self.p = ring.field.characteristic
+        self.unit = (0,) * len(ring.names)
+        self.tokens = _tokenize(text, _TOKEN)
+        self.i = 0
+        self.variables: dict = {}  # name -> its raw terms {exps: 1}, read only
+
+    def peek(self) -> str:
+        """Value of the next token: operators are told apart by value alone."""
+        return self.tokens[self.i][1]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self) -> GradedPoly:
+        acc = self.expression()
+        kind, value, pos = self.next()
+        if kind != "end":
+            raise ParseError(f"unexpected token {value!r}", pos, self.text)
+        return _from_raw(self.ring, acc)
+
+    def expression(self) -> dict:
+        acc: dict = {}
+        sign = _SIGNS[self.next()[1]] if self.peek() in _SIGNS else 1
+        while True:
+            for exps, c in self.term().items():
+                acc[exps] = acc.get(exps, 0) + sign * c
+            if self.peek() not in _SIGNS:
+                return acc
+            sign = _SIGNS[self.next()[1]]
+
+    def term(self) -> dict:
+        acc = self.factor()
+        while self.peek() == "*":
+            self.next()
+            rhs = self.factor()
+            if len(acc) == 1 == len(rhs):
+                ((e1, c1),), ((e2, c2),) = acc.items(), rhs.items()
+                acc = {tuple(map(operator.add, e1, e2)): c1 * c2}
+            else:
+                acc = _raw_mul_into({}, _reduced(acc, self.p), _reduced(rhs, self.p), 1)
+        return acc
+
+    def factor(self) -> dict:
+        acc = self.atom()
+        if self.peek() == "^":
+            self.next()
+            kind, value, pos = self.next()
+            if kind != "int":
+                raise ParseError("expected integer exponent", pos, self.text)
+            acc = _raw_pow(acc, int(value), self.p, self.unit)
+        return acc
+
+    def atom(self) -> dict:
+        kind, value, pos = self.next()
+        if kind == "int":
+            c = int(value)
+            if self.peek() == "/":
+                self.next()
+                kind, value, pos = self.next()
+                if kind != "int":
+                    raise ParseError("expected integer denominator", pos, self.text)
+                if not int(value):
+                    raise ParseError("zero denominator", pos, self.text)
+                c = Fraction(c, int(value))
+            return {self.unit: _raw(self.ring.field, c)}
+        if kind == "name":
+            if value not in self.variables:
+                if value not in self.ring._pos:
+                    raise ParseError(f"unknown variable {value!r}", pos, self.text)
+                self.variables[value] = self.ring.var(value).terms
+            return self.variables[value]
+        if value == "(":
+            acc = self.expression()
+            kind, value, pos = self.next()
+            if value != ")":
+                raise ParseError("expected ')'", pos, self.text)
+            return acc
+        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos, self.text)
+
+
+def parse_polynomial_by_tokens(text: str, ring: GradedRing) -> GradedPoly:
+    return _PolyParser(text, ring).parse()
+
+
 
 
 # -- the joint laws as formal identities, the reference that hasse's exponent

@@ -11,6 +11,7 @@ from polyfunctor import (
     BudgetExceededError,
     FieldDescriptor,
     GradedRing,
+    InternalCheckError,
     RingMismatchError,
     membership_by_division,
     parse_polynomial,
@@ -589,6 +590,23 @@ def test_prepared_set_extended_in_place_matches_a_fresh_one(widths):
     widths.clear()
     assert reduce_poly(h, grown).terms == _reference_division(h.terms, [g.terms for g in grown.polys], 0)[1]
     assert widths == [1, 2]
+
+
+def test_spair_whose_lcm_is_no_multiple_of_a_lead_is_an_internal_check_error(widths):
+    # (1, 2) is the lead of x*y^2 - 1 but no multiple of x^2, the lead of
+    # x^2 - y: the shift by lcm - x^2 is no monomial, and a division of the
+    # pair must fail at once rather than widen the exponents without bound
+    from polyfunctor.rings import _Dividend, _Divisors
+
+    ring = GradedRing(Q, ["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    divisors = _Divisors(ring, [x**2 - y, x * y**2 - 1])
+    with pytest.raises(InternalCheckError, match=r"^S-pair lcm \(1, 2\) is not a multiple of the lead \(2, 0\)$"):
+        _Dividend(((1, 2), 0, 1), divisors, 1)
+    widths.clear()
+    with pytest.raises(InternalCheckError):
+        divisors.divide(((1, 2), 0, 1), lambda work: work)
+    assert widths == [1]
 
 
 def test_prepared_set_refuses_a_foreign_ring(foreign_ring_case):

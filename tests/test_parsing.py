@@ -6,7 +6,7 @@ import pytest
 from polyfunctor import AlgebraError, FieldDescriptor, GradedRing, ParseError, parse_polynomial
 from polyfunctor.parsing import parse_coords, parse_matrix, parse_scalar, polynomial_variable_names
 
-from conftest import F3, F5, Q
+from conftest import F3, F5, Q, parse_polynomial_by_tokens
 
 
 def test_parse_basic_terms():
@@ -200,3 +200,75 @@ def test_parser_makes_no_boxed_arithmetic(boxed_calls):
         assert boxed_calls == {}
         expected = {e: field.scalar(c) for e, c in want.items() if field.scalar(c)}
         assert {e: field.scalar(c) for e, c in f.terms.items()} == expected
+
+
+# -- differential: the one-findall parser against the reference on tokens ---
+
+_BLANKS = ("", "", " ", " ", "\t", "\n")
+
+
+def _random_text(rng, depth):
+    """A random polynomial text over x, y, z: flat sums, nested and powered
+    parentheses, fractions (now and then over 0 or a multiple of 3 or 5),
+    x^0, 0^0 and unary minus, with spaces, tabs and newlines as blanks."""
+    terms = []
+    for i in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("int", "frac", "name", "name", "zero") + (("group",) * 2 if depth else ()))
+            if kind == "int":
+                chunk = str(rng.randint(1, 12))
+            elif kind == "frac":
+                chunk = f"{rng.randint(0, 9)}/{rng.choice((1, 2, 4, 7) * 8 + (3, 5, 10, 0))}"
+            elif kind == "zero":
+                chunk = "0"
+            elif kind == "name":
+                chunk = rng.choice("xyz")
+            else:
+                chunk = f"({_random_text(rng, depth - 1)})"
+            if rng.random() < 0.4:
+                chunk += f"^{rng.randint(0, 3)}"
+            factors.append(chunk)
+        sign = rng.choice(("+", "-")) if i else rng.choice(("", "", "-", "+"))
+        terms.append(sign + rng.choice(_BLANKS) + f"{rng.choice(_BLANKS)}*{rng.choice(_BLANKS)}".join(factors))
+    return rng.choice(_BLANKS).join(terms)
+
+
+def _outcome(parse, text, ring):
+    """The parsed polynomial, or the type, message and position of what was raised."""
+    try:
+        return parse(text, ring)
+    except Exception as exc:  # which exception is raised is part of the outcome
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5, FieldDescriptor.prime_field(101)])
+def test_parser_matches_the_token_reference(field):
+    rng = random.Random(f"parser reference {field}")
+    ring = GradedRing(field, ["x", "y", "z"])
+    insertable = "xyzw0123456789+-*^/() \t\n@_.é"
+    for _ in range(200):
+        text = _random_text(rng, rng.randint(0, 2))
+        k = rng.randrange(len(text) + 1)
+        deleted = text[:k] + text[k + 1:]
+        inserted = text[:k] + rng.choice(insertable) + text[k:]
+        for case in (text, deleted, inserted):
+            assert _outcome(parse_polynomial, case, ring) == _outcome(parse_polynomial_by_tokens, case, ring), case
+
+
+def test_flat_terms_skip_the_raw_kernels(monkeypatch):
+    # a product of variables, coefficients and their powers is one exponent
+    # list and one coefficient; only a parenthesised group goes through the
+    # raw product and power kernels
+    from polyfunctor import parsing
+
+    calls = []
+    for name in ("_raw_pow", "_raw_mul_into"):
+        kernel = getattr(parsing, name)
+        monkeypatch.setattr(parsing, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
+    ring = GradedRing(Q, ["x", "y", "z"])
+    f = parse_polynomial("3*x^2*y^3 - 1/2*z^4 + x", ring)
+    assert calls == []
+    assert f == ring.monomial((2, 3, 0), 3) - ring.monomial((0, 0, 4), Fraction(1, 2)) + ring.var("x")
+    assert parse_polynomial("(x + y)^2*x", ring) == parse_polynomial("x^3 + 2*x^2*y + x*y^2", ring)
+    assert "_raw_pow" in calls and "_raw_mul_into" in calls
