@@ -73,7 +73,6 @@ from .proofstep import (
     DeltaReport,
     DerivativeStep,
     EliminationCertificate,
-    ProjectionCoefficients,
     VarietyPresentation,
     delta_degree,
     derivative_step,

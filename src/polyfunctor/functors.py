@@ -32,7 +32,6 @@ from .matrices import (
     LinearMapMatrix,
     _diagonal,
     _SliceSum,
-    coefficient_matrix,
     identity_matrix,
     matrix_rank,
     shift_embedding,
@@ -706,10 +705,12 @@ def shift_maps(P: FunctorExpr, field: FieldDescriptor, u: int, n: int) -> ShiftM
     top_rows = [i for i, lab in enumerate(small_labels) if _expr_label_vdeg(P, lab, 0) == d]
     iso = len(top_cols) == len(top_rows)
     if iso and top_rows:
-        top = coefficient_matrix(beta, (), top_rows, top_cols, beta.ring)
-        # the top block has the rank of its nonzero rows and columns
-        _, _, block = top.slices.get((), ((), (), []))
-        iso = matrix_rank(block, field) == len(top_rows)
+        # the top block, read off beta's constant slice, has the rank of its nonzero rows and columns
+        rows, cols, block = beta.slices.get((), ((), (), []))
+        wanted_rows, wanted_cols = set(top_rows), set(top_cols)
+        keep = [a for a, j in enumerate(cols) if j in wanted_cols]
+        top = [[row[a] for a in keep] for i, row in zip(rows, block) if i in wanted_rows]
+        iso = matrix_rank(top, field) == len(top_rows)
     return ShiftMaps(alpha, beta, composite_ok, iso, len(top_cols), len(top_rows))
 
 

@@ -203,20 +203,6 @@ def _diagonal(width: int, ring: GradedRing, size: int) -> _SliceSum:
     return acc
 
 
-def coefficient_matrix(m: LinearMapMatrix, exps, rows, cols, ring: GradedRing) -> LinearMapMatrix:
-    """The coefficient of x^exps in m on the given row and column indices, as
-    a matrix of constants of ring, read off the slice of exps."""
-    at_row = {i: a for a, i in enumerate(rows)}
-    at_col = {j: b for b, j in enumerate(cols)}
-    acc = _SliceSum(len(cols))
-    slice_rows, slice_cols, block = m.slices.get(exps, ((), (), ()))
-    for i, values in zip(slice_rows, block):
-        for j, v in zip(slice_cols, values):
-            if i in at_row and j in at_col:
-                acc.add_column((0,) * len(ring.names), at_col[j], (at_row[i],), (v,))
-    return acc.matrix([m.row_labels[i] for i in rows], [m.col_labels[j] for j in cols], ring)
-
-
 def row_forms(m: LinearMapMatrix, ring: GradedRing, col_names, entry_names=()) -> list:
     """Each row i of m as the polynomial sum_j m[i][j] * col_names[j] over
     ring, the variables of m's entries renamed to entry_names."""
@@ -270,17 +256,6 @@ def base_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
     """Projection of the (u+n)-space onto its first u coordinates."""
     ring = scalar_entry_ring(field)
     return _diagonal(u + n, ring, u).matrix(space_labels(u), space_labels(u + n), ring)
-
-
-def graft_columns(identity_side: int, tail: LinearMapMatrix) -> LinearMapMatrix:
-    """[I | T] for a map from a (u+n)-space to the u-space, T the u x n tail."""
-    u = identity_side
-    if len(tail.row_labels) != u:
-        raise AlgebraError("tail height must equal the identity side")
-    n = len(tail.col_labels)
-    acc = _diagonal(u + n, tail.ring, u)
-    acc.place(tail, 0, u)
-    return acc.matrix(space_labels(u), space_labels(u + n), tail.ring)
 
 
 def matrix_rank(entries, field: FieldDescriptor) -> int:

@@ -3,8 +3,9 @@
 Given a functor with a designated top-degree summand, a witness polynomial f
 on the value at a base space, and a direction in the designated summand, the
 pipeline produces: the minimal-degree report for the supplied generators,
-the directional derivative h with its level, the per-degree coefficient
-matrices of the parametrised projection, the affine-additive coefficient k
+the directional derivative h with its level, the induced map of the
+parametrised projection with its projection identities checked on its
+slices in the parameter, the affine-additive coefficient k
 extracted from the pullback of f once, along the universal projection, each
 supplied projection's k the universal k pulled back, and finally a
 Cramer-rule certificate that expresses each moving top-summand coordinate
@@ -72,11 +73,10 @@ from .hasse import (
 )
 from .matrices import (
     LinearMapMatrix,
+    _diagonal,
     _SliceSum,
     base_projection,
-    coefficient_matrix,
     cramer_solve,
-    graft_columns,
     matrix_rank,
     row_forms,
     scalar_entry_ring,
@@ -289,29 +289,8 @@ def usable_directions(data, X: VarietyPresentation) -> list[tuple[str, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# parametrised projection and its coefficient matrices
+# parametrised projection
 # ---------------------------------------------------------------------------
-
-
-class ProjectionCoefficients(Record):
-    """Per-degree coefficient matrices of the parametrised projection.
-
-    For each homogeneous degree e the induced map of [1_U | t*phi] is a
-    polynomial of degree at most e in t; its coefficient matrices satisfy:
-    the t^0 matrix is induced by the plain projection onto the base block,
-    the t^e matrix is induced by [0 | phi], and the t^i matrix kills every
-    basis vector whose moving degree differs from i.  parametrised is the
-    induced map of [1_U | t*phi] itself and base that of the plain
-    projection, kept for the stages that pull back along them.  A run builds
-    one, for the universal projection phi = 1_U from the 2u-space.
-    """
-
-    u: int
-    n: int
-    phi: LinearMapMatrix
-    by_degree: dict[int, tuple[LinearMapMatrix, ...]]
-    parametrised: LinearMapMatrix
-    base: LinearMapMatrix
 
 
 def _check_projection(model_u: CoordinateModel, n: int, phi: LinearMapMatrix):
@@ -325,45 +304,48 @@ def _check_projection(model_u: CoordinateModel, n: int, phi: LinearMapMatrix):
     return rows, cols, block
 
 
-def projection_coefficients(
-    model_u: CoordinateModel, n: int, phi: LinearMapMatrix
-) -> ProjectionCoefficients:
+def _nonzero_entries(slice_) -> dict:
+    """(row, column) -> value of the nonzero entries of a monomial slice."""
+    rows, cols, block = slice_
+    return {(i, j): v for i, row in zip(rows, block) for j, v in zip(cols, row) if v}
+
+
+def projection_coefficients(model_u: CoordinateModel, n: int, phi: LinearMapMatrix):
+    """The induced maps of the parametrised projection [1_U | t*phi], over
+    the ring in t, and of the plain projection onto the base block, with the
+    projection identities checked on the t^i slices of the first: the t^i
+    coefficient acts only on basis vectors of moving degree i, the t^0
+    coefficient is the plain projection's map, and on each homogeneous part
+    of degree e the t^e coefficient is the map of [0 | phi].  A run builds
+    them once, for the universal projection phi = 1_U from the 2u-space."""
     u = model_u.dimension
     fld = model_u.field
     rows, cols, block = _check_projection(model_u, n, phi)
-    # the induced matrices of [1_U | t*phi] over the ring in t and of [0 | phi], from phi's constant slice
+    moved = [u + j for j in cols]
     ring_t = GradedRing(fld, (RingVariable("t", "aux", 0),))
-    scalar_ring = scalar_entry_ring(fld)
-    tail, zero_phi = _SliceSum(n), _SliceSum(u + n)
-    tail.add((1,), rows, cols, block)
-    zero_phi.add((), rows, [u + j for j in cols], block)
-    full = induced_map(model_u.normalized, graft_columns(u, tail.matrix(phi.row_labels, phi.col_labels, ring_t)))
-    proj = induced_map(model_u.normalized, base_projection(fld, u, n))
-    top = induced_map(model_u.normalized, zero_phi.matrix(space_labels(u), space_labels(u + n), scalar_ring))
+    parametrised = _diagonal(u + n, ring_t, u)
+    parametrised.add((1,), rows, moved, block)
+    zero_phi = _SliceSum(u + n)
+    zero_phi.add((), rows, moved, block)
+    labels = space_labels(u), space_labels(u + n)
+    full = induced_map(model_u.normalized, parametrised.matrix(*labels, ring_t))
+    base = induced_map(model_u.normalized, base_projection(fld, u, n))
+    top = induced_map(model_u.normalized, zero_phi.matrix(*labels, scalar_entry_ring(fld)))
     dec = model_u.decomposition
-    by_degree = {}
-    for e, summands in dec.parts.items():
-        idx_set = {dec.index_of(s.label) for s in summands}
-        rows_sel = [i for i, lab in enumerate(full.row_labels) if lab[1] in idx_set]
-        cols_sel = [j for j, lab in enumerate(full.col_labels) if lab[1] in idx_set]
-
-        def block(m, exps):
-            return coefficient_matrix(m, exps, rows_sel, cols_sel, scalar_ring)
-
-        coeffs = tuple(block(full, (power,)) for power in range(e + 1))
-        # invariant: the t-degree never exceeds the homogeneous degree
-        if any(power > e and not block(full, (power,)).is_zero() for (power,) in full.slices):
-            raise InternalCheckError("parameter degree exceeds homogeneous degree")
-        # invariant: t^0 block is the base projection, t^e block is [0|phi]
-        if coeffs[0] != block(proj, ()) or coeffs[e] != block(top, ()):
-            raise InternalCheckError("coefficient matrix mismatch at the ends")
-        # invariant: t^i kills basis vectors of moving degree != i
-        for power, mat in enumerate(coeffs):
-            for _, cols, _ in mat.slices.values():
-                if any(label_vdeg(mat.col_labels[j][2], u) != power for j in cols):
-                    raise InternalCheckError("coefficient matrix misses the vanishing pattern")
-        by_degree[e] = coeffs
-    return ProjectionCoefficients(u, n, phi, by_degree, full, proj)
+    part_degree = {dec.index_of(s.label): e for e, summands in dec.parts.items() for s in summands}
+    col_degree = [part_degree[lab[1]] for lab in full.col_labels]
+    ends = {}
+    for (power,), slice_ in full.slices.items():
+        # a basis label of a degree-e part has e leaf indices, so its moving
+        # degree is at most e: this also bounds the t-degree on each part by e
+        if any(label_vdeg(full.col_labels[j][2], u) != power for j in slice_[1]):
+            raise InternalCheckError("coefficient matrix misses the vanishing pattern")
+        ends.update((ij, v) for ij, v in _nonzero_entries(slice_).items() if col_degree[ij[1]] == power)
+    empty = ((), (), [])
+    constant = _nonzero_entries(full.slices.get((0,), empty))
+    if constant != _nonzero_entries(base.slices.get((), empty)) or ends != _nonzero_entries(top.slices.get((), empty)):
+        raise InternalCheckError("coefficient matrix mismatch at the ends")
+    return full, base
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +376,16 @@ def extract_additive_element(
     """Coefficient of t^(d*p^level) in the pullback of f along [1_U | t*phi],
     where level is that of data, f's directional data along the designated
     summand (derivative_step's), verified to be affine-additive in the moving
-    coordinates of that summand, with the projection identities and the
-    derivative-compatibility identity checked as formal polynomial identities."""
+    coordinates of that summand, with the projection identities checked on
+    the t-slices of the parametrised map (projection_coefficients') and the
+    derivative-compatibility identity as a formal polynomial identity."""
     u = model_u.dimension
     if f.ring != model_u.ring:
         raise PresentationError("witness polynomial lives in a foreign ring")
     if not data.dependent:
         raise PresentationError("the witness does not involve the designated top-degree coordinates")
 
-    projection = projection_coefficients(model_u, model_big.dimension - u, phi)
-    full = projection.parametrised
+    full, base = projection_coefficients(model_u, model_big.dimension - u, phi)
     t_name = fresh_name("t", set(model_big.ring.names))
     ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
     # pull back every base-side coordinate through the parametrised matrix
@@ -414,7 +396,7 @@ def extract_additive_element(
     power = model_big.normalized.degree() * model_big.field.char_exponent**data.level
     k = pullback.coeff_of_power(t_name, power, model_big.ring)
     element = _affine_element(k, data.level, model_big.moving_vars(r_label, u), pullback)
-    _check_derivative_formula(data, model_u, model_big, projection, element.additive_part, element.eliminated, r_label)
+    _check_derivative_formula(data, model_u, model_big, base, phi, element.additive_part, element.eliminated, r_label)
     return element
 
 
@@ -485,7 +467,8 @@ def _check_derivative_formula(
     dd_f,
     model_u: CoordinateModel,
     model_big: CoordinateModel,
-    projection: ProjectionCoefficients,
+    base: LinearMapMatrix,
+    phi: LinearMapMatrix,
     additive_part: dict,
     moving,
     r_label: str,
@@ -493,8 +476,9 @@ def _check_derivative_formula(
     """(additive part of k at a symbolic direction r) = (derivative of f
     along R(phi)r) pulled back through the base projection, as one formal
     identity in the original variables plus one copy per moving coordinate;
-    dd_f is the directional data of f along the designated summand."""
-    u = projection.u
+    dd_f is the directional data of f along the designated summand and base
+    the induced map of the base projection (projection_coefficients')."""
+    u = model_u.dimension
     q_power = model_u.field.char_exponent ** dd_f.level
     joint_ring, copies = doubled_ring(model_big.ring, moving, "_w")
     copy_of_big = dict(copies)
@@ -503,12 +487,11 @@ def _check_derivative_formula(
         lhs = lhs + coeff.convert(joint_ring) * joint_ring.var(copy_of_big[name]) ** q_power
 
     # base projection pullback of the base-side coordinates
-    proj = projection.base
-    forms = row_forms(proj, joint_ring, [model_big.name_of[lab] for lab in proj.col_labels])
-    mapping = {model_u.name_of[lab]: form for lab, form in zip(proj.row_labels, forms)}
+    forms = row_forms(base, joint_ring, [model_big.name_of[lab] for lab in base.col_labels])
+    mapping = {model_u.name_of[lab]: form for lab, form in zip(base.row_labels, forms)}
     # substitute the symbolic direction through the summand map of phi
     r_idx = model_u.decomposition.index_of(r_label)
-    r_map = induced_map(model_u.decomposition.summand(r_label).expr, projection.phi)
+    r_map = induced_map(model_u.decomposition.summand(r_label).expr, phi)
     copy_names = [copy_of_big[model_big.name_of[("s", r_idx, shift_label(lab, u))]] for lab in r_map.col_labels]
     forms = dict(zip(r_map.row_labels, row_forms(r_map, joint_ring, copy_names)))
     for orig, copy in dd_f.copies:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -53,7 +54,8 @@ class RingVariable(Record, frozen=True):
     weight: int = 1
 
     def __post_init__(self):
-        if not self.name or not (self.name[0].isalpha()):
+        # the names the polynomial grammar reads
+        if not re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", self.name):
             raise AlgebraError(f"bad variable name {self.name!r}")
         if self.weight < 0:
             raise AlgebraError("variable weight must be nonnegative")
@@ -696,10 +698,6 @@ class _Dividend:
         """Remove the leading term, found by leading(); returns (exponents, true value)."""
         m = -heappop(self.heap)
         return self.exponents(m), self.unscale(self.terms.pop(m))
-
-    def rest(self) -> dict:
-        """Exponents -> true value of every term left."""
-        return {self.exponents(m): self.unscale(c) for m, c in self.terms.items()}
 
     def unscale(self, c):
         """True value of a raw coefficient of the work polynomial."""

@@ -313,7 +313,9 @@ def s_polynomial(f, g):
     the reference S-polynomial that buchberger's packed S-pairs are checked on."""
     pair = _Divisors(f.ring, (f, g))
     spair = (tuple(map(max, f.leading_item()[0], g.leading_item()[0])), 0, 1)
-    return pair.divide(spair, lambda work: GradedPoly(f.ring, work.rest(), _canonical=True))
+    return pair.divide(spair, lambda work: GradedPoly(
+        f.ring, {work.exponents(m): work.unscale(c) for m, c in work.terms.items()}, _canonical=True
+    ))
 
 
 def normal_form(f, generators, budget=None):

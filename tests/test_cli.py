@@ -526,6 +526,20 @@ def test_spaced_w_vars_read_like_plain_ones(capsys, command):
     assert run_cli(capsys, *command, "--w-vars", " x ,y,") == plain
 
 
+# a ring variable takes only the names the polynomial grammar reads
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("hasse", "--field", "q", "--vars", "x,x y", "--poly", "x", "--w-vars", "x", "--dir", "1", "--r", "0"), "x y"),
+        (("hasse", "--field", "q", "--vars", "x,é", "--poly", "x", "--w-vars", "x", "--dir", "1", "--r", "0"), "é"),
+        (("taylor", "--field", "q", "--poly", "x^2", "--w-vars", "x", "--t", "t t"), "t t"),
+    ],
+    ids=["spaced-var", "non-ascii-var", "spaced-t"],
+)
+def test_unreadable_variable_name_is_a_usage_error(capsys, argv, name):
+    assert run_cli(capsys, *argv) == (1, "", f"error: bad variable name {name!r}\n")
+
+
 def test_oversized_modulus_is_a_domain_error(capsys):
     code, _, err = run_cli(
         capsys, "induce", "--functor", "id", "--field", "fp:3317044064679887385961981",

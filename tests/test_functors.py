@@ -32,6 +32,7 @@ from polyfunctor import (
     space_matrix,
     split_tensor_square,
 )
+from polyfunctor import functors
 from polyfunctor.cli import main
 from polyfunctor.functors import basis_labels, dimension_sequence, label_vdeg
 from polyfunctor.matrices import LinearMapMatrix, identity_matrix, space_labels
@@ -259,6 +260,16 @@ def test_shift_maps_constant():
     result = shift_maps(ConstF(4), Q, 2, 3)
     assert result.alpha.is_identity()
     assert result.beta.is_identity()
+
+
+@pytest.mark.parametrize("P", (SymF(2, IdF()), TenSymF(), SumF((TenSymF(), TenAltF()))))
+def test_shift_maps_top_check_fails_on_a_rank_deficient_projection(monkeypatch, P):
+    # both moving coordinates of the 3-space projected onto the first of the 2-space
+    monkeypatch.setattr(functors, "shift_projection", lambda field, u, n: space_matrix(field, [[0, 1, 1], [0, 0, 0]]))
+    result = shift_maps(P, Q, 1, 2)
+    assert not result.top_iso_check
+    assert not result.composite_is_identity
+    assert result.top_dim_shift == result.top_dim_base == decompose(P).part_dim(2, 2)
 
 
 def test_shift_tensor_square_degree_two_part():

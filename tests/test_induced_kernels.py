@@ -33,7 +33,6 @@ from polyfunctor.errors import AlgebraError
 from polyfunctor.fields import Scalar
 from polyfunctor.matrices import (
     LinearMapMatrix,
-    graft_columns,
     shift_embedding,
     shift_projection,
     space_labels,
@@ -78,17 +77,15 @@ def _t_ring(field):
 
 
 def _t_parametrised(field, u, n, seed):
-    """[1_U | t*phi], built as proofstep.projection_coefficients builds it."""
+    """[1_U | t*phi] over the ring in t, written out row by row."""
     ring_t = _t_ring(field)
     t = ring_t.var("t")
     phi = _scalar_phi(field, u, n, seed)
-    tail = LinearMapMatrix(
-        phi.row_labels,
-        phi.col_labels,
-        ring_t,
-        [[e.convert(ring_t) * t for e in row] for row in phi.rows],
-    )
-    return graft_columns(u, tail)
+    rows = [
+        [int(a == b) for b in range(u)] + [e.convert(ring_t) * t for e in row]
+        for a, row in enumerate(phi.rows)
+    ]
+    return LinearMapMatrix(space_labels(u), space_labels(u + n), ring_t, rows)
 
 
 def _affine_t(field, n, seed):

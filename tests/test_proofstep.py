@@ -35,7 +35,8 @@ from polyfunctor import (
 from polyfunctor.functors import IdF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, induced_map
 from polyfunctor.groebner import divide_exact
 from polyfunctor.hasse import joint_additivity_holds, joint_scaling_holds, specialise_joint
-from polyfunctor.matrices import row_forms, space_matrix
+from polyfunctor import proofstep
+from polyfunctor.matrices import LinearMapMatrix, row_forms, space_matrix
 from polyfunctor.proofstep import (
     AffineAdditiveElement,
     CertificateEntry,
@@ -295,33 +296,31 @@ def test_extraction_refuses_an_independent_witness():
 # -- projection coefficients ----------------------------------------------------------
 
 
+def _t_powers(full):
+    return {power for (power,) in full.slices}
+
+
 def test_projection_coefficients_block_formula():
-    # plain tensor square: the three coefficient matrices act blockwise
+    # plain tensor square: the t^i slices of the parametrised map act blockwise
     P = TensorF((IdF(), IdF()))
     field = Q
     model_u = CoordinateModel(P, field, 2)
     n = 3
     phi = pair_projection(field, n, 1, 2)
-    coeffs = projection_coefficients(model_u, n, phi)
-    assert set(coeffs.by_degree.keys()) == {2}
-    mats = coeffs.by_degree[2]
-    assert len(mats) == 3
+    full, _ = projection_coefficients(model_u, n, phi)
+    assert set(model_u.decomposition.parts) == {2}
+    assert _t_powers(full) == {0, 1, 2}
     model_big = CoordinateModel(P, field, 5)
+
+    def indices(power):
+        # the coordinate indices a, b of each column x_a_b with an entry at t^power
+        _, cols, _ = full.slices[(power,)]
+        return [tuple(int(s) for s in model_big.name_of[full.col_labels[j]].split("_")[1:]) for j in cols]
+
     # t^0: upper-left block; entries select x_a_b with a, b <= 2
-    m0 = mats[0]
-    for row in m0.rows:
-        for cl, entry in zip(m0.col_labels, row):
-            name = model_big.name_of[cl]
-            if entry:
-                a, b = (int(s) for s in name.split("_")[1:])
-                assert a <= 2 and b <= 2
+    assert all(a <= 2 and b <= 2 for a, b in indices(0))
     # t^2: image only involves the moving block (both indices beyond 2)
-    m2 = mats[2]
-    for row in m2.rows:
-        for cl, entry in zip(m2.col_labels, row):
-            if entry:
-                a, b = (int(s) for s in model_big.name_of[cl].split("_")[1:])
-                assert a > 2 and b > 2
+    assert all(a > 2 and b > 2 for a, b in indices(2))
 
 
 def test_projection_coefficients_vanishing_pattern_symmetric_square():
@@ -329,8 +328,55 @@ def test_projection_coefficients_vanishing_pattern_symmetric_square():
     P = SymF(2, IdF())
     model_u = CoordinateModel(P, Q, 2)
     phi = space_matrix(Q, [[1, 0], [0, 1]])
-    coeffs = projection_coefficients(model_u, 2, phi)
-    assert len(coeffs.by_degree[2]) == 3
+    full, _ = projection_coefficients(model_u, 2, phi)
+    assert _t_powers(full) == {0, 1, 2}
+
+
+def _doubled(m, exps):
+    """m with the first entry of its x^exps slice doubled."""
+    rows, cols, block = m.slices[exps]
+    block = [list(row) for row in block]
+    block[0][0] *= 2
+    out = LinearMapMatrix.__new__(LinearMapMatrix)
+    out._set(m.row_labels, m.col_labels, m.ring, {**m.slices, exps: (rows, cols, block)})
+    return out
+
+
+@pytest.mark.parametrize(
+    "target, exps",
+    [("parametrised", (0,)), ("parametrised", (2,)), ("zero-phi", ())],
+)
+def test_projection_coefficients_catch_a_changed_end(monkeypatch, target, exps):
+    # one entry of the t^0 or t^e slice of [1_U | t*phi]'s map, or of [0 | phi]'s, changed
+    u = 2
+    model_u = CoordinateModel(SymF(2, IdF()), Q, u)
+    real = proofstep.induced_map
+
+    def picked(m):
+        if target == "parametrised":
+            return m.ring.names == ("t",)
+        return not m.ring.names and any(j >= u for _, cols, _ in m.slices.values() for j in cols)
+
+    def changed(expr, m):
+        out = real(expr, m)
+        return _doubled(out, exps) if picked(m) else out
+
+    monkeypatch.setattr(proofstep, "induced_map", changed)
+    with pytest.raises(InternalCheckError, match="coefficient matrix mismatch at the ends"):
+        projection_coefficients(model_u, 2, space_matrix(Q, [[1, 0], [0, 1]]))
+
+
+def test_projection_coefficients_catch_a_changed_moving_degree(monkeypatch):
+    # one column label of the symmetric square read one moving degree higher
+    model_u = CoordinateModel(SymF(2, IdF()), Q, 2)
+    phi = space_matrix(Q, [[1, 0], [0, 1]])
+    full, _ = projection_coefficients(model_u, 2, phi)
+    _, cols, _ = full.slices[(1,)]
+    label = full.col_labels[cols[0]][2]
+    real = proofstep.label_vdeg
+    monkeypatch.setattr(proofstep, "label_vdeg", lambda lab, split: real(lab, split) + (lab == label))
+    with pytest.raises(InternalCheckError, match="coefficient matrix misses the vanishing pattern"):
+        projection_coefficients(model_u, 2, phi)
 
 
 def test_projection_requires_surjective_matrix():

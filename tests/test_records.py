@@ -37,7 +37,6 @@ from polyfunctor.proofstep import (
     DeltaReport,
     DerivativeStep,
     EliminationCertificate,
-    ProjectionCoefficients,
     ProofStepReport,
     VarietyPresentation,
     _Stages,
@@ -71,7 +70,6 @@ def _instances():
         VarietyPresentation("M", (X,), (), "p0"),
         DeltaReport("finite", 2, X),
         DerivativeStep(Y, None),
-        ProjectionCoefficients(1, 2, "phi", {1: ("m0", "m1")}, "par", "base"),
         AffineAdditiveElement(X, 0, {"x": Y}, Y, ("x",), X),
         CertificateEntry("x", Y, 2),
         EliminationCertificate(X, 0, (CertificateEntry("y", X, 1),), (0, 1), Y),
@@ -108,7 +106,6 @@ REPRS = [
     "VarietyPresentation(model='M', generators=(<x>,), q_generators=(), designated_r='p0')",
     "DeltaReport(status='finite', delta=2, witness=<x>)",
     "DerivativeStep(derivative=<2*y - 1/3>, data=None)",
-    "ProjectionCoefficients(u=1, n=2, phi='phi', by_degree={1: ('m0', 'm1')}, parametrised='par', base='base')",
     "AffineAdditiveElement(poly=<x>, level=0, additive_part={'x': <2*y - 1/3>}, constant_part=<2*y - 1/3>, "
     "eliminated=('x',), pullback=<x>)",
     "CertificateEntry(variable='x', numerator=<2*y - 1/3>, h_power=2)",
@@ -134,7 +131,7 @@ FROZEN = {
 
 
 def test_the_pins_cover_every_record_class():
-    assert len({type(r) for r in _instances()}) == 28
+    assert len({type(r) for r in _instances()}) == 27
 
 
 @pytest.mark.parametrize("index", range(len(REPRS)))
@@ -214,7 +211,7 @@ def test_frozen_records_refuse_assignment_and_deletion():
 def test_mutable_records_accept_assignment_and_are_unhashable():
     mutable = [r for r in _instances() if type(r) not in FROZEN]
     assert {type(r).__name__ for r in mutable} == {
-        "VarietyPresentation", "ProjectionCoefficients", "AffineAdditiveElement",
+        "VarietyPresentation", "AffineAdditiveElement",
         "EliminationCertificate", "Check", "ProofStepReport", "_Stages",
     }
     for record in mutable:

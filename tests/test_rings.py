@@ -6,6 +6,7 @@ from polyfunctor import (
     CoordinateModel,
     FieldDescriptor,
     GradedRing,
+    RingVariable,
     parse_polynomial,
 )
 from polyfunctor.errors import FieldMismatchError, RingMismatchError, SubstitutionError
@@ -589,3 +590,18 @@ def test_substitute_validates_before_any_work(monkeypatch):
         with pytest.raises(error, match=message):
             f.substitute(mapping)
     assert work == []
+
+
+# -- variable names -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["x y", "é", "x-1", "_x", "1x", "x.y", "t ", ""])
+def test_ring_variable_refuses_a_name_the_grammar_cannot_read(name):
+    with pytest.raises(AlgebraError, match="bad variable name"):
+        RingVariable(name)
+
+
+def test_every_name_the_package_builds_is_readable():
+    names = ["x_1_2", "y_1_2", "z_1_2", "p0_1", "x_1_2_w", "t", "t_", "v_0", "w_0", "n", "X9"]
+    ring = GradedRing(Q, [RingVariable(name) for name in names])
+    assert parse_polynomial(" + ".join(names), ring) == sum((ring.var(name) for name in names), ring.zero())
