@@ -7,9 +7,13 @@ only: per exponent vector the rows and columns where it has terms and one
 dense block of its raw coefficients there (a single slice for scalars).
 Every builder adds raw blocks into one slice accumulator, full-width rows
 per exponent vector, and one function reduces it to canonical slices, so
-equal matrices have equal slices.  Composition and the induced-map kernels
-multiply slices by plain dot products; entries are boxed as polynomials
-only when rows is read, once per matrix.
+equal matrices have equal slices.  The induced-map kernels multiply slices
+by plain dot products, composition by packed integer rows: a slot per
+column, wide enough for the largest output entry (from p over F_p, over q
+from the entries once each matrix is scaled to ints by the lcm of its
+denominators) and offset by half its range so that signed sums carry
+nothing between slots.  Entries are boxed as polynomials only when rows is
+read, once per matrix.
 Also home to the small exact linear algebra the package needs: Gaussian
 rank over a field, and the solve of a square polynomial system [A | b] in
 block upper-triangular form: rows matched to columns, the diagonal blocks
@@ -22,9 +26,10 @@ product of the determinants of the blocks it depends on.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations
-from math import prod
-from operator import add, mul
+from fractions import Fraction
+from itertools import chain, combinations
+from math import lcm, prod
+from operator import add, lshift, mul
 
 from .errors import AlgebraError, InternalCheckError, Record
 from .fields import FieldDescriptor
@@ -88,30 +93,52 @@ class LinearMapMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
     def compose(self, other: "LinearMapMatrix") -> "LinearMapMatrix":
-        """Matrix of self after other: each pair of monomial slices that
-        meets on an inner index is multiplied by dense row-by-column dot
-        products over the inner indices of the left slice."""
+        """Matrix of self after other by packed integer rows (Kronecker
+        substitution; Dumas, Fousse & Salvy, J. Symb. Comp. 46, 2011).
+
+        Row k of other is packed once into one int, column j in slot j of
+        bits bits, so for each pair of slices that meets on k one int product
+        per left entry does that entry's products with the whole row; they
+        are summed as ints per output monomial and row.  An output entry is
+        at most (left slices) * inner * top_left * top_right in size, top
+        p - 1 over F_p and over q the largest entry once each matrix is scaled
+        to ints by the lcm of its denominators; bits is one more than that
+        bound's bit length, and half = 2^(bits - 1) in every slot keeps signed
+        sums from carrying between slots.  Slot j reads back as
+        (total >> bits * j & mask) - half, over q divided by the two scales.
+        """
         if self.ring != other.ring:
             raise AlgebraError("composition across entry rings")
         if self.col_labels != other.row_labels:
             raise AlgebraError("inner labels do not match in composition")
-        # per right slice: its row positions, columns, and column vectors
-        # with a trailing 0 that stands for every row where it has no term
-        right = {
-            f: ({k: q for q, k in enumerate(rows)}, cols, [col + (0,) for col in zip(*block)])
-            for f, (rows, cols, block) in other.slices.items()
-        }
+        left, scale_left, top_left = _integral(self)
+        right, scale_right, top_right = _integral(other)
+        bits = (len(left) * len(self.col_labels) * top_left * top_right).bit_length() + 1
+        half, mask, scale = 1 << bits - 1, (1 << bits) - 1, scale_left * scale_right
+        packed = {}  # per right slice: inner index -> its row packed into one int
         meets = defaultdict(list)  # inner index -> right slices with a term in that row
-        for f, (at, _, _) in right.items():
-            for k in at:
+        for f, (rows, cols, block) in right.items():
+            slots = [bits * j for j in cols]
+            packed[f] = {k: sum(map(lshift, row, slots)) for k, row in zip(rows, block)}
+            for k in rows:
                 meets[k].append(f)
-        acc = _SliceSum(len(other.col_labels))
-        for e, (rows, inner, block) in self.slices.items():
+        totals = defaultdict(lambda: defaultdict(int))  # exponents -> row -> packed sum
+        for e, (rows, inner, block) in left.items():
             for f in dict.fromkeys(f for k in inner for f in meets[k]):
-                at, cols, columns = right[f]
-                picked = [[col[at.get(k, -1)] for k in inner] for col in columns]
-                products = [[sum(map(mul, row, col)) for col in picked] for row in block]
-                acc.add(tuple(map(add, e, f)), rows, cols, products)
+                at = packed[f]
+                picked = [at.get(k, 0) for k in inner]
+                target = totals[tuple(map(add, e, f))]
+                for i, row in zip(rows, block):
+                    target[i] += sum(map(mul, row, picked))
+        width = len(other.col_labels)
+        shifts = range(0, bits * width, bits)
+        offset = sum(half << s for s in shifts)
+        acc = _SliceSum(width)
+        for g, sums in totals.items():
+            for i, t in sums.items():
+                t += offset
+                row = [(t >> s & mask) - half for s in shifts]
+                acc.by_exps[g][i] = row if scale == 1 else [Fraction(v, scale) for v in row]
         return acc.matrix(self.row_labels, other.col_labels, self.ring)
 
     def is_identity(self) -> bool:
@@ -194,6 +221,23 @@ class _SliceSum:
         return m
 
 
+def _integral(m: LinearMapMatrix):
+    """m's slices with int blocks, the scale that made them ints and the
+    largest |entry| of those blocks: over F_p the residues, 1 and p - 1, with
+    no pass over the entries; over q the blocks times the lcm of m's
+    denominators, 1 when every entry is an int."""
+    if m.ring.field.characteristic:
+        return m.slices, 1, m.ring.field.characteristic - 1
+    rows = [row for _, _, block in m.slices.values() for row in block]
+    top = max(map(abs, chain.from_iterable(rows)), default=0)
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return m.slices, 1, top
+    scale = lcm(*{v.denominator for row in rows for v in row})
+    cleared = {e: (r, c, [[v.numerator * (scale // v.denominator) for v in row] for row in block])
+               for e, (r, c, block) in m.slices.items()}
+    return cleared, scale, int(top * scale)
+
+
 def _diagonal(width: int, ring: GradedRing, size: int) -> _SliceSum:
     """Accumulator of the matrix width columns wide with a 1 at (i, i) for
     every i < size and nothing elsewhere."""
@@ -249,7 +293,7 @@ def shift_embedding(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
 def shift_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
     """Projection of the (u+n)-space onto its last n coordinates."""
     rows = [[1 if a == u + b else 0 for a in range(u + n)] for b in range(n)]
-    return space_matrix(field, rows)
+    return LinearMapMatrix(space_labels(n), space_labels(u + n), scalar_entry_ring(field), rows)
 
 
 def base_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:

@@ -2,9 +2,10 @@ import itertools
 import operator
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import add, le
+from operator import add, le, mul
 
 import pytest
 
@@ -29,7 +30,7 @@ from polyfunctor.functors import _refuse_char2
 from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_data, doubled_ring, fresh_name
 from polyfunctor.matrices import LinearMapMatrix, _SliceSum
 from polyfunctor.proofstep import _segre_map, _segre_points
-from polyfunctor.errors import ParseError
+from polyfunctor.errors import AlgebraError, ParseError
 from polyfunctor.rings import (
     GradedPoly, RingVariable, _Divisors, _from_raw, _raw, _raw_mul_into, _raw_pow, _reduced,
 )
@@ -540,6 +541,35 @@ def scaled(matrix, factor):
     """factor times a LinearMapMatrix, entry by entry, through its constructor."""
     rows = [[entry * factor for entry in row] for row in matrix.rows]
     return LinearMapMatrix(matrix.row_labels, matrix.col_labels, matrix.ring, rows)
+
+
+def compose_by_dot_products(self, other):
+    """self after other by dense row-by-column dot products over the inner
+    indices of each left slice, for each pair of monomial slices that meets
+    on an inner index: the reference that LinearMapMatrix.compose, which
+    multiplies packed integer rows, is checked on."""
+    if self.ring != other.ring:
+        raise AlgebraError("composition across entry rings")
+    if self.col_labels != other.row_labels:
+        raise AlgebraError("inner labels do not match in composition")
+    # per right slice: its row positions, columns, and column vectors
+    # with a trailing 0 that stands for every row where it has no term
+    right = {
+        f: ({k: q for q, k in enumerate(rows)}, cols, [col + (0,) for col in zip(*block)])
+        for f, (rows, cols, block) in other.slices.items()
+    }
+    meets = defaultdict(list)  # inner index -> right slices with a term in that row
+    for f, (at, _, _) in right.items():
+        for k in at:
+            meets[k].append(f)
+    acc = _SliceSum(len(other.col_labels))
+    for e, (rows, inner, block) in self.slices.items():
+        for f in dict.fromkeys(f for k in inner for f in meets[k]):
+            at, cols, columns = right[f]
+            picked = [[col[at.get(k, -1)] for k in inner] for col in columns]
+            products = [[sum(map(mul, row, col)) for col in picked] for row in block]
+            acc.add(tuple(map(add, e, f)), rows, cols, products)
+    return acc.matrix(self.row_labels, other.col_labels, self.ring)
 
 
 def dense_split_square_matrix(phi, alternating):

@@ -503,6 +503,15 @@ def test_failed_shift_check_exit_code(capsys, monkeypatch):
     assert "top-degree part isomorphic: false" in out
 
 
+def test_shift_check_at_base_dimension_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "shift-check", "--functor", "sym(2,id)", "--u", "1", "--n", "0"
+    )
+    assert (code, err) == (0, "")
+    assert "composite is identity: true" in out.splitlines()
+    assert "top-degree part isomorphic: true" in out.splitlines()
+
+
 @pytest.mark.parametrize("u, n", [(1, -2), (-1, 2)])
 def test_shift_check_refuses_negative_dimensions(capsys, u, n):
     code, out, err = run_cli(

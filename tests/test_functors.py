@@ -262,6 +262,17 @@ def test_shift_maps_constant():
     assert result.beta.is_identity()
 
 
+@pytest.mark.parametrize("field", [Q, F3])
+@pytest.mark.parametrize("P", (IdF(), SymF(2, IdF()), ExtF(2, IdF()), SumF((TenSymF(), TenAltF()))))
+def test_shift_maps_at_base_dimension_zero(P, field):
+    # the projection onto the last 0 coordinates is 0 x u, not 0 x 0
+    for u in (1, 2, 3):
+        result = shift_maps(P, field, u, 0)
+        assert result.beta.shape == (0, dim(P, u)) == result.alpha.shape[::-1]
+        assert result.composite_is_identity
+        assert result.top_iso_check
+
+
 @pytest.mark.parametrize("P", (SymF(2, IdF()), TenSymF(), SumF((TenSymF(), TenAltF()))))
 def test_shift_maps_top_check_fails_on_a_rank_deficient_projection(monkeypatch, P):
     # both moving coordinates of the 3-space projected onto the first of the 2-space

@@ -4,8 +4,10 @@ The goldens are sha256 digests of printed matrices, captured before the
 matrix kernels moved to raw coefficients; they pin every entry of every
 induced map below byte for byte.  The remaining tests cover edge cases of
 the power kernel, functoriality over a ring with variables, composition
-against a direct polynomial product, matrices of distinct coordinate
-variables, whose monomial slices have one term each, and a guard that
+against a direct polynomial product and against dense dot products (the
+packed-row kernel's reference, with entries at its slot-width bound),
+matrices of distinct coordinate variables, whose monomial slices have one
+term each, the count of int products composition makes, and a guard that
 induced maps and their composition never fall back to boxed arithmetic or
 per-entry polynomial products, and box entries as polynomials only when
 their rows are read.  The golden and functoriality tests also check that
@@ -27,12 +29,14 @@ from polyfunctor import (
     SymF,
     induced_map,
     parse_functor,
+    shift_maps,
     space_matrix,
 )
 from polyfunctor.errors import AlgebraError
 from polyfunctor.fields import Scalar
 from polyfunctor.matrices import (
     LinearMapMatrix,
+    scalar_entry_ring,
     shift_embedding,
     shift_projection,
     space_labels,
@@ -40,7 +44,7 @@ from polyfunctor.matrices import (
 from polyfunctor import functors, matrices, rings
 from polyfunctor.rings import GradedPoly, RingVariable
 
-from conftest import Q, dense_split_square_matrix, random_poly, scaled
+from conftest import Q, compose_by_dot_products, dense_split_square_matrix, random_poly, scaled
 
 # the expressions of the benchmark's functors mix
 MIX = (
@@ -386,6 +390,121 @@ def test_functoriality_on_generic_matrices(expr_text, field):
     assert not lhs.is_zero()
     for m in (fx, lhs, composed):
         _assert_canonical_slices(m)
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+@pytest.mark.parametrize("d", [6, 36])
+def test_dense_compose_makes_one_product_per_left_entry_and_inner_index(field, d, monkeypatch):
+    rng = random.Random(d)
+    a, b = (space_matrix(field, [[rng.randint(1, 9) for _ in range(d)] for _ in range(d)]) for _ in "ab")
+    products = []
+    monkeypatch.setattr(matrices, "mul", lambda x, y: products.append(1) or x * y)
+    composed = a.compose(b)
+    # one product per left entry and inner index does that entry's products with a whole row
+    assert len(products) == d ** 2
+    assert composed == compose_by_dot_products(a, b)
+
+
+# -- composition against dense dot products -----------------------------------
+
+
+def _assert_composes_as_dot_products(a, b):
+    composed = a.compose(b)
+    expected = compose_by_dot_products(a, b)
+    assert composed.slices == expected.slices
+    assert composed.rows == expected.rows
+    _assert_canonical_slices(composed)
+    return composed
+
+
+def _random_scalars(field, rows, cols, seed, top):
+    """rows x cols over field, a third of the entries zero, the others signed
+    ints up to top in size, over q a third of them with a denominator."""
+    rng = random.Random(seed)
+
+    def entry():
+        v = rng.choice((0, rng.randint(-top, top), rng.randint(-top, top)))
+        return Fraction(v, rng.randint(2, 9)) if field is Q and rng.random() < 0.3 else v
+
+    return LinearMapMatrix(space_labels(rows), space_labels(cols), scalar_entry_ring(field),
+                           [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+SHAPES = ((1, 1, 1), (3, 4, 2), (5, 5, 5), (7, 2, 9), (0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize("field", [F3, F101, FieldDescriptor.prime_field(32003), Q])
+@pytest.mark.parametrize("top", [1, 100, 2 ** 70])
+def test_compose_matches_dot_products_on_scalars(field, top):
+    for seed, (m, k, n) in enumerate(SHAPES):
+        composed = _assert_composes_as_dot_products(
+            _random_scalars(field, m, k, seed, top), _random_scalars(field, k, n, seed + 50, top)
+        )
+        assert composed.shape == (m, n)
+    a, b = _scalar_phi(field, 5, 5, 60), _scalar_phi(field, 5, 5, 61)
+    for expr in (SymF(2, IdF()), ExtF(2, IdF()), parse_functor("tensor(id,sym(2,id))")):
+        _assert_composes_as_dot_products(induced_map(expr, a), induced_map(expr, b))
+
+
+def test_compose_matches_dot_products_on_integral_fractions():
+    halves = space_matrix(Q, [[Fraction(1, 2), Fraction(3, 2)], [Fraction(-1, 2), Fraction(5, 2)]])
+    evens = space_matrix(Q, [[2, 4], [6, -2]])
+    integral = compose_by_dot_products(halves, evens)
+    # raw entries Fraction(n, 1), as composing fractional maps leaves them
+    raw = [v for _, _, block in integral.slices.values() for row in block for v in row]
+    assert raw and all(type(v) is Fraction and v.denominator == 1 for v in raw)
+    for a, b in ((integral, halves), (halves, integral), (integral, integral), (integral, evens)):
+        _assert_composes_as_dot_products(a, b)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101])
+def test_compose_matches_dot_products_on_polynomial_entries(field):
+    ring = _t_ring(field)
+    rng = random.Random(70)
+
+    def entry():
+        poly = ring.zero()
+        for _ in range(rng.randint(0, 3)):
+            c = rng.choice((-1, 1)) * rng.randint(1, 2 ** 66)
+            poly = poly + ring.monomial((rng.randint(0, 3),), Fraction(c, rng.randint(1, 4)) if field is Q else c)
+        return poly
+
+    slice_counts = []
+    for m, k, n in SHAPES:
+        a, b = (LinearMapMatrix(space_labels(r), space_labels(c), ring,
+                                [[entry() for _ in range(c)] for _ in range(r)]) for r, c in ((m, k), (k, n)))
+        _assert_composes_as_dot_products(a, b)
+        slice_counts += [len(a.slices), len(b.slices)]
+    # every power of t up to t^3 has its slice
+    assert max(slice_counts) == 4
+    x, y = _mixed_matrix(field, 3, 4, 71, zero_cols=(1,)), _mixed_matrix(field, 4, 3, 72, zero_rows=(2,))
+    _assert_composes_as_dot_products(x, y)
+    _assert_composes_as_dot_products(y, x)
+
+
+@pytest.mark.parametrize("field", [F3, F101, FieldDescriptor.prime_field(32003), Q])
+def test_compose_matches_dot_products_at_the_slot_bound(field):
+    # every entry at the largest size its field allows, on every power of t
+    # up to t^3, so each output entry sums the largest products of 4 pairs
+    ring = _t_ring(field)
+    t = ring.var("t")
+    top = field.characteristic - 1 if field.characteristic else 2 ** 70
+    for left, right in ((top, top), (top, -top), (-top, -top)):
+        for k in (1, 5, 36):
+            a, b = (LinearMapMatrix(space_labels(r), space_labels(c), ring,
+                                    [[v * (1 + t + t ** 2 + t ** 3)] * c for _ in range(r)])
+                    for v, (r, c) in ((left, (3, k)), (right, (k, 2))))
+            _assert_composes_as_dot_products(a, b)
+
+
+@pytest.mark.parametrize("field", [Q, F3])
+@pytest.mark.parametrize("expr_text", ["id", "sym(2,id)", "ext(2,id)", "sum(tsym,talt)", "tensor(id,sym(2,id))"])
+def test_compose_matches_dot_products_on_shift_maps(expr_text, field):
+    expr = parse_functor(expr_text)
+    for u, n in ((1, 0), (2, 0), (1, 2), (2, 3)):
+        maps = shift_maps(expr, field, u, n)
+        assert _assert_composes_as_dot_products(maps.beta, maps.alpha).is_identity()
+        _assert_composes_as_dot_products(maps.alpha, maps.beta)
 
 
 # -- structural guard: induced maps never use boxed products ------------------
