@@ -1,8 +1,11 @@
 """Exact scalars over the rationals or a prime field.
 
-Rational values are arbitrary-precision fractions.Fraction instances and
-prime-field values are canonical residues in [0, p).  No floating point is
-used anywhere in the package.
+A field element has one format, the raw coefficient: a residue in [0, p)
+over F_p; over q an int when integral, else a fractions.Fraction (an
+integral Fraction that arithmetic leaves behind equals, hashes and prints
+as its int).  FieldDescriptor.raw is the one conversion into it, and a
+Scalar is a raw coefficient tagged with its field.  No floating point is
+used anywhere.
 
 The characteristic exponent of a field is 1 in characteristic 0 and p in
 characteristic p; it is the base for the power levels appearing in
@@ -92,26 +95,34 @@ class FieldDescriptor(Record, frozen=True):
 
     # -- element construction ---------------------------------------------
 
-    def scalar(self, value) -> "Scalar":
+    def raw(self, value):
+        """The raw coefficient of an int, Fraction or Scalar of this field,
+        the package's one number format: a residue in [0, p) over F_p; over q
+        an int when integral, else a Fraction."""
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
                 raise FieldMismatchError(f"scalar over {value.field} used in {self}")
-            return value
-        if self.characteristic == 0:
-            return Scalar(self, Fraction(value))
+            return value.value
+        p = self.characteristic
+        if not p:
+            v = value if type(value) is int else Fraction(value)
+            return v.numerator if v.denominator == 1 else v
         if isinstance(value, Fraction):
-            num = value.numerator % self.characteristic
-            den = value.denominator % self.characteristic
+            den = value.denominator % p
             if den == 0:
                 raise AlgebraError("denominator vanishes in the prime field")
-            return Scalar(self, num * pow(den, -1, self.characteristic) % self.characteristic)
-        return Scalar(self, int(value) % self.characteristic)
+            return value.numerator * pow(den, -1, p) % p
+        return int(value) % p
+
+    def scalar(self, value) -> "Scalar":
+        v = self.raw(value)
+        return value if isinstance(value, Scalar) else Scalar(self, v)
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return Scalar(self, 0)
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return Scalar(self, 1)
 
     def __str__(self) -> str:
         if self.characteristic == 0:
@@ -120,7 +131,7 @@ class FieldDescriptor(Record, frozen=True):
 
 
 class Scalar:
-    """An exact field element tagged with its field."""
+    """A raw coefficient (see FieldDescriptor.raw) tagged with its field."""
 
     __slots__ = ("field", "value")
 
@@ -129,95 +140,71 @@ class Scalar:
         self.value = value
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatchError("scalars over different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
+        """Raw value of other in this field, None for a type that is no scalar."""
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.field.raw(other)
         return None
+
+    def _reduced(self, value) -> "Scalar":
+        """The result of a raw operation as a Scalar, reduced mod p over F_p."""
+        p = self.field.characteristic
+        return Scalar(self.field, value % p if p else value)
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.field.characteristic == 0:
-            return Scalar(self.field, self.value + o.value)
-        return Scalar(self.field, (self.value + o.value) % self.field.characteristic)
+        return NotImplemented if o is None else self._reduced(self.value + o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.characteristic == 0:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % self.field.characteristic)
+        return self._reduced(-self.value)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self._reduced(self.value - o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else self._reduced(o - self.value)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.field.characteristic == 0:
-            return Scalar(self.field, self.value * o.value)
-        return Scalar(self.field, (self.value * o.value) % self.field.characteristic)
+        return NotImplemented if o is None else self._reduced(self.value * o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * Scalar(self.field, o).inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else self.inverse() * o
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self.field.characteristic == 0:
-            return Scalar(self.field, self.value ** exponent)
-        return Scalar(self.field, pow(self.value, exponent, self.field.characteristic))
+        return Scalar(self.field, pow(self.value, exponent, self.field.characteristic or None))
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if self.field.characteristic == 0:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, -1, self.field.characteristic))
+        return Scalar(self.field, self.field.raw(Fraction(1, self.value)))
 
     def __bool__(self) -> bool:
         return self.value != 0
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other) if not isinstance(other, Scalar) else other
-        if o is None:
-            return NotImplemented
-        if isinstance(o, Scalar) and o.field != self.field:
-            return False
-        return self.value == o.value
+        if isinstance(other, Scalar):
+            return other.field == self.field and self.value == other.value
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.value == o
 
     def __hash__(self):
         return hash((self.field, self.value))
 
     def __str__(self) -> str:
-        if self.field.characteristic == 0 and self.value.denominator != 1:
-            return f"{self.value.numerator}/{self.value.denominator}"
-        return str(int(self.value) if self.field.characteristic else self.value.numerator)
+        return str(self.value)
 
     __repr__ = __str__
 
@@ -232,13 +219,9 @@ def lucas_binomial(a: int, r: int, field: FieldDescriptor) -> Scalar:
         raise AlgebraError("binomial arguments must be nonnegative")
     p = field.characteristic
     if p == 0:
-        return field.scalar(comb(a, r))
+        return Scalar(field, comb(a, r))
     result = 1
-    aa, rr = a, r
-    while rr > 0 or aa > 0:
-        ad, aa = aa % p, aa // p
-        rd, rr = rr % p, rr // p
+    while result and (a or r):
+        (a, ad), (r, rd) = divmod(a, p), divmod(r, p)
         result = result * comb(ad, rd) % p
-        if result == 0:
-            return field.zero()
-    return field.scalar(result)
+    return Scalar(field, result)

@@ -43,7 +43,7 @@ from heapq import heappop, heappush
 from math import gcd
 
 from .errors import AlgebraError, BudgetExceededError
-from .rings import GradedPoly, _Divisors, _from_raw, _Monomials, _raw
+from .rings import GradedPoly, _Divisors, _from_raw, _Monomials
 
 DEFAULT_BUDGET = 50_000
 
@@ -166,7 +166,7 @@ def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
     if not g:
         raise AlgebraError("division by the zero polynomial")
     eg, a, _, _ = g._associate()
-    unit = _raw(f.ring.field, Fraction(a) / g.terms[eg])  # associate / g
+    unit = f.ring.field.raw(Fraction(a) / g.terms[eg])  # associate / g
 
     def divide(work):
         quotient = {}

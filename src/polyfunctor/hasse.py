@@ -39,7 +39,7 @@ from .errors import (
     Record,
 )
 from .fields import lucas_binomial
-from .rings import GradedPoly, GradedRing, RingVariable, Vector, _from_raw, _raw
+from .rings import GradedPoly, GradedRing, RingVariable, Vector, _from_raw
 
 
 class DirectionSubspace(Record, frozen=True):
@@ -177,8 +177,8 @@ def _binomial_rule(field, classes, axes, r, symbolic: bool) -> dict:
             mult = 1
             for (_, powers), ai, b in zip(axes, a, beta):
                 if b:
-                    if (ai, b) not in binomials:  # an integer: its numerator is its raw value
-                        binomials[ai, b] = lucas_binomial(ai, b, field).value.numerator
+                    if (ai, b) not in binomials:
+                        binomials[ai, b] = lucas_binomial(ai, b, field).value
                     mult *= binomials[ai, b] * powers[b]
             if not mult:
                 continue
@@ -223,7 +223,7 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> 
     p = field.characteristic
     axes = []
     for name, c in zip(w.basis, w.coords):
-        if v := _raw(field, c):
+        if v := field.raw(c):
             axes.append((ring.position(name), [pow(v, b, p) if p else v ** b for b in range(r + 1)]))
     if not axes:
         return ring.zero()

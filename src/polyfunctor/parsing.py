@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .fields import FieldDescriptor, Scalar
-from .rings import GradedPoly, GradedRing, _from_raw, _raw, _raw_mul_into, _raw_pow, _reduced
+from .rings import GradedPoly, GradedRing, _from_raw, _raw_mul_into, _raw_pow, _reduced
 
 # a token is the group; a match without it is a character no token starts
 # with, reported at its own position
@@ -98,7 +98,7 @@ class _PolyParser(_Parser):
                     if not int(tokens[i]):
                         raise self.error("zero denominator", i)
                     v = Fraction(v, int(tokens[i]))
-                v = _raw(ring.field, v)
+                v = ring.field.raw(v)
                 i, n = self.power(i + 1)
                 c *= pow(v, n, p) if p else v**n
             elif tok == "(":

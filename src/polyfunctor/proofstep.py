@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import prod
 
 from .errors import (
@@ -83,7 +84,7 @@ from .matrices import (
     space_labels,
     space_matrix,
 )
-from .rings import GradedPoly, GradedRing, RingVariable, Vector, _raw
+from .rings import GradedPoly, GradedRing, RingVariable, Vector
 
 MAX_MINOR_CANDIDATES = 64  # row subsets eliminate tries before it gives up
 
@@ -800,8 +801,7 @@ def _segre_map(model: CoordinateModel, kept=()) -> dict:
     v (x) w."""
     m, fld = model.dimension, model.field
     ring = GradedRing(fld, [f"{c}_{a + 1}" for c in "vw" for a in range(m)] + list(kept))
-    half = fld.scalar(2).inverse()
-    signs = {"y": _raw(fld, half), "z": _raw(fld, -half)}
+    signs = {"y": fld.raw(Fraction(1, 2)), "z": fld.raw(Fraction(-1, 2))}
     unit = (0,) * len(ring.names)
     segre = {name: ring.var(name) for name in ring.names[2 * m:]}
     for name in model.ring.names:

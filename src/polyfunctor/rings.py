@@ -3,12 +3,13 @@
 A GradedRing fixes an ordered list of variables, each carrying the label of
 the functor summand it lives on and a nonnegative integer weight (the degree
 of that summand).  A GradedPoly is a canonical sparse map from exponent
-vectors to nonzero raw coefficients: residues in [1, p) over F_p, and over
-q an int when the value is integral, else a Fraction (an integral Fraction
-a kernel leaves behind is equal, hashes equal and prints the same).  Only
-this module knows that format; Scalar is the type at the API boundary
-(constant_value, evaluate at a point given by names, Vector).  The term
-order used for printing, leading terms and division is graded
+vectors to nonzero raw coefficients (fields.FieldDescriptor.raw, the one
+conversion into that format; over q an integral Fraction a kernel leaves
+behind is equal, hashes equal and prints the same).  This module owns the
+raw-term helpers (_raw_mul_into, _raw_pow, _reduced, _from_raw) that the
+parser, the Hasse calculus and Groebner division build terms with; the
+matrices and the proof step hand GradedPoly canonical term dicts.  The
+term order used for printing, leading terms and division is graded
 lexicographic: weighted degree first, then the exponent vector compared
 lexicographically with earlier variables more significant.  Canonical form
 plus a fixed order makes all printed output byte-stable.
@@ -125,7 +126,7 @@ class GradedRing:
         exps = tuple(exps)
         if len(exps) != len(self.names):
             raise AlgebraError("exponent vector length mismatch")
-        c = _raw(self.field, coeff)
+        c = self.field.raw(coeff)
         return GradedPoly(self, {exps: c} if c else {}, _canonical=True)
 
     def order_key(self, exps):
@@ -215,7 +216,7 @@ class GradedPoly:
             return self._assoc
 
     def constant_value(self) -> Scalar:
-        return self.ring.field.scalar(self.terms.get((0,) * len(self.ring.names), 0))
+        return Scalar(self.ring.field, self.terms.get((0,) * len(self.ring.names), 0))
 
     def is_constant(self) -> bool:
         return all(not any(exps) for exps in self.terms)
@@ -290,7 +291,7 @@ class GradedPoly:
 
     def mul_term(self, exps, coeff) -> "GradedPoly":
         """Multiply by a single monomial, exps relative to this ring."""
-        c = _raw(self.ring.field, coeff)
+        c = self.ring.field.raw(coeff)
         if not c:
             return self.ring.zero()
         p = self.ring.field.characteristic
@@ -419,7 +420,7 @@ class GradedPoly:
         for name in self.support_vars():
             if name not in point:
                 raise SubstitutionError(f"missing coordinate for {name!r}")
-        raw = {name: _raw(field, v) for name, v in point.items()}
+        raw = {name: field.raw(v) for name, v in point.items()}
         at = [raw.get(name, 0) for name in self.ring.names]
         p = field.characteristic
         total = 0
@@ -466,14 +467,6 @@ class GradedPoly:
 
     def __repr__(self):
         return f"<{self.to_text()}>"
-
-
-def _raw(field: FieldDescriptor, value):
-    """Raw coefficient of a Scalar, int or Fraction: a residue in [0, p) over
-    F_p; over q an int when integral, so products of integer entries skip
-    Fraction, else a Fraction."""
-    v = field.scalar(value).value
-    return v if field.characteristic or v.denominator != 1 else v.numerator
 
 
 def _raw_mul_into(acc: dict, a, b, scale) -> dict:

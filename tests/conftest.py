@@ -30,9 +30,10 @@ from polyfunctor.functors import _refuse_char2
 from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_data, doubled_ring, fresh_name
 from polyfunctor.matrices import LinearMapMatrix, _SliceSum
 from polyfunctor.proofstep import _segre_map, _segre_points
-from polyfunctor.errors import AlgebraError, ParseError
+from polyfunctor.errors import AlgebraError, FieldMismatchError, ParseError
+from polyfunctor.fields import Scalar
 from polyfunctor.rings import (
-    GradedPoly, RingVariable, _Divisors, _from_raw, _raw, _raw_mul_into, _raw_pow, _reduced,
+    GradedPoly, RingVariable, _Divisors, _from_raw, _raw_mul_into, _raw_pow, _reduced,
 )
 
 Q = FieldDescriptor.rationals()
@@ -75,6 +76,30 @@ def witness_data(f, model, r_label):
     """Directional data of f along the summand r_label of model, the data
     derivative_step hands to extraction and to the direction scan."""
     return directional_data(f, DirectionSubspace(model.ring, model.ring.vars_of_part(r_label)))
+
+
+# -- the conversion into raw coefficients before FieldDescriptor.raw: the
+# reference that raw is checked against
+
+def raw_coefficient(field, value):
+    """Raw coefficient of a Scalar, int or Fraction as it was computed by
+    boxing: FieldDescriptor.scalar's old body (over q always a Fraction),
+    then rings._raw's unboxing (over q an int when integral)."""
+    if isinstance(value, Scalar):
+        if value.field is not field and value.field != field:
+            raise FieldMismatchError(f"scalar over {value.field} used in {field}")
+        v = value.value
+    elif field.characteristic == 0:
+        v = Fraction(value)
+    elif isinstance(value, Fraction):
+        num = value.numerator % field.characteristic
+        den = value.denominator % field.characteristic
+        if den == 0:
+            raise AlgebraError("denominator vanishes in the prime field")
+        v = num * pow(den, -1, field.characteristic) % field.characteristic
+    else:
+        v = int(value) % field.characteristic
+    return v if field.characteristic or v.denominator != 1 else v.numerator
 
 
 # -- the polynomial parser on (kind, value, position) tokens from three re.Match
@@ -172,7 +197,7 @@ class _PolyParser:
                 if not int(value):
                     raise ParseError("zero denominator", pos, self.text)
                 c = Fraction(c, int(value))
-            return {self.unit: _raw(self.ring.field, c)}
+            return {self.unit: raw_coefficient(self.ring.field, c)}
         if kind == "name":
             if value not in self.variables:
                 if value not in self.ring._pos:

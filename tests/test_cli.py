@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyfunctor import BudgetExceededError, CertificateNotFoundError
 from polyfunctor.cli import main
 
 
@@ -647,6 +648,68 @@ def test_internal_check_failure_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err == "internal check failed: coefficient matrix mismatch at the ends\n"
     assert "Traceback" not in err
+
+
+# -- an inconclusive run exits 3 -----------------------------------------------
+
+def _budget_exceeded(*args, **kwargs):
+    raise BudgetExceededError("normal-form step budget exceeded")
+
+
+def test_delta_with_an_exhausted_budget_reports_inconclusive(capsys, monkeypatch):
+    from polyfunctor import proofstep
+
+    monkeypatch.setattr(proofstep, "buchberger", _budget_exceeded)
+    args = ("delta", "--field", "q", "--vars", "x,y,z", "--generators", "x*y;y^2", "--q-generators", "x - y")
+    assert run_cli(capsys, *args) == (3, "status: inconclusive\n", "")
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert (code, json.loads(out), err) == (3, {"status": "inconclusive", "delta": None, "witness": None}, "")
+
+
+def test_an_escaping_budget_error_exits_3(capsys, monkeypatch):
+    from polyfunctor import proofstep
+
+    monkeypatch.setattr(proofstep, "buchberger", _budget_exceeded)
+    code, out, err = run_cli(capsys, *PROOFSTEP_ARGS, "--q-generators", "y_1_1*y_2_2 - y_1_2^2")
+    assert (code, out, err) == (3, "", "inconclusive: normal-form step budget exceeded\n")
+
+
+def test_an_escaping_certificate_error_exits_3(capsys, monkeypatch):
+    from polyfunctor import cli
+
+    def nothing(*args, **kwargs):
+        raise CertificateNotFoundError("no unit minor found within the search budget")
+
+    monkeypatch.setattr(cli, "run_proofstep", nothing)
+    code, out, err = run_cli(capsys, *PROOFSTEP_ARGS)
+    assert (code, out, err) == (3, "", "inconclusive: no unit minor found within the search budget\n")
+
+
+# -- the designated summand by default, and the proof step's refusals ----------
+
+ONE_TOP_SUMMAND = (
+    "proofstep", "--field", "q", "--functor", "sum(id,talt)", "--u", "2", "--n", "3",
+    "--f", "z_1_2^2 + p0_1^2*p0_2^2", "--r0", "1",
+)
+
+
+def test_proofstep_designates_the_one_top_degree_summand(capsys):
+    code, out, err = run_cli(capsys, *ONE_TOP_SUMMAND)
+    assert (code, err) == (0, "")
+    assert "all passed: true" in out.splitlines()
+    # the same run as naming that summand
+    assert run_cli(capsys, *ONE_TOP_SUMMAND, "--r-part", "p1") == (0, out, "")
+
+
+@pytest.mark.parametrize("args, message", [
+    (PROOFSTEP_ARGS[:-2], "several top-degree summands ['p0', 'p1']; pick one with --r-part"),
+    (ONE_TOP_SUMMAND[:-1] + ("1,2",), "r0 needs 1 coordinates over ['z_1_2']"),
+    (ONE_TOP_SUMMAND[:6] + ("3",) + ONE_TOP_SUMMAND[7:-1] + ("1,0,0",),
+     "default pair projections need u = 2; pass --phi"),
+])
+def test_proofstep_refusals(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # -- the proof step's witness is --f -------------------------------------------

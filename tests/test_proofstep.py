@@ -797,6 +797,106 @@ def test_q_certificate_reduced_mod_p_is_the_fp_certificate(n):
     assert 101 in compared
 
 
+# -- each internal check fires on a perturbed input ----------------------------------
+
+MOVING_RING = GradedRing(Q, [("z1", "r", 1), ("z2", "r", 1), ("c", "b", 1)])
+
+
+@pytest.mark.parametrize("k", ["z1^2 + c", "z1*z2 + c", "c*z1^2*z2"])
+def test_affine_element_refuses_a_term_that_is_not_additive(k):
+    ring = MOVING_RING
+    with pytest.raises(InternalCheckError, match="^element is not affine-additive in the moving coordinates$"):
+        proofstep._affine_element(parse_polynomial(k, ring), 0, ("z1", "z2"))
+
+
+def test_affine_element_checks_its_reconstruction(monkeypatch):
+    ring = MOVING_RING
+    k = parse_polynomial("c*z1 + 2*z2 + c^2", ring)
+    assert proofstep._affine_element(k, 0, ("z1", "z2")).additive_part == {"z1": ring.var("c"), "z2": ring.const(2)}
+    real = GradedPoly.__pow__
+    # the moving coordinate's power in the reconstruction comes out doubled
+    monkeypatch.setattr(GradedPoly, "__pow__", lambda self, e: real(self, e) * 2)
+    with pytest.raises(InternalCheckError, match="^affine-additive reconstruction failed$"):
+        proofstep._affine_element(k, 0, ("z1", "z2"))
+
+
+def _split_extraction(field=Q):
+    model_u, f, X = split_presentation(field)
+    model_big = CoordinateModel(SPLIT, field, 5)
+    return model_u, f, X, model_big, pair_projection(field, 3, 1, 2)
+
+
+def test_pull_backs_check_the_moving_degree(monkeypatch):
+    model_u, f, X, model_big, phi = _split_extraction()
+    data = witness_data(f, model_u, "p1")
+    assert len(proofstep._pull_backs(X, f, data, model_big, [phi])[1]) == 1
+    real = proofstep.induced_map
+
+    def reversed_rows(expr, m):
+        # the induced map of 1_U + phi with its row labels in reverse order
+        out = real(expr, m)
+        if not isinstance(expr, ShiftF):
+            return out
+        wrong = LinearMapMatrix.__new__(LinearMapMatrix)
+        wrong._set(out.row_labels[::-1], out.col_labels, out.ring, out.slices)
+        return wrong
+
+    monkeypatch.setattr(proofstep, "induced_map", reversed_rows)
+    with pytest.raises(InternalCheckError, match="^1_U \\+ phi does not keep the moving degree$"):
+        proofstep._pull_backs(X, f, data, model_big, [phi])
+
+
+def test_extraction_checks_the_derivative_formula(monkeypatch):
+    model_u, f, _, model_big, phi = _split_extraction()
+    real = proofstep._affine_element
+
+    def doubled(*args):
+        # the element's additive part doubled, its polynomial kept
+        el = real(*args)
+        return AffineAdditiveElement(
+            poly=el.poly, level=el.level, additive_part={v: 2 * c for v, c in el.additive_part.items()},
+            constant_part=el.constant_part, eliminated=el.eliminated, pullback=el.pullback,
+        )
+
+    monkeypatch.setattr(proofstep, "_affine_element", doubled)
+    with pytest.raises(InternalCheckError, match="^derivative-compatibility identity failed$"):
+        extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1")
+
+
+@pytest.mark.parametrize("field", ["q", "fp:3"])
+def test_a_minor_that_loses_its_h_power_exits_5(field, monkeypatch, capsys):
+    from polyfunctor.cli import main
+
+    real = proofstep._h_power
+
+    def doubled(d, h):
+        # the scalar of d = c * h^k read as 2c
+        c, k = real(d, h)
+        return (None if c is None else c * 2), k
+
+    monkeypatch.setattr(proofstep, "_h_power", doubled)
+    code = main(["proofstep", "--field", field, "--functor", "sum(tsym,talt)", "--u", "2", "--n", "3",
+                 "--f", "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2", "--r0", "1", "--r-part", "p1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        5, "", "internal check failed: unit minor lost its h-power structure\n")
+
+
+def test_eliminate_checks_that_numerators_avoid_the_moving_coordinates():
+    # a constant part that carries the moving coordinate it solves for
+    ring = MOVING_RING
+    element = AffineAdditiveElement(
+        poly=ring.var("z1") * ring.var("c") + ring.var("z1"),
+        level=0,
+        additive_part={"z1": ring.var("c")},
+        constant_part=ring.var("z1"),
+        eliminated=("z1",),
+        pullback=ring.zero(),
+    )
+    with pytest.raises(InternalCheckError, match="^certificate numerator touches a moving coordinate$"):
+        eliminate([element], ring.var("c"), ["z1"])
+
+
 # -- full runs ----------------------------------------------------------------------
 
 

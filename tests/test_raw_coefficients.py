@@ -1,0 +1,128 @@
+"""FieldDescriptor.raw, the one conversion into raw coefficients, against the
+conversion by boxing it replaced; and the parser, which converts every
+coefficient it reads without building a Scalar."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from polyfunctor import AlgebraError, FieldDescriptor, GradedRing, parse_polynomial
+from polyfunctor.errors import FieldMismatchError
+from polyfunctor.fields import Scalar
+
+from conftest import F2, F3, F5, Q, raw_coefficient
+
+F101 = FieldDescriptor.prime_field(101)
+FIELDS = (Q, F2, F3, F5, F101, FieldDescriptor.prime_field(32003))
+
+
+def _same(got, want):
+    assert got == want and type(got) is type(want)
+
+
+def _values(rng, field):
+    """Seeded signed ints (0, multiples of p and 30-digit ones among them)
+    and Fractions (integral ones among them) whose denominators are units."""
+    p = field.characteristic
+    ints = [0, 1, -1, p, -p, 3 * p + 1, 10**30, -(10**30) - 7]
+    ints += [rng.randint(-(10**30), 10**30) for _ in range(20)] + [rng.randint(-50, 50) for _ in range(20)]
+    fractions = [Fraction(4, 2), Fraction(-9, 3), Fraction(0, 5), Fraction(-1, 2) if p != 2 else Fraction(-1, 3)]
+    while len(fractions) < 60:
+        f = Fraction(rng.randint(-(10**20), 10**20), rng.randint(1, 10**6))
+        if not p or f.denominator % p:
+            fractions.append(f)
+    return ints, fractions
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_raw_agrees_with_the_conversion_by_boxing(field):
+    rng = random.Random(field.characteristic)
+    ints, fractions = _values(rng, field)
+    for v in ints + fractions:
+        _same(field.raw(v), raw_coefficient(field, v))
+        _same(field.scalar(v).value, raw_coefficient(field, v))
+    # integral Fractions come back as ints over q, as residues over F_p
+    for v in (Fraction(4, 2), Fraction(-9, 3), Fraction(10**40, 1)):
+        _same(field.raw(v), int(v) % field.characteristic if field.characteristic else int(v))
+    # a Scalar of the field gives its raw value, built directly or left by arithmetic
+    for v in ints + fractions:
+        s = field.scalar(v)
+        _same(field.raw(s), raw_coefficient(field, s))
+        assert field.scalar(s) is s
+        left = s * 3 - s - s
+        assert field.raw(left) == raw_coefficient(field, left) == raw_coefficient(field, v)
+
+
+@pytest.mark.parametrize("field", FIELDS[1:], ids=str)
+def test_raw_refuses_a_vanishing_denominator(field):
+    rng = random.Random(field.characteristic)
+    p = field.characteristic
+    for _ in range(20):
+        num = rng.choice([k for k in range(-50, 51) if k % p])
+        v = Fraction(num, p * rng.randint(1, 40))
+        with pytest.raises(AlgebraError) as want:
+            raw_coefficient(field, v)
+        with pytest.raises(AlgebraError) as got:
+            field.raw(v)
+        assert str(got.value) == str(want.value) == "denominator vanishes in the prime field"
+        with pytest.raises(AlgebraError, match="denominator vanishes"):
+            field.scalar(v)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_raw_refuses_a_scalar_of_another_field(field):
+    for other in FIELDS:
+        if other == field:
+            continue
+        s = other.scalar(Fraction(1, 3) if other.characteristic != 3 else 2)
+        with pytest.raises(FieldMismatchError) as want:
+            raw_coefficient(field, s)
+        with pytest.raises(FieldMismatchError) as got:
+            field.raw(s)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(FieldMismatchError):
+            field.scalar(s)
+
+
+def test_scalar_value_is_the_raw_coefficient():
+    half = Q.scalar(Fraction(1, 2))
+    _same(Q.scalar(Fraction(6, 3)).value, 2)
+    _same(Q.one().value, 1)
+    _same(F5.zero().value, 0)
+    # an integral Fraction left by arithmetic equals, hashes and prints as its int
+    for s, text in ((half + half, "1"), (half * -4, "-2"), (half - 1, "-1/2"), (half ** 3, "1/8"),
+                    (Q.scalar(-3).inverse(), "-1/3"), (half.inverse(), "2"), (F5.scalar(Fraction(1, 2)), "3")):
+        assert str(s) == repr(s) == text
+        assert s == s.field.scalar(Fraction(text)) and hash(s) == hash(s.field.scalar(Fraction(text)))
+    assert hash(Q.scalar(2)) == hash(Scalar(Q, Fraction(2)))
+    _same(half.inverse().value, 2)
+
+
+@pytest.mark.parametrize("field", (Q, F3, F101), ids=str)
+@pytest.mark.parametrize("fractional", (False, True))
+def test_parsing_builds_no_scalar(field, fractional, monkeypatch):
+    # a conversion by boxing would build one Scalar per coefficient read
+    rng = random.Random(3)
+    ring = GradedRing(field, ["x", "y", "z"])
+    chunks, want = [], ring.zero()
+    for i in range(200):
+        exps = [rng.randint(0, 4) for _ in ring.names]
+        c = Fraction(rng.randint(1, 9), rng.choice((2, 5, 7)) if fractional else 1)
+        chunks.append(f"{c}*x^{exps[0]}*y^{exps[1]}*z^{exps[2]}")
+        want = want + ring.monomial(exps, c if i == 0 else -c)
+    text = " - ".join(chunks)
+    if fractional:
+        text += " + 2*(x - 1/2*y)^3"
+        want = want + 2 * (ring.var("x") - Fraction(1, 2) * ring.var("y")) ** 3
+    built = []
+    real = Scalar.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    f = parse_polynomial(text, ring)
+    assert built == []
+    assert f == want
