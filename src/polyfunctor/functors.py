@@ -15,23 +15,31 @@ these labels so every entry is auditable.  Induced maps work on the monomial
 slices of matrices.py: a tensor product is their Kronecker product, a half
 of the tensor square their symmetrised product.
 One kernel serves symmetric and exterior powers, so an exterior power's
-minors need no determinant.
+minors need no determinant; it packs the column tuples of each row key
+into one int (see _power_matrix), on bases built once per labels, power and
+kind in a bounded cache.  The halves of the tensor square keep their own
+kernel, which multiplies only nonzero entries: the per-phi maps of a proof
+step are sparse, and the power kernel decodes every row in full.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, mul
 
 from .errors import AlgebraError, CharacteristicError, Record
 from .fields import FieldDescriptor
 from .matrices import (
     LinearMapMatrix,
     _diagonal,
+    _integral,
     _SliceSum,
+    _unscaled,
     identity_matrix,
     matrix_rank,
     shift_embedding,
@@ -488,69 +496,86 @@ def shift_label(label, by: int):
 # ---------------------------------------------------------------------------
 
 
-def _times_column(acc: dict, column, alternating: bool) -> dict:
-    """acc, exponents -> {int key of a row multiset: raw coefficient}, times
-    the image sum_i a[i][c] e_i of one column, given per monomial slice as
-    (exponents, [(key of {i}, mask of the indices above i, raw coefficient)]).
-    An exterior key is the bitmask S of its rows: e_S ^ e_i is 0 when S holds
-    i, else its sign is the parity of the count of S's indices above i.  A
-    symmetric key counts each index in a fixed-width bit field, so the keys
-    of multisets add."""
-    new: dict = {}
-    for e1, keyed in acc.items():
-        for e2, live in column:
-            exps = tuple(map(add, e1, e2))
-            out = new.setdefault(exps, {})
-            for key, coeff in keyed.items():
-                for bit, above, c in live:
-                    if alternating:
-                        if key & bit:
-                            continue
-                        if (key & above).bit_count() & 1:
-                            c = -c
-                    k = key + bit
-                    out[k] = out.get(k, 0) + coeff * c
-    return new
+@functools.lru_cache(maxsize=64)
+def _power_basis(row_labels: tuple, col_labels: tuple, power: int, alternating: bool):
+    """The bases of _power_matrix, which depend on the labels, the power and
+    the kind alone: the int key of each row tuple with its row index, the
+    bits of a key's count field, per level d < power the (column, prefix
+    size, block offset) of each column that extends a size-d column tuple,
+    the colex slot of each column tuple, and the labels."""
+    choose = itertools.combinations if alternating else itertools.combinations_with_replacement
+    row_tuples = list(choose(range(len(row_labels)), power))
+    col_tuples = list(choose(range(len(col_labels)), power))
+    field_bits = 1 if alternating else power.bit_length()
+    row_at = {sum(1 << i * field_bits for i in idx): r for r, idx in enumerate(row_tuples)}
+    n = len(col_labels)
+    steps = []
+    for d in range(power):
+        # a size-d tuple extended by c is the block of tuples ending in c;
+        # its prefix is the size-d tuples below c (at most c for sym); an
+        # exterior tuple reaches size power only when c <= n - power + d
+        sizes = [comb(c, d) if alternating else comb(c + d, d)
+                 for c in range(n - power + d + 1 if alternating else n)]
+        offsets = itertools.accumulate(sizes, initial=0)
+        steps.append([(c, size, offset) for c, (size, offset) in enumerate(zip(sizes, offsets)) if size])
+    colex = {idx: s for s, idx in enumerate(sorted(col_tuples, key=lambda idx: idx[::-1]))}
+    tag = "ext" if alternating else "sym"
+    return (
+        row_at, field_bits, steps, [colex[idx] for idx in col_tuples],
+        tuple((tag, tuple(row_labels[i] for i in idx)) for idx in row_tuples),
+        tuple((tag, tuple(col_labels[i] for i in idx)) for idx in col_tuples),
+    )
 
 
 def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMapMatrix:
     """Matrix of the symmetric power of a, or of the exterior power when
-    alternating.
+    alternating, by packed integer column blocks.
 
-    The column of e_c1...e_ck is (A e_c1)...(A e_ck), expanded one factor at
-    a time on int keys of row multisets (see _times_column); in the
-    alternating case this gives every k x k minor without a determinant.
-    Column tuples come in lexicographic order, so the expansion of the
-    prefix shared with the previous tuple is reused; only the chain of the
-    current tuple's prefixes is kept, and each finished column goes straight
-    into the slice accumulator.
+    The column of e_c1...e_ck (c1 <= ... <= ck) is (A e_c1)...(A e_ck).
+    Level d holds, per monomial and int key K of a size-d row multiset, one
+    int whose slots are the coefficients of e_K for the size-d column tuples
+    in colex order, so the tuples that column c extends are a prefix: a step
+    moves the prefix of c to the block of the tuples ending in c and adds one
+    dot product of row i of a with the blocks into key K + e_i.  A symmetric
+    key counts each index in a fixed-width bit field, so keys add; an
+    exterior key is the bitmask S of its rows: e_S ^ e_i is 0 when S holds i,
+    else its sign is the parity of S's indices above i.  A slot gets one bit
+    more than (rows * slices * top)^power needs, top as in _integral; a
+    prefix is cut as ((v + bias) & mask) - bias, bias half of its top slot,
+    which is exact for signed slots.  The top level is decoded one row per
+    key, in lexicographic column order; over q divided by scale^power.
     """
-    choose = itertools.combinations if alternating else itertools.combinations_with_replacement
-    row_tuples = list(choose(range(len(a.row_labels)), power))
-    col_tuples = list(choose(range(len(a.col_labels)), power))
-    field_bits = 1 if alternating else power.bit_length()
-    row_at = {sum(1 << i * field_bits for i in idx): r for r, idx in enumerate(row_tuples)}
-    columns = [[] for _ in a.col_labels]
-    for e, (rows, cols, block) in a.slices.items():
-        for q, j in enumerate(cols):
-            live = [(1 << i * field_bits, -2 << i, row[q]) for i, row in zip(rows, block) if row[q]]
-            columns[j].append((e, live))
-    acc = _SliceSum(len(col_tuples))
-    chain = [{(0,) * len(a.ring.names): {0: 1}}]
-    prev = ()
-    for cj, combo in enumerate(col_tuples):
-        shared = 0
-        while shared < len(prev) and prev[shared] == combo[shared]:
-            shared += 1
-        del chain[shared + 1:]
-        for c in combo[shared:]:
-            chain.append(_times_column(chain[-1], columns[c], alternating))
-        for exps, keyed in chain[-1].items():
-            acc.add_column(exps, cj, [row_at[key] for key in keyed], keyed.values())
-        prev = combo
-    tag = "ext" if alternating else "sym"
-    row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
-    col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
+    basis = _power_basis(a.row_labels, a.col_labels, power, alternating)
+    row_at, field_bits, steps, slot_of, row_labels, col_labels = basis
+    slices, scale, top = _integral(a)
+    bits = ((len(a.row_labels) * len(slices) * top) ** power).bit_length() + 1
+    level = {(0,) * len(a.ring.names): {0: 1}}
+    for step in steps:
+        cut_of = {c: (1 << bits * size - 1, (1 << bits * size) - 1, bits * offset) for c, size, offset in step}
+        # per slice: the cut of each column that extends a tuple, and per row i the key
+        # of {i}, the mask of the indices above i and the row on those columns
+        moves = [(f, [cut_of[c] for c in cols if c in cut_of],
+                  [(1 << i * field_bits, -2 << i, [x for x, c in zip(row, cols) if c in cut_of])
+                   for i, row in zip(rows, block)]) for f, (rows, cols, block) in slices.items()]
+        new = defaultdict(lambda: defaultdict(int))
+        for e, keyed in level.items():
+            targets = [(new[tuple(map(add, e, f))], cuts, rows) for f, cuts, rows in moves]
+            for key, v in keyed.items():
+                for target, cuts, rows in targets:
+                    blocks = [(((v + bias) & mask) - bias) << shift for bias, mask, shift in cuts]
+                    for bit, above, row in rows:
+                        if not (alternating and key & bit):
+                            s = sum(map(mul, row, blocks))
+                            target[key + bit] += -s if alternating and (key & above).bit_count() & 1 else s
+        level = new
+    half, mask, shifts = 1 << bits - 1, (1 << bits) - 1, [bits * s for s in slot_of]
+    offset = sum(half << s for s in shifts)
+    acc = _SliceSum(len(col_labels))
+    for e, keyed in level.items():
+        target = acc.by_exps[e]
+        for key, v in keyed.items():
+            v += offset
+            target[row_at[key]] = _unscaled([(v >> s & mask) - half for s in shifts], scale ** power)
     return acc.matrix(row_labels, col_labels, a.ring)
 
 

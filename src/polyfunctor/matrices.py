@@ -7,13 +7,14 @@ only: per exponent vector the rows and columns where it has terms and one
 dense block of its raw coefficients there (a single slice for scalars).
 Every builder adds raw blocks into one slice accumulator, full-width rows
 per exponent vector, and one function reduces it to canonical slices, so
-equal matrices have equal slices.  The induced-map kernels multiply slices
-by plain dot products, composition by packed integer rows: a slot per
-column, wide enough for the largest output entry (from p over F_p, over q
-from the entries once each matrix is scaled to ints by the lcm of its
-denominators) and offset by half its range so that signed sums carry
-nothing between slots.  Entries are boxed as polynomials only when rows is
-read, once per matrix.
+equal matrices have equal slices.  The tensor kernels multiply slices by
+plain products, composition (and, in functors.py, the symmetric and
+exterior powers) by packed integers: a slot per column, wide enough for the
+largest output entry (from p over F_p, over q from the entries once each
+matrix is scaled to ints by the lcm of its denominators, a scale divided
+back into an int where it divides, else a Fraction) and offset by half its
+range so that signed sums carry nothing between slots.  Entries are boxed
+as polynomials only when rows is read, once per matrix.
 Also home to the small exact linear algebra the package needs: Gaussian
 rank over a field, and the solve of a square polynomial system [A | b] in
 block upper-triangular form: rows matched to columns, the diagonal blocks
@@ -105,7 +106,8 @@ class LinearMapMatrix:
         to ints by the lcm of its denominators; bits is one more than that
         bound's bit length, and half = 2^(bits - 1) in every slot keeps signed
         sums from carrying between slots.  Slot j reads back as
-        (total >> bits * j & mask) - half, over q divided by the two scales.
+        (total >> bits * j & mask) - half, over q divided by the two scales
+        (see _unscaled).
         """
         if self.ring != other.ring:
             raise AlgebraError("composition across entry rings")
@@ -138,7 +140,7 @@ class LinearMapMatrix:
             for i, t in sums.items():
                 t += offset
                 row = [(t >> s & mask) - half for s in shifts]
-                acc.by_exps[g][i] = row if scale == 1 else [Fraction(v, scale) for v in row]
+                acc.by_exps[g][i] = _unscaled(row, scale)
         return acc.matrix(self.row_labels, other.col_labels, self.ring)
 
     def is_identity(self) -> bool:
@@ -190,12 +192,6 @@ class _SliceSum:
             for j, v in zip(cols, values):
                 row[j] += v
 
-    def add_column(self, exps, j, rows, values):
-        """Add x^exps times raw coefficients in column j at the given rows."""
-        target = self.by_exps[exps]
-        for i, v in zip(rows, values):
-            target[i][j] += v
-
     def place(self, m: LinearMapMatrix, row0: int, col0: int):
         """Add the slices of m, its first entry at (row0, col0)."""
         for e, (rows, cols, block) in m.slices.items():
@@ -238,12 +234,17 @@ def _integral(m: LinearMapMatrix):
     return cleared, scale, int(top * scale)
 
 
+def _unscaled(row: list, scale: int) -> list:
+    """Ints over scale as raw coefficients: v // scale if scale divides v."""
+    return row if scale == 1 else [Fraction(v, scale) if v % scale else v // scale for v in row]
+
+
 def _diagonal(width: int, ring: GradedRing, size: int) -> _SliceSum:
     """Accumulator of the matrix width columns wide with a 1 at (i, i) for
     every i < size and nothing elsewhere."""
     acc = _SliceSum(width)
     for i in range(size):
-        acc.add_column((0,) * len(ring.names), i, (i,), (1,))
+        acc.add((0,) * len(ring.names), (i,), (i,), ((1,),))
     return acc
 
 

@@ -623,3 +623,75 @@ def dense_split_square_matrix(phi, alternating):
     return acc.matrix(
         tuple((tag,) + pair for pair in row_pairs), tuple((tag,) + pair for pair in col_pairs), phi.ring
     )
+
+
+def _times_column(acc: dict, column, alternating: bool) -> dict:
+    """acc, exponents -> {int key of a row multiset: raw coefficient}, times
+    the image sum_i a[i][c] e_i of one column, given per monomial slice as
+    (exponents, [(key of {i}, mask of the indices above i, raw coefficient)]).
+    An exterior key is the bitmask S of its rows: e_S ^ e_i is 0 when S holds
+    i, else its sign is the parity of the count of S's indices above i.  A
+    symmetric key counts each index in a fixed-width bit field, so the keys
+    of multisets add."""
+    new: dict = {}
+    for e1, keyed in acc.items():
+        for e2, live in column:
+            exps = tuple(map(add, e1, e2))
+            out = new.setdefault(exps, {})
+            for key, coeff in keyed.items():
+                for bit, above, c in live:
+                    if alternating:
+                        if key & bit:
+                            continue
+                        if (key & above).bit_count() & 1:
+                            c = -c
+                    k = key + bit
+                    out[k] = out.get(k, 0) + coeff * c
+    return new
+
+
+def power_matrix_by_columns(a, power, alternating):
+    """Matrix of the symmetric power of a, or of the exterior power when
+    alternating, expanded one column factor at a time on dicts of int keys
+    of row multisets (see _times_column): the reference that
+    functors._power_matrix, which works on packed integer column blocks, is
+    checked on.
+
+    The column of e_c1...e_ck is (A e_c1)...(A e_ck), expanded one factor at
+    a time on int keys of row multisets; in the alternating case this gives
+    every k x k minor without a determinant.  Column tuples come in
+    lexicographic order, so the expansion of the prefix shared with the
+    previous tuple is reused; only the chain of the current tuple's prefixes
+    is kept, and each finished column goes straight into the slice
+    accumulator.
+    """
+    choose = itertools.combinations if alternating else itertools.combinations_with_replacement
+    row_tuples = list(choose(range(len(a.row_labels)), power))
+    col_tuples = list(choose(range(len(a.col_labels)), power))
+    field_bits = 1 if alternating else power.bit_length()
+    row_at = {sum(1 << i * field_bits for i in idx): r for r, idx in enumerate(row_tuples)}
+    columns = [[] for _ in a.col_labels]
+    for e, (rows, cols, block) in a.slices.items():
+        for q, j in enumerate(cols):
+            live = [(1 << i * field_bits, -2 << i, row[q]) for i, row in zip(rows, block) if row[q]]
+            columns[j].append((e, live))
+    acc = _SliceSum(len(col_tuples))
+    chain = [{(0,) * len(a.ring.names): {0: 1}}]
+    prev = ()
+    for cj, combo in enumerate(col_tuples):
+        shared = 0
+        while shared < len(prev) and prev[shared] == combo[shared]:
+            shared += 1
+        del chain[shared + 1:]
+        for c in combo[shared:]:
+            chain.append(_times_column(chain[-1], columns[c], alternating))
+        for exps, keyed in chain[-1].items():
+            # the former _SliceSum.add_column(exps, cj, rows, values)
+            target = acc.by_exps[exps]
+            for i, v in zip([row_at[key] for key in keyed], keyed.values()):
+                target[i][cj] += v
+        prev = combo
+    tag = "ext" if alternating else "sym"
+    row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
+    col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
+    return acc.matrix(row_labels, col_labels, a.ring)

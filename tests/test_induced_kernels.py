@@ -12,12 +12,16 @@ induced maps and their composition never fall back to boxed arithmetic or
 per-entry polynomial products, and box entries as polynomials only when
 their rows are read.  The golden and functoriality tests also check that
 each matrix they build holds canonical slices, the ones its boxed entries
-give.
+give.  The symmetric and exterior power kernel, which packs column blocks
+into ints, is checked against the column-at-a-time expansion it replaced,
+with entries at its slot-width bound, and on its count of int products;
+over q the packed kernels leave no integral Fraction.
 """
 
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -44,7 +48,9 @@ from polyfunctor.matrices import (
 from polyfunctor import functors, matrices, rings
 from polyfunctor.rings import GradedPoly, RingVariable
 
-from conftest import Q, compose_by_dot_products, dense_split_square_matrix, random_poly, scaled
+from conftest import (
+    Q, compose_by_dot_products, dense_split_square_matrix, power_matrix_by_columns, random_poly, scaled,
+)
 
 # the expressions of the benchmark's functors mix
 MIX = (
@@ -637,3 +643,102 @@ def test_split_square_kernel_matches_the_dense_oracle(field, alternating):
         kernel = functors._split_square_matrix(phi, alternating)
         assert kernel == dense_split_square_matrix(phi, alternating), name
         _assert_canonical_slices(kernel)
+
+
+# -- the power kernel against the column oracle --------------------------------
+
+
+POWER_FIELDS = (Q, FieldDescriptor.prime_field(2), F3, F101, FieldDescriptor.prime_field(32003))
+# with no rows, no columns, one row (every slot at its bound when the entries are), and m != n
+POWER_SHAPES = ((0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 4), (4, 2), (3, 3), (4, 4))
+
+
+def _assert_powers_as_the_oracle(phi, power, alternating):
+    kernel = functors._power_matrix(phi, power, alternating)
+    expected = power_matrix_by_columns(phi, power, alternating)
+    assert kernel.row_labels == expected.row_labels
+    assert kernel.col_labels == expected.col_labels
+    assert kernel.slices == expected.slices
+    _assert_canonical_slices(kernel)
+
+
+def _power_inputs(field):
+    """name -> seeded map: scalars of every shape up to three sizes (signed,
+    over q a third of them fractions), entries in x and y, and the
+    t-parametrised [1_U | t*phi] and a + b*t."""
+    inputs = {}
+    for seed, (m, n) in enumerate(POWER_SHAPES):
+        for top in (1, 100, 2 ** 70):
+            inputs[f"{m} x {n} scalars up to {top}"] = _random_scalars(field, m, n, seed, top)
+    inputs["x, y entries"] = _xy_matrix(field, 3, 4, 80)
+    inputs["x, y entries, a zero row and column"] = _mixed_matrix(field, 4, 3, 81, zero_rows=(1,), zero_cols=(2,))
+    inputs["[1_U | t*phi]"] = _t_parametrised(field, 2, 3, 82)
+    inputs["a + b*t"] = _affine_t(field, 3, 83)
+    return inputs
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=str)
+@pytest.mark.parametrize("alternating", [False, True])
+def test_power_kernel_matches_the_column_oracle(field, alternating):
+    for name, phi in _power_inputs(field).items():
+        for power in range(6 if len(phi.row_labels) * len(phi.col_labels) <= 16 else 4):
+            try:
+                _assert_powers_as_the_oracle(phi, power, alternating)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}, power {power}: {exc}") from None
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=str)
+@pytest.mark.parametrize("alternating", [False, True])
+def test_power_kernel_matches_the_column_oracle_at_the_slot_bound(field, alternating):
+    # every entry at the largest size its field allows (p - 1, or +-2^70
+    # over q, in one sign or a checkerboard of both), on one power of t up
+    # to t^3 or on all four at once; a one-row map fills each slot to the
+    # bound that sets its width
+    ring = _t_ring(field)
+    t = ring.var("t")
+    top = field.characteristic - 1 if field.characteristic else 2 ** 70
+    signs = (lambda i, j: 1,) if field.characteristic else (lambda i, j: 1, lambda i, j: -1,
+                                                           lambda i, j: (-1) ** (i + j))
+    for factor in (ring.one(), t, t ** 3, 1 + t + t ** 2 + t ** 3):
+        for sign in signs:
+            for m, n in ((1, 1), (1, 4), (2, 3), (3, 3)):
+                phi = LinearMapMatrix(space_labels(m), space_labels(n), ring,
+                                      [[sign(i, j) * top * factor for j in range(n)] for i in range(m)])
+                for power in range(5):
+                    _assert_powers_as_the_oracle(phi, power, alternating)
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+# an exterior step skips the rows its key holds and the columns that extend no
+# tuple or leave too few columns above them
+@pytest.mark.parametrize("expr_text, n, products", [("sym(2,id)", 6, 252), ("sym(4,id)", 4, 560),
+                                                     ("ext(2,id)", 6, 180), ("ext(3,id)", 6, 384),
+                                                     ("ext(4,id)", 4, 32)])
+def test_dense_power_makes_at_most_one_product_per_key_row_and_column(expr_text, n, products, field, monkeypatch):
+    expr = parse_functor(expr_text)
+    rng = random.Random(n)
+    a = space_matrix(field, [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
+    counted = []
+    monkeypatch.setattr(functors, "mul", lambda x, y: counted.append(1) or x * y)
+    induced = induced_map(expr, a)
+    # the row keys below the top level: the multisets, or sets, of fewer than power rows
+    below_top = sum(comb(n, d) if isinstance(expr, ExtF) else comb(n + d - 1, d) for d in range(expr.power))
+    assert len(counted) == products <= below_top * n * n
+    assert induced == power_matrix_by_columns(a, expr.power, isinstance(expr, ExtF))
+
+
+def test_packed_kernels_leave_no_integral_fraction_over_q():
+    a = space_matrix(Q, [[Fraction(1, 2), 3, Fraction(-3, 2)], [2, Fraction(1, 3), Fraction(3, 2)],
+                         [Fraction(4, 3), 0, 1]])
+    b = space_matrix(Q, [[Fraction(2, 3), 1, 0], [Fraction(-1, 2), 4, Fraction(1, 2)], [3, Fraction(3, 2), 1]])
+    sym2, sym3 = SymF(2, IdF()), SymF(3, IdF())
+    results = [a.compose(b), induced_map(sym2, a), induced_map(sym3, a),
+               induced_map(sym2, a).compose(induced_map(sym2, b)), induced_map(ExtF(2, IdF()), a)]
+    for m in results:
+        raw = [v for _, _, block in m.slices.values() for row in block for v in row]
+        # a fraction survives where the entry is one, and every integral entry is an int
+        assert any(type(v) is Fraction for v in raw) and any(type(v) is int and v for v in raw)
+        assert [v for v in raw if type(v) is Fraction and v.denominator == 1] == []
+        assert all(type(c) is int or c.denominator > 1 for row in m.rows for e in row for c in e.terms.values())
+
