@@ -1,10 +1,10 @@
 """Exact scalars over the rationals or a prime field.
 
 A field element has one format, the raw coefficient: a residue in [0, p)
-over F_p; over q an int when integral, else a fractions.Fraction (an
-integral Fraction that arithmetic leaves behind equals, hashes and prints
-as its int).  FieldDescriptor.raw is the one conversion into it, and a
-Scalar is a raw coefficient tagged with its field.  No floating point is
+over F_p; over q an int when integral, else a fractions.Fraction, a rule
+that _q_raw alone decides and every kernel keeps: no result holds an
+integral Fraction.  FieldDescriptor.raw is the one conversion into it, and
+a Scalar is a raw coefficient tagged with its field.  No floating point is
 used anywhere.
 
 The characteristic exponent of a field is 1 in characteristic 0 and p in
@@ -49,6 +49,14 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _q_raw(v, d: int = 1):
+    """The raw q coefficient of v / d, for ints v and d != 0 or a Fraction v
+    over 1: an int when integral, else a Fraction; an int over 1 as it is."""
+    if type(v) is not int:
+        return v.numerator if v.denominator == 1 else v
+    return v if d == 1 else v // d if v % d == 0 else Fraction(v, d)
 
 
 class FieldDescriptor(Record, frozen=True):
@@ -98,21 +106,19 @@ class FieldDescriptor(Record, frozen=True):
     def raw(self, value):
         """The raw coefficient of an int, Fraction or Scalar of this field,
         the package's one number format: a residue in [0, p) over F_p; over q
-        an int when integral, else a Fraction."""
-        if isinstance(value, Scalar):
-            if value.field is not self and value.field != self:
-                raise FieldMismatchError(f"scalar over {value.field} used in {self}")
-            return value.value
+        _q_raw's.  Any other value is an AlgebraError."""
         p = self.characteristic
-        if not p:
-            v = value if type(value) is int else Fraction(value)
-            return v.numerator if v.denominator == 1 else v
+        if isinstance(value, int):
+            return value % p if p else int(value)
         if isinstance(value, Fraction):
-            den = value.denominator % p
-            if den == 0:
+            if p and not value.denominator % p:
                 raise AlgebraError("denominator vanishes in the prime field")
-            return value.numerator * pow(den, -1, p) % p
-        return int(value) % p
+            return value.numerator * pow(value.denominator, -1, p) % p if p else _q_raw(value)
+        if not isinstance(value, Scalar):
+            raise AlgebraError(f"{value!r} is no int, Fraction or scalar")
+        if value.field is not self and value.field != self:
+            raise FieldMismatchError(f"scalar over {value.field} used in {self}")
+        return value.value
 
     def scalar(self, value) -> "Scalar":
         v = self.raw(value)
@@ -148,7 +154,7 @@ class Scalar:
     def _reduced(self, value) -> "Scalar":
         """The result of a raw operation as a Scalar, reduced mod p over F_p."""
         p = self.field.characteristic
-        return Scalar(self.field, value % p if p else value)
+        return Scalar(self.field, value % p if p else _q_raw(value))
 
     def __add__(self, other):
         o = self._coerce(other)

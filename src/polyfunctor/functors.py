@@ -19,7 +19,8 @@ minors need no determinant; it packs the column tuples of each row key
 into one int (see _power_matrix), on bases built once per labels, power and
 kind in a bounded cache.  The halves of the tensor square keep their own
 kernel, which multiplies only nonzero entries: the per-phi maps of a proof
-step are sparse, and the power kernel decodes every row in full.
+step are sparse, and the power kernel decodes every row in full.  Over q
+the kernels that multiply entries use the int blocks of matrices._integral.
 """
 
 from __future__ import annotations
@@ -28,18 +29,16 @@ import functools
 import itertools
 import re
 from collections import defaultdict
-from fractions import Fraction
 from math import comb
 from operator import add, mul
 
 from .errors import AlgebraError, CharacteristicError, Record
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, _q_raw
 from .matrices import (
     LinearMapMatrix,
     _diagonal,
     _integral,
     _SliceSum,
-    _unscaled,
     identity_matrix,
     matrix_rank,
     shift_embedding,
@@ -575,16 +574,18 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
         target = acc.by_exps[e]
         for key, v in keyed.items():
             v += offset
-            target[row_at[key]] = _unscaled([(v >> s & mask) - half for s in shifts], scale ** power)
-    return acc.matrix(row_labels, col_labels, a.ring)
+            target[row_at[key]] = [(v >> s & mask) - half for s in shifts]
+    return acc.matrix(row_labels, col_labels, a.ring, scale ** power)
 
 
 def _tensor_matrix(maps) -> LinearMapMatrix:
-    # Kronecker products of monomial slices, row-major composite indices
-    blocks = [(e, *s) for e, s in maps[0].slices.items()]
+    # Kronecker products of monomial slices' int blocks, row-major composite indices
+    first, scale, _ = _integral(maps[0])
+    blocks = [(e, *s) for e, s in first.items()]
     for m in maps[1:]:
         height, width = len(m.row_labels), len(m.col_labels)
-        slices = m.slices.items()
+        slices, factor, _ = _integral(m)
+        slices, scale = slices.items(), scale * factor
         blocks = [
             (
                 tuple(map(add, e, f)),
@@ -600,7 +601,7 @@ def _tensor_matrix(maps) -> LinearMapMatrix:
     acc = _SliceSum(len(col_labels))
     for block in blocks:
         acc.add(*block)
-    return acc.matrix(row_labels, col_labels, maps[0].ring)
+    return acc.matrix(row_labels, col_labels, maps[0].ring, scale)
 
 
 def _block_diag(blocks, indices) -> LinearMapMatrix:
@@ -629,7 +630,8 @@ def _refuse_char2(field: FieldDescriptor):
 def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMatrix:
     """Matrix on the symmetric half (y, i <= j) or the alternating half
     (z, i < j) of the tensor square: phi[k][i]*phi[l][j] +- phi[k][j]*phi[l][i],
-    one product on the diagonal, taken over the nonzero entries of each row."""
+    one product on the diagonal, taken over the nonzero int entries of each
+    row of phi's _integral blocks, over scale^2."""
     _refuse_char2(phi.ring.field)
     gap, sign, tag = (1, -1, "z") if alternating else (0, 1, "y")
     m = len(phi.row_labels)
@@ -638,9 +640,10 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
     row_at = {pair: r for r, pair in enumerate(row_pairs)}
     col_at = {pair: c for c, (i, j) in enumerate(col_pairs) for pair in ((i, j), (j, i))}
-    # per slice, per row k, the (column, raw coefficient) of its nonzero entries
+    # per slice, per row k, the (column, int) of its nonzero entries
+    integral, scale, _ = _integral(phi)
     slices = [(e, [(k, [(i, x) for i, x in zip(cols, row) if x]) for k, row in zip(rows, block)])
-              for e, (rows, cols, block) in phi.slices.items()]
+              for e, (rows, cols, block) in integral.items()]
     acc = _SliceSum(len(col_pairs))
     for (e, a), (f, b) in itertools.product(slices, repeat=2):
         target = acc.by_exps[tuple(map(add, e, f))]
@@ -653,9 +656,8 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
                     for j, y in row_b:
                         if (c := col_at.get((i, j))) is not None:
                             out[c] += sign * x * y if i > j else x * y
-    return acc.matrix(
-        tuple((tag,) + pair for pair in row_pairs), tuple((tag,) + pair for pair in col_pairs), phi.ring
-    )
+    labels = [tuple((tag,) + pair for pair in pairs) for pairs in (row_pairs, col_pairs)]
+    return acc.matrix(*labels, phi.ring, scale * scale)
 
 
 def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
@@ -783,7 +785,7 @@ def dim_polynomial(expr: FunctorExpr) -> GradedPoly:
         basis = ring.one()  # Lagrange basis polynomial for node i
         for j in range(d + 1):
             if j != i:
-                basis = basis * (n - j) * Fraction(1, i - j)
+                basis = basis * (n - j) * _q_raw(1, i - j)
         poly = poly + basis * dim(expr, i)
     if poly.evaluate({"n": d + 1}) != dim(expr, d + 1):
         raise AlgebraError("dimension is not polynomial of the expected degree")

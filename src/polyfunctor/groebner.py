@@ -43,6 +43,7 @@ from heapq import heappop, heappush
 from math import gcd
 
 from .errors import AlgebraError, BudgetExceededError
+from .fields import _q_raw
 from .rings import GradedPoly, _Divisors, _from_raw, _Monomials
 
 DEFAULT_BUDGET = 50_000
@@ -64,7 +65,7 @@ class Budget:
 
 def _monic(f: GradedPoly) -> GradedPoly:
     _, a, items, _ = assoc = f._associate()
-    monic = GradedPoly(f.ring, {e: c if a == 1 else Fraction(c, a) for e, c in items}, _canonical=True)
+    monic = GradedPoly(f.ring, {e: _q_raw(c, a) for e, c in items}, _canonical=True)
     monic._assoc = assoc  # f's associate is the monic one's too: same leads, a, items
     return monic
 
@@ -174,7 +175,7 @@ def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
             monomial, coeff = lead
             if (found := work.divisor(monomial)) is None:
                 return None
-            quotient[work.exponents(found[2])] = work.unscale(_step(work, coeff, *found)) * unit
+            quotient[work.exponents(found[2])] = _q_raw(_step(work, coeff, *found), work.scale) * unit
         return _from_raw(f.ring, quotient)
 
     return divisors.divide(f, divide)

@@ -12,7 +12,7 @@ plain products, composition (and, in functors.py, the symmetric and
 exterior powers) by packed integers: a slot per column, wide enough for the
 largest output entry (from p over F_p, over q from the entries once each
 matrix is scaled to ints by the lcm of its denominators, a scale divided
-back into an int where it divides, else a Fraction) and offset by half its
+back out by fields._q_raw, an int where it divides) and offset by half its
 range so that signed sums carry nothing between slots.  Entries are boxed
 as polynomials only when rows is read, once per matrix.
 Also home to the small exact linear algebra the package needs: Gaussian
@@ -27,13 +27,12 @@ product of the determinants of the blocks it depends on.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm, prod
 from operator import add, lshift, mul
 
 from .errors import AlgebraError, InternalCheckError, Record
-from .fields import FieldDescriptor
+from .fields import FieldDescriptor, _q_raw
 from .groebner import divide_exact
 from .rings import GradedPoly, GradedRing
 
@@ -106,8 +105,8 @@ class LinearMapMatrix:
         to ints by the lcm of its denominators; bits is one more than that
         bound's bit length, and half = 2^(bits - 1) in every slot keeps signed
         sums from carrying between slots.  Slot j reads back as
-        (total >> bits * j & mask) - half, over q divided by the two scales
-        (see _unscaled).
+        (total >> bits * j & mask) - half, over q over the two scales
+        (see _SliceSum.slices).
         """
         if self.ring != other.ring:
             raise AlgebraError("composition across entry rings")
@@ -139,9 +138,8 @@ class LinearMapMatrix:
         for g, sums in totals.items():
             for i, t in sums.items():
                 t += offset
-                row = [(t >> s & mask) - half for s in shifts]
-                acc.by_exps[g][i] = _unscaled(row, scale)
-        return acc.matrix(self.row_labels, other.col_labels, self.ring)
+                acc.by_exps[g][i] = [(t >> s & mask) - half for s in shifts]
+        return acc.matrix(self.row_labels, other.col_labels, self.ring, scale)
 
     def is_identity(self) -> bool:
         return self == identity_matrix(self.row_labels, self.ring)
@@ -197,11 +195,13 @@ class _SliceSum:
         for e, (rows, cols, block) in m.slices.items():
             self.add(e, [row0 + i for i in rows], [col0 + j for j in cols], block)
 
-    def slices(self, p: int) -> dict:
-        """The canonical slices of the sum, reduced mod p over F_p."""
+    def slices(self, p: int, scale: int = 1) -> dict:
+        """The canonical slices of the sum: reduced mod p over F_p; over q
+        ints over scale, read by fields._q_raw, or raw coefficients at scale 1."""
         out = {}
         for exps, rows in self.by_exps.items():
-            live = [(i, [v % p for v in rows[i]] if p else rows[i]) for i in sorted(rows)]
+            live = [(i, [v % p for v in rows[i]] if p else rows[i] if scale == 1 else [_q_raw(v, scale) for v in rows[i]])
+                    for i in sorted(rows)]
             live = [(i, row) for i, row in live if any(row)]
             if live:
                 full = [row for _, row in live]
@@ -210,10 +210,10 @@ class _SliceSum:
                 out[exps] = ([i for i, _ in live], cols, block)
         return out
 
-    def matrix(self, row_labels, col_labels, ring: GradedRing) -> LinearMapMatrix:
-        """The sum as a matrix on the given labels, its entries over ring."""
+    def matrix(self, row_labels, col_labels, ring: GradedRing, scale: int = 1) -> LinearMapMatrix:
+        """The sum over scale (see slices) as a matrix on the given labels, its entries over ring."""
         m = LinearMapMatrix.__new__(LinearMapMatrix)
-        m._set(row_labels, col_labels, ring, self.slices(ring.field.characteristic))
+        m._set(row_labels, col_labels, ring, self.slices(ring.field.characteristic, scale))
         return m
 
 
@@ -232,11 +232,6 @@ def _integral(m: LinearMapMatrix):
     cleared = {e: (r, c, [[v.numerator * (scale // v.denominator) for v in row] for row in block])
                for e, (r, c, block) in m.slices.items()}
     return cleared, scale, int(top * scale)
-
-
-def _unscaled(row: list, scale: int) -> list:
-    """Ints over scale as raw coefficients: v // scale if scale divides v."""
-    return row if scale == 1 else [Fraction(v, scale) if v % scale else v // scale for v in row]
 
 
 def _diagonal(width: int, ring: GradedRing, size: int) -> _SliceSum:

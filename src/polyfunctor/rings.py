@@ -3,9 +3,9 @@
 A GradedRing fixes an ordered list of variables, each carrying the label of
 the functor summand it lives on and a nonnegative integer weight (the degree
 of that summand).  A GradedPoly is a canonical sparse map from exponent
-vectors to nonzero raw coefficients (fields.FieldDescriptor.raw, the one
-conversion into that format; over q an integral Fraction a kernel leaves
-behind is equal, hashes equal and prints the same).  This module owns the
+vectors to nonzero raw coefficients (fields.FieldDescriptor.raw), which
+every kernel keeps: over q each sum, product or quotient that is no int
+passes fields._q_raw, so an integral one is an int.  This module owns the
 raw-term helpers (_raw_mul_into, _raw_pow, _reduced, _from_raw) that the
 parser, the Hasse calculus and Groebner division build terms with; the
 matrices and the proof step hand GradedPoly canonical term dicts.  The
@@ -46,7 +46,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import AlgebraError, FieldMismatchError, InternalCheckError, Record, RingMismatchError, SubstitutionError
-from .fields import FieldDescriptor, Scalar
+from .fields import FieldDescriptor, Scalar, _q_raw
 
 
 class RingVariable(Record, frozen=True):
@@ -151,13 +151,14 @@ class GradedRing:
 
 
 class GradedPoly:
-    """Canonical sparse polynomial: exponent vector -> nonzero raw coefficient."""
+    """Canonical sparse polynomial: exponent vector -> nonzero raw coefficient,
+    each converted by ring.field.raw unless a kernel passes _canonical terms."""
 
     __slots__ = ("ring", "terms", "_assoc")
 
     def __init__(self, ring: GradedRing, terms: dict, _canonical: bool = False):
         self.ring = ring
-        self.terms = terms if _canonical else {e: c for e, c in terms.items() if c}
+        self.terms = terms if _canonical else {e: r for e, c in terms.items() if (r := ring.field.raw(c))}
 
     # -- basic queries -------------------------------------------------------
 
@@ -208,7 +209,7 @@ class GradedPoly:
             if p:
                 u = pow(c, -1, p)
             else:  # 1 / content, signed so that a > 0
-                u = Fraction(lcm(*(k.denominator for k in ks)), gcd(*(k.numerator for k in ks)))
+                u = _q_raw(lcm(*(k.denominator for k in ks)), gcd(*(k.numerator for k in ks)))
                 u = u if c > 0 else -u
             items = {e: k * u % p if p else (k * u).numerator for e, k in self.terms.items()}
             a, items = items[exps], tuple(items.items())
@@ -246,7 +247,7 @@ class GradedPoly:
             if s is None:
                 terms[exps] = c
             else:
-                s = (s + c) % p if p else s + c
+                s = (s + c) % p if p else _q_raw(s + c)
                 if s:
                     terms[exps] = s
                 else:
@@ -298,7 +299,7 @@ class GradedPoly:
         return GradedPoly(
             self.ring,
             {
-                tuple(map(operator.add, e, exps)): k * c % p if p else k * c
+                tuple(map(operator.add, e, exps)): k * c % p if p else _q_raw(k * c)
                 for e, k in self.terms.items()
             },
             _canonical=True,
@@ -361,9 +362,8 @@ class GradedPoly:
         A term c*x^e is scaled onto D, the lcm of den(c)*prod d_i^e_i over
         the terms so far (raising D rescales the sum), and its product of
         cleared powers summed in ints.  D is divided out once per nonzero
-        result term, so a zero result, as every Segre check of a passing
-        rank-one run, meets no Fraction; over q an integral result
-        coefficient is an int.
+        result term by fields._q_raw, so a zero result, as every Segre check
+        of a passing rank-one run, meets no Fraction.
         """
         if not mapping:
             raise SubstitutionError("empty substitution")
@@ -408,7 +408,7 @@ class GradedPoly:
             for factor in heads[1:]:
                 term = _reduced(_raw_mul_into({}, term, factor, 1), p)
             _raw_mul_into(acc, term, last, c.numerator * (D // den))
-        terms = {m: v // D if v % D == 0 else Fraction(v, D) for m, v in _reduced(acc, p)}
+        terms = {m: _q_raw(v, D) for m, v in _reduced(acc, p)}
         return GradedPoly(target, terms, _canonical=True)
 
     def evaluate(self, point: dict) -> Scalar:
@@ -501,10 +501,10 @@ def _raw_pow(acc: dict, n: int, p: int, unit) -> dict:
 
 
 def _reduced(acc: dict, p: int) -> list:
-    """Nonzero raw terms of an accumulator, reduced mod p over F_p."""
+    """Nonzero raw terms of an accumulator: reduced mod p over F_p, over q _q_raw's."""
     if p:
         return [(e, r) for e, v in acc.items() if (r := v % p)]
-    return [item for item in acc.items() if item[1]]
+    return [item if type(item[1]) is int else (item[0], _q_raw(item[1])) for item in acc.items() if item[1]]
 
 
 def _from_raw(ring: GradedRing, acc: dict) -> GradedPoly:
@@ -688,13 +688,9 @@ class _Dividend:
         return None
 
     def pop_leading(self):
-        """Remove the leading term, found by leading(); returns (exponents, true value)."""
+        """Remove the leading term, found by leading(); returns (exponents, _q_raw(c, scale))."""
         m = -heappop(self.heap)
-        return self.exponents(m), self.unscale(self.terms.pop(m))
-
-    def unscale(self, c):
-        """True value of a raw coefficient of the work polynomial."""
-        return c if self.scale == 1 else Fraction(c, self.scale)
+        return self.exponents(m), _q_raw(self.terms.pop(m), self.scale)
 
     def rescale(self, m: int):
         """Multiply the work polynomial, and so scale, by the int m."""

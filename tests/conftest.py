@@ -25,6 +25,7 @@ from polyfunctor import (
     normalize,
 )
 from polyfunctor import groebner
+from polyfunctor.fields import _q_raw
 from polyfunctor.groebner import Budget, _prepared
 from polyfunctor.functors import _refuse_char2
 from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_data, doubled_ring, fresh_name
@@ -340,7 +341,7 @@ def s_polynomial(f, g):
     pair = _Divisors(f.ring, (f, g))
     spair = (tuple(map(max, f.leading_item()[0], g.leading_item()[0])), 0, 1)
     return pair.divide(spair, lambda work: GradedPoly(
-        f.ring, {work.exponents(m): work.unscale(c) for m, c in work.terms.items()}, _canonical=True
+        f.ring, {work.exponents(m): _q_raw(c, work.scale) for m, c in work.terms.items()}, _canonical=True
     ))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyfunctor import BudgetExceededError, CertificateNotFoundError
+from polyfunctor import AlgebraError, BudgetExceededError, CertificateNotFoundError, ParseError, dim, parse_functor
 from polyfunctor.cli import main
 
 
@@ -964,9 +964,10 @@ def _calculus_argv(draw):
     return argv
 
 
-def _run_in_process(argv):
-    """Exit code and standard error of one in-process command line."""
-    out, err = io.StringIO(), io.StringIO()
+def _run_in_process(argv, out=None):
+    """Exit code and standard error of one in-process command line, its
+    standard output written to out when one is given."""
+    out, err = io.StringIO() if out is None else out, io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
@@ -985,3 +986,74 @@ def test_calculus_commands_exit_with_a_documented_code(argv):
         assert err == "", argv
     else:
         assert err, argv
+
+
+# Exit codes README documents for induce, shift-check and compare: 4 is a
+# false shift-check result, and 5 (an internal check failed) is a bug.
+_FUNCTOR_EXIT_CODES = {0, 1, 2, 3, 4}
+
+_FUNCTOR_TEXT = st.recursive(
+    st.sampled_from(["id", "tsym", "talt", "const(0)", "const(2)"]),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda parts: f"sum({','.join(parts)})"),
+        st.lists(inner, min_size=1, max_size=2).map(lambda parts: f"tensor({','.join(parts)})"),
+        st.tuples(st.sampled_from(["sym", "ext", "shift"]), st.integers(0, 3), inner).map(
+            lambda t: f"{t[0]}({t[1]},{t[2]})"),
+        # mostly the first summand, now and then an index past the last one
+        st.tuples(inner, st.sampled_from([0] * 6 + [1, 3])).map(lambda t: f"quot({t[0]},{t[1]})"),
+    ),
+    max_leaves=4,
+)
+
+
+def _small(text) -> bool:
+    """No unbounded input: dim at most 36 at every n <= 5, the benchmark's
+    bound for the functors workload, or a text that does not parse."""
+    try:
+        expr = parse_functor(text)
+    except (ParseError, AlgebraError):
+        return True
+    return all(dim(expr, n) <= 36 for n in range(6))
+
+
+_SCALAR = st.sampled_from(["0", "1", "-2", "1/2", "-5/3", "7"])
+
+
+@st.composite
+def _functor_argv(draw):
+    """induce, shift-check or compare on functors from the grammar (quot
+    indices out of range among them), each spoilt now and then: a ragged,
+    empty, junk or zero-denominator --phi of up to 3 x 3, a field that is not
+    prime, negative --u/--n."""
+    command = draw(st.sampled_from(["induce", "shift-check", "compare"]))
+    functor = draw(_FUNCTOR_TEXT.filter(_small))
+    field = draw(st.sampled_from(["q", "fp:2", "fp:3", "fp:101", "fp:4"]))
+    if command == "compare":
+        return [command, f"--functor-a={functor}", f"--functor-b={draw(_FUNCTOR_TEXT.filter(_small))}"]
+    if command == "shift-check":
+        u, n = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+        return [command, f"--functor={functor}", f"--field={field}", f"--u={u}", f"--n={min(n, 5 - u)}"]
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [draw(st.lists(_SCALAR, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.integers(0, 3)) == 3:  # a ragged, empty, junk or zero-denominator last row
+        rows[-1] = draw(st.lists(st.sampled_from(["1", "", "a", "1/0", "2/4"]), max_size=4))
+    phi = ";".join(",".join(row) for row in rows)
+    return [command, f"--functor={functor}", f"--field={field}", f"--phi={phi}"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_functor_argv())
+def test_functor_commands_exit_with_a_documented_code(argv):
+    out = io.StringIO()
+    code, err = _run_in_process(argv, out)
+    assert code in _FUNCTOR_EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err, argv
+    if argv[0] == "induce" and code == 0:
+        # an entry row per basis label of F at the map's target dimension
+        m = argv[3].count(";") + 1
+        rows = [line for line in out.getvalue().splitlines() if line.startswith("[")]
+        assert len(rows) == dim(parse_functor(argv[1].split("=", 1)[1]), m), argv

@@ -10,6 +10,7 @@ import pytest
 from polyfunctor import AlgebraError, FieldDescriptor, GradedRing, parse_polynomial
 from polyfunctor.errors import FieldMismatchError
 from polyfunctor.fields import Scalar
+from polyfunctor.rings import GradedPoly
 
 from conftest import F2, F3, F5, Q, raw_coefficient
 
@@ -126,3 +127,38 @@ def test_parsing_builds_no_scalar(field, fractional, monkeypatch):
     f = parse_polynomial(text, ring)
     assert built == []
     assert f == want
+
+
+@pytest.mark.parametrize("field", (Q, F5), ids=str)
+@pytest.mark.parametrize("value", (0.5, 2.7, -1.0, "3", "1/2", None, [1], 1j), ids=repr)
+def test_raw_refuses_anything_but_an_int_a_fraction_or_a_scalar(field, value):
+    with pytest.raises(AlgebraError, match="is no int, Fraction or scalar"):
+        field.raw(value)
+    with pytest.raises(AlgebraError):
+        field.scalar(value)
+    with pytest.raises(AlgebraError):
+        GradedRing(field, ["x"]).const(value)
+    # the int and Fraction paths stay open, a bool reading as its int
+    _same(field.raw(True), 1)
+    _same(field.raw(Fraction(6, 2)), 3)
+
+
+def test_the_public_polynomial_constructor_converts_each_coefficient():
+    ring = GradedRing(F5, ["x"])
+    x = ring.var("x")
+    seven = GradedPoly(ring, {(1,): 7, (0,): Fraction(1, 2)})
+    assert seven.terms == {(1,): 2, (0,): 3}
+    assert seven == 2 * x + 3 and seven.to_text() == "2*x + 3"
+    assert (seven - (2 * x + 3)).is_zero()
+    assert GradedPoly(ring, {(1,): 5, (0,): -10}).is_zero()
+    assert GradedPoly(ring, {(1,): F5.scalar(4)}) == 4 * x
+    with pytest.raises(FieldMismatchError):
+        GradedPoly(ring, {(1,): Q.scalar(4)})
+    with pytest.raises(AlgebraError, match="denominator vanishes"):
+        GradedPoly(ring, {(1,): Fraction(1, 5)})
+    q_ring = GradedRing(Q, ["x"])
+    halves = GradedPoly(q_ring, {(1,): Fraction(4, 2), (0,): Fraction(1, 2), (2,): Fraction(0)})
+    assert halves.terms == {(1,): 2, (0,): Fraction(1, 2)} and type(halves.terms[(1,)]) is int
+    with pytest.raises(AlgebraError, match="is no int, Fraction or scalar"):
+        GradedPoly(q_ring, {(1,): 0.5})
+    assert GradedPoly(q_ring, {}).is_zero() and GradedPoly(q_ring, {}) == q_ring.zero()

@@ -29,8 +29,10 @@ from polyfunctor import (
     space_matrix,
 )
 from polyfunctor.fields import Scalar
+from polyfunctor.functors import dim_polynomial
 from polyfunctor.groebner import buchberger, divide_exact
 from polyfunctor.hasse import DirectionSubspace, hasse_derivative, taylor_expand
+from polyfunctor.proofstep import run_rank_one_example
 from polyfunctor.rings import GradedPoly
 
 from conftest import IDEALS, Q, random_poly
@@ -105,6 +107,44 @@ def test_integral_fraction_is_the_same_coefficient():
     assert hash(a) == hash(b)
     assert a.to_text() == b.to_text() == "3*x*y^2 - 1"
     assert a == ring.monomial(exps, 3) - 1
+
+
+def _integral_fractions(values) -> list:
+    return [c for c in values if type(c) is Fraction and c.denominator == 1]
+
+
+def test_no_kernel_leaves_an_integral_fraction(monkeypatch):
+    """Over q an integral coefficient is an int in every kernel result, and
+    in every polynomial and Scalar that dim_polynomial and the rank-one
+    example build (h, the k's, the certificate numerators, the Scalars of
+    eliminate and _h_power among them)."""
+    for seed in range(5):
+        for name, f in _results(Q, seed):
+            assert _integral_fractions(f.terms.values()) == [], (seed, name, f)
+    assert type((Q.scalar(3) / Q.scalar(3)).value) is int
+    built = []
+    poly_init, scalar_init = GradedPoly.__init__, Scalar.__init__
+
+    def poly(self, ring, terms, _canonical=False):
+        poly_init(self, ring, terms, _canonical)
+        built.extend(_integral_fractions(self.terms.values()))
+
+    def scalar(self, field, value):
+        scalar_init(self, field, value)
+        built.extend(_integral_fractions([value]))
+
+    monkeypatch.setattr(GradedPoly, "__init__", poly)
+    monkeypatch.setattr(Scalar, "__init__", scalar)
+    for text in ("sym(2,sym(2,id))", "sym(3,id)", "ext(3,tensor(id,id))"):
+        assert dim_polynomial(parse_functor(text)).terms
+    assert built == []
+    for n in (2, 3, 4):
+        assert run_rank_one_example(n, Q).all_passed()
+    assert built == []
+    # the recorders see an integral Fraction
+    Scalar(Q, Fraction(2))
+    GradedPoly(GradedRing(Q, ["x"]), {(1,): Fraction(3)}, _canonical=True)
+    assert built == [2, 3]
 
 
 def _count_scalar_arithmetic(monkeypatch):
