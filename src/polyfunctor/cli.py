@@ -159,7 +159,7 @@ def cmd_induce(args):
             "functor": format_functor(expr),
             "rows": [str(lab) for lab in mat.row_labels],
             "cols": [str(lab) for lab in mat.col_labels],
-            "entries": [[e.to_text() for e in row] for row in mat.rows],
+            "entries": mat.entry_texts(),
         },
     )
 

@@ -4,8 +4,9 @@ A field element has one format, the raw coefficient: a residue in [0, p)
 over F_p; over q an int when integral, else a fractions.Fraction, a rule
 that _q_raw alone decides and every kernel keeps: no result holds an
 integral Fraction.  FieldDescriptor.raw is the one conversion into it, and
-a Scalar is a raw coefficient tagged with its field.  No floating point is
-used anywhere.
+a Scalar is a raw coefficient tagged with its field, built only where a
+value crosses the package's API: kernels compute on raw coefficients.  No
+floating point is used anywhere.
 
 The characteristic exponent of a field is 1 in characteristic 0 and p in
 characteristic p; it is the base for the power levels appearing in
@@ -203,7 +204,10 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
             return other.field == self.field and self.value == other.value
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except AlgebraError:  # a value this field cannot hold
+            return False
         return NotImplemented if o is None else self.value == o
 
     def __hash__(self):
@@ -215,8 +219,8 @@ class Scalar:
     __repr__ = __str__
 
 
-def lucas_binomial(a: int, r: int, field: FieldDescriptor) -> Scalar:
-    """Binomial coefficient C(a, r) reduced into the field.
+def lucas_binomial(a: int, r: int, field: FieldDescriptor) -> int:
+    """Binomial coefficient C(a, r) as a raw coefficient of the field.
 
     In characteristic p the value is computed digit-wise in base p, which
     keeps each factor below p regardless of the size of a.
@@ -225,9 +229,9 @@ def lucas_binomial(a: int, r: int, field: FieldDescriptor) -> Scalar:
         raise AlgebraError("binomial arguments must be nonnegative")
     p = field.characteristic
     if p == 0:
-        return Scalar(field, comb(a, r))
+        return comb(a, r)
     result = 1
     while result and (a or r):
         (a, ad), (r, rd) = divmod(a, p), divmod(r, p)
         result = result * comb(ad, rd) % p
-    return Scalar(field, result)
+    return result

@@ -178,7 +178,7 @@ def _binomial_rule(field, classes, axes, r, symbolic: bool) -> dict:
             for (_, powers), ai, b in zip(axes, a, beta):
                 if b:
                     if (ai, b) not in binomials:
-                        binomials[ai, b] = lucas_binomial(ai, b, field).value
+                        binomials[ai, b] = lucas_binomial(ai, b, field)
                     mult *= binomials[ai, b] * powers[b]
             if not mult:
                 continue

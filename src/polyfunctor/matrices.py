@@ -13,8 +13,9 @@ exterior powers) by packed integers: a slot per column, wide enough for the
 largest output entry (from p over F_p, over q from the entries once each
 matrix is scaled to ints by the lcm of its denominators, a scale divided
 back out by fields._q_raw, an int where it divides) and offset by half its
-range so that signed sums carry nothing between slots.  Entries are boxed
-as polynomials only when rows is read, once per matrix.
+range so that signed sums carry nothing between slots.  No entry is boxed
+as a polynomial: the printers render each entry's raw terms from the slices
+(GradedRing.render).
 Also home to the small exact linear algebra the package needs: Gaussian
 rank over a field, and the solve of a square polynomial system [A | b] in
 block upper-triangular form: rows matched to columns, the diagonal blocks
@@ -27,6 +28,7 @@ product of the determinants of the blocks it depends on.
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm, prod
 from operator import add, lshift, mul
@@ -45,7 +47,7 @@ def scalar_entry_ring(field: FieldDescriptor) -> GradedRing:
 class LinearMapMatrix:
     """Matrix of a linear map between spaces with labelled bases."""
 
-    __slots__ = ("row_labels", "col_labels", "ring", "slices", "_rows")
+    __slots__ = ("row_labels", "col_labels", "ring", "slices")
 
     def __init__(self, row_labels, col_labels, ring: GradedRing, rows):
         row_labels, col_labels = tuple(row_labels), tuple(col_labels)
@@ -54,12 +56,13 @@ class LinearMapMatrix:
             raise AlgebraError("row count does not match row labels")
         if any(len(row) != len(col_labels) for row in rows):
             raise AlgebraError("column count does not match column labels")
-        acc = _SliceSum(len(col_labels))
+        acc, unit = _SliceSum(len(col_labels)), (0,) * len(ring.names)
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 if not isinstance(entry, GradedPoly):
-                    entry = ring.const(entry)
-                elif entry.ring is not ring and entry.ring != ring:
+                    acc.by_exps[unit][i][j] = ring.field.raw(entry)
+                    continue
+                if entry.ring is not ring and entry.ring != ring:
                     raise AlgebraError("matrix entry in a foreign ring")
                 for exps, c in entry.terms.items():
                     acc.by_exps[exps][i][j] = c
@@ -70,23 +73,18 @@ class LinearMapMatrix:
         self.col_labels = tuple(col_labels)
         self.ring = ring
         self.slices = slices
-        self._rows = None
 
-    @property
-    def rows(self):
-        """Entries as polynomials, boxed on the first read."""
-        if self._rows is None:
-            terms = [[{} for _ in self.col_labels] for _ in self.row_labels]
-            for e, (rows, cols, block) in self.slices.items():
-                for i, values in zip(rows, block):
-                    out = terms[i]
-                    for j, v in zip(cols, values):
-                        if v:
-                            out[j][e] = v
-            self._rows = tuple(
-                tuple(GradedPoly(self.ring, t, _canonical=True) for t in row) for row in terms
-            )
-        return self._rows
+    def entry_texts(self) -> list:
+        """Each entry as text, row by row, rendered from its raw terms in the
+        slices with no entry boxed."""
+        terms = [[{} for _ in self.col_labels] for _ in self.row_labels]
+        for e, (rows, cols, block) in self.slices.items():
+            for i, values in zip(rows, block):
+                out = terms[i]
+                for j, v in zip(cols, values):
+                    if v:
+                        out[j][e] = v
+        return [[self.ring.render(t) for t in row] for row in terms]
 
     @property
     def shape(self):
@@ -160,10 +158,8 @@ class LinearMapMatrix:
         raise TypeError("matrices are not hashable")
 
     def __str__(self):
-        lines = [f"rows: {list(self.row_labels)}", f"cols: {list(self.col_labels)}"]
-        for row in self.rows:
-            lines.append("[" + ", ".join(str(e) for e in row) + "]")
-        return "\n".join(lines)
+        rows = ("[" + ", ".join(row) + "]" for row in self.entry_texts())
+        return "\n".join([f"rows: {list(self.row_labels)}", f"cols: {list(self.col_labels)}", *rows])
 
 
 class _SliceSum:
@@ -299,23 +295,22 @@ def base_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
 
 
 def matrix_rank(entries, field: FieldDescriptor) -> int:
-    """Rank of a matrix of scalars, by exact Gaussian elimination."""
-    rows = [[field.scalar(e) for e in row] for row in entries]
+    """Rank of a matrix of scalars, by exact Gaussian elimination on raw coefficients."""
+    rows = [[field.raw(e) for e in row] for row in entries]
     if not rows:
         return 0
-    m, n = len(rows), len(rows[0])
+    m, n, p = len(rows), len(rows[0]), field.characteristic
     rank = 0
     for col in range(n):
         pivot = next((i for i in range(rank, m) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        top, inv = rows[rank], field.raw(Fraction(1, rows[rank][col]))
+        for i in range(rank + 1, m):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [(a - factor * b) % p if p else a - factor * b for a, b in zip(rows[i], top)]
         rank += 1
         if rank == m:
             break
@@ -424,7 +419,7 @@ def _gauss_jordan(M, ring: GradedRing):
     Comp. 22, 1968), so every division is exact; the last pivot is det A up
     to the sign of the row swaps.
     """
-    n = len(M)
+    n, unit = len(M), (0,) * len(ring.names)
     sign, prev = 1, ring.one()
     for k in range(n):
         live = [i for i in range(k, n) if M[i][k]]
@@ -435,7 +430,7 @@ def _gauss_jordan(M, ring: GradedRing):
             M[k], M[best], sign = M[best], M[k], -sign
         top = M[k]
         pivot = top[k]
-        inverse = prev.constant_value().inverse() if prev.is_constant() else None
+        inverse = ring.field.raw(Fraction(1, prev.terms[unit])) if prev.is_constant() else None
         for row in M:
             if row is top:
                 continue

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from fractions import Fraction
 from math import prod
 
 from .errors import (
@@ -537,11 +538,13 @@ def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
     (matrices.cramer_solve), which gives the minor as a product of block
     determinants and each coordinate as a numerator over the determinants
     of the blocks it depends on.  The first minor equal to a nonzero scalar
-    c times a power h^P is taken.  Each coordinate takes its h-power and
-    scalar from its own blocks, or from the minor when one of them is not a
-    scalar times a power of h (then its numerator is the full Cramer one),
-    and cancels as many powers of h as it can: the result is the least
-    power k with x * h^k a polynomial, whichever blocks it came from.
+    c times a power h^P is taken, c kept as a raw coefficient.  Each
+    coordinate takes its h-power and scalar from its own blocks, or from the
+    minor when one of them is not a scalar times a power of h (then its
+    numerator is the full Cramer one), times the scalar's inverse, converted
+    once by field.raw, and cancels as many powers of h as it can: the result
+    is the least power k with x * h^k a polynomial, whichever blocks it came
+    from.
     Raises CertificateNotFoundError when no such minor shows up within the
     budget.
     """
@@ -577,7 +580,7 @@ def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
         det = solved.det
         blocks = [_h_power(d, h) for d in solved.block_dets]
         if all(c is not None for c, _ in blocks):
-            c = prod((c for c, _ in blocks), start=ring.field.scalar(solved.sign))
+            c = ring.field.raw(prod((c for c, _ in blocks), start=solved.sign))
             power = sum(k for _, k in blocks)
         else:  # the factors of h may be spread over the blocks
             c, power = _h_power(det, h)
@@ -591,10 +594,10 @@ def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
     for j, var in enumerate(eliminated):
         own = [blocks[t] for t in solved.depends[j]]
         if all(c_t is not None for c_t, _ in own):
-            numerator = solved.numerators[j] * prod(c_t for c_t, _ in own).inverse()
+            numerator = solved.numerators[j] * ring.field.raw(Fraction(1, prod(c_t for c_t, _ in own)))
             left = sum(k for _, k in own)
         else:
-            numerator, left = solved.cramer_numerator(j) * c.inverse(), power
+            numerator, left = solved.cramer_numerator(j) * ring.field.raw(Fraction(1, c)), power
         while left and (q := divide_exact(numerator, h)) is not None:
             numerator, left = q, left - 1
         if set(numerator.support_vars()) & elim_set:
@@ -604,12 +607,13 @@ def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
 
 
 def _h_power(d: GradedPoly, h: GradedPoly):
-    """(c, k) with d = c * h^k for a scalar c, h divided out of d while the
-    cofactor is not constant; (None, k) when the cofactor stays nonconstant."""
+    """(c, k) with d = c * h^k for a raw coefficient c, h divided out of d
+    while the cofactor is not constant; (None, k) when the cofactor stays
+    nonconstant."""
     k = 0
     while not d.is_constant() and not h.is_constant() and (q := divide_exact(d, h)) is not None:
         d, k = q, k + 1
-    return (d.constant_value() if d.is_constant() else None), k
+    return (d.terms.get((0,) * len(d.ring.names)) if d.is_constant() else None), k
 
 
 # ---------------------------------------------------------------------------

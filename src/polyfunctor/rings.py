@@ -11,8 +11,9 @@ parser, the Hasse calculus and Groebner division build terms with; the
 matrices and the proof step hand GradedPoly canonical term dicts.  The
 term order used for printing, leading terms and division is graded
 lexicographic: weighted degree first, then the exponent vector compared
-lexicographically with earlier variables more significant.  Canonical form
-plus a fixed order makes all printed output byte-stable.
+lexicographically with earlier variables more significant.  One printer,
+GradedRing.render, reads raw terms, a polynomial's or a matrix entry's
+unboxed; canonical form plus a fixed order makes them byte-stable.
 
 All values are immutable after construction and all operations are pure; a
 polynomial only remembers its associate once asked for it (monic over F_p,
@@ -131,6 +132,23 @@ class GradedRing:
 
     def order_key(self, exps):
         return (sum(map(operator.mul, exps, self.weights)), exps)
+
+    def render(self, terms: dict) -> str:
+        """Text of raw terms (exponents -> nonzero raw coefficient) over this
+        ring, the one printer of polynomials and matrix entries: terms in
+        descending term order, a coefficient +-1 elided before variables."""
+        items = terms.items()
+        if len(terms) > 1:
+            items = sorted(items, key=lambda item: self.order_key(item[0]), reverse=True)
+        chunks = []
+        for exps, c in items:
+            factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(self.names, exps) if e])
+            negative = c < 0
+            mag = -c if negative else c
+            body = factors if factors and mag == 1 else f"{mag}*{factors}" if factors else str(mag)
+            chunks.append((" - " if negative else " + ") + body)
+        text = "".join(chunks)
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __eq__(self, other):
         if self is other:
@@ -307,7 +325,7 @@ class GradedPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = self.ring.const(other)
+            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, GradedPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -433,34 +451,8 @@ class GradedPoly:
 
     # -- printing ---------------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: self.ring.order_key(item[0]), reverse=True)
-
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.ring.names
-        chunks = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            negative = c < 0
-            mag = -c if negative else c
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = f"{mag}*" + "*".join(factors)
-            else:
-                body = str(mag)
-            if not chunks:
-                chunks.append(f"-{body}" if negative else body)
-            else:
-                chunks.append(f" - {body}" if negative else f" + {body}")
-        return "".join(chunks)
+        return self.ring.render(self.terms)
 
     def __str__(self):
         return self.to_text()

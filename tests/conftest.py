@@ -563,9 +563,22 @@ def rank_one_points(rng, model, count, unit=None):
         yield {name: image.evaluate(vw) for name, image in segre.items()}
 
 
+def boxed_rows(m):
+    """The entries of a LinearMapMatrix as polynomials, row by row, boxed
+    from its monomial slices (the package boxes no entry: it prints each
+    from its raw terms in the slices)."""
+    terms = [[{} for _ in m.col_labels] for _ in m.row_labels]
+    for e, (rows, cols, block) in m.slices.items():
+        for i, values in zip(rows, block):
+            for j, v in zip(cols, values):
+                if v:
+                    terms[i][j][e] = v
+    return tuple(tuple(GradedPoly(m.ring, t, _canonical=True) for t in row) for row in terms)
+
+
 def scaled(matrix, factor):
     """factor times a LinearMapMatrix, entry by entry, through its constructor."""
-    rows = [[entry * factor for entry in row] for row in matrix.rows]
+    rows = [[entry * factor for entry in row] for row in boxed_rows(matrix)]
     return LinearMapMatrix(matrix.row_labels, matrix.col_labels, matrix.ring, rows)
 
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from polyfunctor import AlgebraError, FieldDescriptor, lucas_binomial
+from polyfunctor import AlgebraError, FieldDescriptor, GradedRing, lucas_binomial
 from polyfunctor.errors import FieldMismatchError
 from polyfunctor.fields import _is_prime
 
@@ -52,7 +52,7 @@ def test_scalar_field_mismatch():
 
 
 def test_lucas_small_rational():
-    assert lucas_binomial(6, 2, Q).value == 15
+    assert lucas_binomial(6, 2, Q) == 15
 
 
 def test_lucas_p_choose_one_vanishes():
@@ -67,12 +67,23 @@ def test_lucas_matches_factorial_oracle_everywhere():
         p = fld.characteristic
         for a in range(201):
             for r in range(a + 1):
-                assert lucas_binomial(a, r, fld).value == comb(a, r) % p
+                assert lucas_binomial(a, r, fld) == comb(a, r) % p
 
 
 @given(st.integers(0, 500), st.integers(0, 500))
 def test_lucas_rational_is_exact_binomial(a, r):
-    assert lucas_binomial(a, r, Q).value == comb(a, r)
+    assert lucas_binomial(a, r, Q) == comb(a, r)
+
+
+def test_lucas_returns_the_raw_binomial():
+    # an int, as the Hasse kernel multiplies it: comb(a, r) over q, in [0, p) over F_p
+    for a in range(40):
+        for r in range(a + 2):
+            got = lucas_binomial(a, r, Q)
+            assert type(got) is int and got == comb(a, r)
+            for fld in (F3, FieldDescriptor.prime_field(101)):
+                got = lucas_binomial(a, r, fld)
+                assert type(got) is int and 0 <= got < fld.characteristic and got == comb(a, r) % fld.characteristic
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
@@ -113,3 +124,20 @@ def test_modulus_beyond_the_deterministic_bound_is_refused():
         FieldDescriptor.parse("fp:3317044064679887385961981")
     with pytest.raises(AlgebraError, match="too large"):
         FieldDescriptor.prime_field(2**127 - 1)
+
+
+def test_equality_with_a_value_the_field_cannot_hold_is_false():
+    # a denominator that vanishes mod p, or a scalar of another field, is not
+    # equal to anything of this field; arithmetic with it still raises
+    one, x_one = F5.scalar(1), GradedRing(F5, ["x"]).one()
+    for other in (Fraction(1, 5), Q.scalar(1), F3.scalar(1)):
+        assert one != other and not one == other and other != one
+        assert x_one != other and not x_one == other and other != x_one
+    assert Fraction(1, 5) not in [one] and Q.scalar(1) not in [x_one]
+    assert one == Fraction(6, 1) and x_one == F5.scalar(6) and x_one == 1
+    with pytest.raises(AlgebraError, match="denominator vanishes"):
+        one + Fraction(1, 5)
+    with pytest.raises(AlgebraError, match="denominator vanishes"):
+        x_one + Fraction(1, 5)
+    with pytest.raises(FieldMismatchError):
+        x_one * Q.scalar(1)

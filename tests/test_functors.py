@@ -37,7 +37,7 @@ from polyfunctor.cli import main
 from polyfunctor.functors import basis_labels, dimension_sequence, label_vdeg
 from polyfunctor.matrices import LinearMapMatrix, identity_matrix, space_labels
 
-from conftest import F2, F3, Q, random_functor, random_matrix, scaled
+from conftest import F2, F3, Q, boxed_rows, random_functor, random_matrix, scaled
 
 GOLDEN = (
     SymF(3, IdF()),
@@ -159,7 +159,7 @@ def test_exterior_square_is_minor_matrix():
             (i, j) = (row_lab[1][0][1], row_lab[1][1][1])
             (k, l) = (col_lab[1][0][1], col_lab[1][1][1])
             minor = phi_rows[i][k] * phi_rows[j][l] - phi_rows[i][l] * phi_rows[j][k]
-            assert mat.rows[a][b].constant_value() == minor
+            assert boxed_rows(mat)[a][b].constant_value() == minor
 
 
 def test_functoriality_random_pairs():
@@ -201,7 +201,7 @@ def test_degree_bound_on_symbolic_entries():
     for expr in GOLDEN:
         mat = induced_map(expr, phi)
         d = expr.degree()
-        degrees = [e.total_degree() for row in mat.rows for e in row if e]
+        degrees = [e.total_degree() for row in boxed_rows(mat) for e in row if e]
         assert max(degrees) == d
         assert all(deg <= d for deg in degrees)
 

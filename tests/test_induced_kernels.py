@@ -9,8 +9,8 @@ packed-row kernel's reference, with entries at its slot-width bound),
 matrices of distinct coordinate variables, whose monomial slices have one
 term each, the count of int products composition makes, and a guard that
 induced maps and their composition never fall back to boxed arithmetic or
-per-entry polynomial products, and box entries as polynomials only when
-their rows are read.  The golden and functoriality tests also check that
+per-entry polynomial products, and print without boxing an entry (tests
+read entries as polynomials through conftest.boxed_rows).  The golden and functoriality tests also check that
 each matrix they build holds canonical slices, the ones its boxed entries
 give.  The symmetric and exterior power kernel, which packs column blocks
 into ints, is checked against the column-at-a-time expansion it replaced,
@@ -18,7 +18,10 @@ with entries at its slot-width bound, and on its count of int products;
 over q the packed kernels leave no integral Fraction.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -36,6 +39,7 @@ from polyfunctor import (
     shift_maps,
     space_matrix,
 )
+from polyfunctor.cli import main
 from polyfunctor.errors import AlgebraError
 from polyfunctor.fields import Scalar
 from polyfunctor.matrices import (
@@ -49,7 +53,8 @@ from polyfunctor import functors, matrices, rings
 from polyfunctor.rings import GradedPoly, RingVariable
 
 from conftest import (
-    Q, compose_by_dot_products, dense_split_square_matrix, power_matrix_by_columns, random_poly, scaled,
+    Q, boxed_rows, compose_by_dot_products, dense_split_square_matrix, power_matrix_by_columns, random_poly,
+    scaled,
 )
 
 # the expressions of the benchmark's functors mix
@@ -93,7 +98,7 @@ def _t_parametrised(field, u, n, seed):
     phi = _scalar_phi(field, u, n, seed)
     rows = [
         [int(a == b) for b in range(u)] + [e.convert(ring_t) * t for e in row]
-        for a, row in enumerate(phi.rows)
+        for a, row in enumerate(boxed_rows(phi))
     ]
     return LinearMapMatrix(space_labels(u), space_labels(u + n), ring_t, rows)
 
@@ -106,7 +111,7 @@ def _affine_t(field, n, seed):
     b = _scalar_phi(field, n, n, seed + 1)
     rows = [
         [x.convert(ring_t) + y.convert(ring_t) * t for x, y in zip(ra, rb)]
-        for ra, rb in zip(a.rows, b.rows)
+        for ra, rb in zip(boxed_rows(a), boxed_rows(b))
     ]
     return LinearMapMatrix(space_labels(n), space_labels(n), ring_t, rows)
 
@@ -184,7 +189,7 @@ def _assert_canonical_slices(m):
     row or column and, over F_p, only residues in [0, p); and it equals the
     slice that the public constructor makes of m's boxed entries."""
     p = m.ring.field.characteristic
-    rebuilt = LinearMapMatrix(m.row_labels, m.col_labels, m.ring, m.rows)
+    rebuilt = LinearMapMatrix(m.row_labels, m.col_labels, m.ring, boxed_rows(m))
     for exps, (rows, cols, block) in m.slices.items():
         assert all(a < b for a, b in zip(rows, rows[1:]))
         assert all(a < b for a, b in zip(cols, cols[1:]))
@@ -237,7 +242,7 @@ def test_power_one_is_the_map_itself(phi, power_of):
     tag = "sym" if power_of is SymF else "ext"
     assert m.row_labels == tuple((tag, (lab,)) for lab in phi.row_labels)
     assert m.col_labels == tuple((tag, (lab,)) for lab in phi.col_labels)
-    assert m.rows == phi.rows
+    assert boxed_rows(m) == boxed_rows(phi)
 
 
 @pytest.mark.parametrize("field", [Q, F101])
@@ -248,9 +253,9 @@ def test_powers_of_a_one_by_one_matrix(field):
         # k = 7 and 15 fill a count field of k.bit_length() bits to the top,
         # 8 and 16 are the smallest counts of a wider field
         for k in (*range(5), 7, 8, 15, 16):
-            assert induced_map(SymF(k, IdF()), phi).rows == ((c ** k,),)
-        assert induced_map(ExtF(0, IdF()), phi).rows == ((ring.one(),),)
-        assert induced_map(ExtF(1, IdF()), phi).rows == ((c,),)
+            assert boxed_rows(induced_map(SymF(k, IdF()), phi)) == ((c ** k,),)
+        assert boxed_rows(induced_map(ExtF(0, IdF()), phi)) == ((ring.one(),),)
+        assert boxed_rows(induced_map(ExtF(1, IdF()), phi)) == ((c,),)
         assert induced_map(ExtF(2, IdF()), phi).shape == (0, 0)
 
 
@@ -261,7 +266,7 @@ def test_powers_of_a_zero_matrix(field):
                         (ExtF(2, IdF()), (3, 6)), (ExtF(3, IdF()), (1, 4))):
         m = induced_map(expr, zero)
         assert m.shape == shape and m.is_zero()
-    assert induced_map(SymF(0, IdF()), zero).rows == ((zero.ring.one(),),)
+    assert boxed_rows(induced_map(SymF(0, IdF()), zero)) == ((zero.ring.one(),),)
 
 
 # -- functoriality over a ring with variables ---------------------------------
@@ -269,9 +274,9 @@ def test_powers_of_a_zero_matrix(field):
 
 def _product(a, b):
     """a*b by direct polynomial arithmetic, independent of compose."""
-    ring = a.ring
-    rows = [[sum((a.rows[i][k] * b.rows[k][j] for k in range(len(b.rows))), ring.zero())
-             for j in range(len(b.col_labels))] for i in range(len(a.rows))]
+    ring, left, right = a.ring, boxed_rows(a), boxed_rows(b)
+    rows = [[sum((left[i][k] * right[k][j] for k in range(len(right))), ring.zero())
+             for j in range(len(b.col_labels))] for i in range(len(left))]
     return LinearMapMatrix(a.row_labels, b.col_labels, ring, rows)
 
 
@@ -324,13 +329,13 @@ def test_compose_matches_the_direct_product(field):
     assert composed == _product(a, b)
     assert composed.shape == (2, 4) and composed.row_labels == a.row_labels
     assert composed.col_labels == b.col_labels
-    assert not any(row[2] for row in composed.rows)
+    assert not any(row[2] for row in boxed_rows(composed))
     # several monomials survive in one entry
-    assert max(len(e.terms) for row in composed.rows for e in row) > 2
+    assert max(len(e.terms) for row in boxed_rows(composed) for e in row) > 2
     zero_row = _mixed_matrix(field, 3, 3, 42, zero_rows=(1,))
     c = zero_row.compose(_mixed_matrix(field, 3, 2, 43))
     assert c == _product(zero_row, _mixed_matrix(field, 3, 2, 43))
-    assert not any(c.rows[1]) and any(c.rows[0])
+    assert not any(boxed_rows(c)[1]) and any(boxed_rows(c)[0])
 
 
 @pytest.mark.parametrize("field", [Q, F3, F101])
@@ -352,7 +357,7 @@ def test_caller_input_is_still_coerced_and_checked():
     ring = GradedRing(Q, ["x", "y"])
     labels = space_labels(2)
     m = LinearMapMatrix(labels, labels, ring, [[1, Fraction(1, 2)], [Q.scalar(3), ring.var("x")]])
-    assert m.rows == ((ring.one(), ring.const(Fraction(1, 2))), (ring.const(3), ring.var("x")))
+    assert boxed_rows(m) == ((ring.one(), ring.const(Fraction(1, 2))), (ring.const(3), ring.var("x")))
     foreign = GradedRing(Q, ["x"]).var("x")
     for rows, message in (([[1, 0], [0, foreign]], "foreign ring"), ([[1, 0]], "row count"),
                           ([[1, 0], [0]], "column count")):
@@ -418,7 +423,7 @@ def _assert_composes_as_dot_products(a, b):
     composed = a.compose(b)
     expected = compose_by_dot_products(a, b)
     assert composed.slices == expected.slices
-    assert composed.rows == expected.rows
+    assert boxed_rows(composed) == boxed_rows(expected)
     _assert_canonical_slices(composed)
     return composed
 
@@ -592,12 +597,37 @@ def test_matrices_box_entries_only_when_rows_are_read(expr_text, field, monkeypa
         composed.append(fa.compose(fb))
         assert composed[-1] == fa.compose(fb) and fa == induced_map(expr, a)
     assert calls == {GradedPoly: 0}
-    for m in composed:
-        before = calls[GradedPoly]
-        rows = m.rows
-        assert calls[GradedPoly] - before == len(m.row_labels) * len(m.col_labels)
-        assert m.rows is rows
-        assert calls[GradedPoly] - before == len(m.row_labels) * len(m.col_labels)
+
+
+def _printed(m) -> str:
+    """The text of m as its entries boxed as polynomials print it."""
+    lines = [f"rows: {list(m.row_labels)}", f"cols: {list(m.col_labels)}"]
+    return "\n".join(lines + ["[" + ", ".join(map(str, row)) + "]" for row in boxed_rows(m)])
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+def test_matrices_print_their_entries_without_boxing_them(field, monkeypatch):
+    # str and the induce JSON render each entry's raw terms from the slices,
+    # as the boxed entries print, and build no GradedPoly
+    ring = GradedRing(field, ["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    phi = LinearMapMatrix(space_labels(2), space_labels(3), ring,
+                          [[x - 1, Fraction(1, 2), -y], [3 * x * y, 0, y**2 - x]])
+    scalar = space_matrix(field, [[1, Fraction(-2, 3), 0], [4, -1, 5], [0, 2, Fraction(7, 2)]])
+    maps = [induced_map(SymF(3, IdF()), phi), induced_map(parse_functor("sum(id,talt,sym(2,id))"), scalar)]
+    want = [_printed(m) for m in maps]
+    calls = _count_boxes(monkeypatch)
+    assert [str(m) for m in maps] == want
+    assert calls == {GradedPoly: 0}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for fmt in ("text", "json"):
+            assert main(["induce", "--functor", "sym(4,id)", "--field", str(field),
+                         "--phi", "1,2,3,4;5,6,7,8;1,0,1/2,0;2,3,4,5", "--format", fmt]) == 0
+    text, _, doc = out.getvalue().partition("{")
+    entries = json.loads("{" + doc)["entries"]
+    assert len(entries) == 35 and ["[" + ", ".join(row) + "]" for row in entries] == text.splitlines()[2:]
+    assert calls == {GradedPoly: 0}
 
 
 # -- the split-square kernel against the dense oracle -------------------------
@@ -612,7 +642,7 @@ def _permutation(field, n, seed):
 def _with_zero_lines(field, seed):
     """4 x 5 scalar matrix whose row 1 and columns 0 and 3 are zero."""
     rows = [[0 if i == 1 or j in (0, 3) else e for j, e in enumerate(row)]
-            for i, row in enumerate(_scalar_phi(field, 4, 5, seed).rows)]
+            for i, row in enumerate(boxed_rows(_scalar_phi(field, 4, 5, seed)))]
     return LinearMapMatrix(space_labels(4), space_labels(5), rows[0][1].ring, rows)
 
 
@@ -620,7 +650,7 @@ def _split_inputs(field):
     u, n = 2, 3
     phi = _scalar_phi(field, u, n, 6)
     widened = [[int(a == b) for b in range(u)] + [0] * n for a in range(u)]
-    widened += [[0] * u + [e.constant_value() for e in row] for row in phi.rows]
+    widened += [[0] * u + [e.constant_value() for e in row] for row in boxed_rows(phi)]
     return {
         "permutation": _permutation(field, 5, 1),
         "negated permutation": scaled(_permutation(field, 4, 2), -1),
@@ -740,5 +770,5 @@ def test_packed_kernels_leave_no_integral_fraction_over_q():
         # a fraction survives where the entry is one, and every integral entry is an int
         assert any(type(v) is Fraction for v in raw) and any(type(v) is int and v for v in raw)
         assert [v for v in raw if type(v) is Fraction and v.denominator == 1] == []
-        assert all(type(c) is int or c.denominator > 1 for row in m.rows for e in row for c in e.terms.values())
+        assert all(type(c) is int or c.denominator > 1 for row in boxed_rows(m) for e in row for c in e.terms.values())
 

@@ -32,6 +32,7 @@ from polyfunctor import (
     run_rank_one_example,
     usable_directions,
 )
+from polyfunctor.fields import Scalar
 from polyfunctor.functors import IdF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, induced_map
 from polyfunctor.groebner import divide_exact
 from polyfunctor.hasse import joint_additivity_holds, joint_scaling_holds, specialise_joint
@@ -767,6 +768,24 @@ def test_tampered_pullback_rank_one_golden(key, monkeypatch, capsys):
         codes.add(main(["example-rank1", "--n", str(n), "--field", selector, "--seed", str(seed), "--format", fmt]))
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert (*digests, *codes) == PULLBACK_GOLDEN[key]
+
+
+@pytest.mark.parametrize("field", [Q, F3, FieldDescriptor.prime_field(101)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_rank_one_example_builds_only_its_two_api_scalars(n, field, monkeypatch):
+    # a Scalar is built only at the API edge: here r0's one coordinate and the
+    # direction scan's one unit coordinate; the elimination, the rank checks
+    # and the Hasse binomials compute on raw coefficients and build none
+    built = []
+    init = Scalar.__init__
+
+    def recording(self, fld, value):
+        init(self, fld, value)
+        built.append((fld, value))
+
+    monkeypatch.setattr(Scalar, "__init__", recording)
+    assert run_rank_one_example(n, field).all_passed()
+    assert built == [(field, 1), (field, 1)]
 
 
 @pytest.mark.parametrize("n", (3, 4))

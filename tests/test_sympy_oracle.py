@@ -47,7 +47,7 @@ from polyfunctor import (  # noqa: E402
 from polyfunctor.groebner import buchberger, divide_exact, reduce_poly  # noqa: E402
 from polyfunctor.matrices import cramer_solve  # noqa: E402
 
-from conftest import IDEALS, LARGE_IDEALS, normal_form, random_ideal, random_poly  # noqa: E402
+from conftest import IDEALS, LARGE_IDEALS, boxed_rows, normal_form, random_ideal, random_poly  # noqa: E402
 
 FIELDS = ("q", "fp:32003")
 ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
@@ -203,8 +203,8 @@ def test_exterior_power_entries_are_sympy_minors(k, field_text):
                for _ in range(4)]
     wedge = induced_map(ExtF(k, IdF()), space_matrix(field, entries))
     a = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in entries])
-    assert wedge.rows
-    for row_label, row in zip(wedge.row_labels, wedge.rows):
+    assert boxed_rows(wedge)
+    for row_label, row in zip(wedge.row_labels, boxed_rows(wedge)):
         rows = [leaf[1] for leaf in row_label[1]]
         for col_label, entry in zip(wedge.col_labels, row):
             det = a.extract(rows, [leaf[1] for leaf in col_label[1]]).det()
@@ -232,12 +232,12 @@ def test_symmetric_power_entries_are_coefficients_of_linear_forms(k, field_text)
     power = induced_map(SymF(k, IdF()), space_matrix(field, entries))
     ys = sympy.symbols("y0:3")
     forms = [sympy.Poly(sum(a[r][c] * ys[r] for r in range(3)), *ys, domain="QQ") for c in range(4)]
-    assert len(power.rows) == comb(k + 2, k) and len(power.col_labels) == comb(k + 3, k)
+    assert len(boxed_rows(power)) == comb(k + 2, k) and len(power.col_labels) == comb(k + 3, k)
     for j, col_label in enumerate(power.col_labels):
         product = sympy.Poly(1, *ys, domain="QQ")
         for leaf in col_label[1]:
             product *= forms[leaf[1]]
-        for row_label, row in zip(power.row_labels, power.rows):
+        for row_label, row in zip(power.row_labels, boxed_rows(power)):
             exps = [0, 0, 0]
             for leaf in row_label[1]:
                 exps[leaf[1]] += 1
@@ -251,8 +251,8 @@ def test_tensor_square_entries_are_kronecker_product_entries(field_text):
     entries, a = _oracle_map(field, "tensor")
     square = induced_map(TensorF((IdF(), IdF())), space_matrix(field, entries))
     kron = sympy.kronecker_product(sympy.Matrix(a), sympy.Matrix(a))
-    assert len(square.rows) == 9 and len(square.col_labels) == 16
-    for row_label, row in zip(square.row_labels, square.rows):
+    assert len(boxed_rows(square)) == 9 and len(square.col_labels) == 16
+    for row_label, row in zip(square.row_labels, boxed_rows(square)):
         r1, r2 = (leaf[1] for leaf in row_label[1])
         for col_label, entry in zip(square.col_labels, row):
             c1, c2 = (leaf[1] for leaf in col_label[1])
@@ -290,7 +290,7 @@ def test_split_square_entries_are_symmetrised_kronecker_entries(name, field_text
     assert s_out * want == image
     assert half_map.row_labels == tuple((tag,) + pair for pair in row_pairs)
     assert half_map.col_labels == tuple((tag,) + pair for pair in col_pairs)
-    for r, row in enumerate(half_map.rows):
+    for r, row in enumerate(boxed_rows(half_map)):
         for c, entry in enumerate(row):
             value = want[r, c]
             assert entry == half_map.ring.const(Fraction(int(value.p), int(value.q)))
