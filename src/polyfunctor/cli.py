@@ -159,7 +159,7 @@ def cmd_induce(args):
             "functor": format_functor(expr),
             "rows": [str(lab) for lab in mat.row_labels],
             "cols": [str(lab) for lab in mat.col_labels],
-            "entries": mat.entry_texts(),
+            "entries": list(mat.entry_texts()),
         },
     )
 

@@ -13,13 +13,15 @@ use sorted multisets, exterior powers strictly increasing index tuples,
 tensor products row-major composite indices; matrices of induced maps carry
 these labels so every entry is auditable.  Induced maps work on the monomial
 slices of matrices.py: a tensor product is their Kronecker product, a half
-of the tensor square their symmetrised product.
+of the tensor square their symmetrised product; sums, quotients and the
+widening 1_U (+) phi of a shift place canonical blocks on the diagonal.
 One kernel serves symmetric and exterior powers, so an exterior power's
 minors need no determinant; it packs the column tuples of each row key
 into one int (see _power_matrix), on bases built once per labels, power and
 kind in a bounded cache.  The halves of the tensor square keep their own
-kernel, which multiplies only nonzero entries: the per-phi maps of a proof
-step are sparse, and the power kernel decodes every row in full.  Over q
+kernel, which multiplies only nonzero entries (pair bases cached per
+shape): the per-phi maps of a proof step are sparse, and the power kernel
+decodes every row in full.  Over q
 the kernels that multiply entries use the int blocks of matrices._integral.
 """
 
@@ -29,16 +31,19 @@ import functools
 import itertools
 import re
 from collections import defaultdict
-from math import comb
+from math import comb, prod
 from operator import add, mul
 
 from .errors import AlgebraError, CharacteristicError, Record
 from .fields import FieldDescriptor, _q_raw
 from .matrices import (
     LinearMapMatrix,
+    _block_diagonal,
     _diagonal,
+    _from_slices,
     _integral,
     _SliceSum,
+    _top,
     identity_matrix,
     matrix_rank,
     shift_embedding,
@@ -200,10 +205,7 @@ def dim(expr: FunctorExpr, n: int) -> int:
     if isinstance(expr, SumF):
         return sum(dim(p, n) for p in expr.parts)
     if isinstance(expr, TensorF):
-        total = 1
-        for f in expr.factors:
-            total *= dim(f, n)
-        return total
+        return prod(dim(f, n) for f in expr.factors)
     if isinstance(expr, SymF):
         # S^0 of a zero space is the line of constants
         return comb(max(dim(expr.inner, n) + expr.power - 1, 0), expr.power)
@@ -539,15 +541,15 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
     key counts each index in a fixed-width bit field, so keys add; an
     exterior key is the bitmask S of its rows: e_S ^ e_i is 0 when S holds i,
     else its sign is the parity of S's indices above i.  A slot gets one bit
-    more than (rows * slices * top)^power needs, top as in _integral; a
+    more than (rows * slices * top)^power needs, top from _top; a
     prefix is cut as ((v + bias) & mask) - bias, bias half of its top slot,
     which is exact for signed slots.  The top level is decoded one row per
     key, in lexicographic column order; over q divided by scale^power.
     """
     basis = _power_basis(a.row_labels, a.col_labels, power, alternating)
     row_at, field_bits, steps, slot_of, row_labels, col_labels = basis
-    slices, scale, top = _integral(a)
-    bits = ((len(a.row_labels) * len(slices) * top) ** power).bit_length() + 1
+    slices, scale = _integral(a)
+    bits = ((len(a.row_labels) * len(slices) * _top(slices, a.ring.field.characteristic)) ** power).bit_length() + 1
     level = {(0,) * len(a.ring.names): {0: 1}}
     for step in steps:
         cut_of = {c: (1 << bits * size - 1, (1 << bits * size) - 1, bits * offset) for c, size, offset in step}
@@ -580,11 +582,11 @@ def _power_matrix(a: LinearMapMatrix, power: int, alternating: bool) -> LinearMa
 
 def _tensor_matrix(maps) -> LinearMapMatrix:
     # Kronecker products of monomial slices' int blocks, row-major composite indices
-    first, scale, _ = _integral(maps[0])
+    first, scale = _integral(maps[0])
     blocks = [(e, *s) for e, s in first.items()]
     for m in maps[1:]:
         height, width = len(m.row_labels), len(m.col_labels)
-        slices, factor, _ = _integral(m)
+        slices, factor = _integral(m)
         slices, scale = slices.items(), scale * factor
         blocks = [
             (
@@ -604,27 +606,24 @@ def _tensor_matrix(maps) -> LinearMapMatrix:
     return acc.matrix(row_labels, col_labels, maps[0].ring, scale)
 
 
-def _block_diag(blocks, indices) -> LinearMapMatrix:
-    ring = blocks[0].ring
-    row_labels = []
-    col_labels = []
-    for idx, b in zip(indices, blocks):
-        row_labels.extend(("s", idx, lab) for lab in b.row_labels)
-        col_labels.extend(("s", idx, lab) for lab in b.col_labels)
-    acc = _SliceSum(len(col_labels))
-    r0 = c0 = 0
-    for b in blocks:
-        acc.place(b, r0, c0)
-        r0 += len(b.row_labels)
-        c0 += len(b.col_labels)
-    return acc.matrix(row_labels, col_labels, ring)
-
-
 def _refuse_char2(field: FieldDescriptor):
     if field.characteristic == 2:
         raise CharacteristicError(
             "the symmetric/alternating tensor-square splitting is refused in characteristic 2"
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _split_basis(m: int, n: int, alternating: bool):
+    """The bases of _split_square_matrix, which depend on phi's shape and
+    the half alone: the row of each row pair (k, l), the column of each
+    column pair (i, j) in either order, and the labels."""
+    gap, tag = (1, "z") if alternating else (0, "y")
+    row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
+    col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
+    row_at = {pair: r for r, pair in enumerate(row_pairs)}
+    col_at = {pair: c for c, (i, j) in enumerate(col_pairs) for pair in ((i, j), (j, i))}
+    return row_at, col_at, *[tuple((tag,) + pair for pair in pairs) for pairs in (row_pairs, col_pairs)]
 
 
 def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMatrix:
@@ -633,18 +632,13 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
     one product on the diagonal, taken over the nonzero int entries of each
     row of phi's _integral blocks, over scale^2."""
     _refuse_char2(phi.ring.field)
-    gap, sign, tag = (1, -1, "z") if alternating else (0, 1, "y")
-    m = len(phi.row_labels)
-    n = len(phi.col_labels)
-    col_pairs = [(i, j) for i in range(n) for j in range(i + gap, n)]
-    row_pairs = [(k, l) for k in range(m) for l in range(k + gap, m)]
-    row_at = {pair: r for r, pair in enumerate(row_pairs)}
-    col_at = {pair: c for c, (i, j) in enumerate(col_pairs) for pair in ((i, j), (j, i))}
+    gap, sign = (1, -1) if alternating else (0, 1)
+    row_at, col_at, row_labels, col_labels = _split_basis(len(phi.row_labels), len(phi.col_labels), alternating)
     # per slice, per row k, the (column, int) of its nonzero entries
-    integral, scale, _ = _integral(phi)
+    integral, scale = _integral(phi)
     slices = [(e, [(k, [(i, x) for i, x in zip(cols, row) if x]) for k, row in zip(rows, block)])
               for e, (rows, cols, block) in integral.items()]
-    acc = _SliceSum(len(col_pairs))
+    acc = _SliceSum(len(col_labels))
     for (e, a), (f, b) in itertools.product(slices, repeat=2):
         target = acc.by_exps[tuple(map(add, e, f))]
         # a's term at (k, i) times b's at (l, j) adds into row pair (k, l)
@@ -656,8 +650,7 @@ def _split_square_matrix(phi: LinearMapMatrix, alternating: bool) -> LinearMapMa
                     for j, y in row_b:
                         if (c := col_at.get((i, j))) is not None:
                             out[c] += sign * x * y if i > j else x * y
-    labels = [tuple((tag,) + pair for pair in pairs) for pairs in (row_pairs, col_pairs)]
-    return acc.matrix(*labels, phi.ring, scale * scale)
+    return acc.matrix(row_labels, col_labels, phi.ring, scale * scale)
 
 
 def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
@@ -671,9 +664,6 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
         return identity_matrix((("k", i) for i in range(expr.size)), ring)
     if isinstance(expr, IdF):
         return phi
-    if isinstance(expr, SumF):
-        blocks = [induced_map(p, phi) for p in expr.parts]
-        return _block_diag(blocks, range(len(blocks)))
     if isinstance(expr, TensorF):
         return _tensor_matrix([induced_map(f, phi) for f in expr.factors])
     if isinstance(expr, SymF):
@@ -681,17 +671,16 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
     if isinstance(expr, ExtF):
         return _power_matrix(induced_map(expr.inner, phi), expr.power, True)
     if isinstance(expr, ShiftF):
-        u = expr.by
-        m, n = phi.shape
-        acc = _diagonal(u + n, ring, u)
-        acc.place(phi, u, u)
-        widened = acc.matrix(space_labels(u + m), space_labels(u + n), ring)
-        return induced_map(expr.inner, widened)
-    if isinstance(expr, QuotF):
-        kept = expr.kept()
-        if not kept:
-            return LinearMapMatrix((), (), ring, ())
-        return _block_diag([induced_map(s, phi) for _, s in kept], [idx for idx, _ in kept])
+        # 1_U (+) phi, its two blocks placed on the diagonal
+        u, (m, n) = expr.by, phi.shape
+        widened = _block_diagonal([(_diagonal(u, ring), u, u), (phi.slices, m, n)])
+        return induced_map(expr.inner, _from_slices(space_labels(u + m), space_labels(u + n), ring, widened))
+    if isinstance(expr, (SumF, QuotF)):
+        # the kept summands' maps placed on the diagonal, on labels ("s", summand index, label)
+        kept = [(i, induced_map(s, phi)) for i, s in (expr.kept() if isinstance(expr, QuotF) else enumerate(expr.parts))]
+        row_labels = [("s", i, lab) for i, b in kept for lab in b.row_labels]
+        col_labels = [("s", i, lab) for i, b in kept for lab in b.col_labels]
+        return _from_slices(row_labels, col_labels, ring, _block_diagonal([(b.slices, *b.shape) for _, b in kept]))
     if isinstance(expr, TenSymF):
         return _split_square_matrix(phi, False)
     if isinstance(expr, TenAltF):
@@ -759,13 +748,9 @@ def compare_order(P: FunctorExpr, Q: FunctorExpr) -> str:
     N = max(d, 1)
     seq_p = dimension_sequence(P, d, N)
     seq_q = dimension_sequence(Q, d, N)
-    for e in range(d, 0, -1):
-        dp = seq_p[e - 1]
-        dq = seq_q[e - 1]
-        if dp < dq:
-            return "lex-smaller"
-        if dp > dq:
-            return "lex-greater"
+    for dp, dq in zip(reversed(seq_p), reversed(seq_q)):
+        if dp != dq:
+            return "lex-smaller" if dp < dq else "lex-greater"
     return "dims-equal"
 
 

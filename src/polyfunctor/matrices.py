@@ -5,9 +5,11 @@ functors stay auditable, and its entries, polynomials over a declared entry
 ring (a ring with no variables represents plain scalars), as monomial slices
 only: per exponent vector the rows and columns where it has terms and one
 dense block of its raw coefficients there (a single slice for scalars).
-Every builder adds raw blocks into one slice accumulator, full-width rows
-per exponent vector, and one function reduces it to canonical slices, so
-equal matrices have equal slices.  The tensor kernels multiply slices by
+Every builder that sums products adds raw blocks into one slice
+accumulator, full-width rows per exponent vector, and one function reduces
+it to canonical slices, so equal matrices have equal slices; identities and
+block-diagonal matrices place canonical slices as they are (_block_diagonal).
+The tensor kernels multiply slices by
 plain products, composition (and, in functors.py, the symmetric and
 exterior powers) by packed integers: a slot per column, wide enough for the
 largest output entry (from p over F_p, over q from the entries once each
@@ -15,7 +17,7 @@ matrix is scaled to ints by the lcm of its denominators, a scale divided
 back out by fields._q_raw, an int where it divides) and offset by half its
 range so that signed sums carry nothing between slots.  No entry is boxed
 as a polynomial: the printers render each entry's raw terms from the slices
-(GradedRing.render).
+(GradedRing.render), one row at a time.
 Also home to the small exact linear algebra the package needs: Gaussian
 rank over a field, and the solve of a square polynomial system [A | b] in
 block upper-triangular form: rows matched to columns, the diagonal blocks
@@ -74,17 +76,17 @@ class LinearMapMatrix:
         self.ring = ring
         self.slices = slices
 
-    def entry_texts(self) -> list:
-        """Each entry as text, row by row, rendered from its raw terms in the
-        slices with no entry boxed."""
-        terms = [[{} for _ in self.col_labels] for _ in self.row_labels]
-        for e, (rows, cols, block) in self.slices.items():
-            for i, values in zip(rows, block):
-                out = terms[i]
-                for j, v in zip(cols, values):
+    def entry_texts(self):
+        """Each entry as text, one row at a time: a row's raw terms are gathered
+        from the slices and rendered before the next row's, with no entry boxed."""
+        at = [(e, cols, dict(zip(rows, block))) for e, (rows, cols, block) in self.slices.items()]
+        for i in range(len(self.row_labels)):
+            terms = [{} for _ in self.col_labels]
+            for e, cols, row_of in at:
+                for j, v in zip(cols, row_of.get(i, ())):
                     if v:
-                        out[j][e] = v
-        return [[self.ring.render(t) for t in row] for row in terms]
+                        terms[j][e] = v
+            yield [self.ring.render(t) for t in terms]
 
     @property
     def shape(self):
@@ -110,9 +112,10 @@ class LinearMapMatrix:
             raise AlgebraError("composition across entry rings")
         if self.col_labels != other.row_labels:
             raise AlgebraError("inner labels do not match in composition")
-        left, scale_left, top_left = _integral(self)
-        right, scale_right, top_right = _integral(other)
-        bits = (len(left) * len(self.col_labels) * top_left * top_right).bit_length() + 1
+        p = self.ring.field.characteristic
+        left, scale_left = _integral(self)
+        right, scale_right = _integral(other)
+        bits = (len(left) * len(self.col_labels) * _top(left, p) * _top(right, p)).bit_length() + 1
         half, mask, scale = 1 << bits - 1, (1 << bits) - 1, scale_left * scale_right
         packed = {}  # per right slice: inner index -> its row packed into one int
         meets = defaultdict(list)  # inner index -> right slices with a term in that row
@@ -186,11 +189,6 @@ class _SliceSum:
             for j, v in zip(cols, values):
                 row[j] += v
 
-    def place(self, m: LinearMapMatrix, row0: int, col0: int):
-        """Add the slices of m, its first entry at (row0, col0)."""
-        for e, (rows, cols, block) in m.slices.items():
-            self.add(e, [row0 + i for i in rows], [col0 + j for j in cols], block)
-
     def slices(self, p: int, scale: int = 1) -> dict:
         """The canonical slices of the sum: reduced mod p over F_p; over q
         ints over scale, read by fields._q_raw, or raw coefficients at scale 1."""
@@ -208,35 +206,62 @@ class _SliceSum:
 
     def matrix(self, row_labels, col_labels, ring: GradedRing, scale: int = 1) -> LinearMapMatrix:
         """The sum over scale (see slices) as a matrix on the given labels, its entries over ring."""
-        m = LinearMapMatrix.__new__(LinearMapMatrix)
-        m._set(row_labels, col_labels, ring, self.slices(ring.field.characteristic, scale))
-        return m
+        return _from_slices(row_labels, col_labels, ring, self.slices(ring.field.characteristic, scale))
+
+
+def _from_slices(row_labels, col_labels, ring: GradedRing, slices: dict) -> LinearMapMatrix:
+    """The matrix on the given labels with these canonical slices, taken as they are."""
+    m = LinearMapMatrix.__new__(LinearMapMatrix)
+    m._set(row_labels, col_labels, ring, slices)
+    return m
 
 
 def _integral(m: LinearMapMatrix):
-    """m's slices with int blocks, the scale that made them ints and the
-    largest |entry| of those blocks: over F_p the residues, 1 and p - 1, with
-    no pass over the entries; over q the blocks times the lcm of m's
-    denominators, 1 when every entry is an int."""
+    """m's slices with int blocks and the scale that made them ints: over
+    F_p the residues and 1, with no pass over the entries; over q the blocks
+    times the lcm of m's denominators, read in one pass (an int's is 1, so
+    the slices as they are when every entry is an int)."""
     if m.ring.field.characteristic:
-        return m.slices, 1, m.ring.field.characteristic - 1
-    rows = [row for _, _, block in m.slices.values() for row in block]
-    top = max(map(abs, chain.from_iterable(rows)), default=0)
-    if {int}.issuperset(map(type, chain.from_iterable(rows))):
-        return m.slices, 1, top
-    scale = lcm(*{v.denominator for row in rows for v in row})
+        return m.slices, 1
+    scale = lcm(*{v.denominator for _, _, block in m.slices.values() for row in block for v in row})
+    if scale == 1:
+        return m.slices, 1
     cleared = {e: (r, c, [[v.numerator * (scale // v.denominator) for v in row] for row in block])
                for e, (r, c, block) in m.slices.items()}
-    return cleared, scale, int(top * scale)
+    return cleared, scale
 
 
-def _diagonal(width: int, ring: GradedRing, size: int) -> _SliceSum:
-    """Accumulator of the matrix width columns wide with a 1 at (i, i) for
-    every i < size and nothing elsewhere."""
-    acc = _SliceSum(width)
-    for i in range(size):
-        acc.add((0,) * len(ring.names), (i,), (i,), ((1,),))
-    return acc
+def _top(slices: dict, p: int) -> int:
+    """The largest |entry| of _integral's int blocks: p - 1 over F_p, with no pass over the entries."""
+    return p - 1 if p else max(map(abs, chain.from_iterable(row for _, _, b in slices.values() for row in b)), default=0)
+
+
+def _diagonal(size: int, ring: GradedRing) -> dict:
+    """The canonical slices of a 1 at (i, i) for every i < size and nothing elsewhere."""
+    ones = [[int(i == j) for j in range(size)] for i in range(size)]
+    return {(0,) * len(ring.names): (list(range(size)), list(range(size)), ones)} if size else {}
+
+
+def _block_diagonal(parts) -> dict:
+    """The slices of the block-diagonal matrix of parts, (slices, height, width) per block
+    in order: per monomial, the blocks' canonical slices side by side at their offsets, each
+    row zero-padded.  Blocks on disjoint rows and columns stay canonical: nothing is reduced."""
+    placed = defaultdict(list)
+    row0 = col0 = 0
+    for slices, height, width in parts:
+        for e, s in slices.items():
+            placed[e].append((row0, col0, s))
+        row0, col0 = row0 + height, col0 + width
+    out = {}
+    for e, found in placed.items():
+        cols = [c0 + j for _, c0, (_, c, _) in found for j in c]
+        block, before = [], 0
+        for _, _, (_, c, b) in found:
+            left, right = [0] * before, [0] * (len(cols) - before - len(c))
+            block += [left + row + right for row in b]
+            before += len(c)
+        out[e] = ([r0 + i for r0, _, (r, _, _) in found for i in r], cols, block)
+    return out
 
 
 def row_forms(m: LinearMapMatrix, ring: GradedRing, col_names, entry_names=()) -> list:
@@ -263,17 +288,14 @@ def space_labels(n: int):
 
 def identity_matrix(labels, ring: GradedRing) -> LinearMapMatrix:
     labels = tuple(labels)
-    n = len(labels)
-    return _diagonal(n, ring, n).matrix(labels, labels, ring)
+    return _from_slices(labels, labels, ring, _diagonal(len(labels), ring))
 
 
 def space_matrix(field: FieldDescriptor, entries) -> LinearMapMatrix:
     """Matrix of a linear map between standard spaces, rows of scalars."""
-    ring = scalar_entry_ring(field)
     rows = [list(row) for row in entries]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    return LinearMapMatrix(space_labels(m), space_labels(n), ring, rows)
+    ring, n = scalar_entry_ring(field), len(rows[0]) if rows else 0
+    return LinearMapMatrix(space_labels(len(rows)), space_labels(n), ring, rows)
 
 
 def shift_embedding(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
@@ -291,7 +313,7 @@ def shift_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
 def base_projection(field: FieldDescriptor, u: int, n: int) -> LinearMapMatrix:
     """Projection of the (u+n)-space onto its first u coordinates."""
     ring = scalar_entry_ring(field)
-    return _diagonal(u + n, ring, u).matrix(space_labels(u), space_labels(u + n), ring)
+    return _from_slices(space_labels(u), space_labels(u + n), ring, _diagonal(u, ring))
 
 
 def matrix_rank(entries, field: FieldDescriptor) -> int:

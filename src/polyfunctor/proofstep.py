@@ -76,7 +76,7 @@ from .hasse import (
 from .matrices import (
     LinearMapMatrix,
     _diagonal,
-    _SliceSum,
+    _from_slices,
     base_projection,
     cramer_solve,
     matrix_rank,
@@ -323,16 +323,14 @@ def projection_coefficients(model_u: CoordinateModel, n: int, phi: LinearMapMatr
     u = model_u.dimension
     fld = model_u.field
     rows, cols, block = _check_projection(model_u, n, phi)
-    moved = [u + j for j in cols]
+    # phi is onto the u-space: for u > 0 its constant slice, moved past column u, is canonical
+    moved = (rows, [u + j for j in cols], block)
     ring_t = GradedRing(fld, (RingVariable("t", "aux", 0),))
-    parametrised = _diagonal(u + n, ring_t, u)
-    parametrised.add((1,), rows, moved, block)
-    zero_phi = _SliceSum(u + n)
-    zero_phi.add((), rows, moved, block)
     labels = space_labels(u), space_labels(u + n)
-    full = induced_map(model_u.normalized, parametrised.matrix(*labels, ring_t))
+    parametrised = {**_diagonal(u, ring_t), (1,): moved} if u else {}
+    full = induced_map(model_u.normalized, _from_slices(*labels, ring_t, parametrised))
     base = induced_map(model_u.normalized, base_projection(fld, u, n))
-    top = induced_map(model_u.normalized, zero_phi.matrix(*labels, scalar_entry_ring(fld)))
+    top = induced_map(model_u.normalized, _from_slices(*labels, scalar_entry_ring(fld), {(): moved} if u else {}))
     dec = model_u.decomposition
     part_degree = {dec.index_of(s.label): e for e, summands in dec.parts.items() for s in summands}
     col_degree = [part_degree[lab[1]] for lab in full.col_labels]

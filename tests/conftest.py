@@ -27,9 +27,9 @@ from polyfunctor import (
 from polyfunctor import groebner
 from polyfunctor.fields import _q_raw
 from polyfunctor.groebner import Budget, _prepared
-from polyfunctor.functors import _refuse_char2
+from polyfunctor.functors import _power_matrix, _refuse_char2, _tensor_matrix, induced_map
 from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_data, doubled_ring, fresh_name
-from polyfunctor.matrices import LinearMapMatrix, _SliceSum
+from polyfunctor.matrices import LinearMapMatrix, _SliceSum, space_labels
 from polyfunctor.proofstep import _segre_map, _segre_points
 from polyfunctor.errors import AlgebraError, FieldMismatchError, ParseError
 from polyfunctor.fields import Scalar
@@ -582,6 +582,17 @@ def scaled(matrix, factor):
     return LinearMapMatrix(matrix.row_labels, matrix.col_labels, matrix.ring, rows)
 
 
+def canonical_matrix(acc, row_labels, col_labels, ring):
+    """The matrix of a _SliceSum of raw values on the given labels, each
+    value made canonical first (over q, fields._q_raw turns an integral
+    Fraction into its int), as the package's kernels leave them."""
+    if not ring.field.characteristic:
+        for rows in acc.by_exps.values():
+            for row in rows.values():
+                row[:] = map(_q_raw, row)
+    return acc.matrix(row_labels, col_labels, ring)
+
+
 def compose_by_dot_products(self, other):
     """self after other by dense row-by-column dot products over the inner
     indices of each left slice, for each pair of monomial slices that meets
@@ -608,7 +619,7 @@ def compose_by_dot_products(self, other):
             picked = [[col[at.get(k, -1)] for k in inner] for col in columns]
             products = [[sum(map(mul, row, col)) for col in picked] for row in block]
             acc.add(tuple(map(add, e, f)), rows, cols, products)
-    return acc.matrix(self.row_labels, other.col_labels, self.ring)
+    return canonical_matrix(acc, self.row_labels, other.col_labels, self.ring)
 
 
 def dense_split_square_matrix(phi, alternating):
@@ -634,8 +645,8 @@ def dense_split_square_matrix(phi, alternating):
             ]
             block = [[s * x[q] * y[r] for _, s, q, r in spots] for _, x, y in pairs]
             acc.add(tuple(map(add, e, f)), [r for r, _, _ in pairs], [c for c, *_ in spots], block)
-    return acc.matrix(
-        tuple((tag,) + pair for pair in row_pairs), tuple((tag,) + pair for pair in col_pairs), phi.ring
+    return canonical_matrix(
+        acc, tuple((tag,) + pair for pair in row_pairs), tuple((tag,) + pair for pair in col_pairs), phi.ring
     )
 
 
@@ -708,4 +719,56 @@ def power_matrix_by_columns(a, power, alternating):
     tag = "ext" if alternating else "sym"
     row_labels = tuple((tag, tuple(a.row_labels[i] for i in idx)) for idx in row_tuples)
     col_labels = tuple((tag, tuple(a.col_labels[i] for i in idx)) for idx in col_tuples)
-    return acc.matrix(row_labels, col_labels, a.ring)
+    return canonical_matrix(acc, row_labels, col_labels, a.ring)
+
+
+def _add_at(acc, m, row0, col0):
+    """Add the slices of m into acc, its first entry at (row0, col0)."""
+    for e, (rows, cols, block) in m.slices.items():
+        acc.add(e, [row0 + i for i in rows], [col0 + j for j in cols], block)
+
+
+def block_diag_by_accumulation(blocks, indices):
+    """The direct sum of blocks on the summand labels ("s", index, label),
+    every block added at its offset into one full-width accumulator that is
+    then reduced: the reference that the direct sums of functors.induced_map,
+    which place the blocks' canonical slices side by side
+    (matrices._block_diagonal), are checked on."""
+    row_labels = [("s", idx, lab) for idx, b in zip(indices, blocks) for lab in b.row_labels]
+    col_labels = [("s", idx, lab) for idx, b in zip(indices, blocks) for lab in b.col_labels]
+    acc = _SliceSum(len(col_labels))
+    r0 = c0 = 0
+    for b in blocks:
+        _add_at(acc, b, r0, c0)
+        r0 += len(b.row_labels)
+        c0 += len(b.col_labels)
+    return acc.matrix(row_labels, col_labels, blocks[0].ring)
+
+
+def widened_by_accumulation(phi, u):
+    """1_U (+) phi, the widening of shift(u, .), with 1 added at (i, i) for
+    i < u and phi at (u, u) into one accumulator that is then reduced."""
+    m, n = phi.shape
+    acc = _SliceSum(u + n)
+    for i in range(u):
+        acc.add((0,) * len(phi.ring.names), (i,), (i,), ((1,),))
+    _add_at(acc, phi, u, u)
+    return acc.matrix(space_labels(u + m), space_labels(u + n), phi.ring)
+
+
+def induced_by_accumulation(expr, phi):
+    """functors.induced_map with every direct sum, quotient and shift built
+    by accumulation (block_diag_by_accumulation, widened_by_accumulation) and
+    the other constructors by the package's kernels."""
+    if isinstance(expr, SumF):
+        return block_diag_by_accumulation([induced_by_accumulation(p, phi) for p in expr.parts], range(len(expr.parts)))
+    if isinstance(expr, QuotF) and expr.kept():
+        kept = expr.kept()
+        return block_diag_by_accumulation([induced_by_accumulation(s, phi) for _, s in kept], [i for i, _ in kept])
+    if isinstance(expr, ShiftF):
+        return induced_by_accumulation(expr.inner, widened_by_accumulation(phi, expr.by))
+    if isinstance(expr, TensorF):
+        return _tensor_matrix([induced_by_accumulation(f, phi) for f in expr.factors])
+    if isinstance(expr, (SymF, ExtF)):
+        return _power_matrix(induced_by_accumulation(expr.inner, phi), expr.power, isinstance(expr, ExtF))
+    return induced_map(expr, phi)

@@ -21,8 +21,10 @@ over q the packed kernels leave no integral Fraction.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -33,7 +35,11 @@ from polyfunctor import (
     FieldDescriptor,
     GradedRing,
     IdF,
+    ShiftF,
+    SumF,
     SymF,
+    TenAltF,
+    TenSymF,
     induced_map,
     parse_functor,
     shift_maps,
@@ -44,17 +50,18 @@ from polyfunctor.errors import AlgebraError
 from polyfunctor.fields import Scalar
 from polyfunctor.matrices import (
     LinearMapMatrix,
+    base_projection,
     scalar_entry_ring,
     shift_embedding,
     shift_projection,
     space_labels,
 )
-from polyfunctor import functors, matrices, rings
+from polyfunctor import functors, matrices, proofstep, rings
 from polyfunctor.rings import GradedPoly, RingVariable
 
 from conftest import (
-    Q, boxed_rows, compose_by_dot_products, dense_split_square_matrix, power_matrix_by_columns, random_poly,
-    scaled,
+    Q, block_diag_by_accumulation, boxed_rows, compose_by_dot_products, dense_split_square_matrix,
+    induced_by_accumulation, power_matrix_by_columns, random_poly, scaled,
 )
 
 # the expressions of the benchmark's functors mix
@@ -185,17 +192,25 @@ INDUCED_GOLDEN = {
 
 
 def _assert_canonical_slices(m):
-    """Every slice of m has strictly ascending rows and columns, no all-zero
-    row or column and, over F_p, only residues in [0, p); and it equals the
-    slice that the public constructor makes of m's boxed entries."""
+    """Every slice of m has strictly ascending rows and columns inside m, no
+    all-zero row or column and only canonical raw coefficients: over F_p
+    int residues in [0, p), over q ints and non-integral Fractions; and it
+    equals the slice that the public constructor makes of m's boxed
+    entries."""
     p = m.ring.field.characteristic
     rebuilt = LinearMapMatrix(m.row_labels, m.col_labels, m.ring, boxed_rows(m))
     for exps, (rows, cols, block) in m.slices.items():
+        assert rows and cols and rows[0] >= 0 and cols[0] >= 0
+        assert rows[-1] < len(m.row_labels) and cols[-1] < len(m.col_labels)
         assert all(a < b for a, b in zip(rows, rows[1:]))
         assert all(a < b for a, b in zip(cols, cols[1:]))
         assert len(block) == len(rows) and all(len(row) == len(cols) for row in block)
         assert all(any(row) for row in block) and all(any(col) for col in zip(*block))
-        assert not p or all(0 <= v < p for row in block for v in row)
+        raw = [v for row in block for v in row]
+        if p:
+            assert all(type(v) is int and 0 <= v < p for v in raw)
+        else:
+            assert all(type(v) is int or type(v) is Fraction and v.denominator > 1 for v in raw)
         assert rebuilt.slices.get(exps) == (rows, cols, block)
     assert rebuilt.slices.keys() == m.slices.keys()
 
@@ -461,9 +476,11 @@ def test_compose_matches_dot_products_on_integral_fractions():
     halves = space_matrix(Q, [[Fraction(1, 2), Fraction(3, 2)], [Fraction(-1, 2), Fraction(5, 2)]])
     evens = space_matrix(Q, [[2, 4], [6, -2]])
     integral = compose_by_dot_products(halves, evens)
-    # raw entries Fraction(n, 1), as composing fractional maps leaves them
+    # products of fractions that are integral, which both the oracle and the
+    # kernel leave as ints
     raw = [v for _, _, block in integral.slices.values() for row in block for v in row]
-    assert raw and all(type(v) is Fraction and v.denominator == 1 for v in raw)
+    assert raw and all(type(v) is int for v in raw)
+    assert _assert_composes_as_dot_products(halves, evens) == integral
     for a, b in ((integral, halves), (halves, integral), (integral, integral), (integral, evens)):
         _assert_composes_as_dot_products(a, b)
 
@@ -772,3 +789,160 @@ def test_packed_kernels_leave_no_integral_fraction_over_q():
         assert [v for v in raw if type(v) is Fraction and v.denominator == 1] == []
         assert all(type(c) is int or c.denominator > 1 for row in boxed_rows(m) for e in row for c in e.terms.values())
 
+
+
+# -- sums, quotients and shifts placed from canonical blocks ------------------
+
+
+# the mix, direct sums with an empty quotient (a 0 x 0 block) and constants,
+# and shifts of sums, of quotients and of the identity itself
+PLACED = MIX + (
+    "sum(id,quot(id,0),talt)", "quot(id,0)", "shift(2,sum(tsym,talt))", "shift(3,quot(shift(2,sum(tsym,talt)),1))",
+    "sum(const(2),id,tsym)", "shift(1,sum(id,const(1),sym(2,id)))", "sum(shift(1,id),tensor(id,talt))", "shift(2,id)",
+)
+
+
+def _placement_inputs(field):
+    """The split-square inputs and the maps of shift-check at base dimension
+    0: the embedding of the 0-space and the projection onto it, and the maps
+    with no rows or no columns."""
+    ring = scalar_entry_ring(field)
+    inputs = _split_inputs(field)
+    inputs.update({
+        "0 x 0": LinearMapMatrix((), (), ring, ()),
+        "2 x 0": LinearMapMatrix(space_labels(2), (), ring, [[], []]),
+        "embedding of the 0-space": shift_embedding(field, 2, 0),
+        "projection onto the 0-space": shift_projection(field, 2, 0),
+    })
+    return inputs
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
+def test_sums_quotients_and_shifts_place_as_the_accumulating_oracle(field):
+    for name, phi in _placement_inputs(field).items():
+        for text in PLACED:
+            expr = parse_functor(text)
+            placed = induced_map(expr, phi)
+            assert placed == induced_by_accumulation(expr, phi), (name, text)
+            _assert_canonical_slices(placed)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
+def test_block_diag_of_blocks_with_different_monomials(field):
+    # blocks with x, y^2 and 1, with no slice at all, with x*y and x, and with
+    # no rows or no columns, summed in every order
+    ring = GradedRing(field, ["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    blocks = [
+        LinearMapMatrix(space_labels(2), space_labels(3), ring, [[x, 0, 1], [0, y**2, 0]]),
+        LinearMapMatrix(space_labels(1), space_labels(1), ring, [[0]]),
+        LinearMapMatrix(space_labels(2), space_labels(2), ring, [[x * y, Fraction(1, 2) * x], [3, -(y**2)]]),
+        LinearMapMatrix((), space_labels(2), ring, ()),
+        LinearMapMatrix(space_labels(1), (), ring, [[]]),
+    ]
+    for order in itertools.permutations(range(len(blocks))):
+        chosen = [blocks[i] for i in order]
+        expected = block_diag_by_accumulation(chosen, order)
+        placed = matrices._block_diagonal([(b.slices, *b.shape) for b in chosen])
+        assert placed == expected.slices, order
+        _assert_canonical_slices(matrices._from_slices(expected.row_labels, expected.col_labels, ring, placed))
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
+def test_projection_coefficients_place_as_the_accumulating_oracle(field):
+    # the t-entries of [1_U | t*phi] and the base projection, on parts of
+    # degree 0, 1 and 2
+    model_u = proofstep.CoordinateModel(parse_functor("sum(const(1),id,tsym,talt)"), field, 2)
+    ring_t = _t_ring(field)
+    t = ring_t.var("t")
+    for entries in ([[1, 2, 0], [0, 1, -1]], [[0, 1, 0, 0], [0, 0, 0, 1]], [[3, 1, 2, 0], [1, 0, 1, 2]]):
+        phi = space_matrix(field, entries)
+        u, n = phi.shape[0], phi.shape[1]
+        full, base = proofstep.projection_coefficients(model_u, n, phi)
+        rows = [[int(a == b) for b in range(u)] + [e.convert(ring_t) * t for e in row]
+                for a, row in enumerate(boxed_rows(phi))]
+        parametrised = LinearMapMatrix(space_labels(u), space_labels(u + n), ring_t, rows)
+        assert full == induced_by_accumulation(model_u.normalized, parametrised)
+        assert base == induced_by_accumulation(model_u.normalized, base_projection(field, u, n))
+        _assert_canonical_slices(full)
+
+
+def test_per_phi_shift_maps_reduce_only_the_tensor_square_halves(monkeypatch):
+    # in the worked example at n = 8, each of the 28 per-phi maps of
+    # shift(2, sum(tsym, talt)) reduces an accumulator only in its two halves
+    # of the tensor square: the widening 1_U (+) phi and the direct sum are
+    # placed from canonical blocks
+    reduced = []  # per reduction, the function that asked for it
+    slices = matrices._SliceSum.slices
+
+    def recording_slices(self, *args):
+        frame = sys._getframe(1)
+        reduced.append((frame.f_back if frame.f_code.co_name == "matrix" else frame).f_code.co_name)
+        return slices(self, *args)
+
+    per_phi = []
+
+    def recording_induced_map(expr, phi):
+        start = len(reduced)
+        m = induced_map(expr, phi)
+        if isinstance(expr, ShiftF):
+            assert expr == ShiftF(2, SumF((TenSymF(), TenAltF())))
+            per_phi.append(reduced[start:])
+        return m
+
+    monkeypatch.setattr(matrices._SliceSum, "slices", recording_slices)
+    monkeypatch.setattr(proofstep, "induced_map", recording_induced_map)
+    assert proofstep.run_rank_one_example(8, F101).all_passed()
+    assert per_phi == [["_split_square_matrix"] * 2] * 28
+
+
+def test_matrices_render_one_row_at_a_time(monkeypatch):
+    m = induced_map(SymF(3, IdF()), _xy_matrix(F101, 3, 3, 95))
+    printed = _printed(m).splitlines()[2:]
+    rendered = []
+    render = GradedRing.render
+    monkeypatch.setattr(GradedRing, "render", lambda self, terms: rendered.append(terms) or render(self, terms))
+    rows = m.entry_texts()
+    first = next(rows)
+    assert len(rendered) == len(first) == len(m.col_labels) == 10
+    assert "[" + ", ".join(first) + "]" == printed[0]
+    # a row's terms are read from the slices only when that row is rendered:
+    # row 1, rewritten in place after row 0 is out, prints as rewritten
+    for at, _, block in m.slices.values():
+        if 1 in at:
+            block[at.index(1)][:] = [1] * len(block[0])
+    rewritten = _printed(m).splitlines()[2:]
+    assert rewritten[1] != printed[1]
+    assert ["[" + ", ".join(row) + "]" for row in rows] == rewritten[1:]
+
+
+def test_tensor_square_bases_are_built_once_per_shape():
+    functors._split_basis.cache_clear()
+    for phi in (space_matrix(F101, [[0, 1, 0, 0], [0, 0, 0, 1]]), space_matrix(F101, [[1, 0, 0, 0], [0, 0, 1, 0]])):
+        induced_map(parse_functor("sum(tsym,talt)"), phi)
+    info = functors._split_basis.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (2, 2, 64)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
+def test_every_matrix_of_an_induced_map_holds_canonical_slices(field, monkeypatch):
+    # every matrix that sum, quot, shift, tsym, talt, sym and ext build on
+    # scalar and t-polynomial maps, down to the inner ones, as _set receives it
+    phis = [_scalar_phi(field, 3, 4, 90), _scalar_phi(field, 2, 2, 91), space_matrix(field, [[0, 1, 0, 0], [0, 0, 0, 1]]),
+            _t_parametrised(field, 2, 3, 92), _affine_t(field, 3, 93), scaled(_affine_t(field, 2, 94), 3)]
+    built = []
+    set_ = LinearMapMatrix._set
+
+    def recording_set(self, *args):
+        set_(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(LinearMapMatrix, "_set", recording_set)
+    for text in ("sum(id,tsym,talt)", "quot(shift(2,sum(tsym,talt)),1)", "shift(2,sum(tsym,talt))",
+                 "sum(const(1),quot(id,0),sym(2,id))", "shift(1,ext(3,id))", "sym(3,id)", "ext(2,id)"):
+        for phi in phis:
+            induced_map(parse_functor(text), phi)
+    monkeypatch.undo()
+    assert len(built) >= 7 * len(phis) * 3
+    for m in built:
+        _assert_canonical_slices(m)
