@@ -12,11 +12,12 @@ lcm the leading monomial of h divides, unless lcm(i, h) or lcm(j, h) equals
 lcm(i, j); among the new pairs (k, h), M drops those whose lcm another's
 properly divides, F keeps one of those with equal lcm (none if one is
 coprime), and the coprime ones are dropped.  The leading monomials and lcms
-are packed ints (rings._Monomials): an lcm is a per-field max, a pair is
-coprime when its lcm is the sum of its leads, and divisibility is the guard
-test of division.  Pending pairs sit in a heap keyed by the packed lcm with
-its weighted degree, which orders as the term order, then by index (the
-normal strategy); a pair B drops leaves it when popped.
+are those of the basis's divisor set (rings._Divisors), packed at its one
+width: an lcm is a per-field max, a pair is coprime when its lcm is the sum
+of its leads, and divisibility is the guard test of division.  Pending pairs
+sit in the set's heap keyed by the packed lcm, which orders as the term
+order, then by index (the normal strategy); a pair B drops leaves it when
+popped, and its packed lcm is the top of its S-pair dividend.
 
 A division (reduce_poly, divide_exact) works on a mutable copy of the
 dividend whose packed monomials, a format only rings knows, sit in a heap
@@ -25,8 +26,8 @@ monomial multiple of a divisor's associate (monic over F_p, primitive
 integer over q: fraction-free).  The divisors form a set prepared once
 (rings._Divisors); buchberger extends its own as remainders join and builds
 each S-pair dividend from the packed associates of the pair.  A division
-that meets too large an exponent starts again with wider fields and, in
-reduce_poly, with the budget it started with.  The budget is spent once per
+that meets too large an exponent widens its set and starts again, in
+reduce_poly with the budget it started with.  The budget is spent once per
 pair taken from the heap and once per division step; a pair a criterion
 drops costs nothing.
 
@@ -44,7 +45,7 @@ from math import gcd
 
 from .errors import AlgebraError, BudgetExceededError
 from .fields import _q_raw
-from .rings import GradedPoly, _Divisors, _from_raw, _Monomials
+from .rings import GradedPoly, _Divisors, _from_raw
 
 DEFAULT_BUDGET = 50_000
 
@@ -120,25 +121,24 @@ def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
     gens = [g for g in gens if g]
     if not gens:
         return []
-    basis = _Divisors(gens[0].ring)
-    monomials, leads, dropped, pairs = _Monomials(basis.ring.weights, 1), [], set(), []
+    basis, dropped = _Divisors(gens[0].ring), set()
+    pairs = basis.pairs
 
     def join(h):
-        """Gebauer-Moeller update as h joins."""
-        basis.append(_monic(h))
-        e, new = monomials.packed(h.leading_item()[0], leads, pairs), len(leads)
-        lcm, key = monomials.lcm, monomials.key
-        dropped.update((i, j) for m, i, j in monomials.multiples(e, pairs)  # B
-                       if m not in (key(lcm(leads[i], e)), key(lcm(leads[j], e))))
-        # lex order refines divisibility: each new pair left drops those after it
+        """Gebauer-Moeller update as h joins, on the packed leads of the basis."""
+        basis.append(_monic(h))  # which may widen the leads and the pairs
+        *_, lcm, divides = basis.packing
+        *leads, e = [lead for lead, _, _ in basis.packed]
+        dropped.update((i, j) for m, i, j in pairs  # B
+                       if divides(e, m) and m not in (lcm(leads[i], e), lcm(leads[j], e)))
+        # the term order refines divisibility: each new pair left drops those after it
         # whose lcm its lcm divides (M, and F keeping the coprime one, else lowest k)
         candidates = sorted([(m, m != d + e, k) for k, d in enumerate(leads) for m in (lcm(d, e),)])
         while candidates:
             m, shared, k = candidates[0]
             if shared:  # a coprime pair is dropped only now, having served M and F
-                heappush(pairs, (key(m), k, new))
-            candidates = monomials.non_multiples(m, candidates)
-        leads.append(e)
+                heappush(pairs, (m, k, len(leads)))
+            candidates = [c for c in candidates if not divides(m, c[0])]
 
     for g in gens:
         join(g)
@@ -146,7 +146,7 @@ def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
         m, i, j = heappop(pairs)
         if (i, j) not in dropped:  # by criterion B
             budget.spend()
-            if remainder := reduce_poly((monomials.unpack(m), i, j), basis, budget):
+            if remainder := reduce_poly((m, i, j), basis, budget):
                 join(remainder)
     return basis.polys
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .errors import (
@@ -196,6 +196,12 @@ class VarietyPresentation(Record):
     def r_vars(self) -> tuple[str, ...]:
         return self.model.ring.vars_of_part(self.designated_r)
 
+    @cached_property
+    def q_ideal(self) -> "_QIdeal":
+        """The ideal of the q-generators, on whose one basis every stage of a
+        run on this presentation decides membership."""
+        return _QIdeal(self.q_generators)
+
 
 class DeltaReport(Record, frozen=True):
     """Minimal weighted degree of a supplied generator that survives
@@ -211,24 +217,30 @@ class DeltaReport(Record, frozen=True):
     witness: GradedPoly | None
 
 
-def _vanishing(polys, q_generators, budget_steps: int | None = None):
-    """For each polynomial in turn, whether it vanishes modulo the
-    q-generators.  Buchberger runs once, when the first nonzero polynomial
-    arrives; each reduction then runs on a copy of the budget it left."""
-    basis = None
-    for g in polys:
-        if g and basis is None:
-            budget = Budget() if budget_steps is None else Budget(budget_steps)
-            basis = _prepared(g.ring, buchberger(q_generators, budget) if any(q_generators) else ())
-        yield not g or (bool(basis.polys) and reduce_poly(g, basis, Budget(budget.remaining)).is_zero())
+class _QIdeal:
+    """Whether a polynomial vanishes modulo the q-generators, decided on one
+    Groebner basis: buchberger runs once, when the first nonzero polynomial
+    is asked about, from budget_steps (the default budget when None), and
+    each reduction then runs on a copy of the budget it left.  A run that
+    exhausted the budget is not kept; run again, it fails at its first pair."""
+
+    def __init__(self, q_generators, budget_steps: int | None = None):
+        self.q_generators, self.basis = tuple(q_generators), None
+        self.budget = Budget() if budget_steps is None else Budget(budget_steps)
+
+    def vanishes(self, g: GradedPoly) -> bool:
+        if g and self.basis is None:
+            self.basis = _prepared(g.ring, buchberger(self.q_generators, self.budget) if any(self.q_generators) else ())
+        return not g or (bool(self.basis.polys) and reduce_poly(g, self.basis, Budget(self.budget.remaining)).is_zero())
 
 
 def delta_degree(generators, q_generators, budget_steps: int | None = None) -> DeltaReport:
-    generators = tuple(generators)
+    """q_generators may be a presentation's _QIdeal, whose own budget holds."""
+    ideal = q_generators if type(q_generators) is _QIdeal else _QIdeal(q_generators, budget_steps)
     best = witness = None
     try:
-        for g, vanishes in zip(generators, _vanishing(generators, q_generators, budget_steps)):
-            if not vanishes and (best is None or g.weighted_degree() < best):
+        for g in generators:
+            if not ideal.vanishes(g) and (best is None or g.weighted_degree() < best):
                 best, witness = g.weighted_degree(), g
     except BudgetExceededError:
         return DeltaReport("inconclusive", None, None)
@@ -264,7 +276,7 @@ def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector) -> Deriva
         raise BadDirectionChoiceError(
             "directional derivative vanishes for this direction; pick another one"
         )
-    if next(_vanishing([h], X.q_generators)):
+    if X.q_ideal.vanishes(h):
         raise BadDirectionChoiceError(
             "directional derivative vanishes modulo the base projection; pick another direction"
         )
@@ -283,11 +295,8 @@ def usable_directions(data, X: VarietyPresentation) -> list[tuple[str, bool]]:
     the witness has data (derivative_step's), and report which give a
     derivative that survives modulo the base projection."""
     W = DirectionSubspace(X.model.ring, X.r_vars())
-    derivatives = (
-        specialise_joint(data, W.direction([int(v == name) for v in W.span_vars]), W) for name in W.span_vars
-    )
-    vanishing = _vanishing(derivatives, X.q_generators)
-    return [(name, not vanishes) for name, vanishes in zip(W.span_vars, vanishing)]
+    along = lambda name: specialise_joint(data, W.direction([int(v == name) for v in W.span_vars]), W)
+    return [(name, not X.q_ideal.vanishes(along(name))) for name in W.span_vars]
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +742,7 @@ def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis)
     that one (_pull_backs), then elimination; without projections nothing
     is extracted and eliminate refuses."""
     model_big = CoordinateModel(X.model.functor, X.model.field, X.model.dimension + n)
-    delta = delta_degree(X.generators, X.q_generators)
+    delta = delta_degree(X.generators, X.q_ideal)
     step = derivative_step(f, X, r0)
     phis = list(phis)
     universal, elements, model_2u = _pull_backs(X, f, step.data, model_big, phis) if phis else (None, [], None)

@@ -28,12 +28,13 @@ denominator, which is divided out once per nonzero result term (the
 fraction-free idea of Bareiss, Math. Comp. 22 (1968)).
 
 Division and Buchberger's pair update alone pack monomials into ints
-(_packing): the weighted degree on top, then one byte per variable whose top
-bit is a guard bit, so int order is the term order and divisibility is one
-subtraction and one mask test (cf. Monagan & Pearce, J. Symb. Comp. 46
-(2011); Bachmann & Schoenemann, ISSAC 1998).  A division that meets an
-exponent above 127 starts again with wider fields (_Divisors.divide); the
-pair update widens its monomials in place (_Monomials).  Ring products,
+(_packing): the weighted degree on top, then k bytes per variable whose top
+bit is a guard bit, so int order is the term order, divisibility is one
+subtraction and one mask test, and an lcm is a per-field max (cf. Monagan &
+Pearce, J. Symb. Comp. 46 (2011); Bachmann & Schoenemann, ISSAC 1998).  A
+divisor set (_Divisors) packs its associates and the pairs pending on them at
+one width, which only grows: a divisor or a division that meets an exponent
+that does not fit widens the set, repacking them in place.  Ring products,
 substitution, the Hasse calculus and the parser stay on exponent tuples.
 """
 
@@ -511,14 +512,18 @@ class _Overflow(Exception):
 
 @functools.cache
 def _packing(weights: tuple, k: int):
-    """(pack, unpack, guard) of monomials with these variable weights as ints:
-    the weighted degree over k bytes per exponent, earlier variables more
-    significant.  While every guard bit (the top bit of a field) is clear, l
-    divides m exactly when ((m | guard) - l) & guard == guard, m - l is the
-    quotient, and l + m sets a guard bit exactly when an exponent of the
-    product does not fit; pack raises _Overflow for such an exponent."""
+    """(pack, unpack, guard, lcm, divides) of monomials with these variable
+    weights as ints: the weighted degree over k bytes per exponent, earlier
+    variables more significant.  While every guard bit (the top bit of a
+    field) is clear, l divides m exactly when ((m | guard) - l) & guard ==
+    guard (divides(l, m)), m - l is the quotient, and l + m sets a guard bit
+    exactly when an exponent of the product does not fit; pack raises
+    _Overflow for such an exponent.  lcm is a per-field max: the guard bits of (a | guard) - b mark
+    the fields where a >= b, one product spreads each over its field, and the
+    weighted degree is put back on top."""
     low = 8 * k * len(weights)
     mask, guard = (1 << low) - 1, int.from_bytes(bytes([128] + [0] * (k - 1)) * len(weights), "big")
+    ones, scales = (1 << 8 * k) - 1, [w << 8 * i for w in weights for i in range(k)[::-1]]
     fields = bytes if k == 1 else lambda exps: b"".join(e.to_bytes(k, "big") for e in exps)
 
     def pack(exps):
@@ -538,7 +543,11 @@ def _packing(weights: tuple, k: int):
             return tuple(body)
         return tuple(int.from_bytes(body[i:i + k], "big") for i in range(0, len(body), k))
 
-    return pack, unpack, guard
+    def lcm(a, b):
+        m = a & (s := ((((a | guard) - b) & guard) >> 8 * k - 1) * ones) | b & (mask ^ s)
+        return sum(map(operator.mul, m.to_bytes(low // 8, "big"), scales)) << low | m
+
+    return pack, unpack, guard, lcm, lambda l, m: ((m | guard) - l) & guard == guard
 
 
 def _packed(pack, exps, a, items):
@@ -551,14 +560,18 @@ def _packed(pack, exps, a, items):
 
 
 class _Divisors:
-    """Nonzero divisors of one ring, in order, with their packed associates
-    (lead, a, items) at each width in use (None where one does not fit):
-    packed once and extended in place by append, not at every division."""
+    """Nonzero divisors of one ring, in order, with their associates packed
+    (lead, a, items) at the set's one width of k bytes per exponent, and the
+    heap of pairs (packed lcm, i, j) that buchberger keeps pending on them;
+    packing is _packing's tuple at k.  The set only grows, and so does k:
+    widen() repacks the associates and the pairs in place, and packing keeps
+    the pairs' order, and so the heap."""
 
-    __slots__ = ("ring", "polys", "packed")
+    __slots__ = ("ring", "polys", "packed", "pairs", "k", "packing")
 
     def __init__(self, ring: GradedRing, polys=()):
-        self.ring, self.polys, self.packed = ring, [], {}
+        self.ring, self.polys, self.packed, self.pairs = ring, [], [], []
+        self.k, self.packing = 1, _packing(ring.weights, 1)
         for g in polys:
             self.append(g)
 
@@ -567,61 +580,31 @@ class _Divisors:
             raise RingMismatchError(f"rings differ: {self.ring} vs {g.ring}")
         if g.terms:
             self.polys.append(g)
-            self.packed = {k: self._pack(k, packed, (g,)) for k, packed in self.packed.items()}
+            self.packed.append(g._associate()[3] if self.k == 1 else _packed(self.packing[0], *g._associate()[:3]))
+            if self.packed[-1] is None:
+                self.widen()
+
+    def widen(self, f=None):
+        """Double k, and again while a divisor does not fit; returns f, its
+        lcm repacked too if it is an S-pair (lcm, i, j)."""
+        unpack = self.packing[1]
+        packed = [None]
+        while None in packed:
+            self.k *= 2
+            self.packing = pack, *_ = _packing(self.ring.weights, self.k)
+            packed = [_packed(pack, *g._associate()[:3]) for g in self.polys]
+        self.packed = packed
+        self.pairs[:] = [(pack(unpack(m)), i, j) for m, i, j in self.pairs]
+        return (pack(unpack(f[0])), *f[1:]) if type(f) is tuple else f
 
     def divide(self, f, run):
-        """run(work) on a _Dividend of f, one byte per exponent, doubled while one does not fit."""
-        k = 1
+        """run(work) on a _Dividend of f at the set's width, widened while a
+        monomial does not fit; f may be the S-pair (lcm packed at that width, i, j)."""
         while True:
             try:
-                return run(_Dividend(f, self, k))
+                return run(_Dividend(f, self))
             except _Overflow:
-                k *= 2
-
-    def at(self, k: int) -> list:
-        """The packed associates at k bytes per exponent; _Overflow if one does not fit."""
-        if k not in self.packed:
-            self.packed[k] = self._pack(k, [], self.polys)
-        if self.packed[k] is None:
-            raise _Overflow
-        return self.packed[k]
-
-    def _pack(self, k, packed, polys):
-        if packed is not None:
-            pack = _packing(self.ring.weights, k)[0]
-            packed += (g._associate()[3] if k == 1 else _packed(pack, *g._associate()[:3]) for g in polys)
-            return None if None in packed else packed
-
-
-class _Monomials:
-    """buchberger's leading monomials and pair lcms, packed (_packing) without
-    the degree field at one width, doubled in place while one does not fit.
-    lcm is a per-field max: the guard bits of (a | guard) - b mark the fields
-    where a >= b, one product spreads each over its field.  key puts back the
-    weighted degree.  multiples(m, items) and non_multiples(m, items) split
-    the items (packed monomial, ...) by whether m divides their monomial."""
-
-    def __init__(self, weights: tuple, k: int):
-        self.weights, self.k, (self.pack, self.unpack, guard) = weights, k, _packing(weights, k)
-        low, ones, scales = 8 * k * len(weights), (1 << 8 * k) - 1, [w << 8 * i for w in weights for i in range(k)[::-1]]
-        self.body = body = (1 << low) - 1
-        self.lcm = lambda a, b: a & (m := ((((a | guard) - b) & guard) >> 8 * k - 1) * ones) | b & (body ^ m)
-        self.key = lambda m: sum(map(operator.mul, m.to_bytes(low // 8, "big"), scales)) << low | m
-        self.multiples = lambda m, items: [t for t in items if ((t[0] | guard) - m) & guard == guard]
-        self.non_multiples = lambda m, items: [t for t in items if ((t[0] | guard) - m) & guard != guard]
-
-    def packed(self, exps, leads: list, pairs: list) -> int:
-        """exps packed, the width doubled first while it does not fit, with
-        leads and the heap of pairs (key, i, j) repacked in place: packing
-        keeps their order, and so the heap."""
-        try:
-            return self.pack(exps) & self.body
-        except _Overflow:
-            unpack = self.unpack
-            self.__init__(self.weights, 2 * self.k)
-            leads[:] = [self.pack(unpack(m)) & self.body for m in leads]
-            pairs[:] = [(self.pack(unpack(m)), i, j) for m, i, j in pairs]
-            return self.packed(exps, leads, pairs)
+                f = self.widen(f)
 
 
 class _Dividend:
@@ -632,25 +615,28 @@ class _Dividend:
     deletion, so the leading term is found by popping the heap rather than
     scanning the terms (cf. Monagan & Pearce, "Sparse polynomial division
     using a heap", J. Symb. Comp. 46 (2011)).  Its terms are ints, scale
-    times the true polynomial (scale is 1 over F_p).  Its divisors are packed
-    associates.
+    times the true polynomial (scale is 1 over F_p).  Its divisors are the
+    packed associates of a divisor set, at the set's width.
     """
 
     __slots__ = ("p", "scale", "terms", "heap", "divisors", "guard", "exponents")
 
-    def __init__(self, f, divisors: _Divisors, k: int):
+    def __init__(self, f, divisors: _Divisors):
         """f is a polynomial or the S-pair (lcm, i, j) of two divisors with
-        associates (e, a, g'): a_j*x^(lcm-e_i)*g_i' - a_i*x^(lcm-e_j)*g_j'.
-        An lcm that is not a multiple of both leads is an InternalCheckError."""
-        self.p = divisors.ring.field.characteristic
-        pack, self.exponents, self.guard = _packing(divisors.ring.weights, k)
-        self.divisors = divisors.at(k)
+        associates (e, a, g'): a_j*x^(lcm-e_i)*g_i' - a_i*x^(lcm-e_j)*g_j',
+        lcm packed at the set's width.  An lcm that is not a multiple of both
+        leads is an InternalCheckError."""
+        self.p, self.divisors = divisors.ring.field.characteristic, divisors.packed
+        pack, self.exponents, self.guard, _, divides = divisors.packing
         if type(f) is tuple:
-            (ei, ai, gi), (ej, aj, gj) = self.divisors[f[1]], self.divisors[f[2]]
-            top, self.scale, self.terms, self.heap = pack(f[0]), 1, {}, []
+            top, i, j = f
+            (ei, ai, gi), (ej, aj, gj) = self.divisors[i], self.divisors[j]
+            self.scale, self.terms, self.heap = 1, {}, []
             for e in (ei, ej):
-                if ((top | self.guard) - e) & self.guard != self.guard:
-                    raise InternalCheckError(f"S-pair lcm {f[0]} is not a multiple of the lead {self.exponents(e)}")
+                if not divides(e, top):
+                    raise InternalCheckError(
+                        f"S-pair lcm {self.exponents(top)} is not a multiple of the lead {self.exponents(e)}"
+                    )
             self.sub_mul(gi, top - ei, -aj)
             self.sub_mul(gj, top - ej, ai)
             return

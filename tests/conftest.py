@@ -339,7 +339,7 @@ def s_polynomial(f, g):
     """a_g*x^(l-e_f)*f' - a_f*x^(l-e_g)*g' from the associates: a_f*a_g*S(f, g),
     the reference S-polynomial that buchberger's packed S-pairs are checked on."""
     pair = _Divisors(f.ring, (f, g))
-    spair = (tuple(map(max, f.leading_item()[0], g.leading_item()[0])), 0, 1)
+    spair = (pair.packing[0](tuple(map(max, f.leading_item()[0], g.leading_item()[0]))), 0, 1)
     return pair.divide(spair, lambda work: GradedPoly(
         f.ring, {work.exponents(m): _q_raw(c, work.scale) for m, c in work.terms.items()}, _canonical=True
     ))
@@ -359,7 +359,7 @@ def buchberger_by_tuples(gens, budget=None):
     before the pair data was packed: tuple max lcms, GradedRing.order_key
     heap keys and per-variable bit masks.  The reference that buchberger's
     bases, budgets and S-pair sequences are checked on; it reduces each
-    S-pair through groebner.reduce_poly too."""
+    S-pair through groebner.reduce_poly too, its lcm packed at the basis's width."""
     budget = budget or Budget()
     gens = [g for g in gens if g]
     if not gens:
@@ -398,7 +398,7 @@ def buchberger_by_tuples(gens, budget=None):
         if pending.pop((i, j), None) is None:  # dropped by criterion B
             continue
         budget.spend()
-        remainder = groebner.reduce_poly((lcm, i, j), basis, budget)
+        remainder = groebner.reduce_poly((basis.packing[0](lcm), i, j), basis, budget)
         if remainder:
             join(remainder)
     return basis.polys

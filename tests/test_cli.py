@@ -674,6 +674,19 @@ def test_an_escaping_budget_error_exits_3(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "inconclusive: normal-form step budget exceeded\n")
 
 
+def test_a_proof_step_runs_buchberger_once(capsys, monkeypatch):
+    """delta-degree and the derivative decide membership modulo the
+    q-generators on one basis per run."""
+    from polyfunctor import proofstep
+
+    runs, buchberger = [], proofstep.buchberger
+    q_generators = ("--q-generators", "y_1_1*y_2_2 - y_1_2^2 + y_1_1^2;y_1_1*y_1_2 - y_2_2^2")
+    monkeypatch.setattr(proofstep, "buchberger", lambda *args: runs.append(args) or buchberger(*args))
+    code, out, err = run_cli(capsys, *PROOFSTEP_ARGS, *q_generators)
+    assert (code, err, len(runs)) == (0, "", 1)
+    assert "all passed: true" in out.splitlines()
+
+
 def test_an_escaping_certificate_error_exits_3(capsys, monkeypatch):
     from polyfunctor import cli
 

@@ -18,7 +18,7 @@ from polyfunctor import (
     reduce_poly,
 )
 from polyfunctor.groebner import DEFAULT_BUDGET, buchberger, divide_exact
-from polyfunctor.rings import GradedPoly
+from polyfunctor.rings import GradedPoly, _packing
 
 from conftest import (
     F3, IDEALS, LARGE_IDEALS, Q, buchberger_by_tuples, normal_form, random_ideal, random_poly, s_polynomial,
@@ -403,21 +403,23 @@ def test_division_matches_fraction_reference(field, division_events):
         assert not any("r" in e for e in division_events)
 
 
-# -- exponents past one byte: a division that meets one starts again with
-# wider exponent fields and the budget it started with, and ends as the tuple
-# reference does ---------------------------------------------------------------
+# -- exponents past one byte: a division that meets one widens its divisor set
+# and starts again with the budget it started with, and ends as the tuple
+# reference does; a set holding a divisor past one byte divides at its width
+# from the start -------------------------------------------------------------
 
 @pytest.fixture
 def widths(monkeypatch):
-    """Bytes per exponent of each working polynomial a division builds."""
+    """Bytes per exponent of each working polynomial a division builds: the
+    width of its divisor set."""
     from polyfunctor.rings import _Dividend
 
     seen = []
     init = _Dividend.__init__
 
-    def logged(self, f, divisors, k):
-        seen.append(k)
-        init(self, f, divisors, k)
+    def logged(self, f, divisors):
+        seen.append(divisors.k)
+        init(self, f, divisors)
 
     monkeypatch.setattr(_Dividend, "__init__", logged)
     return seen
@@ -442,22 +444,23 @@ def test_division_with_exponents_past_one_byte(e, field, widths):
     ring = GradedRing(FieldDescriptor.parse(field), ["x", "y"])
     f = parse_polynomial(f"x^{e}*y + 1/2*x^3 - 7", ring)
     # x - y has leading term x: x^e*y becomes y^(e+1), which passes 127
-    # mid-division when e = 127; the second divisor does not fit one byte
-    for divisors in (["x - y"], ["x - y", f"y^{e + 1} - 3*y"]):
+    # mid-division when e = 127, so the dividend alone forces the restart; the
+    # second divisor does not fit one byte, so its set divides at two from the start
+    for divisors, expected in ((["x - y"], [1, 2]), (["x - y", f"y^{e + 1} - 3*y"], [2])):
         divisors = [parse_polynomial(text, ring) for text in divisors]
         widths.clear()
         budget = Budget(1000)
         remainder = reduce_poly(f, divisors, budget)
         assert (remainder.terms, budget.remaining) == _reference_reduce(f, divisors, 1000)
-        assert widths == [1, 2]
+        assert widths == expected
     g = parse_polynomial(f"2*y^{e} - x + 1", ring)
     for h in (f * g, f * g + 1, (ring.var("x") + 2) * g):
         widths.clear()
         ours = divide_exact(h, g)
         assert (None if ours is None else ours.terms) == _reference_quotient(h, g)
         # an exact division meets no exponent above those of its inputs
-        fits = max(max(exps) for exps in (*h.terms, *g.terms)) < 128
-        assert widths == ([1] if fits else [1, 2])
+        fits = [max(max(exps) for exps in terms) < 128 for terms in (h.terms, g.terms)]
+        assert widths == ([1] if all(fits) else [1, 2] if fits[1] else [2])
 
 
 def test_division_refuses_a_negative_exponent():
@@ -541,9 +544,10 @@ def test_spair_dividend_past_one_byte(field, spair_reductions):
     assert s_polynomial(f, g).terms == {(0, 139): 1, (159, 0): p - 1 if p else -1}
     basis = buchberger([f, g])
     assert len(spair_reductions) == 3 and len(basis) == 4
-    for ours, expected, own_widths in spair_reductions:
+    for ours, expected, _ in spair_reductions:
         assert ours == expected
-        assert own_widths == [1, 2]
+    # the first widens the basis, and the later ones divide at its width
+    assert [own_widths for _, _, own_widths in spair_reductions] == [[1, 2], [2], [2]]
 
 
 @pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
@@ -565,31 +569,32 @@ def test_s_polynomial_is_a_multiple_of_the_monic_s_polynomial(field):
                 assert all(type(c) is int for c in ours.terms.values())
 
 
-def test_prepared_set_extended_in_place_matches_a_fresh_one(widths):
-    from polyfunctor.rings import _Divisors, _Overflow
+def _packed_associates(polys, weights, k):
+    """The associates of the polynomials packed at k bytes per exponent, from their exponent tuples."""
+    pack = _packing(weights, k)[0]
+    return [(pack(e), a, tuple((pack(m), c) for m, c in items))
+            for e, a, items, _ in (g._associate() for g in polys)]
 
-    def packed(divisors, k):
-        try:
-            return divisors.at(k)
-        except _Overflow:
-            return None
+
+def test_prepared_set_extended_in_place_matches_a_fresh_one(widths):
+    from polyfunctor.rings import _Divisors
 
     ring = GradedRing(Q, ["x", "y"])
     texts = ("2*x^2 + y - 1/2", "-3*x*y^3 + 2", "0", "6*y^5 + x", "x^130*y - 1/3", "y - 7")
     polys = [parse_polynomial(text, ring) for text in texts]
     grown = _Divisors(ring)
-    one, two = grown.at(1), grown.at(2)  # built on no divisors, then extended
+    one = grown.packed  # built on no divisors, then extended in place until x^130*y widens it
     for n, g in enumerate(polys, 1):
         grown.append(g)
         fresh = _Divisors(ring, polys[:n])
         assert grown.polys == fresh.polys == [h for h in polys[:n] if h]
-        assert packed(grown, 1) == packed(fresh, 1) == (one if n < 5 else None)
-        assert packed(grown, 2) == packed(fresh, 2)
-        assert packed(grown, 2) is two and len(two) == len(fresh.polys)
+        assert grown.k == fresh.k == (1 if n < 5 else 2)
+        assert grown.packed == fresh.packed == _packed_associates(fresh.polys, ring.weights, fresh.k)
+        assert (grown.packed is one) == (n < 5) and len(grown.packed) == len(fresh.polys)
     h = parse_polynomial("x^131*y^2 + 5*x*y^4 - y", ring)
     widths.clear()
     assert reduce_poly(h, grown).terms == _reference_division(h.terms, [g.terms for g in grown.polys], 0)[1]
-    assert widths == [1, 2]
+    assert widths == [2]
 
 
 def test_spair_whose_lcm_is_no_multiple_of_a_lead_is_an_internal_check_error(widths):
@@ -601,11 +606,12 @@ def test_spair_whose_lcm_is_no_multiple_of_a_lead_is_an_internal_check_error(wid
     ring = GradedRing(Q, ["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     divisors = _Divisors(ring, [x**2 - y, x * y**2 - 1])
+    spair = (_packing(ring.weights, 1)[0]((1, 2)), 0, 1)
     with pytest.raises(InternalCheckError, match=r"^S-pair lcm \(1, 2\) is not a multiple of the lead \(2, 0\)$"):
-        _Dividend(((1, 2), 0, 1), divisors, 1)
+        _Dividend(spair, divisors)
     widths.clear()
     with pytest.raises(InternalCheckError):
-        divisors.divide(((1, 2), 0, 1), lambda work: work)
+        divisors.divide(spair, lambda work: work)
     assert widths == [1]
 
 
@@ -628,20 +634,20 @@ def test_prepared_set_refuses_a_foreign_ring(foreign_ring_case):
 
 @pytest.fixture
 def pair_widths(monkeypatch):
-    """Per call of _Monomials.packed, which calls itself once more after
-    widening: (bytes per exponent before, after, pairs in the heap then)."""
-    from polyfunctor.rings import _Monomials
+    """Per widening of a divisor set: (bytes per exponent before, after,
+    pairs in its heap then)."""
+    from polyfunctor.rings import _Divisors
 
     seen = []
-    packed = _Monomials.packed
+    widen = _Divisors.widen
 
-    def logged(self, exps, leads, pairs):
-        k, pending = self.k, len(pairs)
-        m = packed(self, exps, leads, pairs)
-        seen.append((k, self.k, pending))
-        return m
+    def logged(self, f=None):
+        k = self.k
+        f = widen(self, f)
+        seen.append((k, self.k, len(self.pairs)))
+        return f
 
-    monkeypatch.setattr(_Monomials, "packed", logged)
+    monkeypatch.setattr(_Divisors, "widen", logged)
     return seen
 
 
@@ -693,6 +699,50 @@ def test_pair_data_widens_with_pairs_pending(field, reduced_pairs, pair_widths):
     assert ours[2][:1] == [(0, 1)] and (1, 2, 2) in pair_widths
     assert ours == _pair_run(buchberger_by_tuples, gens, 1000, reduced_pairs)
     assert ours[0] is not None and ours[0][3].leading_item()[0] == (0, 139, 0)
+
+
+@pytest.mark.parametrize("field", ("q", "fp:101"))
+def test_a_set_packs_at_its_one_width_across_a_widening_with_pairs_pending(field, reduced_pairs, monkeypatch):
+    """Before and after each widening of buchberger's divisor set, its
+    associates and its pending pairs' lcms are packed at its one width, and
+    the pairs still form a heap."""
+    from polyfunctor.rings import _Divisors
+
+    fld = FieldDescriptor.parse(field)
+    ring = GradedRing(fld, [("x", "main", 1), ("y", "main", 2), ("z", "main", 3)])
+    rng = random.Random(f"one width {field}")
+    ideals = [[parse_polynomial(text, ring) for text in ("x^100*y + y^50", "x*y^90 + x^60", "y*z^90 + x^2")]]
+    ideals += [_weighted_ideal(rng, fld, wide=True) for _ in range(20)]
+
+    def at_one_width(divisors):
+        k, packed, pairs = divisors.k, divisors.packed, divisors.pairs
+        assert divisors.packing == _packing(divisors.ring.weights, k)
+        # a divisor that widens the set as it joins is packed only by the widening
+        assert packed == _packed_associates(divisors.polys[:len(packed)], divisors.ring.weights, k)
+        leads = [g.leading_item()[0] for g in divisors.polys]
+        pack = divisors.packing[0]
+        assert pairs == [(pack(tuple(map(max, leads[i], leads[j]))), i, j) for _, i, j in pairs]
+        assert all(pairs[(n - 1) // 2] <= pair for n, pair in enumerate(pairs) if n)
+
+    widen, widenings = _Divisors.widen, []
+
+    def checked(divisors, f=None):
+        at_one_width(divisors)
+        k, pending = divisors.k, len(divisors.pairs)
+        widened = widen(divisors, f)
+        at_one_width(divisors)
+        assert len(divisors.pairs) == pending and len(divisors.packed) == len(divisors.polys)
+        if type(f) is tuple:  # the S-pair whose division overflowed, its lcm repacked too
+            unpack, pack = _packing(divisors.ring.weights, k)[1], divisors.packing[0]
+            assert widened == (pack(unpack(f[0])), *f[1:])
+        widenings.append((k, divisors.k, pending))
+        return widened
+
+    monkeypatch.setattr(_Divisors, "widen", checked)
+    for gens in ideals:
+        ours = _pair_run(buchberger, gens, 1000, reduced_pairs)
+        assert ours == _pair_run(buchberger_by_tuples, gens, 1000, reduced_pairs)
+    assert (1, 2, 2) in widenings and sum(pending > 0 for *_, pending in widenings) >= 3
 
 
 @pytest.mark.parametrize("field", ("q", "fp:32003"))

@@ -177,7 +177,8 @@ def test_substitute_is_ring_homomorphism(f, g):
 
 
 # -- packed monomials of the division engine: int order is ring.order_key
-# order, the guard-bit test is componentwise <=, unpacking inverts packing ----
+# order, the guard-bit test is componentwise <=, the lcm is the componentwise
+# max, unpacking inverts packing ----------------------------------------------
 
 @st.composite
 def _packed_case(draw):
@@ -196,14 +197,15 @@ def _packed_case(draw):
 def test_packed_monomials_order_divide_and_round_trip(case):
     weights, k, a, b = case
     ring = GradedRing(Q, [(f"x{i}", "main", w) for i, w in enumerate(weights)])
-    pack, unpack, guard = _packing(ring.weights, k)
+    pack, unpack, guard, lcm, divides = _packing(ring.weights, k)
     ma, mb = pack(a), pack(b)
     assert (unpack(ma), unpack(mb)) == (a, b)
     assert (ma < mb, ma == mb) == (ring.order_key(a) < ring.order_key(b), a == b)
-    divides = all(x <= y for x, y in zip(a, b))
-    assert (((mb | guard) - ma) & guard == guard) == divides
-    if divides:
+    divisible = all(x <= y for x, y in zip(a, b))
+    assert (((mb | guard) - ma) & guard == guard) == divides(ma, mb) == divisible
+    if divisible:
         assert mb - ma == pack(tuple(y - x for x, y in zip(a, b)))
+    assert lcm(ma, mb) == lcm(mb, ma) == pack(tuple(map(max, a, b)))
     # a product sets a guard bit exactly when one of its exponents does not fit
     product = tuple(x + y for x, y in zip(a, b))
     fits = all(e < 2 ** (8 * k - 1) for e in product)
@@ -214,7 +216,7 @@ def test_packed_monomials_order_divide_and_round_trip(case):
 
 @pytest.mark.parametrize("k", (1, 2))
 def test_pack_refuses_an_exponent_that_does_not_fit(k):
-    pack, unpack, _ = _packing((1, 0, 3), k)
+    pack, unpack, *_ = _packing((1, 0, 3), k)
     top = 2 ** (8 * k - 1) - 1
     assert unpack(pack((top, 0, top))) == (top, 0, top)
     for e in (top + 1, 2 ** (8 * k) - 1, 2 ** (8 * k), 300 * 2 ** (8 * k)):

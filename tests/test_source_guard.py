@@ -51,6 +51,16 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_name_is_imported_twice():
+    """A second module-level import of a bound name is dead, and
+    test_no_unused_imports cannot see it: the name is read."""
+    twice = []
+    for name, tree in MODULES.items():
+        bound = [b for _, b in _imported_names(tree)]
+        twice += [f"{name}:{line} {b}" for n, (line, b) in enumerate(_imported_names(tree)) if b in bound[:n]]
+    assert twice == []
+
+
 def test_no_module_imports_dataclasses_or_typing():
     """Records derive from errors.Record: dataclasses (with the inspect module
     it loads) and typing would cost every command line call their import."""
