@@ -8,7 +8,9 @@ built-in relabelling that is refused in characteristic 2).
 
 Every expression normalises to a direct sum of homogeneous summands, where
 summand multiplicities are carried as constant tensor factors so induced
-maps stay uniform.  Bases are explicit and deterministic: symmetric powers
+maps stay uniform; one formula (_power_dim) gives the dimension of a power
+to dim and to normalisation, and one rule (label_vdeg) the moving degree
+of a basis label.  Bases are explicit and deterministic: symmetric powers
 use sorted multisets, exterior powers strictly increasing index tuples,
 tensor products row-major composite indices; matrices of induced maps carry
 these labels so every entry is auditable.  Induced maps work on the monomial
@@ -206,16 +208,19 @@ def dim(expr: FunctorExpr, n: int) -> int:
         return sum(dim(p, n) for p in expr.parts)
     if isinstance(expr, TensorF):
         return prod(dim(f, n) for f in expr.factors)
-    if isinstance(expr, SymF):
-        # S^0 of a zero space is the line of constants
-        return comb(max(dim(expr.inner, n) + expr.power - 1, 0), expr.power)
-    if isinstance(expr, ExtF):
-        return comb(dim(expr.inner, n), expr.power)
+    if isinstance(expr, (SymF, ExtF)):
+        return _power_dim(dim(expr.inner, n), expr.power, isinstance(expr, ExtF))
     if isinstance(expr, ShiftF):
         return dim(expr.inner, n + expr.by)
     if isinstance(expr, QuotF):
         return sum(dim(s, n) for s in expr.kept_summands())
     raise AlgebraError(f"unknown expression {expr!r}")
+
+
+def _power_dim(size: int, power: int, alternating: bool) -> int:
+    """Dimension of the exterior (alternating) or symmetric power of a
+    space of the given size; S^0 of a zero space is the line of constants."""
+    return comb(size, power) if alternating else comb(max(size + power - 1, 0), power)
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +267,14 @@ def _tensor_combine(factors) -> FunctorExpr | None:
     return TensorF(tuple(flat))
 
 
-def _sym_atom(power: int, summand: FunctorExpr) -> FunctorExpr:
+def _power_atom(power: int, summand: FunctorExpr, alternating: bool) -> FunctorExpr:
     if power == 0:
         return ConstF(1)
     if isinstance(summand, ConstF):
-        return ConstF(comb(summand.size + power - 1, power))
+        return ConstF(_power_dim(summand.size, power, alternating))
     if power == 1:
         return summand
-    return SymF(power, summand)
-
-
-def _ext_atom(power: int, summand: FunctorExpr) -> FunctorExpr:
-    if power == 0:
-        return ConstF(1)
-    if isinstance(summand, ConstF):
-        return ConstF(comb(summand.size, power))
-    if power == 1:
-        return summand
-    return ExtF(power, summand)
+    return (ExtF if alternating else SymF)(power, summand)
 
 
 def _shift_inward(u: int, expr: FunctorExpr) -> FunctorExpr:
@@ -334,12 +329,12 @@ def normalize(expr: FunctorExpr) -> tuple[FunctorExpr, ...]:
                 out.append(combined)
         return tuple(out)
     if isinstance(expr, (SymF, ExtF)):
-        atom_of = _sym_atom if isinstance(expr, SymF) else _ext_atom
         inner = normalize(expr.inner)
+        alternating = [isinstance(expr, ExtF)] * len(inner)
         out = []
         for comp in _compositions(expr.power, len(inner)):
             # a zero atom makes the product zero, which _tensor_combine drops
-            combined = _tensor_combine(map(atom_of, comp, inner))
+            combined = _tensor_combine(map(_power_atom, comp, inner, alternating))
             if combined is not None:
                 out.append(combined)
         return tuple(out)
@@ -448,48 +443,23 @@ def leaf_indices(label) -> list[int]:
     raise AlgebraError(f"unknown basis label {label!r}")
 
 
-def label_vdeg(label, split: int) -> int:
-    """Number of leaf indices at or beyond the split point.
-
-    Scaling the coordinates from the split point onward by t multiplies the
-    basis element by t to this power, so the value is the homogeneous degree
-    of the basis element over the moving part of a shifted space.
-    """
-    return len([i for i in leaf_indices(label) if i >= split])
-
-
-def _expr_label_vdeg(expr: FunctorExpr, label, split: int) -> int:
-    """label_vdeg of a basis label of expr, where the split point is raised
-    by b under every shift(b, .): its first b leaf indices are constant."""
+def label_vdeg(expr: FunctorExpr, label, split: int) -> int:
+    """Moving degree of a basis label of expr: the number of its leaf
+    indices at or beyond the split point, the split raised by b under every
+    shift(b, .), whose first b leaf indices are constant.  Scaling the
+    coordinates from the split point on by t scales the basis element by t
+    to this power (its torus weight): its degree over the moving part."""
     if isinstance(expr, ShiftF):
-        return _expr_label_vdeg(expr.inner, label, split + expr.by)
+        return label_vdeg(expr.inner, label, split + expr.by)
     if isinstance(expr, SumF):
-        return _expr_label_vdeg(expr.parts[label[1]], label[2], split)
+        return label_vdeg(expr.parts[label[1]], label[2], split)
     if isinstance(expr, TensorF):
-        return sum(_expr_label_vdeg(f, sub, split) for f, sub in zip(expr.factors, label[1]))
+        return sum(label_vdeg(f, sub, split) for f, sub in zip(expr.factors, label[1]))
     if isinstance(expr, (SymF, ExtF)):
-        return sum(_expr_label_vdeg(expr.inner, sub, split) for sub in label[1])
+        return sum(label_vdeg(expr.inner, sub, split) for sub in label[1])
     # the remaining labels hold no shift: quotient labels index shift-free
     # normalised summands
-    return label_vdeg(label, split)
-
-
-def shift_label(label, by: int):
-    """Relabel a basis element by translating every leaf index upward."""
-    tag = label[0]
-    if tag == "k":
-        return label
-    if tag == "v":
-        return ("v", label[1] + by)
-    if tag == "s":
-        return ("s", label[1], shift_label(label[2], by))
-    if tag == "t":
-        return ("t", tuple(shift_label(sub, by) for sub in label[1]))
-    if tag in ("sym", "ext"):
-        return (tag, tuple(shift_label(sub, by) for sub in label[1]))
-    if tag in ("y", "z"):
-        return (tag, label[1] + by, label[2] + by)
-    raise AlgebraError(f"unknown basis label {label!r}")
+    return len([i for i in leaf_indices(label) if i >= split])
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +687,8 @@ def shift_maps(P: FunctorExpr, field: FieldDescriptor, u: int, n: int) -> ShiftM
     d = P.degree()
     big_labels = alpha.row_labels  # basis at u+n
     small_labels = alpha.col_labels  # basis at n
-    top_cols = [i for i, lab in enumerate(big_labels) if _expr_label_vdeg(P, lab, u) == d]
-    top_rows = [i for i, lab in enumerate(small_labels) if _expr_label_vdeg(P, lab, 0) == d]
+    top_cols = [i for i, lab in enumerate(big_labels) if label_vdeg(P, lab, u) == d]
+    top_rows = [i for i, lab in enumerate(small_labels) if label_vdeg(P, lab, 0) == d]
     iso = len(top_cols) == len(top_rows)
     if iso and top_rows:
         # the top block, read off beta's constant slice, has the rank of its nonzero rows and columns

@@ -5,11 +5,13 @@ on the value at a base space, and a direction in the designated summand, the
 pipeline produces: the minimal-degree report for the supplied generators,
 the directional derivative h with its level, the induced map of the
 parametrised projection with its projection identities checked on its
-slices in the parameter, the affine-additive coefficient k
-extracted from the pullback of f once, along the universal projection, each
-supplied projection's k the universal k pulled back, and finally a
-Cramer-rule certificate that expresses each moving top-summand coordinate
-over the retained coordinates with denominators that are powers of h.
+slices in the parameter and the derivative-compatibility identity, its
+direction read off the induced map of [0 | phi], the affine-additive
+coefficient k extracted from the pullback of f once, along the universal
+projection, each supplied projection's k the universal k pulled back, and
+finally a Cramer-rule certificate that expresses each moving top-summand
+coordinate over the retained coordinates with denominators that are powers
+of h.
 
 One stage runner does all of this; run_proofstep reports its formal
 checks, and the worked rank-one tensor example runs the same stages and adds
@@ -54,7 +56,6 @@ from .functors import (
     induced_map,
     label_vdeg,
     leaf_indices,
-    shift_label,
     split_tensor_square,
 )
 from .groebner import (
@@ -149,14 +150,12 @@ class CoordinateModel:
     def moving_vars(self, label: str, split: int) -> tuple[str, ...]:
         """Variables of the summand whose basis elements are fully supported
         beyond the split point (top-degree block of the shifted picture)."""
-        s = self.decomposition.summand(label)
-        out = []
-        for full in self.full_labels:
-            if full[1] != self.decomposition.index_of(label):
-                continue
-            if label_vdeg(full[2], split) == s.degree:
-                out.append(self.name_of[full])
-        return tuple(out)
+        idx = self.decomposition.index_of(label)
+        degree = self.decomposition.summands[idx].degree
+        return tuple(
+            self.name_of[full] for full in self.full_labels
+            if full[1] == idx and label_vdeg(self.normalized, full, split) == degree
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +321,13 @@ def _nonzero_entries(slice_) -> dict:
 
 
 def projection_coefficients(model_u: CoordinateModel, n: int, phi: LinearMapMatrix):
-    """The induced maps of the parametrised projection [1_U | t*phi], over
-    the ring in t, and of the plain projection onto the base block, with the
-    projection identities checked on the t^i slices of the first: the t^i
-    coefficient acts only on basis vectors of moving degree i, the t^0
-    coefficient is the plain projection's map, and on each homogeneous part
-    of degree e the t^e coefficient is the map of [0 | phi].  A run builds
-    them once, for the universal projection phi = 1_U from the 2u-space."""
+    """The induced maps (full, base, top) of the parametrised projection
+    [1_U | t*phi], over the ring in t, of the plain projection onto the base
+    block and of [0 | phi], with the projection identities checked on the
+    t^i slices of full: the t^i coefficient acts only on basis vectors of
+    moving degree i, the t^0 coefficient is base, and on each homogeneous
+    part of degree e the t^e coefficient is top.  A run builds them once,
+    for the universal projection phi = 1_U from the 2u-space."""
     u = model_u.dimension
     fld = model_u.field
     rows, cols, block = _check_projection(model_u, n, phi)
@@ -347,14 +346,14 @@ def projection_coefficients(model_u: CoordinateModel, n: int, phi: LinearMapMatr
     for (power,), slice_ in full.slices.items():
         # a basis label of a degree-e part has e leaf indices, so its moving
         # degree is at most e: this also bounds the t-degree on each part by e
-        if any(label_vdeg(full.col_labels[j][2], u) != power for j in slice_[1]):
+        if any(label_vdeg(model_u.normalized, full.col_labels[j], u) != power for j in slice_[1]):
             raise InternalCheckError("coefficient matrix misses the vanishing pattern")
         ends.update((ij, v) for ij, v in _nonzero_entries(slice_).items() if col_degree[ij[1]] == power)
     empty = ((), (), [])
     constant = _nonzero_entries(full.slices.get((0,), empty))
     if constant != _nonzero_entries(base.slices.get((), empty)) or ends != _nonzero_entries(top.slices.get((), empty)):
         raise InternalCheckError("coefficient matrix mismatch at the ends")
-    return full, base
+    return full, base, top
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ def extract_additive_element(
     if not data.dependent:
         raise PresentationError("the witness does not involve the designated top-degree coordinates")
 
-    full, base = projection_coefficients(model_u, model_big.dimension - u, phi)
+    full, base, top = projection_coefficients(model_u, model_big.dimension - u, phi)
     t_name = fresh_name("t", set(model_big.ring.names))
     ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
     # pull back every base-side coordinate through the parametrised matrix
@@ -405,7 +404,7 @@ def extract_additive_element(
     power = model_big.normalized.degree() * model_big.field.char_exponent**data.level
     k = pullback.coeff_of_power(t_name, power, model_big.ring)
     element = _affine_element(k, data.level, model_big.moving_vars(r_label, u), pullback)
-    _check_derivative_formula(data, model_u, model_big, base, phi, element.additive_part, element.eliminated, r_label)
+    _check_derivative_formula(data, model_u, model_big, base, top, element.additive_part, element.eliminated)
     return element
 
 
@@ -455,7 +454,7 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, data, model_big: Coordina
     identity = space_matrix(model_u.field, [[int(a == b) for b in range(u)] for a in range(u)])
     universal = extract_additive_element(f, data, model_u, model_2u, identity, r_label)
     shifted = ShiftF(u, model_big.normalized)
-    vdeg = {lab: label_vdeg(lab, u) for lab in model_2u.full_labels + model_big.full_labels}
+    vdeg = {lab: label_vdeg(m.normalized, lab, u) for m in (model_2u, model_big) for lab in m.full_labels}
     moving = model_big.moving_vars(r_label, u)
     elements = []
     for phi in phis:
@@ -477,17 +476,17 @@ def _check_derivative_formula(
     model_u: CoordinateModel,
     model_big: CoordinateModel,
     base: LinearMapMatrix,
-    phi: LinearMapMatrix,
+    top: LinearMapMatrix,
     additive_part: dict,
     moving,
-    r_label: str,
 ):
     """(additive part of k at a symbolic direction r) = (derivative of f
     along R(phi)r) pulled back through the base projection, as one formal
     identity in the original variables plus one copy per moving coordinate;
-    dd_f is the directional data of f along the designated summand and base
-    the induced map of the base projection (projection_coefficients')."""
-    u = model_u.dimension
+    dd_f is the directional data of f along the designated summand R, base
+    the induced map of the base projection and top that of [0 | phi]
+    (projection_coefficients'), whose rows on R are R(phi) on R's moving
+    coordinates: the direction is read off them, on the copies."""
     q_power = model_u.field.char_exponent ** dd_f.level
     joint_ring, copies = doubled_ring(model_big.ring, moving, "_w")
     copy_of_big = dict(copies)
@@ -495,16 +494,13 @@ def _check_derivative_formula(
     for name, coeff in additive_part.items():
         lhs = lhs + coeff.convert(joint_ring) * joint_ring.var(copy_of_big[name]) ** q_power
 
-    # base projection pullback of the base-side coordinates
-    forms = row_forms(base, joint_ring, [model_big.name_of[lab] for lab in base.col_labels])
-    mapping = {model_u.name_of[lab]: form for lab, form in zip(base.row_labels, forms)}
-    # substitute the symbolic direction through the summand map of phi
-    r_idx = model_u.decomposition.index_of(r_label)
-    r_map = induced_map(model_u.decomposition.summand(r_label).expr, phi)
-    copy_names = [copy_of_big[model_big.name_of[("s", r_idx, shift_label(lab, u))]] for lab in r_map.col_labels]
-    forms = dict(zip(r_map.row_labels, row_forms(r_map, joint_ring, copy_names)))
+    # base projection pullback of the base-side coordinates; top has the same columns
+    names = [model_big.name_of[lab] for lab in base.col_labels]
+    mapping = {model_u.name_of[lab]: form for lab, form in zip(base.row_labels, row_forms(base, joint_ring, names))}
+    # substitute the symbolic direction through the rows of [0 | phi], on the copies
+    forms = dict(zip(top.row_labels, row_forms(top, joint_ring, [copy_of_big.get(name, name) for name in names])))
     for orig, copy in dd_f.copies:
-        mapping[copy] = forms[model_u.label_of[orig][2]]
+        mapping[copy] = forms[model_u.label_of[orig]]
     rhs = dd_f.joint.substitute(mapping)
     if rhs != lhs:
         raise InternalCheckError("derivative-compatibility identity failed")
@@ -815,9 +811,7 @@ def _segre_map(model: CoordinateModel, kept=()) -> dict:
     signs = {"y": fld.raw(Fraction(1, 2)), "z": fld.raw(Fraction(-1, 2))}
     unit = (0,) * len(ring.names)
     segre = {name: ring.var(name) for name in ring.names[2 * m:]}
-    for name in model.ring.names:
-        s, a, b = name.split("_")
-        a, b = int(a) - 1, int(b) - 1
+    for (_, _, (s, a, b)), name in model.name_of.items():
         va_wb = unit[:a] + (1,) + unit[a + 1:m + b] + (1,) + unit[m + b + 1:]
         vb_wa = unit[:b] + (1,) + unit[b + 1:m + a] + (1,) + unit[m + a + 1:]
         terms = {va_wb: 1} if a == b else {va_wb: signs["y"], vb_wa: signs[s]}

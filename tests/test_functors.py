@@ -14,6 +14,7 @@ from polyfunctor import (
     IdF,
     ParseError,
     QuotF,
+    RingVariable,
     ShiftF,
     SumF,
     SymF,
@@ -404,10 +405,35 @@ def test_basis_labels_deterministic_and_degree_aware():
     expr = SymF(2, IdF())
     labels = basis_labels(expr, 2)
     assert len(labels) == 3
-    assert all(label_vdeg(lab, 0) == 2 for lab in labels)
+    assert all(label_vdeg(expr, lab, 0) == 2 for lab in labels)
     # moving degree counts indices beyond the split point
-    split_counts = sorted(label_vdeg(lab, 1) for lab in labels)
+    split_counts = sorted(label_vdeg(expr, lab, 1) for lab in labels)
     assert split_counts == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "text", ["shift(1,sym(2,id))", "quot(shift(2,sum(tsym,talt)),1)", "tensor(const(2),sym(2,id))"]
+)
+def test_label_vdeg_is_the_torus_weight(text):
+    # 1_U (+) t*1_n scales each basis vector of expr at u + n by t to its
+    # torus weight, the moving degree of its label: the exponent of t in
+    # its diagonal entry, on a diagonal induced map
+    expr, u, n = parse_functor(text), 1, 2
+    ring_t = GradedRing(Q, (RingVariable("t", "aux", 0),))
+    t = ring_t.var("t")
+    torus = [[(1 if a < u else t) if a == b else 0 for b in range(u + n)] for a in range(u + n)]
+    m = induced_map(expr, LinearMapMatrix(space_labels(u + n), space_labels(u + n), ring_t, torus))
+    weight = {}
+    for (power,), (rows, cols, block) in m.slices.items():
+        for i, row in zip(rows, block):
+            for j, v in zip(cols, row):
+                if v:
+                    assert (i, j, v) == (j, i, 1)
+                    weight[i] = power
+    labels = basis_labels(expr, u + n)
+    assert m.row_labels == labels and sorted(weight) == list(range(len(labels)))
+    assert [label_vdeg(expr, lab, u) for lab in labels] == [weight[i] for i in range(len(labels))]
+    assert set(weight.values()) == set(range(expr.degree() + 1))
 
 
 def test_normalize_merges_constants():

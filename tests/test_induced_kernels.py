@@ -850,20 +850,23 @@ def test_block_diag_of_blocks_with_different_monomials(field):
 
 @pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
 def test_projection_coefficients_place_as_the_accumulating_oracle(field):
-    # the t-entries of [1_U | t*phi] and the base projection, on parts of
-    # degree 0, 1 and 2
+    # the t-entries of [1_U | t*phi], the base projection and [0 | phi], on
+    # parts of degree 0, 1 and 2
     model_u = proofstep.CoordinateModel(parse_functor("sum(const(1),id,tsym,talt)"), field, 2)
     ring_t = _t_ring(field)
     t = ring_t.var("t")
     for entries in ([[1, 2, 0], [0, 1, -1]], [[0, 1, 0, 0], [0, 0, 0, 1]], [[3, 1, 2, 0], [1, 0, 1, 2]]):
         phi = space_matrix(field, entries)
         u, n = phi.shape[0], phi.shape[1]
-        full, base = proofstep.projection_coefficients(model_u, n, phi)
+        full, base, top = proofstep.projection_coefficients(model_u, n, phi)
         rows = [[int(a == b) for b in range(u)] + [e.convert(ring_t) * t for e in row]
                 for a, row in enumerate(boxed_rows(phi))]
         parametrised = LinearMapMatrix(space_labels(u), space_labels(u + n), ring_t, rows)
         assert full == induced_by_accumulation(model_u.normalized, parametrised)
         assert base == induced_by_accumulation(model_u.normalized, base_projection(field, u, n))
+        zero_phi = LinearMapMatrix(space_labels(u), space_labels(u + n), scalar_entry_ring(field),
+                                   [[0] * u + list(row) for row in boxed_rows(phi)])
+        assert top == induced_by_accumulation(model_u.normalized, zero_phi)
         _assert_canonical_slices(full)
 
 

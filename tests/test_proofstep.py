@@ -33,7 +33,7 @@ from polyfunctor import (
     usable_directions,
 )
 from polyfunctor.fields import Scalar
-from polyfunctor.functors import IdF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, induced_map
+from polyfunctor.functors import IdF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, induced_map, parse_functor
 from polyfunctor.groebner import divide_exact
 from polyfunctor.hasse import joint_additivity_holds, joint_scaling_holds, specialise_joint
 from polyfunctor import proofstep
@@ -308,7 +308,7 @@ def test_projection_coefficients_block_formula():
     model_u = CoordinateModel(P, field, 2)
     n = 3
     phi = pair_projection(field, n, 1, 2)
-    full, _ = projection_coefficients(model_u, n, phi)
+    full, _, _ = projection_coefficients(model_u, n, phi)
     assert set(model_u.decomposition.parts) == {2}
     assert _t_powers(full) == {0, 1, 2}
     model_big = CoordinateModel(P, field, 5)
@@ -329,7 +329,7 @@ def test_projection_coefficients_vanishing_pattern_symmetric_square():
     P = SymF(2, IdF())
     model_u = CoordinateModel(P, Q, 2)
     phi = space_matrix(Q, [[1, 0], [0, 1]])
-    full, _ = projection_coefficients(model_u, 2, phi)
+    full, _, _ = projection_coefficients(model_u, 2, phi)
     assert _t_powers(full) == {0, 1, 2}
 
 
@@ -371,11 +371,11 @@ def test_projection_coefficients_catch_a_changed_moving_degree(monkeypatch):
     # one column label of the symmetric square read one moving degree higher
     model_u = CoordinateModel(SymF(2, IdF()), Q, 2)
     phi = space_matrix(Q, [[1, 0], [0, 1]])
-    full, _ = projection_coefficients(model_u, 2, phi)
+    full, _, _ = projection_coefficients(model_u, 2, phi)
     _, cols, _ = full.slices[(1,)]
-    label = full.col_labels[cols[0]][2]
+    label = full.col_labels[cols[0]]
     real = proofstep.label_vdeg
-    monkeypatch.setattr(proofstep, "label_vdeg", lambda lab, split: real(lab, split) + (lab == label))
+    monkeypatch.setattr(proofstep, "label_vdeg", lambda expr, lab, split: real(expr, lab, split) + (lab == label))
     with pytest.raises(InternalCheckError, match="coefficient matrix misses the vanishing pattern"):
         projection_coefficients(model_u, 2, phi)
 
@@ -880,6 +880,61 @@ def test_extraction_checks_the_derivative_formula(monkeypatch):
     monkeypatch.setattr(proofstep, "_affine_element", doubled)
     with pytest.raises(InternalCheckError, match="^derivative-compatibility identity failed$"):
         extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1")
+
+
+F101 = FieldDescriptor.prime_field(101)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
+def test_extraction_checks_the_direction_map(field, monkeypatch):
+    # [0 | phi]'s map, off whose rows the direction is read, with every
+    # entry doubled: the right side of the identity changes, the left does not
+    model_u, f, _, model_big, phi = _split_extraction(field)
+    real = proofstep.projection_coefficients
+
+    def doubled_top(*args):
+        full, base, top = real(*args)
+        slices = {e: (rows, cols, [[field.raw(2 * v) for v in row] for row in block])
+                  for e, (rows, cols, block) in top.slices.items()}
+        wrong = LinearMapMatrix.__new__(LinearMapMatrix)
+        wrong._set(top.row_labels, top.col_labels, top.ring, slices)
+        return full, base, wrong
+
+    monkeypatch.setattr(proofstep, "projection_coefficients", doubled_top)
+    with pytest.raises(InternalCheckError, match="^derivative-compatibility identity failed$"):
+        extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1")
+
+
+PHI_ROWS = ([[1, 2, 0], [0, 1, -1]], [[1, 0, 3], [2, 1, 1]], [[0, 1, 1], [1, 0, 5]])
+
+# (functor, witness at u = 2, designated summand): one per kind of label of
+# the designated summand, v, t, sym, ext, y, z and a tensor factor's k
+DESIGNATED_KINDS = [
+    ("id", "p0_1^2 + p0_1*p0_2", "p0"),
+    ("tensor(id,id)", "x_1_1*x_2_2 - x_1_2*x_2_1", "p0"),
+    ("sum(id,sym(2,id))", "p1_1*p1_3 - p1_2^2 + p0_1^2*p1_2", "p1"),
+    ("sum(id,ext(2,id))", "p1_1^2 + p0_1*p0_2*p1_1", "p1"),
+    ("sum(id,sym(3,id))", "p1_1*p1_4 - p1_2*p1_3 + p0_1^3*p1_2", "p1"),
+    ("sum(tsym,talt)", "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2", "p0"),
+    ("sum(tsym,talt)", "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2", "p1"),
+    ("sum(id,tensor(const(2),sym(2,id)))", "p1_1*p1_6 - p1_3*p1_4 + p0_1*p0_2*p1_1", "p1"),
+]
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
+@pytest.mark.parametrize("text, witness, part", DESIGNATED_KINDS)
+def test_extraction_passes_the_derivative_check_on_every_kind_of_summand(field, text, witness, part, monkeypatch):
+    # at three general phis the identity is checked, and is not 0 = 0
+    functor = parse_functor(text)
+    model_u, model_big = CoordinateModel(functor, field, 2), CoordinateModel(functor, field, 5)
+    f = parse_polynomial(witness, model_u.ring)
+    checked = []
+    real = proofstep._check_derivative_formula
+    monkeypatch.setattr(proofstep, "_check_derivative_formula", lambda *args: checked.append(args) or real(*args))
+    for rows in PHI_ROWS:
+        el = extract_additive_element(f, witness_data(f, model_u, part), model_u, model_big, space_matrix(field, rows), part)
+        assert el.additive_part and set(el.additive_part) <= set(el.eliminated)
+    assert len(checked) == 3
 
 
 @pytest.mark.parametrize("field", ["q", "fp:3"])
