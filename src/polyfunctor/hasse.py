@@ -5,15 +5,17 @@ multi-index binomial rule D^(r)_w x^a = sum over |b| = r of
 prod_i C(a_i, b_i) w_i^b_i x^(a - b), with every binomial reduced into the
 field by Lucas' theorem, so it is well defined over every field and needs
 no change of basis or substitution.  It runs on exponent classes: the terms
-of f that share their exponents a on the direction axes.  For each class
-and each b the multiplier prod_i C(a_i, b_i) w_i^b_i and the shift b are
-formed once, and every term of the class then costs one exponent
-subtraction and one addition.  With a concrete w it gives the r-th
-Hasse derivative, the t^r Taylor coefficient of f(x + t*w).  For a subspace
-W spanned by designated variables and a symbolic w (one copy per
-W-variable) it gives the t^r slice of f(w' + t*w): the slices sum to the
-Taylor expansion, and the first nonzero one in increasing r is the joint
-coefficient h(w', w).  Its power is always a power of the characteristic
+of f that share their exponents a on the direction axes.  They are grouped
+once per set of axes and padding and kept with f: all Hasse orders along
+one direction read one grouping, and the Taylor expansion and the
+directional data one each.  For each class and each b the multiplier
+prod_i C(a_i, b_i) w_i^b_i and the shift b are formed once, and every term
+of the class then costs one exponent subtraction and one addition.  With a
+concrete w it gives the r-th Hasse derivative, the t^r Taylor coefficient
+of f(x + t*w).  For a subspace W spanned by designated variables and a
+symbolic w (one copy per W-variable) it gives the t^r slice of
+f(w' + t*w): the slices sum to the Taylor expansion, and the first nonzero
+one in increasing r is the joint coefficient h(w', w).  Its power is always a power of the characteristic
 exponent, its exponent is the level e, and h is additive of level e in w:
 each of its terms carries exactly one copy, raised to the power p^e.
 Specialising h at a concrete w gives the directional derivative; it may
@@ -140,14 +142,23 @@ def _multi_indices(r: int, caps):
 
 def _exponent_classes(f: GradedPoly, positions, pad: int = 0) -> dict:
     """Exponent classes of f, in one pass: a -> the terms (exps, c) of f with
-    exponents a (a tuple) on positions, exps followed by pad zeros."""
+    exponents a (a tuple) on positions, exps followed by pad zeros.  Grouped
+    once per (positions, pad) and kept with f, which no reader changes."""
+    try:
+        stored = f._classes
+    except AttributeError:
+        stored = f._classes = {}
+    grouping = (tuple(positions), pad)
+    if grouping in stored:
+        return stored[grouping]
     key = itemgetter(*positions)
     zeros = (0,) * pad
     classes: dict = {}
     for exps, c in f.terms.items():
         classes.setdefault(key(exps), []).append((exps + zeros, c))
     if len(positions) == 1:
-        return {(a,): terms for a, terms in classes.items()}
+        classes = {(a,): terms for a, terms in classes.items()}
+    stored[grouping] = classes
     return classes
 
 

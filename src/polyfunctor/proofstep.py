@@ -147,6 +147,12 @@ class CoordinateModel:
         self.name_of = names_by_label
         self.label_of = {name: lab for lab, name in names_by_label.items()}
 
+    def names_in(self, bigger: "CoordinateModel") -> dict:
+        """Each variable's name in the model of the same functor at a larger
+        dimension, matched by label, not by name: the pull-back of coordinates
+        along the base projection onto this model's space."""
+        return {name: bigger.name_of[lab] for name, lab in self.label_of.items()}
+
     def moving_vars(self, label: str, split: int) -> tuple[str, ...]:
         """Variables of the summand whose basis elements are fully supported
         beyond the split point (top-degree block of the shifted picture)."""
@@ -393,7 +399,7 @@ def extract_additive_element(
     if not data.dependent:
         raise PresentationError("the witness does not involve the designated top-degree coordinates")
 
-    full, base, top = projection_coefficients(model_u, model_big.dimension - u, phi)
+    full, _, top = projection_coefficients(model_u, model_big.dimension - u, phi)
     t_name = fresh_name("t", set(model_big.ring.names))
     ext = model_big.ring.extended((RingVariable(t_name, "aux", 0),))
     # pull back every base-side coordinate through the parametrised matrix
@@ -404,7 +410,7 @@ def extract_additive_element(
     power = model_big.normalized.degree() * model_big.field.char_exponent**data.level
     k = pullback.coeff_of_power(t_name, power, model_big.ring)
     element = _affine_element(k, data.level, model_big.moving_vars(r_label, u), pullback)
-    _check_derivative_formula(data, model_u, model_big, base, top, element.additive_part, element.eliminated)
+    _check_derivative_formula(data, model_u, model_big, top, element.additive_part, element.eliminated)
     return element
 
 
@@ -475,7 +481,6 @@ def _check_derivative_formula(
     dd_f,
     model_u: CoordinateModel,
     model_big: CoordinateModel,
-    base: LinearMapMatrix,
     top: LinearMapMatrix,
     additive_part: dict,
     moving,
@@ -483,10 +488,10 @@ def _check_derivative_formula(
     """(additive part of k at a symbolic direction r) = (derivative of f
     along R(phi)r) pulled back through the base projection, as one formal
     identity in the original variables plus one copy per moving coordinate;
-    dd_f is the directional data of f along the designated summand R, base
-    the induced map of the base projection and top that of [0 | phi]
-    (projection_coefficients'), whose rows on R are R(phi) on R's moving
-    coordinates: the direction is read off them, on the copies."""
+    dd_f is the directional data of f along the designated summand R and top
+    the induced map of [0 | phi] (projection_coefficients'), whose rows on R
+    are R(phi) on R's moving coordinates: the direction is read off them, on
+    the copies."""
     q_power = model_u.field.char_exponent ** dd_f.level
     joint_ring, copies = doubled_ring(model_big.ring, moving, "_w")
     copy_of_big = dict(copies)
@@ -494,9 +499,9 @@ def _check_derivative_formula(
     for name, coeff in additive_part.items():
         lhs = lhs + coeff.convert(joint_ring) * joint_ring.var(copy_of_big[name]) ** q_power
 
-    # base projection pullback of the base-side coordinates; top has the same columns
-    names = [model_big.name_of[lab] for lab in base.col_labels]
-    mapping = {model_u.name_of[lab]: form for lab, form in zip(base.row_labels, row_forms(base, joint_ring, names))}
+    # base projection pullback of the base-side coordinates
+    mapping = {name: joint_ring.var(big) for name, big in model_u.names_in(model_big).items()}
+    names = [model_big.name_of[lab] for lab in top.col_labels]
     # substitute the symbolic direction through the rows of [0 | phi], on the copies
     forms = dict(zip(top.row_labels, row_forms(top, joint_ring, [copy_of_big.get(name, name) for name in names])))
     for orig, copy in dd_f.copies:
@@ -742,7 +747,9 @@ def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis)
     step = derivative_step(f, X, r0)
     phis = list(phis)
     universal, elements, model_2u = _pull_backs(X, f, step.data, model_big, phis) if phis else (None, [], None)
-    h_big = step.derivative.convert(model_big.ring)
+    # h pulled back along the base projection, as in the derivative check
+    pulled = X.model.names_in(model_big)
+    h_big = step.derivative.substitute({name: model_big.ring.var(big) for name, big in pulled.items()})
     certificate = None
     error = ""
     try:

@@ -16,8 +16,10 @@ GradedRing.render, reads raw terms, a polynomial's or a matrix entry's
 unboxed; canonical form plus a fixed order makes them byte-stable.
 
 All values are immutable after construction and all operations are pure; a
-polynomial only remembers its associate once asked for it (monic over F_p,
-over q the primitive integer multiple with positive leading coefficient),
+polynomial only remembers what was asked of it, each a function of its
+terms, which nothing changes in place: its associate (monic over F_p, over q
+the primitive integer multiple with positive leading coefficient) and its
+exponent classes on each set of direction axes (hasse._exponent_classes);
 the private working polynomial of heap division (_Dividend, over q an
 integer multiple `scale` of the true one) never leaves its division, and
 a prepared divisor set (_Divisors) only grows.
@@ -171,9 +173,12 @@ class GradedRing:
 
 class GradedPoly:
     """Canonical sparse polynomial: exponent vector -> nonzero raw coefficient,
-    each converted by ring.field.raw unless a kernel passes _canonical terms."""
+    each converted by ring.field.raw unless a kernel passes _canonical terms.
+    Two private slots are filled on first use and kept: _assoc, the associate
+    division reads, and _classes, the exponent classes per (positions, pad)
+    that the Hasse calculus reads."""
 
-    __slots__ = ("ring", "terms", "_assoc")
+    __slots__ = ("ring", "terms", "_assoc", "_classes")
 
     def __init__(self, ring: GradedRing, terms: dict, _canonical: bool = False):
         self.ring = ring

@@ -9,6 +9,7 @@ from polyfunctor import (
     DirectionSubspace,
     DirectionalData,
     FieldDescriptor,
+    GradedPoly,
     GradedRing,
     directional_data,
     hasse_derivative,
@@ -585,3 +586,72 @@ def test_every_order_matches_substitution_on_kernel_edges(field, span):
             for e in f.terms for i in map(ring.position, span) for b in range(1, e[i] + 1)
         )
     assert zeros_seen == bool(field.characteristic)
+
+
+# -- exponent classes are grouped once per direction and kept with f ----------
+
+STORED_FIELDS = (Q, F3, FieldDescriptor.prime_field(101))
+
+
+def _never_grouped(f):
+    """A copy of f that holds no exponent classes."""
+    return GradedPoly(f.ring, dict(f.terms), _canonical=True)
+
+
+@pytest.mark.parametrize("field", STORED_FIELDS, ids=str)
+def test_stored_classes_give_the_results_of_a_fresh_grouping(field):
+    rng = random.Random(f"stored classes {field}")
+    ring = GradedRing(field, ["x", "y", "z", "u"])
+    for span in EDGE_SPANS:
+        W = DirectionSubspace(ring, span)
+        for _ in range(3):
+            f = random_poly(rng, ring, max_degree=6, max_terms=6)
+            # two full directions share one key; a zero coordinate groups on fewer axes
+            directions = [_edge_direction(rng, W, zero_coordinate=False) for _ in range(2)]
+            if len(span) > 1:
+                directions.append(_edge_direction(rng, W, zero_coordinate=True))
+            for w in directions:
+                for r in range((f.total_degree() or 0) + 2):
+                    assert hasse_derivative(f, w, r, W) == hasse_derivative(_never_grouped(f), w, r, W), (f, w, r)
+            # the Taylor expansion and the directional data of an f whose
+            # derivative classes are stored, each twice, against substitution
+            oracle = _substitution_expansion(f, W)
+            powers = [k for k in oracle.powers_of("t") if k > 0]
+            for _ in range(2):
+                assert taylor_expand(f, W) == oracle
+                data = directional_data(f, W)
+                if not powers:
+                    assert data.status == "independent"
+                    continue
+                assert field.char_exponent ** data.level == min(powers)
+                assert data.joint == oracle.coeff_of_power("t", min(powers))
+
+
+def test_one_grouping_per_positions_and_pad(monkeypatch):
+    # every order, the Taylor expansion and the directional data of one f
+    # group it once per (positions, pad): 3 times for a full direction
+    from polyfunctor import hasse
+
+    groupings = []
+    real = hasse.itemgetter
+    monkeypatch.setattr(hasse, "itemgetter", lambda *positions: groupings.append(positions) or real(*positions))
+    ring = xyz_ring(F3)
+    W = DirectionSubspace(ring, ("x", "y"))
+    text = "x^9*y^3*z + 2*x^4*y^5 - z^2 + x*y + 1"
+
+    def job(f, coords):
+        derivatives = [hasse_derivative(f, W.direction(coords), r, W) for r in range(f.total_degree() + 2)]
+        return derivatives, taylor_expand(f, W), directional_data(f, W)
+
+    f = parse_polynomial(text, ring)
+    first = job(f, [2, 1])
+    assert groupings == [(0, 1)] * 3
+    # another full direction, and the same job again, group nothing
+    job(f, [1, 1])
+    assert job(f, [2, 1]) == first and len(groupings) == 3
+    # a zero coordinate groups on the other axis alone, once
+    job(f, [0, 1])
+    job(f, [0, 2])
+    assert groupings[3:] == [(1,)]
+    # a polynomial that was never grouped is grouped again
+    assert job(parse_polynomial(text, ring), [2, 1]) == first and len(groupings) == 7

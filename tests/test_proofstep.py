@@ -937,6 +937,76 @@ def test_extraction_passes_the_derivative_check_on_every_kind_of_summand(field, 
     assert len(checked) == 3
 
 
+def _label_pull_back(h, model_u, model_big):
+    """h in model_big's ring, each exponent moved to the variable of the same
+    basis label: the pull-back along the base projection."""
+    at = [model_big.ring.position(model_big.name_of[model_u.label_of[name]]) for name in model_u.ring.names]
+    terms = {}
+    for exps, c in h.terms.items():
+        out = [0] * len(model_big.ring.names)
+        for i, e in zip(at, exps):
+            out[i] = e
+        terms[tuple(out)] = c
+    return GradedPoly(model_big.ring, terms, _canonical=True)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F101], ids=str)
+def test_h_big_is_the_label_pull_back_of_h(field):
+    # a generic name p{i}_{pos} names a different basis vector at u than at
+    # u + n, so h is carried to the big model by label, not by name
+    moved = []
+    kinds = DESIGNATED_KINDS + [("tensor(const(3),id)", "p0_1*p0_4 - p0_2^2 + p0_6*p0_3", "p0")]
+    for text, witness, part in kinds:
+        model_u = CoordinateModel(parse_functor(text), field, 2)
+        f = parse_polynomial(witness, model_u.ring)
+        X = VarietyPresentation.make(model_u, [f], [], part)
+        r_vars = X.r_vars()
+        r0 = Vector("r", r_vars, tuple(field.scalar(i + 1) for i in range(len(r_vars))))
+        stages = proofstep._run_stages(X, f, 3, r0, [space_matrix(field, rows) for rows in PHI_ROWS])
+        h = stages.step.derivative
+        assert stages.h_big == _label_pull_back(h, model_u, stages.model_big), (text, part)
+        moved += [text for name in h.support_vars() if stages.model_big.name_of[model_u.label_of[name]] != name]
+    # the check is not vacuous: on generic names h's variables are renamed
+    assert {"sum(id,sym(3,id))", "tensor(const(3),id)"} <= set(moved)
+
+
+def test_a_proof_step_on_generic_names_reaches_elimination(capsys):
+    # tensor(const(3),id) names its coordinates p0_1..p0_6 at u = 2, and
+    # p0_4 is another basis vector at u + n = 5: h = p0_4, pulled back by
+    # label, avoids the moving coordinates, so elimination runs and finds too
+    # few elements
+    from polyfunctor.cli import main
+
+    code = main(["proofstep", "--field", "q", "--functor", "tensor(const(3),id)", "--u", "2", "--n", "3",
+                 "--f", "p0_1*p0_4 - p0_2^2 + p0_6*p0_3", "--r0", "1,0,0,0,0,0", "--r-part", "p0"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (3, "")
+    assert captured.out == PINNED_GENERIC_NAMES
+
+
+PINNED_GENERIC_NAMES = """\
+field: q
+u: 2
+n: 3
+f: p0_1*p0_4 - p0_2^2 + p0_3*p0_6
+r0: p0_1=1, p0_2=0, p0_3=0, p0_4=0, p0_5=0, p0_6=0
+delta: 2
+e0: 0
+h: p0_4
+k[0]: p0_1*p0_9 - 2*p0_2*p0_4 + p0_3*p0_7 + p0_6*p0_14 + p0_8*p0_12
+k[1]: p0_1*p0_10 - 2*p0_2*p0_5 + p0_3*p0_7 + p0_6*p0_15 + p0_8*p0_12
+k[2]: p0_1*p0_10 - 2*p0_2*p0_5 + p0_4*p0_7 + p0_6*p0_15 + p0_9*p0_12
+checks:
+  PASS   delta-degree  [2]
+  PASS   derivative  [p0_4]
+  PASS   affine-additive-form 0
+  PASS   affine-additive-form 1
+  PASS   affine-additive-form 2
+  INCONCLUSIVE certificate-found  [3 elements cannot eliminate 9 coordinates]
+all passed: false
+"""
+
+
 @pytest.mark.parametrize("field", ["q", "fp:3"])
 def test_a_minor_that_loses_its_h_power_exits_5(field, monkeypatch, capsys):
     from polyfunctor.cli import main

@@ -126,3 +126,35 @@ def test_the_public_guard_flags_an_unread_function():
     extra = dict(MODULES, **{"extra.py": ast.parse("def orphan():\n    return orphan\n")})
     unread = _unread_public(extra, _used_names(ast.parse(WORKLOADS.read_text())), _readme_surface())
     assert "extra.py:1 orphan" in unread
+
+
+# GradedPoly.convert matches variables by name.  A generic coordinate name
+# p{i}_{pos} names another basis vector in the coordinate model of another
+# dimension, so a polynomial moves between models by label
+# (CoordinateModel.names_in), and each convert( call in the package is one
+# that stays in a single model, listed here with its target ring.
+SAME_MODEL_CONVERTS = {
+    # the check's joint ring is model_big's ring plus one copy per moving coordinate
+    "proofstep.py _check_derivative_formula coeff.convert(joint_ring)",
+}
+
+
+def _converts(modules) -> set:
+    """Every .convert( call in modules, as "module function call"."""
+    found = set()
+    for name, tree in modules.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "convert":
+                    found.add(f"{name} {getattr(top, 'name', '')} {ast.unparse(node)}")
+    return found
+
+
+def test_no_polynomial_is_converted_across_coordinate_models():
+    assert _converts(MODULES) == SAME_MODEL_CONVERTS
+
+
+def test_the_convert_guard_sees_a_conversion_into_a_bigger_model():
+    extra = {"extra.py": ast.parse("def run(step, model_big):\n    return step.derivative.convert(model_big.ring)\n")}
+    assert _converts(dict(MODULES, **extra)) - SAME_MODEL_CONVERTS == {
+        "extra.py run step.derivative.convert(model_big.ring)"}
