@@ -21,7 +21,7 @@ from .errors import (
     RingMismatchError,
     SubstitutionError,
 )
-from .fields import FieldDescriptor, Scalar, lucas_binomial
+from .fields import FieldDescriptor, lucas_binomial
 from .rings import (
     GradedPoly,
     GradedRing,

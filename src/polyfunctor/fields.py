@@ -4,9 +4,10 @@ A field element has one format, the raw coefficient: a residue in [0, p)
 over F_p; over q an int when integral, else a fractions.Fraction, a rule
 that _q_raw alone decides and every kernel keeps: no result holds an
 integral Fraction.  FieldDescriptor.raw is the one conversion into it, and
-a Scalar is a raw coefficient tagged with its field, built only where a
-value crosses the package's API: kernels compute on raw coefficients.  No
-floating point is used anywhere.
+every value the package computes or returns is one.  A boxed scalar,
+FieldDescriptor.scalar, is a constant of the field's variable-free ring
+(rings.GradedRing(field, ())), with that ring's operators; no module of the
+package builds one.  No floating point is used anywhere.
 
 The characteristic exponent of a field is 1 in characteristic 0 and p in
 characteristic p; it is the base for the power levels appearing in
@@ -105,9 +106,10 @@ class FieldDescriptor(Record, frozen=True):
     # -- element construction ---------------------------------------------
 
     def raw(self, value):
-        """The raw coefficient of an int, Fraction or Scalar of this field,
-        the package's one number format: a residue in [0, p) over F_p; over q
-        _q_raw's.  Any other value is an AlgebraError."""
+        """The raw coefficient of an int, a Fraction or a scalar (a constant
+        of this field's variable-free ring), the package's one number format:
+        a residue in [0, p) over F_p; over q _q_raw's.  A scalar of another
+        field is a FieldMismatchError, any other value an AlgebraError."""
         p = self.characteristic
         if isinstance(value, int):
             return value % p if p else int(value)
@@ -115,108 +117,27 @@ class FieldDescriptor(Record, frozen=True):
             if p and not value.denominator % p:
                 raise AlgebraError("denominator vanishes in the prime field")
             return value.numerator * pow(value.denominator, -1, p) % p if p else _q_raw(value)
-        if not isinstance(value, Scalar):
+        from .rings import GradedPoly  # rings builds on this module
+
+        if not isinstance(value, GradedPoly) or value.ring.names:
             raise AlgebraError(f"{value!r} is no int, Fraction or scalar")
-        if value.field is not self and value.field != self:
-            raise FieldMismatchError(f"scalar over {value.field} used in {self}")
-        return value.value
+        if value.ring.field is not self and value.ring.field != self:
+            raise FieldMismatchError(f"scalar over {value.ring.field} used in {self}")
+        return value.terms.get((), 0)
 
-    def scalar(self, value) -> "Scalar":
-        v = self.raw(value)
-        return value if isinstance(value, Scalar) else Scalar(self, v)
+    def scalar(self, value):
+        """value as a constant of this field's variable-free ring."""
+        from .rings import GradedRing  # rings builds on this module
 
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
+        return GradedRing(self).const(value)
 
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
+    def zero(self):
+        return self.scalar(0)
 
     def __str__(self) -> str:
         if self.characteristic == 0:
             return "q"
         return f"fp:{self.characteristic}"
-
-
-class Scalar:
-    """A raw coefficient (see FieldDescriptor.raw) tagged with its field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldDescriptor, value):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        """Raw value of other in this field, None for a type that is no scalar."""
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.field.raw(other)
-        return None
-
-    def _reduced(self, value) -> "Scalar":
-        """The result of a raw operation as a Scalar, reduced mod p over F_p."""
-        p = self.field.characteristic
-        return Scalar(self.field, value % p if p else _q_raw(value))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._reduced(self.value + o)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._reduced(-self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._reduced(self.value - o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._reduced(o - self.value)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._reduced(self.value * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * Scalar(self.field, o).inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.inverse() * o
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return Scalar(self.field, pow(self.value, exponent, self.field.characteristic or None))
-
-    def inverse(self) -> "Scalar":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        return Scalar(self.field, self.field.raw(Fraction(1, self.value)))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return other.field == self.field and self.value == other.value
-        try:
-            o = self._coerce(other)
-        except AlgebraError:  # a value this field cannot hold
-            return False
-        return NotImplemented if o is None else self.value == o
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    __repr__ = __str__
 
 
 def lucas_binomial(a: int, r: int, field: FieldDescriptor) -> int:

@@ -64,8 +64,7 @@ class DirectionSubspace(Record, frozen=True):
         object.__setattr__(self, "span_vars", ordered)
 
     def direction(self, coords) -> Vector:
-        field = self.ring.field
-        return Vector("direction", self.span_vars, tuple(field.scalar(c) for c in coords))
+        return Vector("direction", self.span_vars, tuple(map(self.ring.field.raw, coords)))
 
 
 class DirectionalData(Record, frozen=True):

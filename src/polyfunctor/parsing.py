@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .fields import FieldDescriptor, Scalar
+from .fields import FieldDescriptor
 from .rings import GradedPoly, GradedRing, _from_raw, _raw_mul_into, _raw_pow, _reduced
 
 # a token is the group; a match without it is a character no token starts
@@ -139,7 +139,7 @@ def polynomial_variable_names(text: str) -> tuple[str, ...]:
     return tuple(sorted({t for t in _TOKEN.findall(text) if t[:1].isalpha()}))
 
 
-def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:
+def parse_scalar(text: str, field: FieldDescriptor):
     text = text.strip()
     m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
     if not m:
@@ -147,10 +147,10 @@ def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:
     num, den = int(m.group(1)), int(m.group(2) or 1)
     if not den:
         raise ParseError("zero denominator", m.start(2), text)
-    return field.scalar(Fraction(num, den))
+    return field.raw(Fraction(num, den))
 
 
-def parse_matrix(text: str, field: FieldDescriptor) -> list[list[Scalar]]:
+def parse_matrix(text: str, field: FieldDescriptor) -> list[list]:
     rows = []
     width = None
     for row_text in text.strip().split(";"):
@@ -163,5 +163,5 @@ def parse_matrix(text: str, field: FieldDescriptor) -> list[list[Scalar]]:
     return rows
 
 
-def parse_coords(text: str, field: FieldDescriptor) -> tuple[Scalar, ...]:
+def parse_coords(text: str, field: FieldDescriptor) -> tuple:
     return tuple(parse_scalar(entry, field) for entry in text.strip().split(","))

@@ -917,7 +917,7 @@ def run_rank_one_example(
         + ring_u.var("z_1_2") ** 2
     )
     X = VarietyPresentation.make(model_u, [f], [], r_label)
-    r0 = Vector("r", ("z_1_2",), (fld.one(),))
+    r0 = Vector("r", ("z_1_2",), (1,))
     pairs = pair_projections(fld, n)
     stages = _run_stages(X, f, n, r0, list(pairs.values()))
     delta, step, model_big = stages.delta, stages.step, stages.model_big

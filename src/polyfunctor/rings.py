@@ -50,7 +50,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import AlgebraError, FieldMismatchError, InternalCheckError, Record, RingMismatchError, SubstitutionError
-from .fields import FieldDescriptor, Scalar, _q_raw
+from .fields import FieldDescriptor, _q_raw
 
 
 class RingVariable(Record, frozen=True):
@@ -176,7 +176,9 @@ class GradedPoly:
     each converted by ring.field.raw unless a kernel passes _canonical terms.
     Two private slots are filled on first use and kept: _assoc, the associate
     division reads, and _classes, the exponent classes per (positions, pad)
-    that the Hasse calculus reads."""
+    that the Hasse calculus reads.  A constant of the variable-free ring is a
+    scalar (FieldDescriptor.scalar): arithmetic never mixes it with another
+    ring's polynomials, and == reads it by field.raw."""
 
     __slots__ = ("ring", "terms", "_assoc", "_classes")
 
@@ -213,11 +215,6 @@ class GradedPoly:
         degs = {sum(e * wi for e, wi in zip(exps, w)) for exps in self.terms}
         return len(degs) <= 1
 
-    def leading_item(self):
-        """(exponents, raw coefficient) of the leading term under the ring order."""
-        exps = self._associate()[0]
-        return exps, self.terms[exps]
-
     def _associate(self):
         """(leading exponents, a, raw items, packed) of the associate every
         division step by this polynomial reads, computed once: over F_p the
@@ -240,8 +237,8 @@ class GradedPoly:
             self._assoc = exps, a, items, _packed(_packing(self.ring.weights, 1)[0], exps, a, items)
             return self._assoc
 
-    def constant_value(self) -> Scalar:
-        return Scalar(self.ring.field, self.terms.get((0,) * len(self.ring.names), 0))
+    def constant_value(self):
+        return self.terms.get((0,) * len(self.ring.names), 0)
 
     def is_constant(self) -> bool:
         return all(not any(exps) for exps in self.terms)
@@ -250,13 +247,14 @@ class GradedPoly:
 
     def _check_same_ring(self, other: "GradedPoly"):
         if self.ring != other.ring:
-            raise RingMismatchError(f"rings differ: {self.ring} vs {other.ring}")
+            error = FieldMismatchError if self.ring.field != other.ring.field else RingMismatchError
+            raise error(f"rings differ: {self.ring} vs {other.ring}")
 
     def _coerce(self, other):
         if isinstance(other, GradedPoly):
             self._check_same_ring(other)
             return other
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, (int, Fraction)):
             return self.ring.const(other)
         return None
 
@@ -299,7 +297,7 @@ class GradedPoly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, (int, Fraction)):
             return self.mul_term((0,) * len(self.ring.names), other)
         o = self._coerce(other)
         if o is None:
@@ -330,11 +328,16 @@ class GradedPoly:
         )
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        if isinstance(other, GradedPoly):
+            if other.ring == self.ring:
+                return self.terms == other.terms
+            if other.ring.names:  # other's __eq__ may read a scalar self
+                return NotImplemented
+        try:
+            o = self.ring.field.raw(other)
+        except AlgebraError:  # a value this field cannot hold
+            return False
+        return self.is_constant() and self.constant_value() == o
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -435,9 +438,9 @@ class GradedPoly:
         terms = {m: _q_raw(v, D) for m, v in _reduced(acc, p)}
         return GradedPoly(target, terms, _canonical=True)
 
-    def evaluate(self, point: dict) -> Scalar:
-        """Evaluate at a point given as name -> scalar, coercing every entry
-        (ints too, and coordinates outside the ring).  Only the variables
+    def evaluate(self, point: dict):
+        """The raw value at a point given as name -> coordinate, each read
+        by field.raw (coordinates outside the ring too).  Only the variables
         the polynomial uses need a coordinate; the first one missing, in
         ring order, is named."""
         field = self.ring.field
@@ -453,7 +456,7 @@ class GradedPoly:
                 if e:
                     c = c * pow(x, e, p) % p if p else c * x**e
             total += c
-        return field.scalar(total)
+        return field.raw(total)
 
     # -- printing ---------------------------------------------------------------
 
@@ -707,7 +710,7 @@ class Vector(Record, frozen=True):
 
     space: str
     basis: tuple[str, ...]
-    coords: tuple[Scalar, ...]
+    coords: tuple  # raw coefficients
 
     def __post_init__(self):
         if len(self.basis) != len(self.coords):

@@ -32,7 +32,6 @@ from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_da
 from polyfunctor.matrices import LinearMapMatrix, _SliceSum, space_labels
 from polyfunctor.proofstep import _segre_map, _segre_points
 from polyfunctor.errors import AlgebraError, FieldMismatchError, ParseError
-from polyfunctor.fields import Scalar
 from polyfunctor.rings import (
     GradedPoly, RingVariable, _Divisors, _from_raw, _raw_mul_into, _raw_pow, _reduced,
 )
@@ -52,11 +51,8 @@ def rng():
 
 @pytest.fixture
 def boxed_calls(monkeypatch):
-    """Counts, by "Class.method", of the boxed GradedPoly and Scalar
-    arithmetic and the GradedPoly.substitute calls made after it is set up."""
-    from polyfunctor.fields import Scalar
-    from polyfunctor.rings import GradedPoly
-
+    """Counts, by "Class.method", of the boxed GradedPoly arithmetic and the
+    GradedPoly.substitute calls made after it is set up."""
     calls = {}
 
     def counting(key, method):
@@ -65,11 +61,27 @@ def boxed_calls(monkeypatch):
             return method(*args)
         return wrapper
 
-    ops = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__")
-    for cls, names in ((GradedPoly, ops + ("substitute",)),
-                       (Scalar, ops + ("__truediv__", "__rtruediv__"))):
-        for name in names:
-            monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "__pow__",
+                 "substitute"):
+        monkeypatch.setattr(GradedPoly, name, counting(f"GradedPoly.{name}", getattr(GradedPoly, name)))
+    return calls
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """The FieldDescriptor.scalar and zero calls made after it is set up, as
+    (name, field, *args): a boxed scalar is for callers of the package, and
+    no run of it calls either."""
+    calls = []
+
+    def recording(name, method):
+        def wrapper(field, *args):
+            calls.append((name, field, *args))
+            return method(field, *args)
+        return wrapper
+
+    for name in ("scalar", "zero"):
+        monkeypatch.setattr(FieldDescriptor, name, recording(name, getattr(FieldDescriptor, name)))
     return calls
 
 
@@ -83,13 +95,14 @@ def witness_data(f, model, r_label):
 # reference that raw is checked against
 
 def raw_coefficient(field, value):
-    """Raw coefficient of a Scalar, int or Fraction as it was computed by
-    boxing: FieldDescriptor.scalar's old body (over q always a Fraction),
-    then rings._raw's unboxing (over q an int when integral)."""
-    if isinstance(value, Scalar):
-        if value.field is not field and value.field != field:
-            raise FieldMismatchError(f"scalar over {value.field} used in {field}")
-        v = value.value
+    """Raw coefficient of a scalar (a constant of a variable-free ring), int
+    or Fraction as it was computed by boxing: FieldDescriptor.scalar's old
+    body (over q always a Fraction), then rings._raw's unboxing (over q an
+    int when integral)."""
+    if isinstance(value, GradedPoly):
+        if value.ring.field is not field and value.ring.field != field:
+            raise FieldMismatchError(f"scalar over {value.ring.field} used in {field}")
+        v = value.constant_value()
     elif field.characteristic == 0:
         v = Fraction(value)
     elif isinstance(value, Fraction):
@@ -260,8 +273,8 @@ def joint_scaling_by_identity(data: DirectionalData) -> bool:
 
 def random_scalar(rng, field, lo=-6, hi=6):
     if field.characteristic == 0:
-        return field.scalar(rng.randint(lo, hi))
-    return field.scalar(rng.randrange(field.characteristic))
+        return rng.randint(lo, hi)
+    return rng.randrange(field.characteristic)
 
 
 def random_poly(rng, ring, max_degree=4, max_terms=5):
@@ -335,11 +348,17 @@ def random_functor(rng, max_degree=3, depth=2):
 
 # Ideals of the Groebner tests: 2x2 minors, katsura-n and cyclic-n.
 
+def leading_item(f):
+    """(exponents, raw coefficient) of the leading term of f under the ring order."""
+    exps = f._associate()[0]
+    return exps, f.terms[exps]
+
+
 def s_polynomial(f, g):
     """a_g*x^(l-e_f)*f' - a_f*x^(l-e_g)*g' from the associates: a_f*a_g*S(f, g),
     the reference S-polynomial that buchberger's packed S-pairs are checked on."""
     pair = _Divisors(f.ring, (f, g))
-    spair = (pair.packing[0](tuple(map(max, f.leading_item()[0], g.leading_item()[0]))), 0, 1)
+    spair = (pair.packing[0](tuple(map(max, leading_item(f)[0], leading_item(g)[0]))), 0, 1)
     return pair.divide(spair, lambda work: GradedPoly(
         f.ring, {work.exponents(m): _q_raw(c, work.scale) for m, c in work.terms.items()}, _canonical=True
     ))
@@ -371,7 +390,7 @@ def buchberger_by_tuples(gens, budget=None):
         """Gebauer-Moeller update as h joins; each lcm goes with the bit mask
         of its variables, a cheap first test of divisibility."""
         basis.append(groebner._monic(h))
-        e, new = h.leading_item()[0], len(leads)
+        e, new = leading_item(h)[0], len(leads)
         s = sum(1 << v for v, x in enumerate(e) if x)
         kept = []  # a proper divisor has the smaller key; coprime first among equal lcms
         for order, shared, mask, k in sorted((key(tuple(map(max, d, e))), bool(t & s), t | s, k)
@@ -492,7 +511,7 @@ def rank_one_minors_plain(model):
 def split_to_plain_map(split_model, plain_model):
     """Substitution expressing split coordinates in tensor coordinates."""
     ring = plain_model.ring
-    half = ring.field.scalar(2).inverse()
+    half = Fraction(1, 2)
     x = ring.var
     mapping = {}
     m = split_model.dimension
@@ -541,7 +560,7 @@ def segre_map_by_arithmetic(model, kept=()):
     ring = GradedRing(fld, [f"{c}_{a + 1}" for c in "vw" for a in range(m)] + list(kept))
     v = [ring.var(f"v_{a + 1}") for a in range(m)]
     w = [ring.var(f"w_{a + 1}") for a in range(m)]
-    half = fld.scalar(2).inverse()
+    half = Fraction(1, 2)
     signs = {"y": 1, "z": -1}
     segre = {name: ring.var(name) for name in ring.names[2 * m:]}
     for name in model.ring.names:
@@ -552,7 +571,7 @@ def segre_map_by_arithmetic(model, kept=()):
 
 
 def rank_one_points(rng, model, count, unit=None):
-    """count split coordinate points, name -> Scalar, of rank-one tensors
+    """count split coordinate points, name -> raw coefficient, of rank-one tensors
     v (x) w, drawn from rng as run_rank_one_example draws (v, w) and read
     through the Segre images; with a unit, a polynomial on model.ring, each
     is drawn again until the unit does not vanish there."""

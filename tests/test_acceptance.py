@@ -111,7 +111,7 @@ def test_criterion_3_characteristic_p_derivative():
     for a, b in ((1, 1), (2, 3), (3, 0), (4, 2)):
         value = specialise_joint(data5, W5.direction([a, b]), W5)
         expected = ring5.var("x") ** 5 * ring5.var("y") ** 25 * ring5.var("z") * (
-            2 * F5.scalar(a) ** 5
+            2 * a ** 5
         )
         assert value == expected
     # p = 3 analogue against a brute-force expansion oracle
@@ -124,8 +124,8 @@ def test_criterion_3_characteristic_p_derivative():
         ext = ring3.extended([("t", "aux", 0)])
         t = ext.var("t")
         mapping = {
-            "x": ext.var("x") + t * F3.scalar(a),
-            "y": ext.var("y") + t * F3.scalar(b),
+            "x": ext.var("x") + t * a,
+            "y": ext.var("y") + t * b,
             "z": ext.var("z"),
         }
         expanded = f3.substitute(mapping)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyfunctor import AlgebraError, FieldDescriptor, GradedRing, lucas_binomial
-from polyfunctor.errors import FieldMismatchError
+from polyfunctor.errors import FieldMismatchError, RingMismatchError
 from polyfunctor.fields import _is_prime
 
 from conftest import F2, F3, F5, Q
@@ -31,24 +31,34 @@ def test_field_parse_round_trip():
 def test_scalar_exactness_rationals():
     a = Q.scalar(Fraction(1, 3))
     b = Q.scalar(Fraction(1, 6))
-    assert (a + b).value == Fraction(1, 2)
-    assert (a - b).value == Fraction(1, 6)
-    assert (a * b).value == Fraction(1, 18)
-    assert (a / b).value == 2
+    assert Q.raw(a + b) == Fraction(1, 2)
+    assert Q.raw(a - b) == Fraction(1, 6)
+    assert Q.raw(a * b) == Fraction(1, 18)
 
 
 def test_scalar_prime_field_canonical():
     a = F5.scalar(7)
-    assert a.value == 2
-    assert (a + F5.scalar(3)).value == 0
-    assert (-a).value == 3
-    assert (a.inverse() * a).value == 1
-    assert F5.scalar(Fraction(1, 2)).value == 3  # 2 * 3 = 6 = 1 mod 5
+    assert F5.raw(a) == 2
+    assert F5.raw(a + F5.scalar(3)) == 0
+    assert F5.raw(-a) == 3
+    assert F5.raw(F5.scalar(Fraction(1, 2))) == 3  # 2 * 3 = 6 = 1 mod 5
 
 
 def test_scalar_field_mismatch():
     with pytest.raises(FieldMismatchError):
         F3.scalar(1) + F5.scalar(1)
+
+
+def test_a_scalar_meets_no_other_ring_in_arithmetic():
+    # a scalar is a constant of the variable-free ring: polynomials of another
+    # ring over the same field scale by ints and Fractions, not by it
+    x = GradedRing(F5, ["x"]).var("x")
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(RingMismatchError):
+            op(x, F5.scalar(2))
+        with pytest.raises(RingMismatchError):
+            op(F5.scalar(2), x)
+    assert x * 2 == x * Fraction(12, 6) == 2 * x
 
 
 def test_lucas_small_rational():
@@ -89,8 +99,8 @@ def test_lucas_returns_the_raw_binomial():
 @given(st.fractions(), st.fractions(), st.fractions())
 def test_rational_scalar_arithmetic_is_field_arithmetic(x, y, z):
     a, b, c = Q.scalar(x), Q.scalar(y), Q.scalar(z)
-    assert ((a + b) + c).value == (x + y) + z
-    assert (a * (b + c)).value == x * (y + z)
+    assert Q.raw((a + b) + c) == (x + y) + z
+    assert Q.raw(a * (b + c)) == x * (y + z)
 
 
 def _trial_division_is_prime(p):
@@ -134,7 +144,7 @@ def test_equality_with_a_value_the_field_cannot_hold_is_false():
         assert one != other and not one == other and other != one
         assert x_one != other and not x_one == other and other != x_one
     assert Fraction(1, 5) not in [one] and Q.scalar(1) not in [x_one]
-    assert one == Fraction(6, 1) and x_one == F5.scalar(6) and x_one == 1
+    assert one == Fraction(6, 1) and x_one == F5.scalar(6) and F5.scalar(6) == x_one and x_one == 1
     with pytest.raises(AlgebraError, match="denominator vanishes"):
         one + Fraction(1, 5)
     with pytest.raises(AlgebraError, match="denominator vanishes"):

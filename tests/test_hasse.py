@@ -39,7 +39,7 @@ def taylor_coefficient_oracle(f, w_coords, r, W):
     mapping = {n: ext.var(n) for n in ring.names}
     t = ext.var("t")
     for name, c in zip(W.span_vars, w_coords):
-        mapping[name] = ext.var(name) + t * ring.field.scalar(c)
+        mapping[name] = ext.var(name) + t * c
     expanded = f.substitute(mapping)
     return expanded.coeff_of_power("t", r, ring)
 
@@ -71,7 +71,7 @@ def test_characteristic_five_example():
             assert hasse_derivative(f, w, r, W).is_zero()
         d5 = hasse_derivative(f, w, 5, W)
         expected = ring.var("x") ** 5 * ring.var("y") ** 25 * ring.var("z") * (
-            2 * F5.scalar(a) ** 5
+            2 * a ** 5
         )
         assert d5 == expected
         assert d5 == taylor_coefficient_oracle(f, [a, b], 5, W)
@@ -91,7 +91,7 @@ def test_direction_outside_subspace_rejected():
     from polyfunctor import Vector
 
     with pytest.raises(DirectionError):
-        hasse_derivative(f, Vector("d", ("z",), (Q.one(),)), 1, W)
+        hasse_derivative(f, Vector("d", ("z",), (1,)), 1, W)
 
 
 @pytest.mark.parametrize("basis", [("y", "x"), ("x",), ("y",)])
@@ -101,7 +101,7 @@ def test_a_direction_off_the_span_variables_in_ring_order_is_refused(basis):
     f = parse_polynomial("x^2*y", ring)
     from polyfunctor import Vector
 
-    w = Vector("d", basis, (Q.one(),) * len(basis))
+    w = Vector("d", basis, (1,) * len(basis))
     with pytest.raises(DirectionError, match="designated subspace"):
         hasse_derivative(f, w, 1, W)
     with pytest.raises(DirectionError, match="designated subspace"):
@@ -116,7 +116,7 @@ def test_order_zero_checks_the_direction_and_ring_too(r):
     from polyfunctor import Vector
 
     with pytest.raises(DirectionError, match="designated subspace"):
-        hasse_derivative(f, Vector("d", ("x", "z"), (Q.one(), Q.one())), r, W)
+        hasse_derivative(f, Vector("d", ("x", "z"), (1, 1)), r, W)
     other = DirectionSubspace(GradedRing(Q, ["x", "y"]), ("x", "y"))
     with pytest.raises(AlgebraError, match="different ring"):
         hasse_derivative(f, other.direction([1, 1]), r, other)
@@ -231,7 +231,7 @@ def test_directional_derivative_char_three_brute_force():
         oracle = taylor_coefficient_oracle(f, [a, b], p, W)
         assert value == oracle
         expected = ring.var("x") ** p * ring.var("y") ** (p * p) * ring.var("z") * (
-            2 * F3.scalar(a) ** p
+            2 * a ** p
         )
         assert value == expected
 
@@ -377,6 +377,12 @@ def _golden_directions(W, rng):
     return [W.direction(coords), W.direction([0] + coords[1:])]
 
 
+def _coords_text(coords):
+    """The text of a tuple of coordinates, each printed as str prints it:
+    (1/2, 3) and (5,), as the records were captured."""
+    return "(" + ", ".join(map(str, coords)) + ("," if len(coords) == 1 else "") + ")"
+
+
 @functools.cache
 def _golden_records(field_text):
     ring = _golden_ring(field_text)
@@ -392,7 +398,7 @@ def _golden_records(field_text):
             for w in directions:
                 for r in range((f.total_degree() or 0) + 2):
                     out["derivatives"].append(
-                        f"{head} | {w.coords} | {r} | {hasse_derivative(f, w, r, W)}"
+                        f"{head} | {_coords_text(w.coords)} | {r} | {hasse_derivative(f, w, r, W)}"
                     )
             data = directional_data(f, W)
             joint = None if data.joint is None else data.joint.to_text()
@@ -516,8 +522,7 @@ def test_hasse_kernels_make_no_boxed_arithmetic(field, boxed_calls):
     # the counters see boxed arithmetic
     boxed_calls.clear()
     ring.one() * ring.one()
-    field.one() * field.one()
-    assert boxed_calls == {"GradedPoly.__mul__": 1, "Scalar.__mul__": 1}
+    assert boxed_calls == {"GradedPoly.__mul__": 1}
 
 
 # -- every order of the binomial rule against substitution, on its edges -----

@@ -32,7 +32,6 @@ from polyfunctor import (
     run_rank_one_example,
     usable_directions,
 )
-from polyfunctor.fields import Scalar
 from polyfunctor.functors import IdF, ShiftF, SumF, SymF, TenAltF, TenSymF, TensorF, induced_map, parse_functor
 from polyfunctor.groebner import divide_exact
 from polyfunctor.hasse import joint_additivity_holds, joint_scaling_holds, specialise_joint
@@ -168,7 +167,7 @@ def test_delta_runs_buchberger_once_with_the_per_generator_budget(field, monkeyp
 
 def test_derivative_step_running_example():
     model, f, X = split_presentation()
-    step = derivative_step(f, X, Vector("r", ("z_1_2",), (Q.one(),)))
+    step = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
     assert step.data.level == 0
     assert step.derivative == model.ring.var("z_1_2") * 2
 
@@ -178,13 +177,13 @@ def test_derivative_step_rejects_independent_witness():
     g = model.ring.var("y_1_1") * model.ring.var("y_2_2")
     X2 = VarietyPresentation.make(model, [g], [], "p1")
     with pytest.raises(PresentationError):
-        derivative_step(g, X2, Vector("r", ("z_1_2",), (Q.one(),)))
+        derivative_step(g, X2, Vector("r", ("z_1_2",), (1,)))
 
 
 def test_derivative_step_rejects_bad_direction():
     model, f, X = split_presentation()
     with pytest.raises(BadDirectionChoiceError):
-        derivative_step(f, X, Vector("r", ("z_1_2",), (Q.zero(),)))
+        derivative_step(f, X, Vector("r", ("z_1_2",), (0,)))
 
 
 def test_derivative_step_level_one_in_characteristic_five():
@@ -192,7 +191,7 @@ def test_derivative_step_level_one_in_characteristic_five():
     ring = model.ring
     f = parse_polynomial("y_1_1^5*y_2_2^5 + z_1_2^5*y_1_1^5", ring)
     X = VarietyPresentation.make(model, [f], [], "p1")
-    step = derivative_step(f, X, Vector("r", ("z_1_2",), (F5.one(),)))
+    step = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
     assert step.data.level == 1
     assert step.derivative == ring.var("y_1_1") ** 5
     # degree ledger: deg h = deg f - d * p^e0 = 20 - 2*5
@@ -772,20 +771,11 @@ def test_tampered_pullback_rank_one_golden(key, monkeypatch, capsys):
 
 @pytest.mark.parametrize("field", [Q, F3, FieldDescriptor.prime_field(101)], ids=str)
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_the_rank_one_example_builds_only_its_two_api_scalars(n, field, monkeypatch):
-    # a Scalar is built only at the API edge: here r0's one coordinate and the
-    # direction scan's one unit coordinate; the elimination, the rank checks
-    # and the Hasse binomials compute on raw coefficients and build none
-    built = []
-    init = Scalar.__init__
-
-    def recording(self, fld, value):
-        init(self, fld, value)
-        built.append((fld, value))
-
-    monkeypatch.setattr(Scalar, "__init__", recording)
+def test_the_rank_one_example_builds_no_scalar(n, field, scalar_calls):
+    # r0, the direction scan, the elimination, the rank checks and the Hasse
+    # binomials all compute on raw coefficients
     assert run_rank_one_example(n, field).all_passed()
-    assert built == [(field, 1), (field, 1)]
+    assert scalar_calls == []
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -798,7 +788,7 @@ def test_q_certificate_reduced_mod_p_is_the_fp_certificate(n):
     while (quotient := divide_exact(c, cert_q.unit)) is not None:
         c = quotient
     assert c.is_constant()
-    c = c.constant_value().value
+    c = c.constant_value()
     compared = []
     for p in (3, 5, 101):
         field = FieldDescriptor.prime_field(p)
@@ -811,7 +801,7 @@ def test_q_certificate_reduced_mod_p_is_the_fp_certificate(n):
         for e_q, e_p in zip(cert_q.entries, cert_p.entries):
             assert e_q.numerator.ring.names == e_p.numerator.ring.names
             reduced = {exps: r for exps, k in e_q.numerator.terms.items()
-                       if (r := field.scalar(k).value)}
+                       if (r := field.raw(k))}
             assert reduced == e_p.numerator.terms
     assert 101 in compared
 
@@ -1664,7 +1654,7 @@ def _assert_pulled_back_as_extracted(X, n, phis):
     from polyfunctor import proofstep
 
     u, field = X.model.dimension, X.model.field
-    r0 = Vector("r", ("z_1_2",), (field.one(),))
+    r0 = Vector("r", ("z_1_2",), (1,))
     stages = proofstep._run_stages(X, X.generators[0], n, r0, phis)
     model_big = CoordinateModel(X.model.functor, field, u + n)
     model_2u = CoordinateModel(X.model.functor, field, 2 * u)
@@ -1750,7 +1740,7 @@ def test_level_two_elements_vanish_on_rank_one_tensors(n):
     field = FieldDescriptor.prime_field(3)
     _, f, X = _frobenius_presentation(field, 2)
     pairs = [pair_projection(field, n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    stages = proofstep._run_stages(X, f, n, Vector("r", ("z_1_2",), (field.one(),)), pairs)
+    stages = proofstep._run_stages(X, f, n, Vector("r", ("z_1_2",), (1,)), pairs)
     assert stages.step.data.level == stages.certificate.level == 2
     # every k has level 2 and a nonzero additive part, and its Segre image,
     # exact membership in the ideal of 2x2 minors, is zero
@@ -1817,7 +1807,7 @@ def test_no_projection_extracts_nothing(monkeypatch):
     _, f, X = split_presentation(Q)
     monkeypatch.setattr(proofstep, "extract_additive_element", lambda *args: pytest.fail("extracted"))
     with pytest.raises(PresentationError, match="elimination needs elements and coordinates"):
-        proofstep._run_stages(X, f, 3, Vector("r", ("z_1_2",), (Q.one(),)), [])
+        proofstep._run_stages(X, f, 3, Vector("r", ("z_1_2",), (1,)), [])
 
 
 def test_one_extraction_per_run(monkeypatch):

@@ -47,7 +47,7 @@ from polyfunctor import (  # noqa: E402
 from polyfunctor.groebner import buchberger, divide_exact, reduce_poly  # noqa: E402
 from polyfunctor.matrices import cramer_solve  # noqa: E402
 
-from conftest import IDEALS, LARGE_IDEALS, boxed_rows, normal_form, random_ideal, random_poly  # noqa: E402
+from conftest import IDEALS, LARGE_IDEALS, boxed_rows, leading_item, normal_form, random_ideal, random_poly  # noqa: E402
 
 FIELDS = ("q", "fp:32003")
 ALL_IDEALS = {**IDEALS, **LARGE_IDEALS}
@@ -117,7 +117,7 @@ def _reduced_basis(basis):
     each element whose leading monomial another's divides (the earlier one of
     equal leading monomials stays), reduce the rest by each other, make them
     monic."""
-    leads = [g.leading_item()[0] for g in basis]
+    leads = [leading_item(g)[0] for g in basis]
 
     def redundant(i):
         return any(all(map(le, leads[j], leads[i])) and (leads[j] != leads[i] or j < i)
@@ -127,7 +127,7 @@ def _reduced_basis(basis):
     out = []
     for g in minimal:
         r = reduce_poly(g, [h for h in minimal if h is not g])
-        out.append(_our_terms(r.mul_term((0,) * len(leads[0]), Fraction(1) / r.leading_item()[1])))
+        out.append(_our_terms(r.mul_term((0,) * len(leads[0]), Fraction(1) / leading_item(r)[1])))
     return sorted(out, key=sorted)
 
 

@@ -2,8 +2,8 @@
 
 GradedPoly.terms maps exponents to nonzero raw coefficients: an int in
 [1, p) over F_p, and over q an int or a Fraction.  Every kernel result below
-is checked against that format, and polynomial arithmetic plus the Groebner
-engine are checked to make no boxed Scalar arithmetic.  The packed monomials
+is checked against that format, and every kernel below is checked to build
+no boxed scalar (FieldDescriptor.scalar or zero).  The packed monomials
 of the division engine are a format of rings.py alone: no other module names
 the packing helpers or the guard mask.
 """
@@ -28,7 +28,6 @@ from polyfunctor import (
     reduce_poly,
     space_matrix,
 )
-from polyfunctor.fields import Scalar
 from polyfunctor.functors import dim_polynomial
 from polyfunctor.groebner import buchberger, divide_exact
 from polyfunctor.hasse import DirectionSubspace, hasse_derivative, taylor_expand
@@ -115,73 +114,49 @@ def _integral_fractions(values) -> list:
 
 def test_no_kernel_leaves_an_integral_fraction(monkeypatch):
     """Over q an integral coefficient is an int in every kernel result, and
-    in every polynomial and Scalar that dim_polynomial and the rank-one
-    example build (h, the k's and the certificate numerators among them)."""
+    in every polynomial that dim_polynomial and the rank-one example build
+    (h, the k's and the certificate numerators among them)."""
     for seed in range(5):
         for name, f in _results(Q, seed):
             assert _integral_fractions(f.terms.values()) == [], (seed, name, f)
-    assert type((Q.scalar(3) / Q.scalar(3)).value) is int
     built = []
-    poly_init, scalar_init = GradedPoly.__init__, Scalar.__init__
+    poly_init = GradedPoly.__init__
 
     def poly(self, ring, terms, _canonical=False):
         poly_init(self, ring, terms, _canonical)
         built.extend(_integral_fractions(self.terms.values()))
 
-    def scalar(self, field, value):
-        scalar_init(self, field, value)
-        built.extend(_integral_fractions([value]))
-
     monkeypatch.setattr(GradedPoly, "__init__", poly)
-    monkeypatch.setattr(Scalar, "__init__", scalar)
     for text in ("sym(2,sym(2,id))", "sym(3,id)", "ext(3,tensor(id,id))"):
         assert dim_polynomial(parse_functor(text)).terms
     assert built == []
     for n in (2, 3, 4):
         assert run_rank_one_example(n, Q).all_passed()
     assert built == []
-    # the recorders see an integral Fraction
-    Scalar(Q, Fraction(2))
+    # the recorder sees an integral Fraction
     GradedPoly(GradedRing(Q, ["x"]), {(1,): Fraction(3)}, _canonical=True)
-    assert built == [2, 3]
-
-
-def _count_scalar_arithmetic(monkeypatch):
-    calls = {}
-
-    def counting(name, method):
-        def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return method(*args)
-        return wrapper
-
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-                 "inverse"):
-        monkeypatch.setattr(Scalar, name, counting(name, getattr(Scalar, name)))
-    return calls
+    assert built == [3]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_poly_and_groebner_kernels_make_no_boxed_arithmetic(field, monkeypatch):
+def test_poly_and_groebner_kernels_make_no_boxed_arithmetic(field, scalar_calls):
     rng = random.Random(11)
     ring = GradedRing(field, ["x", "y", "z"])
     f = random_poly(rng, ring, max_degree=4, max_terms=6) + ring.var("x")
     g = random_poly(rng, ring, max_degree=3, max_terms=4) * ring.var("z") + 2 * ring.var("y")
     gens = IDEALS["katsura3"](field)
-    calls = _count_scalar_arithmetic(monkeypatch)
     product = f * g
     total = f + g
     shifted = f.mul_term((1, 1, 0), 2)
     basis = buchberger(gens)
     remainder = reduce_poly(gens[1] * gens[2] + 5, basis)
     quotient = divide_exact(product, g)
-    assert calls == {}
+    assert _results(field, 11)
+    assert scalar_calls == []
     assert quotient == f and total - g == f and shifted and remainder == 5
-    # the counters see boxed arithmetic
-    field.one() * field.one()
-    field.one() + field.one()
-    field.one().inverse()
-    assert calls == {"__mul__": 1, "__add__": 1, "inverse": 1}
+    # the recorder sees a boxed scalar
+    field.zero()
+    assert scalar_calls == [("zero", field), ("scalar", field, 0)]
 
 
 # -- structural guard: only rings.py knows the packed monomial format ----------
