@@ -5,22 +5,23 @@ multi-index binomial rule D^(r)_w x^a = sum over |b| = r of
 prod_i C(a_i, b_i) w_i^b_i x^(a - b), with every binomial reduced into the
 field by Lucas' theorem, so it is well defined over every field and needs
 no change of basis or substitution.  It runs on exponent classes: the terms
-of f that share their exponents a on the direction axes.  They are grouped
-once per set of axes and padding and kept with f: all Hasse orders along
-one direction read one grouping, and the Taylor expansion and the
-directional data one each.  For each class and each b the multiplier
-prod_i C(a_i, b_i) w_i^b_i and the shift b are formed once, and every term
-of the class then costs one exponent subtraction and one addition.  With a
+of f that share their exponents a on the direction axes, each kept with
+its exponents off the axes, rest.  They are grouped once per set of axes
+and kept with f: every Hasse order along one direction, the Taylor
+expansion and the directional data read one grouping.  For each class and
+each b the multiplier prod_i C(a_i, b_i) w_i^b_i and the head a - b are
+formed once, and every term of the class then costs one concatenation,
+head + rest (and the suffix of a symbolic w), and one addition.  With a
 concrete w it gives the r-th Hasse derivative, the t^r Taylor coefficient
 of f(x + t*w).  For a subspace W spanned by designated variables and a
 symbolic w (one copy per W-variable) it gives the t^r slice of
 f(w' + t*w): the slices sum to the Taylor expansion, and the first nonzero
-one in increasing r is the joint coefficient h(w', w).  Its power is always a power of the characteristic
-exponent, its exponent is the level e, and h is additive of level e in w:
-each of its terms carries exactly one copy, raised to the power p^e.
-Specialising h at a concrete w gives the directional derivative; it may
-vanish for special w even when f depends on W, and the direction-specific
-lowest power is never recomputed.
+one in increasing r is the joint coefficient h(w', w).  Its power is
+always a power of the characteristic exponent, its exponent is the level
+e, and h is additive of level e in w: each of its terms carries exactly
+one copy, raised to the power p^e.  Specialising h at a concrete w gives
+the directional derivative; it may vanish for special w even when f
+depends on W, and the direction-specific lowest power is never recomputed.
 
 Weighted-degree bookkeeping: the auxiliary expansion variable carries weight
 0 and each symbolic copy carries the weight of its original, so expanding a
@@ -34,12 +35,7 @@ from __future__ import annotations
 from itertools import product
 from operator import itemgetter, sub
 
-from .errors import (
-    AlgebraError,
-    DirectionError,
-    InternalCheckError,
-    Record,
-)
+from .errors import AlgebraError, DirectionError, InternalCheckError, Record
 from .fields import lucas_binomial
 from .rings import GradedPoly, GradedRing, RingVariable, Vector, _from_raw
 
@@ -119,8 +115,8 @@ def taylor_expand(f: GradedPoly, W: DirectionSubspace, t: str = "t") -> GradedPo
         raise AlgebraError(f"auxiliary variable {t!r} is not fresh")
     n = len(f.ring.names)
     ext = f.ring.extended((RingVariable(t, "aux", 0),) + joint.variables[n:])
-    axes, classes, _ = _symbolic_axes(f, W, 1 + len(W.span_vars))
-    return _from_raw(ext, _binomial_rule(f.ring.field, classes, axes, None, True))
+    powers, grouping, _ = _symbolic_axes(f, W)
+    return _from_raw(ext, _binomial_rule(f.ring.field, grouping, powers, None, True))
 
 
 def _check_direction(w: Vector, W: DirectionSubspace):
@@ -139,43 +135,48 @@ def _multi_indices(r: int, caps):
     return ((b, *tail) for b in range(low, high + 1) for tail in _multi_indices(r - b, rest))
 
 
-def _exponent_classes(f: GradedPoly, positions, pad: int = 0) -> dict:
-    """Exponent classes of f, in one pass: a -> the terms (exps, c) of f with
-    exponents a (a tuple) on positions, exps followed by pad zeros.  Grouped
-    once per (positions, pad) and kept with f, which no reader changes."""
+def _exponent_classes(f: GradedPoly, positions) -> tuple:
+    """(classes, place) of f on positions, in one pass: classes maps the
+    exponents a (a tuple) on positions to the terms (rest, c) of f with them,
+    rest the exponents off the axes; place (an index per ring position) puts
+    a + rest in ring order, None when positions lead the ring in order.
+    Grouped once per positions and kept with f, which no reader changes."""
     try:
         stored = f._classes
     except AttributeError:
         stored = f._classes = {}
-    grouping = (tuple(positions), pad)
-    if grouping in stored:
-        return stored[grouping]
-    key = itemgetter(*positions)
-    zeros = (0,) * pad
+    positions = tuple(positions)
+    if positions in stored:
+        return stored[positions]
+    n, k = len(f.ring.names), len(positions)
+    order = (*positions, *(i for i in range(n) if i not in positions))
+    place = None if order == tuple(range(n)) else tuple(map(order.index, range(n)))
+    arrange = itemgetter(*order) if place else tuple
     classes: dict = {}
     for exps, c in f.terms.items():
-        classes.setdefault(key(exps), []).append((exps + zeros, c))
-    if len(positions) == 1:
-        classes = {(a,): terms for a, terms in classes.items()}
-    stored[grouping] = classes
-    return classes
+        exps = arrange(exps)
+        classes.setdefault(exps[:k], []).append((exps[k:], c))
+    stored[positions] = classes, place
+    return classes, place
 
 
-def _binomial_rule(field, classes, axes, r, symbolic: bool) -> dict:
-    """Slices of f(x + t*w), unreduced, by the rule above on the exponent
-    classes a -> terms c*x^e of f on the axes: (position, raw powers w_i^0,
-    w_i^1, ...) in the order of a.  b runs lazily over all multi-indices up
-    to a for r None, else over those with |b| = r.  The multiplier
-    prod_i C(a_i, b_i) w_i^b_i is formed once per (class, b), from a per-call
-    table of Lucas binomials, and the shift once per b; each term then adds
-    c times the multiplier at e - shift.  A numeric w gives Hasse derivatives
-    in f's ring; a symbolic w (all powers 1) gives x^(a - b) t^|b| w^b for r
-    None and x^(a - b) w^b otherwise, whose appended exponents the shift
-    writes into the zeros that the classes carry."""
+def _binomial_rule(field, grouping, powers, r, symbolic: bool) -> dict:
+    """Slices of f(x + t*w), unreduced, by the rule above on the grouping
+    (classes, place) of _exponent_classes, with the raw powers w_i^0, w_i^1,
+    ... of each axis in the order of a.  b runs lazily over all
+    multi-indices up to a for r None, else over those with |b| = r.  The
+    multiplier prod_i C(a_i, b_i) w_i^b_i, from a per-call table of Lucas
+    binomials, the head a - b and the suffix are formed once per (class, b);
+    each term (rest, c) then adds c times the multiplier at head + rest +
+    suffix.  A numeric w gives Hasse derivatives in f's ring, with no
+    suffix; a symbolic w (all powers 1) gives x^(a - b) t^|b| w^b for r None
+    and x^(a - b) w^b otherwise, the suffix holding the exponents of t and
+    the copies.  A place puts each result term in ring order at the end."""
+    classes, place = grouping
     binomials: dict = {}
-    shifts: dict = {}
     acc: dict = {}
     get = acc.get
+    suffix = ()
     for a, terms in classes.items():
         if r is None:
             betas = product(*(range(ai + 1) for ai in a))
@@ -185,35 +186,29 @@ def _binomial_rule(field, classes, axes, r, symbolic: bool) -> dict:
             betas = _multi_indices(r, a)
         for beta in betas:
             mult = 1
-            for (_, powers), ai, b in zip(axes, a, beta):
+            for ws, ai, b in zip(powers, a, beta):
                 if b:
                     if (ai, b) not in binomials:
                         binomials[ai, b] = lucas_binomial(ai, b, field)
-                    mult *= binomials[ai, b] * powers[b]
+                    mult *= binomials[ai, b] * ws[b]
             if not mult:
                 continue
-            shift = shifts.get(beta)
-            if shift is None:
-                suffix = () if not symbolic else (sum(beta), *beta) if r is None else beta
-                shift = [0] * (len(terms[0][0]) - len(suffix))
-                for (i, _), b in zip(axes, beta):
-                    shift[i] = b
-                shifts[beta] = shift = (*shift, *(-e for e in suffix))
-            for exps, c in terms:
-                m = tuple(map(sub, exps, shift))
+            head = tuple(map(sub, a, beta))
+            suffix = () if not symbolic else (sum(beta), *beta) if r is None else beta
+            for rest, c in terms:
+                m = head + rest + suffix
                 acc[m] = get(m, 0) + c * mult
-    return acc
+    # every suffix of one call has the same length, and an empty acc reads none
+    put = place and itemgetter(*place, *range(len(place), len(place) + len(suffix)))
+    return {put(m): c for m, c in acc.items()} if put else acc
 
 
-def _symbolic_axes(f: GradedPoly, W: DirectionSubspace, pad: int):
-    """Axes of _binomial_rule for the symbolic direction of W, the exponent
-    classes of f on them with pad zeros, and the top t-power of f(x + t*w):
-    the highest degree of a term of f in W."""
-    positions = [f.ring.position(name) for name in W.span_vars]
-    classes = _exponent_classes(f, positions, pad)
-    top = max(map(sum, classes), default=0)
-    ones = [1] * (top + 1)
-    return [(i, ones) for i in positions], classes, top
+def _symbolic_axes(f: GradedPoly, W: DirectionSubspace):
+    """Powers of _binomial_rule for the symbolic direction of W, the grouping
+    of f on its axes and the top t-power of f(x + t*w), f's degree in W."""
+    grouping = _exponent_classes(f, map(f.ring.position, W.span_vars))
+    top = max(map(sum, grouping[0]), default=0)
+    return [[1] * (top + 1)] * len(W.span_vars), grouping, top
 
 
 def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> GradedPoly:
@@ -231,14 +226,14 @@ def hasse_derivative(f: GradedPoly, w: Vector, r: int, W: DirectionSubspace) -> 
     ring = f.ring
     field = ring.field
     p = field.characteristic
-    axes = []
+    positions, powers = [], []
     for name, c in zip(w.basis, w.coords):
         if v := field.raw(c):
-            axes.append((ring.position(name), [pow(v, b, p) if p else v ** b for b in range(r + 1)]))
-    if not axes:
+            positions.append(ring.position(name))
+            powers.append([pow(v, b, p) if p else v ** b for b in range(r + 1)])
+    if not positions:
         return ring.zero()
-    classes = _exponent_classes(f, [i for i, _ in axes])
-    return _from_raw(ring, _binomial_rule(field, classes, axes, r, False))
+    return _from_raw(ring, _binomial_rule(field, _exponent_classes(f, positions), powers, r, False))
 
 
 def _level_of(power: int, p: int):
@@ -260,14 +255,14 @@ def directional_data(f: GradedPoly, W: DirectionSubspace) -> DirectionalData:
     """
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
-    axes, classes, top = _symbolic_axes(f, W, len(W.span_vars))
+    powers, grouping, top = _symbolic_axes(f, W)
     if not top:
         return DirectionalData("independent", None, None, ())
     joint_ring, copies = doubled_ring(f.ring, W.span_vars, "_w")
     field = f.ring.field
     # slices in increasing order over the same classes; the one at top is never zero
     for r in range(1, top + 1):
-        if joint := _from_raw(joint_ring, _binomial_rule(field, classes, axes, r, True)):
+        if joint := _from_raw(joint_ring, _binomial_rule(field, grouping, powers, r, True)):
             break
     p = field.char_exponent
     level = _level_of(r, p)

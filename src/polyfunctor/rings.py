@@ -19,10 +19,11 @@ All values are immutable after construction and all operations are pure; a
 polynomial only remembers what was asked of it, each a function of its
 terms, which nothing changes in place: its associate (monic over F_p, over q
 the primitive integer multiple with positive leading coefficient) and its
-exponent classes on each set of direction axes (hasse._exponent_classes);
-the private working polynomial of heap division (_Dividend, over q an
-integer multiple `scale` of the true one) never leaves its division, and
-a prepared divisor set (_Divisors) only grows.
+exponent classes, one grouping per set of direction axes that keeps each
+term's exponents off the axes (hasse._exponent_classes); the private
+working polynomial of heap division (_Dividend, over q an integer multiple
+`scale` of the true one) never leaves its division, and a prepared divisor
+set (_Divisors) only grows.
 
 Substitution is one integer kernel for both field kinds: each image used
 is cleared of its denominators once, each term scaled onto one common
@@ -175,10 +176,13 @@ class GradedPoly:
     """Canonical sparse polynomial: exponent vector -> nonzero raw coefficient,
     each converted by ring.field.raw unless a kernel passes _canonical terms.
     Two private slots are filled on first use and kept: _assoc, the associate
-    division reads, and _classes, the exponent classes per (positions, pad)
-    that the Hasse calculus reads.  A constant of the variable-free ring is a
-    scalar (FieldDescriptor.scalar): arithmetic never mixes it with another
-    ring's polynomials, and == reads it by field.raw."""
+    division reads, and _classes, the exponent classes per set of direction
+    axes that the Hasse calculus reads.  A constant of the variable-free ring
+    is a scalar (FieldDescriptor.scalar): arithmetic never mixes it with
+    another ring's polynomials, and == reads it by field.raw.  A constant
+    hashes as the raw value it holds, so it, that value and its scalar are
+    one set element; an int outside the canonical range, such as 6 over F5,
+    compares equal but is not hashed equal."""
 
     __slots__ = ("ring", "terms", "_assoc", "_classes")
 
@@ -340,7 +344,7 @@ class GradedPoly:
         return self.is_constant() and self.constant_value() == o
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash(self.constant_value() if self.is_constant() else (self.ring, frozenset(self.terms.items())))
 
     # -- structural operations -------------------------------------------------
 

@@ -528,7 +528,8 @@ def test_hasse_kernels_make_no_boxed_arithmetic(field, boxed_calls):
 # -- every order of the binomial rule against substitution, on its edges -----
 
 EDGE_FIELDS = (Q, F2, F3, FieldDescriptor.prime_field(101))
-EDGE_SPANS = (("y",), ("x", "z"), ("x", "y", "u"))
+# ("x", "y") leads the ring, so its classes need no placement; the others do
+EDGE_SPANS = (("y",), ("x", "y"), ("x", "z"), ("x", "y", "u"))
 
 
 def _edge_poly(rng, ring, span):
@@ -632,14 +633,9 @@ def test_stored_classes_give_the_results_of_a_fresh_grouping(field):
                 assert data.joint == oracle.coeff_of_power("t", min(powers))
 
 
-def test_one_grouping_per_positions_and_pad(monkeypatch):
+def test_one_grouping_per_positions():
     # every order, the Taylor expansion and the directional data of one f
-    # group it once per (positions, pad): 3 times for a full direction
-    from polyfunctor import hasse
-
-    groupings = []
-    real = hasse.itemgetter
-    monkeypatch.setattr(hasse, "itemgetter", lambda *positions: groupings.append(positions) or real(*positions))
+    # read the one grouping of f on the direction's positions
     ring = xyz_ring(F3)
     W = DirectionSubspace(ring, ("x", "y"))
     text = "x^9*y^3*z + 2*x^4*y^5 - z^2 + x*y + 1"
@@ -648,15 +644,27 @@ def test_one_grouping_per_positions_and_pad(monkeypatch):
         derivatives = [hasse_derivative(f, W.direction(coords), r, W) for r in range(f.total_degree() + 2)]
         return derivatives, taylor_expand(f, W), directional_data(f, W)
 
+    def grouped_once(f, coords):
+        # the grouping the first derivative stores is the one the rest read
+        hasse_derivative(f, W.direction(coords), 1, W)
+        grouping = f._classes[0, 1]
+        result = job(f, coords)
+        assert f._classes[0, 1] is grouping
+        return result
+
     f = parse_polynomial(text, ring)
-    first = job(f, [2, 1])
-    assert groupings == [(0, 1)] * 3
+    first = grouped_once(f, [2, 1])
+    assert list(f._classes) == [(0, 1)]
+    # the axes lead the ring, so no placement
+    assert f._classes[0, 1][1] is None
     # another full direction, and the same job again, group nothing
-    job(f, [1, 1])
-    assert job(f, [2, 1]) == first and len(groupings) == 3
-    # a zero coordinate groups on the other axis alone, once
+    grouped_once(f, [1, 1])
+    assert grouped_once(f, [2, 1]) == first
+    assert list(f._classes) == [(0, 1)]
+    # a zero coordinate adds one grouping, on the other axis alone
     job(f, [0, 1])
     job(f, [0, 2])
-    assert groupings[3:] == [(1,)]
+    assert list(f._classes) == [(0, 1), (1,)] and f._classes[1,][1] == (1, 0, 2)
     # a polynomial that was never grouped is grouped again
-    assert job(parse_polynomial(text, ring), [2, 1]) == first and len(groupings) == 7
+    g = parse_polynomial(text, ring)
+    assert job(g, [2, 1]) == first and list(g._classes) == [(0, 1)]

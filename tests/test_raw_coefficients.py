@@ -98,6 +98,22 @@ def test_scalar_value_is_the_raw_coefficient():
         _same(field.raw(s), field.raw(Fraction(text)))
 
 
+def test_a_constant_hashes_as_the_value_it_equals():
+    ring = GradedRing(F5, ["x"])
+    assert len({ring.one(), 1, F5.scalar(1)}) == 1
+    assert len({ring.zero(), 0}) == 1 and len({F5.zero(), 0, ring.zero()}) == 1
+    assert {ring.const(3): "c"}[3] == "c" and hash(ring.const(3)) == hash(3)
+    # an int outside the canonical range compares equal but hashes apart
+    assert ring.one() == 6 and hash(ring.one()) != hash(6)
+    q_ring = GradedRing(Q, ["x", "y"])
+    half = Fraction(1, 2)
+    assert len({q_ring.const(half), half, Q.scalar(half)}) == 1
+    assert len({q_ring.one(), 1, Fraction(1), Q.scalar(1)}) == 1
+    # a nonconstant polynomial still hashes by its ring and terms
+    x = q_ring.var("x")
+    assert len({x + half, x + half, GradedRing(Q, ["x", "z"]).var("x") + half}) == 2
+
+
 @pytest.mark.parametrize("field", (Q, F3, F101), ids=str)
 @pytest.mark.parametrize("fractional", (False, True))
 def test_parsing_builds_no_scalar(field, fractional, scalar_calls):
