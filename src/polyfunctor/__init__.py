@@ -71,7 +71,6 @@ from .proofstep import (
     AffineAdditiveElement,
     CoordinateModel,
     DeltaReport,
-    DerivativeStep,
     EliminationCertificate,
     VarietyPresentation,
     delta_degree,

@@ -13,15 +13,16 @@ finally a Cramer-rule certificate that expresses each moving top-summand
 coordinate over the retained coordinates with denominators that are powers
 of h.
 
-One stage runner does all of this; run_proofstep reports its formal
-checks, and the worked rank-one tensor example runs the same stages and adds
-its expected values, seeded sample validation and an ideal-membership check
-of the certificate.  Both go through the Segre map v, w -> v (x) w: the
-membership is decided exactly by one substitution per cleared element, and
-the sampled checks evaluate the nonzero images of their polynomials at
-seeded points (v, w), drawn up to the last check with one; the pullback
-check's images are the universal pullback's, pulled back linearly.  Both
-render one byte-stable report type.
+One stage runner, _run_stages, does all of this and returns the one
+ProofStepReport with every stage result; run_proofstep sets its formal
+checks on it, and the worked rank-one tensor example runs the same stages
+and adds its expected values, seeded sample validation and an
+ideal-membership check of the certificate.  Both go through the Segre map
+v, w -> v (x) w: the membership is decided exactly by one substitution per
+cleared element, and the sampled checks evaluate the nonzero images of their
+polynomials at seeded points (v, w), drawn up to the last check with one;
+the pullback check's images are the universal pullback's, pulled back
+linearly.  Both render that byte-stable report.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class CoordinateModel:
     label as its part and the summand degree as its weight.  Names follow
     the running conventions: x_i_j for tensor coordinates, y_i_j (i <= j)
     and z_i_j (i < j) for the symmetric/alternating split, and a generic
-    label-positional scheme otherwise.  Indices in names are 1-based.
+    label-positional scheme otherwise, also for every summand of a kind that
+    two summands share.  Indices in names are 1-based.
     """
 
     def __init__(self, functor: FunctorExpr, field: FieldDescriptor, dimension: int):
@@ -124,10 +126,8 @@ class CoordinateModel:
         if not summands:
             raise PresentationError("the zero functor has no coordinates")
         self.normalized = SumF(tuple(s.expr for s in summands))
-        prefixes = [_summand_prefix(s.expr) for s in summands]
-        for i, p in enumerate(prefixes):
-            if p is not None and prefixes.count(p) > 1:
-                prefixes[i] = None
+        kinds = [_summand_prefix(s.expr) for s in summands]
+        prefixes = [p if kinds.count(p) == 1 else None for p in kinds]  # a kind of two summands names neither
         variables = []
         full_labels = []
         names_by_label = {}
@@ -259,14 +259,10 @@ def delta_degree(generators, q_generators, budget_steps: int | None = None) -> D
 # ---------------------------------------------------------------------------
 
 
-class DerivativeStep(Record, frozen=True):
-    derivative: GradedPoly
-    data: object  # DirectionalData of the witness along the designated summand, with its level
-
-
-def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector) -> DerivativeStep:
-    """Directional derivative of f along r0 inside the designated summand,
-    with its level; refuses directions whose derivative dies modulo the
+def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector):
+    """(h, data): the directional derivative h of f along r0 inside the
+    designated summand and f's directional data along that summand, with its
+    level; refuses directions whose derivative dies modulo the
     base-projection generators."""
     if f.ring != X.model.ring:
         raise PresentationError("witness polynomial lives in a foreign ring")
@@ -292,7 +288,7 @@ def derivative_step(f: GradedPoly, X: VarietyPresentation, r0: Vector) -> Deriva
             raise InternalCheckError(
                 f"derivative degree {h.weighted_degree()} differs from expected {expected}"
             )
-    return DerivativeStep(h, data)
+    return h, data
 
 
 def usable_directions(data, X: VarietyPresentation) -> list[tuple[str, bool]]:
@@ -636,24 +632,31 @@ class Check(Record):
 
 
 class ProofStepReport(Record):
-    """Outcome of one proof step, rendered as text or JSON.
+    """Outcome of one proof step, rendered as text or JSON: _run_stages sets
+    the stage results, its runner the fields after certificate_error.
 
     header holds the leading (key, value) pairs in print order.  Each element
-    comes with the JSON keys that identify it; the text layout prints their
-    values as k[v1][v2]...  delta_witness, when set, is printed as its own
-    text line.
+    is printed with its keys, the JSON keys that identify it; the text layout
+    prints their values as k[v1][v2]...  delta_witness, when set, is printed
+    as its own text line.  e0 is the level of data.
     """
 
-    header: tuple
     f: GradedPoly
     r0: Vector
     delta: DeltaReport
-    delta_witness: GradedPoly | None
-    level: int
     h: GradedPoly
-    elements: list  # (identifying keys, AffineAdditiveElement)
+    data: object  # DirectionalData of f along the designated summand, with its level
+    model_big: CoordinateModel
+    model_2u: CoordinateModel | None  # of the universal projection, model_big when n = u
+    h_big: GradedPoly
+    universal: AffineAdditiveElement | None  # extracted, so it has a pullback
+    elements: list  # one AffineAdditiveElement per projection, in order, pulled back
     certificate: EliminationCertificate | None
-    checks: list
+    certificate_error: str  # why elimination failed, when certificate is None
+    header: tuple = ()
+    element_keys: tuple = ()
+    delta_witness: GradedPoly | None = None
+    checks: tuple = ()
 
     def all_passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
@@ -668,9 +671,9 @@ class ProofStepReport(Record):
                 "value": self.delta.delta,
                 "witness": self.delta.witness.to_text() if self.delta.witness else None,
             },
-            "e0": self.level,
+            "e0": self.data.level,
             "h": self.h.to_text(),
-            "k": [{**keys, "value": el.poly.to_text()} for keys, el in self.elements],
+            "k": [{**keys, "value": el.poly.to_text()} for keys, el in zip(self.element_keys, self.elements)],
             "certificate": [
                 {"variable": e.variable, "numerator": e.numerator.to_text(), "h_power": e.h_power}
                 for e in (self.certificate.entries if self.certificate else ())
@@ -686,13 +689,13 @@ class ProofStepReport(Record):
         lines.append(f"delta: {self.delta.delta if self.delta.status == 'finite' else self.delta.status}")
         if self.delta_witness is not None:
             lines.append(f"delta witness: {self.delta_witness.to_text()}")
-        lines.append(f"e0: {self.level}")
+        lines.append(f"e0: {self.data.level}")
         lines.append(f"h: {self.h.to_text()}")
-        for keys, el in self.elements:
+        for keys, el in zip(self.element_keys, self.elements):
             label = "".join(f"[{v}]" for v in keys.values())
             lines.append(f"k{label}: {el.poly.to_text()}")
         if self.certificate is not None:
-            q_power = self.h.ring.field.char_exponent ** self.level
+            q_power = self.h.ring.field.char_exponent ** self.data.level
             for e in self.certificate.entries:
                 lines.append(
                     f"certificate[{e.variable}]: {e.variable}^{q_power}"
@@ -706,57 +709,26 @@ class ProofStepReport(Record):
         return "\n".join(lines) + "\n"
 
 
-class _Stages(Record):
-    """Results of the shared stages of one proof step."""
-
-    f: GradedPoly
-    r0: Vector
-    delta: DeltaReport
-    step: DerivativeStep
-    model_big: CoordinateModel
-    model_2u: CoordinateModel | None  # of the universal projection, model_big when n = u
-    h_big: GradedPoly
-    universal: AffineAdditiveElement | None  # extracted, so it has a pullback
-    elements: list  # one AffineAdditiveElement per projection, in order, pulled back
-    certificate: EliminationCertificate | None
-    certificate_error: str  # why elimination failed, when certificate is None
-
-    def report(self, header, element_keys, delta_witness, checks) -> ProofStepReport:
-        return ProofStepReport(
-            header=header,
-            f=self.f,
-            r0=self.r0,
-            delta=self.delta,
-            delta_witness=delta_witness,
-            level=self.step.data.level,
-            h=self.step.derivative,
-            elements=list(zip(element_keys, self.elements)),
-            certificate=self.certificate,
-            checks=checks,
-        )
-
-
-def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis) -> _Stages:
+def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis) -> ProofStepReport:
     """Minimal degree of X's generators, then on the witness f: derivative,
     one extraction along the universal projection with its coefficient
     matrices and identities, per projection its element pulled back from
     that one (_pull_backs), then elimination; without projections nothing
-    is extracted and eliminate refuses."""
+    is extracted and eliminate refuses.  The runner sets the rest."""
     model_big = CoordinateModel(X.model.functor, X.model.field, X.model.dimension + n)
     delta = delta_degree(X.generators, X.q_ideal)
-    step = derivative_step(f, X, r0)
+    h, data = derivative_step(f, X, r0)
     phis = list(phis)
-    universal, elements, model_2u = _pull_backs(X, f, step.data, model_big, phis) if phis else (None, [], None)
+    universal, elements, model_2u = _pull_backs(X, f, data, model_big, phis) if phis else (None, [], None)
     # h pulled back along the base projection, as in the derivative check
     pulled = X.model.names_in(model_big)
-    h_big = step.derivative.substitute({name: model_big.ring.var(big) for name, big in pulled.items()})
-    certificate = None
-    error = ""
+    h_big = h.substitute({name: model_big.ring.var(big) for name, big in pulled.items()})
+    certificate, error = None, ""
     try:
         certificate = eliminate(elements, h_big, elements[0].eliminated if elements else ())
     except CertificateNotFoundError as exc:
         error = str(exc)
-    return _Stages(f, r0, delta, step, model_big, model_2u, h_big, universal, elements, certificate, error)
+    return ProofStepReport(f, r0, delta, h, data, model_big, model_2u, h_big, universal, elements, certificate, error)
 
 
 def pair_projections(fld: FieldDescriptor, n: int) -> dict:
@@ -776,24 +748,19 @@ def run_proofstep(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phi
     its designated summand and the supplied projection matrices; X's
     generators feed only the minimal-degree report.  Performs the formal
     identity checks but no variety-specific sampling."""
-    stages = _run_stages(X, f, n, r0, phis)
-    delta = stages.delta
-    indices = range(len(stages.elements))
-    checks = [
+    report = _run_stages(X, f, n, r0, phis)
+    delta, certificate = report.delta, report.certificate
+    indices = range(len(report.elements))
+    report.checks = [
         Check("delta-degree", "pass" if delta.status != "inconclusive" else "inconclusive", str(delta.delta)),
-        Check("derivative", "pass", stages.step.derivative.to_text()),
+        Check("derivative", "pass", report.h.to_text()),
+        *(Check(f"affine-additive-form {idx}", "pass") for idx in indices),
+        Check("certificate-found", "pass", f"{len(certificate.entries)} coordinates")
+        if certificate is not None else Check("certificate-found", "inconclusive", report.certificate_error),
     ]
-    checks += [Check(f"affine-additive-form {idx}", "pass") for idx in indices]
-    if stages.certificate is not None:
-        checks.append(Check("certificate-found", "pass", f"{len(stages.certificate.entries)} coordinates"))
-    else:
-        checks.append(Check("certificate-found", "inconclusive", stages.certificate_error))
-    return stages.report(
-        header=(("field", str(X.model.field)), ("u", X.model.dimension), ("n", n)),
-        element_keys=[{"tag": str(idx)} for idx in indices],
-        delta_witness=None,
-        checks=checks,
-    )
+    report.header = (("field", str(X.model.field)), ("u", X.model.dimension), ("n", n))
+    report.element_keys = [{"tag": str(idx)} for idx in indices]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -919,46 +886,45 @@ def run_rank_one_example(
     X = VarietyPresentation.make(model_u, [f], [], r_label)
     r0 = Vector("r", ("z_1_2",), (1,))
     pairs = pair_projections(fld, n)
-    stages = _run_stages(X, f, n, r0, list(pairs.values()))
-    delta, step, model_big = stages.delta, stages.step, stages.model_big
-    h = step.derivative
-    checks = []
+    report = _run_stages(X, f, n, r0, list(pairs.values()))
+    delta, data, h, model_big = report.delta, report.data, report.h, report.model_big
+    checks = report.checks = []
 
     def check(name: str, ok: bool, witness: str = ""):
         checks.append(Check(name, "pass" if ok else "fail", witness))
 
     check("delta-degree", delta.status == "finite" and delta.delta == 4, f"delta={delta.delta}")
-    scan = usable_directions(step.data, X)
+    scan = usable_directions(data, X)
     check("direction-scan", any(ok for _, ok in scan), "; ".join(f"{name}:{'ok' if ok else 'no'}" for name, ok in scan))
-    check("derivative-level", step.data.level == 0, f"e0={step.data.level}")
+    check("derivative-level", data.level == 0, f"e0={data.level}")
     check("derivative-value", h == ring_u.var("z_1_2") * 2, h.to_text())
     degrees = f"deg f={f.weighted_degree()}, deg h={h.weighted_degree()}"
     check("degree-ledger", f.weighted_degree() == 4 and h.weighted_degree() == 2, degrees)
-    check("joint-additivity f", joint_additivity_holds(step.data))
-    check("joint-scaling f", joint_scaling_holds(step.data))
+    check("joint-additivity f", joint_additivity_holds(data))
+    check("joint-scaling f", joint_scaling_holds(data))
 
     # the sampled checks' Segre images: the witness at the base dimension,
     # the pullbacks' t-coefficients (a pullback vanishes identically in t at
     # a point exactly when all of them do), the k's and the cleared certificate
     sampled = [([f.substitute(_segre_map(model_u))], u, 20, None)]
-    m, certificate, universal = model_big.dimension, stages.certificate, stages.universal
+    m, certificate, universal = model_big.dimension, report.certificate, report.universal
     t = universal.pullback.ring.variables[-1]
     segre = _segre_map(model_big, [t])
     vw = segre[t.name].ring.without([t.name])
-    pulled = _segre_pullbacks(stages.model_2u, universal, segre, pairs.values())
+    pulled = _segre_pullbacks(report.model_2u, universal, segre, pairs.values())
     t_coefficients = [image.coeff_of_power(t.name, k, vw) for image in pulled for k in image.powers_of(t.name)]
     sampled.append((t_coefficients, m, sample_count, None))
-    sampled.append(([el.poly.substitute(segre) for el in stages.elements], m, sample_count, None))
+    sampled.append(([el.poly.substitute(segre) for el in report.elements], m, sample_count, None))
     if certificate is not None:
         # the certificate claims x^q = -numerator/h^e where h does not vanish
         cleared = [c.substitute(segre) for c in certificate.cleared_elements()]
-        sampled.append((cleared, m, sample_count, lambda: stages.h_big.substitute(segre)))
+        sampled.append((cleared, m, sample_count, lambda: report.h_big.substitute(segre)))
     spot_ok, pull_ok, k_ok, *samples_ok = _sample_statuses(random.Random(seed), fld, sampled)
     check("base-locus-spot-check", spot_ok)
 
     dd_k = directional_data(universal.poly, DirectionSubspace(universal.poly.ring, universal.eliminated))
     k_laws = joint_additivity_holds(dd_k) and joint_scaling_holds(dd_k)
-    for (i, j), el in zip(pairs, stages.elements):
+    for (i, j), el in zip(pairs, report.elements):
         for name in ("projection-identities", "affine-additive-form", "derivative-formula"):
             check(f"{name} {i},{j}", True)
         if el.additive_part:
@@ -968,7 +934,7 @@ def run_rank_one_example(
     check("coefficient-vanishes-on-samples", k_ok)
 
     if certificate is None:
-        check("certificate-found", False, stages.certificate_error)
+        check("certificate-found", False, report.certificate_error)
     else:
         minor = f"{len(certificate.entries)} coordinates, minor rows {list(certificate.minor_rows)}"
         check("certificate-found", True, minor)
@@ -979,9 +945,7 @@ def run_rank_one_example(
         check("certificate-membership", not witness, witness)
         check("certificate-samples", samples_ok[0])
 
-    return stages.report(
-        header=(("field", str(fld)), ("n", n), ("seed", seed), ("u", u)),
-        element_keys=[{"i": i, "j": j} for i, j in pairs],
-        delta_witness=delta.witness,
-        checks=checks,
-    )
+    report.header = (("field", str(fld)), ("n", n), ("seed", seed), ("u", u))
+    report.element_keys = [{"i": i, "j": j} for i, j in pairs]
+    report.delta_witness = delta.witness
+    return report

@@ -179,10 +179,14 @@ class GradedPoly:
     division reads, and _classes, the exponent classes per set of direction
     axes that the Hasse calculus reads.  A constant of the variable-free ring
     is a scalar (FieldDescriptor.scalar): arithmetic never mixes it with
-    another ring's polynomials, and == reads it by field.raw.  A constant
-    hashes as the raw value it holds, so it, that value and its scalar are
-    one set element; an int outside the canonical range, such as 6 over F5,
-    compares equal but is not hashed equal."""
+    another ring's polynomials.  == reads an int or a Fraction by field.raw,
+    and a polynomial of another ring is equal exactly when both are
+    constants over the same field with equal values: == is transitive within
+    a field, and an int still bridges two (F5's one and F3's one equal 1,
+    not each other).  A constant hashes as the raw value it holds, so it,
+    that value and its scalar are one set element; an int outside the
+    canonical range, such as 6 over F5, compares equal but is not hashed
+    equal."""
 
     __slots__ = ("ring", "terms", "_assoc", "_classes")
 
@@ -335,8 +339,8 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             if other.ring == self.ring:
                 return self.terms == other.terms
-            if other.ring.names:  # other's __eq__ may read a scalar self
-                return NotImplemented
+            return other.ring.field == self.ring.field and self.is_constant() and other.is_constant() and (
+                self.constant_value() == other.constant_value())
         try:
             o = self.ring.field.raw(other)
         except AlgebraError:  # a value this field cannot hold

@@ -72,6 +72,18 @@ def test_hasse_and_taylor(capsys):
     )
     assert code == 0
     assert out.strip() == "x^2 + 2*x*t*x_w + t^2*x_w^2"
+    # a taken copy name is passed over for a fresh one
+    code, out, err = run_cli(capsys, "taylor", "--field", "q", "--poly", "x*x_w", "--w-vars", "x")
+    assert (code, out, err) == (0, "x*x_w + x_w*t*x_w_\n", "")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("hasse --field q --w-vars x,y --dir 1 --r 1", 1, "error: direction length does not match the subspace variables"),
+    ("taylor --field q --w-vars x --t x", 1, "error: auxiliary variable 'x' is not fresh"),
+    ("taylor --field r --w-vars x", 2, "parse error: unknown field selector 'r' (at position 0)"),
+])
+def test_hasse_and_taylor_refusals(capsys, argv, code, message):
+    assert run_cli(capsys, *argv.split(), "--poly", "x*y") == (code, "", message + "\n")
 
 
 def test_round_trip_of_printed_polynomials(capsys):

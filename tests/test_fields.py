@@ -80,6 +80,14 @@ def test_lucas_matches_factorial_oracle_everywhere():
                 assert lucas_binomial(a, r, fld) == comb(a, r) % p
 
 
+@pytest.mark.parametrize("a, r", [(-1, 0), (0, -1), (-2, -3)])
+@pytest.mark.parametrize("fld", (Q, F5), ids=str)
+def test_lucas_refuses_a_negative_argument(fld, a, r):
+    with pytest.raises(AlgebraError) as info:
+        lucas_binomial(a, r, fld)
+    assert type(info.value) is AlgebraError and str(info.value) == "binomial arguments must be nonnegative"
+
+
 @given(st.integers(0, 500), st.integers(0, 500))
 def test_lucas_rational_is_exact_binomial(a, r):
     assert lucas_binomial(a, r, Q) == comb(a, r)

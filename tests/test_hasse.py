@@ -122,6 +122,14 @@ def test_order_zero_checks_the_direction_and_ring_too(r):
         hasse_derivative(f, other.direction([1, 1]), r, other)
 
 
+@pytest.mark.parametrize("compute", [taylor_expand, directional_data])
+def test_a_direction_subspace_of_another_ring_is_refused(compute):
+    f = parse_polynomial("x*y", xyz_ring(Q))
+    with pytest.raises(AlgebraError) as info:
+        compute(f, DirectionSubspace(GradedRing(Q, ["x", "y"]), ("x",)))
+    assert type(info.value) is AlgebraError and str(info.value) == "direction subspace belongs to a different ring"
+
+
 def test_scaling_law():
     rng = random.Random(8)
     for field in (Q, F3):

@@ -81,6 +81,69 @@ def test_a_presentation_needs_a_generator():
         VarietyPresentation.make(model, [], [f], "p1")
 
 
+@pytest.mark.parametrize("text, names", [
+    ("sum(tsym,tsym)", "p0_1 p0_2 p0_3 p1_1 p1_2 p1_3"),
+    ("sum(tensor(id,id),tensor(id,id))", "p0_1 p0_2 p0_3 p0_4 p1_1 p1_2 p1_3 p1_4"),
+    ("sum(tsym,talt,tsym)", "p0_1 p0_2 p0_3 z_1_2 p2_1 p2_2 p2_3"),
+    ("sum(tsym,talt)", "y_1_1 y_1_2 y_2_2 z_1_2"),
+])
+def test_a_kind_that_would_name_two_summands_names_neither(text, names):
+    assert CoordinateModel(parse_functor(text), Q, 2).ring.names == tuple(names.split())
+
+
+def _refused(error, message, call, *args):
+    with pytest.raises(error) as info:
+        call(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_presentation_refusals():
+    zero = parse_functor("quot(sum(id),0)")
+    _refused(PresentationError, "the zero functor has no coordinates", CoordinateModel, zero, Q, 2)
+    model, f, _ = split_presentation()
+    foreign = CoordinateModel(SPLIT, Q, 3).ring.var("y_1_1")
+    for generators, q_generators in (([f, foreign], []), ([f], [foreign])):
+        _refused(PresentationError, "generator lives in a foreign ring",
+                 VarietyPresentation.make, model, generators, q_generators, "p1")
+    g = model.ring.var("y_1_1") + model.ring.var("z_1_2") ** 2
+    _refused(PresentationError, "generator z_1_2^2 + y_1_1 is not weight-homogeneous",
+             VarietyPresentation.make, model, [f, g], [], "p1")
+    low = CoordinateModel(parse_functor("sum(id,talt)"), Q, 2)
+    _refused(PresentationError, "designated summand 'p0' has degree 1, top degree is 2",
+             VarietyPresentation.make, low, [low.ring.var("z_1_2")], [], "p0")
+
+
+def test_a_witness_in_a_foreign_ring_is_refused():
+    model_u, f, X = split_presentation()
+    model_big = CoordinateModel(SPLIT, Q, 5)
+    foreign = f.substitute({name: model_big.ring.var(name) for name in model_u.ring.names})
+    message = "witness polynomial lives in a foreign ring"
+    _refused(PresentationError, message, derivative_step, foreign, X, Vector("r", ("z_1_2",), (1,)))
+    data = witness_data(f, model_u, "p1")
+    _refused(PresentationError, message, extract_additive_element, foreign, data, model_u, model_big,
+             pair_projection(Q, 3, 1, 2), "p1")
+
+
+def test_projection_of_the_wrong_shape_is_refused():
+    model_u = CoordinateModel(SPLIT, Q, 2)
+    for rows in ([[1, 0], [0, 1]], [[1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        _refused(PresentationError, "projection matrix has the wrong shape", projection_coefficients, model_u, 3,
+                 space_matrix(Q, rows))
+
+
+def test_elimination_refusals():
+    ring = GradedRing(Q, [("z", "r", 1), ("c", "b", 1)])
+    z, c = ring.var("z"), ring.var("c")
+    one = AffineAdditiveElement(z + c, 0, {"z": ring.one()}, c, ("z",))
+    cubed = AffineAdditiveElement(z ** 3 + c, 1, {"z": ring.one()}, c, ("z",))
+    _refused(PresentationError, "elements disagree in ring or level", eliminate, [one, cubed], ring.one(), ["z"])
+    foreign = GradedRing(Q, [("z", "r", 1), ("c", "b", 1), ("h", "b", 1)]).var("h")
+    _refused(PresentationError, "unit polynomial lives in a foreign ring", eliminate, [one], foreign, ["z"])
+    _refused(PresentationError, "unit polynomial must avoid the moving coordinates", eliminate, [one], z + c, ["z"])
+    # the same element with a unit free of z is eliminated
+    assert eliminate([one], ring.one(), ["z"]).entries == (CertificateEntry("z", c, 0),)
+
+
 # -- delta ------------------------------------------------------------------------
 
 
@@ -167,9 +230,9 @@ def test_delta_runs_buchberger_once_with_the_per_generator_budget(field, monkeyp
 
 def test_derivative_step_running_example():
     model, f, X = split_presentation()
-    step = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
-    assert step.data.level == 0
-    assert step.derivative == model.ring.var("z_1_2") * 2
+    h, data = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
+    assert data.level == 0
+    assert h == model.ring.var("z_1_2") * 2
 
 
 def test_derivative_step_rejects_independent_witness():
@@ -191,11 +254,11 @@ def test_derivative_step_level_one_in_characteristic_five():
     ring = model.ring
     f = parse_polynomial("y_1_1^5*y_2_2^5 + z_1_2^5*y_1_1^5", ring)
     X = VarietyPresentation.make(model, [f], [], "p1")
-    step = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
-    assert step.data.level == 1
-    assert step.derivative == ring.var("y_1_1") ** 5
+    h, data = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
+    assert data.level == 1
+    assert h == ring.var("y_1_1") ** 5
     # degree ledger: deg h = deg f - d * p^e0 = 20 - 2*5
-    assert step.derivative.weighted_degree() == 10
+    assert h.weighted_degree() == 10
 
 
 def test_usable_directions_scan():
@@ -273,7 +336,7 @@ def test_reductions_modulo_the_q_generators_agree_with_normal_form(field):
             ok = bool(h) and not normal_form(h, X.q_generators).is_zero()
             expected.append(ok)
             if ok:
-                assert derivative_step(f, X, r0).derivative == h
+                assert derivative_step(f, X, r0)[0] == h
             else:
                 with pytest.raises(BadDirectionChoiceError):
                     derivative_step(f, X, r0)
@@ -953,7 +1016,7 @@ def test_h_big_is_the_label_pull_back_of_h(field):
         r_vars = X.r_vars()
         r0 = Vector("r", r_vars, tuple(field.scalar(i + 1) for i in range(len(r_vars))))
         stages = proofstep._run_stages(X, f, 3, r0, [space_matrix(field, rows) for rows in PHI_ROWS])
-        h = stages.step.derivative
+        h = stages.h
         assert stages.h_big == _label_pull_back(h, model_u, stages.model_big), (text, part)
         moved += [text for name in h.support_vars() if stages.model_big.name_of[model_u.label_of[name]] != name]
     # the check is not vacuous: on generic names h's variables are renamed
@@ -1070,7 +1133,7 @@ def test_rank_one_membership_substitutes_once_per_entry(monkeypatch):
     # cleared element (membership and certificate-samples); every image is
     # zero, so certificate-samples draws nothing and h, its unit, is not
     # substituted
-    elements = [el for _, el in report.elements]
+    elements = list(report.elements)
     cleared = report.certificate.cleared_elements()
     assert len(elements) == len(cleared) == 3
     universal = stages[-1].universal.pullback
@@ -1184,7 +1247,7 @@ def test_segre_map_agrees_with_the_minors_normal_form(n, selector):
     segre = _segre_map(model_big)
     ring = model_big.ring
     h = report.h.convert(ring)
-    ks = [el.poly for _, el in report.elements]
+    ks = [el.poly for el in report.elements]
     cleared = report.certificate.cleared_elements()
     members = ks + cleared
     perturbed = [k + ring.var("y_1_1") * ring.var("z_1_2") for k in ks] + [c + h for c in cleared]
@@ -1215,7 +1278,7 @@ def test_rank_one_elements_map_to_zero_exactly(n, selector):
     report = run_rank_one_example(n, field, sample_count=1)
     model = CoordinateModel(SPLIT, field, n + 2)
     segre = _segre_map(model)
-    for _, el in report.elements:
+    for el in report.elements:
         assert not el.poly.substitute(segre)
     # the whole pullbacks, along every pair and along the universal projection
     model_u, f, _ = split_presentation(field)
@@ -1741,7 +1804,7 @@ def test_level_two_elements_vanish_on_rank_one_tensors(n):
     _, f, X = _frobenius_presentation(field, 2)
     pairs = [pair_projection(field, n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
     stages = proofstep._run_stages(X, f, n, Vector("r", ("z_1_2",), (1,)), pairs)
-    assert stages.step.data.level == stages.certificate.level == 2
+    assert stages.data.level == stages.certificate.level == 2
     # every k has level 2 and a nonzero additive part, and its Segre image,
     # exact membership in the ideal of 2x2 minors, is zero
     segre = _segre_map(CoordinateModel(SPLIT, field, 2 + n))
@@ -1754,7 +1817,7 @@ def _assert_joint_laws_as_evaluated(report):
     k, is that of the joint laws evaluated on the pair's own k; a pair whose
     k has no additive part prints none.  Returns the number of lines."""
     statuses = {c.name: c.status for c in report.checks}
-    for keys, el in report.elements:
+    for keys, el in zip(report.element_keys, report.elements, strict=True):
         name = f"joint-laws k {keys['i']},{keys['j']}"
         if el.additive_part:
             dd = directional_data(el.poly, DirectionSubspace(el.poly.ring, el.eliminated))
@@ -1797,7 +1860,7 @@ def test_joint_laws_as_evaluated_on_swapped_stages(case, monkeypatch):
 
     monkeypatch.setattr(proofstep, "_run_stages", swapped)
     report = run_rank_one_example(3, field, sample_count=1)
-    assert {el.level for _, el in report.elements} == {int(case == "level-1")}
+    assert {el.level for el in report.elements} == {int(case == "level-1")}
     assert _assert_joint_laws_as_evaluated(report) == 3
 
 

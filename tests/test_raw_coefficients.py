@@ -114,6 +114,21 @@ def test_a_constant_hashes_as_the_value_it_equals():
     assert len({x + half, x + half, GradedRing(Q, ["x", "z"]).var("x") + half}) == 2
 
 
+@pytest.mark.parametrize("field, value", ((F5, 1), (Q, Fraction(1, 2))), ids=str)
+def test_constants_of_two_rings_over_one_field_are_equal(field, value):
+    # equality within a field is transitive, so a set's size does not depend
+    # on the order its elements are inserted in
+    rx, ry = GradedRing(field, ["x"]).const(value), GradedRing(field, ["y"]).const(value)
+    assert rx == ry and ry == rx and rx == field.scalar(value) == ry
+    assert len({rx, value, ry}) == len({value, rx, ry}) == len({ry, rx}) == 1
+    # a polynomial of another ring equals only as a constant of equal value
+    x, y = GradedRing(field, ["x"]).var("x"), GradedRing(field, ["y"]).var("y")
+    assert rx != ry + 1 and x != y and x != GradedRing(field, ["x", "z"]).var("x") and rx + x != ry + y
+    # an int still bridges two fields, whose constants stay unequal
+    other = GradedRing(F3 if field is F5 else F5, ["y"]).one()
+    assert GradedRing(field, ["x"]).one() == 1 == other and GradedRing(field, ["x"]).one() != other
+
+
 @pytest.mark.parametrize("field", (Q, F3, F101), ids=str)
 @pytest.mark.parametrize("fractional", (False, True))
 def test_parsing_builds_no_scalar(field, fractional, scalar_calls):

@@ -56,6 +56,17 @@ def test_ring_mismatch_raises():
         a.one() + b.one()
 
 
+@pytest.mark.parametrize("field", (Q, F3), ids=str)
+def test_a_number_minus_a_polynomial(field):
+    # the number is the left operand, so the subtraction is __rsub__'s
+    x = GradedRing(field, ["x"]).var("x")
+    for number in (1, Fraction(1, 2)):
+        difference = number - x
+        assert difference == -x + number and difference.ring == x.ring
+    assert (1 - x).to_text() == ("-x + 1" if field is Q else "2*x + 1")
+    assert (Fraction(1, 2) - x).to_text() == ("-x + 1/2" if field is Q else "2*x + 2")
+
+
 def test_canonical_form_equality():
     ring = GradedRing(Q, ["x", "y"])
     x, y = ring.var("x"), ring.var("y")
