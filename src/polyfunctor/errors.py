@@ -33,8 +33,8 @@ class Record:
         cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
         cls._has_post_init = hasattr(cls, "__post_init__")
         # attrgetter of one name returns the bare value, of none fails
-        short = lambda record: tuple(getattr(record, name) for name in fields)
-        cls._values = staticmethod(attrgetter(*fields) if len(fields) > 1 else short)
+        get = attrgetter(*fields) if fields else lambda record: ()
+        cls._values = staticmethod(get if len(fields) != 1 else lambda record: (get(record),))
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
             cls.__hash__ = Record._hash

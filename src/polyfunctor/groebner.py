@@ -11,13 +11,13 @@ nonzero S-pair remainder), criterion B drops each pending pair (i, j) whose
 lcm the leading monomial of h divides, unless lcm(i, h) or lcm(j, h) equals
 lcm(i, j); among the new pairs (k, h), M drops those whose lcm another's
 properly divides, F keeps one of those with equal lcm (none if one is
-coprime), and the coprime ones are dropped.  The leading monomials and lcms
-are those of the basis's divisor set (rings._Divisors), packed at its one
-width: an lcm is a per-field max, a pair is coprime when its lcm is the sum
-of its leads, and divisibility is the guard test of division.  Pending pairs
+coprime), and the coprime ones are dropped.  The basis's divisor set runs
+this update on its packed leads (rings._Divisors.join), filtering new lcms
+without their degree, which only a pushed pair gets back.  Pending pairs
 sit in the set's heap keyed by the packed lcm, which orders as the term
 order, then by index (the normal strategy); a pair B drops leaves it when
-popped, and its packed lcm is the top of its S-pair dividend.
+popped, and its packed lcm is the top of its S-pair dividend, whose
+remainder joins with the associate its division read off the terms popped.
 
 A division (reduce_poly, divide_exact) works on a mutable copy of the
 dividend whose packed monomials, a format only rings knows, sit in a heap
@@ -40,7 +40,7 @@ computing a basis; only completeness needs the Buchberger run.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heappop
 from math import gcd
 
 from .errors import AlgebraError, BudgetExceededError
@@ -100,16 +100,14 @@ def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly
 
     def divide(work):
         budget.remaining = start  # a division started again spends afresh
-        remainder = {}
         while (lead := work.leading()) is not None:
             monomial, coeff = lead
             budget.spend()
             if (found := work.divisor(monomial)) is not None:
                 _step(work, coeff, *found)
             else:
-                exps, c = work.pop_leading()
-                remainder[exps] = c
-        return GradedPoly(gens.ring, remainder, _canonical=True)
+                work.pop_leading()
+        return work.remainder(gens)
 
     return gens.divide(f, divide)
 
@@ -122,32 +120,14 @@ def buchberger(gens, budget: Budget | None = None) -> list[GradedPoly]:
     if not gens:
         return []
     basis, dropped = _Divisors(gens[0].ring), set()
-    pairs = basis.pairs
-
-    def join(h):
-        """Gebauer-Moeller update as h joins, on the packed leads of the basis."""
-        basis.append(_monic(h))  # which may widen the leads and the pairs
-        *_, lcm, divides = basis.packing
-        *leads, e = [lead for lead, _, _ in basis.packed]
-        dropped.update((i, j) for m, i, j in pairs  # B
-                       if divides(e, m) and m not in (lcm(leads[i], e), lcm(leads[j], e)))
-        # the term order refines divisibility: each new pair left drops those after it
-        # whose lcm its lcm divides (M, and F keeping the coprime one, else lowest k)
-        candidates = sorted([(m, m != d + e, k) for k, d in enumerate(leads) for m in (lcm(d, e),)])
-        while candidates:
-            m, shared, k = candidates[0]
-            if shared:  # a coprime pair is dropped only now, having served M and F
-                heappush(pairs, (m, k, len(leads)))
-            candidates = [c for c in candidates if not divides(m, c[0])]
-
     for g in gens:
-        join(g)
-    while pairs:
-        m, i, j = heappop(pairs)
+        dropped.update(basis.join(_monic(g)))
+    while basis.pairs:
+        m, i, j = heappop(basis.pairs)
         if (i, j) not in dropped:  # by criterion B
             budget.spend()
             if remainder := reduce_poly((m, i, j), basis, budget):
-                join(remainder)
+                dropped.update(basis.join(_monic(remainder)))
     return basis.polys
 
 

@@ -37,8 +37,10 @@ subtraction and one mask test, and an lcm is a per-field max (cf. Monagan &
 Pearce, J. Symb. Comp. 46 (2011); Bachmann & Schoenemann, ISSAC 1998).  A
 divisor set (_Divisors) packs its associates and the pairs pending on them at
 one width, which only grows: a divisor or a division that meets an exponent
-that does not fit widens the set, repacking them in place.  Ring products,
-substitution, the Hasse calculus and the parser stay on exponent tuples.
+that does not fit widens the set, repacking them in place.  The pair update
+filters lcms without the degree, and an S-pair remainder leaves its division
+with the associate read off the ints it popped.  Ring products, substitution,
+the Hasse calculus and the parser stay on exponent tuples.
 """
 
 from __future__ import annotations
@@ -613,6 +615,31 @@ class _Divisors:
         self.pairs[:] = [(pack(unpack(m)), i, j) for m, i, j in self.pairs]
         return (pack(unpack(f[0])), *f[1:]) if type(f) is tuple else f
 
+    def join(self, h: GradedPoly) -> list:
+        """Append h, a basis element of buchberger, and run its Gebauer-Moeller
+        update: push the new pairs (k, h) that M and F keep unless coprime, and
+        return the pending (i, j) that B drops.  The new lcms are sorted and
+        filtered as bodies, without the degree on top; a pair pushed gets it back."""
+        self.append(h)  # which may widen the leads and the pairs
+        _, _, guard, lcm, _ = self.packing
+        bits, mask, ones = 8 * self.k, (1 << guard.bit_length()) - 1, (1 << 8 * self.k) - 1
+        *leads, e = [lead for lead, _, _ in self.packed]
+        dropped = [(i, j) for m, i, j in self.pairs  # B
+                   if ((m | guard) - e) & guard == guard and m not in (lcm(leads[i], e), lcm(leads[j], e))]
+        candidates = []  # (body | guard, not coprime, k): coprime first among equal lcms, then lowest k
+        for k, d in enumerate(leads):
+            s = ((((d | guard) - e) & guard) >> bits - 1) * ones  # the fields where d >= e
+            body = d & s | e & (mask ^ s)
+            candidates.append((body | guard, body != (d + e) & mask, k))
+        candidates.sort()
+        while candidates:  # each one kept drops those after it whose lcm its lcm divides (M, F)
+            m, shared, k = candidates[0]
+            if shared:  # a coprime pair is dropped only now, having served M and F
+                heappush(self.pairs, (lcm(leads[k], e), k, len(leads)))
+            m ^= guard
+            candidates = [c for c in candidates if (c[0] - m) & guard != guard]
+        return dropped
+
     def divide(self, f, run):
         """run(work) on a _Dividend of f at the set's width, widened while a
         monomial does not fit; f may be the S-pair (lcm packed at that width, i, j)."""
@@ -635,7 +662,7 @@ class _Dividend:
     packed associates of a divisor set, at the set's width.
     """
 
-    __slots__ = ("p", "scale", "terms", "heap", "divisors", "guard", "exponents")
+    __slots__ = ("p", "scale", "terms", "heap", "divisors", "guard", "exponents", "popped", "spair")
 
     def __init__(self, f, divisors: _Divisors):
         """f is a polynomial or the S-pair (lcm, i, j) of two divisors with
@@ -644,7 +671,8 @@ class _Dividend:
         leads is an InternalCheckError."""
         self.p, self.divisors = divisors.ring.field.characteristic, divisors.packed
         pack, self.exponents, self.guard, _, divides = divisors.packing
-        if type(f) is tuple:
+        self.popped, self.spair = [], type(f) is tuple
+        if self.spair:
             top, i, j = f
             (ei, ai, gi), (ej, aj, gj) = self.divisors[i], self.divisors[j]
             self.scale, self.terms, self.heap = 1, {}, []
@@ -682,9 +710,25 @@ class _Dividend:
         return None
 
     def pop_leading(self):
-        """Remove the leading term, found by leading(); returns (exponents, _q_raw(c, scale))."""
+        """Move the leading term, found by leading(), to popped: (packed monomial, int coefficient, scale)."""
         m = -heappop(self.heap)
-        return self.exponents(m), _q_raw(self.terms.pop(m), self.scale)
+        self.popped.append((m, self.terms.pop(m), self.scale))
+
+    def remainder(self, divisors: _Divisors) -> GradedPoly:
+        """The popped terms, in order, as a polynomial of the divisors' ring.  An
+        S-pair's comes with its associate: the popped ints at the last scale, the
+        first one leading, times its inverse over F_p, over q over their signed gcd."""
+        popped, ring, p = self.popped, divisors.ring, self.p
+        r = GradedPoly(ring, {self.exponents(m): _q_raw(c, s) for m, c, s in popped}, _canonical=True)
+        if self.spair and popped:
+            ints = [c * (self.scale // s) for _, c, s in popped]
+            u = pow(ints[0], -1, p) if p else gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+            ints = [c * u % p for c in ints] if p else [c // u for c in ints]
+            lead, a, items = next(iter(r.terms)), ints[0], tuple(zip(r.terms, ints))
+            packed = (popped[0][0], a, tuple(zip([m for m, _, _ in popped], ints))) if divisors.k == 1 else (
+                _packed(_packing(ring.weights, 1)[0], lead, a, items))
+            r._assoc = lead, a, items, packed
+        return r
 
     def rescale(self, m: int):
         """Multiply the work polynomial, and so scale, by the int m."""

@@ -748,8 +748,9 @@ def test_a_set_packs_at_its_one_width_across_a_widening_with_pairs_pending(field
 @pytest.mark.parametrize("field", ("q", "fp:32003"))
 @pytest.mark.parametrize("ideal", ("minors4x4", "katsura4", "cyclic4"))
 def test_pair_update_makes_no_order_key(ideal, field, monkeypatch):
-    """GradedRing.order_key runs only in each basis element's leading-term
-    scan (GradedPoly._associate), once per term."""
+    """GradedRing.order_key runs only in each generator's leading-term scan
+    (GradedPoly._associate), once per term: an S-pair remainder joins with
+    the associate its division read off the ints it popped."""
     gens = [GradedPoly(g.ring, dict(g.terms)) for g in ALL_IDEALS[ideal](FieldDescriptor.parse(field))]
     calls = []
     order_key = GradedRing.order_key
@@ -759,5 +760,36 @@ def test_pair_update_makes_no_order_key(ideal, field, monkeypatch):
         return order_key(ring, exps)
 
     monkeypatch.setattr(GradedRing, "order_key", counted)
-    basis = buchberger(gens)
-    assert len(calls) == sum(len(g.terms) for g in basis)
+    buchberger(gens)
+    assert len(calls) == sum(len(g.terms) for g in gens)
+
+
+@pytest.mark.parametrize("field", ("q", "fp:3", "fp:32003"))
+def test_spair_remainders_join_with_their_associate(field, division_events, monkeypatch):
+    """Over the ideals of the tuple-reference test, every S-pair remainder
+    comes with the associate a fresh leading-term scan computes, the
+    divisions that widened their set or rescaled after popping a term too."""
+    from polyfunctor import groebner
+
+    reduce, seen = groebner.reduce_poly, []
+
+    def recorded(f, gens, budget=None):
+        r = reduce(f, gens, budget)
+        if type(f) is tuple and r:
+            seen.append((r, gens.k, division_events[-1]))
+        return r
+
+    monkeypatch.setattr(groebner, "reduce_poly", recorded)
+    fld = FieldDescriptor.parse(field)
+    rng = random.Random(f"pair update {field}")
+    for n in range(60):
+        gens = _weighted_ideal(rng, fld, wide=n % 2)
+        try:
+            buchberger(gens, Budget(1000))
+        except BudgetExceededError:
+            pass
+    for r, _, _ in seen:
+        assert r._assoc == GradedPoly(r.ring, dict(r.terms))._associate()
+    assert len(seen) > 300 and any(k > 1 for _, k, _ in seen)
+    if not fld.characteristic:  # a term popped at an older scale than the last
+        assert sum("s" in e and "r" in e[e.index("s"):] for _, _, e in seen) >= 10

@@ -191,6 +191,17 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert len({SymF(2, IdF()), SymF(2, IdF()), ExtF(2, IdF())}) == 2
 
 
+@pytest.mark.parametrize("record,values", [
+    (ConstF(2), (2,)), (SumF((IdF(), ConstF(1))), ((IdF(), ConstF(1)),)), (IdF(), ()), (TenSymF(), ()),
+])
+def test_one_and_zero_field_records_compare_and_hash_as_their_field_tuple(record, values):
+    assert type(record)._values(record) == values and hash(record) == hash(values)
+    assert record == type(record)(*values) and record != values
+    others = (ConstF(2), ConstF(3), SumF((IdF(), ConstF(1))), SumF((ConstF(2),)), SumF((IdF(),)), IdF(), TenSymF(),
+              TenAltF(), SymF(1, IdF()))
+    assert [other for other in others if other == record] == [record]
+
+
 def test_frozen_records_refuse_assignment_and_deletion():
     for record in _instances():
         if type(record) not in FROZEN:
