@@ -1,7 +1,8 @@
 """Static guard on the package source: no unused import in a module, no
 module-level private function or class that nothing in the package uses, and
 no public one that nothing reads: not the package, not the benchmark's jobs,
-not README's "What is inside" table."""
+not README's "What is inside" table.  And on the CI workflow: it runs the
+command line only through the pinned-run table."""
 
 import ast
 import re
@@ -158,3 +159,28 @@ def test_the_convert_guard_sees_a_conversion_into_a_bigger_model():
     extra = {"extra.py": ast.parse("def run(step, model_big):\n    return step.derivative.convert(model_big.ring)\n")}
     assert _converts(dict(MODULES, **extra)) - SAME_MODEL_CONVERTS == {
         "extra.py run step.derivative.convert(model_big.ring)"}
+
+
+# The workflow's pinned runs live in tests/pinned_runs.json, which tier-1 reads
+# too; a command line call written into the workflow itself would be a pin
+# that only CI sees.
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+TABLE_RUNNER = 'python "$GITHUB_WORKSPACE/tests/pinned_runs.py"'
+
+
+def _cli_calls(text: str) -> list:
+    """The lines of a workflow, comments cut, that name the polyfunctor command
+    itself (not the package polyfunctor.cli nor the directory src/polyfunctor)."""
+    lines = [line.split("#")[0].strip() for line in text.splitlines()]
+    return [line for line in lines if re.search(r"(?<![\w./-])polyfunctor(?![\w./-])", line)]
+
+
+def test_the_workflow_calls_the_command_line_only_through_the_table_runner():
+    text = WORKFLOW.read_text()
+    assert _cli_calls(text) == []
+    assert [line.strip() for line in text.splitlines()].count(TABLE_RUNNER) == 1
+
+
+def test_the_workflow_guard_sees_an_inline_pin():
+    step = 'timeout 10 polyfunctor dim --n 3 > dim.txt  # pinned\npython -m polyfunctor hasse\nimport polyfunctor.cli\n'
+    assert _cli_calls(step) == ["timeout 10 polyfunctor dim --n 3 > dim.txt", "python -m polyfunctor hasse"]
