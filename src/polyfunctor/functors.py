@@ -41,7 +41,6 @@ from .fields import FieldDescriptor, _q_raw
 from .matrices import (
     LinearMapMatrix,
     _block_diagonal,
-    _diagonal,
     _from_slices,
     _integral,
     _SliceSum,
@@ -51,6 +50,7 @@ from .matrices import (
     shift_embedding,
     shift_projection,
     space_labels,
+    widening,
 )
 from .parsing import _Parser
 from .rings import GradedPoly, GradedRing
@@ -641,10 +641,7 @@ def induced_map(expr: FunctorExpr, phi: LinearMapMatrix) -> LinearMapMatrix:
     if isinstance(expr, ExtF):
         return _power_matrix(induced_map(expr.inner, phi), expr.power, True)
     if isinstance(expr, ShiftF):
-        # 1_U (+) phi, its two blocks placed on the diagonal
-        u, (m, n) = expr.by, phi.shape
-        widened = _block_diagonal([(_diagonal(u, ring), u, u), (phi.slices, m, n)])
-        return induced_map(expr.inner, _from_slices(space_labels(u + m), space_labels(u + n), ring, widened))
+        return induced_map(expr.inner, widening(expr.by, phi))
     if isinstance(expr, (SumF, QuotF)):
         # the kept summands' maps placed on the diagonal, on labels ("s", summand index, label)
         kept = [(i, induced_map(s, phi)) for i, s in (expr.kept() if isinstance(expr, QuotF) else enumerate(expr.parts))]

@@ -264,6 +264,13 @@ def _block_diagonal(parts) -> dict:
     return out
 
 
+def widening(u: int, phi: LinearMapMatrix) -> LinearMapMatrix:
+    """1_U (+) phi: the identity of the u-space and phi placed on the diagonal."""
+    (m, n), ring = phi.shape, phi.ring
+    blocks = _block_diagonal([(_diagonal(u, ring), u, u), (phi.slices, m, n)])
+    return _from_slices(space_labels(u + m), space_labels(u + n), ring, blocks)
+
+
 def row_forms(m: LinearMapMatrix, ring: GradedRing, col_names, entry_names=()) -> list:
     """Each row i of m as the polynomial sum_j m[i][j] * col_names[j] over
     ring, the variables of m's entries renamed to entry_names."""

@@ -14,15 +14,14 @@ coordinate over the retained coordinates with denominators that are powers
 of h.
 
 One stage runner, _run_stages, does all of this and returns the one
-ProofStepReport with every stage result; run_proofstep sets its formal
-checks on it, and the worked rank-one tensor example runs the same stages
-and adds its expected values, seeded sample validation and an
-ideal-membership check of the certificate.  Both go through the Segre map
-v, w -> v (x) w: the membership is decided exactly by one substitution per
-cleared element, and the sampled checks evaluate the nonzero images of their
-polynomials at seeded points (v, w), drawn up to the last check with one;
-the pullback check's images are the universal pullback's, pulled back
-linearly.  Both render that byte-stable report.
+ProofStepReport with every stage result; on a presentation with a
+parametrisation, a polynomial map onto the variety from copies of the base
+space, it also maps through it the polynomials that the checks read.
+run_proofstep sets its formal checks on the report.  The worked rank-one
+example is the same runner on the split tensor square parametrised by the
+Segre map v, w -> v (x) w, whose kernel is the ideal of 2x2 minors, with
+its expected values, the certificate's exact membership (zero images) and
+seeded samples.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .fields import FieldDescriptor
 from .functors import (
     FunctorExpr,
     IdF,
-    ShiftF,
     SumF,
     TenAltF,
     TenSymF,
@@ -86,6 +84,7 @@ from .matrices import (
     scalar_entry_ring,
     space_labels,
     space_matrix,
+    widening,
 )
 from .rings import GradedPoly, GradedRing, RingVariable, Vector
 
@@ -170,15 +169,19 @@ class CoordinateModel:
 
 
 class VarietyPresentation(Record):
-    """Equivariant variety presented by generators on the coordinate model of one base dimension."""
+    """Equivariant variety presented by generators on the coordinate model of
+    one base dimension.  A parametrisation maps a model of the functor and
+    kept variables to its coordinates' images over copies of its base space,
+    one copy's coordinates after another, then the kept variables."""
 
     model: CoordinateModel
     generators: tuple[GradedPoly, ...]
     q_generators: tuple[GradedPoly, ...]
     designated_r: str
+    parametrisation: object = None
 
     @staticmethod
-    def make(model, generators, q_generators, designated_r) -> "VarietyPresentation":
+    def make(model, generators, q_generators, designated_r, parametrisation=None) -> "VarietyPresentation":
         """The presentation on the caller's model, refusing an empty or ill-formed generator list."""
         generators = tuple(generators)
         q_generators = tuple(q_generators)
@@ -196,7 +199,7 @@ class VarietyPresentation(Record):
             raise PresentationError(
                 f"designated summand {designated_r!r} has degree {r.degree}, top degree is {top}"
             )
-        return VarietyPresentation(model, generators, q_generators, designated_r)
+        return VarietyPresentation(model, generators, q_generators, designated_r, parametrisation)
 
     def r_vars(self) -> tuple[str, ...]:
         return self.model.ring.vars_of_part(self.designated_r)
@@ -445,23 +448,23 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, data, model_big: Coordina
     """The element extracted, with data, f's directional data along the
     designated summand, along the universal projection [1_U | t*1_U] from
     the 2u-space, the one element with a pullback, per phi, in order, its
-    element pulled back from that one, and the 2u-space's model.
-    [1_U | t*phi] is [1_U | t*1_U] after 1_U (+) phi, whose induced map is
-    that of shift(u, P) at phi, and induced maps compose: the pullback along
-    phi is the universal pullback after that map, checked to keep the moving
-    degree, the grading in which the universal identities hold.  The map is
-    free of t, so phi's k is the universal k after it."""
+    element pulled back from that one, the 2u-space's model and the maps
+    1_U (+) phi.  [1_U | t*phi] is [1_U | t*1_U] after 1_U (+) phi, and
+    induced maps compose: the pullback along phi is the universal pullback
+    after the induced map of 1_U (+) phi, checked to keep the moving degree,
+    the grading in which the universal identities hold.  It is free of t,
+    so phi's k is the universal k after it."""
     u, model_u, r_label = X.model.dimension, X.model, X.designated_r
     model_2u = model_big if model_big.dimension == 2 * u else CoordinateModel(model_u.functor, model_u.field, 2 * u)
     identity = space_matrix(model_u.field, [[int(a == b) for b in range(u)] for a in range(u)])
     universal = extract_additive_element(f, data, model_u, model_2u, identity, r_label)
-    shifted = ShiftF(u, model_big.normalized)
     vdeg = {lab: label_vdeg(m.normalized, lab, u) for m in (model_2u, model_big) for lab in m.full_labels}
     moving = model_big.moving_vars(r_label, u)
-    elements = []
+    elements, widenings = [], []
     for phi in phis:
         _check_projection(model_u, model_big.dimension - u, phi)
-        widened = induced_map(shifted, phi)
+        widenings.append(widening(u, phi))
+        widened = induced_map(model_big.normalized, widenings[-1])
         row_vdeg = [vdeg[lab] for lab in widened.row_labels]
         col_vdeg = [vdeg[lab] for lab in widened.col_labels]
         for rows, cols, block in widened.slices.values():
@@ -470,7 +473,7 @@ def _pull_backs(X: VarietyPresentation, f: GradedPoly, data, model_big: Coordina
         forms = row_forms(widened, model_big.ring, [model_big.name_of[lab] for lab in widened.col_labels])
         k = universal.poly.substitute({model_2u.name_of[lab]: form for lab, form in zip(widened.row_labels, forms)})
         elements.append(_affine_element(k, universal.level, moving))
-    return universal, elements, model_2u
+    return universal, elements, model_2u, widenings
 
 
 def _check_derivative_formula(
@@ -633,7 +636,7 @@ class Check(Record):
 
 class ProofStepReport(Record):
     """Outcome of one proof step, rendered as text or JSON: _run_stages sets
-    the stage results, its runner the fields after certificate_error.
+    the stage results, its runner the fields after images.
 
     header holds the leading (key, value) pairs in print order.  Each element
     is printed with its keys, the JSON keys that identify it; the text layout
@@ -653,6 +656,7 @@ class ProofStepReport(Record):
     elements: list  # one AffineAdditiveElement per projection, in order, pulled back
     certificate: EliminationCertificate | None
     certificate_error: str  # why elimination failed, when certificate is None
+    images: dict | None = None  # with a parametrisation (_parametrised_images)
     header: tuple = ()
     element_keys: tuple = ()
     delta_witness: GradedPoly | None = None
@@ -714,12 +718,13 @@ def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis)
     one extraction along the universal projection with its coefficient
     matrices and identities, per projection its element pulled back from
     that one (_pull_backs), then elimination; without projections nothing
-    is extracted and eliminate refuses.  The runner sets the rest."""
+    is extracted and eliminate refuses.  With X's parametrisation, last, the
+    images its checks read.  The runner sets the rest."""
     model_big = CoordinateModel(X.model.functor, X.model.field, X.model.dimension + n)
     delta = delta_degree(X.generators, X.q_ideal)
     h, data = derivative_step(f, X, r0)
     phis = list(phis)
-    universal, elements, model_2u = _pull_backs(X, f, data, model_big, phis) if phis else (None, [], None)
+    universal, elements, model_2u, widenings = _pull_backs(X, f, data, model_big, phis) if phis else (None, [], None, [])
     # h pulled back along the base projection, as in the derivative check
     pulled = X.model.names_in(model_big)
     h_big = h.substitute({name: model_big.ring.var(big) for name, big in pulled.items()})
@@ -728,7 +733,34 @@ def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis)
         certificate = eliminate(elements, h_big, elements[0].eliminated if elements else ())
     except CertificateNotFoundError as exc:
         error = str(exc)
-    return ProofStepReport(f, r0, delta, h, data, model_big, model_2u, h_big, universal, elements, certificate, error)
+    report = ProofStepReport(f, r0, delta, h, data, model_big, model_2u, h_big, universal, elements, certificate, error)
+    report.images = X.parametrisation and _parametrised_images(X, report, widenings)
+    return report
+
+
+def _parametrised_images(X: VarietyPresentation, report: ProofStepReport, widenings) -> dict:
+    """The images under X's parametrisation, in order: f's; the universal
+    pullback's, t kept, and per phi that image after A = 1_U (+) phi on each
+    copy (P(A) sends the image of copies c to that of Ac); at u + n each k's,
+    each cleared element's and, when one of those is not zero, h_big's."""
+    param, r = X.parametrisation, report
+    images = {"f": r.f.substitute(param(X.model)), "pullbacks": [], "elements": [], "cleared": [], "unit": None}
+    t = r.universal.pullback.ring.variables[-1]
+    at_big = param(r.model_big, [t])
+    image = r.universal.pullback.substitute(param(r.model_2u, [t]))
+    ring = at_big[t.name].ring
+    for A in widenings:
+        (rows, cols), mapping = A.shape, {t.name: ring.var(t.name)}
+        for c in range((len(ring.names) - 1) // cols):
+            forms = row_forms(A, ring, ring.names[c * cols:(c + 1) * cols])
+            mapping.update(zip(image.ring.names[c * rows:(c + 1) * rows], forms))
+        images["pullbacks"].append(image.substitute(mapping))
+    images["elements"] = [el.poly.substitute(at_big) for el in r.elements]
+    if r.certificate is not None:
+        images["cleared"] = [c.substitute(at_big) for c in r.certificate.cleared_elements()]
+        if any(images["cleared"]):
+            images["unit"] = r.h_big.substitute(at_big)
+    return images
 
 
 def pair_projections(fld: FieldDescriptor, n: int) -> dict:
@@ -769,17 +801,13 @@ def run_proofstep(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phi
 
 
 def _segre_map(model: CoordinateModel, kept=()) -> dict:
-    """Substitution sending each split coordinate y_a_b, z_a_b of model.ring
-    to that coordinate (v_a w_b +- v_b w_a)/2 of v (x) w, a polynomial in
-    v_1..v_m, w_1..w_m built straight as its one or two terms, and each
-    variable in kept (the universal pullback's t, whose image
-    _segre_pullbacks pulls back per projection) to itself.  The kernel of
+    """The rank-one parametrisation: each split coordinate y_a_b, z_a_b to
+    that coordinate (v_a w_b +- v_b w_a)/2 of v (x) w, built straight as its
+    one or two terms, and each kept variable to itself.  The kernel of
     x_i_j -> v_i w_j is the ideal of 2x2 minors over every field (Hochster
-    and Eagon, 1971), and the split coordinates are an invertible linear
-    change of the x_i_j away from characteristic 2, so a polynomial lies in
-    the minors' ideal exactly when its image is zero, and at a point (v, w)
-    the image takes the polynomial's value at the split coordinates of
-    v (x) w."""
+    and Eagon, 1971), and away from characteristic 2 the split coordinates
+    are a linear change of the x_i_j: a polynomial is in that ideal exactly
+    when its image is zero."""
     m, fld = model.dimension, model.field
     ring = GradedRing(fld, [f"{c}_{a + 1}" for c in "vw" for a in range(m)] + list(kept))
     signs = {"y": fld.raw(Fraction(1, 2)), "z": fld.raw(Fraction(-1, 2))}
@@ -793,33 +821,12 @@ def _segre_map(model: CoordinateModel, kept=()) -> dict:
     return segre
 
 
-def _segre_pullbacks(model_2u: CoordinateModel, universal: AffineAdditiveElement, segre: dict, phis) -> list:
-    """Per phi, the Segre image in segre's ring (t kept) of the pullback
-    along [1_U | t*phi]: the induced map of A = 1_U (+) phi sends v (x) w to
-    Av (x) Aw, so it is the universal pullback's image at v' = Av, w' = Aw,
-    a linear substitution.  model_2u is the universal projection's model."""
-    u, t = model_2u.dimension // 2, universal.pullback.ring.variables[-1]
-    image = universal.pullback.substitute(_segre_map(model_2u, [t]))
-    ring = segre[t.name].ring
-    images = []
-    for phi in phis:
-        mapping = {t.name: ring.var(t.name)}
-        for c in "vw":
-            forms = [ring.var(f"{c}_{a + 1}") for a in range(u)]
-            forms += row_forms(phi, ring, [f"{c}_{u + b + 1}" for b in range(len(phi.col_labels))])
-            mapping.update((f"{c}_{a + 1}", form) for a, form in enumerate(forms))
-        images.append(image.substitute(mapping))
-    return images
-
-
-def _segre_points(rng: random.Random, fld: FieldDescriptor, m: int, unit: GradedPoly | None = None):
-    """Points (v, w) of _segre_map's v_1..v_m, w_1..w_m drawn from rng, v
-    first, entries in [0, p) over F_p and in [-10, 10] over q; with a unit,
-    each is drawn again until the unit does not vanish there, and a zero
-    unit fails before the first draw."""
+def _sample_points(rng: random.Random, fld: FieldDescriptor, names, unit: GradedPoly | None):
+    """Points of names drawn from rng, in order, entries in [0, p) over F_p
+    and in [-10, 10] over q; with a unit, each is drawn again until the unit
+    does not vanish there, and a zero unit fails before the first draw."""
     p = fld.characteristic
     draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-10, 10))
-    names = [f"{c}_{a + 1}" for c in "vw" for a in range(m)]
     while True:
         for _ in range(1000 if unit is None or unit else 0):
             point = {name: draw() for name in names}
@@ -839,33 +846,24 @@ def _vanish_on_samples(images, points, count: int) -> bool:
 
 
 def _sample_statuses(rng: random.Random, fld: FieldDescriptor, checks) -> list[bool]:
-    """Per check (images, m, count, unit or a function giving it), whether
-    its images vanish at count _segre_points drawn from rng after the earlier
-    checks' points.  The checks after the last with a nonzero image pass, as
-    zero images vanish everywhere, and draw nothing; no other point moves."""
+    """Per check (images, names, count, unit), whether its images vanish at
+    count _sample_points of names drawn from rng after the earlier checks'
+    points.  The checks after the last with a nonzero image pass, as zero
+    images vanish everywhere, and draw nothing; no other point moves."""
     last = max((i for i, (images, *_) in enumerate(checks) if any(images)), default=-1)
     return [
-        i > last or _vanish_on_samples(images, _segre_points(rng, fld, m, unit and unit()), count)
-        for i, (images, m, count, unit) in enumerate(checks)
+        i > last or _vanish_on_samples(images, _sample_points(rng, fld, names, unit), count)
+        for i, (images, names, count, unit) in enumerate(checks)
     ]
 
 
-def run_rank_one_example(
-    n: int,
-    fld: FieldDescriptor,
-    seed: int = 0,
-    sample_count: int = 100,
-) -> ProofStepReport:
-    """The proof step on the variety of rank-one tensors with the
-    symmetric/alternating splitting, at base dimension 2, over every pair
-    projection, plus the expected values, the exact membership of the
-    certificate in the ideal of 2x2 minors and seeded sampling checks, whose
-    points are drawn only up to the last check with a nonzero Segre image.
-    A pair's projection-identities and derivative-formula hold by
-    functoriality, as its k is the universal k after a map that keeps the
-    moving degree; so do its joint laws of k, decided once on the universal
-    k, and so are the Segre images of its pullback, read by
-    pullback-vanishes-on-samples."""
+def run_rank_one_example(n: int, fld: FieldDescriptor, seed: int = 0, sample_count: int = 100) -> ProofStepReport:
+    """The proof step at u = 2 over every pair projection on the rank-one
+    tensors: the split tensor square, its alternating part designated,
+    parametrised by the Segre map.  Its checks read the report: expected
+    values, the certificate's exact membership in the ideal of 2x2 minors
+    and seeded samples of the images.  A pair's projection identities,
+    derivative formula and joint laws of k hold by functoriality."""
     if fld.characteristic == 2:
         raise CharacteristicError("the rank-one example needs characteristic different from 2")
     if n < 2:
@@ -874,20 +872,14 @@ def run_rank_one_example(
         raise AlgebraError("the rank-one example needs at least one sample")
     u = 2
     model_u = CoordinateModel(split_tensor_square(), fld, u)
-    r_label = next(
-        s.label for s in model_u.decomposition.summands if isinstance(s.expr, TenAltF)
-    )
-    ring_u = model_u.ring
-    f = (
-        ring_u.var("y_1_1") * ring_u.var("y_2_2")
-        - ring_u.var("y_1_2") ** 2
-        + ring_u.var("z_1_2") ** 2
-    )
-    X = VarietyPresentation.make(model_u, [f], [], r_label)
+    r_label = next(s.label for s in model_u.decomposition.summands if isinstance(s.expr, TenAltF))
+    var = model_u.ring.var
+    f = var("y_1_1") * var("y_2_2") - var("y_1_2") ** 2 + var("z_1_2") ** 2
+    X = VarietyPresentation.make(model_u, [f], [], r_label, _segre_map)
     r0 = Vector("r", ("z_1_2",), (1,))
     pairs = pair_projections(fld, n)
     report = _run_stages(X, f, n, r0, list(pairs.values()))
-    delta, data, h, model_big = report.delta, report.data, report.h, report.model_big
+    delta, data, h, images = report.delta, report.data, report.h, report.images
     checks = report.checks = []
 
     def check(name: str, ok: bool, witness: str = ""):
@@ -897,28 +889,24 @@ def run_rank_one_example(
     scan = usable_directions(data, X)
     check("direction-scan", any(ok for _, ok in scan), "; ".join(f"{name}:{'ok' if ok else 'no'}" for name, ok in scan))
     check("derivative-level", data.level == 0, f"e0={data.level}")
-    check("derivative-value", h == ring_u.var("z_1_2") * 2, h.to_text())
+    check("derivative-value", h == var("z_1_2") * 2, h.to_text())
     degrees = f"deg f={f.weighted_degree()}, deg h={h.weighted_degree()}"
     check("degree-ledger", f.weighted_degree() == 4 and h.weighted_degree() == 2, degrees)
     check("joint-additivity f", joint_additivity_holds(data))
     check("joint-scaling f", joint_scaling_holds(data))
 
-    # the sampled checks' Segre images: the witness at the base dimension,
-    # the pullbacks' t-coefficients (a pullback vanishes identically in t at
-    # a point exactly when all of them do), the k's and the cleared certificate
-    sampled = [([f.substitute(_segre_map(model_u))], u, 20, None)]
-    m, certificate, universal = model_big.dimension, report.certificate, report.universal
-    t = universal.pullback.ring.variables[-1]
-    segre = _segre_map(model_big, [t])
-    vw = segre[t.name].ring.without([t.name])
-    pulled = _segre_pullbacks(report.model_2u, universal, segre, pairs.values())
-    t_coefficients = [image.coeff_of_power(t.name, k, vw) for image in pulled for k in image.powers_of(t.name)]
-    sampled.append((t_coefficients, m, sample_count, None))
-    sampled.append(([el.poly.substitute(segre) for el in report.elements], m, sample_count, None))
+    # the sampled checks: the witness at the base dimension, the pullbacks'
+    # t-coefficients (a pullback vanishes identically in t at a point
+    # exactly when all of them do), the k's and the cleared certificate
+    certificate, universal = report.certificate, report.universal
+    t = universal.pullback.ring.variables[-1].name
+    vw = images["pullbacks"][0].ring.without([t])
+    t_coefficients = [image.coeff_of_power(t, k, vw) for image in images["pullbacks"] for k in image.powers_of(t)]
+    sampled = [([images["f"]], images["f"].ring.names, 20, None), (t_coefficients, vw.names, sample_count, None),
+               (images["elements"], vw.names, sample_count, None)]
     if certificate is not None:
         # the certificate claims x^q = -numerator/h^e where h does not vanish
-        cleared = [c.substitute(segre) for c in certificate.cleared_elements()]
-        sampled.append((cleared, m, sample_count, lambda: report.h_big.substitute(segre)))
+        sampled.append((images["cleared"], vw.names, sample_count, images["unit"]))
     spot_ok, pull_ok, k_ok, *samples_ok = _sample_statuses(random.Random(seed), fld, sampled)
     check("base-locus-spot-check", spot_ok)
 
@@ -940,8 +928,8 @@ def run_rank_one_example(
         check("certificate-found", True, minor)
         denominators = "; ".join(f"{e.variable}: h^{e.h_power}" for e in certificate.entries)
         check("certificate-denominator", all(e.h_power == 1 for e in certificate.entries), denominators)
-        images = zip(certificate.entries, cleared)
-        witness = next((f"{e.variable}: {image.to_text()}" for e, image in images if image), "")
+        cleared = zip(certificate.entries, images["cleared"])
+        witness = next((f"{e.variable}: {image.to_text()}" for e, image in cleared if image), "")
         check("certificate-membership", not witness, witness)
         check("certificate-samples", samples_ok[0])
 

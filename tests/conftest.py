@@ -30,7 +30,7 @@ from polyfunctor.groebner import Budget, _prepared
 from polyfunctor.functors import _power_matrix, _refuse_char2, _tensor_matrix, induced_map
 from polyfunctor.hasse import DirectionSubspace, DirectionalData, directional_data, doubled_ring, fresh_name
 from polyfunctor.matrices import LinearMapMatrix, _SliceSum, space_labels
-from polyfunctor.proofstep import _segre_map, _segre_points
+from polyfunctor.proofstep import _sample_points, _segre_map
 from polyfunctor.errors import AlgebraError, FieldMismatchError, ParseError
 from polyfunctor.rings import (
     GradedPoly, RingVariable, _Divisors, _from_raw, _raw_mul_into, _raw_pow, _reduced,
@@ -578,7 +578,8 @@ def rank_one_points(rng, model, count, unit=None):
     segre = _segre_map(model)
     if unit is not None:
         unit = unit.substitute(segre)
-    for vw in itertools.islice(_segre_points(rng, model.field, model.dimension, unit), count):
+    names = next(iter(segre.values())).ring.names
+    for vw in itertools.islice(_sample_points(rng, model.field, names, unit), count):
         yield {name: image.evaluate(vw) for name, image in segre.items()}
 
 

@@ -639,7 +639,7 @@ def test_an_escaping_certificate_error_exits_3(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "inconclusive: no unit minor found within the search budget\n")
 
 
-# -- the designated summand by default, and the proof step's refusals ----------
+# -- the designated summand by default (its refusals are pinned runs) ----------
 
 ONE_TOP_SUMMAND = (
     "proofstep", "--field", "q", "--functor", "sum(id,talt)", "--u", "2", "--n", "3",
@@ -653,17 +653,6 @@ def test_proofstep_designates_the_one_top_degree_summand(capsys):
     assert "all passed: true" in out.splitlines()
     # the same run as naming that summand
     assert run_cli(capsys, *ONE_TOP_SUMMAND, "--r-part", "p1") == (0, out, "")
-
-
-@pytest.mark.parametrize("args, message", [
-    (PROOFSTEP_ARGS[:-2], "several top-degree summands ['p0', 'p1']; pick one with --r-part"),
-    (ONE_TOP_SUMMAND[:-1] + ("1,2",), "r0 needs 1 coordinates over ['z_1_2']"),
-    (ONE_TOP_SUMMAND[:6] + ("3",) + ONE_TOP_SUMMAND[7:-1] + ("1,0,0",),
-     "default pair projections need u = 2; pass --phi"),
-])
-def test_proofstep_refusals(capsys, args, message):
-    code, out, err = run_cli(capsys, *args)
-    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # -- the proof step's witness is --f -------------------------------------------

@@ -41,9 +41,9 @@ from polyfunctor.proofstep import (
     AffineAdditiveElement,
     CertificateEntry,
     DeltaReport,
-    _segre_map,
+    _sample_points,
     _sample_statuses,
-    _segre_points,
+    _segre_map,
     _vanish_on_samples,
 )
 
@@ -907,7 +907,7 @@ def test_pull_backs_check_the_moving_degree(monkeypatch):
     def reversed_rows(expr, m):
         # the induced map of 1_U + phi with its row labels in reverse order
         out = real(expr, m)
-        if not isinstance(expr, ShiftF):
+        if expr is not model_big.normalized:
             return out
         wrong = LinearMapMatrix.__new__(LinearMapMatrix)
         wrong._set(out.row_labels[::-1], out.col_labels, out.ring, out.slices)
@@ -1021,43 +1021,6 @@ def test_h_big_is_the_label_pull_back_of_h(field):
         moved += [text for name in h.support_vars() if stages.model_big.name_of[model_u.label_of[name]] != name]
     # the check is not vacuous: on generic names h's variables are renamed
     assert {"sum(id,sym(3,id))", "tensor(const(3),id)"} <= set(moved)
-
-
-def test_a_proof_step_on_generic_names_reaches_elimination(capsys):
-    # tensor(const(3),id) names its coordinates p0_1..p0_6 at u = 2, and
-    # p0_4 is another basis vector at u + n = 5: h = p0_4, pulled back by
-    # label, avoids the moving coordinates, so elimination runs and finds too
-    # few elements
-    from polyfunctor.cli import main
-
-    code = main(["proofstep", "--field", "q", "--functor", "tensor(const(3),id)", "--u", "2", "--n", "3",
-                 "--f", "p0_1*p0_4 - p0_2^2 + p0_6*p0_3", "--r0", "1,0,0,0,0,0", "--r-part", "p0"])
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (3, "")
-    assert captured.out == PINNED_GENERIC_NAMES
-
-
-PINNED_GENERIC_NAMES = """\
-field: q
-u: 2
-n: 3
-f: p0_1*p0_4 - p0_2^2 + p0_3*p0_6
-r0: p0_1=1, p0_2=0, p0_3=0, p0_4=0, p0_5=0, p0_6=0
-delta: 2
-e0: 0
-h: p0_4
-k[0]: p0_1*p0_9 - 2*p0_2*p0_4 + p0_3*p0_7 + p0_6*p0_14 + p0_8*p0_12
-k[1]: p0_1*p0_10 - 2*p0_2*p0_5 + p0_3*p0_7 + p0_6*p0_15 + p0_8*p0_12
-k[2]: p0_1*p0_10 - 2*p0_2*p0_5 + p0_4*p0_7 + p0_6*p0_15 + p0_9*p0_12
-checks:
-  PASS   delta-degree  [2]
-  PASS   derivative  [p0_4]
-  PASS   affine-additive-form 0
-  PASS   affine-additive-form 1
-  PASS   affine-additive-form 2
-  INCONCLUSIVE certificate-found  [3 elements cannot eliminate 9 coordinates]
-all passed: false
-"""
 
 
 @pytest.mark.parametrize("field", ["q", "fp:3"])
@@ -1388,6 +1351,38 @@ def test_rank_one_sampling_loops_do_not_substitute(monkeypatch):
     assert counts[0] == counts[1] <= 40
 
 
+# the rank1 benchmark workload's proofstep shape, over q at n = 3
+RANK1_PROOFSTEP = ["proofstep", "--field", "q", "--functor", "sum(tsym,talt)", "--u", "2", "--n", "3",
+                   "--f", "y_1_1*y_2_2 - y_1_2^2 + z_1_2^2", "--r0", "1", "--r-part", "p1"]
+
+
+def test_the_generic_path_calls_no_parametrisation(monkeypatch, capsys):
+    # proofstep's presentation has no parametrisation, so its run builds no
+    # image; the substitution counts are those of the two runs before the
+    # Segre images moved into the stage runner: 7 and 19
+    from polyfunctor import proofstep
+    from polyfunctor.cli import main
+
+    presentations, reports, maps, substituted = [], [], [], []
+    run_stages = proofstep._run_stages
+    monkeypatch.setattr(proofstep, "_run_stages",
+                        lambda X, *args: presentations.append(X) or reports.append(run_stages(X, *args)) or reports[-1])
+    segre_map = proofstep._segre_map
+    monkeypatch.setattr(proofstep, "_segre_map", lambda *args: maps.append(args) or segre_map(*args))
+    substitute = GradedPoly.substitute
+    monkeypatch.setattr(GradedPoly, "substitute", lambda self, mapping: substituted.append(self) or substitute(self, mapping))
+    assert main(RANK1_PROOFSTEP) == 0
+    assert "all passed: true" in capsys.readouterr().out
+    assert [X.parametrisation for X in presentations] == [None] and reports[0].images is None
+    assert (maps, len(substituted)) == ([], 7)
+    substituted.clear()
+    assert main(["example-rank1", "--n", "3", "--field", "q"]) == 0
+    assert "all passed: true" in capsys.readouterr().out
+    # the example's presentation carries the Segre map, called at u, u + n and 2u
+    assert presentations[1].parametrisation is not None and reports[1].images is not None
+    assert ([args[0].dimension for args in maps], len(substituted)) == ([2, 5, 4], 19)
+
+
 @pytest.mark.parametrize("command", ("example-rank1", "proofstep"))
 def test_a_run_expands_the_witness_along_its_summand_once(command, monkeypatch, capsys):
     from polyfunctor import proofstep
@@ -1619,27 +1614,31 @@ def test_sample_checks_draw_their_points_whatever_the_images():
     assert next(points) == {"x": 7}
 
 
-def test_sample_statuses_draw_up_to_the_last_live_check():
+def test_sample_statuses_draw_up_to_the_last_live_check(monkeypatch):
     # every check up to the last with a nonzero image, zero-image ones too,
     # draws as if each drew its points in turn; the checks after it pass
-    # with no draw, and their unit is never asked for
+    # with no draw, and their unit is never evaluated
     ring = GradedRing(F3, ["v_1", "w_1"])
     v, w, zero = ring.var("v_1"), ring.var("w_1"), ring.zero()
+    last_unit = v * w
     units = []
+    evaluate = GradedPoly.evaluate
+    monkeypatch.setattr(GradedPoly, "evaluate",
+                        lambda self, point: units.extend([self] if self is last_unit else []) or evaluate(self, point))
     seen = set()
     for seed in range(40):
-        checks = [([v + w], 1, 2, None), ([zero], 1, 3, None), ([v - w], 1, 1, lambda: w),
-                  ([zero], 1, 5, lambda: units.append(w) or w)]
+        checks = [([v + w], ring.names, 2, None), ([zero], ring.names, 3, None), ([v - w], ring.names, 1, w),
+                  ([zero], ring.names, 5, last_unit)]
         rng, reference = random.Random(seed), random.Random(seed)
-        want = [_vanish_on_samples(images, _segre_points(reference, F3, m, unit and unit()), count)
-                for images, m, count, unit in checks[:3]]
+        want = [_vanish_on_samples(images, _sample_points(reference, F3, names, unit), count)
+                for images, names, count, unit in checks[:3]]
         assert _sample_statuses(rng, F3, checks) == want + [True]
         assert rng.getstate() == reference.getstate()
         seen.add(tuple(want))
     assert units == []
     assert len(seen) > 2  # the statuses depend on the points
     rng = random.Random(0)
-    assert _sample_statuses(rng, F3, [([zero], 1, 5, None)] * 2) == [True, True]
+    assert _sample_statuses(rng, F3, [([zero], ring.names, 5, None)] * 2) == [True, True]
     assert rng.getstate() == random.Random(0).getstate()
 
 
@@ -1684,11 +1683,11 @@ def test_zero_unit_fails_before_the_first_draw(monkeypatch):
         rng = random.Random(5)
         state = rng.getstate()
         with pytest.raises(AlgebraError, match="failed to sample a point off the unit locus"):
-            next(_segre_points(rng, field, 1, ring.zero()))
+            next(_sample_points(rng, field, ring.names, ring.zero()))
         assert rng.getstate() == state
         assert evaluated == []
         # a nonzero unit still draws off its zero locus
-        points = _segre_points(random.Random(5), field, 1, ring.var("v_1"))
+        points = _sample_points(random.Random(5), field, ring.names, ring.var("v_1"))
         assert all(point["v_1"] for point in itertools.islice(points, 20))
         evaluated.clear()
 
@@ -1710,14 +1709,16 @@ def _frobenius_presentation(field, level=1):
 def _assert_pulled_back_as_extracted(X, n, phis):
     """Every element of the run, pulled back from the universal projection,
     equals direct extraction along its phi, field by field; so do the
-    universal pullback after the induced map of 1_U (+) phi and the Segre
-    image pulled back from the universal one, also with the universal
-    pullback perturbed by t*y_1_1, in the 1_U block, and t*y_3_4, in the phi
-    block.  Returns the run's stages."""
+    universal pullback after the induced map of 1_U (+) phi and, on X with
+    the Segre parametrisation, the pullback's image that the run builds from
+    the universal one, also with the universal pullback perturbed by
+    t*y_1_1, in the 1_U block, and t*y_3_4, in the phi block.  Returns the
+    run's stages."""
     from polyfunctor import proofstep
 
     u, field = X.model.dimension, X.model.field
     r0 = Vector("r", ("z_1_2",), (1,))
+    X = VarietyPresentation.make(X.model, X.generators, X.q_generators, X.designated_r, _segre_map)
     stages = proofstep._run_stages(X, X.generators[0], n, r0, phis)
     model_big = CoordinateModel(X.model.functor, field, u + n)
     model_2u = CoordinateModel(X.model.functor, field, 2 * u)
@@ -1728,13 +1729,18 @@ def _assert_pulled_back_as_extracted(X, n, phis):
     assert len(stages.elements) == len(phis)
     t = universal.pullback.ring.variables[-1]
     segre = _segre_map(model_big, [t])
-    images = proofstep._segre_pullbacks(stages.model_2u, stages.universal, segre, phis)
+    images = stages.images["pullbacks"]
     perturbation = parse_polynomial(f"{t.name}*y_1_1 + {t.name}*y_3_4", universal.pullback.ring)
-    perturbed = AffineAdditiveElement(
-        universal.poly, universal.level, universal.additive_part, universal.constant_part, universal.eliminated,
-        universal.pullback + perturbation,
-    )
-    perturbed_images = proofstep._segre_pullbacks(stages.model_2u, perturbed, segre, phis)
+    extract = proofstep.extract_additive_element
+
+    def perturbed(*args):
+        el = extract(*args)
+        el.pullback = el.pullback + perturbation
+        return el
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proofstep, "extract_additive_element", perturbed)
+        perturbed_images = proofstep._run_stages(X, f, n, r0, phis).images["pullbacks"]
     for phi, el, image, perturbed_image in zip(phis, stages.elements, images, perturbed_images, strict=True):
         direct = extract_additive_element(f, data, X.model, model_big, phi, X.designated_r)
         assert el.poly == direct.poly and el.poly.ring == direct.poly.ring
@@ -1854,8 +1860,8 @@ def test_joint_laws_as_evaluated_on_swapped_stages(case, monkeypatch):
 
     def swapped(X, f, n, r0, phis):
         if case == "level-1":
-            _, g, X1 = _frobenius_presentation(field)
-            return run_stages(X1, g, n, r0, phis)
+            model, g, _ = _frobenius_presentation(field)
+            return run_stages(VarietyPresentation.make(model, [g], [], "p1", X.parametrisation), g, n, r0, phis)
         return run_stages(X, f, n, r0, [space_matrix(field, rows) for rows in GENERAL_PHIS[case]])
 
     monkeypatch.setattr(proofstep, "_run_stages", swapped)
@@ -2019,16 +2025,15 @@ def test_draws_golden(key, monkeypatch, capsys):
     from polyfunctor import proofstep
     from polyfunctor.cli import main
 
-    stages = proofstep._run_stages
+    images = proofstep._parametrised_images
 
-    def perturbed(*args):
-        out = stages(*args)
-        last = out.elements[-1]
+    def perturbed(X, report, widenings):
+        last = report.elements[-1]
         ring = last.poly.ring
         last.poly = last.poly + ring.var("y_1_1") * ring.var("z_1_2")
-        return out
+        return images(X, report, widenings)
 
-    monkeypatch.setattr(proofstep, "_run_stages", perturbed)
+    monkeypatch.setattr(proofstep, "_parametrised_images", perturbed)
     selector, n, seed, samples = key
     digests, codes = [], set()
     for fmt in ("text", "json"):

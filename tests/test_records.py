@@ -74,7 +74,7 @@ def _instances():
         Check("y", "fail", witness="w"),
         ProofStepReport(
             X, Vector("direction", ("x",), (1,)), DeltaReport("infinite", None, None), Y, None, None, None, Y,
-            None, [], None, "none", (("n", 3),), (), None, [Check("c", "skipped")],
+            None, [], None, "none", None, (("n", 3),), (), None, [Check("c", "skipped")],
         ),
         RingVariable("x"),
         RingVariable("z", weight=2),
@@ -99,7 +99,7 @@ REPRS = [
     "DirectionSubspace(ring=q[x, y], span_vars=('x', 'y'))",
     "DirectionalData(status='dependent', level=0, joint=<x>, copies=(('x', 'x_w'),))",
     "BlockSolution(ring=q[x, y], sign=-1, block_dets=(<x>,), numerators=(<2*y - 1/3>,), depends=(frozenset({0}),))",
-    "VarietyPresentation(model='M', generators=(<x>,), q_generators=(), designated_r='p0')",
+    "VarietyPresentation(model='M', generators=(<x>,), q_generators=(), designated_r='p0', parametrisation=None)",
     "DeltaReport(status='finite', delta=2, witness=<x>)",
     "AffineAdditiveElement(poly=<x>, level=0, additive_part={'x': <2*y - 1/3>}, constant_part=<2*y - 1/3>, "
     "eliminated=('x',), pullback=<x>)",
@@ -111,7 +111,7 @@ REPRS = [
     "ProofStepReport(f=<x>, r0=Vector(space='direction', basis=('x',), coords=(1,)), "
     "delta=DeltaReport(status='infinite', delta=None, witness=None), h=<2*y - 1/3>, data=None, model_big=None, "
     "model_2u=None, h_big=<2*y - 1/3>, universal=None, elements=[], certificate=None, certificate_error='none', "
-    "header=(('n', 3),), element_keys=(), delta_witness=None, checks=[Check(name='c', status='skipped', witness='')])",
+    "images=None, header=(('n', 3),), element_keys=(), delta_witness=None, checks=[Check(name='c', status='skipped', witness='')])",
     "RingVariable(name='x', part='main', weight=1)",
     "RingVariable(name='z', part='main', weight=2)",
     "Vector(space='point', basis=('x', 'y'), coords=(1, 2))",
@@ -233,9 +233,11 @@ def test_defaults_and_keyword_arguments():
     assert RingVariable(weight=3, name="y") == RingVariable("y", "main", 3)
     assert Check(status="pass", name="x", witness="w") == Check("x", "pass", "w")
     assert list(vars(ShiftF(1, IdF()))) == ["by", "inner"]
-    # _run_stages fills in the stage results, its runner the rest
+    # _run_stages fills in the stage results, and the images with a parametrisation, its runner the rest
     report = ProofStepReport(X, None, None, Y, None, None, None, Y, None, [], None, "")
-    assert (report.header, report.element_keys, report.delta_witness, report.checks) == ((), (), None, ())
+    assert (report.images, report.header, report.element_keys, report.delta_witness, report.checks) == (
+        None, (), (), None, ())
+    assert VarietyPresentation("M", (X,), (), "p0").parametrisation is None
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Static guard on the package source: no unused import in a module, no
 module-level private function or class that nothing in the package uses, and
 no public one that nothing reads: not the package, not the benchmark's jobs,
-not README's "What is inside" table.  And on the CI workflow: it runs the
-command line only through the pinned-run table."""
+not README's "What is inside" table; and no second rank-one runner next to
+the stage runner.  And on the CI workflow: it runs the command line only
+through the pinned-run table."""
 
 import ast
 import re
@@ -159,6 +160,44 @@ def test_the_convert_guard_sees_a_conversion_into_a_bigger_model():
     extra = {"extra.py": ast.parse("def run(step, model_big):\n    return step.derivative.convert(model_big.ring)\n")}
     assert _converts(dict(MODULES, **extra)) - SAME_MODEL_CONVERTS == {
         "extra.py run step.derivative.convert(model_big.ring)"}
+
+
+# The rank-one example is the stage runner on a presentation parametrised by
+# the Segre map: the presentation's builder names that map, the stage runner
+# builds every image through it, and no second runner substitutes into it.
+SEGRE_READERS = {"proofstep.py run_rank_one_example", "proofstep.py _run_stages"}
+
+
+def _segre_readers(modules) -> set:
+    """Each module-level definition that reads a _segre_* name, other than
+    its own, as "module definition"."""
+    found = set()
+    for name, tree in modules.items():
+        for top in tree.body:
+            own = getattr(top, "name", "")
+            if any(used.startswith("_segre_") and used != own for used in _used_names(top)):
+                found.add(f"{name} {own}")
+    return found
+
+
+def _substitutes_in(tree, function: str) -> list:
+    """The .substitute( calls inside the module-level function of that name."""
+    top = next(node for node in tree.body if getattr(node, "name", "") == function)
+    return [ast.unparse(node) for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "substitute"]
+
+
+def test_only_the_presentation_builder_and_the_stage_runner_read_the_segre_names():
+    assert _segre_readers(MODULES) <= SEGRE_READERS
+    segre = {node.name for tree in MODULES.values() for node in tree.body if getattr(node, "name", "").startswith("_segre_")}
+    assert segre == {"_segre_map"}
+    assert _substitutes_in(MODULES["proofstep.py"], "run_rank_one_example") == []
+
+
+def test_the_segre_guard_sees_a_second_runner():
+    extra = {"extra.py": ast.parse("def sample(report):\n    return report.f.substitute(_segre_map(report.model_big))\n")}
+    assert _segre_readers(dict(MODULES, **extra)) - SEGRE_READERS == {"extra.py sample"}
+    assert _substitutes_in(extra["extra.py"], "sample") == ["report.f.substitute(_segre_map(report.model_big))"]
 
 
 # The workflow's pinned runs live in tests/pinned_runs.json, which tier-1 reads
