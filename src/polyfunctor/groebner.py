@@ -21,15 +21,18 @@ remainder joins with the associate its division read off the terms popped.
 
 A division (reduce_poly, divide_exact) works on a mutable copy of the
 dividend whose packed monomials, a format only rings knows, sit in a heap
-(rings._Dividend): each step pops the leading term and subtracts in place a
-monomial multiple of a divisor's associate (monic over F_p, primitive
-integer over q: fraction-free).  The divisors form a set prepared once
+(rings._Dividend), and one loop makes the steps of both: each cancels the
+leading term by a monomial multiple of a divisor's associate (monic over
+F_p, primitive integer over q: fraction-free), rescaling the work first
+when need be.  At the first lead without a divisor reduce_poly moves it to
+the remainder and loops again, divide_exact returns None; an exact division
+reads its quotient off the steps.  The divisors form a set prepared once
 (rings._Divisors); buchberger extends its own as remainders join and builds
 each S-pair dividend from the packed associates of the pair.  A division
 that meets too large an exponent widens its set and starts again, in
 reduce_poly with the budget it started with.  The budget is spent once per
-pair taken from the heap and once per division step; a pair a criterion
-drops costs nothing.
+pair taken from the heap and, in the loop, once per leading term, whether a
+divisor cancels it or not; a pair a criterion drops costs nothing.
 
 A zero remainder from plain division by the generators already certifies
 membership (the division identity is an explicit combination), so
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop
-from math import gcd
 
 from .errors import AlgebraError, BudgetExceededError
 from .fields import _q_raw
@@ -71,18 +73,6 @@ def _monic(f: GradedPoly) -> GradedPoly:
     return monic
 
 
-def _step(work: _Dividend, c, a, items, shift):
-    """Cancel work's leading coefficient c by x^shift times the associate (a,
-    items), rescaling work by a/gcd(c, a) first; returns the multiplier."""
-    if a != 1:
-        h = gcd(c, a)
-        if h != a:
-            work.rescale(a // h)
-        c //= h
-    work.sub_mul(items, shift, c)
-    return c
-
-
 def _prepared(ring, gens) -> _Divisors:
     """gens as a divisor set of ring prepared for many divisions (RingMismatchError if foreign)."""
     if type(gens) is _Divisors and gens.ring == ring:
@@ -100,13 +90,8 @@ def reduce_poly(f: GradedPoly, gens, budget: Budget | None = None) -> GradedPoly
 
     def divide(work):
         budget.remaining = start  # a division started again spends afresh
-        while (lead := work.leading()) is not None:
-            monomial, coeff = lead
-            budget.spend()
-            if (found := work.divisor(monomial)) is not None:
-                _step(work, coeff, *found)
-            else:
-                work.pop_leading()
+        while work.reduce(budget.spend) is not None:
+            work.pop_leading()
         return work.remainder(gens)
 
     return gens.divide(f, divide)
@@ -150,12 +135,9 @@ def divide_exact(f: GradedPoly, g: GradedPoly) -> GradedPoly | None:
     unit = f.ring.field.raw(Fraction(a) / g.terms[eg])  # associate / g
 
     def divide(work):
-        quotient = {}
-        while (lead := work.leading()) is not None:
-            monomial, coeff = lead
-            if (found := work.divisor(monomial)) is None:
-                return None
-            quotient[work.exponents(found[2])] = _q_raw(_step(work, coeff, *found), work.scale) * unit
-        return _from_raw(f.ring, quotient)
+        steps = []
+        if work.reduce(steps=steps) is not None:
+            return None
+        return _from_raw(f.ring, {work.exponents(shift): _q_raw(c, s) * unit for shift, c, s in steps})
 
     return divisors.divide(f, divide)

@@ -659,7 +659,10 @@ class _Dividend:
     scanning the terms (cf. Monagan & Pearce, "Sparse polynomial division
     using a heap", J. Symb. Comp. 46 (2011)).  Its terms are ints, scale
     times the true polynomial (scale is 1 over F_p).  Its divisors are the
-    packed associates of a divisor set, at the set's width.
+    packed associates of a divisor set, at the set's width.  One loop,
+    reduce, makes every step of a division: it calls the budget's spend once
+    per leading term, rescales the work through rescale, and records each step
+    for divide_exact's quotient; pop_leading takes a lead without a divisor.
     """
 
     __slots__ = ("p", "scale", "terms", "heap", "divisors", "guard", "exponents", "popped", "spair")
@@ -689,28 +692,53 @@ class _Dividend:
         self.heap = [-m for m in self.terms]
         heapify(self.heap)
 
-    def leading(self):
-        """(packed monomial, coefficient) of the leading term, or None once zero."""
-        heap, terms = self.heap, self.terms
+    def reduce(self, spend=None, steps=None):
+        """Divide until a leading term has no divisor: returns its packed monomial,
+        left on top of the heap, or None once zero.  spend(), if given, is called
+        once per leading term.  A step cancels c*x^m by c'*x^(m - lead), c' =
+        c/gcd(c, a), times the first divisor (lead, a, items) whose lead divides
+        m: it rescales the work by a/gcd(c, a), appends (m - lead, c', scale) to
+        steps if given, pops m and subtracts in place as sub_mul does."""
+        heap, terms, p, guard, divisors = self.heap, self.terms, self.p, self.guard, self.divisors
         while heap:
-            c = terms.get(-heap[0])
-            if c is not None:
-                return -heap[0], c
-            heappop(heap)
-        return None
-
-    def divisor(self, m):
-        """(a, items, shift) of the first divisor whose leading monomial
-        divides the packed monomial m, shift being the quotient, or None."""
-        guard = self.guard
-        top = m | guard
-        for lead, a, items in self.divisors:
-            if (top - lead) & guard == guard:
-                return a, items, m - lead
+            m = -heap[0]
+            if (c := terms.get(m)) is None:
+                heappop(heap)
+                continue
+            if spend is not None:
+                spend()
+            top = m | guard
+            for lead, a, items in divisors:
+                if (top - lead) & guard == guard:
+                    break
+            else:
+                return m
+            heappop(heap)  # the step cancels m
+            if a != 1:
+                h = gcd(c, a)
+                if h != a:
+                    self.rescale(a // h)
+                    terms = self.terms
+                c //= h
+            shift = m - lead
+            if steps is not None:
+                steps.append((shift, c, self.scale))
+            for e, k in items:
+                e += shift
+                kc = k * c
+                if (s := terms.get(e)) is None:
+                    if e & guard:
+                        raise _Overflow
+                    terms[e] = -kc % p if p else -kc
+                    heappush(heap, -e)
+                elif s := (s - kc) % p if p else s - kc:
+                    terms[e] = s
+                else:
+                    del terms[e]
         return None
 
     def pop_leading(self):
-        """Move the leading term, found by leading(), to popped: (packed monomial, int coefficient, scale)."""
+        """Move the leading term, the monomial reduce returned, to popped: (packed monomial, int coefficient, scale)."""
         m = -heappop(self.heap)
         self.popped.append((m, self.terms.pop(m), self.scale))
 
@@ -736,25 +764,22 @@ class _Dividend:
         self.terms = {e: c * m for e, c in self.terms.items()}
 
     def sub_mul(self, items, shift, coeff):
-        """work -= coeff * x^shift * items, for packed (monomial, int) items.  A new
-        monomial is pushed onto the heap (_Overflow if it sets a guard bit); a
-        cancelled one is left there."""
+        """work -= coeff * x^shift * items, for packed (monomial, int) items, as
+        a step of reduce does inline.  A new monomial is pushed onto the heap
+        (_Overflow if it sets a guard bit); a cancelled one is left there."""
         terms, heap, p, guard = self.terms, self.heap, self.p, self.guard
         for e, k in items:
             m = e + shift
             kc = k * coeff
-            s = terms.get(m)
-            if s is None:
+            if (s := terms.get(m)) is None:
                 if m & guard:
                     raise _Overflow
                 terms[m] = -kc % p if p else -kc
                 heappush(heap, -m)
+            elif s := (s - kc) % p if p else s - kc:
+                terms[m] = s
             else:
-                s = (s - kc) % p if p else s - kc
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+                del terms[m]
 
 
 class Vector(Record, frozen=True):
