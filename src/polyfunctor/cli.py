@@ -117,7 +117,7 @@ def _direction(args, W: DirectionSubspace) -> Vector:
     if len(coords) != len(args.w_vars):
         raise AlgebraError("direction length does not match the subspace variables")
     by_name = dict(zip(args.w_vars, coords))
-    return Vector("direction", W.span_vars, tuple(by_name[n] for n in W.span_vars))
+    return Vector(W.span_vars, tuple(by_name[n] for n in W.span_vars))
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -293,7 +293,7 @@ def cmd_proofstep(args):
         raise AlgebraError(
             f"r0 needs {len(r_vars)} coordinates over {list(r_vars)}"
         )
-    r0 = Vector("r", r_vars, r_coords)
+    r0 = Vector(r_vars, r_coords)
     if args.phi:
         phis = [space_matrix(field, parse_matrix(text, field)) for text in args.phi]
     else:

@@ -9,9 +9,9 @@ FieldDescriptor.scalar, is a constant of the field's variable-free ring
 (rings.GradedRing(field, ())), with that ring's operators; no module of the
 package builds one.  No floating point is used anywhere.
 
-The characteristic exponent of a field is 1 in characteristic 0 and p in
-characteristic p; it is the base for the power levels appearing in
-directional calculus, so that code paths in both characteristics unify.
+A FieldDescriptor is its characteristic, 0 or a prime p; the characteristic
+exponent, 1 or p, is the base for the power levels of directional calculus,
+so that code paths in both characteristics unify.
 """
 
 from __future__ import annotations
@@ -62,33 +62,29 @@ def _q_raw(v, d: int = 1):
 
 
 class FieldDescriptor(Record, frozen=True):
-    """Ground field: either the rationals or F_p for a prime p."""
+    """Ground field: the rationals (characteristic 0) or F_p for a prime p."""
 
-    kind: str  # "rationals" | "prime-field"
     characteristic: int
-    char_exponent: int
 
     def __post_init__(self):
-        if self.kind == "rationals":
-            if self.characteristic != 0 or self.char_exponent != 1:
-                raise AlgebraError("rationals must have characteristic 0 and exponent 1")
-        elif self.kind == "prime-field":
-            if not _is_prime(self.characteristic):
-                raise AlgebraError(f"{self.characteristic} is not prime")
-            if self.char_exponent != self.characteristic:
-                raise AlgebraError("characteristic exponent must equal p")
-        else:
-            raise AlgebraError(f"unknown field kind {self.kind!r}")
+        if self.characteristic and not _is_prime(self.characteristic):
+            raise AlgebraError(f"{self.characteristic} is not prime")
+
+    @property
+    def char_exponent(self) -> int:
+        return self.characteristic or 1
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def rationals() -> "FieldDescriptor":
-        return FieldDescriptor("rationals", 0, 1)
+        return FieldDescriptor(0)
 
     @staticmethod
     def prime_field(p: int) -> "FieldDescriptor":
-        return FieldDescriptor("prime-field", p, p)
+        if not p:
+            raise AlgebraError("0 is not prime")
+        return FieldDescriptor(p)
 
     @staticmethod
     def parse(text: str) -> "FieldDescriptor":

@@ -354,8 +354,7 @@ class Summand(Record, frozen=True):
 class HomDecomposition:
     """Homogeneous decomposition: labelled summands grouped by degree."""
 
-    def __init__(self, functor: FunctorExpr, summands):
-        self.functor = functor
+    def __init__(self, summands):
         self.summands = tuple(summands)
         parts: dict[int, list[Summand]] = {}
         for s in self.summands:
@@ -379,10 +378,7 @@ class HomDecomposition:
 
 
 def decompose(expr: FunctorExpr) -> HomDecomposition:
-    summands = [
-        Summand(f"p{i}", s, s.degree()) for i, s in enumerate(normalize(expr))
-    ]
-    return HomDecomposition(expr, summands)
+    return HomDecomposition(Summand(f"p{i}", s, s.degree()) for i, s in enumerate(normalize(expr)))
 
 
 # ---------------------------------------------------------------------------

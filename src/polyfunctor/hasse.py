@@ -60,7 +60,7 @@ class DirectionSubspace(Record, frozen=True):
         object.__setattr__(self, "span_vars", ordered)
 
     def direction(self, coords) -> Vector:
-        return Vector("direction", self.span_vars, tuple(map(self.ring.field.raw, coords)))
+        return Vector(self.span_vars, tuple(map(self.ring.field.raw, coords)))
 
 
 class DirectionalData(Record, frozen=True):
@@ -90,14 +90,14 @@ def fresh_name(base: str, taken) -> str:
     return name
 
 
-def doubled_ring(ring: GradedRing, span_vars, suffix: str):
-    """ring extended by one fresh copy of every span variable, each copy
-    carrying the weight of its original; returns the extended ring and the
-    (original, copy) name pairs."""
+def doubled_ring(ring: GradedRing, span_vars):
+    """ring extended by one fresh copy of every span variable, named after it
+    with the suffix _w and carrying its weight; returns the extended ring and
+    the (original, copy) name pairs."""
     taken = set(ring.names)
     copies, extra = [], []
     for name in span_vars:
-        copy = fresh_name(name + suffix, taken)
+        copy = fresh_name(name + "_w", taken)
         taken.add(copy)
         copies.append((name, copy))
         extra.append(RingVariable(copy, "aux", ring.variables[ring.position(name)].weight))
@@ -110,7 +110,7 @@ def taylor_expand(f: GradedPoly, W: DirectionSubspace, t: str = "t") -> GradedPo
     derivative as a joint polynomial, the t^r slice of the binomial rule."""
     if W.ring != f.ring:
         raise AlgebraError("direction subspace belongs to a different ring")
-    joint, _ = doubled_ring(f.ring, W.span_vars, "_w")
+    joint, _ = doubled_ring(f.ring, W.span_vars)
     if t in joint.names:
         raise AlgebraError(f"auxiliary variable {t!r} is not fresh")
     n = len(f.ring.names)
@@ -258,7 +258,7 @@ def directional_data(f: GradedPoly, W: DirectionSubspace) -> DirectionalData:
     powers, grouping, top = _symbolic_axes(f, W)
     if not top:
         return DirectionalData("independent", None, None, ())
-    joint_ring, copies = doubled_ring(f.ring, W.span_vars, "_w")
+    joint_ring, copies = doubled_ring(f.ring, W.span_vars)
     field = f.ring.field
     # slices in increasing order over the same classes; the one at top is never zero
     for r in range(1, top + 1):

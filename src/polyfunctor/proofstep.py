@@ -492,7 +492,7 @@ def _check_derivative_formula(
     are R(phi) on R's moving coordinates: the direction is read off them, on
     the copies."""
     q_power = model_u.field.char_exponent ** dd_f.level
-    joint_ring, copies = doubled_ring(model_big.ring, moving, "_w")
+    joint_ring, copies = doubled_ring(model_big.ring, moving)
     copy_of_big = dict(copies)
     lhs = joint_ring.zero()
     for name, coeff in additive_part.items():
@@ -537,8 +537,9 @@ class EliminationCertificate(Record):
         return [self.unit ** e.h_power * ring.var(e.variable) ** q + e.numerator for e in self.entries]
 
 
-def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
-    """Cramer-rule elimination of the moving coordinates.
+def eliminate(elements, h: GradedPoly) -> EliminationCertificate:
+    """Cramer-rule elimination of the moving coordinates, the eliminated
+    coordinates of the elements, on which they must agree.
 
     Tries the row subsets of the elements in lexicographic order, at most
     MAX_MINOR_CANDIDATES of them.  Each is one block-triangular solve
@@ -556,14 +557,14 @@ def eliminate(elements, h: GradedPoly, eliminated) -> EliminationCertificate:
     budget.
     """
     elements = list(elements)
-    eliminated = list(eliminated)
-    if not elements or not eliminated:
+    if not elements or not elements[0].eliminated:
         raise PresentationError("elimination needs elements and coordinates")
-    ring = elements[0].poly.ring
-    level = elements[0].level
+    ring, level, eliminated = elements[0].poly.ring, elements[0].level, elements[0].eliminated
     for el in elements:
         if el.poly.ring != ring or el.level != level:
             raise PresentationError("elements disagree in ring or level")
+        if el.eliminated != eliminated:
+            raise PresentationError("elements disagree in their moving coordinates")
     if h.ring != ring:
         raise PresentationError("unit polynomial lives in a foreign ring")
     elim_set = set(eliminated)
@@ -630,7 +631,7 @@ def _h_power(d: GradedPoly, h: GradedPoly):
 
 class Check(Record):
     name: str
-    status: str  # pass | fail | inconclusive | skipped
+    status: str  # pass | fail | inconclusive
     witness: str = ""
 
 
@@ -730,7 +731,7 @@ def _run_stages(X: VarietyPresentation, f: GradedPoly, n: int, r0: Vector, phis)
     h_big = h.substitute({name: model_big.ring.var(big) for name, big in pulled.items()})
     certificate, error = None, ""
     try:
-        certificate = eliminate(elements, h_big, elements[0].eliminated if elements else ())
+        certificate = eliminate(elements, h_big)
     except CertificateNotFoundError as exc:
         error = str(exc)
     report = ProofStepReport(f, r0, delta, h, data, model_big, model_2u, h_big, universal, elements, certificate, error)
@@ -876,7 +877,7 @@ def run_rank_one_example(n: int, fld: FieldDescriptor, seed: int = 0, sample_cou
     var = model_u.ring.var
     f = var("y_1_1") * var("y_2_2") - var("y_1_2") ** 2 + var("z_1_2") ** 2
     X = VarietyPresentation.make(model_u, [f], [], r_label, _segre_map)
-    r0 = Vector("r", ("z_1_2",), (1,))
+    r0 = Vector(("z_1_2",), (1,))
     pairs = pair_projections(fld, n)
     report = _run_stages(X, f, n, r0, list(pairs.values()))
     delta, data, h, images = report.delta, report.data, report.h, report.images

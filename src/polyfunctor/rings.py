@@ -785,7 +785,6 @@ class _Dividend:
 class Vector(Record, frozen=True):
     """Coordinates of a point or direction over a labelled basis."""
 
-    space: str
     basis: tuple[str, ...]
     coords: tuple  # raw coefficients
 

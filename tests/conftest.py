@@ -239,7 +239,7 @@ def parse_polynomial_by_tokens(text: str, ring: GradedRing) -> GradedPoly:
 def _additivity_defect(f: GradedPoly, span_vars) -> GradedPoly:
     """f(v + w) - f(v) - f(w) in doubled variables v, w on span_vars."""
     ring = f.ring
-    ext, copies = doubled_ring(ring, span_vars, "_b")
+    ext, copies = doubled_ring(ring, span_vars)
     sum_map = {name: ext.var(name) for name in ring.names}
     copy_map = dict(sum_map)
     for orig, copy in copies:

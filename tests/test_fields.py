@@ -17,8 +17,10 @@ def test_field_descriptor_invariants():
     assert F5.characteristic == 5 and F5.char_exponent == 5
     with pytest.raises(AlgebraError):
         FieldDescriptor.prime_field(6)
-    with pytest.raises(AlgebraError):
-        FieldDescriptor("prime-field", 5, 1)
+    # a field is its characteristic: FieldDescriptor(0) is q, so prime_field(0) refuses
+    assert FieldDescriptor(0) == Q and FieldDescriptor(5) == F5
+    with pytest.raises(AlgebraError, match="^0 is not prime$"):
+        FieldDescriptor.prime_field(0)
 
 
 def test_field_parse_round_trip():

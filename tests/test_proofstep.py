@@ -118,7 +118,7 @@ def test_a_witness_in_a_foreign_ring_is_refused():
     model_big = CoordinateModel(SPLIT, Q, 5)
     foreign = f.substitute({name: model_big.ring.var(name) for name in model_u.ring.names})
     message = "witness polynomial lives in a foreign ring"
-    _refused(PresentationError, message, derivative_step, foreign, X, Vector("r", ("z_1_2",), (1,)))
+    _refused(PresentationError, message, derivative_step, foreign, X, Vector(("z_1_2",), (1,)))
     data = witness_data(f, model_u, "p1")
     _refused(PresentationError, message, extract_additive_element, foreign, data, model_u, model_big,
              pair_projection(Q, 3, 1, 2), "p1")
@@ -136,12 +136,15 @@ def test_elimination_refusals():
     z, c = ring.var("z"), ring.var("c")
     one = AffineAdditiveElement(z + c, 0, {"z": ring.one()}, c, ("z",))
     cubed = AffineAdditiveElement(z ** 3 + c, 1, {"z": ring.one()}, c, ("z",))
-    _refused(PresentationError, "elements disagree in ring or level", eliminate, [one, cubed], ring.one(), ["z"])
+    _refused(PresentationError, "elements disagree in ring or level", eliminate, [one, cubed], ring.one())
+    # the moving coordinates are read off the elements, which must agree on them
+    moved = AffineAdditiveElement(c + z, 0, {"c": ring.one()}, z, ("c",))
+    _refused(PresentationError, "elements disagree in their moving coordinates", eliminate, [one, moved], ring.one())
     foreign = GradedRing(Q, [("z", "r", 1), ("c", "b", 1), ("h", "b", 1)]).var("h")
-    _refused(PresentationError, "unit polynomial lives in a foreign ring", eliminate, [one], foreign, ["z"])
-    _refused(PresentationError, "unit polynomial must avoid the moving coordinates", eliminate, [one], z + c, ["z"])
+    _refused(PresentationError, "unit polynomial lives in a foreign ring", eliminate, [one], foreign)
+    _refused(PresentationError, "unit polynomial must avoid the moving coordinates", eliminate, [one], z + c)
     # the same element with a unit free of z is eliminated
-    assert eliminate([one], ring.one(), ["z"]).entries == (CertificateEntry("z", c, 0),)
+    assert eliminate([one], ring.one()).entries == (CertificateEntry("z", c, 0),)
 
 
 # -- delta ------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def test_delta_runs_buchberger_once_with_the_per_generator_budget(field, monkeyp
 
 def test_derivative_step_running_example():
     model, f, X = split_presentation()
-    h, data = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
+    h, data = derivative_step(f, X, Vector(("z_1_2",), (1,)))
     assert data.level == 0
     assert h == model.ring.var("z_1_2") * 2
 
@@ -240,13 +243,13 @@ def test_derivative_step_rejects_independent_witness():
     g = model.ring.var("y_1_1") * model.ring.var("y_2_2")
     X2 = VarietyPresentation.make(model, [g], [], "p1")
     with pytest.raises(PresentationError):
-        derivative_step(g, X2, Vector("r", ("z_1_2",), (1,)))
+        derivative_step(g, X2, Vector(("z_1_2",), (1,)))
 
 
 def test_derivative_step_rejects_bad_direction():
     model, f, X = split_presentation()
     with pytest.raises(BadDirectionChoiceError):
-        derivative_step(f, X, Vector("r", ("z_1_2",), (0,)))
+        derivative_step(f, X, Vector(("z_1_2",), (0,)))
 
 
 def test_derivative_step_level_one_in_characteristic_five():
@@ -254,7 +257,7 @@ def test_derivative_step_level_one_in_characteristic_five():
     ring = model.ring
     f = parse_polynomial("y_1_1^5*y_2_2^5 + z_1_2^5*y_1_1^5", ring)
     X = VarietyPresentation.make(model, [f], [], "p1")
-    h, data = derivative_step(f, X, Vector("r", ("z_1_2",), (1,)))
+    h, data = derivative_step(f, X, Vector(("z_1_2",), (1,)))
     assert data.level == 1
     assert h == ring.var("y_1_1") ** 5
     # degree ledger: deg h = deg f - d * p^e0 = 20 - 2*5
@@ -539,7 +542,7 @@ def test_eliminate_single_affine_element():
         eliminated=("z",),
         pullback=ring.zero(),
     )
-    cert = eliminate([element], ring.one(), ["z"])
+    cert = eliminate([element], ring.one())
     (entry,) = cert.entries
     assert entry.variable == "z"
     assert entry.h_power == 0
@@ -559,7 +562,7 @@ def test_eliminate_needs_enough_elements():
         pullback=ring.zero(),
     )
     with pytest.raises(CertificateNotFoundError):
-        eliminate([element], ring.one(), ["z1", "z2"])
+        eliminate([element], ring.one())
 
 
 def test_eliminate_no_unit_minor():
@@ -573,7 +576,7 @@ def test_eliminate_no_unit_minor():
         pullback=ring.zero(),
     )
     with pytest.raises(CertificateNotFoundError):
-        eliminate([element], ring.var("h"), ["z"])
+        eliminate([element], ring.var("h"))
 
 
 def test_eliminate_takes_the_first_unit_minor(monkeypatch):
@@ -593,7 +596,7 @@ def test_eliminate_takes_the_first_unit_minor(monkeypatch):
         element({"z1": h * 2}, h * c),
         element({"z2": h**2 * 3}, c),
     ]
-    cert = eliminate(elements, h, ["z1", "z2"])
+    cert = eliminate(elements, h)
     assert cert.minor_rows == (1, 2)
     assert cert.minor_det == h**3 * 6
     # 2h*z1 + h*c = 0 gives z1 = -c/2 with no h left; 3h^2*z2 + c = 0 gives
@@ -605,7 +608,7 @@ def test_eliminate_takes_the_first_unit_minor(monkeypatch):
     assert cert.cleared_elements() == [z1 + c * Fraction(1, 2), h**2 * z2 + c * Fraction(1, 3)]
     monkeypatch.setattr(proofstep, "MAX_MINOR_CANDIDATES", 2)
     with pytest.raises(CertificateNotFoundError):
-        eliminate(elements, h, ["z1", "z2"])
+        eliminate(elements, h)
 
 
 def test_eliminate_with_the_factors_of_h_in_different_blocks():
@@ -623,7 +626,7 @@ def test_eliminate_with_the_factors_of_h_in_different_blocks():
         return AffineAdditiveElement(poly, 0, additive, constant, ("z1", "z2", "z3"), ring.zero())
 
     elements = [element({"z1": u}, w), element({"z2": v * 2}, w), element({"z3": h * 3}, w * u)]
-    cert = eliminate(elements, h, ["z1", "z2", "z3"])
+    cert = eliminate(elements, h)
     assert cert.minor_rows == (0, 1, 2)
     assert cert.minor_det == h**2 * 6
     # u*z1 + w = 0 gives h*z1 + w*v = 0, 2v*z2 + w = 0 gives h*z2 + w*u/2 = 0
@@ -661,7 +664,7 @@ def test_eliminate_running_example_structure():
         elements.append(extract_additive_element(f, witness_data(f, model_u, "p1"), model_u, model_big, phi, "p1"))
     h_big = (model_big.ring.var("z_1_2")) * 2
     eliminated = model_big.moving_vars("p1", 2)
-    cert = eliminate(elements, h_big, eliminated)
+    cert = eliminate(elements, h_big)
     assert len(cert.entries) == 3
     assert all(e.h_power == 1 for e in cert.entries)
     assert set(e.variable for e in cert.entries) == {"z_3_4", "z_3_5", "z_4_5"}
@@ -1014,7 +1017,7 @@ def test_h_big_is_the_label_pull_back_of_h(field):
         f = parse_polynomial(witness, model_u.ring)
         X = VarietyPresentation.make(model_u, [f], [], part)
         r_vars = X.r_vars()
-        r0 = Vector("r", r_vars, tuple(field.scalar(i + 1) for i in range(len(r_vars))))
+        r0 = Vector(r_vars, tuple(field.scalar(i + 1) for i in range(len(r_vars))))
         stages = proofstep._run_stages(X, f, 3, r0, [space_matrix(field, rows) for rows in PHI_ROWS])
         h = stages.h
         assert stages.h_big == _label_pull_back(h, model_u, stages.model_big), (text, part)
@@ -1054,7 +1057,7 @@ def test_eliminate_checks_that_numerators_avoid_the_moving_coordinates():
         pullback=ring.zero(),
     )
     with pytest.raises(InternalCheckError, match="^certificate numerator touches a moving coordinate$"):
-        eliminate([element], ring.var("c"), ["z1"])
+        eliminate([element], ring.var("c"))
 
 
 # -- full runs ----------------------------------------------------------------------
@@ -1717,7 +1720,7 @@ def _assert_pulled_back_as_extracted(X, n, phis):
     from polyfunctor import proofstep
 
     u, field = X.model.dimension, X.model.field
-    r0 = Vector("r", ("z_1_2",), (1,))
+    r0 = Vector(("z_1_2",), (1,))
     X = VarietyPresentation.make(X.model, X.generators, X.q_generators, X.designated_r, _segre_map)
     stages = proofstep._run_stages(X, X.generators[0], n, r0, phis)
     model_big = CoordinateModel(X.model.functor, field, u + n)
@@ -1809,7 +1812,7 @@ def test_level_two_elements_vanish_on_rank_one_tensors(n):
     field = FieldDescriptor.prime_field(3)
     _, f, X = _frobenius_presentation(field, 2)
     pairs = [pair_projection(field, n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    stages = proofstep._run_stages(X, f, n, Vector("r", ("z_1_2",), (1,)), pairs)
+    stages = proofstep._run_stages(X, f, n, Vector(("z_1_2",), (1,)), pairs)
     assert stages.data.level == stages.certificate.level == 2
     # every k has level 2 and a nonzero additive part, and its Segre image,
     # exact membership in the ideal of 2x2 minors, is zero
@@ -1876,7 +1879,7 @@ def test_no_projection_extracts_nothing(monkeypatch):
     _, f, X = split_presentation(Q)
     monkeypatch.setattr(proofstep, "extract_additive_element", lambda *args: pytest.fail("extracted"))
     with pytest.raises(PresentationError, match="elimination needs elements and coordinates"):
-        proofstep._run_stages(X, f, 3, Vector("r", ("z_1_2",), (1,)), [])
+        proofstep._run_stages(X, f, 3, Vector(("z_1_2",), (1,)), [])
 
 
 def test_one_extraction_per_run(monkeypatch):

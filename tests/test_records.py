@@ -49,7 +49,7 @@ Y = parse_polynomial("2*y - 1/3", R)
 
 def _instances():
     return [
-        FieldDescriptor("prime-field", 5, 5),
+        FieldDescriptor(5),
         ConstF(2),
         IdF(),
         SumF([IdF(), ConstF(1)]),
@@ -73,17 +73,17 @@ def _instances():
         Check("x", "pass"),
         Check("y", "fail", witness="w"),
         ProofStepReport(
-            X, Vector("direction", ("x",), (1,)), DeltaReport("infinite", None, None), Y, None, None, None, Y,
+            X, Vector(("x",), (1,)), DeltaReport("infinite", None, None), Y, None, None, None, Y,
             None, [], None, "none", None, (("n", 3),), (), None, [Check("c", "skipped")],
         ),
         RingVariable("x"),
         RingVariable("z", weight=2),
-        Vector("point", ("x", "y"), (1, 2)),
+        Vector(("x", "y"), (1, 2)),
     ]
 
 
 REPRS = [
-    "FieldDescriptor(kind='prime-field', characteristic=5, char_exponent=5)",
+    "FieldDescriptor(characteristic=5)",
     "ConstF(size=2)",
     "IdF()",
     "SumF(parts=(IdF(), ConstF(size=1)))",
@@ -108,13 +108,13 @@ REPRS = [
     "minor_rows=(0, 1), minor_det=<2*y - 1/3>)",
     "Check(name='x', status='pass', witness='')",
     "Check(name='y', status='fail', witness='w')",
-    "ProofStepReport(f=<x>, r0=Vector(space='direction', basis=('x',), coords=(1,)), "
+    "ProofStepReport(f=<x>, r0=Vector(basis=('x',), coords=(1,)), "
     "delta=DeltaReport(status='infinite', delta=None, witness=None), h=<2*y - 1/3>, data=None, model_big=None, "
     "model_2u=None, h_big=<2*y - 1/3>, universal=None, elements=[], certificate=None, certificate_error='none', "
     "images=None, header=(('n', 3),), element_keys=(), delta_witness=None, checks=[Check(name='c', status='skipped', witness='')])",
     "RingVariable(name='x', part='main', weight=1)",
     "RingVariable(name='z', part='main', weight=2)",
-    "Vector(space='point', basis=('x', 'y'), coords=(1, 2))",
+    "Vector(basis=('x', 'y'), coords=(1, 2))",
 ]
 
 FROZEN = {
@@ -145,11 +145,8 @@ POST_INIT_ERRORS = [
     (lambda: RingVariable("1x"), "bad variable name '1x'"),
     (lambda: RingVariable(""), "bad variable name ''"),
     (lambda: RingVariable("x", weight=-1), "variable weight must be nonnegative"),
-    (lambda: Vector("point", ("x",), ()), "vector length does not match its basis"),
-    (lambda: FieldDescriptor("prime-field", 4, 4), "4 is not prime"),
-    (lambda: FieldDescriptor("prime-field", 5, 1), "characteristic exponent must equal p"),
-    (lambda: FieldDescriptor("rationals", 2, 1), "rationals must have characteristic 0 and exponent 1"),
-    (lambda: FieldDescriptor("reals", 0, 1), "unknown field kind 'reals'"),
+    (lambda: Vector(("x",), ()), "vector length does not match its basis"),
+    (lambda: FieldDescriptor(4), "4 is not prime"),
     (lambda: DirectionSubspace(R, ()), "direction subspace needs at least one variable"),
     (lambda: DirectionSubspace(R, ("x", "x")), "duplicate span variable 'x'"),
     (lambda: DirectionSubspace(R, ("w",)), "variable 'w' not in ring"),
@@ -187,7 +184,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(ConstF(2)) == hash((2,)) != hash(2)
     assert hash(IdF()) == hash(())
     assert hash(RingVariable("x")) == hash(("x", "main", 1))
-    assert hash(FieldDescriptor.prime_field(3)) == hash(("prime-field", 3, 3))
+    assert hash(FieldDescriptor.prime_field(3)) == hash((3,))
     assert len({SymF(2, IdF()), SymF(2, IdF()), ExtF(2, IdF())}) == 2
 
 

@@ -256,7 +256,7 @@ def test_vector_length_checked():
     from polyfunctor import Vector
 
     with pytest.raises(AlgebraError):
-        Vector("v", ("a", "b"), (1,))
+        Vector(("a", "b"), (1,))
 
 
 F101 = FieldDescriptor.prime_field(101)

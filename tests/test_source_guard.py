@@ -1,12 +1,14 @@
 """Static guard on the package source: no unused import in a module, no
 module-level private function or class that nothing in the package uses, and
 no public one that nothing reads: not the package, not the benchmark's jobs,
-not README's "What is inside" table; and no second rank-one runner next to
-the stage runner.  And on the CI workflow: it runs the command line only
+not README's "What is inside" table; no field of a record that nothing of
+these reads, other than the record's own __post_init__; and no second
+rank-one runner next to the stage runner.  And on the CI workflow: it runs the command line only
 through the pinned-run table."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,6 +130,52 @@ def test_the_public_guard_flags_an_unread_function():
     extra = dict(MODULES, **{"extra.py": ast.parse("def orphan():\n    return orphan\n")})
     unread = _unread_public(extra, _used_names(ast.parse(WORKLOADS.read_text())), _readme_surface())
     assert "extra.py:1 orphan" in unread
+
+
+def _attribute_reads(node) -> Counter:
+    """The attribute names read (not assigned or deleted) in node, counted."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _unread_fields(modules, workloads: set, readme: set) -> list:
+    """The fields of the module-level Record subclasses in modules that no
+    attribute read in modules reads, apart from those in the class's own
+    __post_init__, that the benchmark's jobs do not read and that README's
+    table does not name."""
+    reads = sum((_attribute_reads(tree) for tree in modules.values()), Counter())
+    unread = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or "Record" not in {ast.unparse(base) for base in node.bases}:
+                continue
+            own = sum((_attribute_reads(d) for d in node.body if getattr(d, "name", "") == "__post_init__"), Counter())
+            for field in node.body:
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
+                    key = field.target.id
+                    if reads[key] <= own[key] and key not in workloads and key not in readme:
+                        unread.append(f"{name}:{field.lineno} {node.name}.{key}")
+    return unread
+
+
+def _workload_reads(tree) -> set:
+    """The attribute names the benchmark's jobs read, other than those
+    workloads.py defines itself (its job fields and methods)."""
+    own = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {node.target.id for node in ast.walk(tree) if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    return set(_attribute_reads(tree)) - own
+
+
+def test_every_record_field_is_read():
+    assert _unread_fields(MODULES, _workload_reads(ast.parse(WORKLOADS.read_text())), _readme_surface()) == []
+
+
+def test_the_field_guard_flags_a_field_read_only_by_its_own_check():
+    extra = dict(MODULES, **{"extra.py": ast.parse(
+        "class Pair(Record):\n    left: int\n    unread_right: int\n\n"
+        "    def __post_init__(self):\n        assert self.unread_right\n\n\n"
+        "def first(pair):\n    return pair.left\n")})
+    unread = _unread_fields(extra, _workload_reads(ast.parse(WORKLOADS.read_text())), _readme_surface())
+    assert [line for line in unread if line.startswith("extra.py")] == ["extra.py:3 Pair.unread_right"]
 
 
 # GradedPoly.convert matches variables by name.  A generic coordinate name

@@ -435,13 +435,14 @@ def test_elimination_certificate_matches_sympy_solve(field_text, monkeypatch):
     field = FieldDescriptor.parse(field_text)
     eliminate, calls = proofstep.eliminate, []
 
-    def recorded(elements, h, eliminated, **kwargs):
-        calls.append((elements, h, eliminated, eliminate(elements, h, eliminated, **kwargs)))
+    def recorded(elements, h, **kwargs):
+        calls.append((elements, h, eliminate(elements, h, **kwargs)))
         return calls[-1][-1]
 
     monkeypatch.setattr(proofstep, "eliminate", recorded)
     assert run_rank_one_example(3, field, sample_count=1).all_passed()
-    (elements, h, eliminated, cert), = calls
+    (elements, h, cert), = calls
+    eliminated = elements[0].eliminated
     # eliminate's own rows [A | b] at the minor it took, over K(vars)
     ring, n = h.ring, len(eliminated)
     syms = _symbols(ring)
